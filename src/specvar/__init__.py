@@ -98,7 +98,6 @@ from .oracles import (
 )
 from .sv_calculus import (
     DirectionBlocks,
-    ResolventData,
     direction_blocks,
     eig_expand2,
     expansion_residual,

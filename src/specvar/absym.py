@@ -408,7 +408,12 @@ def spec_by_name(name: str) -> SpectralFunctionSpec:
     if name == "linf":
         return linf_spec()
     if name.startswith("kyfan:"):
-        return kyfan_spec(int(name.split(":", 1)[1]))
+        k = name.split(":", 1)[1]
+        try:
+            k = int(k)
+        except ValueError:
+            raise BadK(f"Ky Fan order {k!r} is not an integer") from None
+        return kyfan_spec(k)
     raise BadK(f"unknown spectral function {name!r}")
 
 

@@ -137,6 +137,8 @@ def load_problem(path):
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise UsageError(f"{path}: problem file must hold a JSON object")
     base = path.parent
     f = absym.spec_by_name(d["f"])
     weight = float(d.get("weight", 1.0))

@@ -214,7 +214,11 @@ def lift_eigenbasis(svd: SvdDecomposition):
     d their eigenvalues, laid out as (sigma_1..sigma_n, 0 x (m-n),
     -sigma_1..-sigma_n).  Column k < n is (u_k; v_k)/sqrt(2), the middle
     block is (u_k; 0) over the trailing columns of U, and the final block
-    is (-u_k; v_k)/sqrt(2).
+    is (-u_k; v_k)/sqrt(2).  In this basis lift(H) has the entries
+    Sym(U^T H V), -Skw(U^T H V) and the trailing rows of U^T H V over
+    sqrt(2), so its resolvent at sigma_k is the SVD-basis divided
+    difference with weights 1/(sigma_k - sigma_j), 1/(sigma_k + sigma_j)
+    and 1/sigma_k that ``sv_calculus`` evaluates without forming P.
     """
     U, s, V = svd.U, svd.sigma, svd.V
     m, n = svd.shape

@@ -37,13 +37,15 @@ from .matrix_core import (
     RANK_TOL,
     SvdDecomposition,
     as_matrix,
-    lift,
     partition_of,
     require_tall,
     svd_ordered,
     sym_eig_ordered,
 )
 from .sv_calculus import (
+    GAP_WARN,
+    _beta_cross_term,
+    alpha_quadratics,
     direction_blocks,
     min_direction_construct,
     sigma_dir1_from_blocks,
@@ -227,34 +229,19 @@ class SecondSubderivativeReport:
     warnings: tuple = ()
 
 
-def _alpha_quadratic_terms(gblocks, sy, BH):
+def _alpha_quadratic_terms(gblocks, sy):
     """Per-block resolvent quadratics <diag(sy_b), G_b> and gap warnings."""
     total = 0.0
     warns = []
     scale = max(1.0, gblocks.gauge.sigma[0] if len(gblocks.gauge.sigma)
                 else 1.0)
-    for ab in gblocks.alpha:
-        G = ab.resolvent.quadratic(BH)
+    for ab, G in zip(gblocks.alpha, alpha_quadratics(gblocks)):
         total += 2.0 * float(sy[ab.indices] @ np.diag(G))
-        if ab.resolvent.min_gap < 1e-6 * scale:
+        if ab.min_gap < GAP_WARN * scale:
             warns.append(
-                f"spectral gap {ab.resolvent.min_gap:.3e} at block value "
-                f"{ab.resolvent.mu:.6g}: alpha term ill-conditioned")
+                f"spectral gap {ab.min_gap:.3e} at block value "
+                f"{ab.mu:.6g}: alpha term ill-conditioned")
     return total, warns
-
-
-def _beta_quadratic_term(gblocks, sy, H):
-    """2 <Sigma(Y)_bh-beta, -U_bh^T H V_a Sigma_a^{-1} U_a^T H V_b>."""
-    part = gblocks.part
-    if part.r == 0 or part.r >= part.n:
-        return 0.0
-    svd = gblocks.gauge
-    r = part.r
-    Ua, Va = svd.U[:, :r], svd.V[:, :r]
-    Ub = svd.U[:, part.betahat]
-    Vb = svd.V[:, part.beta]
-    Mb = -(Ub.T @ H @ Va / svd.sigma[:r]) @ (Ua.T @ H @ Vb)
-    return 2.0 * float(sy[part.beta] @ np.diag(Mb))
 
 
 def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
@@ -294,8 +281,8 @@ def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
             value=INF, d2f_term=INF, alpha_term=0.0, beta_term=0.0,
             critical=False, duality_gap=gap)
     d2f = f.second_subderivative(svd.sigma, sy, d1, tol)
-    alpha_term, warns = _alpha_quadratic_terms(gblocks, sy, lift(H))
-    beta_term = _beta_quadratic_term(gblocks, sy, H)
+    alpha_term, warns = _alpha_quadratic_terms(gblocks, sy)
+    beta_term = float(sy[part.beta] @ np.diag(_beta_cross_term(gblocks)))
     value = d2f + alpha_term + beta_term if math.isfinite(d2f) else INF
     return SecondSubderivativeReport(
         value=value, d2f_term=d2f, alpha_term=alpha_term,
@@ -418,11 +405,7 @@ def nuclear_phi_second_diff(X, H, cluster_tol=CLUSTER_TOL,
     blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
     if blocks.part.r == 0:
         raise RankZero("X has rank 0")
-    BH = lift(H)
-    total = 0.0
-    for ab in blocks.alpha:
-        total += 2.0 * float(np.trace(ab.resolvent.quadratic(BH)))
-    return total
+    return 2.0 * sum(float(np.trace(G)) for G in alpha_quadratics(blocks))
 
 
 def nuclear_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
@@ -534,7 +517,12 @@ def set_by_name(name: str) -> InvariantSetSpec:
     if name == "free":
         return free_set()
     if name.startswith("spectral-ball:"):
-        return spectral_ball_set(float(name.split(":", 1)[1]))
+        radius = name.split(":", 1)[1]
+        try:
+            radius = float(radius)
+        except ValueError:
+            raise ShapeError(f"radius {radius!r} is not a number") from None
+        return spectral_ball_set(radius)
     raise ShapeError(f"unknown invariant set {name!r}")
 
 

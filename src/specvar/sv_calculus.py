@@ -4,9 +4,12 @@ Everything here is driven by the block structure that a direction H
 induces on top of the multiplicity structure of X: inside each block of
 equal singular values the first-order behaviour is an eigenvalue problem
 for the reduced symmetric block, and across blocks the second-order
-behaviour picks up a resolvent correction through the symmetric lift of
-X.  Zero singular values behave like a reduced rectangular SVD problem
-instead.
+behaviour picks up a resolvent correction.  That correction is a masked
+divided-difference (Loewner) form in the SVD basis: with Hhat = U^T H V
+split into its symmetric and skew n x n parts and its trailing m - n
+rows, block a at value mu weighs them by 1/(mu - sigma_j) (zero inside
+the block), 1/(mu + sigma_j) and 1/(2 mu).  Zero singular values behave
+like a reduced rectangular SVD problem instead.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .matrix_core import (
     SingularPartition,
     SvdDecomposition,
     as_matrix,
-    lift,
-    lift_eigenbasis,
     partition_of,
     partition_values,
     svd_ordered,
@@ -43,37 +44,16 @@ GAP_WARN = 1e-6
 
 
 @dataclass(frozen=True)
-class ResolventData:
-    """Per-block resolvent ingredients for second-order formulas.
-
-    ``P_block`` holds the eigenvectors of lift(X) for the block value
-    ``mu``; ``P_comp`` the complementary eigenvectors with eigenvalues
-    ``lam_comp`` (all different from mu by construction, so mu*I -
-    diag(lam_comp) is invertible).
-    """
-
-    mu: float
-    P_block: np.ndarray
-    P_comp: np.ndarray
-    lam_comp: np.ndarray
-    min_gap: float
-
-    def quadratic(self, BH):
-        """P_b^T BH P_c (mu I - Lam)^{-1} P_c^T BH P_b, symmetric."""
-        K = self.P_comp.T @ (BH @ self.P_block)
-        return K.T @ (K / (self.mu - self.lam_comp)[:, None])
-
-
-@dataclass(frozen=True)
 class AlphaBlock:
     """Reduced data of one equal-positive-singular-value block."""
 
-    indices: list            # global 0-based indices into sigma
+    indices: list            # global 0-based indices into sigma, contiguous
+    mu: float                # block value sigma[indices[0]]
+    min_gap: float           # distance from mu to the rest of the spectrum
     S: np.ndarray            # symmetrized reduced direction block
     Q: np.ndarray            # ordered eigenvectors of S
     eta: np.ndarray          # ordered eigenvalues of S
     groups: list             # second-level index groups, local to block
-    resolvent: ResolventData
 
 
 @dataclass(frozen=True)
@@ -95,6 +75,7 @@ class DirectionBlocks:
 
     gauge: SvdDecomposition
     part: SingularPartition
+    Hhat: np.ndarray         # U^T H V in the gauge, m x n
     alpha: list              # list of AlphaBlock
     beta: BetaBlock | None
     ltilde: np.ndarray       # 1-based second-level rank per index
@@ -104,9 +85,25 @@ class DirectionBlocks:
         return self.gauge.shape
 
 
-def _eigen_groups(vals, cluster_tol):
-    """Second-level tie groups of a nonincreasing eigenvalue vector."""
-    return list(partition_values(vals, cluster_tol, kind="eigen").blocks)
+def _block_slice(indices):
+    """Equal-value blocks are contiguous runs of indices."""
+    return slice(indices[0], indices[-1] + 1)
+
+
+def _reduced_eig(S, cluster_tol):
+    """Ordered eigenvectors, eigenvalues and second-level tie groups of a
+    reduced symmetric block; a 1 x 1 block is its own eigenpair and
+    group."""
+    if len(S) == 1:
+        return np.ones((1, 1)), S[0].copy(), [[0]]
+    eig = sym_eig_ordered(S)
+    groups = partition_values(eig.lam, cluster_tol, kind="eigen").blocks
+    return eig.Q, eig.lam, list(groups)
+
+
+def _sym_eigvals(D):
+    """Nonincreasing eigenvalues of a small symmetric matrix."""
+    return D[0] if len(D) == 1 else np.linalg.eigvalsh(D)[::-1]
 
 
 def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
@@ -124,41 +121,38 @@ def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
     m, n = X.shape
     svd = svd_ordered(X) if gauge is None else gauge
     part = partition_of(svd, cluster_tol, rank_tol)
-    U, s, V = svd.U, svd.sigma, svd.V
-    P, d = lift_eigenbasis(svd)
-    BH = lift(H)
+    s = svd.sigma
+    Hhat = svd.U.T @ H @ svd.V
+    Sym = 0.5 * (Hhat[:n] + Hhat[:n].T)
     scale = max(1.0, s[0]) if n else 1.0
 
     ltilde = np.zeros(n, dtype=int)
     alpha = []
     for blk in part.alpha_blocks:
         mu = float(s[blk[0]])
-        Ua, Va = U[:, blk], V[:, blk]
-        S = 0.5 * (Ua.T @ H @ Va + Va.T @ H.T @ Ua)
-        eig = sym_eig_ordered(S)
-        comp = np.setdiff1d(np.arange(m + n), blk)
-        lam_comp = d[comp]
-        min_gap = float(np.min(np.abs(mu - lam_comp))) if len(comp) else np.inf
+        a = _block_slice(blk)
+        # distance from mu to the other eigenvalues of the symmetric lift
+        # [[0, X], [X^T, 0]]: sigma_j off the block, -sigma_j and 0 (m > n)
+        gap = np.abs(mu - s)
+        gap[a] = np.inf
+        min_gap = float(min(gap.min(), mu + s[-1], mu if m > n else np.inf))
         if min_gap < GAP_WARN * scale:
             warnings.warn(
                 f"spectral gap {min_gap:.3e} at block value {mu:.6g} below "
                 f"{GAP_WARN * scale:.1e}; second-order output ill-conditioned",
                 ConditioningWarning, stacklevel=2)
-        res = ResolventData(mu=mu, P_block=P[:, blk], P_comp=P[:, comp],
-                            lam_comp=lam_comp, min_gap=min_gap)
-        groups = _eigen_groups(eig.lam, cluster_tol)
+        S = Sym[a, a]
+        Q, eta, groups = _reduced_eig(S, cluster_tol)
         # rank within the second-level group
         for grp in groups:
             for pos, loc in enumerate(grp):
                 ltilde[blk[loc]] = pos + 1
-        alpha.append(AlphaBlock(indices=list(blk), S=S, Q=eig.Q, eta=eig.lam,
-                                groups=groups, resolvent=res))
+        alpha.append(AlphaBlock(indices=list(blk), mu=mu, min_gap=min_gap,
+                                S=S, Q=Q, eta=eta, groups=groups))
 
     beta = None
     if part.r < n:
-        bh = part.betahat
-        Ub, Vb = U[:, bh], V[:, part.beta]
-        R = Ub.T @ H @ Vb
+        R = Hhat[part.r:, part.r:]
         rsvd = svd_ordered(R)
         rpart = partition_values(rsvd.sigma, cluster_tol, rank_tol)
         groups = list(rpart.alpha_blocks)
@@ -170,8 +164,33 @@ def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
                          eta=rsvd.sigma, Qhat=rsvd.V, groups=groups,
                          zero_group=zero_group)
 
-    return DirectionBlocks(gauge=svd, part=part, alpha=alpha, beta=beta,
-                           ltilde=ltilde)
+    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, alpha=alpha,
+                           beta=beta, ltilde=ltilde)
+
+
+def alpha_quadratics(blocks: DirectionBlocks):
+    """Resolvent quadratic G_a of every alpha block, in block order.
+
+    With A = Hhat[:n], Sym and Skw its symmetric and skew parts and
+    C = Hhat[n:], block a at value mu gives
+    G_a = Sym_a^T diag(1/(mu - sigma_j), 0 for j in a) Sym_a
+          + Skw_a^T diag(1/(mu + sigma_j)) Skw_a + C_a^T C_a / (2 mu),
+    where _a selects the block's columns.
+    """
+    s = blocks.gauge.sigma
+    n = len(s)
+    A, C = blocks.Hhat[:n], blocks.Hhat[n:]
+    Sym, Skw = 0.5 * (A + A.T), 0.5 * (A - A.T)
+    out = []
+    for ab in blocks.alpha:
+        a = _block_slice(ab.indices)
+        gap = ab.mu - s
+        gap[a] = np.inf
+        Sa, Ka, Ca = Sym[:, a], Skw[:, a], C[:, a]
+        out.append(Sa.T @ (Sa / gap[:, None])
+                   + Ka.T @ (Ka / (ab.mu + s)[:, None])
+                   + Ca.T @ Ca / (2.0 * ab.mu))
+    return out
 
 
 def sigma_dir1_from_blocks(blocks: DirectionBlocks):
@@ -185,59 +204,46 @@ def sigma_dir1_from_blocks(blocks: DirectionBlocks):
     return out
 
 
-def _beta_cross_term(blocks: DirectionBlocks, H):
+def _beta_cross_term(blocks: DirectionBlocks):
     """-2 U_bh^T H V_alpha Sigma_alpha^{-1} U_alpha^T H V_beta (the part
     of the reduced second-order direction that H induces on its own)."""
-    part = blocks.part
-    svd = blocks.gauge
-    r = part.r
-    if r == 0:
-        return 0.0
-    U, s, V = svd.U, svd.sigma, svd.V
-    bh = part.betahat
-    left = U[:, bh].T @ H @ V[:, :r]
-    right = U[:, :r].T @ H @ V[:, part.beta]
-    return -2.0 * (left / s[:r]) @ right
+    r, n = blocks.part.r, blocks.part.n
+    Hhat = blocks.Hhat
+    return -2.0 * (Hhat[r:, :r] / blocks.gauge.sigma[:r]) @ Hhat[:r, r:n]
 
 
 def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
-    """Second directional derivative of every singular value along (H, W)."""
+    """Second directional derivative of every singular value along (H, W).
+
+    ``H`` is the direction ``blocks`` was built from; it enters through
+    ``blocks.Hhat``.
+    """
     m, n = blocks.shape
     W = as_matrix(W, "W")
     if W.shape != (m, n):
         raise ShapeError(f"W {W.shape} does not match X {(m, n)}")
-    BW = lift(W)
-    BH = lift(H)
+    svd = blocks.gauge
+    What = svd.U.T @ W @ svd.V
     out = np.zeros(n)
-    for ab in blocks.alpha:
-        res = ab.resolvent
-        M = res.P_block.T @ BW @ res.P_block + 2.0 * res.quadratic(BH)
+    for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)):
+        a = _block_slice(ab.indices)
+        M = 0.5 * (What[a, a] + What[a, a].T) + 2.0 * G
         for grp in ab.groups:
             Qj = ab.Q[:, grp]
-            vals = np.linalg.eigvalsh(Qj.T @ M @ Qj)[::-1]
-            for pos, loc in enumerate(grp):
-                out[ab.indices[loc]] = vals[pos]
+            out[[ab.indices[loc] for loc in grp]] = _sym_eigvals(
+                Qj.T @ M @ Qj)
     bb = blocks.beta
     if bb is not None:
-        part = blocks.part
-        svd = blocks.gauge
-        Ub = svd.U[:, part.betahat]
-        Vb = svd.V[:, part.beta]
-        C = Ub.T @ W @ Vb + _beta_cross_term(blocks, H)
+        r = blocks.part.r
+        C = What[r:, r:] + _beta_cross_term(blocks)
         for grp in bb.groups:
-            Qk = bb.Q[:, grp]
-            Qhk = bb.Qhat[:, grp]
-            D = Qk.T @ C @ Qhk
-            vals = np.linalg.eigvalsh(0.5 * (D + D.T))[::-1]
-            for pos, loc in enumerate(grp):
-                out[part.r + loc] = vals[pos]
+            D = bb.Q[:, grp].T @ C @ bb.Qhat[:, grp]
+            out[[r + loc for loc in grp]] = _sym_eigvals(0.5 * (D + D.T))
         if bb.zero_group:
-            nb = len(part.beta)
-            cols = bb.zero_group + list(range(nb, len(part.betahat)))
+            cols = bb.zero_group + list(range(n - r, m - r))
             Dz = bb.Q[:, cols].T @ C @ bb.Qhat[:, bb.zero_group]
-            vals = np.linalg.svd(Dz, compute_uv=False)
-            for pos, loc in enumerate(bb.zero_group):
-                out[part.r + loc] = vals[pos]
+            out[[r + loc for loc in bb.zero_group]] = np.linalg.svd(
+                Dz, compute_uv=False)
     return out
 
 
@@ -281,26 +287,21 @@ def eig_expand2(A, E, cluster_tol=CLUSTER_TOL):
     n = A.shape[0]
     eig = sym_eig_ordered(A)
     part = partition_values(eig.lam, cluster_tol, kind="eigen")
+    Ehat = eig.Q.T @ E @ eig.Q
     first = np.zeros(n)
     second = np.zeros(n)
     for blk in part.blocks:
-        lam_s = eig.lam[blk[0]]
-        Us = eig.Q[:, blk]
-        comp = np.setdiff1d(np.arange(n), blk)
-        S = Us.T @ E @ Us
-        inner = sym_eig_ordered(S)
-        first[blk] = inner.lam
-        if len(comp):
-            K = eig.Q[:, comp].T @ E @ Us
-            M2 = K.T @ (K / (lam_s - eig.lam[comp])[:, None])
-        else:
-            M2 = np.zeros((len(blk), len(blk)))
-        groups = _eigen_groups(inner.lam, cluster_tol)
+        b = _block_slice(blk)
+        gap = eig.lam[blk[0]] - eig.lam
+        gap[b] = np.inf
+        K = Ehat[:, b]
+        M2 = K.T @ (K / gap[:, None])
+        Q, lam, groups = _reduced_eig(Ehat[b, b], cluster_tol)
+        first[b] = lam
         for grp in groups:
-            Qj = inner.Q[:, grp]
-            vals = np.linalg.eigvalsh(2.0 * Qj.T @ M2 @ Qj)[::-1]
-            for pos, loc in enumerate(grp):
-                second[blk[loc]] = vals[pos]
+            Qj = Q[:, grp]
+            second[[blk[loc] for loc in grp]] = _sym_eigvals(
+                2.0 * Qj.T @ M2 @ Qj)
     return first, second
 
 
@@ -369,18 +370,16 @@ def min_direction_construct(X, H, zbar, cluster_tol=CLUSTER_TOL,
     blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
     _check_block_sorted(zbar, blocks, 1e-12 * max(1.0, np.max(np.abs(zbar))))
     svd = blocks.gauge
-    part = blocks.part
-    BH = lift(H)
     Wred = np.zeros((m, n))
-    for ab in blocks.alpha:
-        res = ab.resolvent
-        A = ab.Q @ (zbar[ab.indices][:, None] * ab.Q.T)
-        Wred[np.ix_(ab.indices, ab.indices)] = A - 2.0 * res.quadratic(BH)
+    for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)):
+        a = _block_slice(ab.indices)
+        A = ab.Q @ (zbar[a][:, None] * ab.Q.T)
+        Wred[a, a] = A - 2.0 * G
     bb = blocks.beta
     if bb is not None:
-        r = part.r
+        r = blocks.part.r
         Dz = np.zeros((m - r, n - r))
         np.fill_diagonal(Dz, zbar[r:])
         A = bb.Q @ Dz @ bb.Qhat.T
-        Wred[r:, r:] = A - _beta_cross_term(blocks, H)
+        Wred[r:, r:] = A - _beta_cross_term(blocks)
     return svd.U @ Wred @ svd.V.T

@@ -214,6 +214,27 @@ class TestErrorChannel:
         assert err["error"] == "NoSimultaneousGauge"
         assert err["exit_code"] == 2
 
+    def test_non_integer_kyfan_exit_1(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.eye(2))
+        assert main(["eval", "--f", "kyfan:x", "--X", x]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BadK" and err["exit_code"] == 1
+
+    def test_non_numeric_ball_radius_exit_1(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        h = write(tmp_path, "h.csv", np.eye(2))
+        assert main(["tangent", "--set", "spectral-ball:abc", "--X", x,
+                     "--H", h]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShapeError" and err["exit_code"] == 1
+
+    def test_problem_json_list_exit_1(self, tmp_path, capsys):
+        prob = tmp_path / "problem.json"
+        prob.write_text(json.dumps([{"f": "l1"}]))
+        assert main(["certify", "--problem", str(prob)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+
     def test_io_error_exit_3(self, capsys):
         assert main(["eval", "--f", "l1", "--X", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,16 @@ from specvar.errors import (
     NotBlockSorted,
     ShapeError,
 )
-from specvar.matrix_core import gauge_randomize, partition_of, svd_ordered
+from specvar.matrix_core import (
+    gauge_randomize,
+    lift,
+    lift_eigenbasis,
+    partition_of,
+    svd_ordered,
+)
 from specvar.sv_calculus import (
+    GAP_WARN,
+    alpha_quadratics,
     direction_blocks,
     eig_expand2,
     expansion_residual,
@@ -381,3 +391,109 @@ class TestSecondLevelTies:
             b = direction_blocks(X, H, gauge=g)
             np.testing.assert_allclose(sigma_dir2_from_blocks(b, H, W),
                                        base, atol=1e-8)
+
+
+def lift_reference(blocks, H, W, zbar):
+    """Per-block quadratics, gaps, sigma'' and W-hat from the resolvent of
+    the symmetric lift [[0, X], [X^T, 0]], in the gauge of ``blocks``."""
+    svd, part = blocks.gauge, blocks.part
+    m, n = blocks.shape
+    U, s, V = svd.U, svd.sigma, svd.V
+    P, d = lift_eigenbasis(svd)
+    BH, BW = lift(H), lift(W)
+    quads, gaps = [], []
+    d2 = np.zeros(n)
+    Wred = np.zeros((m, n))
+    for ab in blocks.alpha:
+        comp = np.setdiff1d(np.arange(m + n), ab.indices)
+        Pb = P[:, ab.indices]
+        K = P[:, comp].T @ BH @ Pb
+        G = K.T @ (K / (ab.mu - d[comp])[:, None])
+        quads.append(G)
+        gaps.append(float(np.min(np.abs(ab.mu - d[comp]))))
+        M = Pb.T @ BW @ Pb + 2.0 * G
+        for grp in ab.groups:
+            Qj = ab.Q[:, grp]
+            idx = [ab.indices[loc] for loc in grp]
+            d2[idx] = np.linalg.eigvalsh(Qj.T @ M @ Qj)[::-1]
+        Wred[np.ix_(ab.indices, ab.indices)] = (
+            ab.Q @ (zbar[ab.indices][:, None] * ab.Q.T) - 2.0 * G)
+    bb = blocks.beta
+    if bb is not None:
+        r = part.r
+        Ub, Vb = U[:, part.betahat], V[:, part.beta]
+        cross = -2.0 * (Ub.T @ H @ V[:, :r] / s[:r]) @ (U[:, :r].T @ H @ Vb)
+        C = Ub.T @ W @ Vb + cross
+        for grp in bb.groups:
+            D = bb.Q[:, grp].T @ C @ bb.Qhat[:, grp]
+            d2[[r + loc for loc in grp]] = np.linalg.eigvalsh(
+                0.5 * (D + D.T))[::-1]
+        if bb.zero_group:
+            cols = bb.zero_group + list(range(n - r, m - r))
+            Dz = bb.Q[:, cols].T @ C @ bb.Qhat[:, bb.zero_group]
+            d2[[r + loc for loc in bb.zero_group]] = np.linalg.svd(
+                Dz, compute_uv=False)
+        Dz = np.zeros((m - r, n - r))
+        np.fill_diagonal(Dz, zbar[r:])
+        Wred[r:, r:] = bb.Q @ Dz @ bb.Qhat.T - cross
+    return quads, gaps, d2, U @ Wred @ V.T
+
+
+def assert_rel(new, ref, rtol=1e-12):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert np.max(np.abs(new - ref), initial=0.0) <= rtol * max(
+        1.0, np.max(np.abs(ref), initial=0.0))
+
+
+class TestLiftReference:
+    """The SVD-basis divided differences reproduce the lift resolvent."""
+
+    SPECTRA = {
+        "distinct": lambda n: np.linspace(3.0, 1.0, n),
+        "clustered": lambda n: np.repeat([3.0, 2.0, 1.0], n)[:n],
+        "rankdef": lambda n: np.concatenate(
+            [np.linspace(3.0, 1.0, n - n // 2), np.zeros(n // 2)]),
+    }
+
+    @pytest.mark.parametrize("m,n", [(9, 6), (6, 6), (40, 4), (3, 1),
+                                     (1, 1)])
+    @pytest.mark.parametrize("kind", ["distinct", "clustered", "rankdef"])
+    def test_matches_lift_resolvent(self, m, n, kind):
+        rng = np.random.default_rng(31)
+        X = random_with_spectrum(m, n, self.SPECTRA[kind](n), rng)
+        H = rng.standard_normal((m, n))
+        W = rng.standard_normal((m, n))
+        svd = svd_ordered(X)
+        # a sigma'' vector is sorted inside every second-level group
+        zbar = sigma_dir2(X, H, rng.standard_normal((m, n)))
+        for gauge in (svd, gauge_randomize(svd, partition_of(svd), 3)):
+            b = direction_blocks(X, H, gauge=gauge)
+            quads, gaps, d2, _ = lift_reference(b, H, W, zbar)
+            for ab, G, Gref, gap in zip(b.alpha, alpha_quadratics(b), quads,
+                                        gaps):
+                assert_rel(G, Gref)
+                assert ab.min_gap == gap
+            assert_rel(sigma_dir2_from_blocks(b, H, W), d2)
+        What = lift_reference(direction_blocks(X, H), H, W, zbar)[3]
+        assert_rel(min_direction_construct(X, H, zbar), What)
+
+    @pytest.mark.parametrize("factor,warns", [(0.5, True), (2.0, False)])
+    def test_warning_threshold(self, factor, warns):
+        g = factor * GAP_WARN
+        cases = [
+            np.diag([1.0 + g, 1.0]),                  # neighbouring block
+            np.diag([1.0, 0.5 * g]),                  # mu + sigma_n
+            np.array([[1.0, 0.0], [0.0, g], [0.0, 0.0]]),  # mu, m > n
+        ]
+        for X in cases:
+            H = np.ones(X.shape)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                b = direction_blocks(X, H)
+            fired = [w for w in caught
+                     if issubclass(w.category, ConditioningWarning)]
+            assert bool(fired) == warns
+            _, gaps, _, _ = lift_reference(b, H, np.zeros(X.shape),
+                                           np.zeros(2))
+            assert [ab.min_gap for ab in b.alpha] == gaps
+            assert min(gaps) == pytest.approx(g, rel=1e-6)
