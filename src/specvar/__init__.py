@@ -73,6 +73,7 @@ from .oimf import (
     F_subdiff_element,
     InvariantSetSpec,
     SecondSubderivativeReport,
+    SpectralPoint,
     free_set,
     guided_offsets,
     invariant_set_distance,

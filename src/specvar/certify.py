@@ -11,6 +11,7 @@ single validated negative direction does refute optimality.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,13 +20,7 @@ import numpy as np
 from .absym import INF, SpectralFunctionSpec, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
 from .matrix_core import as_matrix, svd_ordered
-from .oimf import (
-    F_eval,
-    F_second_subderivative,
-    F_subderivative,
-    guided_offsets,
-    simultaneous_gauge,
-)
+from .oimf import F_eval, SpectralPoint, guided_offsets
 from .oracles import fd_gradient_check
 
 STATIONARITY_TOL = 1e-7
@@ -162,62 +157,59 @@ def stationarity_check(p: ProblemSpec, X0):
     return residual, residual <= STATIONARITY_TOL * (1.0 + np.linalg.norm(Y))
 
 
-def curvature(p: ProblemSpec, X0, H):
-    """<H, hess psi(X0) H> plus the second subderivative of the spectral
-    term at X0 for -grad psi(X0); +inf outside the critical cone."""
-    X0 = as_matrix(X0, "X0")
-    H = as_matrix(H, "H")
-    Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    rep = F_second_subderivative(p.f, X0, Y, H)
+def _curvature_from(p: ProblemSpec, X0, H, rep):
+    """<H, hess psi(X0) H> + d2F from a second-subderivative report."""
     if not rep.critical:
         return INF
     quad = float(np.sum(H * np.asarray(p.psi.hessian_apply(X0, H))))
     return quad + rep.value
 
 
+def curvature(p: ProblemSpec, X0, H):
+    """<H, hess psi(X0) H> plus the second subderivative of the spectral
+    term at X0 for -grad psi(X0); +inf outside the critical cone."""
+    X0 = as_matrix(X0, "X0")
+    H = as_matrix(H, "H")
+    Y = -np.asarray(p.psi.gradient(X0), dtype=float)
+    point = SpectralPoint(p.f, X0, Y)
+    return _curvature_from(p, X0, H, point.second_subderivative(H))
+
+
 def _structured_candidates(svd, part, rng, budget):
     """Directions expressed in the aligned gauge, densest first: diagonal
     patterns, single entries, two-index symmetric/antisymmetric pairs,
-    then raw and beta-zeroed Gaussians."""
+    then raw and beta-zeroed Gaussians.  Lazy: at most max(budget, 1)
+    matrices, each built (and each Gaussian drawn) only when consumed."""
     m, n = part.m, part.n
     r = part.r
-    out = []
 
-    def emit(G):
-        out.append(G)
-        return len(out) < budget
-
-    for i in range(n):
-        G = np.zeros((m, n))
-        G[i, i] = 1.0
-        if not emit(G):
-            return out
-        if not emit(-G):
-            return out
-    for i in range(n):
-        for j in range(i + 1, n):
-            S = np.zeros((m, n))
-            S[i, j] = S[j, i] = 1.0
-            if not emit(S):
-                return out
-            A = np.zeros((m, n))
-            A[i, j], A[j, i] = 1.0, -1.0
-            if not emit(A):
-                return out
-    for i in range(n, m):
-        for j in range(n):
+    def stream():
+        for i in range(n):
             G = np.zeros((m, n))
-            G[i, j] = 1.0
-            if not emit(G):
-                return out
-    while True:
-        G = rng.standard_normal((m, n))
-        if not emit(G.copy()):
-            return out
-        if r < n:
-            G[r:, r:] = 0.0  # keep the zero block quiet: often critical
-        if not emit(G):
-            return out
+            G[i, i] = 1.0
+            yield G
+            yield -G
+        for i in range(n):
+            for j in range(i + 1, n):
+                S = np.zeros((m, n))
+                S[i, j] = S[j, i] = 1.0
+                yield S
+                A = np.zeros((m, n))
+                A[i, j], A[j, i] = 1.0, -1.0
+                yield A
+        for i in range(n, m):
+            for j in range(n):
+                G = np.zeros((m, n))
+                G[i, j] = 1.0
+                yield G
+        while True:
+            G = rng.standard_normal((m, n))
+            yield G.copy()
+            if r < n:
+                G[r:, r:] = 0.0  # keep the zero block quiet: often critical
+            yield G
+
+    return itertools.islice(stream(), max(budget, 1))
 
 
 def _validated_counterexample(p, X0, H, q):
@@ -258,7 +250,8 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             growth_constant_observed=growth, verdict="not-stationary")
 
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    svd, part, _ = simultaneous_gauge(X0, Y)
+    point = SpectralPoint(p.f, X0, Y)
+    svd = point.gauge
     rng = np.random.default_rng(cfg.seed)
 
     def candidates():
@@ -268,10 +261,11 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             base_dir = rng.standard_normal(X0.shape)
             for D in guided_offsets(X0, base_dir):
                 yield D
-        for G in _structured_candidates(svd, part, rng,
+        for G in _structured_candidates(svd, point.part, rng,
                                         cfg.max_candidates):
             yield svd.U @ G @ svd.V.T
 
+    cone_tol = 1e-8 * (1.0 + point.y_norm)
     samples = []
     counterexample = None
     tried = 0
@@ -283,11 +277,10 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         if nrm <= 0:
             continue
         H = H / nrm
-        dF = F_subderivative(p.f, X0, H)
-        gap = dF - float(np.sum(Y * H))
-        if abs(gap) > 1e-8 * (1.0 + np.linalg.norm(Y)):
+        rep = point.second_subderivative(H, cone_tol)
+        if not rep.critical:
             continue
-        q = curvature(p, X0, H)
+        q = _curvature_from(p, X0, H, rep)
         samples.append((H, q))
         if q < -cfg.curvature_tol and counterexample is None:
             if _validated_counterexample(p, X0, H, q):
@@ -318,20 +311,37 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         counterexample=counterexample)
 
 
+_GROWTH_CHUNK_ENTRIES = 1 << 18   # matrix entries per stacked SVD
+
+
 def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     """min over sampled X in ball(X0, eps) of the growth quotient
-    [obj(X) - obj(X0)] / ||X - X0||^2; deterministic for a fixed seed."""
+    [obj(X) - obj(X0)] / ||X - X0||^2; deterministic for a fixed seed.
+
+    Samples are drawn one by one in a fixed order (direction, then
+    radius) and their singular values come from one stacked SVD per
+    chunk, so the result does not depend on the chunk size."""
     X0 = as_matrix(X0, "X0")
     base = objective(p, X0)
     rng = np.random.default_rng(seed)
     best = INF
     d = X0.size
-    for _ in range(int(n_samples)):
-        D = rng.standard_normal(X0.shape)
-        D /= np.linalg.norm(D)
-        radius = eps * max(rng.uniform(0.0, 1.0), 1e-12) ** (1.0 / d)
-        X = X0 + radius * D
-        best = min(best, (objective(p, X) - base) / (radius * radius))
+    chunk = max(1, _GROWTH_CHUNK_ENTRIES // max(d, 1))
+    left = int(n_samples)
+    while left > 0:
+        k = min(chunk, left)
+        left -= k
+        radii = np.empty(k)
+        Xs = np.empty((k,) + X0.shape)
+        for i in range(k):
+            D = rng.standard_normal(X0.shape)
+            D /= np.linalg.norm(D)
+            radii[i] = eps * max(rng.uniform(0.0, 1.0), 1e-12) ** (1.0 / d)
+            Xs[i] = X0 + radii[i] * D
+        svals = np.linalg.svd(Xs, compute_uv=False)
+        for X, s, radius in zip(Xs, svals, radii):
+            value = float(p.psi.value(X)) + float(p.f.eval(s))
+            best = min(best, (value - base) / (radius * radius))
     return float(best)
 
 

@@ -117,16 +117,28 @@ def _load_matrix(ref, base=None, header=False):
     return read_matrix_csv(path, header=header)
 
 
+def _required(d, key, where):
+    """d[key], with a missing key reported as a usage error."""
+    if not isinstance(d, dict):
+        raise UsageError(f"{where} must be a JSON object")
+    if key not in d:
+        raise UsageError(f"{where} is missing the key {key!r}")
+    return d[key]
+
+
 def _psi_from_dict(d, base):
-    kind = d.get("kind")
+    kind = _required(d, "kind", "psi")
     if kind == "half-squared-distance":
-        return HalfSquaredDistance(_load_matrix(d["B"], base))
+        return HalfSquaredDistance(_load_matrix(_required(d, "B", "psi"),
+                                                base))
     if kind == "least-squares":
-        A = np.stack([_load_matrix(a, base) for a in d["A"]])
-        return LeastSquares(A, np.asarray(d["b"], dtype=float))
+        A = np.stack([_load_matrix(a, base) for a in _required(d, "A", "psi")])
+        return LeastSquares(A, np.asarray(_required(d, "b", "psi"),
+                                          dtype=float))
     if kind == "quadratic-minus-rank1":
         return QuadraticMinusRankOne(
-            _load_matrix(d["B"], base), _load_matrix(d["E"], base),
+            _load_matrix(_required(d, "B", "psi"), base),
+            _load_matrix(_required(d, "E", "psi"), base),
             float(d.get("gamma", 1.0)))
     raise UsageError(f"unknown psi kind {kind!r}")
 
@@ -140,12 +152,12 @@ def load_problem(path):
     if not isinstance(d, dict):
         raise UsageError(f"{path}: problem file must hold a JSON object")
     base = path.parent
-    f = absym.spec_by_name(d["f"])
+    f = absym.spec_by_name(_required(d, "f", path))
     weight = float(d.get("weight", 1.0))
     if weight != 1.0:
         f = absym.scale_spec(f, weight)
-    p = ProblemSpec(psi=_psi_from_dict(d["psi"], base), f=f)
-    X0 = _load_matrix(d["X0"], base)
+    p = ProblemSpec(psi=_psi_from_dict(_required(d, "psi", path), base), f=f)
+    X0 = _load_matrix(_required(d, "X0", path), base)
     sampling = d.get("sampling", {})
     return p, X0, sampling, d
 

@@ -46,8 +46,9 @@ from .sv_calculus import (
     GAP_WARN,
     _beta_cross_term,
     alpha_quadratics,
+    cross_term_hat,
     direction_blocks,
-    min_direction_construct,
+    min_direction_from_blocks,
     sigma_dir1_from_blocks,
     sigma_dir2_from_blocks,
 )
@@ -244,6 +245,68 @@ def _alpha_quadratic_terms(gblocks, sy):
     return total, warns
 
 
+class SpectralPoint:
+    """F = f o sigma prepared at (X, Y) for d2F(X|Y)(H) along many H.
+
+    Construction checks the flags and hooks of f, builds the aligned
+    gauge and the partition of sigma(X) (``simultaneous_gauge``), checks
+    sigma(Y) in df(sigma(X)) and that f is finite at sigma(X), and keeps
+    ||Y||.  The formula depends on H only through Hhat = U^T H V, so each
+    direction then costs one reduced-block build in the stored gauge:
+    no SVD of X and no partition.
+    """
+
+    def __init__(self, f: SpectralFunctionSpec, X, Y,
+                 cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+        if not (f.convex and f.lsc and f.lipschitz_on_domain):
+            raise AssumptionViolated(
+                f"{f.name}: second subderivative needs convex, lsc, "
+                "Lipschitz-on-domain flags")
+        if f.second_subderivative is None:
+            raise AssumptionViolated(
+                f"{f.name}: polyhedral flag or a second-subderivative hook "
+                "is required")
+        self.f = f
+        self.X = as_matrix(X, "X")
+        self.Y = as_matrix(Y, "Y")
+        self.cluster_tol, self.rank_tol = cluster_tol, rank_tol
+        self.gauge, self.part, self.sy = simultaneous_gauge(
+            self.X, self.Y, cluster_tol, rank_tol)
+        if not f.subdiff_contains(self.gauge.sigma, self.sy):
+            raise NotASubgradient(
+                "sigma(Y) is not in the subdifferential of f at sigma(X)")
+        if not math.isfinite(f.eval(self.gauge.sigma)):
+            raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
+        self.y_norm = float(np.linalg.norm(self.Y))
+
+    def second_subderivative(self, H, tol=None) -> SecondSubderivativeReport:
+        """d2F(X|Y)(H) with its breakdown; the d2f + alpha + beta terms
+        are formed only when H is in the critical cone (duality gap
+        dF(X)(H) - <Y, H> within ``tol``, by default
+        CONE_TOL (1 + ||Y|| ||H||))."""
+        H = as_matrix(H, "H")
+        f, svd, sy = self.f, self.gauge, self.sy
+        gblocks = direction_blocks(self.X, H, svd, self.cluster_tol,
+                                   self.rank_tol, part=self.part)
+        d1 = sigma_dir1_from_blocks(gblocks)
+        gap = f.subderivative(svd.sigma, d1) - float(np.sum(self.Y * H))
+        if tol is None:
+            tol = CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(H))
+        if abs(gap) > tol:
+            return SecondSubderivativeReport(
+                value=INF, d2f_term=INF, alpha_term=0.0, beta_term=0.0,
+                critical=False, duality_gap=gap)
+        d2f = f.second_subderivative(svd.sigma, sy, d1, tol)
+        alpha_term, warns = _alpha_quadratic_terms(gblocks, sy)
+        beta_term = float(sy[self.part.beta]
+                          @ np.diag(_beta_cross_term(gblocks)))
+        value = d2f + alpha_term + beta_term if math.isfinite(d2f) else INF
+        return SecondSubderivativeReport(
+            value=value, d2f_term=d2f, alpha_term=alpha_term,
+            beta_term=beta_term, critical=True, duality_gap=gap,
+            warnings=tuple(warns))
+
+
 def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
                            cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
                            tol=None) -> SecondSubderivativeReport:
@@ -252,42 +315,10 @@ def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
     For critical H the value is the f-level second subderivative at the
     reduced data plus the alpha-block resolvent quadratic and the
     beta-block cross quadratic; outside the critical cone it is +inf.
+    Directions sharing one (X, Y) should reuse a ``SpectralPoint``.
     """
-    if not (f.convex and f.lsc and f.lipschitz_on_domain):
-        raise AssumptionViolated(
-            f"{f.name}: second subderivative needs convex, lsc, "
-            "Lipschitz-on-domain flags")
-    if f.second_subderivative is None:
-        raise AssumptionViolated(
-            f"{f.name}: polyhedral flag or a second-subderivative hook "
-            "is required")
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
-    H = as_matrix(H, "H")
-    svd, part, sy = simultaneous_gauge(X, Y, cluster_tol, rank_tol)
-    if not f.subdiff_contains(svd.sigma, sy):
-        raise NotASubgradient(
-            "sigma(Y) is not in the subdifferential of f at sigma(X)")
-    gblocks = direction_blocks(X, H, gauge=svd, cluster_tol=cluster_tol,
-                               rank_tol=rank_tol)
-    d1 = sigma_dir1_from_blocks(gblocks)
-    dF = f.subderivative(svd.sigma, d1)
-    gap = dF - float(np.sum(Y * H))
-    if tol is None:
-        tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
-    critical = abs(gap) <= tol
-    if not critical:
-        return SecondSubderivativeReport(
-            value=INF, d2f_term=INF, alpha_term=0.0, beta_term=0.0,
-            critical=False, duality_gap=gap)
-    d2f = f.second_subderivative(svd.sigma, sy, d1, tol)
-    alpha_term, warns = _alpha_quadratic_terms(gblocks, sy)
-    beta_term = float(sy[part.beta] @ np.diag(_beta_cross_term(gblocks)))
-    value = d2f + alpha_term + beta_term if math.isfinite(d2f) else INF
-    return SecondSubderivativeReport(
-        value=value, d2f_term=d2f, alpha_term=alpha_term,
-        beta_term=beta_term, critical=True, duality_gap=gap,
-        warnings=tuple(warns))
+    return SpectralPoint(f, X, Y, cluster_tol,
+                         rank_tol).second_subderivative(H, tol)
 
 
 def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
@@ -380,18 +411,21 @@ def nuclear_psi_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     H = as_matrix(H, "H")
     Omega = as_matrix(Omega, "Omega")
     tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
-    _psi_subgradient_block(X, Omega, svd, part, tol)
-    dpsi = nuclear_psi_subderivative(X, H, cluster_tol, rank_tol)
+    Z = _psi_subgradient_block(X, Omega, svd, part, tol)
+    r = part.r
+    Hhat = svd.U.T @ H @ svd.V
+    # psi'(X; H) is the nuclear norm of U_bh^T H V_b = Hhat[r:, r:]
+    dpsi = float(np.sum(np.linalg.svd(Hhat[r:, r:], compute_uv=False)))
     pairing = float(np.sum(Omega * H))
     ctol = CONE_TOL * (1.0 + np.linalg.norm(Omega) * np.linalg.norm(H))
     if abs(dpsi - pairing) > ctol:
         return INF
-    r = part.r
     if r == 0:
         return 0.0
-    Ua, Va = svd.U[:, :r], svd.V[:, :r]
-    corr = (H @ Va / svd.sigma[:r]) @ (Ua.T @ H)
-    return -2.0 * float(np.sum(Omega * corr))
+    # Omega = U_bh Z V_b^T pairs only with the zero block of the cross term
+    corr = cross_term_hat(Hhat, svd.sigma[:r], slice(r, None),
+                          slice(r, None))
+    return -2.0 * float(np.sum(Z * corr))
 
 
 def nuclear_phi_second_diff(X, H, cluster_tol=CLUSTER_TOL,
@@ -574,16 +608,14 @@ def guided_offsets(X, H, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
     The first offset steers the zero block along the cross term that the
     epi-limit construction uses; the second is half the direction that
     cancels all second-order terms (the zero-target minimizing parabola).
+    Both come from one reduced-block build of (X, H).
     """
-    X = as_matrix(X, "X")
-    H = as_matrix(H, "H")
-    svd = svd_ordered(X)
-    part = partition_of(svd, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    svd, r = blocks.gauge, blocks.part.r
     out = []
-    r = part.r
     if r > 0:
-        Ua, Va = svd.U[:, :r], svd.V[:, :r]
-        out.append((H @ Va / svd.sigma[:r]) @ (Ua.T @ H))
-    out.append(0.5 * min_direction_construct(
-        X, H, np.zeros(part.n), cluster_tol, rank_tol))
+        out.append(svd.U @ cross_term_hat(blocks.Hhat, svd.sigma[:r])
+                   @ svd.V.T)
+    out.append(0.5 * min_direction_from_blocks(blocks,
+                                               np.zeros(blocks.part.n)))
     return out

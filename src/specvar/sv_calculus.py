@@ -107,12 +107,15 @@ def _sym_eigvals(D):
 
 
 def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
-                     rank_tol=RANK_TOL) -> DirectionBlocks:
+                     rank_tol=RANK_TOL, part=None) -> DirectionBlocks:
     """Compute the per-direction reduced blocks of (X, H).
 
     ``gauge`` may supply a specific ordered SVD of X (any valid one); by
     default the deterministic ``svd_ordered`` gauge is used.  All outputs
     of ``sigma_dir1``/``sigma_dir2`` are invariant under this choice.
+    A caller that already holds ``part = partition_of(gauge, cluster_tol,
+    rank_tol)`` may pass it; a prepared point evaluating many directions
+    then costs no SVD and no partition per direction.
     """
     X = as_matrix(X, "X")
     H = as_matrix(H, "H")
@@ -120,7 +123,8 @@ def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
         raise ShapeError(f"X {X.shape} and H {H.shape} differ")
     m, n = X.shape
     svd = svd_ordered(X) if gauge is None else gauge
-    part = partition_of(svd, cluster_tol, rank_tol)
+    if part is None:
+        part = partition_of(svd, cluster_tol, rank_tol)
     s = svd.sigma
     Hhat = svd.U.T @ H @ svd.V
     Sym = 0.5 * (Hhat[:n] + Hhat[:n].T)
@@ -204,12 +208,20 @@ def sigma_dir1_from_blocks(blocks: DirectionBlocks):
     return out
 
 
+def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
+    """U^T (H V_a Sigma_a^{-1} U_a^T H) V on (rows, cols), read from
+    Hhat = U^T H V with sigma_a the r positive singular values:
+    U^T H V_a = Hhat[:, :r] and U_a^T H V = Hhat[:r, :]."""
+    r = len(sigma_a)
+    return (Hhat[rows, :r] / sigma_a) @ Hhat[:r, cols]
+
+
 def _beta_cross_term(blocks: DirectionBlocks):
     """-2 U_bh^T H V_alpha Sigma_alpha^{-1} U_alpha^T H V_beta (the part
     of the reduced second-order direction that H induces on its own)."""
     r, n = blocks.part.r, blocks.part.n
-    Hhat = blocks.Hhat
-    return -2.0 * (Hhat[r:, :r] / blocks.gauge.sigma[:r]) @ Hhat[:r, r:n]
+    return -2.0 * cross_term_hat(blocks.Hhat, blocks.gauge.sigma[:r],
+                                 slice(r, None), slice(r, n))
 
 
 def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
@@ -367,7 +379,13 @@ def min_direction_construct(X, H, zbar, cluster_tol=CLUSTER_TOL,
     m, n = X.shape
     if zbar.shape != (n,):
         raise ShapeError(f"zbar must have length {n}")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    return min_direction_from_blocks(
+        direction_blocks(X, H, None, cluster_tol, rank_tol), zbar)
+
+
+def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
+    """``min_direction_construct`` for reduced blocks already built."""
+    m, n = blocks.shape
     _check_block_sorted(zbar, blocks, 1e-12 * max(1.0, np.max(np.abs(zbar))))
     svd = blocks.gauge
     Wred = np.zeros((m, n))

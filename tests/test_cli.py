@@ -235,6 +235,41 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UsageError" and err["exit_code"] == 1
 
+    @pytest.mark.parametrize("kind, key", [
+        ("soft", "f"), ("soft", "psi"), ("soft", "X0"),
+        ("soft", "psi.kind"), ("soft", "psi.B"),
+        ("saddle", "psi.B"), ("saddle", "psi.E"),
+        ("least-squares", "psi.A"), ("least-squares", "psi.b"),
+    ])
+    def test_problem_missing_key_exit_1(self, tmp_path, capsys, kind, key):
+        prob = make_problem(tmp_path, "soft" if kind == "least-squares"
+                            else kind)
+        d = json.loads(open(prob).read())
+        if kind == "least-squares":
+            d["psi"] = {"kind": "least-squares", "A": [np.eye(3).tolist()],
+                        "b": [1.0]}
+        *parents, last = key.split(".")
+        target = d
+        for k in parents:
+            target = target[k]
+        del target[last]
+        with open(prob, "w") as fh:
+            json.dump(d, fh)
+        assert main(["certify", "--problem", prob]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert repr(last) in err["message"]
+
+    def test_problem_psi_not_object_exit_1(self, tmp_path, capsys):
+        prob = make_problem(tmp_path, "soft")
+        d = json.loads(open(prob).read())
+        d["psi"] = "half-squared-distance"
+        with open(prob, "w") as fh:
+            json.dump(d, fh)
+        assert main(["certify", "--problem", prob]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+
     def test_io_error_exit_3(self, capsys):
         assert main(["eval", "--f", "l1", "--X", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)

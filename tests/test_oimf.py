@@ -531,3 +531,137 @@ class TestSetSymmetry:
                                 tangent2_contains=lambda x, w, u: True)
         with pytest.raises(ProjectionUnavailable):
             invariant_set_distance(bare, np.eye(2))
+
+
+def _rel_close(A, B, rtol=1e-12):
+    assert np.linalg.norm(A - B) <= rtol * max(1.0, np.linalg.norm(B))
+
+
+class TestHatCrossTerm:
+    """The cross term H V_a Sigma_a^{-1} U_a^T H read from Hhat = U^T H V
+    against the original-space product, in two gauges of X."""
+
+    CASES = [(7, 5, [3.0, 2.0, 2.0, 0.0, 0.0]),
+             (6, 6, [2.5, 1.0, 1.0, 1.0, 0.0, 0.0]),
+             (5, 3, [1.0, 1.0, 0.0])]
+
+    @staticmethod
+    def _gauges(X):
+        svd = svd_ordered(X)
+        part = partition_of(svd)
+        return part, [svd, gauge_randomize(svd, part, seed=3)]
+
+    @staticmethod
+    def _original(H, gauge, r):
+        Ua, Va = gauge.U[:, :r], gauge.V[:, :r]
+        return H @ Va @ np.diag(1.0 / gauge.sigma[:r]) @ Ua.T @ H
+
+    @pytest.mark.parametrize("m, n, svals", CASES)
+    def test_helper_in_two_gauges(self, m, n, svals):
+        from specvar.sv_calculus import cross_term_hat
+        rng = np.random.default_rng(m * n)
+        X = random_with_spectrum(m, n, svals, rng)
+        H = rng.standard_normal((m, n))
+        part, gauges = self._gauges(X)
+        r = part.r
+        ref = self._original(H, gauges[0], r)
+        for g in gauges:
+            _rel_close(self._original(H, g, r), ref)
+            Hhat = g.U.T @ H @ g.V
+            _rel_close(g.U @ cross_term_hat(Hhat, g.sigma[:r]) @ g.V.T, ref)
+
+    @pytest.mark.parametrize("m, n, svals", CASES)
+    def test_guided_offsets(self, m, n, svals):
+        from specvar.sv_calculus import min_direction_construct
+        rng = np.random.default_rng(m + n)
+        X = random_with_spectrum(m, n, svals, rng)
+        H = rng.standard_normal((m, n))
+        part, gauges = self._gauges(X)
+        offs = guided_offsets(X, H)
+        assert len(offs) == 2
+        for g in gauges:
+            _rel_close(offs[0], self._original(H, g, part.r))
+        _rel_close(offs[1], 0.5 * min_direction_construct(X, H,
+                                                          np.zeros(n)))
+
+    @pytest.mark.parametrize("m, n, svals", CASES)
+    def test_nuclear_psi_second_epi(self, m, n, svals):
+        rng = np.random.default_rng(10 * m + n)
+        X = random_with_spectrum(m, n, svals, rng)
+        H = rng.standard_normal((m, n))
+        part, gauges = self._gauges(X)
+        for g in gauges:
+            # Omega = U_bh Z V_b^T with Z the polar factor of the reduced
+            # block of H: psi'(X; H) = <Omega, H> holds
+            Ub, Vb = g.U[:, part.betahat], g.V[:, part.beta]
+            P, _, Qt = np.linalg.svd(Ub.T @ H @ Vb, full_matrices=False)
+            Omega = Ub @ (P @ Qt) @ Vb.T
+            val = nuclear_psi_second_epi(X, Omega, H)
+            for g2 in gauges:
+                ref = -2.0 * float(np.sum(
+                    Omega * self._original(H, g2, part.r)))
+                assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+class TestSpectralPoint:
+    """One prepared (X, Y) evaluated along many directions."""
+
+    @staticmethod
+    def _instance():
+        rng = np.random.default_rng(4)
+        X = random_with_spectrum(6, 5, [3.0, 2.0, 2.0, 0.0, 0.0], rng)
+        svd = svd_ordered(X)
+        # Y = U diag(1, 1, 1, 0.5, 0.2) V^T is in the nuclear-norm
+        # subdifferential with a strict zero block
+        y = np.array([1.0, 1.0, 1.0, 0.5, 0.2])
+        Y = svd.U[:, :5] @ np.diag(y) @ svd.V.T
+        return X, Y, svd, rng
+
+    def test_matches_fresh_evaluation(self):
+        from specvar.oimf import SpectralPoint
+        X, Y, svd, rng = self._instance()
+        point = SpectralPoint(l1_spec(), X, Y)
+        critical = 0
+        for k in range(12):
+            G = rng.standard_normal((6, 5))
+            if k % 2:
+                G[3:, 3:] = 0.0
+            H = svd.U @ G @ svd.V.T
+            a = point.second_subderivative(H)
+            b = F_second_subderivative(l1_spec(), X, Y, H)
+            assert a == b
+            critical += a.critical
+        assert 0 < critical < 12
+
+    def test_no_gauge_or_partition_per_direction(self, monkeypatch):
+        import specvar.oimf as oimf
+        import specvar.sv_calculus as svc
+        X, Y, svd, rng = self._instance()
+        point = oimf.SpectralPoint(l1_spec(), X, Y)
+        calls = []
+
+        def forbid(name):
+            def fn(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(name)
+            return fn
+
+        monkeypatch.setattr(oimf, "simultaneous_gauge",
+                            forbid("simultaneous_gauge"))
+        monkeypatch.setattr(svc, "partition_of", forbid("partition_of"))
+        for _ in range(5):
+            point.second_subderivative(rng.standard_normal((6, 5)))
+        assert calls == []
+
+    def test_construction_errors(self):
+        from dataclasses import replace
+        from specvar.errors import AssumptionViolated
+        from specvar.oimf import SpectralPoint
+        X, Y, _, _ = self._instance()
+        with pytest.raises(NotASubgradient):
+            SpectralPoint(l1_spec(), X, 3.0 * Y)
+        with pytest.raises(NoSimultaneousGauge):
+            SpectralPoint(l1_spec(), np.diag([1.0, 0.5]), SWAP)
+        with pytest.raises(AssumptionViolated):
+            SpectralPoint(replace(l1_spec(), second_subderivative=None),
+                          X, Y)
