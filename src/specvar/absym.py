@@ -447,8 +447,6 @@ def f_second_subderivative(spec, x, v, w, tol=None) -> ExtendedValue:
     if spec.second_subderivative is None:
         raise NotPolyhedral(
             f"{spec.name} is not polyhedral and supplies no hook")
-    if not spec.polyhedral and spec.second_subderivative is None:
-        raise NotPolyhedral(spec.name)
     if not spec.subdiff_contains(x, v):
         raise NotASubgradient(f"v is not in the subdifferential of "
                               f"{spec.name} at x")

@@ -20,7 +20,7 @@ import numpy as np
 from .absym import INF, SpectralFunctionSpec, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
 from .matrix_core import as_matrix, svd_ordered
-from .oimf import F_eval, SpectralPoint, guided_offsets
+from .oimf import CONE_TOL, F_eval, SpectralPoint, guided_offsets
 from .oracles import fd_gradient_check
 
 STATIONARITY_TOL = 1e-7
@@ -265,7 +265,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
                                         cfg.max_candidates):
             yield svd.U @ G @ svd.V.T
 
-    cone_tol = 1e-8 * (1.0 + point.y_norm)
+    cone_tol = CONE_TOL * (1.0 + point.y_norm)
     samples = []
     counterexample = None
     tried = 0

@@ -14,6 +14,7 @@ Error details go to standard error as JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import absym, oimf, oracles
+from .absym import spec_by_name
 from .certify import (
     HalfSquaredDistance,
     LeastSquares,
@@ -32,7 +34,12 @@ from .certify import (
     quadratic_growth_probe,
 )
 from .errors import AssumptionError, InputError, SpecvarError
-from .matrix_core import CLUSTER_TOL, RANK_TOL, read_matrix_csv
+from .matrix_core import (
+    CLUSTER_TOL,
+    RANK_TOL,
+    partition_values,
+    read_matrix_csv,
+)
 from .sv_calculus import sigma_dir1, sigma_dir2
 
 SCHEMA = "specvar/1"
@@ -152,7 +159,7 @@ def load_problem(path):
     if not isinstance(d, dict):
         raise UsageError(f"{path}: problem file must hold a JSON object")
     base = path.parent
-    f = absym.spec_by_name(_required(d, "f", path))
+    f = spec_by_name(_required(d, "f", path))
     weight = float(d.get("weight", 1.0))
     if weight != 1.0:
         f = absym.scale_spec(f, weight)
@@ -173,138 +180,107 @@ def _emit(report, out_path):
         print(text)
 
 
-def _echo(**kwargs):
-    return {k: v for k, v in kwargs.items() if v is not None}
-
-
 def _tols(args):
     return {"cluster_tol": args.tol_cluster, "rank_tol": args.tol_rank}
 
 
-# -- commands --------------------------------------------------------------------
-
-def cmd_eval(args):
-    X = _load_matrix(args.X, header=args.header)
-    f = absym.spec_by_name(args.f)
-    return {"value": oimf.F_eval(f, X)}, _echo(f=args.f, X=X)
+def _matrix(args, name):
+    return _load_matrix(getattr(args, name), header=args.header)
 
 
-def cmd_deriv1(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    return {"sigma_dir1": sigma_dir1(X, H, **_tols(args))}, _echo(X=X, H=H)
+# -- matrix commands -------------------------------------------------------------
 
-
-def cmd_deriv2(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    W = _load_matrix(args.W, header=args.header)
+def _second_subderiv(tol, f, X, Y, H):
+    rep = oimf.F_second_subderivative(spec_by_name(f), X, Y, H, **tol)
     return {
-        "sigma_dir1": sigma_dir1(X, H, **_tols(args)),
-        "sigma_dir2": sigma_dir2(X, H, W, **_tols(args)),
-    }, _echo(X=X, H=H, W=W)
-
-
-def cmd_subderiv(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    f = absym.spec_by_name(args.f)
-    return {"value": oimf.F_subderivative(f, X, H, **_tols(args))}, \
-        _echo(f=args.f, X=X, H=H)
-
-
-def cmd_second_subderiv(args):
-    X = _load_matrix(args.X, header=args.header)
-    Y = _load_matrix(args.Y, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    f = absym.spec_by_name(args.f)
-    rep = oimf.F_second_subderivative(f, X, Y, H, **_tols(args))
-    out = {
         "value": rep.value,
         "breakdown": [rep.d2f_term, rep.alpha_term, rep.beta_term],
         "critical": rep.critical,
-    }
-    return out, _echo(f=args.f, X=X, Y=Y, H=H), list(rep.warnings)
+    }, list(rep.warnings)
 
 
-def cmd_nuclear_epi(args):
-    X = _load_matrix(args.X, header=args.header)
-    Om = _load_matrix(args.Omega, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    return {"value": oimf.nuclear_second_epi(X, Om, H, **_tols(args))}, \
-        _echo(X=X, Omega=Om, H=H)
+def _psi(tol, X, H, Omega=None):
+    out = {"subderivative": oimf.nuclear_psi_subderivative(X, H, **tol)}
+    if Omega is not None:
+        out["second_epi"] = oimf.nuclear_psi_second_epi(X, Omega, H, **tol)
+    return out, []
 
 
-def cmd_psi(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    out = {"subderivative": oimf.nuclear_psi_subderivative(X, H,
-                                                           **_tols(args))}
-    echo = _echo(X=X, H=H)
-    if args.Omega:
-        Om = _load_matrix(args.Omega, header=args.header)
-        out["second_epi"] = oimf.nuclear_psi_second_epi(X, Om, H,
-                                                        **_tols(args))
-        echo["Omega"] = Om
-    return out, echo
+# One row per matrix command: its fields, in echo order, and the function
+# from the tolerances and the loaded fields to (outputs, warnings).  A
+# capitalised field is a CSV matrix, a lower-case one is passed as parsed
+# (a string unless _FLAGS says otherwise); a trailing "?" marks it optional.
+COMMANDS = {
+    "eval": (("f", "X"), lambda tol, f, X: (
+        {"value": oimf.F_eval(spec_by_name(f), X)}, [])),
+    "deriv1": (("X", "H"), lambda tol, X, H: (
+        {"sigma_dir1": sigma_dir1(X, H, **tol)}, [])),
+    "deriv2": (("X", "H", "W"), lambda tol, X, H, W: (
+        {"sigma_dir1": sigma_dir1(X, H, **tol),
+         "sigma_dir2": sigma_dir2(X, H, W, **tol)}, [])),
+    "subderiv": (("f", "X", "H"), lambda tol, f, X, H: (
+        {"value": oimf.F_subderivative(spec_by_name(f), X, H, **tol)}, [])),
+    "second-subderiv": (("f", "X", "Y", "H"), _second_subderiv),
+    "nuclear-epi": (("X", "Omega", "H"), lambda tol, X, Omega, H: (
+        {"value": oimf.nuclear_second_epi(X, Omega, H, **tol)}, [])),
+    "psi": (("X", "H", "Omega?"), _psi),
+    "phi2": (("X", "H"), lambda tol, X, H: (
+        {"value": oimf.nuclear_phi_second_diff(X, H, **tol)}, [])),
+    "tangent": (("set", "X", "H", "order", "W?"),
+                lambda tol, set, X, H, order, W=None: ({
+                    "contains": oimf.invariant_tangent_contains(
+                        oimf.set_by_name(set), X, H, order, W, **tol)}, [])),
+    "distance": (("set", "X"), lambda tol, set, X: (dict(zip(
+        ("distance", "nearest"),
+        oimf.invariant_set_distance(oimf.set_by_name(set), X))), [])),
+}
+
+# argparse keywords for a field that is not a plain string flag
+_FLAGS = {"order": {"type": int, "default": 1, "choices": (1, 2)}}
 
 
-def cmd_phi2(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    return {"value": oimf.nuclear_phi_second_diff(X, H, **_tols(args))}, \
-        _echo(X=X, H=H)
+def _run(fields, fn, args):
+    """Load the row's matrices, echo its fields in row order, evaluate."""
+    inputs = {}
+    for field in fields:
+        name = field.rstrip("?")
+        value = getattr(args, name)
+        if value or name == field:  # an empty optional flag is absent
+            inputs[name] = _matrix(args, name) if name[0].isupper() else value
+    outputs, warnings = fn(_tols(args), **inputs)
+    return outputs, inputs, warnings
 
 
-def cmd_tangent(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
-    delta = oimf.set_by_name(args.set)
-    W = _load_matrix(args.W, header=args.header) if args.W else None
-    ok = oimf.invariant_tangent_contains(delta, X, H, order=args.order,
-                                         W=W, **_tols(args))
-    echo = _echo(set=args.set, X=X, H=H, order=args.order)
-    if W is not None:
-        echo["W"] = W
-    return {"contains": ok}, echo
-
-
-def cmd_distance(args):
-    X = _load_matrix(args.X, header=args.header)
-    delta = oimf.set_by_name(args.set)
-    d, nearest = oimf.invariant_set_distance(delta, X)
-    return {"distance": d, "nearest": nearest}, _echo(set=args.set, X=X)
-
+# -- other commands --------------------------------------------------------------
 
 def _oracle_target(args, X):
     if args.target == "composite":
-        f = absym.spec_by_name(args.f)
+        f = spec_by_name(args.f)
         return lambda M: oimf.F_eval(f, M)
     if args.target == "psi":
         # freeze the zero-block split at the base point's rank
         s = np.linalg.svd(X, compute_uv=False)
-        r0 = int(np.sum(s > args.tol_rank * max(1.0, s[0])))
+        r0 = partition_values(s, args.tol_cluster, args.tol_rank).r
         return lambda M: oimf.nuclear_psi_eval(M, base_rank=r0)
     raise UsageError(f"unknown oracle target {args.target!r}")
 
 
 def cmd_oracle(args):
-    X = _load_matrix(args.X, header=args.header)
-    H = _load_matrix(args.H, header=args.header)
+    X = _matrix(args, "X")
+    H = _matrix(args, "H")
     cfg = oracles.OracleConfig(
         tau_grid=tuple(args.tau_grid), samples_per_tau=args.samples,
         radius_c=args.radius_c,
         seed=args.seed if args.seed is not None else 0,
         include_guided=not args.no_guided)
     g = _oracle_target(args, X)
-    echo = _echo(kind=args.kind, target=args.target, f=args.f, X=X, H=H,
-                 seed=cfg.seed, tau_grid=list(cfg.tau_grid),
-                 samples=cfg.samples_per_tau, radius_c=cfg.radius_c)
+    echo = {"kind": args.kind, "target": args.target, "f": args.f, "X": X,
+            "H": H, "seed": cfg.seed, "tau_grid": list(cfg.tau_grid),
+            "samples": cfg.samples_per_tau, "radius_c": cfg.radius_c}
     if args.kind == "parabolic":
-        W = _load_matrix(args.W, header=args.header) if args.W \
-            else np.zeros_like(X)
+        W = _matrix(args, "W") if args.W else np.zeros_like(X)
         if args.target == "composite":
-            f = absym.spec_by_name(args.f)
+            f = spec_by_name(args.f)
             dgxw = oimf.F_subderivative(f, X, H, **_tols(args))
         else:
             dgxw = oimf.nuclear_psi_subderivative(X, H, **_tols(args))
@@ -315,7 +291,7 @@ def cmd_oracle(args):
     else:
         if not args.Y:
             raise UsageError(f"oracle --kind {args.kind} requires --Y")
-        Y = _load_matrix(args.Y, header=args.header)
+        Y = _matrix(args, "Y")
         echo["Y"] = Y
         if args.kind == "fixed":
             vals = oracles.quotient2_fixed(g, X, Y, H, cfg)
@@ -333,7 +309,7 @@ def cmd_oracle(args):
             fh.write("tau,quotient\n")
             for tau, q in out["quotients"]:
                 fh.write(f"{tau:.17g},{q:.17g}\n")
-    return out, echo
+    return out, echo, []
 
 
 def cmd_certify(args):
@@ -353,7 +329,7 @@ def cmd_certify(args):
         "counterexample": cert.counterexample,
     }
     return out, {"problem": raw, "n_samples": cfg.n_samples,
-                 "min_samples": cfg.min_samples, "seed": cfg.seed}
+                 "min_samples": cfg.min_samples, "seed": cfg.seed}, []
 
 
 def cmd_growth(args):
@@ -362,16 +338,14 @@ def cmd_growth(args):
     g = quadratic_growth_probe(p, X0, args.eps, args.n_samples,
                                            seed)
     return {"growth": g}, {"problem": raw, "eps": args.eps,
-                           "n_samples": args.n_samples, "seed": seed}
+                           "n_samples": args.n_samples, "seed": seed}, []
 
 
 # -- parser ----------------------------------------------------------------------
 
-def _add_common(sp, *names):
+def _add_header(sp):
     sp.add_argument("--header", action="store_true",
                     help="skip one header line in matrix CSV files")
-    for name in names:
-        sp.add_argument(f"--{name}", required=True)
 
 
 def build_parser():
@@ -385,51 +359,19 @@ def build_parser():
                                                 "instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("eval")
-    _add_common(sp, "f", "X")
-    sp.set_defaults(fn=cmd_eval)
-
-    sp = sub.add_parser("deriv1")
-    _add_common(sp, "X", "H")
-    sp.set_defaults(fn=cmd_deriv1)
-
-    sp = sub.add_parser("deriv2")
-    _add_common(sp, "X", "H", "W")
-    sp.set_defaults(fn=cmd_deriv2)
-
-    sp = sub.add_parser("subderiv")
-    _add_common(sp, "f", "X", "H")
-    sp.set_defaults(fn=cmd_subderiv)
-
-    sp = sub.add_parser("second-subderiv")
-    _add_common(sp, "f", "X", "Y", "H")
-    sp.set_defaults(fn=cmd_second_subderiv)
-
-    sp = sub.add_parser("nuclear-epi")
-    _add_common(sp, "X", "Omega", "H")
-    sp.set_defaults(fn=cmd_nuclear_epi)
-
-    sp = sub.add_parser("psi")
-    _add_common(sp, "X", "H")
-    sp.add_argument("--Omega", default=None)
-    sp.set_defaults(fn=cmd_psi)
-
-    sp = sub.add_parser("phi2")
-    _add_common(sp, "X", "H")
-    sp.set_defaults(fn=cmd_phi2)
-
-    sp = sub.add_parser("tangent")
-    _add_common(sp, "set", "X", "H")
-    sp.add_argument("--order", type=int, default=1, choices=(1, 2))
-    sp.add_argument("--W", default=None)
-    sp.set_defaults(fn=cmd_tangent)
-
-    sp = sub.add_parser("distance")
-    _add_common(sp, "set", "X")
-    sp.set_defaults(fn=cmd_distance)
+    for command, (fields, fn) in COMMANDS.items():
+        sp = sub.add_parser(command)
+        _add_header(sp)
+        for field in fields:
+            name = field.rstrip("?")
+            sp.add_argument(f"--{name}",
+                            **_FLAGS.get(name, {"required": name == field}))
+        sp.set_defaults(fn=functools.partial(_run, fields, fn))
 
     sp = sub.add_parser("oracle")
-    _add_common(sp, "X", "H")
+    _add_header(sp)
+    sp.add_argument("--X", required=True)
+    sp.add_argument("--H", required=True)
     sp.add_argument("--kind", required=True,
                     choices=("fixed", "liminf", "parabolic"))
     sp.add_argument("--target", default="composite",
@@ -469,9 +411,7 @@ def _error_json(code, exc):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        result = args.fn(args)
-        outputs, inputs = result[0], result[1]
-        warnings_list = result[2] if len(result) > 2 else []
+        outputs, inputs, warnings_list = args.fn(args)
         report = {
             "schema": SCHEMA,
             "command": args.command,
@@ -481,16 +421,10 @@ def main(argv=None):
         }
         _emit(report, args.out)
         return 0
-    except UsageError as exc:
+    except (UsageError, InputError) as exc:
         print(_error_json(1, exc), file=sys.stderr)
         return 1
-    except InputError as exc:
-        print(_error_json(1, exc), file=sys.stderr)
-        return 1
-    except AssumptionError as exc:
-        print(_error_json(2, exc), file=sys.stderr)
-        return 2
-    except np.linalg.LinAlgError as exc:
+    except (AssumptionError, np.linalg.LinAlgError) as exc:
         print(_error_json(2, exc), file=sys.stderr)
         return 2
     except (OSError, json.JSONDecodeError) as exc:

@@ -274,8 +274,13 @@ def partition_values(v, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
     For ``kind="singular"`` entries at or below ``rank_tol * max(1, v[0])``
     form the zero block beta and the rest cluster into alpha blocks with
     strictly decreasing distinct values mu.  For ``kind="eigen"`` all
-    entries cluster (values may be negative, no rank split).
+    entries cluster (values may be negative, no rank split).  Both
+    tolerances must be finite and >= 0: a NaN or negative one would
+    silently change every block, so it raises ``ShapeError``.
     """
+    if not (0.0 <= cluster_tol < np.inf and 0.0 <= rank_tol < np.inf):
+        raise ShapeError(f"cluster_tol {cluster_tol!r} and rank_tol "
+                         f"{rank_tol!r} must be finite and >= 0")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ShapeError("partition_values expects a vector")

@@ -365,6 +365,14 @@ def nuclear_psi_eval(X, base_rank=None, cluster_tol=CLUSTER_TOL):
     return float(np.sum(s[np.abs(s - bottom) <= cluster_tol * scale]))
 
 
+def _like(A, X, name):
+    """A as a finite matrix of X's shape."""
+    A = as_matrix(A, name)
+    if A.shape != X.shape:
+        raise ShapeError(f"{name} {A.shape} and X {X.shape} differ")
+    return A
+
+
 def _psi_blocks(X, cluster_tol, rank_tol):
     svd = svd_ordered(X)
     part = partition_of(svd, cluster_tol, rank_tol)
@@ -377,8 +385,9 @@ def nuclear_psi_subderivative(X, H, cluster_tol=CLUSTER_TOL,
                               rank_tol=RANK_TOL):
     """Directional derivative of the zero-cluster sum at rank-deficient X:
     the nuclear norm of the reduced block U_bh^T H V_b."""
+    X = as_matrix(X, "X")
+    H = _like(H, X, "H")
     svd, part = _psi_blocks(X, cluster_tol, rank_tol)
-    H = as_matrix(H, "H")
     R = svd.U[:, part.betahat].T @ H @ svd.V[:, part.beta]
     return float(np.sum(np.linalg.svd(R, compute_uv=False)))
 
@@ -407,9 +416,10 @@ def nuclear_psi_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     Equals -2 <Omega, H V_a Sigma_a^{-1} U_a^T H> when the first-order
     identity psi'(X; H) = <Omega, H> holds, +inf otherwise.
     """
+    X = as_matrix(X, "X")
+    H = _like(H, X, "H")
+    Omega = _like(Omega, X, "Omega")
     svd, part = _psi_blocks(X, cluster_tol, rank_tol)
-    H = as_matrix(H, "H")
-    Omega = as_matrix(Omega, "Omega")
     tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
     Z = _psi_subgradient_block(X, Omega, svd, part, tol)
     r = part.r
@@ -451,8 +461,8 @@ def nuclear_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     same way: Omega = U_a V_a^T + U_bh Z V_b^T).
     """
     X = as_matrix(X, "X")
-    Omega = as_matrix(Omega, "Omega")
-    H = as_matrix(H, "H")
+    Omega = _like(Omega, X, "Omega")
+    H = _like(H, X, "H")
     svd = svd_ordered(X)
     part = partition_of(svd, cluster_tol, rank_tol)
     r, n = part.r, part.n

@@ -57,6 +57,14 @@ def _arr(a, name):
     return out
 
 
+def _like(a, x, name):
+    """a as a finite array of x's shape: a mismatch would broadcast."""
+    out = _arr(a, name)
+    if out.shape != x.shape:
+        raise ShapeError(f"{name} {out.shape} and x {x.shape} differ")
+    return out
+
+
 def _dot(a, b):
     return float(np.sum(a * b))
 
@@ -80,7 +88,8 @@ def quotient2_fixed(g, x, v, w, cfg: OracleConfig):
     Returns [g(x + tau w) - g(x) - tau <v, w>] / (tau^2 / 2) for every
     tau in the grid, in grid order.
     """
-    x, v, w = _arr(x, "x"), _arr(v, "v"), _arr(w, "w")
+    x = _arr(x, "x")
+    v, w = _like(v, x, "v"), _like(w, x, "w")
     g0 = _base_value(g, x)
     vw = _dot(v, w)
     return [
@@ -93,7 +102,8 @@ def _liminf_at_tau(g, x, g0, v, w, tau, cfg, guided_directions, rng):
     """Minimum second-order quotient over perturbed directions at one tau."""
     candidates = [w]
     if cfg.include_guided:
-        candidates += [w + tau * _arr(D, "guide") for D in guided_directions]
+        candidates += [w + tau * _like(D, x, "guide")
+                       for D in guided_directions]
     for _ in range(cfg.samples_per_tau):
         candidates.append(w + tau * cfg.radius_c * _unit(rng, w.shape))
     vals = []
@@ -110,7 +120,8 @@ def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):
     with ||u|| <= radius_c, plus any supplied guided offsets, at the
     smallest tau of the grid.  Deterministic for a fixed config.
     """
-    x, v, w = _arr(x, "x"), _arr(v, "v"), _arr(w, "w")
+    x = _arr(x, "x")
+    v, w = _like(v, x, "v"), _like(w, x, "w")
     g0 = _base_value(g, x)
     rng = np.random.default_rng(cfg.seed)
     return _liminf_at_tau(g, x, g0, v, w, min(cfg.tau_grid), cfg,
@@ -120,7 +131,8 @@ def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):
 def liminf_table(g, x, v, w, cfg: OracleConfig, guided_directions=()):
     """(tau, min quotient) rows over the whole grid, for convergence
     plots; the last row is the ``quotient2_liminf`` estimate."""
-    x, v, w = _arr(x, "x"), _arr(v, "v"), _arr(w, "w")
+    x = _arr(x, "x")
+    v, w = _like(v, x, "v"), _like(w, x, "w")
     g0 = _base_value(g, x)
     rows = []
     for tau in cfg.tau_grid:
@@ -138,7 +150,8 @@ def parabolic_quotient(g, x, w, dgxw, z, cfg: OracleConfig):
     """
     if not math.isfinite(float(dgxw)):
         raise NonFiniteBase("dg(x)(w) must be finite")
-    x, w, z = _arr(x, "x"), _arr(w, "w"), _arr(z, "z")
+    x = _arr(x, "x")
+    w, z = _like(w, x, "w"), _like(z, x, "z")
     g0 = _base_value(g, x)
     return [
         (float(g(x + t * w + 0.5 * t * t * z)) - g0 - t * float(dgxw))

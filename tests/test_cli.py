@@ -270,6 +270,37 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "UsageError" and err["exit_code"] == 1
 
+    def test_nan_tolerance_exit_1(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.diag([2.0, 1.0]))
+        h = write(tmp_path, "h.csv", SWAP)
+        assert main(["--tol-cluster", "nan", "deriv1", "--X", x,
+                     "--H", h]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShapeError" and err["exit_code"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["nuclear-epi", "--X", "x", "--Omega", "big", "--H", "h"],
+        ["psi", "--X", "x", "--H", "big"],
+        ["psi", "--X", "x", "--H", "h", "--Omega", "big"],
+        ["oracle", "--kind", "fixed", "--X", "x", "--Y", "y", "--H", "big",
+         "--tau-grid", "1e-2"],
+        ["oracle", "--kind", "fixed", "--X", "x", "--Y", "big", "--H", "h",
+         "--tau-grid", "1e-2"],
+        ["oracle", "--kind", "fixed", "--X", "x", "--Y", "row", "--H", "h",
+         "--tau-grid", "1e-2"],
+        ["oracle", "--kind", "liminf", "--X", "x", "--Y", "row", "--H", "h",
+         "--tau-grid", "1e-2"],
+    ])
+    def test_shape_mismatch_exit_1(self, tmp_path, capsys, argv):
+        files = {"x": write(tmp_path, "x.csv", np.diag([1.0, 0.0])),
+                 "y": write(tmp_path, "y.csv", np.eye(2)),
+                 "h": write(tmp_path, "h.csv", SWAP),
+                 "big": write(tmp_path, "big.csv", np.eye(3)),
+                 "row": write(tmp_path, "row.csv", [[1.0, 2.0]])}
+        assert main([files.get(a, a) for a in argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShapeError" and err["exit_code"] == 1
+
     def test_io_error_exit_3(self, capsys):
         assert main(["eval", "--f", "l1", "--X", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)

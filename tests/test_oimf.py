@@ -17,6 +17,7 @@ from specvar.errors import (
     NotInRegularSubdiff,
     NotInSet,
     RankZero,
+    ShapeError,
 )
 from specvar.matrix_core import gauge_randomize, partition_of, svd_ordered
 from specvar.oimf import (
@@ -425,6 +426,21 @@ class TestNuclearSecondEpi:
         with pytest.raises(NotASubgradient):
             nuclear_second_epi(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]),
                                SWAP)
+
+
+class TestNuclearShapeMismatch:
+    # each used to end in a raw numpy ValueError from a matrix product
+    @pytest.mark.parametrize("fn, args", [
+        (nuclear_psi_subderivative, (np.diag([1.0, 0.0]), np.eye(3))),
+        (nuclear_psi_second_epi, (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+                                  np.eye(3))),
+        (nuclear_psi_second_epi, (np.diag([1.0, 0.0]), np.eye(3), SWAP)),
+        (nuclear_second_epi, (np.diag([1.0, 0.0]), np.eye(3), SWAP)),
+        (nuclear_second_epi, (np.zeros((2, 2)), np.eye(2), np.eye(3))),
+    ])
+    def test_rejected(self, fn, args):
+        with pytest.raises(ShapeError):
+            fn(*args)
 
 
 def SWAP3():

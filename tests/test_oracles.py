@@ -168,6 +168,24 @@ class TestParabolicQuotient:
                                float("inf"), np.zeros(1), cfg)
 
 
+ROW = np.array([[1.0, 2.0]])
+
+
+class TestShapeMismatch:
+    # x is 2x2; a 1x2 v, guide or z used to broadcast against it silently
+    @pytest.mark.parametrize("call", [
+        lambda g, x, cfg: quotient2_fixed(g, x, ROW, SWAP, cfg),
+        lambda g, x, cfg: quotient2_fixed(g, x, np.eye(2), np.eye(3), cfg),
+        lambda g, x, cfg: quotient2_liminf(g, x, ROW, SWAP, cfg),
+        lambda g, x, cfg: liminf_table(g, x, np.eye(2), SWAP, cfg, (ROW,)),
+        lambda g, x, cfg: parabolic_quotient(g, x, SWAP, 0.0, ROW, cfg),
+    ])
+    def test_rejected(self, call):
+        cfg = OracleConfig(tau_grid=(1e-2,), samples_per_tau=2)
+        with pytest.raises(ShapeError):
+            call(lambda M: F_eval(l1_spec(), M), np.diag([1.0, 0.0]), cfg)
+
+
 class _Quadratic:
     """psi(X) = 0.5 ||X - B||^2 with correct hooks."""
 

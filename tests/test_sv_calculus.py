@@ -123,6 +123,29 @@ class TestSigmaDir1:
         assert 5.0 <= ratio <= 20.0
 
 
+class TestToleranceValidation:
+    # a NaN cluster_tol used to split diag(2, 1) wrongly (sigma' = [1, -1])
+    # and a NaN rank_tol counted every value as zero (sigma' = [1, 1])
+    @pytest.mark.parametrize("H, tols", [
+        (SWAP, {"cluster_tol": np.nan}),
+        (-np.eye(2), {"rank_tol": np.nan}),
+        (SWAP, {"cluster_tol": -1e-8}),
+        (SWAP, {"rank_tol": np.inf}),
+    ])
+    def test_sigma_dir1_rejects(self, H, tols):
+        with pytest.raises(ShapeError):
+            sigma_dir1(np.diag([2.0, 1.0]), H, **tols)
+
+    def test_eig_expand2_rejects_nan(self):
+        with pytest.raises(ShapeError):
+            eig_expand2(np.diag([2.0, 1.0]), SWAP, cluster_tol=np.nan)
+
+    def test_zero_tolerances_allowed(self):
+        np.testing.assert_allclose(
+            sigma_dir1(np.diag([2.0, 1.0]), SWAP, cluster_tol=0.0,
+                       rank_tol=0.0), [0.0, 0.0], atol=1e-14)
+
+
 class TestSigmaDir2:
     def test_worked_swap(self):
         np.testing.assert_allclose(
