@@ -15,11 +15,8 @@ from .absym import (
     SignedPermutation,
     SpectralFunctionSpec,
     f_critical_cone_contains,
-    f_parabolic_subderivative,
     f_second_subderivative,
     f_subderivative,
-    f_subdiff_contains,
-    f_subdiff_representative,
     kyfan_spec,
     l1_spec,
     linf_spec,

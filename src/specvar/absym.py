@@ -426,14 +426,6 @@ def f_subderivative(spec: SpectralFunctionSpec, x, w) -> ExtendedValue:
     return spec.subderivative(x, w)
 
 
-def f_subdiff_contains(spec, x, v, tol=1e-10) -> bool:
-    return spec.subdiff_contains(x, v, tol)
-
-
-def f_subdiff_representative(spec, x):
-    return spec.subdiff_representative(x)
-
-
 def f_critical_cone_contains(spec, x, v, w, tol=None) -> bool:
     """True iff df(x)(w) equals <v, w>; v must be a subgradient."""
     if not spec.subdiff_contains(x, v):
@@ -451,7 +443,3 @@ def f_second_subderivative(spec, x, v, w, tol=None) -> ExtendedValue:
         raise NotASubgradient(f"v is not in the subdifferential of "
                               f"{spec.name} at x")
     return spec.second_subderivative(x, v, w, tol)
-
-
-def f_parabolic_subderivative(spec, x, w, z) -> ExtendedValue:
-    return spec.parabolic_subderivative(x, w, z)

@@ -33,7 +33,7 @@ from .certify import (
     certify as run_certify,
     quadratic_growth_probe,
 )
-from .errors import AssumptionError, InputError, SpecvarError
+from .errors import AssumptionError, InputError, ShapeError, SpecvarError
 from .matrix_core import (
     CLUSTER_TOL,
     RANK_TOL,
@@ -188,6 +188,14 @@ def _matrix(args, name):
     return _load_matrix(getattr(args, name), header=args.header)
 
 
+def _matrix_like(args, name, X):
+    """The matrix of flag --name, required to have the shape of --X."""
+    A = _matrix(args, name)
+    if A.shape != X.shape:
+        raise ShapeError(f"--{name} {A.shape} and --X {X.shape} differ")
+    return A
+
+
 # -- matrix commands -------------------------------------------------------------
 
 def _second_subderiv(tol, f, X, Y, H):
@@ -267,7 +275,7 @@ def _oracle_target(args, X):
 
 def cmd_oracle(args):
     X = _matrix(args, "X")
-    H = _matrix(args, "H")
+    H = _matrix_like(args, "H", X)
     cfg = oracles.OracleConfig(
         tau_grid=tuple(args.tau_grid), samples_per_tau=args.samples,
         radius_c=args.radius_c,
@@ -278,7 +286,7 @@ def cmd_oracle(args):
             "H": H, "seed": cfg.seed, "tau_grid": list(cfg.tau_grid),
             "samples": cfg.samples_per_tau, "radius_c": cfg.radius_c}
     if args.kind == "parabolic":
-        W = _matrix(args, "W") if args.W else np.zeros_like(X)
+        W = _matrix_like(args, "W", X) if args.W else np.zeros_like(X)
         if args.target == "composite":
             f = spec_by_name(args.f)
             dgxw = oimf.F_subderivative(f, X, H, **_tols(args))
@@ -291,7 +299,7 @@ def cmd_oracle(args):
     else:
         if not args.Y:
             raise UsageError(f"oracle --kind {args.kind} requires --Y")
-        Y = _matrix(args, "Y")
+        Y = _matrix_like(args, "Y", X)
         echo["Y"] = Y
         if args.kind == "fixed":
             vals = oracles.quotient2_fixed(g, X, Y, H, cfg)

@@ -267,6 +267,13 @@ def _rank_arrays(n, blocks):
     return l, j, r_s
 
 
+def _check_tolerances(cluster_tol, rank_tol=RANK_TOL):
+    """Raise ``ShapeError`` unless both tolerances are finite and >= 0."""
+    if not (0.0 <= cluster_tol < np.inf and 0.0 <= rank_tol < np.inf):
+        raise ShapeError(f"cluster_tol {cluster_tol!r} and rank_tol "
+                         f"{rank_tol!r} must be finite and >= 0")
+
+
 def partition_values(v, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
                      kind="singular", m=None):
     """Partition a nonincreasing value vector into equal-value blocks.
@@ -278,9 +285,7 @@ def partition_values(v, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
     tolerances must be finite and >= 0: a NaN or negative one would
     silently change every block, so it raises ``ShapeError``.
     """
-    if not (0.0 <= cluster_tol < np.inf and 0.0 <= rank_tol < np.inf):
-        raise ShapeError(f"cluster_tol {cluster_tol!r} and rank_tol "
-                         f"{rank_tol!r} must be finite and >= 0")
+    _check_tolerances(cluster_tol, rank_tol)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ShapeError("partition_values expects a vector")

@@ -36,6 +36,7 @@ from .matrix_core import (
     CLUSTER_TOL,
     RANK_TOL,
     SvdDecomposition,
+    _check_tolerances,
     as_matrix,
     partition_of,
     require_tall,
@@ -184,7 +185,10 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
     X = as_matrix(X, "X")
     Y = as_matrix(Y, "Y")
     H = as_matrix(H, "H")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    svd = part = None
+    if diagnostics:
+        svd, part, sy = simultaneous_gauge(X, Y, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, svd, cluster_tol, rank_tol, part=part)
     d1 = sigma_dir1_from_blocks(blocks)
     dF = f.subderivative(blocks.gauge.sigma, d1)
     gap = dF - float(np.sum(Y * H))
@@ -193,18 +197,15 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
     member = abs(gap) <= tol
     if not diagnostics:
         return member
-    svd, part, sy = simultaneous_gauge(X, Y, cluster_tol, rank_tol)
-    gblocks = direction_blocks(X, H, gauge=svd, cluster_tol=cluster_tol,
-                               rank_tol=rank_tol)
     fan_gaps = []
-    for ab in gblocks.alpha:
+    for ab in blocks.alpha:
         yb = sy[ab.indices]
         fan_gaps.append(float(yb @ ab.eta - np.sum(np.diag(yb) * ab.S)))
     vn_gap = 0.0
-    if gblocks.beta is not None:
-        yb = sy[gblocks.beta.indices]
-        vn_gap = float(yb @ gblocks.beta.eta
-                       - np.sum(np.diag(yb) * gblocks.beta.R[:len(yb), :]))
+    if blocks.beta is not None:
+        yb = sy[blocks.beta.indices]
+        vn_gap = float(yb @ blocks.beta.eta
+                       - np.sum(np.diag(yb) * blocks.beta.R[:len(yb), :]))
     finfo = {
         "member": member,
         "duality_gap": gap,
@@ -354,6 +355,7 @@ def nuclear_psi_eval(X, base_rank=None, cluster_tol=CLUSTER_TOL):
     one within tolerance), which coincides with the frozen form at the
     base point.
     """
+    _check_tolerances(cluster_tol)
     X = require_tall(as_matrix(X, "X"))
     s = np.linalg.svd(X, compute_uv=False)
     if base_rank is not None:
@@ -381,6 +383,24 @@ def _psi_blocks(X, cluster_tol, rank_tol):
     return svd, part
 
 
+def _psi_epi_term(Z, Hhat, sigma_a):
+    """Second epi-derivative of the zero-cluster sum for the subgradient
+    U_bh Z V_b^T, read from Hhat = U^T H V with sigma_a the r positive
+    values: -2 <Z, (U^T H V_a Sigma_a^{-1} U_a^T H V)_bb> when the
+    first-order identity psi'(X; H) = ||Hhat_bb||_* = <Z, Hhat_bb> holds,
+    +inf otherwise."""
+    r = len(sigma_a)
+    Hbb = Hhat[r:, r:]
+    dpsi = float(np.sum(np.linalg.svd(Hbb, compute_uv=False)))
+    ctol = CONE_TOL * (1.0 + np.linalg.norm(Z) * np.linalg.norm(Hhat))
+    if abs(dpsi - float(np.sum(Z * Hbb))) > ctol:
+        return INF
+    if r == 0:
+        return 0.0
+    return -2.0 * float(np.sum(Z * cross_term_hat(
+        Hhat, sigma_a, slice(r, None), slice(r, None))))
+
+
 def nuclear_psi_subderivative(X, H, cluster_tol=CLUSTER_TOL,
                               rank_tol=RANK_TOL):
     """Directional derivative of the zero-cluster sum at rank-deficient X:
@@ -392,50 +412,32 @@ def nuclear_psi_subderivative(X, H, cluster_tol=CLUSTER_TOL,
     return float(np.sum(np.linalg.svd(R, compute_uv=False)))
 
 
-def _psi_subgradient_block(X, Omega, svd, part, tol):
-    """Extract Z with Omega = U_bh Z V_b^T, checking membership."""
-    Omega = as_matrix(Omega, "Omega")
-    Ub = svd.U[:, part.betahat]
-    Vb = svd.V[:, part.beta]
-    Z = Ub.T @ Omega @ Vb
-    resid = np.linalg.norm(Omega - Ub @ Z @ Vb.T)
-    if resid > tol:
-        raise NotInRegularSubdiff(
-            f"Omega has {resid:.3e} energy outside the zero-block range")
-    svals = np.linalg.svd(Z, compute_uv=False)
-    if len(svals) and svals[0] > 1.0 + tol:
-        raise NotInRegularSubdiff(
-            f"largest singular value of the reduced block is {svals[0]:.6g}")
-    return Z
-
-
 def nuclear_psi_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
                            rank_tol=RANK_TOL) -> ExtendedValue:
     """Second epi-derivative of the zero-cluster sum at X for Omega.
 
-    Equals -2 <Omega, H V_a Sigma_a^{-1} U_a^T H> when the first-order
-    identity psi'(X; H) = <Omega, H> holds, +inf otherwise.
+    Omega must be U_bh Z V_b^T with ||Z||_2 <= 1.  Equals
+    -2 <Omega, H V_a Sigma_a^{-1} U_a^T H> when the first-order identity
+    psi'(X; H) = <Omega, H> holds, +inf otherwise.
     """
     X = as_matrix(X, "X")
     H = _like(H, X, "H")
     Omega = _like(Omega, X, "Omega")
     svd, part = _psi_blocks(X, cluster_tol, rank_tol)
-    tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
-    Z = _psi_subgradient_block(X, Omega, svd, part, tol)
     r = part.r
-    Hhat = svd.U.T @ H @ svd.V
-    # psi'(X; H) is the nuclear norm of U_bh^T H V_b = Hhat[r:, r:]
-    dpsi = float(np.sum(np.linalg.svd(Hhat[r:, r:], compute_uv=False)))
-    pairing = float(np.sum(Omega * H))
-    ctol = CONE_TOL * (1.0 + np.linalg.norm(Omega) * np.linalg.norm(H))
-    if abs(dpsi - pairing) > ctol:
-        return INF
-    if r == 0:
-        return 0.0
-    # Omega = U_bh Z V_b^T pairs only with the zero block of the cross term
-    corr = cross_term_hat(Hhat, svd.sigma[:r], slice(r, None),
-                          slice(r, None))
-    return -2.0 * float(np.sum(Z * corr))
+    Ub, Vb = svd.U[:, r:], svd.V[:, r:]
+    Z = Ub.T @ Omega @ Vb
+    tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
+    # formed in X's space: O(mn(n - r)) flops, not a full U^T Omega V
+    resid = np.linalg.norm(Omega - Ub @ Z @ Vb.T)
+    if resid > tol:
+        raise NotInRegularSubdiff(
+            f"Omega has {resid:.3e} energy outside the zero-block range")
+    svals = np.linalg.svd(Z, compute_uv=False)
+    if svals[0] > 1.0 + tol:
+        raise NotInRegularSubdiff(
+            f"largest singular value of the reduced block is {svals[0]:.6g}")
+    return _psi_epi_term(Z, svd.U.T @ H @ svd.V, svd.sigma[:r])
 
 
 def nuclear_phi_second_diff(X, H, cluster_tol=CLUSTER_TOL,
@@ -458,14 +460,14 @@ def nuclear_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
 
     Splits as the smooth top-r term plus the zero-cluster epi-derivative
     taken at the zero-block part of Omega (the subgradient splits the
-    same way: Omega = U_a V_a^T + U_bh Z V_b^T).
+    same way: Omega = U_a V_a^T + U_bh Z V_b^T).  Both terms read one
+    decomposition of X and Hhat = U^T H V.
     """
     X = as_matrix(X, "X")
     Omega = _like(Omega, X, "Omega")
     H = _like(H, X, "H")
-    svd = svd_ordered(X)
-    part = partition_of(svd, cluster_tol, rank_tol)
-    r, n = part.r, part.n
+    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    svd, r = blocks.gauge, blocks.part.r
     tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
     M = svd.U.T @ Omega @ svd.V
     if np.linalg.norm(M[:r, :r] - np.eye(r)) > tol:
@@ -473,23 +475,13 @@ def nuclear_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     if (np.linalg.norm(M[:r, r:]) > tol
             or np.linalg.norm(M[r:, :r]) > tol):
         raise NotASubgradient("Omega couples the top and zero blocks")
-    if r < n:
-        svals = np.linalg.svd(M[r:, r:], compute_uv=False)
-        if len(svals) and svals[0] > 1.0 + tol:
-            raise NotASubgradient(
-                "zero-block part of Omega exceeds the unit spectral ball")
-    phi_term = nuclear_phi_second_diff(X, H, cluster_tol, rank_tol) \
-        if r > 0 else 0.0
-    if r == n:
-        return phi_term
-    Ub = svd.U[:, part.betahat]
-    Vb = svd.V[:, part.beta]
-    Omega_beta = Ub @ M[r:, r:] @ Vb.T
-    psi_term = nuclear_psi_second_epi(X, Omega_beta, H, cluster_tol,
-                                      rank_tol)
-    if not math.isfinite(psi_term):
-        return INF
-    return phi_term + psi_term
+    Z = M[r:, r:]
+    svals = np.linalg.svd(Z, compute_uv=False)
+    if len(svals) and svals[0] > 1.0 + tol:
+        raise NotASubgradient(
+            "zero-block part of Omega exceeds the unit spectral ball")
+    phi_term = 2.0 * sum(float(np.trace(G)) for G in alpha_quadratics(blocks))
+    return phi_term + _psi_epi_term(Z, blocks.Hhat, svd.sigma[:r])
 
 
 # -- invariant sets ------------------------------------------------------------

@@ -5,11 +5,8 @@ from specvar.absym import (
     INF,
     SignedPermutation,
     f_critical_cone_contains,
-    f_parabolic_subderivative,
     f_second_subderivative,
     f_subderivative,
-    f_subdiff_contains,
-    f_subdiff_representative,
     kyfan_spec,
     l1_spec,
     linf_spec,
@@ -87,32 +84,32 @@ class TestSubderivative:
 class TestSubdifferential:
     def test_l1_box(self):
         f = l1_spec()
-        assert f_subdiff_contains(f, [1.0, 0.0], [1.0, 0.4])
-        assert not f_subdiff_contains(f, [1.0, 0.0], [1.0, 1.5])
+        assert f.subdiff_contains([1.0, 0.0], [1.0, 0.4])
+        assert not f.subdiff_contains([1.0, 0.0], [1.0, 1.5])
         np.testing.assert_allclose(
-            f_subdiff_representative(f, [1.0, -2.0]), [1.0, -1.0])
+            f.subdiff_representative([1.0, -2.0]), [1.0, -1.0])
 
     def test_linf_simplex(self):
         f = linf_spec()
-        assert f_subdiff_contains(f, [3.0, -4.0], [0.0, -1.0])
-        assert not f_subdiff_contains(f, [3.0, -4.0], [0.0, 1.0])
-        assert f_subdiff_contains(f, [2.0, 2.0], [0.25, 0.75])
-        assert not f_subdiff_contains(f, [2.0, 2.0], [0.25, 0.25])
+        assert f.subdiff_contains([3.0, -4.0], [0.0, -1.0])
+        assert not f.subdiff_contains([3.0, -4.0], [0.0, 1.0])
+        assert f.subdiff_contains([2.0, 2.0], [0.25, 0.75])
+        assert not f.subdiff_contains([2.0, 2.0], [0.25, 0.25])
 
     def test_at_zero(self):
         # at the origin the subdifferential is the dual-norm unit ball
-        assert f_subdiff_contains(l1_spec(), [0.0, 0.0], [0.7, -0.7])
-        assert not f_subdiff_contains(l1_spec(), [0.0, 0.0], [1.2, 0.0])
-        assert f_subdiff_contains(linf_spec(), [0.0, 0.0], [0.5, -0.5])
-        assert not f_subdiff_contains(linf_spec(), [0.0, 0.0], [0.8, -0.8])
+        assert l1_spec().subdiff_contains([0.0, 0.0], [0.7, -0.7])
+        assert not l1_spec().subdiff_contains([0.0, 0.0], [1.2, 0.0])
+        assert linf_spec().subdiff_contains([0.0, 0.0], [0.5, -0.5])
+        assert not linf_spec().subdiff_contains([0.0, 0.0], [0.8, -0.8])
 
     def test_representative_is_member(self):
         rng = np.random.default_rng(3)
         for spec in BUILTINS:
             for _ in range(30):
                 x = rng.choice([0.0, 1.0, -1.0, 2.0], size=5)
-                v = f_subdiff_representative(spec, x)
-                assert f_subdiff_contains(spec, x, v)
+                v = spec.subdiff_representative(x)
+                assert spec.subdiff_contains(x, v)
 
     def test_sample_is_member(self):
         rng = np.random.default_rng(4)
@@ -120,7 +117,7 @@ class TestSubdifferential:
             for _ in range(30):
                 x = rng.choice([0.0, 0.0, 1.0, 3.0], size=5)
                 v = spec.subdiff_sample(x, rng)
-                assert f_subdiff_contains(spec, x, v)
+                assert spec.subdiff_contains(x, v)
 
     def test_sample_supports_mean_inequality(self):
         # subgradient inequality f(y) >= f(x) + <v, y - x> on random pairs
@@ -182,7 +179,7 @@ class TestParabolic:
                 w = rng.choice([0.0, 1.0, -1.0], size=4) \
                     + 0.5 * rng.choice([0.0, 1.0], size=4)
                 z = rng.standard_normal(4)
-                val = f_parabolic_subderivative(spec, x, w, z)
+                val = spec.parabolic_subderivative(x, w, z)
                 # below the first breakpoint the quotient is exact up to
                 # float cancellation (~1e-16 / t^2)
                 q = self.quotient(spec, x, w, z, 1e-5)
@@ -191,12 +188,12 @@ class TestParabolic:
     def test_l1_refined_pattern(self):
         # at x=(1,0) along w=(a,0): second-level pattern keeps |.| on w=0
         f = l1_spec()
-        assert f_parabolic_subderivative(f, [1.0, 0.0], [2.0, 0.0],
-                                         [1.0, -3.0]) == pytest.approx(4.0)
-        assert f_parabolic_subderivative(f, [1.0, 0.0], [2.0, 1.0],
-                                         [1.0, -3.0]) == pytest.approx(-2.0)
-        assert f_parabolic_subderivative(f, [1.0, 0.0], [2.0, -1.0],
-                                         [1.0, -3.0]) == pytest.approx(4.0)
+        assert f.parabolic_subderivative([1.0, 0.0], [2.0, 0.0],
+                                        [1.0, -3.0]) == pytest.approx(4.0)
+        assert f.parabolic_subderivative([1.0, 0.0], [2.0, 1.0],
+                                        [1.0, -3.0]) == pytest.approx(-2.0)
+        assert f.parabolic_subderivative([1.0, 0.0], [2.0, -1.0],
+                                        [1.0, -3.0]) == pytest.approx(4.0)
 
 
 class TestSignedPermutations:
@@ -272,10 +269,10 @@ class TestScaleSpec:
 
     def test_subdiff_scales(self):
         f = scale_spec(l1_spec(), 0.5)
-        assert f_subdiff_contains(f, [1.0, 0.0], [0.5, 0.2])
-        assert not f_subdiff_contains(f, [1.0, 0.0], [1.0, 0.0])
+        assert f.subdiff_contains([1.0, 0.0], [0.5, 0.2])
+        assert not f.subdiff_contains([1.0, 0.0], [1.0, 0.0])
         np.testing.assert_allclose(
-            f_subdiff_representative(f, [1.0, -2.0]), [0.5, -0.5])
+            f.subdiff_representative([1.0, -2.0]), [0.5, -0.5])
 
     def test_second_subderivative_scales_cone(self):
         f = scale_spec(l1_spec(), 2.0)

@@ -301,6 +301,24 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShapeError" and err["exit_code"] == 1
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--Y", ["--kind", "fixed", "--Y", "row", "--H", "h"]),
+        ("--Y", ["--kind", "liminf", "--Y", "row", "--H", "h"]),
+        ("--W", ["--kind", "parabolic", "--f", "l1", "--H", "h",
+                 "--W", "row"]),
+        ("--H", ["--kind", "parabolic", "--f", "l1", "--H", "row"]),
+    ])
+    def test_oracle_shape_error_names_flag(self, tmp_path, capsys, flag,
+                                           argv):
+        files = {"h": write(tmp_path, "h.csv", SWAP),
+                 "row": write(tmp_path, "row.csv", [[1.0, 2.0]])}
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        assert main(["oracle", "--X", x, "--tau-grid", "1e-2",
+                     *[files.get(a, a) for a in argv]]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ShapeError" and err["exit_code"] == 1
+        assert err["message"].startswith(f"{flag} (1, 2) and --X (2, 2)")
+
     def test_io_error_exit_3(self, capsys):
         assert main(["eval", "--f", "l1", "--X", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)

@@ -299,6 +299,12 @@ class TestPsi:
             == pytest.approx(2.0)
         assert nuclear_psi_eval(np.diag([1.0, 0.0])) == 0.0
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_eval_rejects_invalid_cluster_tol(self, tol):
+        # each used to return 0.0 for a bottom cluster summing to 2
+        with pytest.raises(ShapeError):
+            nuclear_psi_eval(np.diag([2.0, 1.0, 1.0]), cluster_tol=tol)
+
     def test_eval_frozen_rank(self):
         # frozen at base rank 1 the function sums the two smallest values
         # even after a perturbation splits them
@@ -426,6 +432,97 @@ class TestNuclearSecondEpi:
         with pytest.raises(NotASubgradient):
             nuclear_second_epi(np.diag([1.0, 0.0]), np.diag([0.5, 0.5]),
                                SWAP)
+
+
+class TestOneDecomposition:
+    """Each call decomposes X once and builds its direction blocks once."""
+
+    @staticmethod
+    def _count(monkeypatch, X):
+        import specvar.oimf as oimf
+        import specvar.sv_calculus as svc
+        calls = {"svd_X": 0, "partition_of": 0, "direction_blocks": 0}
+
+        def counted(mod, name, key, test=lambda *a: True):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += bool(test(*args))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        for mod in (oimf, svc):
+            counted(mod, "svd_ordered", "svd_X",
+                    lambda A, *a: np.shape(A) == X.shape)
+            counted(mod, "partition_of", "partition_of")
+        counted(oimf, "direction_blocks", "direction_blocks")
+        return calls
+
+    @staticmethod
+    def _instance():
+        rng = np.random.default_rng(31)
+        X = random_with_spectrum(6, 4, [2.0, 1.0, 0.0, 0.0], rng)
+        svd = svd_ordered(X)
+        Om = svd.U[:, :4] @ np.diag([1.0, 1.0, 0.5, 0.25]) @ svd.V.T
+        return X, Om, rng.standard_normal((6, 4))
+
+    def test_nuclear_second_epi(self, monkeypatch):
+        X, Om, H = self._instance()
+        calls = self._count(monkeypatch, X)
+        nuclear_second_epi(X, Om, H)
+        assert calls == {"svd_X": 1, "partition_of": 1,
+                         "direction_blocks": 1}
+
+    def test_cone_diagnostics(self, monkeypatch):
+        X, Om, H = self._instance()
+        calls = self._count(monkeypatch, X)
+        F_critical_cone_contains(l1_spec(), X, Om, H, diagnostics=True)
+        assert calls == {"svd_X": 1, "partition_of": 1,
+                         "direction_blocks": 1}
+
+
+class TestOmegaToleranceBoundary:
+    """Omega with off-block energy k * GAUGE_TOL * max(1, ||Omega||) in
+    X's gauge is accepted at k = 0.5 and rejected at k = 2.  The zero
+    block of rank-1 X is 9 x 9 with Z = I, so ||Omega|| >= 3 and an
+    unscaled tolerance would reject k = 0.5 as well."""
+
+    N = 10
+
+    @classmethod
+    def _omega(cls, top, k, pos):
+        from specvar.oimf import GAUGE_TOL
+        rng = np.random.default_rng(37)
+        X = random_with_spectrum(cls.N, cls.N, [1.5] + [0.0] * 9, rng)
+        g = svd_ordered(X)
+        M = np.eye(cls.N)
+        M[0, 0] = float(top)
+        c = k * GAUGE_TOL * max(1.0, np.linalg.norm(M))
+        M[pos] += c
+        G = rng.standard_normal((cls.N, cls.N))
+        G[1:, 1:] = 0.0  # psi'(X; H) = 0 = <Omega, H>: H is critical
+        return X, g.U @ M @ g.V.T, g.U @ G @ g.V.T
+
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)])
+    def test_psi_second_epi(self, pos):
+        X, Om0, H = self._omega(False, 0.0, pos)
+        ref = nuclear_psi_second_epi(X, Om0, H)
+        X, Om, H = self._omega(False, 0.5, pos)
+        assert nuclear_psi_second_epi(X, Om, H) == pytest.approx(
+            ref, rel=1e-6)
+        X, Om, H = self._omega(False, 2.0, pos)
+        with pytest.raises(NotInRegularSubdiff):
+            nuclear_psi_second_epi(X, Om, H)
+
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)])
+    def test_nuclear_second_epi(self, pos):
+        X, Om0, H = self._omega(True, 0.0, pos)
+        ref = nuclear_second_epi(X, Om0, H)
+        X, Om, H = self._omega(True, 0.5, pos)
+        assert nuclear_second_epi(X, Om, H) == pytest.approx(ref, rel=1e-6)
+        X, Om, H = self._omega(True, 2.0, pos)
+        with pytest.raises(NotASubgradient):
+            nuclear_second_epi(X, Om, H)
 
 
 class TestNuclearShapeMismatch:
