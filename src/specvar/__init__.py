@@ -50,9 +50,8 @@ from .matrix_core import (
     EigenPartition,
     SingularPartition,
     SvdDecomposition,
+    Tolerances,
     gauge_randomize,
-    lift,
-    lift_eigenbasis,
     partition_of,
     partition_values,
     read_matrix_csv,

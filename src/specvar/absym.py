@@ -22,12 +22,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadK, NotASubgradient, NotPolyhedral, ShapeError
+from .matrix_core import F_CONE_TOL, SUBDIFF_TOL, ZERO_TOL, cluster_blocks
 
 ExtendedValue = float
 INF = math.inf
-
-# zero / tie classification threshold, scaled by (1 + ||x||_inf)
-ZERO_TOL = 1e-12
 
 
 def _as_vector(x, name="x"):
@@ -97,19 +95,12 @@ def stabilizer_sample(x, rng, tol=None) -> SignedPermutation:
     perm = np.arange(n)
     signs = np.ones(n, dtype=int)
     order = np.argsort(-x, kind="stable")
-    i = 0
-    while i < n:
-        grp = [order[i]]
-        while i + len(grp) < n and abs(x[order[i + len(grp)]] - x[grp[0]]) \
-                <= tol:
-            grp.append(order[i + len(grp)])
-        shuffled = rng.permutation(grp)
-        for a, b in zip(grp, shuffled):
-            perm[a] = b
+    for blk in cluster_blocks(x[order], tol):
+        grp = order[blk]
+        perm[grp] = rng.permutation(grp)
         if abs(x[grp[0]]) <= tol:
             for a in grp:
                 signs[a] = int(rng.choice([-1, 1]))
-        i += len(grp)
     return SignedPermutation(perm=tuple(int(p) for p in perm),
                              signs=tuple(int(s) for s in signs))
 
@@ -145,24 +136,15 @@ class _Face:
 
 def _classify(x, k):
     x = _as_vector(x)
-    n = len(x)
     a = np.abs(x)
     tol = ZERO_TOL * (1.0 + np.max(a, initial=0.0))
     order = np.argsort(-a, kind="stable")
     # cluster the sorted magnitudes, locate the cluster holding rank k-1
-    bounds = [0]
-    for i in range(1, n):
-        if abs(a[order[i]] - a[order[bounds[-1]]]) > tol:
-            bounds.append(i)
-    bounds.append(n)
-    g = next(j for j in range(len(bounds) - 1)
-             if bounds[j] <= k - 1 < bounds[j + 1])
-    above = order[:bounds[g]]
-    tied = order[bounds[g]:bounds[g + 1]]
-    below = order[bounds[g + 1]:]
+    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(a[order], tol)
+                  if k - 1 <= b[-1])
     signs = np.where(a <= tol, 0, np.sign(x)).astype(int)
-    return _Face(above=above, tied=tied, below=below, q=k - len(above),
-                 theta_zero=bool(a[order[bounds[g]]] <= tol), signs=signs)
+    return _Face(above=order[:lo], tied=order[lo:hi], below=order[hi:],
+                 q=k - lo, theta_zero=bool(a[order[lo]] <= tol), signs=signs)
 
 
 def _sum_top(u, q):
@@ -258,7 +240,7 @@ class _TopKAbs:
                            abs(float(np.sum(tv)) - f.q))
         return max(viol, 0.0)
 
-    def subdiff_contains(self, x, v, tol=1e-10):
+    def subdiff_contains(self, x, v, tol=SUBDIFF_TOL):
         return self.subdiff_violation(x, v) <= tol
 
     def subdiff_representative(self, x):
@@ -326,7 +308,7 @@ def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
         w = _as_vector(w, "w")
         v = _as_vector(v, "v")
         if tol is None:
-            tol = 1e-9 * (1.0 + np.linalg.norm(v) * np.linalg.norm(w))
+            tol = F_CONE_TOL * (1.0 + np.linalg.norm(v) * np.linalg.norm(w))
         return abs(core.subderivative(x, w) - float(v @ w)) <= tol
 
     def second(x, v, w, tol=None):
@@ -371,7 +353,7 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
     if c == 1.0:
         return spec
 
-    def contains(x, v, tol=1e-10):
+    def contains(x, v, tol=SUBDIFF_TOL):
         return spec.subdiff_contains(x, np.asarray(v, dtype=float) / c, tol)
 
     def second(x, v, w, tol=None):

@@ -19,11 +19,9 @@ import numpy as np
 
 from .absym import INF, SpectralFunctionSpec, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
-from .matrix_core import as_matrix, svd_ordered
-from .oimf import CONE_TOL, F_eval, SpectralPoint, guided_offsets
+from .matrix_core import CONE_TOL, STATIONARITY_TOL, as_matrix, svd_ordered
+from .oimf import F_eval, SpectralPoint, _subdiff_residual, guided_offsets
 from .oracles import fd_gradient_check
-
-STATIONARITY_TOL = 1e-7
 
 
 # -- objective smooth parts ------------------------------------------------------
@@ -142,18 +140,14 @@ def stationarity_check(p: ProblemSpec, X0):
 
     The residual is the larger of the componentwise violation of the
     subdifferential conditions of f at sigma(X0) and the trace alignment
-    gap; the boolean compares it to 1e-7 * (1 + ||grad psi(X0)||).
+    gap; the boolean compares it to STATIONARITY_TOL (1 + ||grad psi||).
     """
     X0 = as_matrix(X0, "X0")
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    sx = np.linalg.svd(X0, compute_uv=False)
-    sy = np.linalg.svd(Y, compute_uv=False)
-    align_gap = abs(float(np.sum(X0 * Y)) - float(sx @ sy))
-    if p.f.subdiff_violation is not None:
-        box_gap = float(p.f.subdiff_violation(sx, sy))
-    else:
-        box_gap = 0.0 if p.f.subdiff_contains(sx, sy) else INF
-    residual = max(box_gap, align_gap, 0.0)
+    violation = p.f.subdiff_violation or (
+        lambda sx, sy: 0.0 if p.f.subdiff_contains(sx, sy) else INF)
+    box_gap, align_gap = _subdiff_residual(violation, X0, Y)
+    residual = max(float(box_gap), align_gap, 0.0)
     return residual, residual <= STATIONARITY_TOL * (1.0 + np.linalg.norm(Y))
 
 

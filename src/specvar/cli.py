@@ -37,6 +37,7 @@ from .errors import AssumptionError, InputError, ShapeError, SpecvarError
 from .matrix_core import (
     CLUSTER_TOL,
     RANK_TOL,
+    Tolerances,
     partition_values,
     read_matrix_csv,
 )
@@ -180,10 +181,6 @@ def _emit(report, out_path):
         print(text)
 
 
-def _tols(args):
-    return {"cluster_tol": args.tol_cluster, "rank_tol": args.tol_rank}
-
-
 def _matrix(args, name):
     return _load_matrix(getattr(args, name), header=args.header)
 
@@ -198,8 +195,8 @@ def _matrix_like(args, name, X):
 
 # -- matrix commands -------------------------------------------------------------
 
-def _second_subderiv(tol, f, X, Y, H):
-    rep = oimf.F_second_subderivative(spec_by_name(f), X, Y, H, **tol)
+def _second_subderiv(tols, f, X, Y, H):
+    rep = oimf.F_second_subderivative(spec_by_name(f), X, Y, H, tols)
     return {
         "value": rep.value,
         "breakdown": [rep.d2f_term, rep.alpha_term, rep.beta_term],
@@ -207,10 +204,10 @@ def _second_subderiv(tol, f, X, Y, H):
     }, list(rep.warnings)
 
 
-def _psi(tol, X, H, Omega=None):
-    out = {"subderivative": oimf.nuclear_psi_subderivative(X, H, **tol)}
+def _psi(tols, X, H, Omega=None):
+    out = {"subderivative": oimf.nuclear_psi_subderivative(X, H, tols)}
     if Omega is not None:
-        out["second_epi"] = oimf.nuclear_psi_second_epi(X, Omega, H, **tol)
+        out["second_epi"] = oimf.nuclear_psi_second_epi(X, Omega, H, tols)
     return out, []
 
 
@@ -219,26 +216,26 @@ def _psi(tol, X, H, Omega=None):
 # capitalised field is a CSV matrix, a lower-case one is passed as parsed
 # (a string unless _FLAGS says otherwise); a trailing "?" marks it optional.
 COMMANDS = {
-    "eval": (("f", "X"), lambda tol, f, X: (
+    "eval": (("f", "X"), lambda tols, f, X: (
         {"value": oimf.F_eval(spec_by_name(f), X)}, [])),
-    "deriv1": (("X", "H"), lambda tol, X, H: (
-        {"sigma_dir1": sigma_dir1(X, H, **tol)}, [])),
-    "deriv2": (("X", "H", "W"), lambda tol, X, H, W: (
-        {"sigma_dir1": sigma_dir1(X, H, **tol),
-         "sigma_dir2": sigma_dir2(X, H, W, **tol)}, [])),
-    "subderiv": (("f", "X", "H"), lambda tol, f, X, H: (
-        {"value": oimf.F_subderivative(spec_by_name(f), X, H, **tol)}, [])),
+    "deriv1": (("X", "H"), lambda tols, X, H: (
+        {"sigma_dir1": sigma_dir1(X, H, tols)}, [])),
+    "deriv2": (("X", "H", "W"), lambda tols, X, H, W: (
+        {"sigma_dir1": sigma_dir1(X, H, tols),
+         "sigma_dir2": sigma_dir2(X, H, W, tols)}, [])),
+    "subderiv": (("f", "X", "H"), lambda tols, f, X, H: (
+        {"value": oimf.F_subderivative(spec_by_name(f), X, H, tols)}, [])),
     "second-subderiv": (("f", "X", "Y", "H"), _second_subderiv),
-    "nuclear-epi": (("X", "Omega", "H"), lambda tol, X, Omega, H: (
-        {"value": oimf.nuclear_second_epi(X, Omega, H, **tol)}, [])),
+    "nuclear-epi": (("X", "Omega", "H"), lambda tols, X, Omega, H: (
+        {"value": oimf.nuclear_second_epi(X, Omega, H, tols)}, [])),
     "psi": (("X", "H", "Omega?"), _psi),
-    "phi2": (("X", "H"), lambda tol, X, H: (
-        {"value": oimf.nuclear_phi_second_diff(X, H, **tol)}, [])),
+    "phi2": (("X", "H"), lambda tols, X, H: (
+        {"value": oimf.nuclear_phi_second_diff(X, H, tols)}, [])),
     "tangent": (("set", "X", "H", "order", "W?"),
-                lambda tol, set, X, H, order, W=None: ({
+                lambda tols, set, X, H, order, W=None: ({
                     "contains": oimf.invariant_tangent_contains(
-                        oimf.set_by_name(set), X, H, order, W, **tol)}, [])),
-    "distance": (("set", "X"), lambda tol, set, X: (dict(zip(
+                        oimf.set_by_name(set), X, H, order, W, tols)}, [])),
+    "distance": (("set", "X"), lambda tols, set, X: (dict(zip(
         ("distance", "nearest"),
         oimf.invariant_set_distance(oimf.set_by_name(set), X))), [])),
 }
@@ -247,7 +244,7 @@ COMMANDS = {
 _FLAGS = {"order": {"type": int, "default": 1, "choices": (1, 2)}}
 
 
-def _run(fields, fn, args):
+def _run(fields, fn, args, tols):
     """Load the row's matrices, echo its fields in row order, evaluate."""
     inputs = {}
     for field in fields:
@@ -255,25 +252,25 @@ def _run(fields, fn, args):
         value = getattr(args, name)
         if value or name == field:  # an empty optional flag is absent
             inputs[name] = _matrix(args, name) if name[0].isupper() else value
-    outputs, warnings = fn(_tols(args), **inputs)
+    outputs, warnings = fn(tols, **inputs)
     return outputs, inputs, warnings
 
 
 # -- other commands --------------------------------------------------------------
 
-def _oracle_target(args, X):
+def _oracle_target(args, X, tols):
     if args.target == "composite":
         f = spec_by_name(args.f)
         return lambda M: oimf.F_eval(f, M)
     if args.target == "psi":
         # freeze the zero-block split at the base point's rank
         s = np.linalg.svd(X, compute_uv=False)
-        r0 = partition_values(s, args.tol_cluster, args.tol_rank).r
+        r0 = partition_values(s, tols).r
         return lambda M: oimf.nuclear_psi_eval(M, base_rank=r0)
     raise UsageError(f"unknown oracle target {args.target!r}")
 
 
-def cmd_oracle(args):
+def cmd_oracle(args, tols):
     X = _matrix(args, "X")
     H = _matrix_like(args, "H", X)
     cfg = oracles.OracleConfig(
@@ -281,7 +278,7 @@ def cmd_oracle(args):
         radius_c=args.radius_c,
         seed=args.seed if args.seed is not None else 0,
         include_guided=not args.no_guided)
-    g = _oracle_target(args, X)
+    g = _oracle_target(args, X, tols)
     echo = {"kind": args.kind, "target": args.target, "f": args.f, "X": X,
             "H": H, "seed": cfg.seed, "tau_grid": list(cfg.tau_grid),
             "samples": cfg.samples_per_tau, "radius_c": cfg.radius_c}
@@ -289,9 +286,9 @@ def cmd_oracle(args):
         W = _matrix_like(args, "W", X) if args.W else np.zeros_like(X)
         if args.target == "composite":
             f = spec_by_name(args.f)
-            dgxw = oimf.F_subderivative(f, X, H, **_tols(args))
+            dgxw = oimf.F_subderivative(f, X, H, tols)
         else:
-            dgxw = oimf.nuclear_psi_subderivative(X, H, **_tols(args))
+            dgxw = oimf.nuclear_psi_subderivative(X, H, tols)
         vals = oracles.parabolic_quotient(g, X, H, dgxw, W, cfg)
         rows = list(zip(cfg.tau_grid, vals))
         out = {"quotients": rows, "estimate": vals[-1], "dgxw": dgxw}
@@ -306,7 +303,7 @@ def cmd_oracle(args):
             rows = list(zip(cfg.tau_grid, vals))
             out = {"quotients": rows, "estimate": vals[-1]}
         elif args.kind == "liminf":
-            guides = oimf.guided_offsets(X, H, **_tols(args)) \
+            guides = oimf.guided_offsets(X, H, tols) \
                 if not args.no_guided else ()
             rows = oracles.liminf_table(g, X, Y, H, cfg, guides)
             out = {"quotients": rows, "estimate": rows[-1][1]}
@@ -320,7 +317,7 @@ def cmd_oracle(args):
     return out, echo, []
 
 
-def cmd_certify(args):
+def cmd_certify(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
     cfg = SamplingConfig(
         n_samples=args.n_samples or sampling.get("n_samples", 200),
@@ -340,7 +337,7 @@ def cmd_certify(args):
                  "min_samples": cfg.min_samples, "seed": cfg.seed}, []
 
 
-def cmd_growth(args):
+def cmd_growth(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
     seed = args.seed if args.seed is not None else sampling.get("seed", 0)
     g = quadratic_growth_probe(p, X0, args.eps, args.n_samples,
@@ -419,7 +416,8 @@ def _error_json(code, exc):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        outputs, inputs, warnings_list = args.fn(args)
+        tols = Tolerances(args.tol_cluster, args.tol_rank)
+        outputs, inputs, warnings_list = args.fn(args, tols)
         report = {
             "schema": SCHEMA,
             "command": args.command,
@@ -429,13 +427,13 @@ def main(argv=None):
         }
         _emit(report, args.out)
         return 0
-    except (UsageError, InputError) as exc:
+    except (UsageError, InputError, json.JSONDecodeError) as exc:
         print(_error_json(1, exc), file=sys.stderr)
         return 1
     except (AssumptionError, np.linalg.LinAlgError) as exc:
         print(_error_json(2, exc), file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(_error_json(3, exc), file=sys.stderr)
         return 3
 

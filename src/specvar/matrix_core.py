@@ -1,6 +1,5 @@
 """Dense matrix primitives: ordered SVD and symmetric eigendecomposition,
-the symmetric lift of a rectangular matrix, and multiplicity-aware index
-partitioning.
+multiplicity-aware index partitioning, and the one tolerance policy.
 
 All decompositions follow the tall convention n <= m, order their values
 nonincreasingly and fix signs deterministically so repeated runs agree
@@ -24,9 +23,42 @@ from .errors import (
 
 # Relative tolerances, both scaled by max(1, largest value).  The cluster
 # tolerance decides when two singular values count as equal; the rank
-# tolerance decides when one counts as zero.  User-overridable everywhere.
+# tolerance decides when one counts as zero.  They are the only settable
+# thresholds, and ``Tolerances`` carries them through every call.
 CLUSTER_TOL = 1e-8
 RANK_TOL = 1e-12
+
+# Fixed thresholds for every module, each with the scale it multiplies.
+ZERO_TOL = 1e-12          # absym zero / tie classes; 1 + ||x||_inf
+SORT_TOL = 1e-13          # sorted input of cluster_blocks; max(1, |v|)
+GAUGE_TOL = 1e-8          # off-block energy of an aligned Y; ||Y||
+CONE_TOL = 1e-8           # critical-cone duality gap; 1 + ||Y|| ||H||
+F_CONE_TOL = 1e-9         # f-level critical-cone gap; 1 + ||v|| ||w||
+SUBDIFF_TOL = 1e-10       # f-level subdifferential violation; absolute
+SUBDIFF_ALIGN_TOL = 1e-9  # trace alignment; 1 + ||X|| ||Y||
+STATIONARITY_TOL = 1e-7   # stationarity residual; 1 + ||grad psi||
+SET_TOL = 1e-9            # invariant-set membership; absolute
+SYMMETRY_TOL = 1e-12      # asymmetry of eig_expand2 inputs; max(1, ||A||)
+BLOCK_SORT_TOL = 1e-12    # sortedness of a sigma'' target; max(1, |zbar|)
+GAP_WARN = 1e-6           # ConditioningWarning below this gap; max(1, s_1)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The two thresholds of every partition, ``cluster`` (equal values)
+    and ``rank`` (zero values).  A NaN, negative or infinite one would
+    silently change every block, so it raises ``ShapeError``."""
+
+    cluster: float = CLUSTER_TOL
+    rank: float = RANK_TOL
+
+    def __post_init__(self):
+        if not (0.0 <= self.cluster < np.inf and 0.0 <= self.rank < np.inf):
+            raise ShapeError(f"cluster_tol {self.cluster!r} and rank_tol "
+                             f"{self.rank!r} must be finite and >= 0")
+
+
+TOLERANCES = Tolerances()
 
 
 def as_matrix(X, name="X"):
@@ -117,8 +149,7 @@ class SingularPartition:
     l: np.ndarray
     j: np.ndarray
     r_s: np.ndarray
-    cluster_tol: float
-    rank_tol: float
+    tols: Tolerances
 
     @property
     def betahat(self):
@@ -143,7 +174,7 @@ class EigenPartition:
     l: np.ndarray
     j: np.ndarray
     r_s: np.ndarray
-    cluster_tol: float
+    tols: Tolerances
 
 
 def _fix_signs(U, V=None):
@@ -193,48 +224,6 @@ def sym_eig_ordered(A) -> EigDecomposition:
     return EigDecomposition(Q=Q, lam=lam)
 
 
-def lift(X):
-    """Symmetric lift [[0, X], [X^T, 0]] of order m + n.
-
-    Its ordered spectrum is (sigma(X), 0 repeated m-n times, -sigma(X)
-    reversed).
-    """
-    X = require_tall(as_matrix(X))
-    m, n = X.shape
-    B = np.zeros((m + n, m + n))
-    B[:m, m:] = X
-    B[m:, :m] = X.T
-    return B
-
-
-def lift_eigenbasis(svd: SvdDecomposition):
-    """Explicit orthonormal eigenbasis of lift(X) built from an SVD of X.
-
-    Returns (P, d) where the columns of P are eigenvectors of lift(X) and
-    d their eigenvalues, laid out as (sigma_1..sigma_n, 0 x (m-n),
-    -sigma_1..-sigma_n).  Column k < n is (u_k; v_k)/sqrt(2), the middle
-    block is (u_k; 0) over the trailing columns of U, and the final block
-    is (-u_k; v_k)/sqrt(2).  In this basis lift(H) has the entries
-    Sym(U^T H V), -Skw(U^T H V) and the trailing rows of U^T H V over
-    sqrt(2), so its resolvent at sigma_k is the SVD-basis divided
-    difference with weights 1/(sigma_k - sigma_j), 1/(sigma_k + sigma_j)
-    and 1/sigma_k that ``sv_calculus`` evaluates without forming P.
-    """
-    U, s, V = svd.U, svd.sigma, svd.V
-    m, n = svd.shape
-    P = np.zeros((m + n, m + n))
-    d = np.zeros(m + n)
-    c = 1.0 / np.sqrt(2.0)
-    P[:m, :n] = c * U[:, :n]
-    P[m:, :n] = c * V
-    d[:n] = s
-    P[:m, n:m] = U[:, n:]
-    P[:m, m:] = -c * U[:, :n]
-    P[m:, m:] = c * V
-    d[m:] = -s
-    return P, d
-
-
 def cluster_blocks(v, tol):
     """Split a nonincreasing vector into maximal runs of tol-equal values.
 
@@ -242,16 +231,19 @@ def cluster_blocks(v, tol):
     first entry of the current run.
     """
     v = np.asarray(v, dtype=float)
-    if np.any(np.diff(v) > 1e-13 * max(1.0, np.max(np.abs(v), initial=0.0))):
+    rise = np.diff(v)
+    if (rise > 0).any() and (rise > SORT_TOL * max(
+            1.0, np.max(np.abs(v), initial=0.0))).any():
         raise NotSorted("input vector is not nonincreasing")
+    vals = v.tolist()
     blocks = []
     start = 0
-    for i in range(1, len(v)):
-        if abs(v[i] - v[start]) > tol:
+    for i in range(1, len(vals)):
+        if abs(vals[i] - vals[start]) > tol:
             blocks.append(list(range(start, i)))
             start = i
-    if len(v):
-        blocks.append(list(range(start, len(v))))
+    if vals:
+        blocks.append(list(range(start, len(vals))))
     return blocks
 
 
@@ -267,25 +259,15 @@ def _rank_arrays(n, blocks):
     return l, j, r_s
 
 
-def _check_tolerances(cluster_tol, rank_tol=RANK_TOL):
-    """Raise ``ShapeError`` unless both tolerances are finite and >= 0."""
-    if not (0.0 <= cluster_tol < np.inf and 0.0 <= rank_tol < np.inf):
-        raise ShapeError(f"cluster_tol {cluster_tol!r} and rank_tol "
-                         f"{rank_tol!r} must be finite and >= 0")
-
-
-def partition_values(v, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
-                     kind="singular", m=None):
+def partition_values(v, tols=TOLERANCES, kind="singular", m=None):
     """Partition a nonincreasing value vector into equal-value blocks.
 
-    For ``kind="singular"`` entries at or below ``rank_tol * max(1, v[0])``
-    form the zero block beta and the rest cluster into alpha blocks with
-    strictly decreasing distinct values mu.  For ``kind="eigen"`` all
-    entries cluster (values may be negative, no rank split).  Both
-    tolerances must be finite and >= 0: a NaN or negative one would
-    silently change every block, so it raises ``ShapeError``.
+    For ``kind="singular"`` entries at or below ``tols.rank * max(1,
+    v[0])`` form the zero block beta and the rest cluster into alpha
+    blocks with strictly decreasing distinct values mu.  For
+    ``kind="eigen"`` all entries cluster (values may be negative, no rank
+    split).
     """
-    _check_tolerances(cluster_tol, rank_tol)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ShapeError("partition_values expects a vector")
@@ -293,17 +275,17 @@ def partition_values(v, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
     scale = max(1.0, v[0]) if n else 1.0
     if kind == "eigen":
         escale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
-        blocks = cluster_blocks(v, cluster_tol * escale)
+        blocks = cluster_blocks(v, tols.cluster * escale)
         l, j, r_s = _rank_arrays(n, blocks)
         return EigenPartition(n=n, blocks=blocks, l=l, j=j, r_s=r_s,
-                              cluster_tol=cluster_tol)
+                              tols=tols)
     if kind != "singular":
         raise ValueError(f"unknown kind {kind!r}")
-    if np.any(v < -rank_tol * scale):
+    if np.any(v < -tols.rank * scale):
         raise NotSorted("singular values must be nonnegative")
     m = n if m is None else m
-    r = int(np.sum(v > rank_tol * scale))
-    alpha_blocks = cluster_blocks(v[:r], cluster_tol * scale)
+    r = int(np.sum(v > tols.rank * scale))
+    alpha_blocks = cluster_blocks(v[:r], tols.cluster * scale)
     beta = list(range(r, n))
     beta0 = list(range(n, m))
     mu = np.array([v[blk[0]] for blk in alpha_blocks])
@@ -314,14 +296,12 @@ def partition_values(v, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
     l, j, r_s = _rank_arrays(n, blocks)
     return SingularPartition(n=n, m=m, r=r, t=len(alpha_blocks), mu=mu,
                              alpha_blocks=alpha_blocks, beta=beta,
-                             beta0=beta0, l=l, j=j, r_s=r_s,
-                             cluster_tol=cluster_tol, rank_tol=rank_tol)
+                             beta0=beta0, l=l, j=j, r_s=r_s, tols=tols)
 
 
-def partition_of(svd: SvdDecomposition, cluster_tol=CLUSTER_TOL,
-                 rank_tol=RANK_TOL) -> SingularPartition:
+def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:
     m, n = svd.shape
-    return partition_values(svd.sigma, cluster_tol, rank_tol, m=m)
+    return partition_values(svd.sigma, tols, m=m)
 
 
 def _random_orthogonal(k, rng):
@@ -343,7 +323,7 @@ def gauge_randomize(svd: SvdDecomposition, part: SingularPartition,
         raise InconsistentPartition("partition shape mismatch")
     for blk in part.alpha_blocks:
         vals = svd.sigma[blk]
-        if np.max(vals) - np.min(vals) > 2 * part.cluster_tol * max(
+        if np.max(vals) - np.min(vals) > 2 * part.tols.cluster * max(
                 1.0, svd.sigma[0]):
             raise InconsistentPartition("partition does not match sigma")
     rng = np.random.default_rng(seed)

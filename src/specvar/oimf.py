@@ -33,18 +33,21 @@ from .errors import (
     ShapeError,
 )
 from .matrix_core import (
-    CLUSTER_TOL,
-    RANK_TOL,
+    CONE_TOL,
+    GAP_WARN,
+    GAUGE_TOL,
+    SET_TOL,
+    SUBDIFF_ALIGN_TOL,
+    TOLERANCES,
     SvdDecomposition,
-    _check_tolerances,
     as_matrix,
+    cluster_blocks,
     partition_of,
     require_tall,
     svd_ordered,
     sym_eig_ordered,
 )
 from .sv_calculus import (
-    GAP_WARN,
     _beta_cross_term,
     alpha_quadratics,
     cross_term_hat,
@@ -54,10 +57,6 @@ from .sv_calculus import (
     sigma_dir2_from_blocks,
 )
 
-GAUGE_TOL = 1e-8          # off-block energy threshold, relative to ||Y||
-CONE_TOL = 1e-8           # critical-cone duality gap, scaled below
-SUBDIFF_ALIGN_TOL = 1e-9  # trace alignment in the subgradient test
-
 
 def _flags_ok(f: SpectralFunctionSpec):
     return (f.lsc and f.convex) or f.lipschitz_on_domain
@@ -65,7 +64,7 @@ def _flags_ok(f: SpectralFunctionSpec):
 
 # -- simultaneous gauge --------------------------------------------------------
 
-def simultaneous_gauge(X, Y, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+def simultaneous_gauge(X, Y, tols=TOLERANCES):
     """Orthogonal pair (U, V) diagonalizing X and Y together.
 
     Returns (svd, part, sy) where ``svd`` is an ordered SVD of X whose
@@ -81,9 +80,13 @@ def simultaneous_gauge(X, Y, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:
         raise ShapeError(f"X {X.shape} and Y {Y.shape} differ")
-    m, n = X.shape
     svd = svd_ordered(X)
-    part = partition_of(svd, cluster_tol, rank_tol)
+    return _align(svd, partition_of(svd, tols), Y)
+
+
+def _align(svd, part, Y):
+    """``simultaneous_gauge`` for an ordered SVD of X and its partition."""
+    m, n = svd.shape
     U, V = svd.U.copy(), svd.V.copy()
     M = U.T @ Y @ V
     tol = GAUGE_TOL * np.linalg.norm(Y)
@@ -130,20 +133,29 @@ def F_eval(f: SpectralFunctionSpec, X) -> ExtendedValue:
 
 
 def F_subderivative(f: SpectralFunctionSpec, X, H,
-                    cluster_tol=CLUSTER_TOL,
-                    rank_tol=RANK_TOL) -> ExtendedValue:
+                    tols=TOLERANCES) -> ExtendedValue:
     """Chain rule dF(X)(H) = df(sigma(X))(sigma'(X; H))."""
     if not _flags_ok(f):
         raise AssumptionViolated(
             f"{f.name}: need (lsc and convex) or Lipschitz-on-domain")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     if not math.isfinite(f.eval(blocks.gauge.sigma)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
     return f.subderivative(blocks.gauge.sigma, sigma_dir1_from_blocks(blocks))
 
 
-def F_subdiff_contains(f: SpectralFunctionSpec, X, Y, tol=None) -> bool:
-    """Y in dF(X): sigma(Y) in df(sigma(X)) plus trace alignment."""
+def _subdiff_residual(level, X, Y, sx=None):
+    """The caller's f-level membership test or violation ``level(sigma(X),
+    sigma(Y))`` and the trace-alignment gap |<X, Y> - sigma(X).sigma(Y)|;
+    Y is in dF(X) when both pass.  ``sx`` may supply sigma(X)."""
+    if sx is None:
+        sx = np.linalg.svd(X, compute_uv=False)
+    sy = np.linalg.svd(Y, compute_uv=False)
+    return level(sx, sy), abs(float(np.sum(X * Y)) - float(sx @ sy))
+
+
+def _subdiff_pair(f: SpectralFunctionSpec, X, Y):
+    """X and Y checked for a subdifferential test of F = f o sigma."""
     if not (f.convex and f.lsc):
         raise AssumptionViolated(f"{f.name}: subdifferential test needs a "
                                  "convex lsc function")
@@ -151,14 +163,22 @@ def F_subdiff_contains(f: SpectralFunctionSpec, X, Y, tol=None) -> bool:
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:
         raise ShapeError("X and Y must have equal shape")
-    sx = np.linalg.svd(X, compute_uv=False)
-    sy = np.linalg.svd(Y, compute_uv=False)
+    return X, Y
+
+
+def _in_subdiff(f, X, Y, tol=None, sx=None):
+    """``F_subdiff_contains`` for checked X and Y."""
+    member, align_gap = _subdiff_residual(f.subdiff_contains, X, Y, sx)
     if tol is None:
         tol = SUBDIFF_ALIGN_TOL * (
             1.0 + np.linalg.norm(X) * np.linalg.norm(Y))
-    if not f.subdiff_contains(sx, sy):
-        return False
-    return abs(float(np.sum(X * Y)) - float(sx @ sy)) <= tol
+    return member and align_gap <= tol
+
+
+def F_subdiff_contains(f: SpectralFunctionSpec, X, Y, tol=None) -> bool:
+    """Y in dF(X): sigma(Y) in df(sigma(X)) plus trace alignment."""
+    X, Y = _subdiff_pair(f, X, Y)
+    return _in_subdiff(f, X, Y, tol)
 
 
 def F_subdiff_element(f: SpectralFunctionSpec, X):
@@ -170,8 +190,7 @@ def F_subdiff_element(f: SpectralFunctionSpec, X):
 
 
 def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
-                             diagnostics=False,
-                             cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+                             diagnostics=False, tols=TOLERANCES):
     """H in K_F(X, Y): the duality gap dF(X)(H) - <Y, H> vanishes.
 
     With ``diagnostics=True`` also reports the equivalent block
@@ -180,15 +199,15 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
     the reduced direction blocks (zero gaps characterize simultaneous
     ordered decompositions).
     """
-    if not F_subdiff_contains(f, X, Y):
+    X, Y = _subdiff_pair(f, X, Y)
+    svd = svd_ordered(X)
+    if not _in_subdiff(f, X, Y, sx=svd.sigma):
         raise NotASubgradient("Y is not a subgradient of F at X")
-    X = as_matrix(X, "X")
-    Y = as_matrix(Y, "Y")
     H = as_matrix(H, "H")
-    svd = part = None
+    part = partition_of(svd, tols)
     if diagnostics:
-        svd, part, sy = simultaneous_gauge(X, Y, cluster_tol, rank_tol)
-    blocks = direction_blocks(X, H, svd, cluster_tol, rank_tol, part=part)
+        svd, part, sy = _align(svd, part, Y)
+    blocks = direction_blocks(X, H, svd, tols, part=part)
     d1 = sigma_dir1_from_blocks(blocks)
     dF = f.subderivative(blocks.gauge.sigma, d1)
     gap = dF - float(np.sum(Y * H))
@@ -257,8 +276,7 @@ class SpectralPoint:
     no SVD of X and no partition.
     """
 
-    def __init__(self, f: SpectralFunctionSpec, X, Y,
-                 cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+    def __init__(self, f: SpectralFunctionSpec, X, Y, tols=TOLERANCES):
         if not (f.convex and f.lsc and f.lipschitz_on_domain):
             raise AssumptionViolated(
                 f"{f.name}: second subderivative needs convex, lsc, "
@@ -270,9 +288,9 @@ class SpectralPoint:
         self.f = f
         self.X = as_matrix(X, "X")
         self.Y = as_matrix(Y, "Y")
-        self.cluster_tol, self.rank_tol = cluster_tol, rank_tol
+        self.tols = tols
         self.gauge, self.part, self.sy = simultaneous_gauge(
-            self.X, self.Y, cluster_tol, rank_tol)
+            self.X, self.Y, tols)
         if not f.subdiff_contains(self.gauge.sigma, self.sy):
             raise NotASubgradient(
                 "sigma(Y) is not in the subdifferential of f at sigma(X)")
@@ -287,8 +305,7 @@ class SpectralPoint:
         CONE_TOL (1 + ||Y|| ||H||))."""
         H = as_matrix(H, "H")
         f, svd, sy = self.f, self.gauge, self.sy
-        gblocks = direction_blocks(self.X, H, svd, self.cluster_tol,
-                                   self.rank_tol, part=self.part)
+        gblocks = direction_blocks(self.X, H, svd, self.tols, part=self.part)
         d1 = sigma_dir1_from_blocks(gblocks)
         gap = f.subderivative(svd.sigma, d1) - float(np.sum(self.Y * H))
         if tol is None:
@@ -308,8 +325,7 @@ class SpectralPoint:
             warnings=tuple(warns))
 
 
-def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
-                           cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL,
+def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H, tols=TOLERANCES,
                            tol=None) -> SecondSubderivativeReport:
     """d2F(X|Y)(H) for convex f, with its additive breakdown.
 
@@ -318,20 +334,18 @@ def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
     beta-block cross quadratic; outside the critical cone it is +inf.
     Directions sharing one (X, Y) should reuse a ``SpectralPoint``.
     """
-    return SpectralPoint(f, X, Y, cluster_tol,
-                         rank_tol).second_subderivative(H, tol)
+    return SpectralPoint(f, X, Y, tols).second_subderivative(H, tol)
 
 
 def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
-                              cluster_tol=CLUSTER_TOL,
-                              rank_tol=RANK_TOL) -> ExtendedValue:
+                              tols=TOLERANCES) -> ExtendedValue:
     """d2F(X)(H | W) = d2f(sigma(X))(sigma'(X;H) | sigma''(X;H,W))."""
     if not (f.lipschitz_on_domain and (f.polyhedral or
                                        f.parabolic_subderivative)):
         raise AssumptionViolated(
             f"{f.name}: parabolic subderivative needs Lipschitz-on-domain "
             "and a parabolic hook")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     sx = blocks.gauge.sigma
     if not math.isfinite(f.eval(sx)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
@@ -344,18 +358,17 @@ def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
 
 # -- nuclear norm specializations ----------------------------------------------
 
-def nuclear_psi_eval(X, base_rank=None, cluster_tol=CLUSTER_TOL):
+def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
     """Sum of the trailing singular-value group.
 
     With ``base_rank=r`` the function is sigma_{r+1} + ... + sigma_n,
     the zero-block sum frozen at a base point of rank r; this is the
     right callable to feed difference-quotient oracles that probe a
     neighborhood of that base point.  With ``base_rank=None`` the group
-    is the bottom cluster of X itself (all values equal to the smallest
-    one within tolerance), which coincides with the frozen form at the
-    base point.
+    is the last equal-value block of X itself (``cluster_blocks`` at
+    ``tols.cluster * max(1, sigma_1)``, the rule of every partition),
+    which coincides with the frozen form at the base point.
     """
-    _check_tolerances(cluster_tol)
     X = require_tall(as_matrix(X, "X"))
     s = np.linalg.svd(X, compute_uv=False)
     if base_rank is not None:
@@ -363,8 +376,8 @@ def nuclear_psi_eval(X, base_rank=None, cluster_tol=CLUSTER_TOL):
             raise ShapeError(f"base_rank {base_rank} outside 0..{len(s)}")
         return float(np.sum(s[base_rank:]))
     scale = max(1.0, s[0]) if len(s) else 1.0
-    bottom = s[-1]
-    return float(np.sum(s[np.abs(s - bottom) <= cluster_tol * scale]))
+    bottom = cluster_blocks(s, tols.cluster * scale)[-1]
+    return float(np.sum(s[bottom[0]:]))
 
 
 def _like(A, X, name):
@@ -375,9 +388,9 @@ def _like(A, X, name):
     return A
 
 
-def _psi_blocks(X, cluster_tol, rank_tol):
+def _psi_blocks(X, tols):
     svd = svd_ordered(X)
-    part = partition_of(svd, cluster_tol, rank_tol)
+    part = partition_of(svd, tols)
     if part.r >= part.n:
         raise FullRank("rank(X) = n: the zero block is empty")
     return svd, part
@@ -401,19 +414,17 @@ def _psi_epi_term(Z, Hhat, sigma_a):
         Hhat, sigma_a, slice(r, None), slice(r, None))))
 
 
-def nuclear_psi_subderivative(X, H, cluster_tol=CLUSTER_TOL,
-                              rank_tol=RANK_TOL):
+def nuclear_psi_subderivative(X, H, tols=TOLERANCES):
     """Directional derivative of the zero-cluster sum at rank-deficient X:
     the nuclear norm of the reduced block U_bh^T H V_b."""
     X = as_matrix(X, "X")
     H = _like(H, X, "H")
-    svd, part = _psi_blocks(X, cluster_tol, rank_tol)
+    svd, part = _psi_blocks(X, tols)
     R = svd.U[:, part.betahat].T @ H @ svd.V[:, part.beta]
     return float(np.sum(np.linalg.svd(R, compute_uv=False)))
 
 
-def nuclear_psi_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
-                           rank_tol=RANK_TOL) -> ExtendedValue:
+def nuclear_psi_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     """Second epi-derivative of the zero-cluster sum at X for Omega.
 
     Omega must be U_bh Z V_b^T with ||Z||_2 <= 1.  Equals
@@ -423,7 +434,7 @@ def nuclear_psi_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     X = as_matrix(X, "X")
     H = _like(H, X, "H")
     Omega = _like(Omega, X, "Omega")
-    svd, part = _psi_blocks(X, cluster_tol, rank_tol)
+    svd, part = _psi_blocks(X, tols)
     r = part.r
     Ub, Vb = svd.U[:, r:], svd.V[:, r:]
     Z = Ub.T @ Omega @ Vb
@@ -440,22 +451,20 @@ def nuclear_psi_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     return _psi_epi_term(Z, svd.U.T @ H @ svd.V, svd.sigma[:r])
 
 
-def nuclear_phi_second_diff(X, H, cluster_tol=CLUSTER_TOL,
-                            rank_tol=RANK_TOL):
+def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     """Second derivative of the top-r singular value sum along H.
 
     One resolvent trace per distinct positive singular value; smooth in a
     neighborhood of X because the r-th and (r+1)-th values stay apart.
     """
     X = as_matrix(X, "X")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     if blocks.part.r == 0:
         raise RankZero("X has rank 0")
     return 2.0 * sum(float(np.trace(G)) for G in alpha_quadratics(blocks))
 
 
-def nuclear_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
-                       rank_tol=RANK_TOL) -> ExtendedValue:
+def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     """Second epi-derivative of the nuclear norm at X for Omega.
 
     Splits as the smooth top-r term plus the zero-cluster epi-derivative
@@ -466,7 +475,7 @@ def nuclear_second_epi(X, Omega, H, cluster_tol=CLUSTER_TOL,
     X = as_matrix(X, "X")
     Omega = _like(Omega, X, "Omega")
     H = _like(H, X, "H")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     svd, r = blocks.gauge, blocks.part.r
     tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
     M = svd.U.T @ Omega @ svd.V
@@ -498,7 +507,7 @@ class InvariantSetSpec:
     project: Optional[Callable] = None
 
 
-def spectral_ball_set(radius=1.0, tol=1e-9) -> InvariantSetSpec:
+def spectral_ball_set(radius=1.0, tol=SET_TOL) -> InvariantSetSpec:
     """The box {x : max |x_i| <= radius} (spectral-norm ball on sigma)."""
     if not (radius > 0):
         raise ShapeError("radius must be positive")
@@ -527,7 +536,7 @@ def spectral_ball_set(radius=1.0, tol=1e-9) -> InvariantSetSpec:
         project=lambda x: np.clip(_as_vector(x), -radius, radius))
 
 
-def zero_set(tol=1e-9) -> InvariantSetSpec:
+def zero_set(tol=SET_TOL) -> InvariantSetSpec:
     def near_zero(v):
         return bool(np.max(np.abs(_as_vector(v)), initial=0.0) <= tol)
 
@@ -563,12 +572,11 @@ def set_by_name(name: str) -> InvariantSetSpec:
 
 
 def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
-                               W=None, cluster_tol=CLUSTER_TOL,
-                               rank_tol=RANK_TOL) -> bool:
+                               W=None, tols=TOLERANCES) -> bool:
     """Tangency through the singular value map: first order tests
     sigma'(X;H), second order tests sigma''(X;H,W)."""
     X = as_matrix(X, "X")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     sx = blocks.gauge.sigma
     if not delta.contains(sx):
         raise NotInSet(f"sigma(X) is not in {delta.name}")
@@ -603,7 +611,7 @@ def invariant_set_distance(delta: InvariantSetSpec, X):
 
 # -- oracle guidance -----------------------------------------------------------
 
-def guided_offsets(X, H, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+def guided_offsets(X, H, tols=TOLERANCES):
     """Offset matrices D for liminf oracles: candidate minimizing
     perturbations w' = H + tau * D of the second-order quotients.
 
@@ -612,7 +620,7 @@ def guided_offsets(X, H, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
     cancels all second-order terms (the zero-target minimizing parabola).
     Both come from one reduced-block build of (X, H).
     """
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     svd, r = blocks.gauge, blocks.part.r
     out = []
     if r > 0:

@@ -26,21 +26,19 @@ from .errors import (
     ShapeError,
 )
 from .matrix_core import (
-    CLUSTER_TOL,
-    RANK_TOL,
+    BLOCK_SORT_TOL,
+    GAP_WARN,
+    SYMMETRY_TOL,
+    TOLERANCES,
     SingularPartition,
     SvdDecomposition,
+    _fix_signs,
     as_matrix,
     partition_of,
     partition_values,
     svd_ordered,
     sym_eig_ordered,
 )
-
-# Spectral gaps below GAP_WARN * max(1, sigma_1) trigger a
-# ConditioningWarning: the formulas stay exact but float error grows
-# like 1/gap.
-GAP_WARN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ class BetaBlock:
 
     indices: list            # global indices r..n-1
     R: np.ndarray            # U_betahat^T H V_beta
-    Q: np.ndarray            # left orthogonal factor of R, (m-r) x (m-r)
+    Q: np.ndarray            # thin left singular vectors of R, (m-r) x (n-r)
     eta: np.ndarray          # singular values of R, length n-r
     Qhat: np.ndarray         # right orthogonal factor, (n-r) x (n-r)
     groups: list             # groups of equal positive values, local
@@ -90,14 +88,14 @@ def _block_slice(indices):
     return slice(indices[0], indices[-1] + 1)
 
 
-def _reduced_eig(S, cluster_tol):
+def _reduced_eig(S, tols):
     """Ordered eigenvectors, eigenvalues and second-level tie groups of a
     reduced symmetric block; a 1 x 1 block is its own eigenpair and
     group."""
     if len(S) == 1:
         return np.ones((1, 1)), S[0].copy(), [[0]]
     eig = sym_eig_ordered(S)
-    groups = partition_values(eig.lam, cluster_tol, kind="eigen").blocks
+    groups = partition_values(eig.lam, tols, kind="eigen").blocks
     return eig.Q, eig.lam, list(groups)
 
 
@@ -106,16 +104,16 @@ def _sym_eigvals(D):
     return D[0] if len(D) == 1 else np.linalg.eigvalsh(D)[::-1]
 
 
-def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
-                     rank_tol=RANK_TOL, part=None) -> DirectionBlocks:
+def direction_blocks(X, H, gauge=None, tols=TOLERANCES,
+                     part=None) -> DirectionBlocks:
     """Compute the per-direction reduced blocks of (X, H).
 
     ``gauge`` may supply a specific ordered SVD of X (any valid one); by
     default the deterministic ``svd_ordered`` gauge is used.  All outputs
     of ``sigma_dir1``/``sigma_dir2`` are invariant under this choice.
-    A caller that already holds ``part = partition_of(gauge, cluster_tol,
-    rank_tol)`` may pass it; a prepared point evaluating many directions
-    then costs no SVD and no partition per direction.
+    A caller that already holds ``part = partition_of(gauge, tols)`` may
+    pass it; a prepared point evaluating many directions then costs no
+    SVD and no partition per direction.
     """
     X = as_matrix(X, "X")
     H = as_matrix(H, "H")
@@ -124,7 +122,7 @@ def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
     m, n = X.shape
     svd = svd_ordered(X) if gauge is None else gauge
     if part is None:
-        part = partition_of(svd, cluster_tol, rank_tol)
+        part = partition_of(svd, tols)
     s = svd.sigma
     Hhat = svd.U.T @ H @ svd.V
     Sym = 0.5 * (Hhat[:n] + Hhat[:n].T)
@@ -146,7 +144,7 @@ def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
                 f"{GAP_WARN * scale:.1e}; second-order output ill-conditioned",
                 ConditioningWarning, stacklevel=2)
         S = Sym[a, a]
-        Q, eta, groups = _reduced_eig(S, cluster_tol)
+        Q, eta, groups = _reduced_eig(S, tols)
         # rank within the second-level group
         for grp in groups:
             for pos, loc in enumerate(grp):
@@ -157,16 +155,17 @@ def direction_blocks(X, H, gauge=None, cluster_tol=CLUSTER_TOL,
     beta = None
     if part.r < n:
         R = Hhat[part.r:, part.r:]
-        rsvd = svd_ordered(R)
-        rpart = partition_values(rsvd.sigma, cluster_tol, rank_tol)
+        # thin: no formula reads the complement of R's left factor
+        Q, eta, Qhat_t = np.linalg.svd(R, full_matrices=False)
+        Q, Qhat = _fix_signs(Q, Qhat_t.T)
+        rpart = partition_values(eta, tols)
         groups = list(rpart.alpha_blocks)
         zero_group = list(rpart.beta)
         for grp in groups + ([zero_group] if zero_group else []):
             for pos, loc in enumerate(grp):
                 ltilde[part.r + loc] = pos + 1
-        beta = BetaBlock(indices=list(part.beta), R=R, Q=rsvd.U,
-                         eta=rsvd.sigma, Qhat=rsvd.V, groups=groups,
-                         zero_group=zero_group)
+        beta = BetaBlock(indices=list(part.beta), R=R, Q=Q, eta=eta,
+                         Qhat=Qhat, groups=groups, zero_group=zero_group)
 
     return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, alpha=alpha,
                            beta=beta, ltilde=ltilde)
@@ -252,14 +251,16 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
             D = bb.Q[:, grp].T @ C @ bb.Qhat[:, grp]
             out[[r + loc for loc in grp]] = _sym_eigvals(0.5 * (D + D.T))
         if bb.zero_group:
-            cols = bb.zero_group + list(range(n - r, m - r))
-            Dz = bb.Q[:, cols].T @ C @ bb.Qhat[:, bb.zero_group]
+            # C Qhat_z off the positive groups' left vectors has the
+            # singular values of its compression to their complement
+            Qp = bb.Q[:, :bb.zero_group[0]]
+            Dz = C @ bb.Qhat[:, bb.zero_group]
             out[[r + loc for loc in bb.zero_group]] = np.linalg.svd(
-                Dz, compute_uv=False)
+                Dz - Qp @ (Qp.T @ Dz), compute_uv=False)
     return out
 
 
-def sigma_dir1(X, H, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+def sigma_dir1(X, H, tols=TOLERANCES):
     """sigma'(X; H): directional derivatives of all singular values.
 
     Component s in an equal-value block equals the matching ordered
@@ -267,26 +268,25 @@ def sigma_dir1(X, H, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
     values it equals the matching singular value of the reduced
     rectangular block.  Gauge-invariant and positively homogeneous in H.
     """
-    return sigma_dir1_from_blocks(direction_blocks(X, H, None, cluster_tol,
-                                                   rank_tol))
+    return sigma_dir1_from_blocks(direction_blocks(X, H, None, tols))
 
 
-def sigma_dir2(X, H, W, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+def sigma_dir2(X, H, W, tols=TOLERANCES):
     """sigma''(X; H, W): parabolic second directional derivatives.
 
     W = 0 is a first-class input; it gives the curvature of the
     singular-value map along the straight line X + tH.
     """
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     return sigma_dir2_from_blocks(blocks, as_matrix(H, "H"), W)
 
 
-def eig_expand2(A, E, cluster_tol=CLUSTER_TOL):
+def eig_expand2(A, E, tols=TOLERANCES):
     """Two-term expansion of every eigenvalue of A along A + tau E.
 
     Returns (first, second) with lambda_s(A + tau E) = lambda_s(A) +
     tau * first_s + tau^2/2 * second_s + O(tau^3).  A and E must be
-    symmetric; asymmetry beyond 1e-12 * ||.|| is rejected.
+    symmetric; asymmetry beyond SYMMETRY_TOL * max(1, ||.||) is rejected.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E")
@@ -294,11 +294,11 @@ def eig_expand2(A, E, cluster_tol=CLUSTER_TOL):
         raise ShapeError(f"A {A.shape} and E {E.shape} must be equal square")
     for M, name in ((A, "A"), (E, "E")):
         dev = np.linalg.norm(M - M.T)
-        if dev > 1e-12 * max(1.0, np.linalg.norm(M)):
+        if dev > SYMMETRY_TOL * max(1.0, np.linalg.norm(M)):
             raise AsymmetricInput(f"{name} deviates from symmetry by {dev:.3e}")
     n = A.shape[0]
     eig = sym_eig_ordered(A)
-    part = partition_values(eig.lam, cluster_tol, kind="eigen")
+    part = partition_values(eig.lam, tols, kind="eigen")
     Ehat = eig.Q.T @ E @ eig.Q
     first = np.zeros(n)
     second = np.zeros(n)
@@ -308,7 +308,7 @@ def eig_expand2(A, E, cluster_tol=CLUSTER_TOL):
         gap[b] = np.inf
         K = Ehat[:, b]
         M2 = K.T @ (K / gap[:, None])
-        Q, lam, groups = _reduced_eig(Ehat[b, b], cluster_tol)
+        Q, lam, groups = _reduced_eig(Ehat[b, b], tols)
         first[b] = lam
         for grp in groups:
             Qj = Q[:, grp]
@@ -317,8 +317,7 @@ def eig_expand2(A, E, cluster_tol=CLUSTER_TOL):
     return first, second
 
 
-def expansion_residual(X, H, W, t, cluster_tol=CLUSTER_TOL,
-                       rank_tol=RANK_TOL):
+def expansion_residual(X, H, W, t, tols=TOLERANCES):
     """sigma(X + tH + t^2 W/2) minus its two-term prediction.
 
     The prediction is sigma(X) + t sigma'(X;H) + t^2/2 sigma''(X;H,W);
@@ -327,7 +326,7 @@ def expansion_residual(X, H, W, t, cluster_tol=CLUSTER_TOL,
     if not (t > 0):
         raise ShapeError("t must be positive")
     X = as_matrix(X, "X")
-    blocks = direction_blocks(X, H, None, cluster_tol, rank_tol)
+    blocks = direction_blocks(X, H, None, tols)
     d1 = sigma_dir1_from_blocks(blocks)
     d2 = sigma_dir2_from_blocks(blocks, as_matrix(H, "H"), W)
     s_t = np.linalg.svd(X + t * np.asarray(H) + 0.5 * t * t * np.asarray(W),
@@ -336,35 +335,28 @@ def expansion_residual(X, H, W, t, cluster_tol=CLUSTER_TOL,
 
 
 def _check_block_sorted(zbar, blocks: DirectionBlocks, tol):
-    for ab in blocks.alpha:
-        for grp in ab.groups:
-            vals = zbar[[ab.indices[loc] for loc in grp]]
-            if np.any(np.diff(vals) > tol):
+    r, bb = blocks.part.r, blocks.beta
+    levels = [("an alpha-level", [[ab.indices[loc] for loc in grp]
+                                  for grp in ab.groups])
+              for ab in blocks.alpha]
+    if bb is not None:
+        levels += [("a beta-level", [[r + loc for loc in grp]
+                                     for grp in bb.groups]),
+                   ("the zero-value", [[r + loc for loc in bb.zero_group]])]
+    for level, groups in levels:
+        for idx in groups:
+            if np.any(np.diff(zbar[idx]) > tol):
                 raise NotBlockSorted(
-                    "zbar not nonincreasing inside an alpha-level group")
-    bb = blocks.beta
-    if bb is None:
-        return
-    r = blocks.part.r
-    for grp in bb.groups:
-        vals = zbar[[r + loc for loc in grp]]
-        if np.any(np.diff(vals) > tol):
-            raise NotBlockSorted(
-                "zbar not nonincreasing inside a beta-level group")
-    if bb.zero_group:
-        vals = zbar[[r + loc for loc in bb.zero_group]]
-        if np.any(np.diff(vals) > tol):
-            raise NotBlockSorted(
-                "zbar not nonincreasing inside the zero-value group")
-        if np.any(vals < -tol):
-            # second derivatives of identically-zero singular values are
-            # singular values of a reduced block, hence never negative
-            raise NotBlockSorted(
-                "zbar negative on the zero-value group; unreachable target")
+                    f"zbar not nonincreasing inside {level} group")
+    if bb is not None and np.any(zbar[r + np.array(bb.zero_group, dtype=int)]
+                                 < -tol):
+        # second derivatives of identically-zero singular values are
+        # singular values of a reduced block, hence never negative
+        raise NotBlockSorted(
+            "zbar negative on the zero-value group; unreachable target")
 
 
-def min_direction_construct(X, H, zbar, cluster_tol=CLUSTER_TOL,
-                            rank_tol=RANK_TOL):
+def min_direction_construct(X, H, zbar, tols=TOLERANCES):
     """Build W-hat with sigma''(X; H, W-hat) equal to a sorted target.
 
     ``zbar`` must be nonincreasing inside every second-level group of
@@ -380,13 +372,14 @@ def min_direction_construct(X, H, zbar, cluster_tol=CLUSTER_TOL,
     if zbar.shape != (n,):
         raise ShapeError(f"zbar must have length {n}")
     return min_direction_from_blocks(
-        direction_blocks(X, H, None, cluster_tol, rank_tol), zbar)
+        direction_blocks(X, H, None, tols), zbar)
 
 
 def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
     """``min_direction_construct`` for reduced blocks already built."""
     m, n = blocks.shape
-    _check_block_sorted(zbar, blocks, 1e-12 * max(1.0, np.max(np.abs(zbar))))
+    _check_block_sorted(zbar, blocks,
+                        BLOCK_SORT_TOL * max(1.0, np.max(np.abs(zbar))))
     svd = blocks.gauge
     Wred = np.zeros((m, n))
     for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)):
@@ -396,8 +389,6 @@ def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
     bb = blocks.beta
     if bb is not None:
         r = blocks.part.r
-        Dz = np.zeros((m - r, n - r))
-        np.fill_diagonal(Dz, zbar[r:])
-        A = bb.Q @ Dz @ bb.Qhat.T
+        A = (bb.Q * zbar[r:]) @ bb.Qhat.T
         Wred[r:, r:] = A - _beta_cross_term(blocks)
     return svd.U @ Wred @ svd.V.T

@@ -319,6 +319,15 @@ class TestErrorChannel:
         assert err["error"] == "ShapeError" and err["exit_code"] == 1
         assert err["message"].startswith(f"{flag} (1, 2) and --X (2, 2)")
 
+    def test_truncated_problem_json_exit_1(self, tmp_path, capsys):
+        prob = make_problem(tmp_path, "soft")
+        text = open(prob).read()
+        with open(prob, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        assert main(["certify", "--problem", prob]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "JSONDecodeError" and err["exit_code"] == 1
+
     def test_io_error_exit_3(self, capsys):
         assert main(["eval", "--f", "l1", "--X", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)

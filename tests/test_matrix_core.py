@@ -8,9 +8,8 @@ from specvar.errors import (
     ShapeError,
 )
 from specvar.matrix_core import (
+    Tolerances,
     gauge_randomize,
-    lift,
-    lift_eigenbasis,
     partition_of,
     partition_values,
     read_matrix_csv,
@@ -18,6 +17,7 @@ from specvar.matrix_core import (
     sym_eig_ordered,
     write_matrix_csv,
 )
+from symmetric_lift import lift, lift_eigenbasis
 
 
 def random_with_spectrum(m, n, svals, rng):
@@ -151,9 +151,10 @@ class TestPartition:
 
     def test_tolerance_boundary(self):
         v = np.array([1.0 + 5e-9, 1.0])
-        p = partition_values(v, cluster_tol=1e-8)
+        p = partition_values(v, Tolerances(cluster=1e-8))
         assert p.t == 1 and p.alpha_blocks == [[0, 1]]
-        p = partition_values(np.array([1.0 + 5e-8, 1.0]), cluster_tol=1e-8)
+        p = partition_values(np.array([1.0 + 5e-8, 1.0]),
+                             Tolerances(cluster=1e-8))
         assert p.t == 2
 
     def test_eigen_kind(self):

@@ -19,7 +19,12 @@ from specvar.errors import (
     RankZero,
     ShapeError,
 )
-from specvar.matrix_core import gauge_randomize, partition_of, svd_ordered
+from specvar.matrix_core import (
+    Tolerances,
+    gauge_randomize,
+    partition_of,
+    svd_ordered,
+)
 from specvar.oimf import (
     F_critical_cone_contains,
     F_eval,
@@ -303,7 +308,8 @@ class TestPsi:
     def test_eval_rejects_invalid_cluster_tol(self, tol):
         # each used to return 0.0 for a bottom cluster summing to 2
         with pytest.raises(ShapeError):
-            nuclear_psi_eval(np.diag([2.0, 1.0, 1.0]), cluster_tol=tol)
+            nuclear_psi_eval(np.diag([2.0, 1.0, 1.0]),
+                             tols=Tolerances(cluster=tol))
 
     def test_eval_frozen_rank(self):
         # frozen at base rank 1 the function sums the two smallest values
@@ -479,6 +485,24 @@ class TestOneDecomposition:
         F_critical_cone_contains(l1_spec(), X, Om, H, diagnostics=True)
         assert calls == {"svd_X": 1, "partition_of": 1,
                          "direction_blocks": 1}
+
+    @pytest.mark.parametrize("diagnostics", [False, True])
+    def test_cone_one_svd_of_X(self, monkeypatch, diagnostics):
+        # the subgradient check reads sigma(X) from the same decomposition,
+        # so np.linalg.svd sees X once in all (directly or in svd_ordered)
+        X, Om, H = self._instance()
+        calls = self._count(monkeypatch, X)
+        svd = np.linalg.svd
+        seen = []
+
+        def counted(A, *args, **kwargs):
+            seen.append(np.shape(A) == X.shape and np.array_equal(A, X))
+            return svd(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        F_critical_cone_contains(l1_spec(), X, Om, H, diagnostics=diagnostics)
+        assert calls == {"svd_X": 1, "partition_of": 1,
+                         "direction_blocks": 1}
+        assert sum(seen) == 1
 
 
 class TestOmegaToleranceBoundary:

@@ -10,9 +10,8 @@ from specvar.errors import (
     ShapeError,
 )
 from specvar.matrix_core import (
+    Tolerances,
     gauge_randomize,
-    lift,
-    lift_eigenbasis,
     partition_of,
     svd_ordered,
 )
@@ -28,6 +27,7 @@ from specvar.sv_calculus import (
     sigma_dir2,
     sigma_dir2_from_blocks,
 )
+from symmetric_lift import lift, lift_eigenbasis
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -127,23 +127,23 @@ class TestToleranceValidation:
     # a NaN cluster_tol used to split diag(2, 1) wrongly (sigma' = [1, -1])
     # and a NaN rank_tol counted every value as zero (sigma' = [1, 1])
     @pytest.mark.parametrize("H, tols", [
-        (SWAP, {"cluster_tol": np.nan}),
-        (-np.eye(2), {"rank_tol": np.nan}),
-        (SWAP, {"cluster_tol": -1e-8}),
-        (SWAP, {"rank_tol": np.inf}),
+        (SWAP, {"cluster": np.nan}),
+        (-np.eye(2), {"rank": np.nan}),
+        (SWAP, {"cluster": -1e-8}),
+        (SWAP, {"rank": np.inf}),
     ])
     def test_sigma_dir1_rejects(self, H, tols):
         with pytest.raises(ShapeError):
-            sigma_dir1(np.diag([2.0, 1.0]), H, **tols)
+            sigma_dir1(np.diag([2.0, 1.0]), H, Tolerances(**tols))
 
     def test_eig_expand2_rejects_nan(self):
         with pytest.raises(ShapeError):
-            eig_expand2(np.diag([2.0, 1.0]), SWAP, cluster_tol=np.nan)
+            eig_expand2(np.diag([2.0, 1.0]), SWAP, Tolerances(cluster=np.nan))
 
     def test_zero_tolerances_allowed(self):
         np.testing.assert_allclose(
-            sigma_dir1(np.diag([2.0, 1.0]), SWAP, cluster_tol=0.0,
-                       rank_tol=0.0), [0.0, 0.0], atol=1e-14)
+            sigma_dir1(np.diag([2.0, 1.0]), SWAP, Tolerances(0.0, 0.0)),
+            [0.0, 0.0], atol=1e-14)
 
 
 class TestSigmaDir2:
@@ -452,11 +452,13 @@ def lift_reference(blocks, H, W, zbar):
             d2[[r + loc for loc in grp]] = np.linalg.eigvalsh(
                 0.5 * (D + D.T))[::-1]
         if bb.zero_group:
+            # its own complement of the positive groups: a full SVD of R
+            Qfull = np.linalg.svd(bb.R)[0]
             cols = bb.zero_group + list(range(n - r, m - r))
-            Dz = bb.Q[:, cols].T @ C @ bb.Qhat[:, bb.zero_group]
+            Dz = Qfull[:, cols].T @ C @ bb.Qhat[:, bb.zero_group]
             d2[[r + loc for loc in bb.zero_group]] = np.linalg.svd(
                 Dz, compute_uv=False)
-        Dz = np.zeros((m - r, n - r))
+        Dz = np.zeros((n - r, n - r))
         np.fill_diagonal(Dz, zbar[r:])
         Wred[r:, r:] = bb.Q @ Dz @ bb.Qhat.T - cross
     return quads, gaps, d2, U @ Wred @ V.T
@@ -498,6 +500,27 @@ class TestLiftReference:
                 assert ab.min_gap == gap
             assert_rel(sigma_dir2_from_blocks(b, H, W), d2)
         What = lift_reference(direction_blocks(X, H), H, W, zbar)[3]
+        assert_rel(min_direction_construct(X, H, zbar), What)
+
+    def test_tall_rank_two_zero_group(self):
+        # 1500 x 4 at rank 2 with a rank-one zero block of Hhat: the thin
+        # beta factor has a nonempty zero group and no complement columns
+        rng = np.random.default_rng(37)
+        m, n = 1500, 4
+        U = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = U @ np.diag([3.0, 1.0, 0.0, 0.0]) @ V.T
+        g = svd_ordered(X)
+        Hhat = rng.standard_normal((m, n))
+        Hhat[2:, 2:] = np.outer(rng.standard_normal(m - 2),
+                                rng.standard_normal(2))
+        H = g.U @ Hhat @ g.V.T
+        W = rng.standard_normal((m, n))
+        zbar = sigma_dir2(X, H, rng.standard_normal((m, n)))
+        b = direction_blocks(X, H)
+        assert b.beta.Q.shape == (m - 2, n - 2) and b.beta.zero_group == [1]
+        _, _, d2, What = lift_reference(b, H, W, zbar)
+        assert_rel(sigma_dir2_from_blocks(b, H, W), d2)
         assert_rel(min_direction_construct(X, H, zbar), What)
 
     @pytest.mark.parametrize("factor,warns", [(0.5, True), (2.0, False)])
