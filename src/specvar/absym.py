@@ -177,6 +177,7 @@ class _TopKAbs:
 
     def __init__(self, k=None):
         self.k = None if k is None else int(k)
+        self._last = None   # (k, copy of x, _classify(x, k))
 
     def _check(self, x):
         x = _as_vector(x)
@@ -185,6 +186,13 @@ class _TopKAbs:
             raise BadK(f"k={k} outside 1..{len(x)}")
         return x, k
 
+    def _face(self, x, k):
+        """_classify(x, k), kept while x repeats (one sigma(X), many w)."""
+        last = self._last
+        if last is None or last[0] != k or not np.array_equal(last[1], x):
+            last = self._last = (k, x.copy(), _classify(x, k))
+        return last[2]
+
     def eval(self, x):
         x, k = self._check(x)
         return _sum_top(np.abs(x), k)
@@ -192,7 +200,7 @@ class _TopKAbs:
     def subderivative(self, x, w):
         x, k = self._check(x)
         w = _as_vector(w, "w")
-        f = _classify(x, k)
+        f = self._face(x, k)
         val = float(np.sum(f.signs[f.above] * w[f.above]))
         if f.theta_zero:
             val += _sum_top(np.abs(w[f.tied]), f.q)
@@ -206,7 +214,7 @@ class _TopKAbs:
         x, k = self._check(x)
         w = _as_vector(w, "w")
         z = _as_vector(z, "z")
-        f = _classify(x, k)
+        f = self._face(x, k)
         val = float(np.sum(f.signs[f.above] * z[f.above]))
         if len(f.tied) == 0 or f.q <= 0:
             return val
@@ -223,7 +231,7 @@ class _TopKAbs:
         """Max constraint violation of v against the subdifferential."""
         x, k = self._check(x)
         v = _as_vector(v, "v")
-        f = _classify(x, k)
+        f = self._face(x, k)
         viol = 0.0
         if len(f.above):
             viol = max(viol, float(np.max(np.abs(v[f.above]
@@ -245,7 +253,7 @@ class _TopKAbs:
 
     def subdiff_representative(self, x):
         x, k = self._check(x)
-        f = _classify(x, k)
+        f = self._face(x, k)
         v = np.zeros(len(x))
         v[f.above] = f.signs[f.above]
         if len(f.tied) and not f.theta_zero:
@@ -254,7 +262,7 @@ class _TopKAbs:
 
     def subdiff_sample(self, x, rng):
         x, k = self._check(x)
-        f = _classify(x, k)
+        f = self._face(x, k)
         v = np.zeros(len(x))
         v[f.above] = f.signs[f.above]
         T = len(f.tied)

@@ -216,6 +216,9 @@ def _validated_counterexample(p, X0, H, q):
     return False
 
 
+_CHUNK_ENTRIES = 1 << 18   # matrix entries per direction stack or SVD stack
+
+
 def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     """Assemble an optimality certificate for the candidate point X0.
 
@@ -223,9 +226,12 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     plus rejection-filtered Gaussians), evaluates the curvature of each,
     and reports either a validated negative direction (optimality
     refuted), uniformly positive sampled curvature (evidence in favor),
-    or inconclusive.  Curvature evaluations are independent and safe to
-    run concurrently; this implementation keeps them sequential so the
-    certificate is a deterministic reduction for a fixed seed.
+    or inconclusive.  The candidates are normalised (zero ones skipped,
+    still counted as tried) and evaluated in chunks, one
+    ``SpectralPoint.second_subderivatives`` call each, then walked in
+    stream order.  A chunk holds at most the samples still needed (and
+    ``_CHUNK_ENTRIES`` entries), so every chunk size consumes the
+    candidates, hook calls and random draws of a one-by-one loop.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -249,36 +255,39 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     rng = np.random.default_rng(cfg.seed)
 
     def candidates():
-        # guided directions first: curvature-minimizing offsets of a few
-        # random base directions often sit inside the cone
-        for _ in range(4):
-            base_dir = rng.standard_normal(X0.shape)
-            for D in guided_offsets(X0, base_dir):
-                yield D
-        for G in _structured_candidates(svd, point.part, rng,
-                                        cfg.max_candidates):
-            yield svd.U @ G @ svd.V.T
+        """Nonzero candidates, normalised; every one drawn counts as tried.
+        Guided directions come first: curvature-minimizing offsets of a
+        few random base directions often sit inside the cone."""
+        nonlocal tried
+        guided = (D for _ in range(4)
+                  for D in guided_offsets(X0, rng.standard_normal(X0.shape)))
+        structured = (svd.U @ G @ svd.V.T for G in _structured_candidates(
+            svd, point.part, rng, cfg.max_candidates))
+        for H in itertools.chain(guided, structured):
+            tried += 1
+            nrm = np.linalg.norm(H)
+            if nrm > 0:
+                yield H / nrm
 
     cone_tol = CONE_TOL * (1.0 + point.y_norm)
     samples = []
     counterexample = None
     tried = 0
-    for H in candidates():
-        if len(samples) >= cfg.n_samples:
+    stream = candidates()
+    cap = max(1, _CHUNK_ENTRIES // max(X0.size, 1))
+    while len(samples) < cfg.n_samples:
+        Hs = list(itertools.islice(stream,
+                                   min(cfg.n_samples - len(samples), cap)))
+        if not Hs:
             break
-        tried += 1
-        nrm = np.linalg.norm(H)
-        if nrm <= 0:
-            continue
-        H = H / nrm
-        rep = point.second_subderivative(H, cone_tol)
-        if not rep.critical:
-            continue
-        q = _curvature_from(p, X0, H, rep)
-        samples.append((H, q))
-        if q < -cfg.curvature_tol and counterexample is None:
-            if _validated_counterexample(p, X0, H, q):
-                counterexample = H
+        for H, rep in zip(Hs, point.second_subderivatives(Hs, cone_tol)):
+            if not rep.critical:
+                continue
+            q = _curvature_from(p, X0, H, rep)
+            samples.append((H, q))
+            if q < -cfg.curvature_tol and counterexample is None:
+                if _validated_counterexample(p, X0, H, q):
+                    counterexample = H
 
     if cfg.n_samples > 0 and len(samples) < cfg.min_samples:
         raise SamplingExhausted(
@@ -305,9 +314,6 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         counterexample=counterexample)
 
 
-_GROWTH_CHUNK_ENTRIES = 1 << 18   # matrix entries per stacked SVD
-
-
 def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     """min over sampled X in ball(X0, eps) of the growth quotient
     [obj(X) - obj(X0)] / ||X - X0||^2; deterministic for a fixed seed.
@@ -320,7 +326,7 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     rng = np.random.default_rng(seed)
     best = INF
     d = X0.size
-    chunk = max(1, _GROWTH_CHUNK_ENTRIES // max(d, 1))
+    chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
     left = int(n_samples)
     while left > 0:
         k = min(chunk, left)

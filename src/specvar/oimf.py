@@ -15,6 +15,7 @@ with X.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +24,7 @@ import numpy as np
 from .absym import INF, ExtendedValue, SpectralFunctionSpec, _as_vector
 from .errors import (
     AssumptionViolated,
+    ConditioningWarning,
     FullRank,
     NoSimultaneousGauge,
     NotASubgradient,
@@ -34,7 +36,6 @@ from .errors import (
 )
 from .matrix_core import (
     CONE_TOL,
-    GAP_WARN,
     GAUGE_TOL,
     SET_TOL,
     SUBDIFF_ALIGN_TOL,
@@ -48,7 +49,7 @@ from .matrix_core import (
     sym_eig_ordered,
 )
 from .sv_calculus import (
-    _beta_cross_term,
+    alpha_gaps,
     alpha_quadratics,
     cross_term_hat,
     direction_blocks,
@@ -250,30 +251,15 @@ class SecondSubderivativeReport:
     warnings: tuple = ()
 
 
-def _alpha_quadratic_terms(gblocks, sy):
-    """Per-block resolvent quadratics <diag(sy_b), G_b> and gap warnings."""
-    total = 0.0
-    warns = []
-    scale = max(1.0, gblocks.gauge.sigma[0] if len(gblocks.gauge.sigma)
-                else 1.0)
-    for ab, G in zip(gblocks.alpha, alpha_quadratics(gblocks)):
-        total += 2.0 * float(sy[ab.indices] @ np.diag(G))
-        if ab.min_gap < GAP_WARN * scale:
-            warns.append(
-                f"spectral gap {ab.min_gap:.3e} at block value "
-                f"{ab.mu:.6g}: alpha term ill-conditioned")
-    return total, warns
-
-
 class SpectralPoint:
     """F = f o sigma prepared at (X, Y) for d2F(X|Y)(H) along many H.
 
     Construction checks the flags and hooks of f, builds the aligned
     gauge and the partition of sigma(X) (``simultaneous_gauge``), checks
     sigma(Y) in df(sigma(X)) and that f is finite at sigma(X), and keeps
-    ||Y||.  The formula depends on H only through Hhat = U^T H V, so each
-    direction then costs one reduced-block build in the stored gauge:
-    no SVD of X and no partition.
+    ||Y|| and the point-only tables below.  The formula depends on H only
+    through Hhat = U^T H V, so a stack of directions then costs one
+    batched product and a few contractions: no SVD of X, no partition.
     """
 
     def __init__(self, f: SpectralFunctionSpec, X, Y, tols=TOLERANCES):
@@ -288,41 +274,86 @@ class SpectralPoint:
         self.f = f
         self.X = as_matrix(X, "X")
         self.Y = as_matrix(Y, "Y")
-        self.tols = tols
         self.gauge, self.part, self.sy = simultaneous_gauge(
             self.X, self.Y, tols)
-        if not f.subdiff_contains(self.gauge.sigma, self.sy):
+        s, sy, part = self.gauge.sigma, self.sy, self.part
+        blocks, r, n = part.alpha_blocks, part.r, part.n
+        if not f.subdiff_contains(s, sy):
             raise NotASubgradient(
                 "sigma(Y) is not in the subdifferential of f at sigma(X)")
-        if not math.isfinite(f.eval(self.gauge.sigma)):
+        if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
         self.y_norm = float(np.linalg.norm(self.Y))
+        self._clusters = [slice(b[0], b[-1] + 1) for b in blocks if len(b) > 1]
+        gaps = alpha_gaps(s, blocks, part.m)
+        self._warns = [w for _, _, w in gaps if w]
+        self._report_warns = tuple(
+            f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "
+            "ill-conditioned" for mu, g, w in gaps if w)
+        # divided differences, column i < r at its block value mu_i and
+        # scaled by sy_i: D_ji = 1/(mu_i - sigma_j) (0 inside the block),
+        # E_ji = 1/(mu_i + sigma_j) halved on both sides (no overflow),
+        # C_i = 1/(2 mu_i); B_ji = -2 sy_j / sigma_i for beta rows j
+        start = np.full(n, -1)
+        start[:r] = np.repeat([b[0] for b in blocks], [len(b) for b in blocks])
+        mu = s[start[:r]]
+        self._D = np.divide(sy[:r], mu - s[:, None], out=np.zeros((n, r)),
+                            where=start[:, None] != start[:r])
+        self._E = sy[:r] * (0.5 / (0.5 * mu + 0.5 * s[:, None]))
+        self._C = sy[:r] * (0.5 / mu)
+        self._B = -2.0 * sy[r:, None] / s[:r]
+
+    def second_subderivatives(self, Hs, tol=None):
+        """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack.
+
+        Per row, in order, ``f.subderivative`` gives the duality gap
+        dF(X)(H) - <Y, H>; within ``tol`` (default CONE_TOL (1 + ||Y||
+        ||H||)) the row is critical and gets ``f.second_subderivative``
+        and the alpha and beta terms.  Small-gap blocks warn once a call.
+        """
+        Hs = np.asarray(Hs, dtype=float)
+        if Hs.ndim != 3 or Hs.shape[1:] != self.X.shape:
+            raise ShapeError(f"X {self.X.shape} and H {Hs.shape[1:]} differ")
+        for warn in self._warns:
+            warnings.warn(warn, ConditioningWarning, stacklevel=2)
+        f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
+        r, n = part.r, part.n
+        flat = as_matrix(Hs.reshape(len(Hs), self.X.size), "H")
+        Hhat = self.gauge.U.T @ Hs @ self.gauge.V
+        A = Hhat[:, :n]
+        Sym = 0.5 * (A + A.transpose(0, 2, 1))
+        d1 = Sym.diagonal(axis1=1, axis2=2).copy()     # singleton blocks
+        for a in self._clusters:
+            d1[:, a] = np.linalg.eigvalsh(Sym[:, a, a])[:, ::-1]
+        d1[:, r:] = np.linalg.svd(Hhat[:, r:, r:], compute_uv=False)
+        yh = (flat * self.Y.ravel()).sum(axis=1)
+        tols = [tol] * len(Hs) if tol is not None else [
+            CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(h)) for h in flat]
+        Skw = 0.5 * (A - A.transpose(0, 2, 1))
+        alpha = 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, self._D)
+                       + np.einsum("kji,ji->k", Skw[:, :, :r] ** 2, self._E)
+                       + np.einsum("kci,i->k", Hhat[:, n:, :r] ** 2, self._C))
+        beta = np.einsum("kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n],
+                         self._B)
+        out = []
+        for i, t in enumerate(tols):
+            gap = f.subderivative(s, d1[i]) - float(yh[i])
+            if abs(gap) > t:
+                out.append(SecondSubderivativeReport(
+                    value=INF, d2f_term=INF, alpha_term=0.0, beta_term=0.0,
+                    critical=False, duality_gap=gap))
+                continue
+            d2f = f.second_subderivative(s, sy, d1[i], t)
+            a, b = float(alpha[i]), float(beta[i])
+            out.append(SecondSubderivativeReport(
+                value=d2f + a + b if math.isfinite(d2f) else INF,
+                d2f_term=d2f, alpha_term=a, beta_term=b, critical=True,
+                duality_gap=gap, warnings=self._report_warns))
+        return out
 
     def second_subderivative(self, H, tol=None) -> SecondSubderivativeReport:
-        """d2F(X|Y)(H) with its breakdown; the d2f + alpha + beta terms
-        are formed only when H is in the critical cone (duality gap
-        dF(X)(H) - <Y, H> within ``tol``, by default
-        CONE_TOL (1 + ||Y|| ||H||))."""
-        H = as_matrix(H, "H")
-        f, svd, sy = self.f, self.gauge, self.sy
-        gblocks = direction_blocks(self.X, H, svd, self.tols, part=self.part)
-        d1 = sigma_dir1_from_blocks(gblocks)
-        gap = f.subderivative(svd.sigma, d1) - float(np.sum(self.Y * H))
-        if tol is None:
-            tol = CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(H))
-        if abs(gap) > tol:
-            return SecondSubderivativeReport(
-                value=INF, d2f_term=INF, alpha_term=0.0, beta_term=0.0,
-                critical=False, duality_gap=gap)
-        d2f = f.second_subderivative(svd.sigma, sy, d1, tol)
-        alpha_term, warns = _alpha_quadratic_terms(gblocks, sy)
-        beta_term = float(sy[self.part.beta]
-                          @ np.diag(_beta_cross_term(gblocks)))
-        value = d2f + alpha_term + beta_term if math.isfinite(d2f) else INF
-        return SecondSubderivativeReport(
-            value=value, d2f_term=d2f, alpha_term=alpha_term,
-            beta_term=beta_term, critical=True, duality_gap=gap,
-            warnings=tuple(warns))
+        """``second_subderivatives`` of the one direction H."""
+        return self.second_subderivatives(as_matrix(H, "H")[None], tol)[0]
 
 
 def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H, tols=TOLERANCES,

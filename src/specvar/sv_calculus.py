@@ -104,6 +104,26 @@ def _sym_eigvals(D):
     return D[0] if len(D) == 1 else np.linalg.eigvalsh(D)[::-1]
 
 
+def alpha_gaps(s, alpha_blocks, m):
+    """(mu, min_gap, ConditioningWarning text or "") of every alpha block
+    of the values s of an m-row X: the gap from mu to the rest of the
+    lift [[0, X], [X^T, 0]] (sigma_j off the block, -sigma_j, 0 if m > n)
+    warns below GAP_WARN max(1, sigma_1)."""
+    scale = max(1.0, s[0]) if len(s) else 1.0
+    out = []
+    for blk in alpha_blocks:
+        mu = float(s[blk[0]])
+        gap = np.abs(mu - s)
+        gap[_block_slice(blk)] = np.inf
+        # Python floats: mu + sigma_n may overflow to inf, without a warning
+        min_gap = float(min(gap.min(), mu + float(s[-1]),
+                            mu if m > len(s) else np.inf))
+        out.append((mu, min_gap, "" if min_gap >= GAP_WARN * scale else (
+            f"spectral gap {min_gap:.3e} at block value {mu:.6g} below "
+            f"{GAP_WARN * scale:.1e}; second-order output ill-conditioned")))
+    return out
+
+
 def direction_blocks(X, H, gauge=None, tols=TOLERANCES,
                      part=None) -> DirectionBlocks:
     """Compute the per-direction reduced blocks of (X, H).
@@ -126,23 +146,14 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES,
     s = svd.sigma
     Hhat = svd.U.T @ H @ svd.V
     Sym = 0.5 * (Hhat[:n] + Hhat[:n].T)
-    scale = max(1.0, s[0]) if n else 1.0
 
     ltilde = np.zeros(n, dtype=int)
     alpha = []
-    for blk in part.alpha_blocks:
-        mu = float(s[blk[0]])
+    for blk, (mu, min_gap, warn) in zip(part.alpha_blocks,
+                                         alpha_gaps(s, part.alpha_blocks, m)):
+        if warn:
+            warnings.warn(warn, ConditioningWarning, stacklevel=2)
         a = _block_slice(blk)
-        # distance from mu to the other eigenvalues of the symmetric lift
-        # [[0, X], [X^T, 0]]: sigma_j off the block, -sigma_j and 0 (m > n)
-        gap = np.abs(mu - s)
-        gap[a] = np.inf
-        min_gap = float(min(gap.min(), mu + s[-1], mu if m > n else np.inf))
-        if min_gap < GAP_WARN * scale:
-            warnings.warn(
-                f"spectral gap {min_gap:.3e} at block value {mu:.6g} below "
-                f"{GAP_WARN * scale:.1e}; second-order output ill-conditioned",
-                ConditioningWarning, stacklevel=2)
         S = Sym[a, a]
         Q, eta, groups = _reduced_eig(S, tols)
         # rank within the second-level group
@@ -178,7 +189,8 @@ def alpha_quadratics(blocks: DirectionBlocks):
     C = Hhat[n:], block a at value mu gives
     G_a = Sym_a^T diag(1/(mu - sigma_j), 0 for j in a) Sym_a
           + Skw_a^T diag(1/(mu + sigma_j)) Skw_a + C_a^T C_a / (2 mu),
-    where _a selects the block's columns.
+    where _a selects the block's columns; Skw / (mu + sigma_j) is halved
+    on both sides: the same floats, but no overflow near float max.
     """
     s = blocks.gauge.sigma
     n = len(s)
@@ -191,7 +203,7 @@ def alpha_quadratics(blocks: DirectionBlocks):
         gap[a] = np.inf
         Sa, Ka, Ca = Sym[:, a], Skw[:, a], C[:, a]
         out.append(Sa.T @ (Sa / gap[:, None])
-                   + Ka.T @ (Ka / (ab.mu + s)[:, None])
+                   + Ka.T @ (0.5 * Ka / (0.5 * ab.mu + 0.5 * s)[:, None])
                    + Ca.T @ Ca / (2.0 * ab.mu))
     return out
 

@@ -280,3 +280,50 @@ class TestScaleSpec:
                                       [-1.0, 3.0]) == 0.0
         assert f_second_subderivative(f, [1.0, 0.0], [2.0, 2.0],
                                       [0.0, -1.0]) == INF
+
+
+class TestFaceReuse:
+    """The top-k face of the last x is kept and reused while x repeats; a
+    spec queried at alternating points answers exactly like a fresh spec
+    (no kept face) at every call."""
+
+    POINTS = [np.array([3.0, 1.0, 1.0, 0.0]), np.array([2.0, -2.0, 0.5, 0.0]),
+              np.array([1.0, 1.0, 1.0, 1.0]), np.array([0.0, 0.0, 0.0, 0.0])]
+
+    @staticmethod
+    def _outputs(spec, x, w, z, seed):
+        return (spec.subderivative(x, w),
+                spec.parabolic_subderivative(x, w, z),
+                spec.subdiff_violation(x, w),
+                spec.subdiff_contains(x, w),
+                tuple(spec.subdiff_representative(x)),
+                tuple(spec.subdiff_sample(x, np.random.default_rng(seed))),
+                spec.critical_cone_contains(x, w, z),
+                spec.second_subderivative(x, w, z))
+
+    @pytest.mark.parametrize("name", ["l1", "linf", "kyfan:2"])
+    def test_alternating_points_match_fresh_specs(self, name):
+        rng = np.random.default_rng(9)
+        spec = spec_by_name(name)
+        # runs of equal points (hits) broken by switches (misses)
+        for step in range(40):
+            x = self.POINTS[(step // 3) % len(self.POINTS)].copy()
+            w, z = rng.standard_normal(4), rng.standard_normal(4)
+            assert self._outputs(spec, x, w, z, step) == self._outputs(
+                spec_by_name(name), x, w, z, step)
+
+    def test_face_follows_in_place_changes(self, monkeypatch):
+        import specvar.absym as absym
+        calls = []
+        classify = absym._classify
+        monkeypatch.setattr(absym, "_classify",
+                            lambda x, k: calls.append(k) or classify(x, k))
+        spec = l1_spec()
+        x = np.array([1.0, 0.0])
+        w = np.array([1.0, -1.0])
+        assert spec.subderivative(x, w) == 2.0
+        assert spec.subderivative(x, w) == 2.0
+        assert len(calls) == 1
+        x[1] = 1.0   # the kept face is of a copy, so this is a new point
+        assert spec.subderivative(x, w) == 0.0
+        assert len(calls) == 2

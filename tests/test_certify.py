@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -484,3 +485,85 @@ class TestPreparedPointEquivalence:
             assert np.max(np.abs(cert.counterexample - ce)) <= 1e-12
         assert abs(cert.growth_constant_observed - g) <= 1e-12 * max(
             1.0, abs(g))
+
+
+def _counting(f, counts):
+    """f with every hook call counted by name."""
+    from dataclasses import replace
+
+    def wrap(name, hook):
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return hook(*args, **kwargs)
+        return counted
+
+    return replace(f, **{h: wrap(h, getattr(f, h)) for h in (
+        "eval", "subderivative", "subdiff_contains", "subdiff_violation",
+        "second_subderivative")})
+
+
+class TestChunkedCandidates:
+    """certify evaluates its candidate stream in chunks of directions; the
+    certificate, the candidates tried and the hook calls are those of a
+    direction-by-direction loop for every chunk size."""
+
+    @pytest.mark.parametrize("name", ["soft-fixture", "saddle-fixture",
+                                      "soft-9x8", "soft-7x5-gauge"])
+    def test_chunk_size_independent(self, name, monkeypatch):
+        cmod = importlib.import_module("specvar.certify")
+        p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
+        cfg = SamplingConfig(n_samples=60, min_samples=10, growth_samples=50)
+        runs = []
+        for entries in (1, X0.size, cmod._CHUNK_ENTRIES):
+            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+            counts = {}
+            cert = certify(ProblemSpec(p.psi, _counting(p.f, counts)), X0,
+                           cfg)
+            runs.append((cert, counts))
+        ref, ref_counts = runs[-1]
+        assert len(ref.samples) == 60
+        for cert, counts in runs[:-1]:
+            assert counts == ref_counts
+            assert cert.verdict == ref.verdict
+            assert len(cert.samples) == len(ref.samples)
+            for (H1, q1), (H2, q2) in zip(cert.samples, ref.samples):
+                assert np.array_equal(H1, H2)
+                assert abs(q1 - q2) <= 1e-12 * max(1.0, abs(q2))
+            ce, ref_ce = cert.counterexample, ref.counterexample
+            assert (ce is None) == (ref_ce is None)
+            if ref_ce is not None:
+                assert np.array_equal(ce, ref_ce)
+
+    def test_keeps_exactly_n_samples(self):
+        p, X0 = _soft_instance(18, 16, seed=11)
+        for n in (1, 7):
+            cert = certify(p, X0, SamplingConfig(n_samples=n, min_samples=1))
+            assert len(cert.samples) == n
+
+    def test_exhausted_reports_candidates_tried(self):
+        p, X0 = soft_threshold_fixture()
+        # 8 guided offsets and 60 structured candidates
+        with pytest.raises(SamplingExhausted,
+                           match=r"^only 34 cone members in 68 candidates "
+                                 r"\(need 400\)$"):
+            certify(p, X0, SamplingConfig(n_samples=500, min_samples=400,
+                                          max_candidates=60))
+        # at X0 = 0 the 4 guided offsets are zero: skipped, still tried
+        B = np.array([[0.3, 0.1], [0.0, -0.2], [0.1, 0.0]])
+        p0 = ProblemSpec(HalfSquaredDistance(B), scale_spec(l1_spec(), 0.5))
+        with pytest.raises(SamplingExhausted,
+                           match=r"^only 0 cone members in 34 candidates "
+                                 r"\(need 40\)$"):
+            certify(p0, np.zeros((3, 2)), SamplingConfig(
+                n_samples=50, min_samples=40, max_candidates=30, seed=3))
+
+    def test_face_classified_once_per_point(self, monkeypatch):
+        import specvar.absym as absym
+        calls = []
+        classify = absym._classify
+        monkeypatch.setattr(absym, "_classify",
+                            lambda x, k: calls.append(k) or classify(x, k))
+        p, X0 = soft_threshold_fixture()
+        cert = certify(p, X0)
+        assert len(cert.samples) == 200
+        assert len(calls) <= 4

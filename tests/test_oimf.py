@@ -802,3 +802,182 @@ class TestSpectralPoint:
         with pytest.raises(AssumptionViolated):
             SpectralPoint(replace(l1_spec(), second_subderivative=None),
                           X, Y)
+
+
+def _prepared(m, n, svals, fname, seed, randomize=False):
+    """A SpectralPoint of f at X = U diag(svals) V^T for an aligned
+    subgradient Y (f's representative; interior on the zero block for l1)
+    and a stack of directions in X's gauge, half of them zero on the zero
+    block, one of them zero."""
+    from specvar.absym import spec_by_name
+    from specvar.oimf import SpectralPoint
+    rng = np.random.default_rng(seed)
+    X = random_with_spectrum(m, n, np.asarray(svals, float), rng)
+    if randomize:
+        svd = svd_ordered(X)
+        g = gauge_randomize(svd, partition_of(svd), seed=seed)
+        X = g.U[:, :n] @ np.diag(g.sigma) @ g.V.T
+    svd = svd_ordered(X)
+    r = partition_of(svd).r
+    f = spec_by_name(fname)
+    y = np.asarray(f.subdiff_representative(svd.sigma), float)
+    if fname == "l1":
+        y[r:] = np.sort(rng.uniform(0.1, 0.9, n - r))[::-1]
+    Y = svd.U[:, :n] @ np.diag(y) @ svd.V.T
+    Gs = rng.standard_normal((6, m, n))
+    Gs[1::2, r:, r:] = 0.0
+    Gs[4] = 0.0
+    return SpectralPoint(f, X, Y), svd.U @ Gs @ svd.V.T
+
+
+def _reference_report(point, H):
+    """d2F(X|Y)(H) from the reduced blocks of (X, H), one direction at a
+    time: sigma' from the blocks, the alpha term from the per-block
+    resolvent quadratics and the beta term from the cross term."""
+    from specvar.matrix_core import CONE_TOL
+    from specvar.sv_calculus import (
+        _beta_cross_term,
+        alpha_quadratics,
+        direction_blocks,
+        sigma_dir1_from_blocks,
+    )
+    f, s, sy, part = point.f, point.gauge.sigma, point.sy, point.part
+    blocks = direction_blocks(point.X, H, point.gauge, part=part)
+    d1 = sigma_dir1_from_blocks(blocks)
+    gap = f.subderivative(s, d1) - float(np.sum(point.Y * H))
+    tol = CONE_TOL * (1.0 + point.y_norm * np.linalg.norm(H))
+    if abs(gap) > tol:
+        return False, INF, 0.0, 0.0
+    alpha = sum(2.0 * float(sy[ab.indices] @ np.diag(G))
+                for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)))
+    beta = float(sy[part.beta] @ np.diag(_beta_cross_term(blocks)))
+    d2f = f.second_subderivative(s, sy, d1, tol)
+    return True, d2f + alpha + beta, alpha, beta
+
+
+def _close(a, b, rtol=1e-12):
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= rtol * max(1.0, abs(b))
+
+
+def _assert_stacked_matches(point, Hs):
+    stacked = point.second_subderivatives(Hs)
+    assert len(stacked) == len(Hs)
+    for H, a in zip(Hs, stacked):
+        b = point.second_subderivative(H)
+        assert a.critical == b.critical
+        assert a.warnings == b.warnings
+        for field in ("value", "d2f_term", "alpha_term", "beta_term",
+                      "duality_gap"):
+            assert _close(getattr(a, field), getattr(b, field)), field
+        crit, value, alpha, beta = _reference_report(point, H)
+        assert a.critical == crit
+        assert _close(a.value, value)
+        assert _close(a.alpha_term, alpha) and _close(a.beta_term, beta)
+    return stacked
+
+
+class TestBatchedDirections:
+    """A (k, m, n) stack gives the reports of k separate calls, and both
+    agree with the per-direction reduced-block formula."""
+
+    CASES = {
+        "zero": (3, 2, [0.0, 0.0]),
+        "full-rank": (4, 3, [3.0, 2.0, 1.0]),
+        "n=1": (3, 1, [2.0]),
+        "n=1-zero": (1, 1, [0.0]),
+        "square": (4, 4, [3.0, 2.0, 2.0, 0.0]),
+        "tall-40x4": (40, 4, [2.5, 1.5, 0.0, 0.0]),
+        "clusters": (7, 6, [3.0, 3.0, 2.0, 2.0, 2.0, 0.0]),
+    }
+
+    @pytest.mark.parametrize("randomize", [False, True])
+    @pytest.mark.parametrize("case, fname", [
+        (case, fname) for case, (_, n, _) in CASES.items()
+        for fname in ("l1", "linf", "kyfan:2")
+        if n >= 2 or fname != "kyfan:2"])
+    def test_stack_matches_single_calls(self, case, fname, randomize):
+        m, n, svals = self.CASES[case]
+        point, Hs = _prepared(m, n, svals, fname, seed=m * n,
+                              randomize=randomize)
+        _assert_stacked_matches(point, Hs)
+
+    def test_mixed_critical_rows(self):
+        point, Hs = _prepared(6, 5, [3.0, 2.0, 2.0, 0.0, 0.0], "l1", seed=4)
+        crit = [rep.critical for rep in _assert_stacked_matches(point, Hs)]
+        assert crit == [False, True, False, True, True, True]
+
+    def test_bad_rows_raise_like_single_calls(self):
+        from specvar.errors import NonFinite
+        point, Hs = _prepared(4, 3, [3.0, 2.0, 0.0], "l1", seed=1)
+        Hs[2, 0, 0] = np.nan
+        with pytest.raises(NonFinite):
+            point.second_subderivatives(Hs)
+        with pytest.raises(NonFinite):
+            point.second_subderivative(Hs[2])
+        with pytest.raises(ShapeError):
+            point.second_subderivatives(Hs[:, :, :2])
+        with pytest.raises(ShapeError):
+            point.second_subderivative(Hs[0, :, :2])
+        assert point.second_subderivatives(Hs[:0]) == []
+
+    def test_scalar_tolerance(self):
+        point, Hs = _prepared(6, 5, [3.0, 2.0, 2.0, 0.0, 0.0], "l1", seed=4)
+        for tol in (1e-9, 10.0):
+            for H, a in zip(Hs, point.second_subderivatives(Hs, tol)):
+                b = point.second_subderivative(H, tol)
+                assert a.critical == b.critical
+                assert _close(a.value, b.value)
+
+    @pytest.mark.parametrize("svals, fires", [
+        ([1.0 + 5e-7, 1.0, 0.0], 1),      # neighbouring blocks: both warn
+        ([2.0, 1.0, 0.0], 0),
+    ])
+    def test_conditioning_warning_per_call(self, svals, fires):
+        import warnings
+        from specvar.errors import ConditioningWarning
+        from specvar.sv_calculus import direction_blocks
+        point, Hs = _prepared(4, 3, svals, "l1", seed=2)
+
+        def fired(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = fn()
+            return out, [str(w.message) for w in caught
+                         if issubclass(w.category, ConditioningWarning)]
+
+        per_block = fired(lambda: direction_blocks(point.X, Hs[0]))[1]
+        assert len(per_block) == 2 * fires
+        assert fired(lambda: point.second_subderivative(Hs[0]))[1] \
+            == per_block
+        assert fired(lambda: F_second_subderivative(
+            point.f, point.X, point.Y, Hs[0]))[1] == per_block
+        reports, caught = fired(lambda: point.second_subderivatives(Hs))
+        assert caught == per_block
+        assert all(len(rep.warnings) == (2 * fires if rep.critical else 0)
+                   for rep in reports)
+
+    @pytest.mark.parametrize("fname", ["l1", "linf", "kyfan:2"])
+    def test_stack_property(self, fname):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=40)
+        @hypothesis.given(n=st.integers(1, 5), extra=st.integers(0, 3),
+                          rank=st.integers(0, 5), cluster=st.booleans(),
+                          randomize=st.booleans(),
+                          seed=st.integers(0, 2**16))
+        def prop(n, extra, rank, cluster, randomize, seed):
+            hypothesis.assume(fname != "kyfan:2" or n >= 2)
+            r = min(rank, n)
+            svals = np.zeros(n)
+            svals[:r] = np.linspace(3.0, 0.5, r)
+            if cluster and r >= 2:
+                svals[1] = svals[0]
+            point, Hs = _prepared(n + extra, n, svals, fname, seed,
+                                  randomize=randomize)
+            _assert_stacked_matches(point, Hs)
+
+        prop()

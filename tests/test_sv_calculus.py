@@ -178,6 +178,16 @@ class TestSigmaDir2:
         with pytest.warns(ConditioningWarning):
             sigma_dir2(X, SWAP, np.zeros((2, 2)))
 
+    def test_no_overflow_near_float_max(self):
+        # mu + sigma_j = 2e308 overflows; the gap and the 1/(mu + sigma_j)
+        # weight are formed without it
+        X = np.diag([1e308, 1e308])
+        H = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d2 = sigma_dir2(X, H, np.eye(2))
+        np.testing.assert_allclose(d2, [1.0, 1.0], rtol=1e-12)
+
 
 class TestGaugeInvariance:
     def test_dir1_dir2_over_seeds(self):
