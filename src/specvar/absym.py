@@ -26,6 +26,7 @@ from .matrix_core import F_CONE_TOL, SUBDIFF_TOL, ZERO_TOL, cluster_blocks
 
 ExtendedValue = float
 INF = math.inf
+_HALF_MAX = np.finfo(float).max / 2   # k terms <= _HALF_MAX / k: finite sum
 
 
 def _as_vector(x, name="x"):
@@ -181,10 +182,13 @@ class _TopKAbs:
 
     def _check(self, x):
         x = _as_vector(x)
-        k = len(x) if self.k is None else self.k
-        if k < 1 or k > len(x):
-            raise BadK(f"k={k} outside 1..{len(x)}")
-        return x, k
+        return x, self._order(len(x))
+
+    def _order(self, n):
+        k = n if self.k is None else self.k
+        if k < 1 or k > n:
+            raise BadK(f"k={k} outside 1..{n}")
+        return k
 
     def _face(self, x, k):
         """_classify(x, k), kept while x repeats (one sigma(X), many w)."""
@@ -194,8 +198,18 @@ class _TopKAbs:
         return last[2]
 
     def eval(self, x):
-        x, k = self._check(x)
-        return _sum_top(np.abs(x), k)
+        """A float for an (n,) vector; for (s, n) rows an (s,) array whose
+        entry i is bitwise eval(x[i]).  Overflow gives +inf silently."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2):
+            raise ShapeError("x must be a vector or (s, n) rows")
+        k = self._order(x.shape[-1])
+        top = np.sort(np.abs(x))[..., ::-1][..., :k]   # largest first
+        if x.ndim == 1 and top[0] <= _HALF_MAX / k:
+            return float(top.sum())   # cannot overflow; errstate costs more
+        with np.errstate(over="ignore"):
+            total = np.ascontiguousarray(top).sum(axis=-1)
+        return float(total) if x.ndim == 1 else total
 
     def subderivative(self, x, w):
         x, k = self._check(x)
@@ -288,6 +302,10 @@ class _TopKAbs:
 @dataclass(frozen=True)
 class SpectralFunctionSpec:
     """An absolutely symmetric function bundled with its calculus hooks.
+
+    ``eval`` maps an (n,) vector to a float and (s, n) rows to an (s,)
+    array, entry i bitwise ``eval(x[i])``: the growth probe scores all
+    its samples in one call.
 
     ``second_subderivative(x, v, w, tol=None)`` must return the full
     second subderivative d2f(x|v)(w) as an extended real; for polyhedral

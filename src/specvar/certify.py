@@ -26,6 +26,14 @@ from .oracles import fd_gradient_check
 
 # -- objective smooth parts ------------------------------------------------------
 
+def _entry_sums(A):
+    """np.sum of a matrix, or a (k,) array over a (k, m, n) stack: each
+    contiguous row is summed pairwise like the whole matrix, bitwise."""
+    if A.ndim == 3:
+        return np.sum(A.reshape(len(A), -1), axis=1)
+    return float(np.sum(A))
+
+
 class HalfSquaredDistance:
     """psi(X) = ||X - B||^2 / 2."""
 
@@ -33,7 +41,7 @@ class HalfSquaredDistance:
         self.B = as_matrix(B, "B")
 
     def value(self, X):
-        return 0.5 * float(np.sum((X - self.B) ** 2))
+        return 0.5 * _entry_sums((X - self.B) ** 2)
 
     def gradient(self, X):
         return X - self.B
@@ -56,6 +64,8 @@ class LeastSquares:
         return np.tensordot(self.A, X, axes=([1, 2], [0, 1]))
 
     def value(self, X):
+        if np.ndim(X) == 3:   # per matrix: a stacked gemm rounds differently
+            return np.array([self.value(Xi) for Xi in X])
         r = self._apply(X) - self.b
         return 0.5 * float(r @ r)
 
@@ -79,8 +89,8 @@ class QuadraticMinusRankOne:
         self.gamma = float(gamma)
 
     def value(self, X):
-        t = float(np.sum(self.E * X))
-        return 0.5 * float(np.sum((X - self.B) ** 2)) \
+        t = _entry_sums(self.E * X)
+        return 0.5 * _entry_sums((X - self.B) ** 2) \
             - 0.5 * self.gamma * t * t
 
     def gradient(self, X):
@@ -94,7 +104,11 @@ class QuadraticMinusRankOne:
 @dataclass(frozen=True)
 class ProblemSpec:
     """min psi(X) + f(sigma(X)); fold any weight into f before building
-    (see absym.scale_spec)."""
+    (see absym.scale_spec).
+
+    ``psi.value`` maps an (m, n) matrix to a float and a (k, m, n) stack
+    to a (k,) array, entry i bitwise ``psi.value(X[i])``: the growth
+    probe scores its samples in stacks."""
 
     psi: object
     f: SpectralFunctionSpec
@@ -314,35 +328,50 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         counterexample=counterexample)
 
 
+def _stacked(values, k, hook):
+    """A hook's values for a stack of k, which must have shape (k,)."""
+    if np.shape(values) != (k,):
+        raise ShapeError(f"{hook} returned shape {np.shape(values)} for a "
+                         f"stack of {k}")
+    return values
+
+
 def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     """min over sampled X in ball(X0, eps) of the growth quotient
     [obj(X) - obj(X0)] / ||X - X0||^2; deterministic for a fixed seed.
 
-    Samples are drawn one by one in a fixed order (direction, then
-    radius) and their singular values come from one stacked SVD per
-    chunk, so the result does not depend on the chunk size."""
+    Sample i draws D = standard_normal(X0.shape), then u = uniform(0, 1),
+    and is X0 + r D / ||D|| with r = eps max(u, 1e-12)^(1 / X0.size).
+    Each chunk of samples takes one stacked SVD and one ``psi.value``
+    call; one ``f.eval`` call scores all n_samples x min(m, n) singular
+    values.  The quotients are bitwise those of one ``objective`` call
+    per sample for any chunk size.  n_samples <= 0 calls no hook: +inf."""
     X0 = as_matrix(X0, "X0")
+    n_samples = int(n_samples)
+    if n_samples <= 0:
+        return INF
     base = objective(p, X0)
     rng = np.random.default_rng(seed)
-    best = INF
     d = X0.size
     chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
-    left = int(n_samples)
-    while left > 0:
-        k = min(chunk, left)
-        left -= k
-        radii = np.empty(k)
-        Xs = np.empty((k,) + X0.shape)
-        for i in range(k):
-            D = rng.standard_normal(X0.shape)
-            D /= np.linalg.norm(D)
+    radii, nrm, psi = np.empty((3, n_samples))
+    svals = np.empty((n_samples, min(X0.shape)))
+    for lo in range(0, n_samples, chunk):
+        Xs = np.empty((min(chunk, n_samples - lo),) + X0.shape)
+        for i, D in enumerate(Xs, lo):
+            rng.standard_normal(out=D)
+            flat = D.reshape(-1)
+            nrm[i] = math.sqrt(flat @ flat)   # np.linalg.norm(D)
             radii[i] = eps * max(rng.uniform(0.0, 1.0), 1e-12) ** (1.0 / d)
-            Xs[i] = X0 + radii[i] * D
-        svals = np.linalg.svd(Xs, compute_uv=False)
-        for X, s, radius in zip(Xs, svals, radii):
-            value = float(p.psi.value(X)) + float(p.f.eval(s))
-            best = min(best, (value - base) / (radius * radius))
-    return float(best)
+        at = slice(lo, lo + len(Xs))
+        Xs /= nrm[at, None, None]
+        Xs *= radii[at, None, None]
+        Xs += X0
+        psi[at] = _stacked(p.psi.value(Xs), len(Xs), "psi.value")
+        svals[at] = np.linalg.svd(Xs, compute_uv=False)
+    q = (psi + _stacked(p.f.eval(svals), n_samples, "f.eval") - base) \
+        / (radii * radii)
+    return float(np.fmin.reduce(q, initial=INF))
 
 
 # -- shipped fixtures ------------------------------------------------------------

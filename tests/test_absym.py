@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,71 @@ class TestFaceReuse:
         x[1] = 1.0   # the kept face is of a copy, so this is a new point
         assert spec.subderivative(x, w) == 0.0
         assert len(calls) == 2
+
+
+class TestRowEval:
+    """eval on (s, n) rows gives an (s,) array whose entry i is bitwise
+    eval(x[i]): the growth probe scores all its samples in one call."""
+
+    SPECS = {"l1": l1_spec, "linf": linf_spec,
+             "kyfan:2": lambda: kyfan_spec(2),
+             "0.5*l1": lambda: scale_spec(l1_spec(), 0.5)}
+
+    @staticmethod
+    def _assert_rows(f, x):
+        out = f.eval(x)
+        assert isinstance(out, np.ndarray) and out.shape == (len(x),)
+        assert np.array_equal(out, [f.eval(row) for row in x])
+
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_rows_match_vectors(self, name):
+        f = self.SPECS[name]()
+        rng = np.random.default_rng(4)
+        for s, n in ((1, 2), (5, 3), (40, 17), (3, 64), (7, 200)):
+            x = rng.standard_normal((s, n)) * 10.0 ** rng.integers(
+                -8, 9, (s, n))
+            x[0] = 0.0
+            x[-1, :2] = [-2.5, 2.5]
+            self._assert_rows(f, x)
+
+    def test_rows_bad_k(self):
+        with pytest.raises(BadK):
+            kyfan_spec(3).eval(np.ones((4, 2)))
+        with pytest.raises(BadK):
+            l1_spec().eval(np.ones((4, 0)))
+
+    def test_overflow_is_silent_inf(self):
+        big = np.finfo(float).max
+        f = l1_spec()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.eval([1e308, -1e308]) == INF
+            assert f.eval([big / 4, big / 4]) == big / 2
+            assert f.eval([big / 2, big / 2]) == big
+            rows = np.array([[1e308, 1e308], [big / 2, big / 2], [1.0, 2.0]])
+            assert f.eval(rows).tolist() == [INF, big, 3.0]
+
+    def test_rows_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=60)
+        @hypothesis.given(s=st.integers(1, 6), n=st.integers(1, 9),
+                          data=st.data())
+        def prop(s, n, data):
+            # few distinct magnitudes: ties, exact zeros, near-ties at
+            # 0.1x and 10x the clustering tolerance, scales 1e-8..1e8
+            cells = st.lists(st.sampled_from(
+                [0.0, 1.0, -1.0, 2.5, 1.0 + 1e-9, 1.0 - 1e-7]),
+                min_size=s * n, max_size=s * n)
+            scales = st.lists(st.sampled_from([1e-8, 1.0, 1e8]),
+                              min_size=s * n, max_size=s * n)
+            x = (np.array(data.draw(cells))
+                 * np.array(data.draw(scales))).reshape(s, n)
+            k = data.draw(st.integers(1, n))
+            for f in (l1_spec(), linf_spec(), kyfan_spec(k),
+                      scale_spec(l1_spec(), 0.5)):
+                self._assert_rows(f, x)
+
+        prop()

@@ -21,6 +21,7 @@ from specvar.certify import (
     svt_solve,
 )
 from specvar.errors import AssumptionViolated, SamplingExhausted
+from specvar.errors import ShapeError
 
 
 class TestSvt:
@@ -567,3 +568,133 @@ class TestChunkedCandidates:
         cert = certify(p, X0)
         assert len(cert.samples) == 200
         assert len(calls) <= 4
+
+
+def _growth_reference(p, X0, eps, n_samples, seed):
+    """The growth probe as one objective call per sample, as
+    _reference_certify's growth."""
+    base = objective(p, X0)
+    rng = np.random.default_rng(seed)
+    best = INF
+    for _ in range(n_samples):
+        D = rng.standard_normal(X0.shape)
+        D /= np.linalg.norm(D)
+        radius = eps * max(rng.uniform(0.0, 1.0), 1e-12) ** (1.0 / X0.size)
+        best = min(best, (objective(p, X0 + radius * D) - base)
+                   / (radius * radius))
+    return best
+
+
+def _least_squares_instance(m, n, seed):
+    rng = np.random.default_rng(seed)
+    p = ProblemSpec(psi=LeastSquares(rng.standard_normal((7, m, n)),
+                                     rng.standard_normal(7)),
+                    f=scale_spec(l1_spec(), 0.3))
+    return p, rng.standard_normal((m, n))
+
+
+def _half_squared_instance(m, n, seed):
+    rng = np.random.default_rng(seed)
+    p = ProblemSpec(psi=HalfSquaredDistance(rng.standard_normal((m, n))),
+                    f=scale_spec(l1_spec(), 0.5))
+    return p, rng.standard_normal((m, n))
+
+
+class _CountingPsi:
+    def __init__(self, psi):
+        self.psi, self.calls = psi, 0
+
+    def value(self, X):
+        self.calls += 1
+        return self.psi.value(X)
+
+
+class TestStackedGrowthProbe:
+    """The probe evaluates its samples as stacks (one psi.value per chunk,
+    one f.eval for all samples) and equals a per-sample objective loop
+    bitwise, for every chunk size."""
+
+    INSTANCES = {
+        "soft-fixture": soft_threshold_fixture,
+        "saddle-fixture": saddle_fixture,
+        "least-squares-5x3": lambda: _least_squares_instance(5, 3, 1),
+        "soft-7x5-gauge": lambda: _gauge_randomized(
+            *_soft_instance(7, 5, seed=1)),
+        "1x1": lambda: _half_squared_instance(1, 1, 2),
+        "6x1": lambda: _half_squared_instance(6, 1, 3),
+        "60x2": lambda: _half_squared_instance(60, 2, 4),
+    }
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 2001])
+    @pytest.mark.parametrize("name", list(INSTANCES))
+    def test_equals_per_sample_loop(self, name, n_samples, monkeypatch):
+        cmod = importlib.import_module("specvar.certify")
+        p, X0 = self.INSTANCES[name]()
+        ref = _growth_reference(p, X0, 1e-2, n_samples, seed=3)
+        for entries in (1, 64 * X0.size, X0.size, cmod._CHUNK_ENTRIES):
+            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+            counts, psi = {}, _CountingPsi(p.psi)
+            g = quadratic_growth_probe(
+                ProblemSpec(psi, _counting(p.f, counts)), X0, 1e-2,
+                n_samples, seed=3)
+            assert g == ref
+            assert counts == {"eval": 2}   # X0, then every sample at once
+            chunk = max(1, entries // X0.size)
+            assert psi.calls == 1 + -(-n_samples // chunk)
+
+    def test_no_samples_calls_no_hook(self):
+        p, X0 = soft_threshold_fixture()
+        counts, psi = {}, _CountingPsi(p.psi)
+        for n_samples in (0, -3):
+            assert quadratic_growth_probe(
+                ProblemSpec(psi, _counting(p.f, counts)), X0, 1e-2,
+                n_samples, seed=0) == INF
+        assert counts == {} and psi.calls == 0
+
+    @pytest.mark.parametrize("seed", [0, 10])
+    def test_certificate_growth_constant(self, seed):
+        p, X0 = _soft_instance(9, 8, seed=2)
+        cfg = SamplingConfig(seed=seed)
+        assert certify(p, X0, cfg).growth_constant_observed == \
+            _growth_reference(p, X0, cfg.growth_eps, cfg.growth_samples, seed)
+
+    def test_scalar_for_stack_is_shape_error(self):
+        from dataclasses import replace
+
+        class ScalarPsi(HalfSquaredDistance):
+            def value(self, X):
+                return 0.5 * float(np.sum((X - self.B) ** 2))
+
+        p, X0 = soft_threshold_fixture()
+        with pytest.raises(ShapeError, match="psi.value"):
+            quadratic_growth_probe(ProblemSpec(ScalarPsi(p.psi.B), p.f), X0,
+                                   1e-2, 5, seed=0)
+        f = replace(p.f, eval=lambda x: float(np.sum(np.abs(x))))
+        with pytest.raises(ShapeError, match="f.eval"):
+            quadratic_growth_probe(ProblemSpec(p.psi, f), X0, 1e-2, 5, seed=0)
+
+
+class TestStackedPsiValue:
+    """value on a (k, m, n) stack is a (k,) array, entry i bitwise equal to
+    value on matrix i."""
+
+    @staticmethod
+    def _psis(m, n, rng):
+        B = rng.standard_normal((m, n))
+        E = rng.standard_normal((m, n))
+        return [HalfSquaredDistance(B), QuadraticMinusRankOne(B, E, 1.7),
+                LeastSquares(rng.standard_normal((9, m, n)),
+                             rng.standard_normal(9))]
+
+    @pytest.mark.parametrize("shape", [(50, 3, 3), (4, 1, 1), (20, 6, 1),
+                                       (10, 40, 4), (3, 18, 16)])
+    def test_stack_matches_matrices(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for scale in (1.0, 1e-8, 1e8):
+            Xs = scale * rng.standard_normal(shape)
+            for psi in self._psis(*shape[1:], rng):
+                values = psi.value(Xs)
+                assert values.shape == (shape[0],)
+                singles = [psi.value(X) for X in Xs]
+                assert all(type(v) is float for v in singles)
+                assert np.array_equal(values, singles)

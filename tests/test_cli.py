@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,6 +333,24 @@ class TestErrorChannel:
         assert main(["eval", "--f", "l1", "--X", "/nonexistent/x.csv"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 3
+
+    def test_overflow_writes_no_warning(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.diag([1e308, 1e308]))
+        y = write(tmp_path, "y.csv", np.eye(2))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["second-subderiv", "--f", "l1", "--X", x, "--Y", y,
+                         "--H", y]) == 2
+            err = capsys.readouterr().err
+            assert main(["--out", str(tmp_path / "r.json"), "eval", "--f",
+                         "l1", "--X", x]) == 0
+        assert not caught
+        assert json.loads(err) == {
+            "schema": "specvar/1", "error": "AssumptionViolated",
+            "message": "l1 not finite at sigma(X)", "exit_code": 2}
+        assert capsys.readouterr().err == ""
+        rep = json.loads((tmp_path / "r.json").read_text())
+        assert rep["outputs"]["value"] == "inf"
 
 
 class TestRoundTrip:
