@@ -215,12 +215,10 @@ class _TopKAbs:
         x, k = self._check(x)
         w = _as_vector(w, "w")
         f = self._face(x, k)
-        val = float(np.sum(f.signs[f.above] * w[f.above]))
-        if f.theta_zero:
-            val += _sum_top(np.abs(w[f.tied]), f.q)
-        else:
-            val += _sum_top(f.signs[f.tied] * w[f.tied], f.q)
-        return val
+        u = np.abs(w[f.tied]) if f.theta_zero else f.signs[f.tied] * w[f.tied]
+        with np.errstate(over="ignore"):   # +-inf silently, as in eval
+            return (float(np.sum(f.signs[f.above] * w[f.above]))
+                    + _sum_top(u, f.q))
 
     def parabolic_subderivative(self, x, w, z):
         """Directional derivative of w -> df(x)(w) at w along z, which is
@@ -379,8 +377,8 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
     if c == 1.0:
         return spec
 
-    def contains(x, v, tol=SUBDIFF_TOL):
-        return spec.subdiff_contains(x, np.asarray(v, dtype=float) / c, tol)
+    def contains(x, v, tol=SUBDIFF_TOL):   # subdiff_violation(x, v) <= tol
+        return spec.subdiff_contains(x, np.asarray(v, float) / c, tol / c)
 
     def second(x, v, w, tol=None):
         if spec.second_subderivative is None:

@@ -276,8 +276,7 @@ def cmd_oracle(args, tols):
     cfg = oracles.OracleConfig(
         tau_grid=tuple(args.tau_grid), samples_per_tau=args.samples,
         radius_c=args.radius_c,
-        seed=args.seed if args.seed is not None else 0,
-        include_guided=not args.no_guided)
+        seed=args.seed if args.seed is not None else 0)
     g = _oracle_target(args, X, tols)
     echo = {"kind": args.kind, "target": args.target, "f": args.f, "X": X,
             "H": H, "seed": cfg.seed, "tau_grid": list(cfg.tau_grid),

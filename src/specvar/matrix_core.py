@@ -218,7 +218,7 @@ def sym_eig_ordered(A) -> EigDecomposition:
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise ShapeError(f"A must be square, got {A.shape}")
-    lam, Q = np.linalg.eigh(0.5 * (A + A.T))
+    lam, Q = np.linalg.eigh(0.5 * A + 0.5 * A.T)   # no overflow near max
     lam, Q = lam[::-1].copy(), Q[:, ::-1]
     Q = _fix_signs(Q)
     return EigDecomposition(Q=Q, lam=lam)

@@ -15,7 +15,6 @@ with X.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -24,7 +23,6 @@ import numpy as np
 from .absym import INF, ExtendedValue, SpectralFunctionSpec, _as_vector
 from .errors import (
     AssumptionViolated,
-    ConditioningWarning,
     FullRank,
     NoSimultaneousGauge,
     NotASubgradient,
@@ -49,12 +47,14 @@ from .matrix_core import (
     sym_eig_ordered,
 )
 from .sv_calculus import (
-    alpha_gaps,
-    alpha_quadratics,
+    _prepared,
+    alpha_terms,
     cross_term_hat,
     direction_blocks,
+    divided_differences,
     min_direction_from_blocks,
     sigma_dir1_from_blocks,
+    sigma_dir1_stack,
     sigma_dir2_from_blocks,
 )
 
@@ -139,10 +139,10 @@ def F_subderivative(f: SpectralFunctionSpec, X, H,
     if not _flags_ok(f):
         raise AssumptionViolated(
             f"{f.name}: need (lsc and convex) or Lipschitz-on-domain")
-    blocks = direction_blocks(X, H, None, tols)
-    if not math.isfinite(f.eval(blocks.gauge.sigma)):
+    svd, part, Hhat = _prepared(X, H, None, tols)
+    if not math.isfinite(f.eval(svd.sigma)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-    return f.subderivative(blocks.gauge.sigma, sigma_dir1_from_blocks(blocks))
+    return f.subderivative(svd.sigma, sigma_dir1_stack(Hhat[None], part)[0])
 
 
 def _subdiff_residual(level, X, Y, sx=None):
@@ -204,37 +204,29 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
     svd = svd_ordered(X)
     if not _in_subdiff(f, X, Y, sx=svd.sigma):
         raise NotASubgradient("Y is not a subgradient of F at X")
-    H = as_matrix(H, "H")
+    H = _like(H, X, "H")
     part = partition_of(svd, tols)
     if diagnostics:
         svd, part, sy = _align(svd, part, Y)
-    blocks = direction_blocks(X, H, svd, tols, part=part)
-    d1 = sigma_dir1_from_blocks(blocks)
-    dF = f.subderivative(blocks.gauge.sigma, d1)
-    gap = dF - float(np.sum(Y * H))
+    Hhat = svd.U.T @ H @ svd.V
+    d1 = sigma_dir1_stack(Hhat[None], part)[0]
+    gap = f.subderivative(svd.sigma, d1) - float(np.sum(Y * H))
     if tol is None:
         tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
     member = abs(gap) <= tol
     if not diagnostics:
         return member
-    fan_gaps = []
-    for ab in blocks.alpha:
-        yb = sy[ab.indices]
-        fan_gaps.append(float(yb @ ab.eta - np.sum(np.diag(yb) * ab.S)))
-    vn_gap = 0.0
-    if blocks.beta is not None:
-        yb = sy[blocks.beta.indices]
-        vn_gap = float(yb @ blocks.beta.eta
-                       - np.sum(np.diag(yb) * blocks.beta.R[:len(yb), :]))
-    finfo = {
+    # Fan / von Neumann gap of a block: sy . (sigma' - diag Hhat) on it
+    excess = sy * (d1 - np.diagonal(Hhat))
+    return member, {
         "member": member,
         "duality_gap": gap,
         "f_level_member": f.critical_cone_contains(
-            blocks.gauge.sigma, np.sort(sy)[::-1], d1, tol),
-        "fan_gaps": fan_gaps,
-        "von_neumann_gap": vn_gap,
+            svd.sigma, np.sort(sy)[::-1], d1, tol),
+        "fan_gaps": [float(np.sum(excess[b[0]:b[-1] + 1]))
+                     for b in part.alpha_blocks],
+        "von_neumann_gap": float(np.sum(excess[part.r:])),
     }
-    return member, finfo
 
 
 @dataclass(frozen=True)
@@ -257,9 +249,10 @@ class SpectralPoint:
     Construction checks the flags and hooks of f, builds the aligned
     gauge and the partition of sigma(X) (``simultaneous_gauge``), checks
     sigma(Y) in df(sigma(X)) and that f is finite at sigma(X), and keeps
-    ||Y|| and the point-only tables below.  The formula depends on H only
-    through Hhat = U^T H V, so a stack of directions then costs one
-    batched product and a few contractions: no SVD of X, no partition.
+    ||Y||, the ``DividedDifferences`` of sigma(X) and the beta weights.
+    The formula depends on H only through Hhat = U^T H V, so a stack of
+    directions costs one batched product and the ``sv_calculus`` kernel:
+    no SVD of X, no partition.
     """
 
     def __init__(self, f: SpectralFunctionSpec, X, Y, tols=TOLERANCES):
@@ -277,31 +270,17 @@ class SpectralPoint:
         self.gauge, self.part, self.sy = simultaneous_gauge(
             self.X, self.Y, tols)
         s, sy, part = self.gauge.sigma, self.sy, self.part
-        blocks, r, n = part.alpha_blocks, part.r, part.n
         if not f.subdiff_contains(s, sy):
             raise NotASubgradient(
                 "sigma(Y) is not in the subdifferential of f at sigma(X)")
         if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
         self.y_norm = float(np.linalg.norm(self.Y))
-        self._clusters = [slice(b[0], b[-1] + 1) for b in blocks if len(b) > 1]
-        gaps = alpha_gaps(s, blocks, part.m)
-        self._warns = [w for _, _, w in gaps if w]
+        self._tables = divided_differences(s, part)
         self._report_warns = tuple(
             f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "
-            "ill-conditioned" for mu, g, w in gaps if w)
-        # divided differences, column i < r at its block value mu_i and
-        # scaled by sy_i: D_ji = 1/(mu_i - sigma_j) (0 inside the block),
-        # E_ji = 1/(mu_i + sigma_j) halved on both sides (no overflow),
-        # C_i = 1/(2 mu_i); B_ji = -2 sy_j / sigma_i for beta rows j
-        start = np.full(n, -1)
-        start[:r] = np.repeat([b[0] for b in blocks], [len(b) for b in blocks])
-        mu = s[start[:r]]
-        self._D = np.divide(sy[:r], mu - s[:, None], out=np.zeros((n, r)),
-                            where=start[:, None] != start[:r])
-        self._E = sy[:r] * (0.5 / (0.5 * mu + 0.5 * s[:, None]))
-        self._C = sy[:r] * (0.5 / mu)
-        self._B = -2.0 * sy[r:, None] / s[:r]
+            "ill-conditioned" for mu, g, w in self._tables.gaps if w)
+        self._B = -2.0 * sy[part.r:, None] / s[:part.r]   # beta weights
 
     def second_subderivatives(self, Hs, tol=None):
         """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack.
@@ -314,25 +293,15 @@ class SpectralPoint:
         Hs = np.asarray(Hs, dtype=float)
         if Hs.ndim != 3 or Hs.shape[1:] != self.X.shape:
             raise ShapeError(f"X {self.X.shape} and H {Hs.shape[1:]} differ")
-        for warn in self._warns:
-            warnings.warn(warn, ConditioningWarning, stacklevel=2)
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
         r, n = part.r, part.n
         flat = as_matrix(Hs.reshape(len(Hs), self.X.size), "H")
         Hhat = self.gauge.U.T @ Hs @ self.gauge.V
-        A = Hhat[:, :n]
-        Sym = 0.5 * (A + A.transpose(0, 2, 1))
-        d1 = Sym.diagonal(axis1=1, axis2=2).copy()     # singleton blocks
-        for a in self._clusters:
-            d1[:, a] = np.linalg.eigvalsh(Sym[:, a, a])[:, ::-1]
-        d1[:, r:] = np.linalg.svd(Hhat[:, r:, r:], compute_uv=False)
+        d1 = sigma_dir1_stack(Hhat, part)
         yh = (flat * self.Y.ravel()).sum(axis=1)
         tols = [tol] * len(Hs) if tol is not None else [
             CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(h)) for h in flat]
-        Skw = 0.5 * (A - A.transpose(0, 2, 1))
-        alpha = 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, self._D)
-                       + np.einsum("kji,ji->k", Skw[:, :, :r] ** 2, self._E)
-                       + np.einsum("kci,i->k", Hhat[:, n:, :r] ** 2, self._C))
+        alpha = alpha_terms(Hhat, self._tables, sy[:r])
         beta = np.einsum("kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n],
                          self._B)
         out = []
@@ -485,14 +454,14 @@ def nuclear_psi_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
 def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     """Second derivative of the top-r singular value sum along H.
 
-    One resolvent trace per distinct positive singular value; smooth in a
+    The alpha contraction at unit weights, 2 sum_a tr G_a; smooth in a
     neighborhood of X because the r-th and (r+1)-th values stay apart.
     """
-    X = as_matrix(X, "X")
-    blocks = direction_blocks(X, H, None, tols)
-    if blocks.part.r == 0:
+    svd, part, Hhat = _prepared(X, H, None, tols)
+    if part.r == 0:
         raise RankZero("X has rank 0")
-    return 2.0 * sum(float(np.trace(G)) for G in alpha_quadratics(blocks))
+    tables = divided_differences(svd.sigma, part)
+    return float(alpha_terms(Hhat[None], tables, 1.0)[0])
 
 
 def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
@@ -506,8 +475,8 @@ def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     X = as_matrix(X, "X")
     Omega = _like(Omega, X, "Omega")
     H = _like(H, X, "H")
-    blocks = direction_blocks(X, H, None, tols)
-    svd, r = blocks.gauge, blocks.part.r
+    svd, part, Hhat = _prepared(X, H, None, tols)
+    r = part.r
     tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
     M = svd.U.T @ Omega @ svd.V
     if np.linalg.norm(M[:r, :r] - np.eye(r)) > tol:
@@ -520,8 +489,9 @@ def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     if len(svals) and svals[0] > 1.0 + tol:
         raise NotASubgradient(
             "zero-block part of Omega exceeds the unit spectral ball")
-    phi_term = 2.0 * sum(float(np.trace(G)) for G in alpha_quadratics(blocks))
-    return phi_term + _psi_epi_term(Z, blocks.Hhat, svd.sigma[:r])
+    tables = divided_differences(svd.sigma, part)
+    return (float(alpha_terms(Hhat[None], tables, 1.0)[0])
+            + _psi_epi_term(Z, Hhat, svd.sigma[:r]))
 
 
 # -- invariant sets ------------------------------------------------------------

@@ -37,7 +37,6 @@ class OracleConfig:
     samples_per_tau: int = 64
     radius_c: float = 2.0
     seed: int = 0
-    include_guided: bool = True
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.tau_grid)
@@ -100,17 +99,11 @@ def quotient2_fixed(g, x, v, w, cfg: OracleConfig):
 
 def _liminf_at_tau(g, x, g0, v, w, tau, cfg, guided_directions, rng):
     """Minimum second-order quotient over perturbed directions at one tau."""
-    candidates = [w]
-    if cfg.include_guided:
-        candidates += [w + tau * _like(D, x, "guide")
-                       for D in guided_directions]
-    for _ in range(cfg.samples_per_tau):
-        candidates.append(w + tau * cfg.radius_c * _unit(rng, w.shape))
-    vals = []
-    for wp in candidates:
-        vals.append((float(g(x + tau * wp)) - g0 - tau * _dot(v, wp))
-                    / (0.5 * tau * tau))
-    return min(vals)
+    guided = [w + tau * _like(D, x, "guide") for D in guided_directions]
+    sampled = [w + tau * cfg.radius_c * _unit(rng, w.shape)
+               for _ in range(cfg.samples_per_tau)]
+    return min((float(g(x + tau * wp)) - g0 - tau * _dot(v, wp))
+               / (0.5 * tau * tau) for wp in [w] + guided + sampled)
 
 
 def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):

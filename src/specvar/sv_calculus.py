@@ -4,12 +4,10 @@ Everything here is driven by the block structure that a direction H
 induces on top of the multiplicity structure of X: inside each block of
 equal singular values the first-order behaviour is an eigenvalue problem
 for the reduced symmetric block, and across blocks the second-order
-behaviour picks up a resolvent correction.  That correction is a masked
-divided-difference (Loewner) form in the SVD basis: with Hhat = U^T H V
-split into its symmetric and skew n x n parts and its trailing m - n
-rows, block a at value mu weighs them by 1/(mu - sigma_j) (zero inside
-the block), 1/(mu + sigma_j) and 1/(2 mu).  Zero singular values behave
-like a reduced rectangular SVD problem instead.
+behaviour picks up a resolvent correction: a masked divided-difference
+(Loewner) form in Hhat = U^T H V whose point-only tables are the one
+``DividedDifferences`` of X.  Zero singular values behave like a
+reduced rectangular SVD problem instead.
 """
 
 from __future__ import annotations
@@ -68,12 +66,28 @@ class BetaBlock:
 
 
 @dataclass(frozen=True)
+class DividedDifferences:
+    """Point-only alpha-term tables of sigma(X), column i < r at its block
+    value mu_i, and (mu, min_gap, warning text or "") per alpha block."""
+
+    D: np.ndarray            # n x r: 1/(mu_i - sigma_j), 0 inside the block
+    E: np.ndarray            # n x r: 1/(mu_i + sigma_j), halved (no overflow)
+    C: np.ndarray            # r: 1/(2 mu_i)
+    gaps: list
+
+    def warn(self):
+        for text in filter(None, (text for _, _, text in self.gaps)):
+            warnings.warn(text, ConditioningWarning, stacklevel=3)
+
+
+@dataclass(frozen=True)
 class DirectionBlocks:
     """All reduced blocks of a pair (X, H) in a fixed SVD gauge."""
 
     gauge: SvdDecomposition
     part: SingularPartition
     Hhat: np.ndarray         # U^T H V in the gauge, m x n
+    tables: DividedDifferences
     alpha: list              # list of AlphaBlock
     beta: BetaBlock | None
     ltilde: np.ndarray       # 1-based second-level rank per index
@@ -104,62 +118,90 @@ def _sym_eigvals(D):
     return D[0] if len(D) == 1 else np.linalg.eigvalsh(D)[::-1]
 
 
-def alpha_gaps(s, alpha_blocks, m):
-    """(mu, min_gap, ConditioningWarning text or "") of every alpha block
-    of the values s of an m-row X: the gap from mu to the rest of the
-    lift [[0, X], [X^T, 0]] (sigma_j off the block, -sigma_j, 0 if m > n)
-    warns below GAP_WARN max(1, sigma_1)."""
-    scale = max(1.0, s[0]) if len(s) else 1.0
-    out = []
-    for blk in alpha_blocks:
-        mu = float(s[blk[0]])
-        gap = np.abs(mu - s)
-        gap[_block_slice(blk)] = np.inf
-        # Python floats: mu + sigma_n may overflow to inf, without a warning
-        min_gap = float(min(gap.min(), mu + float(s[-1]),
-                            mu if m > len(s) else np.inf))
-        out.append((mu, min_gap, "" if min_gap >= GAP_WARN * scale else (
-            f"spectral gap {min_gap:.3e} at block value {mu:.6g} below "
-            f"{GAP_WARN * scale:.1e}; second-order output ill-conditioned")))
-    return out
+def _sym_skw(A):
+    """Symmetric and skew parts over A's last two axes, halved first: the
+    same floats, but no overflow near float max."""
+    At = np.swapaxes(A, -1, -2)
+    return 0.5 * A + 0.5 * At, 0.5 * A - 0.5 * At
 
 
-def direction_blocks(X, H, gauge=None, tols=TOLERANCES,
-                     part=None) -> DirectionBlocks:
+def divided_differences(s, part: SingularPartition) -> DividedDifferences:
+    """The ``DividedDifferences`` of the values s under ``part``: the gap
+    from mu to the rest of the lift [[0, X], [X^T, 0]] (sigma_j off the
+    block, -sigma_j, 0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
+    n, r, t = part.n, part.r, part.t
+    # block number of every index, t for the zero block
+    owner = np.repeat(np.arange(t + 1),
+                      [len(b) for b in part.alpha_blocks] + [n - r])
+    mu, cols = part.mu, owner[:r]
+    diff = mu - s[:, None]                           # n x t
+    diff[owner[:, None] == np.arange(t)] = np.inf    # own block: D = 0
+    with np.errstate(over="ignore"):   # mu + sigma_n may overflow to inf
+        gap = np.minimum(np.abs(diff).min(axis=0, initial=np.inf), mu + s[-1:])
+    gap = np.minimum(gap, mu if part.m > n else np.inf)
+    warn = GAP_WARN * max(1.0, s[0]) if n else GAP_WARN
+    text = ("spectral gap {:.3e} at block value {:.6g} below {:.1e}; "
+            "second-order output ill-conditioned")
+    gaps = [(m, g, "" if g >= warn else text.format(g, m, warn))
+            for m, g in zip(mu.tolist(), gap.tolist())]
+    E = 0.5 / (0.5 * mu + 0.5 * s[:, None])          # halved: no overflow
+    return DividedDifferences((1.0 / diff)[:, cols], E[:, cols],
+                              (0.5 / mu)[cols], gaps)
+
+
+def _prepared(X, H, gauge=None, tols=TOLERANCES):
+    """(gauge or svd_ordered(X), partition, U^T H V) of checked X and H."""
+    X, H = as_matrix(X, "X"), as_matrix(H, "H")
+    if X.shape != H.shape:
+        raise ShapeError(f"X {X.shape} and H {H.shape} differ")
+    svd = svd_ordered(X) if gauge is None else gauge
+    return svd, partition_of(svd, tols), svd.U.T @ H @ svd.V
+
+
+def sigma_dir1_stack(Hhat, part: SingularPartition):
+    """sigma'(X; H) for every H of a (k, m, n) stack Hhat = U^T H V, as
+    in ``sigma_dir1`` (a singleton block reads diag(Hhat))."""
+    d1 = Hhat.diagonal(axis1=1, axis2=2).copy()
+    for a in map(_block_slice, part.alpha_blocks):
+        if a.stop - a.start > 1:
+            d1[:, a] = np.linalg.eigvalsh(_sym_skw(Hhat[:, a, a])[0])[:, ::-1]
+    d1[:, part.r:] = np.linalg.svd(Hhat[:, part.r:, part.r:], compute_uv=False)
+    return d1
+
+
+def alpha_terms(Hhat, dd: DividedDifferences, w):
+    """2 sum_i w_i (G_a)_ii (see ``alpha_quadratics``) for every H of a
+    (k, m, n) stack Hhat; small-gap blocks warn."""
+    dd.warn()
+    n, r = dd.E.shape
+    Sym, Skw = _sym_skw(Hhat[:, :n])
+    return 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, dd.D * w)
+                  + np.einsum("kji,ji->k", Skw[:, :, :r] ** 2, dd.E * w)
+                  + np.einsum("kci,i->k", Hhat[:, n:, :r] ** 2, dd.C * w))
+
+
+def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     """Compute the per-direction reduced blocks of (X, H).
 
     ``gauge`` may supply a specific ordered SVD of X (any valid one); by
     default the deterministic ``svd_ordered`` gauge is used.  All outputs
     of ``sigma_dir1``/``sigma_dir2`` are invariant under this choice.
-    A caller that already holds ``part = partition_of(gauge, tols)`` may
-    pass it; a prepared point evaluating many directions then costs no
-    SVD and no partition per direction.
     """
-    X = as_matrix(X, "X")
-    H = as_matrix(H, "H")
-    if X.shape != H.shape:
-        raise ShapeError(f"X {X.shape} and H {H.shape} differ")
-    m, n = X.shape
-    svd = svd_ordered(X) if gauge is None else gauge
-    if part is None:
-        part = partition_of(svd, tols)
-    s = svd.sigma
-    Hhat = svd.U.T @ H @ svd.V
-    Sym = 0.5 * (Hhat[:n] + Hhat[:n].T)
+    svd, part, Hhat = _prepared(X, H, gauge, tols)
+    n = part.n
+    dd = divided_differences(svd.sigma, part)
+    dd.warn()
+    Sym = _sym_skw(Hhat[:n])[0]
 
     ltilde = np.zeros(n, dtype=int)
     alpha = []
-    for blk, (mu, min_gap, warn) in zip(part.alpha_blocks,
-                                         alpha_gaps(s, part.alpha_blocks, m)):
-        if warn:
-            warnings.warn(warn, ConditioningWarning, stacklevel=2)
+    for blk, (mu, min_gap, _) in zip(part.alpha_blocks, dd.gaps):
         a = _block_slice(blk)
         S = Sym[a, a]
         Q, eta, groups = _reduced_eig(S, tols)
-        # rank within the second-level group
-        for grp in groups:
-            for pos, loc in enumerate(grp):
-                ltilde[blk[loc]] = pos + 1
+        for grp in groups:   # rank within the second-level group
+            for pos, loc in enumerate(grp, 1):
+                ltilde[blk[loc]] = pos
         alpha.append(AlphaBlock(indices=list(blk), mu=mu, min_gap=min_gap,
                                 S=S, Q=Q, eta=eta, groups=groups))
 
@@ -170,53 +212,40 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES,
         Q, eta, Qhat_t = np.linalg.svd(R, full_matrices=False)
         Q, Qhat = _fix_signs(Q, Qhat_t.T)
         rpart = partition_values(eta, tols)
-        groups = list(rpart.alpha_blocks)
-        zero_group = list(rpart.beta)
-        for grp in groups + ([zero_group] if zero_group else []):
-            for pos, loc in enumerate(grp):
-                ltilde[part.r + loc] = pos + 1
+        groups, zero_group = rpart.alpha_blocks, rpart.beta
+        for grp in groups + [zero_group]:
+            for pos, loc in enumerate(grp, 1):
+                ltilde[part.r + loc] = pos
         beta = BetaBlock(indices=list(part.beta), R=R, Q=Q, eta=eta,
                          Qhat=Qhat, groups=groups, zero_group=zero_group)
 
-    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, alpha=alpha,
-                           beta=beta, ltilde=ltilde)
+    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, tables=dd,
+                           alpha=alpha, beta=beta, ltilde=ltilde)
 
 
 def alpha_quadratics(blocks: DirectionBlocks):
     """Resolvent quadratic G_a of every alpha block, in block order.
 
-    With A = Hhat[:n], Sym and Skw its symmetric and skew parts and
-    C = Hhat[n:], block a at value mu gives
-    G_a = Sym_a^T diag(1/(mu - sigma_j), 0 for j in a) Sym_a
-          + Skw_a^T diag(1/(mu + sigma_j)) Skw_a + C_a^T C_a / (2 mu),
-    where _a selects the block's columns; Skw / (mu + sigma_j) is halved
-    on both sides: the same floats, but no overflow near float max.
+    With Sym, Skw the symmetric and skew parts of Hhat[:n], T = Hhat[n:]
+    and _a the block's columns (of the tables too), G_a = Sym_a^T (D_a *
+    Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu).
     """
-    s = blocks.gauge.sigma
-    n = len(s)
-    A, C = blocks.Hhat[:n], blocks.Hhat[n:]
-    Sym, Skw = 0.5 * (A + A.T), 0.5 * (A - A.T)
+    dd, n = blocks.tables, blocks.part.n
+    Sym, Skw = _sym_skw(blocks.Hhat[:n])
     out = []
     for ab in blocks.alpha:
         a = _block_slice(ab.indices)
-        gap = ab.mu - s
-        gap[a] = np.inf
-        Sa, Ka, Ca = Sym[:, a], Skw[:, a], C[:, a]
-        out.append(Sa.T @ (Sa / gap[:, None])
-                   + Ka.T @ (0.5 * Ka / (0.5 * ab.mu + 0.5 * s)[:, None])
-                   + Ca.T @ Ca / (2.0 * ab.mu))
+        Sa, Ka, Ta = Sym[:, a], Skw[:, a], blocks.Hhat[n:, a]
+        out.append(Sa.T @ (Sa * dd.D[:, a]) + Ka.T @ (Ka * dd.E[:, a])
+                   + dd.C[a] * (Ta.T @ Ta))
     return out
 
 
 def sigma_dir1_from_blocks(blocks: DirectionBlocks):
     """First directional derivative of every singular value."""
-    n = blocks.shape[1]
-    out = np.zeros(n)
-    for ab in blocks.alpha:
-        out[ab.indices] = ab.eta
-    if blocks.beta is not None:
-        out[blocks.beta.indices] = blocks.beta.eta
-    return out
+    bb = blocks.beta
+    return np.concatenate([ab.eta for ab in blocks.alpha]
+                          + [np.zeros(0) if bb is None else bb.eta])
 
 
 def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
@@ -250,7 +279,7 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
     out = np.zeros(n)
     for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)):
         a = _block_slice(ab.indices)
-        M = 0.5 * (What[a, a] + What[a, a].T) + 2.0 * G
+        M = _sym_skw(What[a, a])[0] + 2.0 * G
         for grp in ab.groups:
             Qj = ab.Q[:, grp]
             out[[ab.indices[loc] for loc in grp]] = _sym_eigvals(
@@ -261,7 +290,7 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
         C = What[r:, r:] + _beta_cross_term(blocks)
         for grp in bb.groups:
             D = bb.Q[:, grp].T @ C @ bb.Qhat[:, grp]
-            out[[r + loc for loc in grp]] = _sym_eigvals(0.5 * (D + D.T))
+            out[[r + loc for loc in grp]] = _sym_eigvals(_sym_skw(D)[0])
         if bb.zero_group:
             # C Qhat_z off the positive groups' left vectors has the
             # singular values of its compression to their complement

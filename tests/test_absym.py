@@ -283,6 +283,16 @@ class TestScaleSpec:
         assert f_second_subderivative(f, [1.0, 0.0], [2.0, 2.0],
                                       [0.0, -1.0]) == INF
 
+    @pytest.mark.parametrize("c, v, member", [
+        (0.5, [0.5, 0.5, 0.5 * (1 + 1.5e-10)], True),    # violation 7.5e-11
+        (2.0, [2.0, 2.0, 2.0 * (1 + 0.75e-10)], False),  # violation 1.5e-10
+    ])
+    def test_membership_reads_the_scaled_violation(self, c, v, member):
+        f = scale_spec(l1_spec(), c)
+        x = [2.0, 1.0, 0.0]
+        assert f.subdiff_contains(x, v) is member
+        assert (f.subdiff_violation(x, v) <= 1e-10) is member
+
 
 class TestFaceReuse:
     """The top-k face of the last x is kept and reused while x repeats; a
@@ -372,6 +382,12 @@ class TestRowEval:
             assert f.eval([big / 2, big / 2]) == big
             rows = np.array([[1e308, 1e308], [big / 2, big / 2], [1.0, 2.0]])
             assert f.eval(rows).tolist() == [INF, big, 3.0]
+
+    @pytest.mark.parametrize("x", [[1.0, 1.0], [0.0, 0.0]])
+    def test_subderivative_overflow_is_silent_inf(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert l1_spec().subderivative(x, [1e308, 1e308]) == INF
 
     def test_rows_property(self):
         hypothesis = pytest.importorskip("hypothesis")

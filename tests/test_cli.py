@@ -352,6 +352,17 @@ class TestErrorChannel:
         rep = json.loads((tmp_path / "r.json").read_text())
         assert rep["outputs"]["value"] == "inf"
 
+    def test_subderiv_overflow_is_inf_like_eval(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.eye(2))
+        h = write(tmp_path, "h.csv", np.diag([1e308, 1e308]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sub = run(tmp_path, "subderiv", "--f", "l1", "--X", x, "--H", h)
+            ev = run(tmp_path, "eval", "--f", "l1", "--X", h)
+        assert not caught
+        assert capsys.readouterr().err == ""
+        assert sub["outputs"]["value"] == ev["outputs"]["value"] == "inf"
+
 
 class TestRoundTrip:
     def test_rerun_from_echoed_inputs(self, tmp_path):

@@ -167,6 +167,29 @@ class TestSimultaneousGauge:
             simultaneous_gauge(np.diag([1.0, 0.5]), SWAP)
 
 
+class TestFirstOrderNoGapWarning:
+    """First-order outputs never divide by a spectral gap, so a 1e-7 gap
+    warns in sigma_dir1 (which builds the second-order blocks) but not
+    in the subderivative or the critical-cone test."""
+
+    X = np.diag([1.0, 1.0 - 1e-7])
+
+    def test_subderivative_and_cone(self):
+        import warnings
+        from specvar.errors import ConditioningWarning
+        from specvar.sv_calculus import sigma_dir1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            F_subderivative(l1_spec(), self.X, SWAP)
+            for diagnostics in (False, True):
+                F_critical_cone_contains(l1_spec(), self.X, np.eye(2), SWAP,
+                                         diagnostics=diagnostics)
+        assert not [w for w in caught
+                    if issubclass(w.category, ConditioningWarning)]
+        with pytest.warns(ConditioningWarning):
+            sigma_dir1(self.X, SWAP)
+
+
 class TestCriticalCone:
     def test_worked_membership(self):
         f = l1_spec()
@@ -403,6 +426,22 @@ class TestPhi:
             assert nuclear_phi_second_diff(X, H) == pytest.approx(
                 float(np.sum(d2)), abs=1e-9)
 
+    @pytest.mark.parametrize("m, svals", [
+        (4, [3.0, 2.0, 0.0]),
+        (5, [2.0, 2.0, 1.0, 0.0]),
+        (7, [3.0, 1.0, 1.0, 0.0, 0.0]),
+    ])
+    def test_matches_sigma_dir2_sum_rank_deficient(self, m, svals):
+        # phi'' = sum over i < r of sigma''_i(X; H, 0), clusters included
+        rng = np.random.default_rng(16)
+        n, r = len(svals), int(np.count_nonzero(svals))
+        for _ in range(5):
+            X = random_with_spectrum(m, n, svals, rng)
+            H = rng.standard_normal((m, n))
+            d2 = sigma_dir2(X, H, np.zeros((m, n)))
+            assert nuclear_phi_second_diff(X, H) == pytest.approx(
+                float(np.sum(d2[:r])), rel=1e-12, abs=1e-12)
+
 
 class TestNuclearSecondEpi:
     def test_worked_case(self):
@@ -477,14 +516,14 @@ class TestOneDecomposition:
         calls = self._count(monkeypatch, X)
         nuclear_second_epi(X, Om, H)
         assert calls == {"svd_X": 1, "partition_of": 1,
-                         "direction_blocks": 1}
+                         "direction_blocks": 0}
 
     def test_cone_diagnostics(self, monkeypatch):
         X, Om, H = self._instance()
         calls = self._count(monkeypatch, X)
         F_critical_cone_contains(l1_spec(), X, Om, H, diagnostics=True)
         assert calls == {"svd_X": 1, "partition_of": 1,
-                         "direction_blocks": 1}
+                         "direction_blocks": 0}
 
     @pytest.mark.parametrize("diagnostics", [False, True])
     def test_cone_one_svd_of_X(self, monkeypatch, diagnostics):
@@ -501,7 +540,7 @@ class TestOneDecomposition:
         monkeypatch.setattr(np.linalg, "svd", counted)
         F_critical_cone_contains(l1_spec(), X, Om, H, diagnostics=diagnostics)
         assert calls == {"svd_X": 1, "partition_of": 1,
-                         "direction_blocks": 1}
+                         "direction_blocks": 0}
         assert sum(seen) == 1
 
 
@@ -842,7 +881,7 @@ def _reference_report(point, H):
         sigma_dir1_from_blocks,
     )
     f, s, sy, part = point.f, point.gauge.sigma, point.sy, point.part
-    blocks = direction_blocks(point.X, H, point.gauge, part=part)
+    blocks = direction_blocks(point.X, H, point.gauge)
     d1 = sigma_dir1_from_blocks(blocks)
     gap = f.subderivative(s, d1) - float(np.sum(point.Y * H))
     tol = CONE_TOL * (1.0 + point.y_norm * np.linalg.norm(H))
