@@ -124,7 +124,7 @@ class EigDecomposition:
     lam: np.ndarray
 
     def reconstruct(self):
-        return self.Q @ (self.lam[:, None] * self.Q.T)
+        return self.Q @ (self.lam[..., :, None] * self.Q.mT)
 
 
 @dataclass(frozen=True)
@@ -178,18 +178,16 @@ class EigenPartition:
 
 
 def _fix_signs(U, V=None):
-    """Flip column signs so the largest-magnitude entry of each U column
-    is positive; the paired V column (if any) flips along."""
-    U = U.copy()
-    V = None if V is None else V.copy()
-    npair = 0 if V is None else V.shape[1]
-    for k in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, k])))
-        if U[i, k] < 0:
-            U[:, k] = -U[:, k]
-            if k < npair:
-                V[:, k] = -V[:, k]
-    return U if V is None else (U, V)
+    """Flip column signs over the last axis of U (a matrix or a stack) so
+    the largest-magnitude entry of each column is positive; V's columns
+    flip along with U's leading ones."""
+    if U.size == 0:            # no entry to read: nothing flips
+        return U if V is None else (U, V)
+    top = np.argmax(np.abs(U), axis=-2)[..., None, :]
+    sign = np.where(np.take_along_axis(U, top, axis=-2) < 0, -1.0, 1.0)
+    U = np.multiply(U, sign, order="C")   # C order: BLAS rounds by layout
+    return U if V is None else (
+        U, np.multiply(V, sign[..., :V.shape[-1]], order="C"))
 
 
 def svd_ordered(X) -> SvdDecomposition:
@@ -200,28 +198,22 @@ def svd_ordered(X) -> SvdDecomposition:
     so that X = U diag(sigma) V^T is preserved.
     """
     X = require_tall(as_matrix(X))
-    m, n = X.shape
     U, s, Vt = np.linalg.svd(X, full_matrices=True)
-    V = Vt.T
-    Upair, V = _fix_signs(U[:, :n], V)
-    if m > n:
-        Urest = _fix_signs(U[:, n:])
-        U = np.concatenate([Upair, Urest], axis=1)
-    else:
-        U = Upair
+    U, V = _fix_signs(U, Vt.T)
     return SvdDecomposition(U=U, sigma=s, V=V)
 
 
 def sym_eig_ordered(A) -> EigDecomposition:
-    """Deterministic eigendecomposition of a (nearly) symmetric matrix,
-    eigenvalues nonincreasing.  The input is symmetrized internally."""
-    A = as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
+    """Deterministic eigendecomposition of a (nearly) symmetric matrix, or
+    of every matrix of a (..., k, k) stack in one call, eigenvalues
+    nonincreasing.  The input is symmetrized internally."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ShapeError(f"A must be square, got {A.shape}")
-    lam, Q = np.linalg.eigh(0.5 * A + 0.5 * A.T)   # no overflow near max
-    lam, Q = lam[::-1].copy(), Q[:, ::-1]
-    Q = _fix_signs(Q)
-    return EigDecomposition(Q=Q, lam=lam)
+    if not np.all(np.isfinite(A)):
+        raise NonFinite("A contains non-finite entries")
+    lam, Q = np.linalg.eigh(0.5 * A + 0.5 * A.mT)   # no overflow near max
+    return EigDecomposition(Q=_fix_signs(Q[..., ::-1]), lam=lam[..., ::-1])
 
 
 def cluster_blocks(v, tol):
@@ -247,16 +239,33 @@ def cluster_blocks(v, tol):
     return blocks
 
 
+def cluster_ranks(V, tol):
+    """``cluster_blocks`` on every row of a nonincreasing (b, k) stack at
+    once, with one tolerance per row: the 1-based rank of each entry
+    within its run (1 starts a run)."""
+    ranks = np.ones(V.shape, dtype=int)
+    start = V[:, 0]
+    for j in range(1, V.shape[1]):
+        new = np.abs(V[:, j] - start) > tol
+        start = np.where(new, V[:, j], start)
+        ranks[:, j] = np.where(new, 1, ranks[:, j - 1] + 1)
+    return ranks
+
+
+def size_classes(blocks):
+    """Contiguous blocks grouped by size: a (b, k) index array per size k,
+    one row per block in block order, sizes ascending."""
+    sizes = np.array([len(b) for b in blocks], dtype=int)
+    starts = np.array([b[0] for b in blocks], dtype=int)
+    return [starts[sizes == k][:, None] + np.arange(k)
+            for k in np.unique(sizes).tolist()]
+
+
 def _rank_arrays(n, blocks):
-    l = np.zeros(n, dtype=int)
-    j = np.zeros(n, dtype=int)
-    r_s = np.zeros(n, dtype=int)
-    for blk in blocks:
-        for pos, s in enumerate(blk):
-            l[s] = pos + 1
-            j[s] = len(blk) - pos - 1
-            r_s[s] = len(blk)
-    return l, j, r_s
+    sizes = np.array([len(b) for b in blocks], dtype=int)
+    r_s = np.repeat(sizes, sizes)
+    l = np.arange(n) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    return l, r_s - l, r_s
 
 
 def partition_values(v, tols=TOLERANCES, kind="singular", m=None):

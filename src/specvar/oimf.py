@@ -43,10 +43,12 @@ from .matrix_core import (
     cluster_blocks,
     partition_of,
     require_tall,
+    size_classes,
     svd_ordered,
     sym_eig_ordered,
 )
 from .sv_calculus import (
+    _blocks_of,
     _prepared,
     alpha_terms,
     cross_term_hat,
@@ -92,27 +94,26 @@ def _align(svd, part, Y):
     M = U.T @ Y @ V
     tol = GAUGE_TOL * np.linalg.norm(Y)
 
-    allowed = np.zeros((m, n), dtype=bool)
-    for blk in part.alpha_blocks:
-        allowed[np.ix_(blk, blk)] = True
-    if part.r < n:
-        allowed[part.r:, part.r:] = True
-    off = np.linalg.norm(M[~allowed])
+    # block number of every column, t on the zero block and rows past n
+    owner = np.cumsum(part.l == 1) - 1
+    rows = np.concatenate([owner, np.full(m - n, part.t)])
+    off = np.linalg.norm(M[rows[:, None] != owner])
     if off > tol:
         raise NoSimultaneousGauge(
             f"off-block energy {off:.3e} exceeds {tol:.3e}")
 
     sy = np.zeros(n)
-    for blk in part.alpha_blocks:
-        Mb = M[np.ix_(blk, blk)]
-        if np.linalg.norm(Mb - Mb.T) > tol:
+    for idx in size_classes(part.alpha_blocks):
+        Mb = _blocks_of(M, idx)
+        if np.linalg.norm(Mb - Mb.mT, axis=(1, 2)).max() > tol:
             raise NoSimultaneousGauge(
                 "compressed block not symmetric; one-sided rotation cannot "
                 "diagonalize it")
         eig = sym_eig_ordered(Mb)
-        U[:, blk] = U[:, blk] @ eig.Q
-        V[:, blk] = V[:, blk] @ eig.Q
-        sy[blk] = eig.lam
+        sy[idx] = eig.lam
+        if idx.shape[1] > 1:               # a singleton's eigenvector is 1
+            U[:, idx] = np.moveaxis(np.moveaxis(U[:, idx], 0, 1) @ eig.Q, 1, 0)
+            V[:, idx] = np.moveaxis(np.moveaxis(V[:, idx], 0, 1) @ eig.Q, 1, 0)
     if part.r < n:
         bh = part.betahat
         rs = svd_ordered(M[np.ix_(bh, part.beta)])
@@ -247,7 +248,8 @@ class SpectralPoint:
     """F = f o sigma prepared at (X, Y) for d2F(X|Y)(H) along many H.
 
     Construction checks the flags and hooks of f, builds the aligned
-    gauge and the partition of sigma(X) (``simultaneous_gauge``), checks
+    gauge and the partition of sigma(X) (``simultaneous_gauge``: one
+    stacked eigh per block size, singletons read diag(U^T Y V)), checks
     sigma(Y) in df(sigma(X)) and that f is finite at sigma(X), and keeps
     ||Y||, the ``DividedDifferences`` of sigma(X) and the beta weights.
     The formula depends on H only through Hhat = U^T H V, so a stack of
@@ -352,7 +354,7 @@ def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
     d1 = sigma_dir1_from_blocks(blocks)
     if not math.isfinite(f.subderivative(sx, d1)):
         raise AssumptionViolated("dF(X)(H) must be finite")
-    d2 = sigma_dir2_from_blocks(blocks, as_matrix(H, "H"), W)
+    d2 = sigma_dir2_from_blocks(blocks, W)
     return f.parabolic_subderivative(sx, d1, d2)
 
 
@@ -590,7 +592,7 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
         raise NotInSet("H is not first-order tangent; second-order set "
                        "undefined")
     W = np.zeros_like(X) if W is None else as_matrix(W, "W")
-    d2 = sigma_dir2_from_blocks(blocks, as_matrix(H, "H"), W)
+    d2 = sigma_dir2_from_blocks(blocks, W)
     return bool(delta.tangent2_contains(sx, d1, d2))
 
 

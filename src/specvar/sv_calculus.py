@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,8 +33,10 @@ from .matrix_core import (
     SvdDecomposition,
     _fix_signs,
     as_matrix,
+    cluster_ranks,
     partition_of,
     partition_values,
+    size_classes,
     svd_ordered,
     sym_eig_ordered,
 )
@@ -82,13 +85,16 @@ class DividedDifferences:
 
 @dataclass(frozen=True)
 class DirectionBlocks:
-    """All reduced blocks of a pair (X, H) in a fixed SVD gauge."""
+    """All reduced blocks of a pair (X, H) in a fixed SVD gauge: alpha
+    blocks stacked by size, and every second-level group a run of
+    ``ltilde`` that starts at 1."""
 
     gauge: SvdDecomposition
     part: SingularPartition
     Hhat: np.ndarray         # U^T H V in the gauge, m x n
     tables: DividedDifferences
-    alpha: list              # list of AlphaBlock
+    classes: list            # per size k: (b, k) indices, (b, k, k) Q
+    eta: np.ndarray          # reduced eigenvalues, then sigma(R): sigma'
     beta: BetaBlock | None
     ltilde: np.ndarray       # 1-based second-level rank per index
 
@@ -96,26 +102,57 @@ class DirectionBlocks:
     def shape(self):
         return self.gauge.shape
 
+    @cached_property
+    def alpha(self):
+        """Every alpha block as an ``AlphaBlock``, in block order: a view
+        of the stacks for callers (the kernel reads the stacks)."""
+        out = []
+        rows = _in_block_order(self.classes, [zip(*c) for c in self.classes])
+        for (ix, Q), (mu, min_gap, _) in zip(rows, self.tables.gaps):
+            groups = np.split(np.arange(len(ix)),
+                              np.flatnonzero(self.ltilde[ix] == 1)[1:])
+            out.append(AlphaBlock(ix.tolist(), mu, min_gap,
+                                  _sym_skw(self.Hhat[np.ix_(ix, ix)])[0], Q,
+                                  self.eta[ix], [g.tolist() for g in groups]))
+        return out
 
-def _block_slice(indices):
-    """Equal-value blocks are contiguous runs of indices."""
-    return slice(indices[0], indices[-1] + 1)
+
+def _in_block_order(classes, per_class):
+    """The per-row items of every class (rows in class order) reordered
+    into alpha block order."""
+    items = [x for rows in per_class for x in rows]
+    starts = np.concatenate([idx[:, 0] for idx, _ in classes] + [[]])
+    return [items[i] for i in np.argsort(starts)]
+
+
+def _blocks_of(M, idx):
+    """The (b, k, k) diagonal blocks of M on the rows of a (b, k) index
+    array (over M's last two axes)."""
+    return M[..., idx[:, :, None], idx[:, None, :]]
 
 
 def _reduced_eig(S, tols):
-    """Ordered eigenvectors, eigenvalues and second-level tie groups of a
-    reduced symmetric block; a 1 x 1 block is its own eigenpair and
-    group."""
-    if len(S) == 1:
-        return np.ones((1, 1)), S[0].copy(), [[0]]
+    """Ordered eigenvectors, eigenvalues and 1-based second-level ranks of
+    a (b, k, k) stack of reduced symmetric blocks: one eigh and one
+    clustering pass (each row at max(1, |eta|) scale) for the stack."""
     eig = sym_eig_ordered(S)
-    groups = partition_values(eig.lam, tols, kind="eigen").blocks
-    return eig.Q, eig.lam, list(groups)
+    scale = np.maximum(1.0, np.abs(eig.lam).max(axis=1))
+    return eig.Q, eig.lam, cluster_ranks(eig.lam, tols.cluster * scale)
 
 
-def _sym_eigvals(D):
-    """Nonincreasing eigenvalues of a small symmetric matrix."""
-    return D[0] if len(D) == 1 else np.linalg.eigvalsh(D)[::-1]
+def _group_eigvals(B, ranks):
+    """Nonincreasing eigenvalues of every (b, k, k) stacked B on its
+    second-level groups (the runs of the (b, k) ``ranks`` that start at
+    1): the diagonal on singleton groups, one eigvalsh per larger size."""
+    out = B.diagonal(axis1=-2, axis2=-1).copy()
+    start = np.flatnonzero(ranks.ravel() == 1)      # every row starts a run
+    size = np.diff(start, append=ranks.size)
+    for g in np.unique(size[size > 1]).tolist():
+        rows, first = np.divmod(start[size == g], ranks.shape[1])
+        cols = first[:, None] + np.arange(g)
+        sub = B[rows[:, None, None], cols[:, :, None], cols[:, None, :]]
+        out[rows[:, None], cols] = np.linalg.eigvalsh(sub)[:, ::-1]
+    return out
 
 
 def _sym_skw(A):
@@ -130,9 +167,7 @@ def divided_differences(s, part: SingularPartition) -> DividedDifferences:
     from mu to the rest of the lift [[0, X], [X^T, 0]] (sigma_j off the
     block, -sigma_j, 0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
     n, r, t = part.n, part.r, part.t
-    # block number of every index, t for the zero block
-    owner = np.repeat(np.arange(t + 1),
-                      [len(b) for b in part.alpha_blocks] + [n - r])
+    owner = np.cumsum(part.l == 1) - 1   # block number, t on the zero block
     mu, cols = part.mu, owner[:r]
     diff = mu - s[:, None]                           # n x t
     diff[owner[:, None] == np.arange(t)] = np.inf    # own block: D = 0
@@ -160,11 +195,13 @@ def _prepared(X, H, gauge=None, tols=TOLERANCES):
 
 def sigma_dir1_stack(Hhat, part: SingularPartition):
     """sigma'(X; H) for every H of a (k, m, n) stack Hhat = U^T H V, as
-    in ``sigma_dir1`` (a singleton block reads diag(Hhat))."""
+    in ``sigma_dir1``: a singleton block reads diag(Hhat), each larger
+    block size takes one stacked eigvalsh."""
     d1 = Hhat.diagonal(axis1=1, axis2=2).copy()
-    for a in map(_block_slice, part.alpha_blocks):
-        if a.stop - a.start > 1:
-            d1[:, a] = np.linalg.eigvalsh(_sym_skw(Hhat[:, a, a])[0])[:, ::-1]
+    for idx in size_classes(part.alpha_blocks):
+        if idx.shape[1] > 1:
+            d1[:, idx] = np.linalg.eigvalsh(
+                _sym_skw(_blocks_of(Hhat, idx))[0])[..., ::-1]
     d1[:, part.r:] = np.linalg.svd(Hhat[:, part.r:, part.r:], compute_uv=False)
     return d1
 
@@ -186,6 +223,9 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     ``gauge`` may supply a specific ordered SVD of X (any valid one); by
     default the deterministic ``svd_ordered`` gauge is used.  All outputs
     of ``sigma_dir1``/``sigma_dir2`` are invariant under this choice.
+    The alpha blocks of one size share one stacked eigh and one
+    clustering pass (a singleton's eigenpair is its entry and 1), so the
+    cost grows with the number of block sizes, not of blocks.
     """
     svd, part, Hhat = _prepared(X, H, gauge, tols)
     n = part.n
@@ -193,34 +233,40 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     dd.warn()
     Sym = _sym_skw(Hhat[:n])[0]
 
-    ltilde = np.zeros(n, dtype=int)
-    alpha = []
-    for blk, (mu, min_gap, _) in zip(part.alpha_blocks, dd.gaps):
-        a = _block_slice(blk)
-        S = Sym[a, a]
-        Q, eta, groups = _reduced_eig(S, tols)
-        for grp in groups:   # rank within the second-level group
-            for pos, loc in enumerate(grp, 1):
-                ltilde[blk[loc]] = pos
-        alpha.append(AlphaBlock(indices=list(blk), mu=mu, min_gap=min_gap,
-                                S=S, Q=Q, eta=eta, groups=groups))
+    eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
+    classes = []
+    for idx in size_classes(part.alpha_blocks):
+        Q, eta[idx], ltilde[idx] = _reduced_eig(_blocks_of(Sym, idx), tols)
+        classes.append((idx, Q))
 
     beta = None
     if part.r < n:
         R = Hhat[part.r:, part.r:]
         # thin: no formula reads the complement of R's left factor
-        Q, eta, Qhat_t = np.linalg.svd(R, full_matrices=False)
+        Q, eta[part.r:], Qhat_t = np.linalg.svd(R, full_matrices=False)
         Q, Qhat = _fix_signs(Q, Qhat_t.T)
-        rpart = partition_values(eta, tols)
-        groups, zero_group = rpart.alpha_blocks, rpart.beta
-        for grp in groups + [zero_group]:
-            for pos, loc in enumerate(grp, 1):
-                ltilde[part.r + loc] = pos
-        beta = BetaBlock(indices=list(part.beta), R=R, Q=Q, eta=eta,
-                         Qhat=Qhat, groups=groups, zero_group=zero_group)
+        rpart = partition_values(eta[part.r:], tols)
+        ltilde[part.r:] = rpart.l
+        beta = BetaBlock(indices=list(part.beta), R=R, Q=Q,
+                         eta=eta[part.r:].copy(), Qhat=Qhat,
+                         groups=rpart.alpha_blocks, zero_group=rpart.beta)
 
     return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, tables=dd,
-                           alpha=alpha, beta=beta, ltilde=ltilde)
+                           classes=classes, eta=eta, beta=beta,
+                           ltilde=ltilde)
+
+
+def _class_quadratics(blocks: DirectionBlocks):
+    """The (b, k, k) stack of alpha quadratics G_a of every size class."""
+    dd, n = blocks.tables, blocks.part.n
+    Sym, Skw = _sym_skw(blocks.Hhat[:n])
+    out = []
+    for idx, _ in blocks.classes:
+        Sa, Ka, Ta, Da, Ea = (np.moveaxis(A[:, idx], 0, 1) for A in (
+            Sym, Skw, blocks.Hhat[n:], dd.D, dd.E))
+        out.append(Sa.mT @ (Sa * Da) + Ka.mT @ (Ka * Ea)
+                   + dd.C[idx][:, None, :] * (Ta.mT @ Ta))
+    return out
 
 
 def alpha_quadratics(blocks: DirectionBlocks):
@@ -228,24 +274,15 @@ def alpha_quadratics(blocks: DirectionBlocks):
 
     With Sym, Skw the symmetric and skew parts of Hhat[:n], T = Hhat[n:]
     and _a the block's columns (of the tables too), G_a = Sym_a^T (D_a *
-    Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu).
+    Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu).  Each block size
+    takes one stacked product.
     """
-    dd, n = blocks.tables, blocks.part.n
-    Sym, Skw = _sym_skw(blocks.Hhat[:n])
-    out = []
-    for ab in blocks.alpha:
-        a = _block_slice(ab.indices)
-        Sa, Ka, Ta = Sym[:, a], Skw[:, a], blocks.Hhat[n:, a]
-        out.append(Sa.T @ (Sa * dd.D[:, a]) + Ka.T @ (Ka * dd.E[:, a])
-                   + dd.C[a] * (Ta.T @ Ta))
-    return out
+    return _in_block_order(blocks.classes, _class_quadratics(blocks))
 
 
 def sigma_dir1_from_blocks(blocks: DirectionBlocks):
     """First directional derivative of every singular value."""
-    bb = blocks.beta
-    return np.concatenate([ab.eta for ab in blocks.alpha]
-                          + [np.zeros(0) if bb is None else bb.eta])
+    return blocks.eta.copy()
 
 
 def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
@@ -264,12 +301,9 @@ def _beta_cross_term(blocks: DirectionBlocks):
                                  slice(r, None), slice(r, n))
 
 
-def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
-    """Second directional derivative of every singular value along (H, W).
-
-    ``H`` is the direction ``blocks`` was built from; it enters through
-    ``blocks.Hhat``.
-    """
+def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
+    """Second directional derivative of every singular value along (H, W),
+    H being the direction ``blocks`` was built from (through Hhat)."""
     m, n = blocks.shape
     W = as_matrix(W, "W")
     if W.shape != (m, n):
@@ -277,27 +311,23 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, H, W):
     svd = blocks.gauge
     What = svd.U.T @ W @ svd.V
     out = np.zeros(n)
-    for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)):
-        a = _block_slice(ab.indices)
-        M = _sym_skw(What[a, a])[0] + 2.0 * G
-        for grp in ab.groups:
-            Qj = ab.Q[:, grp]
-            out[[ab.indices[loc] for loc in grp]] = _sym_eigvals(
-                Qj.T @ M @ Qj)
+    for (idx, Q), G in zip(blocks.classes, _class_quadratics(blocks)):
+        M = _sym_skw(_blocks_of(What, idx))[0] + 2.0 * G
+        out[idx] = _group_eigvals(Q.mT @ M @ Q, blocks.ltilde[idx])
     bb = blocks.beta
     if bb is not None:
         r = blocks.part.r
         C = What[r:, r:] + _beta_cross_term(blocks)
-        for grp in bb.groups:
-            D = bb.Q[:, grp].T @ C @ bb.Qhat[:, grp]
-            out[[r + loc for loc in grp]] = _sym_eigvals(_sym_skw(D)[0])
+        p = len(bb.eta) - len(bb.zero_group)   # the positive groups come first
+        Qp = bb.Q[:, :p]
+        D = _sym_skw(Qp.T @ C @ bb.Qhat[:, :p])[0]
+        out[r:r + p] = _group_eigvals(D[None], blocks.ltilde[None, r:r + p])[0]
         if bb.zero_group:
             # C Qhat_z off the positive groups' left vectors has the
             # singular values of its compression to their complement
-            Qp = bb.Q[:, :bb.zero_group[0]]
-            Dz = C @ bb.Qhat[:, bb.zero_group]
-            out[[r + loc for loc in bb.zero_group]] = np.linalg.svd(
-                Dz - Qp @ (Qp.T @ Dz), compute_uv=False)
+            Dz = C @ bb.Qhat[:, p:]
+            out[r + p:] = np.linalg.svd(Dz - Qp @ (Qp.T @ Dz),
+                                        compute_uv=False)
     return out
 
 
@@ -318,8 +348,7 @@ def sigma_dir2(X, H, W, tols=TOLERANCES):
     W = 0 is a first-class input; it gives the curvature of the
     singular-value map along the straight line X + tH.
     """
-    blocks = direction_blocks(X, H, None, tols)
-    return sigma_dir2_from_blocks(blocks, as_matrix(H, "H"), W)
+    return sigma_dir2_from_blocks(direction_blocks(X, H, None, tols), W)
 
 
 def eig_expand2(A, E, tols=TOLERANCES):
@@ -343,18 +372,13 @@ def eig_expand2(A, E, tols=TOLERANCES):
     Ehat = eig.Q.T @ E @ eig.Q
     first = np.zeros(n)
     second = np.zeros(n)
-    for blk in part.blocks:
-        b = _block_slice(blk)
-        gap = eig.lam[blk[0]] - eig.lam
-        gap[b] = np.inf
-        K = Ehat[:, b]
-        M2 = K.T @ (K / gap[:, None])
-        Q, lam, groups = _reduced_eig(Ehat[b, b], tols)
-        first[b] = lam
-        for grp in groups:
-            Qj = Q[:, grp]
-            second[[blk[loc] for loc in grp]] = _sym_eigvals(
-                2.0 * Qj.T @ M2 @ Qj)
+    for idx in size_classes(part.blocks):
+        gap = eig.lam[idx[:, :1]] - eig.lam            # (b, n)
+        np.put_along_axis(gap, idx, np.inf, axis=1)
+        K = np.moveaxis(Ehat[:, idx], 0, 1)
+        M2 = K.mT @ (K / gap[:, :, None])
+        Q, first[idx], ranks = _reduced_eig(_blocks_of(Ehat, idx), tols)
+        second[idx] = _group_eigvals(2.0 * (Q.mT @ M2 @ Q), ranks)
     return first, second
 
 
@@ -369,28 +393,22 @@ def expansion_residual(X, H, W, t, tols=TOLERANCES):
     X = as_matrix(X, "X")
     blocks = direction_blocks(X, H, None, tols)
     d1 = sigma_dir1_from_blocks(blocks)
-    d2 = sigma_dir2_from_blocks(blocks, as_matrix(H, "H"), W)
+    d2 = sigma_dir2_from_blocks(blocks, W)
     s_t = np.linalg.svd(X + t * np.asarray(H) + 0.5 * t * t * np.asarray(W),
                         compute_uv=False)
     return s_t - (blocks.gauge.sigma + t * d1 + 0.5 * t * t * d2)
 
 
 def _check_block_sorted(zbar, blocks: DirectionBlocks, tol):
-    r, bb = blocks.part.r, blocks.beta
-    levels = [("an alpha-level", [[ab.indices[loc] for loc in grp]
-                                  for grp in ab.groups])
-              for ab in blocks.alpha]
-    if bb is not None:
-        levels += [("a beta-level", [[r + loc for loc in grp]
-                                     for grp in bb.groups]),
-                   ("the zero-value", [[r + loc for loc in bb.zero_group]])]
-    for level, groups in levels:
-        for idx in groups:
-            if np.any(np.diff(zbar[idx]) > tol):
-                raise NotBlockSorted(
-                    f"zbar not nonincreasing inside {level} group")
-    if bb is not None and np.any(zbar[r + np.array(bb.zero_group, dtype=int)]
-                                 < -tol):
+    r, n, bb = blocks.part.r, blocks.part.n, blocks.beta
+    # a rise into an index that continues its second-level group
+    rise = np.flatnonzero((np.diff(zbar) > tol) & (blocks.ltilde[1:] > 1))
+    zero = n - (len(bb.zero_group) if bb is not None else 0)
+    if len(rise):
+        level = ("an alpha-level" if rise[0] < r else
+                 "a beta-level" if rise[0] < zero else "the zero-value")
+        raise NotBlockSorted(f"zbar not nonincreasing inside {level} group")
+    if np.any(zbar[zero:] < -tol):
         # second derivatives of identically-zero singular values are
         # singular values of a reduced block, hence never negative
         raise NotBlockSorted(
@@ -419,14 +437,13 @@ def min_direction_construct(X, H, zbar, tols=TOLERANCES):
 def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
     """``min_direction_construct`` for reduced blocks already built."""
     m, n = blocks.shape
-    _check_block_sorted(zbar, blocks,
-                        BLOCK_SORT_TOL * max(1.0, np.max(np.abs(zbar))))
+    _check_block_sorted(zbar, blocks, BLOCK_SORT_TOL * max(
+        1.0, np.max(np.abs(zbar), initial=0.0)))
     svd = blocks.gauge
     Wred = np.zeros((m, n))
-    for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)):
-        a = _block_slice(ab.indices)
-        A = ab.Q @ (zbar[a][:, None] * ab.Q.T)
-        Wred[a, a] = A - 2.0 * G
+    for (idx, Q), G in zip(blocks.classes, _class_quadratics(blocks)):
+        A = Q @ (zbar[idx][:, :, None] * Q.mT)
+        Wred[idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
     bb = blocks.beta
     if bb is not None:
         r = blocks.part.r

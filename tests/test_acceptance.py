@@ -255,7 +255,7 @@ def test_criterion_7_gauge_and_symmetry_invariance():
         blocks = direction_blocks(X, H, gauge=g)
         np.testing.assert_allclose(sigma_dir1_from_blocks(blocks), base1,
                                    atol=1e-8)
-        np.testing.assert_allclose(sigma_dir2_from_blocks(blocks, H, W),
+        np.testing.assert_allclose(sigma_dir2_from_blocks(blocks, W),
                                    base2, atol=1e-8)
         dF = f.subderivative(g.sigma, sigma_dir1_from_blocks(blocks))
         assert dF == pytest.approx(base_dF, abs=1e-8)

@@ -9,6 +9,8 @@ from specvar.errors import (
 )
 from specvar.matrix_core import (
     Tolerances,
+    cluster_blocks,
+    cluster_ranks,
     gauge_randomize,
     partition_of,
     partition_values,
@@ -99,6 +101,36 @@ class TestSymEig:
     def test_rejects_nonsquare(self):
         with pytest.raises(ShapeError):
             sym_eig_ordered(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+    def test_stack_matches_one_by_one(self, k):
+        # one call on a (b, k, k) stack: the same bits as b calls
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((6, k, k))
+        A[0] = np.eye(k)                  # ties: the sign rule's argmax
+        stacked = sym_eig_ordered(A)
+        for i in range(len(A)):
+            one = sym_eig_ordered(A[i])
+            assert np.array_equal(stacked.Q[i], one.Q)
+            assert np.array_equal(stacked.lam[i], one.lam)
+        assert np.linalg.norm(stacked.reconstruct()
+                              - 0.5 * (A + A.mT)) <= 1e-12 * k
+
+
+class TestClusterRanks:
+    def test_matches_cluster_blocks_per_row(self):
+        # chains of steps below tol split where the drift from the run's
+        # first entry exceeds it, exactly as in cluster_blocks
+        rng = np.random.default_rng(9)
+        V = -np.cumsum(rng.choice([0.0, 0.4e-8, 0.7e-8, 0.3],
+                                  size=(200, 7)), axis=1)
+        tol = rng.choice([1e-8, 2e-8], size=200)
+        ranks = cluster_ranks(V, tol)
+        for v, t, rk in zip(V, tol, ranks):
+            expect = np.zeros(len(v), dtype=int)
+            for blk in cluster_blocks(v, t):
+                expect[blk] = np.arange(1, len(blk) + 1)
+            assert rk.tolist() == expect.tolist()
 
 
 class TestLift:

@@ -20,6 +20,7 @@ from specvar.errors import (
     ShapeError,
 )
 from specvar.matrix_core import (
+    GAUGE_TOL,
     Tolerances,
     gauge_randomize,
     partition_of,
@@ -165,6 +166,56 @@ class TestSimultaneousGauge:
     def test_rejects_unalignable(self):
         with pytest.raises(NoSimultaneousGauge):
             simultaneous_gauge(np.diag([1.0, 0.5]), SWAP)
+
+
+class TestOffBlockMask:
+    """The off-block energy of U^T Y V is read through one block-owner
+    mask: alpha blocks own their squares, the zero block owns its
+    columns and every row past n."""
+
+    def instance(self, svals, m):
+        rng = np.random.default_rng(41)
+        X = random_with_spectrum(m, len(svals), svals, rng)
+        return X, svd_ordered(X)
+
+    @pytest.mark.parametrize("factor,raises", [(2.0, True), (0.5, False)])
+    @pytest.mark.parametrize("row,col", [(0, 1), (3, 0), (5, 4)])
+    def test_off_block_threshold(self, factor, raises, row, col):
+        # distinct spectrum at full rank with m = 7 > n = 5: every entry
+        # off the diagonal is off-block, row 5 (past n) included
+        X, g = self.instance([3.0, 2.5, 2.0, 1.5, 1.0], 7)
+        Y0 = g.U[:, :5] @ g.V.T
+        eps = factor * GAUGE_TOL * np.linalg.norm(Y0)
+        Y = Y0 + eps * np.outer(g.U[:, row], g.V[:, col])
+        if raises:
+            with pytest.raises(NoSimultaneousGauge, match="off-block"):
+                simultaneous_gauge(X, Y)
+        else:
+            _, _, sy = simultaneous_gauge(X, Y)
+            np.testing.assert_allclose(sy, 1.0, atol=1e-7)
+
+    def test_zero_block_rows_past_n_allowed(self):
+        X, g = self.instance([3.0, 2.0, 1.0, 0.5, 0.0], 7)
+        Y = (g.U[:, :5] @ np.diag([1.0, 1.0, 1.0, 1.0, 0.0]) @ g.V.T
+             + 0.3 * np.outer(g.U[:, 6], g.V[:, 4]))
+        svd, _, sy = simultaneous_gauge(X, Y)
+        np.testing.assert_allclose(sy, [1.0, 1.0, 1.0, 1.0, 0.3], atol=1e-12)
+        np.testing.assert_allclose(svd.U[:, :5].T @ Y @ svd.V, np.diag(sy),
+                                   atol=1e-12)
+
+    def test_rotation_inside_cluster_accepted(self):
+        rng = np.random.default_rng(42)
+        X, g = self.instance([3.0, 2.0, 2.0, 2.0, 1.0], 6)
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        B = np.diag([1.0, 0.0, 0.0, 0.0, 0.1])
+        B[1:4, 1:4] = Q @ np.diag([0.9, 0.5, 0.2]) @ Q.T
+        Y = g.U[:, :5] @ B @ g.V.T
+        svd, _, sy = simultaneous_gauge(X, Y)
+        np.testing.assert_allclose(sy, [1.0, 0.9, 0.5, 0.2, 0.1], atol=1e-12)
+        aligned = np.zeros((6, 5))
+        aligned[:5] = np.diag(sy)
+        np.testing.assert_allclose(svd.U.T @ Y @ svd.V, aligned, atol=1e-12)
+        np.testing.assert_allclose(svd.reconstruct(), X, atol=1e-12)
 
 
 class TestFirstOrderNoGapWarning:
@@ -686,6 +737,10 @@ class TestGuidedOffsets:
         What = 2.0 * offs[-1]
         d2 = sigma_dir2(np.diag([1.0, 0.0]), SWAP, What)
         np.testing.assert_allclose(d2, 0.0, atol=1e-10)
+
+    def test_no_columns(self):
+        X = np.zeros((3, 0))
+        assert [D.shape for D in guided_offsets(X, X)] == [(3, 0)]
 
 
 class TestSetSymmetry:

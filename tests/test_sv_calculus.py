@@ -1,7 +1,11 @@
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
+
+from specvar import matrix_core, oimf, sv_calculus
+from specvar.absym import l1_spec
 
 from specvar.errors import (
     AsymmetricInput,
@@ -13,6 +17,7 @@ from specvar.matrix_core import (
     Tolerances,
     gauge_randomize,
     partition_of,
+    partition_values,
     svd_ordered,
 )
 from specvar.sv_calculus import (
@@ -22,6 +27,7 @@ from specvar.sv_calculus import (
     eig_expand2,
     expansion_residual,
     min_direction_construct,
+    min_direction_from_blocks,
     sigma_dir1,
     sigma_dir1_from_blocks,
     sigma_dir2,
@@ -209,7 +215,7 @@ class TestGaugeInvariance:
                 b = direction_blocks(X, H, gauge=g)
                 np.testing.assert_allclose(sigma_dir1_from_blocks(b), base1,
                                            atol=1e-8)
-                np.testing.assert_allclose(sigma_dir2_from_blocks(b, H, W),
+                np.testing.assert_allclose(sigma_dir2_from_blocks(b, W),
                                            base2, atol=1e-8)
 
     def test_orthogonal_conjugation(self):
@@ -318,6 +324,23 @@ class TestMinDirectionConstruct:
         with pytest.raises(NotBlockSorted):
             min_direction_construct(X, SWAP, np.array([0.0, -1.0]))
 
+    def test_no_columns(self):
+        X = np.zeros((3, 0))
+        assert min_direction_construct(X, X, np.zeros(0)).shape == (3, 0)
+
+    @pytest.mark.parametrize("h,zbar,level", [
+        ([1, 1, 1, 1, 0], [0, 1, 1, 1, 0], "an alpha-level"),
+        ([1, 1, 1, 1, 0], [1, 1, 0, 1, 0], "a beta-level"),
+        ([1, 1, 1, 0, 0], [1, 1, 1, 0, 1], "the zero-value"),
+    ])
+    def test_rise_names_its_level(self, h, zbar, level):
+        # one tied alpha block, then R = diag(h[2:]): a tied beta group
+        # (h = 1, 1, 1, 1, 0) or a zero group of two (h = 1, 1, 1, 0, 0)
+        X = np.diag([2.0, 2.0, 0.0, 0.0, 0.0])
+        with pytest.raises(NotBlockSorted, match=f"inside {level} group"):
+            min_direction_construct(X, np.diag(np.array(h, float)),
+                                    np.array(zbar, float))
+
 
 class TestBlockInvariants:
     """Structural invariants of the direction blocks."""
@@ -422,7 +445,7 @@ class TestSecondLevelTies:
         for seed in range(20):
             g = gauge_randomize(svd, part, seed)
             b = direction_blocks(X, H, gauge=g)
-            np.testing.assert_allclose(sigma_dir2_from_blocks(b, H, W),
+            np.testing.assert_allclose(sigma_dir2_from_blocks(b, W),
                                        base, atol=1e-8)
 
 
@@ -474,6 +497,22 @@ def lift_reference(blocks, H, W, zbar):
     return quads, gaps, d2, U @ Wred @ V.T
 
 
+def ltilde_reference(blocks):
+    """Second-level ranks from one partition per block: the eigenvalues of
+    each reduced alpha block, then the singular values of R."""
+    part, Hhat = blocks.part, blocks.Hhat
+    n, r = part.n, part.r
+    Sym = 0.5 * (Hhat[:n] + Hhat[:n].T)
+    lt = np.zeros(n, dtype=int)
+    for blk in part.alpha_blocks:
+        lam = np.linalg.eigvalsh(Sym[np.ix_(blk, blk)])[::-1]
+        lt[blk] = partition_values(lam, kind="eigen").l
+    if r < n:
+        lt[r:] = partition_values(
+            np.linalg.svd(Hhat[r:, r:], compute_uv=False)).l
+    return lt
+
+
 def assert_rel(new, ref, rtol=1e-12):
     new, ref = np.asarray(new), np.asarray(ref)
     assert np.max(np.abs(new - ref), initial=0.0) <= rtol * max(
@@ -508,7 +547,7 @@ class TestLiftReference:
                                         gaps):
                 assert_rel(G, Gref)
                 assert ab.min_gap == gap
-            assert_rel(sigma_dir2_from_blocks(b, H, W), d2)
+            assert_rel(sigma_dir2_from_blocks(b, W), d2)
         What = lift_reference(direction_blocks(X, H), H, W, zbar)[3]
         assert_rel(min_direction_construct(X, H, zbar), What)
 
@@ -530,7 +569,7 @@ class TestLiftReference:
         b = direction_blocks(X, H)
         assert b.beta.Q.shape == (m - 2, n - 2) and b.beta.zero_group == [1]
         _, _, d2, What = lift_reference(b, H, W, zbar)
-        assert_rel(sigma_dir2_from_blocks(b, H, W), d2)
+        assert_rel(sigma_dir2_from_blocks(b, W), d2)
         assert_rel(min_direction_construct(X, H, zbar), What)
 
     @pytest.mark.parametrize("factor,warns", [(0.5, True), (2.0, False)])
@@ -553,3 +592,102 @@ class TestLiftReference:
                                            np.zeros(2))
             assert [ab.min_gap for ab in b.alpha] == gaps
             assert min(gaps) == pytest.approx(g, rel=1e-6)
+
+    def check_against_lift(self, X, H, W, zbar, gauge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            b = direction_blocks(X, H, gauge=gauge)
+        quads, _, d2, What = lift_reference(b, H, W, zbar)
+        for G, Gref in zip(alpha_quadratics(b), quads):
+            assert_rel(G, Gref)
+        assert_rel(sigma_dir2_from_blocks(b, W), d2)
+        assert_rel(min_direction_from_blocks(b, zbar), What)
+        np.testing.assert_array_equal(b.ltilde, ltilde_reference(b))
+        return b
+
+    def test_mixed_size_classes(self):
+        # singletons, clusters of 2, 3 and 4, a pair at a 1e-7 relative
+        # gap (two singletons, warns) and a zero block
+        rng = np.random.default_rng(43)
+        s = np.array([3.0, 2.6, 2.6, 2.6, 2.6, 2.2, 2.2, 2.2, 1.8,
+                      1.8 * (1.0 - 1e-7), 1.4, 1.4, 0.0])
+        m, n = 15, len(s)
+        X = random_with_spectrum(m, n, s, rng)
+        H, W = rng.standard_normal((m, n)), rng.standard_normal((m, n))
+        zbar = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+        svd = svd_ordered(X)
+        part = partition_of(svd)
+        assert [len(blk) for blk in part.alpha_blocks] == [1, 4, 3, 1, 1, 2]
+        assert part.beta == [12]
+        for gauge in (svd, gauge_randomize(svd, part, 5)):
+            self.check_against_lift(X, H, W, zbar, gauge)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            What = min_direction_construct(X, H, zbar)
+        assert_rel(What, lift_reference(
+            self.check_against_lift(X, H, W, zbar, svd), H, W, zbar)[3])
+
+    def test_same_size_clusters_split_per_block(self):
+        # two clusters of three: the first reduced block has a tied pair
+        # of eigenvalues, the second none
+        rng = np.random.default_rng(44)
+        m, n = 8, 7
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = U[:, :n] @ np.diag([3.0, 3.0, 3.0, 2.0, 2.0, 2.0, 1.0]) @ V.T
+        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        A = rng.standard_normal((3, 3))
+        Hhat = rng.standard_normal((m, n))
+        Hhat[:3, :3] = Q @ np.diag([1.0, 1.0, -1.0]) @ Q.T + A - A.T
+        Hhat[3:6, 3:6] = np.diag([0.5, -0.2, -0.9]) + A - A.T
+        H = U @ Hhat @ V.T
+        W = rng.standard_normal((m, n))
+        zbar = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+        svd = svd_ordered(X)
+        for gauge in (svd, gauge_randomize(svd, partition_of(svd), 6)):
+            b = self.check_against_lift(X, H, W, zbar, gauge)
+            assert [ab.groups for ab in b.alpha] == [
+                [[0, 1], [2]], [[0], [1], [2]], [[0]]]
+            assert b.ltilde.tolist() == [1, 2, 1, 1, 1, 1, 1]
+
+
+class TestSizeClassCost:
+    """Point preparation makes one eigen call per block size, whatever the
+    number of blocks: the count at n = 32 equals the count at n = 128."""
+
+    @staticmethod
+    def instance(n):
+        rng = np.random.default_rng(45)
+        q = n // 8                  # q clusters of 4, n - 4q singletons
+        s = np.concatenate([np.repeat(np.linspace(3.0, 2.0, q), 4),
+                            np.linspace(1.9, 1.0, n - 4 * q)])
+        X = random_with_spectrum(n + 2, n, s, rng)
+        return X, rng.standard_normal(X.shape)
+
+    def test_eigen_calls_independent_of_block_count(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh",
+                            counted("eigh", np.linalg.eigh))
+        sym_eig = counted("sym_eig_ordered", matrix_core.sym_eig_ordered)
+        for module in (sv_calculus, oimf):
+            monkeypatch.setattr(module, "sym_eig_ordered", sym_eig)
+        counts = {}
+        for n in (32, 128):
+            X, H = self.instance(n)
+            calls.clear()
+            direction_blocks(X, H)
+            blocks = dict(calls)
+            g = svd_ordered(X)
+            calls.clear()
+            oimf.SpectralPoint(l1_spec(), X, g.U[:, :n] @ g.V.T)
+            counts[n] = (blocks, dict(calls))
+        assert counts[32] == counts[128]
+        # two block sizes (1 and 4): one stacked call each
+        assert counts[32] == ({"eigh": 2, "sym_eig_ordered": 2},) * 2
