@@ -12,20 +12,12 @@ second-order optimality certificate for min psi(X) + f(sigma(X)).
 from .absym import (
     INF,
     ExtendedValue,
-    SignedPermutation,
     SpectralFunctionSpec,
-    f_critical_cone_contains,
-    f_second_subderivative,
-    f_subderivative,
     kyfan_spec,
     l1_spec,
     linf_spec,
-    random_signed_permutation,
     scale_spec,
     spec_by_name,
-    stabilizer2_contains,
-    stabilizer_contains,
-    stabilizer_sample,
 )
 from .certify import (
     HalfSquaredDistance,
@@ -46,8 +38,6 @@ from .certify import (
 from .matrix_core import (
     CLUSTER_TOL,
     RANK_TOL,
-    EigDecomposition,
-    EigenPartition,
     SingularPartition,
     SvdDecomposition,
     Tolerances,

@@ -1,4 +1,4 @@
-"""Absolutely symmetric functions on R^n and signed-permutation machinery.
+"""Absolutely symmetric functions on R^n.
 
 The built-ins are the sum-of-k-largest-absolute-values family: k = n is
 the l1 norm (generating the nuclear norm through the singular value map),
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadK, NotASubgradient, NotPolyhedral, ShapeError
+from .errors import BadK, ShapeError
 from .matrix_core import F_CONE_TOL, SUBDIFF_TOL, ZERO_TOL, cluster_blocks
 
 ExtendedValue = float
@@ -34,91 +34,6 @@ def _as_vector(x, name="x"):
     if v.ndim != 1:
         raise ShapeError(f"{name} must be a vector")
     return v
-
-
-# -- signed permutations -------------------------------------------------------
-
-@dataclass(frozen=True)
-class SignedPermutation:
-    """A coordinate permutation combined with a sign per position.
-
-    Applying it sends x to y with y[i] = signs[i] * x[perm[i]]; the
-    induced matrix has exactly one +-1 entry per row and column.
-    """
-
-    perm: tuple
-    signs: tuple
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)) or len(self.signs) != n:
-            raise ShapeError("perm must be a permutation with matching signs")
-        if any(s not in (-1, 1) for s in self.signs):
-            raise ShapeError("signs must be +-1")
-
-    @property
-    def n(self):
-        return len(self.perm)
-
-    def apply(self, x):
-        x = _as_vector(x)
-        return np.array([self.signs[i] * x[self.perm[i]]
-                         for i in range(self.n)])
-
-    def matrix(self):
-        M = np.zeros((self.n, self.n))
-        for i in range(self.n):
-            M[i, self.perm[i]] = self.signs[i]
-        return M
-
-    def inverse(self):
-        inv = [0] * self.n
-        sg = [1] * self.n
-        for i in range(self.n):
-            inv[self.perm[i]] = i
-            sg[self.perm[i]] = self.signs[i]
-        return SignedPermutation(perm=tuple(inv), signs=tuple(sg))
-
-
-def random_signed_permutation(n, rng) -> SignedPermutation:
-    perm = tuple(int(i) for i in rng.permutation(n))
-    signs = tuple(int(s) for s in rng.choice([-1, 1], size=n))
-    return SignedPermutation(perm=perm, signs=signs)
-
-
-def stabilizer_sample(x, rng, tol=None) -> SignedPermutation:
-    """Random signed permutation Q with Q x = x: it permutes within
-    equal-value groups of x and flips signs only on zero entries."""
-    x = _as_vector(x)
-    n = len(x)
-    tol = ZERO_TOL * (1.0 + np.max(np.abs(x), initial=0.0)) if tol is None \
-        else tol
-    perm = np.arange(n)
-    signs = np.ones(n, dtype=int)
-    order = np.argsort(-x, kind="stable")
-    for blk in cluster_blocks(x[order], tol):
-        grp = order[blk]
-        perm[grp] = rng.permutation(grp)
-        if abs(x[grp[0]]) <= tol:
-            for a in grp:
-                signs[a] = int(rng.choice([-1, 1]))
-    return SignedPermutation(perm=tuple(int(p) for p in perm),
-                             signs=tuple(int(s) for s in signs))
-
-
-def stabilizer_contains(x, Q: SignedPermutation) -> bool:
-    """True iff Q x = x (within the zero tolerance)."""
-    x = _as_vector(x)
-    tol = ZERO_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
-    return bool(np.max(np.abs(Q.apply(x) - x), initial=0.0) <= tol)
-
-
-def stabilizer2_contains(x, w, Q: SignedPermutation) -> bool:
-    """True iff Q fixes both x and the refinement direction w."""
-    w = _as_vector(w, "w")
-    tolw = ZERO_TOL * (1.0 + np.max(np.abs(w), initial=0.0))
-    return stabilizer_contains(x, Q) and bool(
-        np.max(np.abs(Q.apply(w) - w), initial=0.0) <= tolw)
 
 
 # -- top-k face classification -------------------------------------------------
@@ -381,9 +296,6 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
         return spec.subdiff_contains(x, np.asarray(v, float) / c, tol / c)
 
     def second(x, v, w, tol=None):
-        if spec.second_subderivative is None:
-            raise NotPolyhedral(f"{spec.name} has no second subderivative "
-                                "hook")
         return c * spec.second_subderivative(x, np.asarray(v, float) / c, w,
                                              tol)
 
@@ -398,7 +310,8 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
             spec.critical_cone_contains(x, np.asarray(v, float) / c, w, tol),
         parabolic_subderivative=lambda x, w, z:
             c * spec.parabolic_subderivative(x, w, z),
-        second_subderivative=second,
+        second_subderivative=(None if spec.second_subderivative is None else
+                              second),
         subdiff_violation=(None if spec.subdiff_violation is None else
                            lambda x, v: c * spec.subdiff_violation(
                                x, np.asarray(v, float) / c)),
@@ -421,31 +334,3 @@ def spec_by_name(name: str) -> SpectralFunctionSpec:
             raise BadK(f"Ky Fan order {k!r} is not an integer") from None
         return kyfan_spec(k)
     raise BadK(f"unknown spectral function {name!r}")
-
-
-# -- module-level operations ---------------------------------------------------
-
-def f_subderivative(spec: SpectralFunctionSpec, x, w) -> ExtendedValue:
-    """df(x)(w); requires f(x) finite."""
-    if not math.isfinite(spec.eval(x)):
-        raise NotASubgradient(f"{spec.name} not finite at base point")
-    return spec.subderivative(x, w)
-
-
-def f_critical_cone_contains(spec, x, v, w, tol=None) -> bool:
-    """True iff df(x)(w) equals <v, w>; v must be a subgradient."""
-    if not spec.subdiff_contains(x, v):
-        raise NotASubgradient(f"v is not in the subdifferential of "
-                              f"{spec.name} at x")
-    return spec.critical_cone_contains(x, v, w, tol)
-
-
-def f_second_subderivative(spec, x, v, w, tol=None) -> ExtendedValue:
-    """d2f(x|v)(w): indicator of the critical cone for polyhedral f."""
-    if spec.second_subderivative is None:
-        raise NotPolyhedral(
-            f"{spec.name} is not polyhedral and supplies no hook")
-    if not spec.subdiff_contains(x, v):
-        raise NotASubgradient(f"v is not in the subdifferential of "
-                              f"{spec.name} at x")
-    return spec.second_subderivative(x, v, w, tol)

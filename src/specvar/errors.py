@@ -57,10 +57,6 @@ class NotASubgradient(AssumptionError):
     """The supplied vector/matrix is not in the required subdifferential."""
 
 
-class NotPolyhedral(AssumptionError):
-    """Operation requires a polyhedral function and no hook was supplied."""
-
-
 class AssumptionViolated(AssumptionError):
     """Required flags (convexity, lsc, Lipschitz, ...) are not all set."""
 

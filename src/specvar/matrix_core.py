@@ -155,27 +155,6 @@ class SingularPartition:
     def betahat(self):
         return self.beta + self.beta0
 
-    def block_of(self, s):
-        """Return the block (list of indices) containing index s."""
-        for blk in self.alpha_blocks:
-            if s in blk:
-                return blk
-        if s in self.beta:
-            return self.beta
-        raise IndexError(s)
-
-
-@dataclass(frozen=True)
-class EigenPartition:
-    """Multiplicity structure of a nonincreasing eigenvalue vector."""
-
-    n: int
-    blocks: list
-    l: np.ndarray
-    j: np.ndarray
-    r_s: np.ndarray
-    tols: Tolerances
-
 
 def _fix_signs(U, V=None):
     """Flip column signs over the last axis of U (a matrix or a stack) so
@@ -261,35 +240,19 @@ def size_classes(blocks):
             for k in np.unique(sizes).tolist()]
 
 
-def _rank_arrays(n, blocks):
-    sizes = np.array([len(b) for b in blocks], dtype=int)
-    r_s = np.repeat(sizes, sizes)
-    l = np.arange(n) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return l, r_s - l, r_s
+def partition_values(v, tols=TOLERANCES, m=None):
+    """Partition a nonincreasing singular value vector into equal-value
+    blocks.
 
-
-def partition_values(v, tols=TOLERANCES, kind="singular", m=None):
-    """Partition a nonincreasing value vector into equal-value blocks.
-
-    For ``kind="singular"`` entries at or below ``tols.rank * max(1,
-    v[0])`` form the zero block beta and the rest cluster into alpha
-    blocks with strictly decreasing distinct values mu.  For
-    ``kind="eigen"`` all entries cluster (values may be negative, no rank
-    split).
+    Entries at or below ``tols.rank * max(1, v[0])`` form the zero block
+    beta and the rest cluster into alpha blocks with strictly decreasing
+    distinct values mu.
     """
     v = np.asarray(v, dtype=float)
     if v.ndim != 1:
         raise ShapeError("partition_values expects a vector")
     n = len(v)
     scale = max(1.0, v[0]) if n else 1.0
-    if kind == "eigen":
-        escale = max(1.0, float(np.max(np.abs(v), initial=0.0)))
-        blocks = cluster_blocks(v, tols.cluster * escale)
-        l, j, r_s = _rank_arrays(n, blocks)
-        return EigenPartition(n=n, blocks=blocks, l=l, j=j, r_s=r_s,
-                              tols=tols)
-    if kind != "singular":
-        raise ValueError(f"unknown kind {kind!r}")
     if np.any(v < -tols.rank * scale):
         raise NotSorted("singular values must be nonnegative")
     m = n if m is None else m
@@ -301,11 +264,12 @@ def partition_values(v, tols=TOLERANCES, kind="singular", m=None):
     if np.any(np.diff(mu) >= 0):
         # adjacent clusters must be separated by more than the tolerance
         raise InconsistentPartition("cluster values not strictly decreasing")
-    blocks = alpha_blocks + ([beta] if beta else [])
-    l, j, r_s = _rank_arrays(n, blocks)
+    sizes = np.array([len(b) for b in alpha_blocks + [beta] if b], dtype=int)
+    r_s = np.repeat(sizes, sizes)
+    l = np.arange(n) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
     return SingularPartition(n=n, m=m, r=r, t=len(alpha_blocks), mu=mu,
                              alpha_blocks=alpha_blocks, beta=beta,
-                             beta0=beta0, l=l, j=j, r_s=r_s, tols=tols)
+                             beta0=beta0, l=l, j=r_s - l, r_s=r_s, tols=tols)
 
 
 def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:

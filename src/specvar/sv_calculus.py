@@ -33,6 +33,7 @@ from .matrix_core import (
     SvdDecomposition,
     _fix_signs,
     as_matrix,
+    cluster_blocks,
     cluster_ranks,
     partition_of,
     partition_values,
@@ -368,11 +369,12 @@ def eig_expand2(A, E, tols=TOLERANCES):
             raise AsymmetricInput(f"{name} deviates from symmetry by {dev:.3e}")
     n = A.shape[0]
     eig = sym_eig_ordered(A)
-    part = partition_values(eig.lam, tols, kind="eigen")
+    blocks = cluster_blocks(eig.lam, tols.cluster * max(
+        1.0, float(np.max(np.abs(eig.lam), initial=0.0))))
     Ehat = eig.Q.T @ E @ eig.Q
     first = np.zeros(n)
     second = np.zeros(n)
-    for idx in size_classes(part.blocks):
+    for idx in size_classes(blocks):
         gap = eig.lam[idx[:, :1]] - eig.lam            # (b, n)
         np.put_along_axis(gap, idx, np.inf, axis=1)
         K = np.moveaxis(Ehat[:, idx], 0, 1)

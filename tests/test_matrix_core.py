@@ -189,11 +189,6 @@ class TestPartition:
                              Tolerances(cluster=1e-8))
         assert p.t == 2
 
-    def test_eigen_kind(self):
-        p = partition_values(np.array([2.0, 2.0, -1.0]), kind="eigen")
-        assert p.blocks == [[0, 1], [2]]
-        assert p.l[1] == 2 and p.j[0] == 1
-
     def test_rejects_unsorted(self):
         with pytest.raises(NotSorted):
             partition_values(np.array([1.0, 2.0]))

@@ -14,7 +14,9 @@ from specvar.errors import (
     ShapeError,
 )
 from specvar.matrix_core import (
+    TOLERANCES,
     Tolerances,
+    cluster_blocks,
     gauge_randomize,
     partition_of,
     partition_values,
@@ -362,8 +364,7 @@ class TestBlockInvariants:
                 covered += sorted(b.beta.zero_group)
                 assert sorted(covered) == list(range(nb))
             for s in range(b.part.n):
-                blk = b.part.block_of(s)
-                assert 1 <= b.ltilde[s] <= len(blk)
+                assert 1 <= b.ltilde[s] <= b.part.r_s[s]
 
     def test_first_order_equals_group_values(self):
         rng = np.random.default_rng(12)
@@ -395,6 +396,23 @@ class TestEigExpandTies:
         lam = np.linalg.eigvalsh(A + tau * E)[::-1]
         pred = lam0 + tau * first + 0.5 * tau * tau * second
         np.testing.assert_allclose(lam, pred, atol=1e-12)
+
+    # the eigenvalues 0.5 and 0.5 - 5e-5 are one block when the clustering
+    # tolerance scales with max|lambda| = 1e4, and two blocks at scale 1
+    SWAP3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+    def test_cluster_scale_is_max_abs_eigenvalue(self):
+        first, second = eig_expand2(np.diag([0.5, 0.5 - 5e-5, -1e4]),
+                                    self.SWAP3)
+        np.testing.assert_allclose(first, [1.0, -1.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(second, [0.0, 0.0, 0.0], atol=1e-14)
+
+    def test_cluster_scale_floor_is_one(self):
+        first, second = eig_expand2(np.diag([0.5, 0.5 - 5e-5, -1.0]),
+                                    self.SWAP3)
+        np.testing.assert_allclose(first, [0.0, 0.0, 0.0], atol=1e-14)
+        np.testing.assert_allclose(second, [4e4, -4e4, 0.0], rtol=1e-9,
+                                   atol=1e-14)
 
 
 class TestSecondLevelTies:
@@ -506,7 +524,9 @@ def ltilde_reference(blocks):
     lt = np.zeros(n, dtype=int)
     for blk in part.alpha_blocks:
         lam = np.linalg.eigvalsh(Sym[np.ix_(blk, blk)])[::-1]
-        lt[blk] = partition_values(lam, kind="eigen").l
+        tol = TOLERANCES.cluster * max(1.0, np.max(np.abs(lam), initial=0.0))
+        for grp in cluster_blocks(lam, tol):
+            lt[np.array(blk)[grp]] = np.arange(1, len(grp) + 1)
     if r < n:
         lt[r:] = partition_values(
             np.linalg.svd(Hhat[r:, r:], compute_uv=False)).l
