@@ -140,7 +140,7 @@ def F_subderivative(f: SpectralFunctionSpec, X, H,
     if not _flags_ok(f):
         raise AssumptionViolated(
             f"{f.name}: need (lsc and convex) or Lipschitz-on-domain")
-    svd, part, Hhat = _prepared(X, H, None, tols)
+    svd, part, Hhat = _prepared(X, H, tols)
     if not math.isfinite(f.eval(svd.sigma)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
     return f.subderivative(svd.sigma, sigma_dir1_stack(Hhat[None], part)[0])
@@ -264,8 +264,7 @@ class SpectralPoint:
                 "Lipschitz-on-domain flags")
         if f.second_subderivative is None:
             raise AssumptionViolated(
-                f"{f.name}: polyhedral flag or a second-subderivative hook "
-                "is required")
+                f"{f.name}: a second-subderivative hook is required")
         self.f = f
         self.X = as_matrix(X, "X")
         self.Y = as_matrix(Y, "Y")
@@ -342,8 +341,7 @@ def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H, tols=TOLERANCES,
 def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
                               tols=TOLERANCES) -> ExtendedValue:
     """d2F(X)(H | W) = d2f(sigma(X))(sigma'(X;H) | sigma''(X;H,W))."""
-    if not (f.lipschitz_on_domain and (f.polyhedral or
-                                       f.parabolic_subderivative)):
+    if not (f.lipschitz_on_domain and f.parabolic_subderivative is not None):
         raise AssumptionViolated(
             f"{f.name}: parabolic subderivative needs Lipschitz-on-domain "
             "and a parabolic hook")
@@ -459,7 +457,7 @@ def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     The alpha contraction at unit weights, 2 sum_a tr G_a; smooth in a
     neighborhood of X because the r-th and (r+1)-th values stay apart.
     """
-    svd, part, Hhat = _prepared(X, H, None, tols)
+    svd, part, Hhat = _prepared(X, H, tols)
     if part.r == 0:
         raise RankZero("X has rank 0")
     tables = divided_differences(svd.sigma, part)
@@ -477,7 +475,7 @@ def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     X = as_matrix(X, "X")
     Omega = _like(Omega, X, "Omega")
     H = _like(H, X, "H")
-    svd, part, Hhat = _prepared(X, H, None, tols)
+    svd, part, Hhat = _prepared(X, H, tols)
     r = part.r
     tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
     M = svd.U.T @ Omega @ svd.V

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from specvar import matrix_core
 from specvar.absym import (
     INF,
     kyfan_spec,
@@ -370,6 +371,20 @@ class TestParabolic:
         vm = F_parabolic_subderivative(f, X, H, 0.5 * (W1 + W2))
         assert vm == pytest.approx(0.5 * (v1 + v2), abs=1e-10)
 
+    def test_polyhedral_without_hook(self, monkeypatch):
+        # the polyhedral flag is no hook: refused before any decomposition
+        from dataclasses import replace
+        from specvar.errors import AssumptionViolated
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("X was decomposed")
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        f = replace(l1_spec(), parabolic_subderivative=None)
+        assert f.polyhedral
+        with pytest.raises(AssumptionViolated, match="parabolic hook"):
+            F_parabolic_subderivative(f, np.diag([2.0, 1.0]), np.eye(2),
+                                      np.eye(2))
+
 
 class TestPsi:
     def test_eval_bottom_cluster(self):
@@ -559,6 +574,7 @@ class TestOneDecomposition:
         X = random_with_spectrum(6, 4, [2.0, 1.0, 0.0, 0.0], rng)
         svd = svd_ordered(X)
         Om = svd.U[:, :4] @ np.diag([1.0, 1.0, 0.5, 0.25]) @ svd.V.T
+        matrix_core._LAST_SVD.entry = None   # the counts start from no SVD
         return X, Om, rng.standard_normal((6, 4))
 
     def test_nuclear_second_epi(self, monkeypatch):
@@ -892,7 +908,8 @@ class TestSpectralPoint:
             SpectralPoint(l1_spec(), X, 3.0 * Y)
         with pytest.raises(NoSimultaneousGauge):
             SpectralPoint(l1_spec(), np.diag([1.0, 0.5]), SWAP)
-        with pytest.raises(AssumptionViolated):
+        with pytest.raises(AssumptionViolated,
+                           match="a second-subderivative hook is required"):
             SpectralPoint(replace(l1_spec(), second_subderivative=None),
                           X, Y)
 

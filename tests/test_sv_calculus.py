@@ -711,3 +711,116 @@ class TestSizeClassCost:
         assert counts[32] == counts[128]
         # two block sizes (1 and 4): one stacked call each
         assert counts[32] == ({"eigh": 2, "sym_eig_ordered": 2},) * 2
+
+
+class TestLastCallMemo:
+    """svd_ordered and direction_blocks keep their last result, keyed on
+    the exact bits of their inputs: one SVD of X serves every public call
+    at one point, and anything else is a miss."""
+
+    @staticmethod
+    def instance():
+        # a cluster and a zero block; Y in dF(X) for l1 and Hc critical
+        rng = np.random.default_rng(47)
+        m, n, r = 7, 5, 4
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = U[:, :n] @ np.diag([3.0, 2.0, 2.0, 1.0, 0.0]) @ V.T
+        Y = U[:, :n] @ np.diag([1.0, 1.0, 1.0, 1.0, 0.5]) @ V.T
+        H, W = rng.standard_normal((2, m, n))
+        G = U.T @ H @ V
+        G[r:, r:] = 0.0
+        zbar = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+        return X, H, W, Y, U @ G @ V.T, zbar
+
+    @staticmethod
+    def outputs(X, H, W, Y, Hc, zbar):
+        What = min_direction_construct(X, H, zbar)
+        return (sigma_dir1(X, H), sigma_dir2(X, H, W), What,
+                sigma_dir2(X, H, What),
+                oimf.F_second_subderivative(l1_spec(), X, Y, Hc))
+
+    @staticmethod
+    def clear():
+        matrix_core._LAST_SVD.entry = None
+        sv_calculus._LAST_BLOCKS.entry = None
+
+    def test_one_svd_of_X_per_point(self, monkeypatch):
+        X, H, W, Y, Hc, zbar = self.instance()
+        svd = np.linalg.svd
+        seen = []
+
+        def counted(A, *args, **kwargs):
+            seen.append(np.shape(A) == X.shape and np.array_equal(A, X))
+            return svd(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        self.outputs(X, H, W, Y, Hc, zbar)
+        assert sum(seen) == 1
+
+    def test_hit_bitwise_equals_rebuild(self):
+        data = self.instance()
+        self.outputs(*data)
+        hit = self.outputs(*data)
+        self.clear()
+        rebuilt = self.outputs(*data)
+        for a, b in zip(hit[:4], rebuilt[:4]):
+            assert np.array_equal(a, b)
+        assert hit[4] == rebuilt[4]
+
+    def test_in_place_edit_is_a_miss(self):
+        X, H = self.instance()[:2]
+        svd, blocks = svd_ordered(X), direction_blocks(X, H)
+        assert svd_ordered(X) is svd and direction_blocks(X, H) is blocks
+        X[0, 0] = np.nextafter(X[0, 0], np.inf)
+        assert svd_ordered(X) is not svd
+        assert direction_blocks(X, H) is not blocks
+        H[0, 0] += 1.0
+        fresh = direction_blocks(X, H)
+        self.clear()
+        assert np.array_equal(fresh.Hhat, direction_blocks(X, H).Hhat)
+
+    def test_negative_zero_is_a_miss(self):
+        X = np.diag([2.0, 1.0, 0.0])
+        svd = svd_ordered(X)
+        assert svd_ordered(np.where(X == 0.0, -0.0, X)) is not svd
+
+    def test_other_tolerances_are_a_miss(self):
+        X, H = self.instance()[:2]
+        blocks = direction_blocks(X, H)
+        other = direction_blocks(X, H, tols=Tolerances(cluster=1e-6))
+        assert other is not blocks
+        assert direction_blocks(X, H, tols=Tolerances(cluster=1e-6)) is other
+
+    def test_gauge_bypasses_the_memo(self):
+        X, H = self.instance()[:2]
+        blocks = direction_blocks(X, H)
+        g = gauge_randomize(blocks.gauge, blocks.part, seed=3)
+        given = direction_blocks(X, H, gauge=g)
+        assert given is not blocks and given.gauge is g
+        assert given.Hhat.flags.writeable     # not stored, not frozen
+        assert direction_blocks(X, H) is blocks
+
+    def test_stored_arrays_are_read_only(self):
+        X, H = self.instance()[:2]
+        svd, blocks = svd_ordered(X), direction_blocks(X, H)
+        U, Hhat = svd.U.copy(), blocks.Hhat.copy()
+        with pytest.raises(ValueError):
+            svd.U[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            direction_blocks(X, H).Hhat[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            direction_blocks(X, H).alpha[0].S[0, 0] = 1.0
+        assert np.array_equal(svd_ordered(X).U, U)
+        assert np.array_equal(direction_blocks(X, H).Hhat, Hhat)
+
+    def test_hit_warns_again(self):
+        X, W = np.diag([1.0 + 1e-7, 1.0]), np.zeros((2, 2))
+        seen = []
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sigma_dir2(X, SWAP, W)
+            seen.append([(str(w.message), w.category, w.filename, w.lineno)
+                         for w in caught])
+        assert seen[0] and seen[0] == seen[1]
+        assert all(c is ConditioningWarning for _, c, _, _ in seen[0])
