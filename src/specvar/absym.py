@@ -72,17 +72,15 @@ def _sum_top(u, q):
 
 def _signed_top_dirderiv(u, z, q, scale):
     """Directional derivative of v -> sum of q largest entries, at u
-    along z: resolve the tie cluster at the q-th largest value of u."""
+    along z: resolve the ``cluster_blocks`` run holding the q-th largest
+    value of u, as ``_classify`` does for the k-th."""
     n = len(u)
     if q >= n:
         return float(np.sum(z))
-    tol = ZERO_TOL * (1.0 + scale)
     order = np.argsort(-u, kind="stable")
-    theta = u[order[q - 1]]
-    above2 = [i for i in order if u[i] > theta + tol]
-    tied2 = [i for i in order if abs(u[i] - theta) <= tol]
-    q2 = q - len(above2)
-    return float(np.sum(z[above2])) + _sum_top(z[tied2], q2)
+    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(
+        u[order], ZERO_TOL * (1.0 + scale)) if q - 1 <= b[-1])
+    return float(np.sum(z[order[:lo]])) + _sum_top(z[order[lo:hi]], q - lo)
 
 
 class _TopKAbs:
@@ -227,7 +225,6 @@ class SpectralFunctionSpec:
     """
 
     name: str
-    polyhedral: bool
     convex: bool
     lsc: bool
     lipschitz_on_domain: bool
@@ -254,7 +251,7 @@ def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
         return 0.0 if critical(x, v, w, tol) else INF
 
     return SpectralFunctionSpec(
-        name=name, polyhedral=True, convex=True, lsc=True,
+        name=name, convex=True, lsc=True,
         lipschitz_on_domain=True,
         eval=core.eval,
         subderivative=core.subderivative,

@@ -19,7 +19,8 @@ import numpy as np
 
 from .absym import INF, SpectralFunctionSpec, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
-from .matrix_core import CONE_TOL, STATIONARITY_TOL, as_matrix, svd_ordered
+from .matrix_core import CURVATURE_TOL, STATIONARITY_TOL
+from .matrix_core import as_matrix, svd_ordered
 from .oimf import F_eval, SpectralPoint, _subdiff_residual, guided_offsets
 from .oracles import fd_gradient_check
 
@@ -120,7 +121,6 @@ class SamplingConfig:
     min_samples: int = 50
     max_candidates: int = 20_000
     seed: int = 0
-    curvature_tol: float = 1e-7
     growth_eps: float = 1e-2
     growth_samples: int = 2000
 
@@ -283,7 +283,6 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             if nrm > 0:
                 yield H / nrm
 
-    cone_tol = CONE_TOL * (1.0 + point.y_norm)
     samples = []
     counterexample = None
     tried = 0
@@ -294,12 +293,12 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
                                    min(cfg.n_samples - len(samples), cap)))
         if not Hs:
             break
-        for H, rep in zip(Hs, point.second_subderivatives(Hs, cone_tol)):
+        for H, rep in zip(Hs, point.second_subderivatives(Hs)):
             if not rep.critical:
                 continue
             q = _curvature_from(p, X0, H, rep)
             samples.append((H, q))
-            if q < -cfg.curvature_tol and counterexample is None:
+            if q < -CURVATURE_TOL and counterexample is None:
                 if _validated_counterexample(p, X0, H, q):
                     counterexample = H
 
@@ -317,7 +316,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     min_curv = min(q for _, q in samples)
     if counterexample is not None:
         verdict = "necessary-violated"
-    elif min_curv > cfg.curvature_tol:
+    elif min_curv > CURVATURE_TOL:
         verdict = "sufficient-evidence"
     else:
         verdict = "inconclusive"

@@ -262,12 +262,10 @@ def _oracle_target(args, X, tols):
     if args.target == "composite":
         f = spec_by_name(args.f)
         return lambda M: oimf.F_eval(f, M)
-    if args.target == "psi":
-        # freeze the zero-block split at the base point's rank
-        s = np.linalg.svd(X, compute_uv=False)
-        r0 = partition_values(s, tols).r
-        return lambda M: oimf.nuclear_psi_eval(M, base_rank=r0)
-    raise UsageError(f"unknown oracle target {args.target!r}")
+    # psi: freeze the zero-block split at the base point's rank
+    s = np.linalg.svd(X, compute_uv=False)
+    r0 = partition_values(s, tols).r
+    return lambda M: oimf.nuclear_psi_eval(M, base_rank=r0)
 
 
 def cmd_oracle(args, tols):
@@ -276,7 +274,7 @@ def cmd_oracle(args, tols):
     cfg = oracles.OracleConfig(
         tau_grid=tuple(args.tau_grid), samples_per_tau=args.samples,
         radius_c=args.radius_c,
-        seed=args.seed if args.seed is not None else 0)
+        seed=oracles.OracleConfig.seed if args.seed is None else args.seed)
     g = _oracle_target(args, X, tols)
     echo = {"kind": args.kind, "target": args.target, "f": args.f, "X": X,
             "H": H, "seed": cfg.seed, "tau_grid": list(cfg.tau_grid),
@@ -301,13 +299,11 @@ def cmd_oracle(args, tols):
             vals = oracles.quotient2_fixed(g, X, Y, H, cfg)
             rows = list(zip(cfg.tau_grid, vals))
             out = {"quotients": rows, "estimate": vals[-1]}
-        elif args.kind == "liminf":
+        else:   # liminf
             guides = oimf.guided_offsets(X, H, tols) \
                 if not args.no_guided else ()
             rows = oracles.liminf_table(g, X, Y, H, cfg, guides)
             out = {"quotients": rows, "estimate": rows[-1][1]}
-        else:
-            raise UsageError(f"unknown oracle kind {args.kind!r}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("tau,quotient\n")
@@ -319,9 +315,12 @@ def cmd_oracle(args, tols):
 def cmd_certify(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
     cfg = SamplingConfig(
-        n_samples=args.n_samples or sampling.get("n_samples", 200),
-        min_samples=args.min_samples or sampling.get("min_samples", 50),
-        seed=args.seed if args.seed is not None else sampling.get("seed", 0))
+        n_samples=args.n_samples or sampling.get(
+            "n_samples", SamplingConfig.n_samples),
+        min_samples=args.min_samples or sampling.get(
+            "min_samples", SamplingConfig.min_samples),
+        seed=args.seed if args.seed is not None else sampling.get(
+            "seed", SamplingConfig.seed))
     cert = run_certify(p, X0, cfg)
     out = {
         "verdict": cert.verdict,
@@ -338,7 +337,8 @@ def cmd_certify(args, tols):
 
 def cmd_growth(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
-    seed = args.seed if args.seed is not None else sampling.get("seed", 0)
+    seed = args.seed if args.seed is not None else sampling.get(
+        "seed", SamplingConfig.seed)
     g = quadratic_growth_probe(p, X0, args.eps, args.n_samples,
                                            seed)
     return {"growth": g}, {"problem": raw, "eps": args.eps,
@@ -383,10 +383,10 @@ def build_parser():
     sp.add_argument("--f", default="l1")
     sp.add_argument("--Y", default=None)
     sp.add_argument("--W", default=None)
-    sp.add_argument("--tau-grid", type=float, nargs="+",
-                    default=[1e-1, 1e-2, 1e-3, 1e-4])
-    sp.add_argument("--samples", type=int, default=64)
-    sp.add_argument("--radius-c", type=float, default=2.0)
+    plan = oracles.OracleConfig
+    sp.add_argument("--tau-grid", type=float, nargs="+", default=plan.tau_grid)
+    sp.add_argument("--samples", type=int, default=plan.samples_per_tau)
+    sp.add_argument("--radius-c", type=float, default=plan.radius_c)
     sp.add_argument("--no-guided", action="store_true")
     sp.add_argument("--csv", default=None,
                     help="also write (tau, quotient) rows to this CSV")
@@ -400,7 +400,7 @@ def build_parser():
 
     sp = sub.add_parser("growth")
     sp.add_argument("--problem", required=True)
-    sp.add_argument("--eps", type=float, default=1e-2)
+    sp.add_argument("--eps", type=float, default=SamplingConfig.growth_eps)
     sp.add_argument("--n-samples", type=int, default=10_000)
     sp.set_defaults(fn=cmd_growth)
 

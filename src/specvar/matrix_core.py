@@ -38,6 +38,8 @@ SUBDIFF_TOL = 1e-10       # f-level subdifferential violation; absolute
 SUBDIFF_ALIGN_TOL = 1e-9  # trace alignment; 1 + ||X|| ||Y||
 STATIONARITY_TOL = 1e-7   # stationarity residual; 1 + ||grad psi||
 SET_TOL = 1e-9            # invariant-set membership; absolute
+CURVATURE_TOL = 1e-7      # sign of a sampled certify curvature; absolute
+FD_TOL = 1e-5             # finite-difference check of psi hooks; relative
 SYMMETRY_TOL = 1e-12      # asymmetry of eig_expand2 inputs; max(1, ||A||)
 BLOCK_SORT_TOL = 1e-12    # sortedness of a sigma'' target; max(1, |zbar|)
 GAP_WARN = 1e-6           # ConditioningWarning below this gap; max(1, s_1)

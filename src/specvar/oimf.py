@@ -39,6 +39,7 @@ from .matrix_core import (
     SUBDIFF_ALIGN_TOL,
     TOLERANCES,
     SvdDecomposition,
+    _svd,
     as_matrix,
     cluster_blocks,
     partition_of,
@@ -116,7 +117,7 @@ def _align(svd, part, Y):
             V[:, idx] = np.moveaxis(np.moveaxis(V[:, idx], 0, 1) @ eig.Q, 1, 0)
     if part.r < n:
         bh = part.betahat
-        rs = svd_ordered(M[np.ix_(bh, part.beta)])
+        rs = _svd(M[np.ix_(bh, part.beta)])   # keeps X's memo entry
         U[:, bh] = U[:, bh] @ rs.U
         V[:, part.beta] = V[:, part.beta] @ rs.V
         sy[part.beta] = rs.sigma
@@ -168,19 +169,18 @@ def _subdiff_pair(f: SpectralFunctionSpec, X, Y):
     return X, Y
 
 
-def _in_subdiff(f, X, Y, tol=None, sx=None):
+def _in_subdiff(f, X, Y, sx=None):
     """``F_subdiff_contains`` for checked X and Y."""
     member, align_gap = _subdiff_residual(f.subdiff_contains, X, Y, sx)
-    if tol is None:
-        tol = SUBDIFF_ALIGN_TOL * (
-            1.0 + np.linalg.norm(X) * np.linalg.norm(Y))
-    return member and align_gap <= tol
+    return member and align_gap <= SUBDIFF_ALIGN_TOL * (
+        1.0 + np.linalg.norm(X) * np.linalg.norm(Y))
 
 
-def F_subdiff_contains(f: SpectralFunctionSpec, X, Y, tol=None) -> bool:
-    """Y in dF(X): sigma(Y) in df(sigma(X)) plus trace alignment."""
+def F_subdiff_contains(f: SpectralFunctionSpec, X, Y) -> bool:
+    """Y in dF(X): sigma(Y) in df(sigma(X)) plus trace alignment within
+    SUBDIFF_ALIGN_TOL (1 + ||X|| ||Y||)."""
     X, Y = _subdiff_pair(f, X, Y)
-    return _in_subdiff(f, X, Y, tol)
+    return _in_subdiff(f, X, Y)
 
 
 def F_subdiff_element(f: SpectralFunctionSpec, X):
@@ -191,9 +191,10 @@ def F_subdiff_element(f: SpectralFunctionSpec, X):
     return svd.U[:, :n] @ (rep[:, None] * svd.V.T)
 
 
-def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
+def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
                              diagnostics=False, tols=TOLERANCES):
-    """H in K_F(X, Y): the duality gap dF(X)(H) - <Y, H> vanishes.
+    """H in K_F(X, Y): the duality gap dF(X)(H) - <Y, H> is within
+    CONE_TOL (1 + ||Y|| ||H||).
 
     With ``diagnostics=True`` also reports the equivalent block
     conditions: the f-level cone membership of sigma'(X;H) and the
@@ -212,8 +213,7 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, tol=None,
     Hhat = svd.U.T @ H @ svd.V
     d1 = sigma_dir1_stack(Hhat[None], part)[0]
     gap = f.subderivative(svd.sigma, d1) - float(np.sum(Y * H))
-    if tol is None:
-        tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
+    tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
     member = abs(gap) <= tol
     if not diagnostics:
         return member
@@ -283,13 +283,13 @@ class SpectralPoint:
             "ill-conditioned" for mu, g, w in self._tables.gaps if w)
         self._B = -2.0 * sy[part.r:, None] / s[:part.r]   # beta weights
 
-    def second_subderivatives(self, Hs, tol=None):
+    def second_subderivatives(self, Hs):
         """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack.
 
         Per row, in order, ``f.subderivative`` gives the duality gap
-        dF(X)(H) - <Y, H>; within ``tol`` (default CONE_TOL (1 + ||Y||
-        ||H||)) the row is critical and gets ``f.second_subderivative``
-        and the alpha and beta terms.  Small-gap blocks warn once a call.
+        dF(X)(H) - <Y, H>; within CONE_TOL (1 + ||Y|| ||H||) the row is
+        critical and gets ``f.second_subderivative`` and the alpha and
+        beta terms.  Small-gap blocks warn once a call.
         """
         Hs = np.asarray(Hs, dtype=float)
         if Hs.ndim != 3 or Hs.shape[1:] != self.X.shape:
@@ -300,8 +300,8 @@ class SpectralPoint:
         Hhat = self.gauge.U.T @ Hs @ self.gauge.V
         d1 = sigma_dir1_stack(Hhat, part)
         yh = (flat * self.Y.ravel()).sum(axis=1)
-        tols = [tol] * len(Hs) if tol is not None else [
-            CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(h)) for h in flat]
+        tols = [CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(h))
+                for h in flat]
         alpha = alpha_terms(Hhat, self._tables, sy[:r])
         beta = np.einsum("kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n],
                          self._B)
@@ -321,13 +321,13 @@ class SpectralPoint:
                 duality_gap=gap, warnings=self._report_warns))
         return out
 
-    def second_subderivative(self, H, tol=None) -> SecondSubderivativeReport:
+    def second_subderivative(self, H) -> SecondSubderivativeReport:
         """``second_subderivatives`` of the one direction H."""
-        return self.second_subderivatives(as_matrix(H, "H")[None], tol)[0]
+        return self.second_subderivatives(as_matrix(H, "H")[None])[0]
 
 
-def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H, tols=TOLERANCES,
-                           tol=None) -> SecondSubderivativeReport:
+def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
+                           tols=TOLERANCES) -> SecondSubderivativeReport:
     """d2F(X|Y)(H) for convex f, with its additive breakdown.
 
     For critical H the value is the f-level second subderivative at the
@@ -335,7 +335,7 @@ def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H, tols=TOLERANCES,
     beta-block cross quadratic; outside the critical cone it is +inf.
     Directions sharing one (X, Y) should reuse a ``SpectralPoint``.
     """
-    return SpectralPoint(f, X, Y, tols).second_subderivative(H, tol)
+    return SpectralPoint(f, X, Y, tols).second_subderivative(H)
 
 
 def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
@@ -508,28 +508,28 @@ class InvariantSetSpec:
     project: Optional[Callable] = None
 
 
-def spectral_ball_set(radius=1.0, tol=SET_TOL) -> InvariantSetSpec:
+def spectral_ball_set(radius=1.0) -> InvariantSetSpec:
     """The box {x : max |x_i| <= radius} (spectral-norm ball on sigma)."""
     if not (radius > 0):
         raise ShapeError("radius must be positive")
 
     def contains(x):
         return bool(np.max(np.abs(_as_vector(x)), initial=0.0)
-                    <= radius + tol)
+                    <= radius + SET_TOL)
 
     def tangent(x, w):
         x, w = _as_vector(x), _as_vector(w, "w")
-        hi = x >= radius - tol
-        lo = x <= -radius + tol
-        return bool(np.all(w[hi] <= tol) and np.all(w[lo] >= -tol))
+        hi = x >= radius - SET_TOL
+        lo = x <= -radius + SET_TOL
+        return bool(np.all(w[hi] <= SET_TOL) and np.all(w[lo] >= -SET_TOL))
 
     def tangent2(x, w, u):
         x, w, u = _as_vector(x), _as_vector(w, "w"), _as_vector(u, "u")
         if not tangent(x, w):
             return False
-        hi = (x >= radius - tol) & (np.abs(w) <= tol)
-        lo = (x <= -radius + tol) & (np.abs(w) <= tol)
-        return bool(np.all(u[hi] <= tol) and np.all(u[lo] >= -tol))
+        hi = (x >= radius - SET_TOL) & (np.abs(w) <= SET_TOL)
+        lo = (x <= -radius + SET_TOL) & (np.abs(w) <= SET_TOL)
+        return bool(np.all(u[hi] <= SET_TOL) and np.all(u[lo] >= -SET_TOL))
 
     return InvariantSetSpec(
         name=f"spectral-ball:{radius:g}", contains=contains,
@@ -537,9 +537,9 @@ def spectral_ball_set(radius=1.0, tol=SET_TOL) -> InvariantSetSpec:
         project=lambda x: np.clip(_as_vector(x), -radius, radius))
 
 
-def zero_set(tol=SET_TOL) -> InvariantSetSpec:
+def zero_set() -> InvariantSetSpec:
     def near_zero(v):
-        return bool(np.max(np.abs(_as_vector(v)), initial=0.0) <= tol)
+        return bool(np.max(np.abs(_as_vector(v)), initial=0.0) <= SET_TOL)
 
     return InvariantSetSpec(
         name="zero", contains=near_zero,

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteBase, ShapeError
+from .matrix_core import FD_TOL
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,10 @@ class GradientCheckReport:
         return self.gradient_ok and self.hessian_ok
 
 
-def fd_gradient_check(psi, X, tau=1e-5, tol=1e-5, n_directions=5,
+def fd_gradient_check(psi, X, tau=1e-5, n_directions=5,
                       seed=0) -> GradientCheckReport:
     """Check ``psi.gradient`` and ``psi.hessian_apply`` at X by central
-    differences.  Report-only: callers decide what to do with failures.
+    differences, to FD_TOL.  Report-only: callers decide what to do.
     """
     X = _arr(X, "X")
     G = _arr(psi.gradient(X), "gradient")
@@ -203,4 +204,4 @@ def fd_gradient_check(psi, X, tau=1e-5, tol=1e-5, n_directions=5,
                     / max(1.0, np.linalg.norm(HD)))
     return GradientCheckReport(gradient_rel_err=float(g_err),
                                hessian_rel_err=float(h_err),
-                               tau=tau, tol=tol)
+                               tau=tau, tol=FD_TOL)

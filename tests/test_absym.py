@@ -150,7 +150,7 @@ class TestSecondSubderivative:
     def test_not_polyhedral_without_hook(self):
         # scaling keeps a missing hook missing, so c*f is rejected where f is
         from dataclasses import replace
-        f = replace(l1_spec(), polyhedral=False, second_subderivative=None)
+        f = replace(l1_spec(), second_subderivative=None)
         X, Y = np.diag([1.0, 0.0]), np.diag([1.0, 0.5])
         assert scale_spec(f, 2.0).second_subderivative is None
         for spec, Ys in ((f, Y), (scale_spec(f, 2.0), 2.0 * Y)):
@@ -188,6 +188,21 @@ class TestParabolic:
                                         [1.0, -3.0]) == pytest.approx(-2.0)
         assert f.parabolic_subderivative([1.0, 0.0], [2.0, -1.0],
                                         [1.0, -3.0]) == pytest.approx(4.0)
+
+    def test_chained_near_tie_follows_cluster_blocks(self):
+        # the tie window at x = (1, 1, 1) is ZERO_TOL (1 + max|w|) = 2e-12;
+        # w chains: w_2 is within it of w_1 and w_3 of w_2, not of w_1.
+        # cluster_blocks cuts the run at w_3, so the top-2 face along z
+        # is z_1 + z_2 (a window about w_2 would also tie w_3 and pick z_3)
+        from specvar.matrix_core import ZERO_TOL, cluster_blocks
+        tol = ZERO_TOL * 2.0
+        w = np.array([1.0, 1.0 - 0.6 * tol, 1.0 - 1.2 * tol])
+        assert cluster_blocks(w, tol) == [[0, 1], [2]]
+        f = kyfan_spec(2)
+        assert f.parabolic_subderivative([1.0, 1.0, 1.0], w,
+                                        [0.0, 0.0, 1.0]) == 0.0
+        assert f.parabolic_subderivative([1.0, 1.0, 1.0], w,
+                                        [1.0, 0.0, 0.0]) == 1.0
 
 
 class TestSignedPermutations:

@@ -333,7 +333,7 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
     original space, candidates built eagerly, growth probed one objective
     call per sample."""
     from specvar.certify import _validated_counterexample
-    from specvar.matrix_core import partition_of, svd_ordered
+    from specvar.matrix_core import CURVATURE_TOL, partition_of, svd_ordered
     from specvar.oimf import (
         CONE_TOL,
         F_subderivative,
@@ -435,13 +435,13 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
             continue
         q = curvature_fresh(H, Y)
         samples.append((H, q))
-        if (q < -cfg.curvature_tol and counterexample is None
+        if (q < -CURVATURE_TOL and counterexample is None
                 and _validated_counterexample(p, X0, H, q)):
             counterexample = H
     min_curv = min(q for _, q in samples)
     if counterexample is not None:
         verdict = "necessary-violated"
-    elif min_curv > cfg.curvature_tol:
+    elif min_curv > CURVATURE_TOL:
         verdict = "sufficient-evidence"
     else:
         verdict = "inconclusive"

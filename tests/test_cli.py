@@ -139,6 +139,22 @@ class TestCommands:
                   "--X", x, "--H", h, "--tau-grid", "1e-2", "1e-3")
         assert rep["outputs"]["estimate"] == pytest.approx(4.0, abs=0.05)
 
+    def test_deriv2_readme_example(self, tmp_path):
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        h = write(tmp_path, "h.csv", SWAP)
+        w = write(tmp_path, "w.csv", np.zeros((2, 2)))
+        out = run(tmp_path, "deriv2", "--X", x, "--H", h, "--W", w)["outputs"]
+        assert out == {"sigma_dir1": [0.0, 0.0], "sigma_dir2": [2.0, 2.0]}
+
+    def test_oracle_parabolic_psi_reads_psi_subderivative(self, tmp_path):
+        from specvar.oimf import nuclear_psi_subderivative
+        X, H = np.diag([1.0, 0.0]), np.array([[0.3, 1.0], [1.0, -0.5]])
+        rep = run(tmp_path, "oracle", "--kind", "parabolic", "--target",
+                  "psi", "--X", write(tmp_path, "x.csv", X),
+                  "--H", write(tmp_path, "h.csv", H), "--tau-grid", "1e-2")
+        assert rep["outputs"]["dgxw"] == nuclear_psi_subderivative(X, H)
+        assert rep["outputs"]["dgxw"] == pytest.approx(0.5, abs=1e-15)
+
 
 def make_problem(tmp_path, kind="soft"):
     if kind == "soft":
@@ -319,6 +335,21 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ShapeError" and err["exit_code"] == 1
         assert err["message"].startswith(f"{flag} (1, 2) and --X (2, 2)")
+
+    def test_oracle_liminf_without_Y_exit_1(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        h = write(tmp_path, "h.csv", SWAP)
+        assert main(["oracle", "--kind", "liminf", "--X", x, "--H", h]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert err["message"] == "oracle --kind liminf requires --Y"
+
+    def test_oracle_unknown_kind_exit_1(self, tmp_path, capsys):
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        assert main(["oracle", "--kind", "bogus", "--X", x, "--H", x]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert "bogus" in err["message"]
 
     def test_truncated_problem_json_exit_1(self, tmp_path, capsys):
         prob = make_problem(tmp_path, "soft")

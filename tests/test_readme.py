@@ -1,0 +1,71 @@
+"""README's Python quick tour runs as written.  A top-level expression
+with a comment must return a value whose repr the comment quotes; a
+comment that names a warning or an exception must see exactly that."""
+
+import ast
+import io
+import re
+import tokenize
+import warnings
+from pathlib import Path
+
+import specvar
+from specvar.errors import ConditioningWarning
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _tour():
+    section = README.read_text(encoding="utf-8").split(
+        "## Library quick tour", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _comments(source):
+    """row -> comment text: a line's trailing comment, extended by the
+    indented comment-only lines below it (a comment at column 0 stands
+    alone)."""
+    out, last = {}, None
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.COMMENT:
+            continue
+        row, col = tok.start
+        text = tok.string.lstrip("# ")
+        if tok.line[:col].strip():
+            out[row], last = text, row
+        elif col > 0 and last is not None:
+            out[last] += " " + text
+    return out
+
+
+def test_quick_tour_results():
+    source = _tour()
+    comments = _comments(source)
+    ns = {}
+    checked = []
+    for node in ast.parse(source).body:
+        comment = next((comments[row] for row in range(
+            node.lineno, node.end_lineno + 1) if row in comments), None)
+        if not isinstance(node, ast.Expr) or comment is None:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
+            continue
+        expr = compile(ast.Expression(node.value), "README.md", "eval")
+        if comment.startswith("raises "):
+            error = getattr(specvar.errors, comment.split()[1])
+            try:
+                eval(expr, ns)
+            except error:
+                checked.append(comment)
+                continue
+            raise AssertionError(f"{ast.unparse(node)} did not raise {error}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value = eval(expr, ns)
+        assert repr(value) in comment, (ast.unparse(node), repr(value))
+        warned = any(issubclass(w.category, ConditioningWarning)
+                     for w in caught)
+        assert warned == ("ConditioningWarning" in comment), comment
+        checked.append(comment)
+    # [0, 0], [2, 2], the d2F breakdown, the stacked values, the two
+    # Tolerances lines and the ShapeError
+    assert len(checked) == 7, checked

@@ -50,6 +50,45 @@ def test_no_cluster_tol_or_rank_tol_parameter():
     assert offenders == []
 
 
+def _tol_named(names):
+    return [n for n in names if n == "tol" or n.endswith("_tol")]
+
+
+def test_no_other_settable_threshold():
+    # every threshold a caller can set travels in Tolerances; the spec
+    # hooks keep their tol, through which SpectralPoint passes CONE_TOL
+    from specvar.certify import SamplingConfig
+    from specvar.oracles import OracleConfig
+    offenders = {}
+    for name in dir(specvar):
+        obj = getattr(specvar, name)
+        if inspect.isfunction(obj):
+            offenders[name] = _tol_named(inspect.signature(obj).parameters)
+    for name, obj in vars(specvar.SpectralPoint).items():
+        if inspect.isfunction(obj):
+            offenders[f"SpectralPoint.{name}"] = _tol_named(
+                inspect.signature(obj).parameters)
+    for cls in (SamplingConfig, OracleConfig):
+        offenders[cls.__name__] = _tol_named(
+            f.name for f in dataclasses.fields(cls))
+    assert {k: v for k, v in offenders.items() if v} == {}
+
+
+def test_stale_positional_cone_tol_is_refused():
+    # a positional fifth argument would be read as diagnostics and turn
+    # the membership bool into a truthy (member, info) tuple
+    with pytest.raises(TypeError):
+        specvar.F_critical_cone_contains(specvar.l1_spec(), np.eye(2),
+                                         np.eye(2), np.eye(2), 1e-3)
+
+
+def test_gradient_check_records_fd_tol():
+    from specvar.matrix_core import FD_TOL
+    psi = specvar.HalfSquaredDistance(np.eye(2))
+    rep = specvar.fd_gradient_check(psi, np.diag([2.0, 1.0]))
+    assert rep.tol == FD_TOL == 1e-5 and rep.ok
+
+
 def test_tolerances_is_the_settable_pair():
     assert [f.name for f in dataclasses.fields(Tolerances)] == [
         "cluster", "rank"]
