@@ -314,13 +314,10 @@ def cmd_oracle(args, tols):
 
 def cmd_certify(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
-    cfg = SamplingConfig(
-        n_samples=args.n_samples or sampling.get(
-            "n_samples", SamplingConfig.n_samples),
-        min_samples=args.min_samples or sampling.get(
-            "min_samples", SamplingConfig.min_samples),
-        seed=args.seed if args.seed is not None else sampling.get(
-            "seed", SamplingConfig.seed))
+    cfg = SamplingConfig(**{   # a given flag wins, 0 included
+        k: getattr(args, k) if getattr(args, k) is not None
+        else sampling.get(k, getattr(SamplingConfig, k))
+        for k in ("n_samples", "min_samples", "seed")})
     cert = run_certify(p, X0, cfg)
     out = {
         "verdict": cert.verdict,

@@ -7,9 +7,9 @@ the top-r sum), and tangent-set tests for orthogonally invariant sets.
 
 The second-order formulas require one orthogonal pair (U, V) that
 diagonalizes X and Y simultaneously with both value vectors ordered;
-``simultaneous_gauge`` constructs it or raises ``NoSimultaneousGauge``,
-which happens exactly when Y is not a subgradient direction compatible
-with X.
+``simultaneous_gauge`` constructs it or raises ``NoSimultaneousGauge``
+when Y cannot be aligned with X; ``SpectralPoint`` then tests sigma(Y) in
+df(sigma(X)) at the same scale and raises ``NotASubgradient``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .absym import INF, ExtendedValue, SpectralFunctionSpec, _as_vector
+from .absym import (INF, ExtendedValue, SpectralFunctionSpec, _as_vector,
+                    l1_spec)
 from .errors import (
     AssumptionViolated,
     FullRank,
@@ -250,8 +251,9 @@ class SpectralPoint:
     Construction checks the flags and hooks of f, builds the aligned
     gauge and the partition of sigma(X) (``simultaneous_gauge``: one
     stacked eigh per block size, singletons read diag(U^T Y V)), checks
-    sigma(Y) in df(sigma(X)) and that f is finite at sigma(X), and keeps
-    ||Y||, the ``DividedDifferences`` of sigma(X) and the beta weights.
+    sigma(Y) in df(sigma(X)) at the gauge's scale GAUGE_TOL ||Y|| (so
+    (c f, c Y) is decided alike) and that f is finite at sigma(X), and
+    keeps ||Y||, the ``DividedDifferences`` of sigma(X) and the beta weights.
     The formula depends on H only through Hhat = U^T H V, so a stack of
     directions costs one batched product and the ``sv_calculus`` kernel:
     no SVD of X, no partition.
@@ -271,12 +273,12 @@ class SpectralPoint:
         self.gauge, self.part, self.sy = simultaneous_gauge(
             self.X, self.Y, tols)
         s, sy, part = self.gauge.sigma, self.sy, self.part
-        if not f.subdiff_contains(s, sy):
+        self.y_norm = float(np.linalg.norm(self.Y))
+        if not f.subdiff_contains(s, sy, GAUGE_TOL * self.y_norm):
             raise NotASubgradient(
                 "sigma(Y) is not in the subdifferential of f at sigma(X)")
         if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-        self.y_norm = float(np.linalg.norm(self.Y))
         self._tables = divided_differences(s, part)
         self._report_warns = tuple(
             f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "
@@ -465,33 +467,17 @@ def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
 
 
 def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
-    """Second epi-derivative of the nuclear norm at X for Omega.
-
-    Splits as the smooth top-r term plus the zero-cluster epi-derivative
-    taken at the zero-block part of Omega (the subgradient splits the
-    same way: Omega = U_a V_a^T + U_bh Z V_b^T).  Both terms read one
-    decomposition of X and Hhat = U^T H V.
-    """
-    X = as_matrix(X, "X")
-    Omega = _like(Omega, X, "Omega")
-    H = _like(H, X, "H")
-    svd, part, Hhat = _prepared(X, H, tols)
-    r = part.r
-    tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
-    M = svd.U.T @ Omega @ svd.V
-    if np.linalg.norm(M[:r, :r] - np.eye(r)) > tol:
-        raise NotASubgradient("top block of Omega is not the identity")
-    if (np.linalg.norm(M[:r, r:]) > tol
-            or np.linalg.norm(M[r:, :r]) > tol):
-        raise NotASubgradient("Omega couples the top and zero blocks")
-    Z = M[r:, r:]
-    svals = np.linalg.svd(Z, compute_uv=False)
-    if len(svals) and svals[0] > 1.0 + tol:
-        raise NotASubgradient(
-            "zero-block part of Omega exceeds the unit spectral ball")
-    tables = divided_differences(svd.sigma, part)
-    return (float(alpha_terms(Hhat[None], tables, 1.0)[0])
-            + _psi_epi_term(Z, Hhat, svd.sigma[:r]))
+    """Second epi-derivative of the nuclear norm at X for Omega, read from
+    ``SpectralPoint(l1_spec(), X, Omega)``: the top-r term plus the
+    zero-cluster term at Z, for Omega = U_a V_a^T + U_bh Z V_b^T.  An Omega
+    outside the subdifferential raises ``NotASubgradient``, also when it
+    cannot be aligned with X."""
+    Omega = _like(Omega, as_matrix(X, "X"), "Omega")
+    try:
+        point = SpectralPoint(l1_spec(), X, Omega, tols)
+    except NoSimultaneousGauge as exc:
+        raise NotASubgradient(f"Omega is not a subgradient: {exc}") from exc
+    return point.second_subderivative(H).value
 
 
 # -- invariant sets ------------------------------------------------------------

@@ -165,6 +165,17 @@ class TestCertify:
         with pytest.raises(AssumptionViolated):
             certify(bad, X0)
 
+    @pytest.mark.parametrize("eps", [1e-10, 3e-10, 1e-9])
+    def test_near_stationary_point_gets_a_verdict(self, eps):
+        # a residual this small passes stationarity_check, and SpectralPoint
+        # accepts the same -grad psi at the scale GAUGE_TOL ||Y||
+        p, X0 = soft_threshold_fixture()
+        X = X0.copy()
+        X[0, 0] += eps
+        cert = certify(p, X, SamplingConfig(n_samples=20, min_samples=10))
+        assert cert.is_stationary
+        assert cert.verdict == "sufficient-evidence"
+
     def test_sampling_exhausted(self):
         p, X0 = soft_threshold_fixture()
         with pytest.raises(SamplingExhausted):

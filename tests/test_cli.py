@@ -100,6 +100,20 @@ class TestCommands:
                   "--H", h)
         assert abs(rep["outputs"]["value"]) <= 1e-10
 
+    @pytest.mark.parametrize("omega", [
+        np.diag([0.5, 0.5]),                            # top block not I
+        np.eye(2) + np.outer([1.0, 0.0], [0.0, 1.0]),   # couples blocks
+        np.diag([1.0, 1.5]),                            # outside the ball
+    ])
+    def test_nuclear_epi_not_a_subgradient(self, tmp_path, capsys, omega):
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        om = write(tmp_path, "om.csv", omega)
+        h = write(tmp_path, "h.csv", SWAP)
+        assert main(["nuclear-epi", "--X", x, "--Omega", om,
+                     "--H", h]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NotASubgradient" and err["exit_code"] == 2
+
     def test_tangent_and_distance(self, tmp_path):
         x = write(tmp_path, "x.csv", np.diag([3.0, 0.5]))
         h = write(tmp_path, "h.csv", np.diag([-1.0, 0.0]))
@@ -201,6 +215,14 @@ class TestCertifyCommands:
         out = rep["outputs"]
         assert out["verdict"] == "necessary-violated"
         assert out["counterexample"] is not None
+
+    def test_certify_zero_samples(self, tmp_path):
+        prob = make_problem(tmp_path, "soft")
+        rep = run(tmp_path, "certify", "--problem", prob,
+                  "--n-samples", "0", "--min-samples", "0")
+        assert rep["inputs"]["n_samples"] == 0
+        assert rep["inputs"]["min_samples"] == 0
+        assert rep["outputs"]["n_samples"] == 0
 
     def test_growth(self, tmp_path):
         prob = make_problem(tmp_path, "soft")

@@ -9,6 +9,7 @@ from specvar.absym import (
     kyfan_spec,
     l1_spec,
     linf_spec,
+    scale_spec,
 )
 from specvar.errors import (
     FullRank,
@@ -34,6 +35,7 @@ from specvar.oimf import (
     F_subderivative,
     F_subdiff_contains,
     F_subdiff_element,
+    SpectralPoint,
     guided_offsets,
     invariant_set_distance,
     invariant_tangent_contains,
@@ -666,6 +668,98 @@ class TestOmegaToleranceBoundary:
         X, Om, H = self._omega(True, 2.0, pos)
         with pytest.raises(NotASubgradient):
             nuclear_second_epi(X, Om, H)
+
+    @pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0)])
+    def test_second_subderivative(self, pos):
+        # the f-level test of sigma(Y) reads the same GAUGE_TOL ||Y|| as
+        # the block structure, on the diagonal (0, 0) as off it
+        X, Om0, H = self._omega(True, 0.0, pos)
+        ref = F_second_subderivative(l1_spec(), X, Om0, H).value
+        X, Om, H = self._omega(True, 0.5, pos)
+        assert F_second_subderivative(l1_spec(), X, Om, H).value == \
+            pytest.approx(ref, rel=1e-6)
+        X, Om, H = self._omega(True, 2.0, pos)
+        with pytest.raises((NotASubgradient, NoSimultaneousGauge)):
+            F_second_subderivative(l1_spec(), X, Om, H)
+
+
+class TestMembershipScale:
+    """``SpectralPoint`` decides Y for c f at c Y as it does for f at Y:
+    a deviation of Y on the diagonal is measured against GAUGE_TOL ||Y||,
+    not against an absolute threshold."""
+
+    @pytest.mark.parametrize("dev, member", [
+        (1e-11, True), (1e-9, True), (1e-7, False)])
+    def test_same_decision_at_every_weight(self, dev, member):
+        X = np.diag([2.0, 1.0, 0.0])
+        Y = np.diag([1.0 + dev, 1.0, 0.3])
+        decided = []
+        for c in (1e-6, 1e-3, 1.0, 1e3):
+            try:
+                SpectralPoint(scale_spec(l1_spec(), c), X, c * Y)
+                decided.append(True)
+            except NotASubgradient:
+                decided.append(False)
+        assert decided == [member] * 4
+
+
+class TestNuclearSplit:
+    """The paper's split of the nuclear norm near X, phi + psi: at
+    Omega = U_a V_a^T + Omega_psi the second epi-derivative of ||.||_*
+    (``SpectralPoint``'s alpha and beta contractions) is the top-r term
+    plus the zero-cluster term (``_psi_epi_term``)."""
+
+    @staticmethod
+    def _instance(m, n, top, rng):
+        """X of rank r = len(top) with those top values, the two parts of
+        a subgradient of ||.||_* at X (Z with ||Z||_2 <= 1 and k >= 1 unit
+        values) and directions: critical ones, whose zero block lies on
+        Z's unit singular pairs, and Gaussian ones."""
+        r = len(top)
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = U[:, :n] @ np.diag(list(top) + [0.0] * (n - r)) @ V.T
+        P = np.linalg.qr(rng.standard_normal((m - r, m - r)))[0]
+        Q = np.linalg.qr(rng.standard_normal((n - r, n - r)))[0]
+        k = rng.integers(1, n - r + 1)
+        z = np.concatenate([np.ones(k), rng.uniform(0.0, 0.9, n - r - k)])
+        Om_psi = U[:, r:] @ P[:, :n - r] @ np.diag(z) @ Q.T @ V[:, r:].T
+        Hs = []
+        for _ in range(2):
+            G = rng.standard_normal((m, n))
+            G[r:, r:] = P[:, :k] @ np.diag(rng.uniform(0.0, 2.0, k)) \
+                @ Q[:, :k].T
+            Hs += [U @ G @ V.T, rng.standard_normal((m, n))]
+        return X, U[:, :r] @ V[:, :r].T, Om_psi, Hs
+
+    @classmethod
+    def _cases(cls):
+        rng = np.random.default_rng(2024)
+        tops = {1: [[2.0], [0.7]], 2: [[2.0, 2.0], [3.0, 1.0]],
+                3: [[2.0, 2.0, 2.0], [3.0, 1.5, 1.5], [1.0, 1.0, 0.4]],
+                4: [[2.0, 2.0, 1.0, 1.0]]}
+        for m, n in [(6, 4), (5, 5), (8, 3)]:
+            for r in range(1, n):
+                for top in tops[r]:
+                    for _ in range(4):
+                        yield cls._instance(m, n, top, rng)
+
+    def test_split_identity(self):
+        seen = {"finite": 0, "inf": 0}
+        for X, Om_a, Om_psi, Hs in self._cases():
+            for H in Hs:
+                total = nuclear_second_epi(X, Om_a + Om_psi, H)
+                phi = nuclear_phi_second_diff(X, H)
+                psi = nuclear_psi_second_epi(X, Om_psi, H)
+                if math.isinf(psi):
+                    assert total == psi
+                    seen["inf"] += 1
+                    continue
+                scale = max(1.0, abs(phi) + abs(psi))
+                assert abs(total - (phi + psi)) <= 1e-12 * scale
+                seen["finite"] += 1
+        assert seen["finite"] >= 50 and seen["inf"] >= 50
+
 
 
 class TestNuclearShapeMismatch:
