@@ -36,6 +36,22 @@ def _as_vector(x, name="x"):
     return v
 
 
+def _as_rows(w):
+    """w as C-order (k, n) rows, and whether it was one (n,) vector."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (1, 2):
+        raise ShapeError("w must be a vector or (k, n) rows")
+    return np.ascontiguousarray(w[None] if w.ndim == 1 else w), w.ndim == 1
+
+
+def _stacked(values, k, hook):
+    """A hook's values for a stack of k, which must have shape (k,)."""
+    if np.shape(values) != (k,):
+        raise ShapeError(f"{hook} returned shape {np.shape(values)} for a "
+                         f"stack of {k}")
+    return values
+
+
 # -- top-k face classification -------------------------------------------------
 
 @dataclass(frozen=True)
@@ -50,37 +66,45 @@ class _Face:
     signs: np.ndarray     # sign(x_i) for all i (0 for numerically zero)
 
 
+def _run_of(v, i, tol):
+    """(lo, hi) of the ``cluster_blocks`` run of nonincreasing v holding
+    index i.  A drop above tol always starts a run, so only the stretch
+    between such drops around i is clustered; ends within tol: one run."""
+    drops = np.flatnonzero(v[:-1] - v[1:] > tol) + 1
+    j = np.searchsorted(drops, i, side="right")
+    lo, hi = np.concatenate(([0], drops, [len(v)]))[j:j + 2].tolist()
+    if v[lo] - v[hi - 1] <= tol:
+        return lo, hi
+    b = next(b for b in cluster_blocks(v[lo:hi], tol) if i - lo <= b[-1])
+    return lo + b[0], lo + b[-1] + 1
+
+
 def _classify(x, k):
     x = _as_vector(x)
     a = np.abs(x)
     tol = ZERO_TOL * (1.0 + np.max(a, initial=0.0))
     order = np.argsort(-a, kind="stable")
-    # cluster the sorted magnitudes, locate the cluster holding rank k-1
-    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(a[order], tol)
-                  if k - 1 <= b[-1])
+    lo, hi = _run_of(a[order], k - 1, tol)   # the cluster of rank k-1
     signs = np.where(a <= tol, 0, np.sign(x)).astype(int)
     return _Face(above=order[:lo], tied=order[lo:hi], below=order[hi:],
                  q=k - lo, theta_zero=bool(a[order[lo]] <= tol), signs=signs)
 
 
 def _sum_top(u, q):
-    """Sum of the q largest entries of u."""
-    if q <= 0:
-        return 0.0
-    return float(np.sort(u)[::-1][:q].sum())
+    """Sum of the q >= 1 largest entries of u, per row of (k, p) rows."""
+    return np.ascontiguousarray(np.sort(u)[..., ::-1][..., :q]).sum(axis=-1)
 
 
 def _signed_top_dirderiv(u, z, q, scale):
     """Directional derivative of v -> sum of q largest entries, at u
     along z: resolve the ``cluster_blocks`` run holding the q-th largest
     value of u, as ``_classify`` does for the k-th."""
-    n = len(u)
-    if q >= n:
+    if q >= len(u):
         return float(np.sum(z))
     order = np.argsort(-u, kind="stable")
-    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(
-        u[order], ZERO_TOL * (1.0 + scale)) if q - 1 <= b[-1])
-    return float(np.sum(z[order[:lo]])) + _sum_top(z[order[lo:hi]], q - lo)
+    lo, hi = _run_of(u[order], q - 1, ZERO_TOL * (1.0 + scale))
+    return (float(np.sum(z[order[:lo]]))
+            + float(_sum_top(z[order[lo:hi]], q - lo)))
 
 
 class _TopKAbs:
@@ -91,7 +115,6 @@ class _TopKAbs:
 
     def __init__(self, k=None):
         self.k = None if k is None else int(k)
-        self._last = None   # (k, copy of x, _classify(x, k))
 
     def _check(self, x):
         x = _as_vector(x)
@@ -102,13 +125,6 @@ class _TopKAbs:
         if k < 1 or k > n:
             raise BadK(f"k={k} outside 1..{n}")
         return k
-
-    def _face(self, x, k):
-        """_classify(x, k), kept while x repeats (one sigma(X), many w)."""
-        last = self._last
-        if last is None or last[0] != k or not np.array_equal(last[1], x):
-            last = self._last = (k, x.copy(), _classify(x, k))
-        return last[2]
 
     def eval(self, x):
         """A float for an (n,) vector; for (s, n) rows an (s,) array whose
@@ -125,13 +141,16 @@ class _TopKAbs:
         return float(total) if x.ndim == 1 else total
 
     def subderivative(self, x, w):
+        """df(x)(w); for (k, n) rows a (k,) array, entry i bitwise row i's."""
         x, k = self._check(x)
-        w = _as_vector(w, "w")
-        f = self._face(x, k)
-        u = np.abs(w[f.tied]) if f.theta_zero else f.signs[f.tied] * w[f.tied]
-        with np.errstate(over="ignore"):   # +-inf silently, as in eval
-            return (float(np.sum(f.signs[f.above] * w[f.above]))
-                    + _sum_top(u, f.q))
+        W, one = _as_rows(w)
+        f = _classify(x, k)
+        T = W.take(f.tied, axis=1)   # C order: rows sum as vectors do
+        u = np.abs(T) if f.theta_zero else f.signs[f.tied] * T
+        with np.errstate(over="ignore", invalid="ignore"):   # as in eval
+            d = (np.sum(f.signs[f.above] * W.take(f.above, axis=1), axis=-1)
+                 + _sum_top(u, f.q))
+        return float(d[0]) if one else d
 
     def parabolic_subderivative(self, x, w, z):
         """Directional derivative of w -> df(x)(w) at w along z, which is
@@ -139,14 +158,11 @@ class _TopKAbs:
         x, k = self._check(x)
         w = _as_vector(w, "w")
         z = _as_vector(z, "z")
-        f = self._face(x, k)
+        f = _classify(x, k)
         val = float(np.sum(f.signs[f.above] * z[f.above]))
-        if len(f.tied) == 0 or f.q <= 0:
-            return val
         if f.theta_zero:
             # df restricted to the tied block is the top-q abs sum there
-            inner = _TopKAbs(f.q)
-            return val + inner.subderivative(w[f.tied], z[f.tied])
+            return val + _TopKAbs(f.q).subderivative(w[f.tied], z[f.tied])
         u = f.signs[f.tied] * w[f.tied]
         uz = f.signs[f.tied] * z[f.tied]
         scale = float(np.max(np.abs(u), initial=0.0))
@@ -156,7 +172,7 @@ class _TopKAbs:
         """Max constraint violation of v against the subdifferential."""
         x, k = self._check(x)
         v = _as_vector(v, "v")
-        f = self._face(x, k)
+        f = _classify(x, k)
         viol = 0.0
         if len(f.above):
             viol = max(viol, float(np.max(np.abs(v[f.above]
@@ -178,7 +194,7 @@ class _TopKAbs:
 
     def subdiff_representative(self, x):
         x, k = self._check(x)
-        f = self._face(x, k)
+        f = _classify(x, k)
         v = np.zeros(len(x))
         v[f.above] = f.signs[f.above]
         if len(f.tied) and not f.theta_zero:
@@ -187,7 +203,7 @@ class _TopKAbs:
 
     def subdiff_sample(self, x, rng):
         x, k = self._check(x)
-        f = self._face(x, k)
+        f = _classify(x, k)
         v = np.zeros(len(x))
         v[f.above] = f.signs[f.above]
         T = len(f.tied)
@@ -214,14 +230,16 @@ class _TopKAbs:
 class SpectralFunctionSpec:
     """An absolutely symmetric function bundled with its calculus hooks.
 
-    ``eval`` maps an (n,) vector to a float and (s, n) rows to an (s,)
-    array, entry i bitwise ``eval(x[i])``: the growth probe scores all
-    its samples in one call.
+    ``eval(x)``, ``subderivative(x, w)``, ``critical_cone_contains(x, v,
+    w, tol=None)`` and ``second_subderivative(x, v, w, tol=None)`` map an
+    (n,) x or w to a float (a bool for the cone) and (k, n) rows to a (k,)
+    array, entry i bitwise the call on row i, with a scalar or per-row
+    tol: the growth probe and each chunk of ``certify`` call f once a hook.
 
-    ``second_subderivative(x, v, w, tol=None)`` must return the full
-    second subderivative d2f(x|v)(w) as an extended real; for polyhedral
-    built-ins it is the indicator of the critical cone.  Non-polyhedral
-    functions must supply the hook themselves.
+    ``second_subderivative`` must return the full second subderivative
+    d2f(x|v)(w) as an extended real; for polyhedral built-ins it is the
+    indicator of the critical cone.  Non-polyhedral functions must supply
+    the hook themselves.
     """
 
     name: str
@@ -241,14 +259,19 @@ class SpectralFunctionSpec:
 
 def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
     def critical(x, v, w, tol=None):
-        w = _as_vector(w, "w")
+        W, one = _as_rows(w)
         v = _as_vector(v, "v")
-        if tol is None:
-            tol = F_CONE_TOL * (1.0 + np.linalg.norm(v) * np.linalg.norm(w))
-        return abs(core.subderivative(x, w) - float(v @ w)) <= tol
+        with np.errstate(over="ignore", invalid="ignore"):
+            if tol is None:
+                tol = F_CONE_TOL * (1.0 + np.linalg.norm(v)
+                                    * np.linalg.norm(W, axis=-1))
+            gap = core.subderivative(x, W) - np.sum(v * W, axis=-1)
+        member = np.abs(gap) <= tol
+        return bool(member[0]) if one else member
 
     def second(x, v, w, tol=None):
-        return 0.0 if critical(x, v, w, tol) else INF
+        d2 = np.where(critical(x, v, w, tol), 0.0, INF)
+        return float(d2) if d2.ndim == 0 else d2
 
     return SpectralFunctionSpec(
         name=name, convex=True, lsc=True,
@@ -292,19 +315,25 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
     def contains(x, v, tol=SUBDIFF_TOL):   # subdiff_violation(x, v) <= tol
         return spec.subdiff_contains(x, np.asarray(v, float) / c, tol / c)
 
+    times_c = np.errstate(over="ignore")(lambda y: c * y)   # inf, as floats
+
+    def base_tol(tol):   # |c gap| <= tol is |gap| <= tol / c, per row
+        return None if tol is None else tol / c
+
     def second(x, v, w, tol=None):
         return c * spec.second_subderivative(x, np.asarray(v, float) / c, w,
-                                             tol)
+                                             base_tol(tol))
 
     return replace(
         spec,
         name=f"{c:g}*{spec.name}",
         eval=lambda x: c * spec.eval(x),
-        subderivative=lambda x, w: c * spec.subderivative(x, w),
+        subderivative=lambda x, w: times_c(spec.subderivative(x, w)),
         subdiff_contains=contains,
         subdiff_representative=lambda x: c * spec.subdiff_representative(x),
         critical_cone_contains=lambda x, v, w, tol=None:
-            spec.critical_cone_contains(x, np.asarray(v, float) / c, w, tol),
+            spec.critical_cone_contains(x, np.asarray(v, float) / c, w,
+                                        base_tol(tol)),
         parabolic_subderivative=lambda x, w, z:
             c * spec.parabolic_subderivative(x, w, z),
         second_subderivative=(None if spec.second_subderivative is None else

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .absym import INF, SpectralFunctionSpec, l1_spec, scale_spec
+from .absym import INF, SpectralFunctionSpec, _stacked, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
 from .matrix_core import CURVATURE_TOL, STATIONARITY_TOL
 from .matrix_core import as_matrix, svd_ordered
@@ -245,7 +245,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     ``SpectralPoint.second_subderivatives`` call each, then walked in
     stream order.  A chunk holds at most the samples still needed (and
     ``_CHUNK_ENTRIES`` entries), so every chunk size consumes the
-    candidates, hook calls and random draws of a one-by-one loop.
+    candidates, hook rows and random draws of a one-by-one loop.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -325,14 +325,6 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         samples=samples, min_curvature=float(min_curv),
         growth_constant_observed=growth, verdict=verdict,
         counterexample=counterexample)
-
-
-def _stacked(values, k, hook):
-    """A hook's values for a stack of k, which must have shape (k,)."""
-    if np.shape(values) != (k,):
-        raise ShapeError(f"{hook} returned shape {np.shape(values)} for a "
-                         f"stack of {k}")
-    return values
 
 
 def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .absym import (INF, ExtendedValue, SpectralFunctionSpec, _as_vector,
-                    l1_spec)
+                    _stacked, l1_spec)
 from .errors import (
     AssumptionViolated,
     FullRank,
@@ -288,40 +288,39 @@ class SpectralPoint:
     def second_subderivatives(self, Hs):
         """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack.
 
-        Per row, in order, ``f.subderivative`` gives the duality gap
-        dF(X)(H) - <Y, H>; within CONE_TOL (1 + ||Y|| ||H||) the row is
-        critical and gets ``f.second_subderivative`` and the alpha and
-        beta terms.  Small-gap blocks warn once a call.
+        One stacked ``f.subderivative`` call gives the duality gaps
+        dF(X)(H) - <Y, H>; rows within CONE_TOL (1 + ||Y|| ||H||) are
+        critical and get the alpha and beta terms and, in one stacked
+        call, ``f.second_subderivative``.  Small-gap blocks warn once a call.
         """
         Hs = np.asarray(Hs, dtype=float)
         if Hs.ndim != 3 or Hs.shape[1:] != self.X.shape:
             raise ShapeError(f"X {self.X.shape} and H {Hs.shape[1:]} differ")
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
-        r, n = part.r, part.n
-        flat = as_matrix(Hs.reshape(len(Hs), self.X.size), "H")
+        r, n, k = part.r, part.n, len(Hs)
+        flat = as_matrix(Hs.reshape(k, self.X.size), "H")
         Hhat = self.gauge.U.T @ Hs @ self.gauge.V
         d1 = sigma_dir1_stack(Hhat, part)
-        yh = (flat * self.Y.ravel()).sum(axis=1)
-        tols = [CONE_TOL * (1.0 + self.y_norm * np.linalg.norm(h))
-                for h in flat]
-        alpha = alpha_terms(Hhat, self._tables, sy[:r])
-        beta = np.einsum("kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n],
-                         self._B)
-        out = []
-        for i, t in enumerate(tols):
-            gap = f.subderivative(s, d1[i]) - float(yh[i])
-            if abs(gap) > t:
-                out.append(SecondSubderivativeReport(
-                    value=INF, d2f_term=INF, alpha_term=0.0, beta_term=0.0,
-                    critical=False, duality_gap=gap))
-                continue
-            d2f = f.second_subderivative(s, sy, d1[i], t)
-            a, b = float(alpha[i]), float(beta[i])
-            out.append(SecondSubderivativeReport(
-                value=d2f + a + b if math.isfinite(d2f) else INF,
-                d2f_term=d2f, alpha_term=a, beta_term=b, critical=True,
-                duality_gap=gap, warnings=self._report_warns))
-        return out
+        gaps = (_stacked(f.subderivative(s, d1), k, "f.subderivative")
+                - (flat * self.Y.ravel()).sum(axis=1))
+        tols = CONE_TOL * (1.0 + self.y_norm * np.array(
+            [math.sqrt(h @ h) for h in flat]))   # np.linalg.norm, bitwise
+        crit = ~(np.abs(gaps) > tols)   # a NaN gap is left to the d2f hook
+        d2f = np.full(k, INF)
+        if crit.any():
+            d2f[crit] = _stacked(
+                f.second_subderivative(s, sy, d1[crit], tols[crit]),
+                crit.sum(), "f.second_subderivative")
+        alpha = np.where(crit, alpha_terms(Hhat, self._tables, sy[:r]), 0.0)
+        beta = np.where(crit, np.einsum("kji,kij,ji->k", Hhat[:, r:n, :r],
+                                        Hhat[:, :r, r:n], self._B), 0.0)
+        return [SecondSubderivativeReport(
+            value=v + a + b if math.isfinite(v) else INF, d2f_term=v,
+            alpha_term=a, beta_term=b, critical=c, duality_gap=gap,
+            warnings=self._report_warns if c else ())
+            for gap, c, v, a, b in zip(gaps.tolist(), crit.tolist(),
+                                       d2f.tolist(), alpha.tolist(),
+                                       beta.tolist())]
 
     def second_subderivative(self, H) -> SecondSubderivativeReport:
         """``second_subderivatives`` of the one direction H."""

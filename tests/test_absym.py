@@ -268,10 +268,107 @@ class TestScaleSpec:
         assert (f.subdiff_violation(x, v) <= 1e-10) is member
 
 
+class TestScaledConeThreshold:
+    """scale_spec(f, c) compares the scaled gap |c df(x)(w) - v.w| with
+    tol, so the base spec gets tol / c, per row for a tol array."""
+
+    @pytest.mark.parametrize("c", [1e-3, 0.5, 1e3])
+    def test_tol_reads_the_scaled_gap(self, c):
+        f = scale_spec(l1_spec(), c)
+        x, v = [2.0, 1.0, 0.0], c * np.array([1.0, 1.0, 0.5])
+        w = np.array([0.0, 0.0, 1.0])   # scaled gap c |1 - 0.5| = c / 2
+        for tol, member in ((0.25 * c, False), (0.75 * c, True)):
+            assert f.critical_cone_contains(x, v, w, tol) is member
+            assert f.second_subderivative(x, v, w, tol) == (
+                0.0 if member else INF)
+        tols = np.array([0.25 * c, 0.75 * c])
+        W = np.stack([w, w])
+        assert f.critical_cone_contains(x, v, W, tols).tolist() \
+            == [False, True]
+        assert f.second_subderivative(x, v, W, tols).tolist() == [INF, 0.0]
+        # tol=None stays the base spec's default
+        assert f.critical_cone_contains(x, v, [1.0, -1.0, 0.0])
+        assert not f.critical_cone_contains(x, v, w)
+
+
+class TestStackedHooks:
+    """subderivative, critical_cone_contains and second_subderivative on
+    (k, n) rows, with a per-row tol: a (k,) array whose entry i is
+    bitwise the single-vector call on row i."""
+
+    @staticmethod
+    def _assert_rows(f, x, v, W, tols):
+        calls = (
+            (lambda w, t: f.subderivative(x, w), float),
+            (lambda w, t: f.critical_cone_contains(x, v, w, t), bool),
+            (lambda w, t: f.second_subderivative(x, v, w, t), float))
+        for call, kind in calls:
+            for tol in (None, tols):
+                out = call(W, tol)
+                one = [call(w, None if tol is None else tol[i])
+                       for i, w in enumerate(W)]
+                assert all(type(o) is kind for o in one)
+                assert isinstance(out, np.ndarray) and out.shape == (len(W),)
+                assert out.tobytes() == np.array(one, out.dtype).tobytes()
+
+    def test_rows_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from specvar.matrix_core import ZERO_TOL
+        st = hypothesis.strategies
+        near = ZERO_TOL * 3.5           # ZERO_TOL (1 + max|x|), max|x| 2.5
+        big = np.finfo(float).max
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None,
+                             max_examples=150)
+        @hypothesis.given(n=st.integers(1, 10), k=st.integers(0, 5),
+                          data=st.data())
+        def prop(n, k, data):
+            # ties, exact zeros, near-ties at 0.1x and 10x the tie tolerance
+            cells = data.draw(st.lists(st.sampled_from(
+                [0.0, 1.0, -1.0, 1.0 + 0.1 * near, 1.0 - 10.0 * near,
+                 -1.0 - 0.1 * near]), min_size=n, max_size=n))
+            x = np.array([2.5] + cells)[:n] * data.draw(
+                st.sampled_from([1e-300, 1.0, 1e300]))
+            order = data.draw(st.integers(1, n))
+            c = data.draw(st.sampled_from([1e-3, 0.5, 1e3]))
+            rows = []
+            for _ in range(k):   # cone members (0, x) and general rows
+                kind = data.draw(st.sampled_from(["zero", "x", "any"]))
+                if kind == "any":
+                    rows.append(np.array(data.draw(st.lists(st.sampled_from(
+                        [0.0, 1.0, -0.5, 2.5, 1e300, -1e300, big]),
+                        min_size=n, max_size=n))))
+                else:
+                    rows.append(x if kind == "x" else np.zeros(n))
+            W = np.array(rows).reshape(k, n)
+            tols = np.array(data.draw(st.lists(st.sampled_from(
+                [0.0, 1e-8, 1.0, INF]), min_size=k, max_size=k)))
+            for f in (l1_spec(), linf_spec(), kyfan_spec(order)):
+                for g, s in ((f, 1.0), (scale_spec(f, c), c)):
+                    v = s * np.asarray(f.subdiff_representative(x), float)
+                    self._assert_rows(g, x, v, W, tols)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # overflow to inf is silent
+            prop()
+
+    def test_mixed_rows(self):
+        f = l1_spec()
+        x, v = np.array([2.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.5])
+        W = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -3.0],
+                      [1.0, 2.0, 0.0]])   # df - v.w: 0, 0.5, 4.5, 0
+        assert f.subderivative(x, W).tolist() == [0.0, 1.0, 3.0, 3.0]
+        assert f.critical_cone_contains(x, v, W).tolist() \
+            == [True, False, False, True]
+        assert f.second_subderivative(x, v, W, np.array(
+            [1e-8, 0.6, 1.0, 1e-8])).tolist() == [0.0, 0.0, INF, 0.0]
+        assert f.subderivative(x, W[:0]).shape == (0,)
+
+
 class TestFaceReuse:
-    """The top-k face of the last x is kept and reused while x repeats; a
-    spec queried at alternating points answers exactly like a fresh spec
-    (no kept face) at every call."""
+    """Each hook call classifies the top-k face of its x once and reuses
+    it for every row of a stack; nothing is kept between calls, so a spec
+    queried at alternating points answers exactly like a fresh spec."""
 
     POINTS = [np.array([3.0, 1.0, 1.0, 0.0]), np.array([2.0, -2.0, 0.5, 0.0]),
               np.array([1.0, 1.0, 1.0, 1.0]), np.array([0.0, 0.0, 0.0, 0.0])]
@@ -298,6 +395,22 @@ class TestFaceReuse:
             assert self._outputs(spec, x, w, z, step) == self._outputs(
                 spec_by_name(name), x, w, z, step)
 
+    def test_run_is_the_cluster_blocks_run(self):
+        # _classify clusters only the stretch between drops above the
+        # tolerance; chained near-ties inside a stretch still split
+        from specvar.absym import _run_of
+        from specvar.matrix_core import cluster_blocks
+        rng = np.random.default_rng(3)
+        tol = 1e-12
+        for _ in range(400):
+            steps = rng.choice([0.0, 0.4 * tol, 0.6 * tol, 1.5 * tol, 1.0],
+                               int(rng.integers(1, 12)))
+            v = 3.0 - np.cumsum(steps)
+            blocks = cluster_blocks(v, tol)
+            for i in range(len(v)):
+                b = next(b for b in blocks if i <= b[-1])
+                assert _run_of(v, i, tol) == (b[0], b[-1] + 1)
+
     def test_face_follows_in_place_changes(self, monkeypatch):
         import specvar.absym as absym
         calls = []
@@ -308,11 +421,12 @@ class TestFaceReuse:
         x = np.array([1.0, 0.0])
         w = np.array([1.0, -1.0])
         assert spec.subderivative(x, w) == 2.0
-        assert spec.subderivative(x, w) == 2.0
-        assert len(calls) == 1
-        x[1] = 1.0   # the kept face is of a copy, so this is a new point
+        assert spec.subderivative(x, np.stack([w, -w, w])).tolist() \
+            == [2.0, 0.0, 2.0]
+        assert len(calls) == 2   # one face per call, whatever the rows
+        x[1] = 1.0
         assert spec.subderivative(x, w) == 0.0
-        assert len(calls) == 2
+        assert len(calls) == 3
 
 
 class TestRowEval:

@@ -499,13 +499,24 @@ class TestPreparedPointEquivalence:
             1.0, abs(g))
 
 
-def _counting(f, counts):
-    """f with every hook call counted by name."""
+# position of the argument a hook takes as (k, n) rows
+_ROWS_ARG = {"eval": 0, "subderivative": 1, "second_subderivative": 2}
+
+
+def _counting(f, counts, rows=None):
+    """f with every hook call counted by name; ``rows`` (if given) sums
+    the rows each hook was handed: the leading dimension of its stacked
+    argument, 1 for a vector or a hook that takes no stack."""
     from dataclasses import replace
 
     def wrap(name, hook):
         def counted(*args, **kwargs):
             counts[name] = counts.get(name, 0) + 1
+            if rows is not None:
+                arg = np.asarray(args[_ROWS_ARG[name]]) \
+                    if name in _ROWS_ARG else None
+                rows[name] = rows.get(name, 0) + (
+                    len(arg) if arg is not None and arg.ndim == 2 else 1)
             return hook(*args, **kwargs)
         return counted
 
@@ -516,26 +527,34 @@ def _counting(f, counts):
 
 class TestChunkedCandidates:
     """certify evaluates its candidate stream in chunks of directions; the
-    certificate, the candidates tried and the hook calls are those of a
-    direction-by-direction loop for every chunk size."""
+    certificate, the candidates tried and the rows handed to each hook
+    are those of a direction-by-direction loop for every chunk size, and
+    each chunk reaches f through one stacked hook call."""
 
     @pytest.mark.parametrize("name", ["soft-fixture", "saddle-fixture",
                                       "soft-9x8", "soft-7x5-gauge"])
     def test_chunk_size_independent(self, name, monkeypatch):
         cmod = importlib.import_module("specvar.certify")
+        omod = importlib.import_module("specvar.oimf")
+        stacks = omod.SpectralPoint.second_subderivatives
+        chunks = []
+        monkeypatch.setattr(omod.SpectralPoint, "second_subderivatives",
+                            lambda pt, Hs: chunks.append(1) or stacks(pt, Hs))
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
         cfg = SamplingConfig(n_samples=60, min_samples=10, growth_samples=50)
         runs = []
         for entries in (1, X0.size, cmod._CHUNK_ENTRIES):
             monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
-            counts = {}
-            cert = certify(ProblemSpec(p.psi, _counting(p.f, counts)), X0,
-                           cfg)
-            runs.append((cert, counts))
-        ref, ref_counts = runs[-1]
+            counts, rows = {}, {}
+            chunks.clear()
+            cert = certify(ProblemSpec(p.psi, _counting(p.f, counts, rows)),
+                           X0, cfg)
+            runs.append((cert, rows))
+        ref, ref_rows = runs[-1]   # the default chunk size
         assert len(ref.samples) == 60
-        for cert, counts in runs[:-1]:
-            assert counts == ref_counts
+        assert counts["subderivative"] <= 2 * len(chunks)
+        for cert, rows in runs[:-1]:
+            assert rows == ref_rows
             assert cert.verdict == ref.verdict
             assert len(cert.samples) == len(ref.samples)
             for (H1, q1), (H2, q2) in zip(cert.samples, ref.samples):
@@ -569,16 +588,20 @@ class TestChunkedCandidates:
             certify(p0, np.zeros((3, 2)), SamplingConfig(
                 n_samples=50, min_samples=40, max_candidates=30, seed=3))
 
-    def test_face_classified_once_per_point(self, monkeypatch):
+    def test_face_classified_once_per_hook_call(self, monkeypatch):
+        # one top-k face per hook call, shared by every row of its stack
         import specvar.absym as absym
         calls = []
         classify = absym._classify
         monkeypatch.setattr(absym, "_classify",
                             lambda x, k: calls.append(k) or classify(x, k))
         p, X0 = soft_threshold_fixture()
-        cert = certify(p, X0)
+        counts = {}
+        cert = certify(ProblemSpec(p.psi, _counting(p.f, counts)), X0)
         assert len(cert.samples) == 200
-        assert len(calls) <= 4
+        assert len(calls) == sum(counts.get(h, 0) for h in (
+            "subdiff_violation", "subdiff_contains", "subderivative",
+            "second_subderivative"))
 
 
 def _growth_reference(p, X0, eps, n_samples, seed):

@@ -1140,6 +1140,18 @@ class TestBatchedDirections:
             point.second_subderivative(Hs[0, :, :2])
         assert point.second_subderivatives(Hs[:0]) == []
 
+    @pytest.mark.parametrize("hook", ["subderivative",
+                                      "second_subderivative"])
+    def test_hook_must_return_one_value_per_row(self, hook):
+        from dataclasses import replace
+        point, Hs = _prepared(4, 3, [3.0, 2.0, 0.0], "l1", seed=1)
+        good = getattr(point.f, hook)
+        point.f = replace(point.f, **{hook: lambda x, *a: float(
+            np.ravel(good(x, *a))[0])})   # a scalar for a stack
+        with pytest.raises(ShapeError, match=rf"^f\.{hook} returned shape "
+                                             r"\(\) for a stack of \d+$"):
+            point.second_subderivatives(Hs)
+
     @pytest.mark.parametrize("svals, fires", [
         ([1.0 + 5e-7, 1.0, 0.0], 1),      # neighbouring blocks: both warn
         ([2.0, 1.0, 0.0], 0),
