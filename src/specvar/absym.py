@@ -66,25 +66,14 @@ class _Face:
     signs: np.ndarray     # sign(x_i) for all i (0 for numerically zero)
 
 
-def _run_of(v, i, tol):
-    """(lo, hi) of the ``cluster_blocks`` run of nonincreasing v holding
-    index i.  A drop above tol always starts a run, so only the stretch
-    between such drops around i is clustered; ends within tol: one run."""
-    drops = np.flatnonzero(v[:-1] - v[1:] > tol) + 1
-    j = np.searchsorted(drops, i, side="right")
-    lo, hi = np.concatenate(([0], drops, [len(v)]))[j:j + 2].tolist()
-    if v[lo] - v[hi - 1] <= tol:
-        return lo, hi
-    b = next(b for b in cluster_blocks(v[lo:hi], tol) if i - lo <= b[-1])
-    return lo + b[0], lo + b[-1] + 1
-
-
 def _classify(x, k):
     x = _as_vector(x)
     a = np.abs(x)
     tol = ZERO_TOL * (1.0 + np.max(a, initial=0.0))
     order = np.argsort(-a, kind="stable")
-    lo, hi = _run_of(a[order], k - 1, tol)   # the cluster of rank k-1
+    # cluster the sorted magnitudes, locate the cluster holding rank k-1
+    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(a[order], tol)
+                  if k - 1 <= b[-1])
     signs = np.where(a <= tol, 0, np.sign(x)).astype(int)
     return _Face(above=order[:lo], tied=order[lo:hi], below=order[hi:],
                  q=k - lo, theta_zero=bool(a[order[lo]] <= tol), signs=signs)
@@ -102,7 +91,8 @@ def _signed_top_dirderiv(u, z, q, scale):
     if q >= len(u):
         return float(np.sum(z))
     order = np.argsort(-u, kind="stable")
-    lo, hi = _run_of(u[order], q - 1, ZERO_TOL * (1.0 + scale))
+    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(
+        u[order], ZERO_TOL * (1.0 + scale)) if q - 1 <= b[-1])
     return (float(np.sum(z[order[:lo]]))
             + float(_sum_top(z[order[lo:hi]], q - lo)))
 
@@ -141,13 +131,15 @@ class _TopKAbs:
         return float(total) if x.ndim == 1 else total
 
     def subderivative(self, x, w):
-        """df(x)(w); for (k, n) rows a (k,) array, entry i bitwise row i's."""
+        """df(x)(w); for (k, n) rows a (k,) array, entry i bitwise row i's.
+        Overflow gives +-inf, and a row summing +inf and -inf NaN, silently
+        (as the single-vector call did with float arithmetic)."""
         x, k = self._check(x)
         W, one = _as_rows(w)
         f = _classify(x, k)
         T = W.take(f.tied, axis=1)   # C order: rows sum as vectors do
         u = np.abs(T) if f.theta_zero else f.signs[f.tied] * T
-        with np.errstate(over="ignore", invalid="ignore"):   # as in eval
+        with np.errstate(over="ignore", invalid="ignore"):   # see docstring
             d = (np.sum(f.signs[f.above] * W.take(f.above, axis=1), axis=-1)
                  + _sum_top(u, f.q))
         return float(d[0]) if one else d
@@ -261,7 +253,7 @@ def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
     def critical(x, v, w, tol=None):
         W, one = _as_rows(w)
         v = _as_vector(v, "v")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):   # inf - inf: NaN
             if tol is None:
                 tol = F_CONE_TOL * (1.0 + np.linalg.norm(v)
                                     * np.linalg.norm(W, axis=-1))

@@ -303,8 +303,8 @@ class SpectralPoint:
         d1 = sigma_dir1_stack(Hhat, part)
         gaps = (_stacked(f.subderivative(s, d1), k, "f.subderivative")
                 - (flat * self.Y.ravel()).sum(axis=1))
-        tols = CONE_TOL * (1.0 + self.y_norm * np.array(
-            [math.sqrt(h @ h) for h in flat]))   # np.linalg.norm, bitwise
+        tols = CONE_TOL * (1.0 + self.y_norm * np.sqrt(
+            np.vecdot(flat, flat)))   # a dot per row: np.linalg.norm, bitwise
         crit = ~(np.abs(gaps) > tols)   # a NaN gap is left to the d2f hook
         d2f = np.full(k, INF)
         if crit.any():

@@ -364,6 +364,21 @@ class TestStackedHooks:
             [1e-8, 0.6, 1.0, 1e-8])).tolist() == [0.0, 0.0, INF, 0.0]
         assert f.subderivative(x, W[:0]).shape == (0,)
 
+    def test_inf_minus_inf_is_silent_nan(self):
+        # the top part of df(x)(w) overflows to +inf, the tied part to -inf
+        big = np.finfo(float).max
+        x, w = np.array([2.0, 2.0, -1.0, -1.0]), np.full(4, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f, c in ((l1_spec(), 1.0), (scale_spec(l1_spec(), 2.0), 2.0)):
+                v = c * np.array([1.0, 1.0, -1.0, -1.0])
+                assert np.isnan(f.subderivative(x, w))
+                assert np.isnan(f.subderivative(x, np.stack([w, w]))).all()
+                assert f.critical_cone_contains(x, v, w) is False
+                assert f.critical_cone_contains(x, v, w, 1.0) is False
+                assert f.second_subderivative(x, v, np.stack([w, w]),
+                                              np.ones(2)).tolist() == [INF] * 2
+
 
 class TestFaceReuse:
     """Each hook call classifies the top-k face of its x once and reuses
@@ -394,22 +409,6 @@ class TestFaceReuse:
             w, z = rng.standard_normal(4), rng.standard_normal(4)
             assert self._outputs(spec, x, w, z, step) == self._outputs(
                 spec_by_name(name), x, w, z, step)
-
-    def test_run_is_the_cluster_blocks_run(self):
-        # _classify clusters only the stretch between drops above the
-        # tolerance; chained near-ties inside a stretch still split
-        from specvar.absym import _run_of
-        from specvar.matrix_core import cluster_blocks
-        rng = np.random.default_rng(3)
-        tol = 1e-12
-        for _ in range(400):
-            steps = rng.choice([0.0, 0.4 * tol, 0.6 * tol, 1.5 * tol, 1.0],
-                               int(rng.integers(1, 12)))
-            v = 3.0 - np.cumsum(steps)
-            blocks = cluster_blocks(v, tol)
-            for i in range(len(v)):
-                b = next(b for b in blocks if i <= b[-1])
-                assert _run_of(v, i, tol) == (b[0], b[-1] + 1)
 
     def test_face_follows_in_place_changes(self, monkeypatch):
         import specvar.absym as absym
