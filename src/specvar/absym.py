@@ -249,14 +249,20 @@ class SpectralFunctionSpec:
     subdiff_sample: Optional[Callable] = None
 
 
+def _cone_tol(v, w):
+    """The default cone threshold F_CONE_TOL (1 + ||v|| ||w||), per row of
+    w; inf or NaN where a norm overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return F_CONE_TOL * (1.0 + np.linalg.norm(v)
+                             * np.linalg.norm(_as_rows(w)[0], axis=-1))
+
+
 def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
     def critical(x, v, w, tol=None):
         W, one = _as_rows(w)
         v = _as_vector(v, "v")
+        tol = _cone_tol(v, W) if tol is None else tol
         with np.errstate(over="ignore", invalid="ignore"):   # inf - inf: NaN
-            if tol is None:
-                tol = F_CONE_TOL * (1.0 + np.linalg.norm(v)
-                                    * np.linalg.norm(W, axis=-1))
             gap = core.subderivative(x, W) - np.sum(v * W, axis=-1)
         member = np.abs(gap) <= tol
         return bool(member[0]) if one else member
@@ -309,12 +315,13 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
 
     times_c = np.errstate(over="ignore")(lambda y: c * y)   # inf, as floats
 
-    def base_tol(tol):   # |c gap| <= tol is |gap| <= tol / c, per row
-        return None if tol is None else tol / c
+    def base_tol(v, w, tol):   # |c gap| <= tol is |gap| <= tol / c, per row
+        # the default is c f's own, at the v it receives, not at v / c
+        return (_cone_tol(v, w) if tol is None else tol) / c
 
     def second(x, v, w, tol=None):
         return c * spec.second_subderivative(x, np.asarray(v, float) / c, w,
-                                             base_tol(tol))
+                                             base_tol(v, w, tol))
 
     return replace(
         spec,
@@ -325,7 +332,7 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
         subdiff_representative=lambda x: c * spec.subdiff_representative(x),
         critical_cone_contains=lambda x, v, w, tol=None:
             spec.critical_cone_contains(x, np.asarray(v, float) / c, w,
-                                        base_tol(tol)),
+                                        base_tol(v, w, tol)),
         parabolic_subderivative=lambda x, w, z:
             c * spec.parabolic_subderivative(x, w, z),
         second_subderivative=(None if spec.second_subderivative is None else

@@ -19,9 +19,8 @@ import numpy as np
 
 from .absym import INF, SpectralFunctionSpec, _stacked, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
-from .matrix_core import CURVATURE_TOL, STATIONARITY_TOL
-from .matrix_core import as_matrix, svd_ordered
-from .oimf import F_eval, SpectralPoint, _subdiff_residual, guided_offsets
+from .matrix_core import CURVATURE_TOL, TOLERANCES, as_matrix, svd_ordered
+from .oimf import F_eval, SpectralPoint, _subgradient, guided_offsets
 from .oracles import fd_gradient_check
 
 
@@ -150,19 +149,14 @@ def objective(p: ProblemSpec, X):
 
 
 def stationarity_check(p: ProblemSpec, X0):
-    """Residual of -grad psi(X0) against the subdifferential of F at X0.
-
-    The residual is the larger of the componentwise violation of the
-    subdifferential conditions of f at sigma(X0) and the trace alignment
-    gap; the boolean compares it to STATIONARITY_TOL (1 + ||grad psi||).
-    """
+    """Residual of -grad psi(X0) against the subdifferential of F at X0:
+    the larger of its alignment residual with X0 and f's violation at
+    sigma(X0); the boolean is the residual within GAUGE_TOL ||grad psi||,
+    the test ``SpectralPoint`` applies next (``oimf._subgradient``)."""
     X0 = as_matrix(X0, "X0")
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    violation = p.f.subdiff_violation or (
-        lambda sx, sy: 0.0 if p.f.subdiff_contains(sx, sy) else INF)
-    box_gap, align_gap = _subdiff_residual(violation, X0, Y)
-    residual = max(float(box_gap), align_gap, 0.0)
-    return residual, residual <= STATIONARITY_TOL * (1.0 + np.linalg.norm(Y))
+    *_, residual, ok, _ = _subgradient(p.f, X0, Y, TOLERANCES)
+    return float(residual), ok
 
 
 def _curvature_from(p: ProblemSpec, X0, H, rep):

@@ -31,12 +31,10 @@ RANK_TOL = 1e-12
 # Fixed thresholds for every module, each with the scale it multiplies.
 ZERO_TOL = 1e-12          # absym zero / tie classes; 1 + ||x||_inf
 SORT_TOL = 1e-13          # sorted input of cluster_blocks; max(1, |v|)
-GAUGE_TOL = 1e-8          # off-block energy of an aligned Y; ||Y||
+GAUGE_TOL = 1e-8          # the one subgradient test of Y; ||Y||
 CONE_TOL = 1e-8           # critical-cone duality gap; 1 + ||Y|| ||H||
 F_CONE_TOL = 1e-9         # f-level critical-cone gap; 1 + ||v|| ||w||
-SUBDIFF_TOL = 1e-10       # f-level subdifferential violation; absolute
-SUBDIFF_ALIGN_TOL = 1e-9  # trace alignment; 1 + ||X|| ||Y||
-STATIONARITY_TOL = 1e-7   # stationarity residual; 1 + ||grad psi||
+SUBDIFF_TOL = 1e-10       # default of the subdiff_contains hook; absolute
 SET_TOL = 1e-9            # invariant-set membership; absolute
 CURVATURE_TOL = 1e-7      # sign of a sampled certify curvature; absolute
 FD_TOL = 1e-5             # finite-difference check of psi hooks; relative

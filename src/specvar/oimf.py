@@ -7,9 +7,8 @@ the top-r sum), and tangent-set tests for orthogonally invariant sets.
 
 The second-order formulas require one orthogonal pair (U, V) that
 diagonalizes X and Y simultaneously with both value vectors ordered;
-``simultaneous_gauge`` constructs it or raises ``NoSimultaneousGauge``
-when Y cannot be aligned with X; ``SpectralPoint`` then tests sigma(Y) in
-df(sigma(X)) at the same scale and raises ``NotASubgradient``.
+``_subgradient`` builds it and is the one test of Y in dF(X), at
+GAUGE_TOL ||Y||, that every entry point reads.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .matrix_core import (
     CONE_TOL,
     GAUGE_TOL,
     SET_TOL,
-    SUBDIFF_ALIGN_TOL,
     TOLERANCES,
     SvdDecomposition,
     _svd,
@@ -81,16 +79,23 @@ def simultaneous_gauge(X, Y, tols=TOLERANCES):
     block-diagonal, not symmetric on a block, or yields values out of
     order, which characterizes Y not being alignable with X.
     """
+    gauge, part, sy, _, _, message = _align(X, Y, tols)
+    if message is not None:
+        raise NoSimultaneousGauge(message)
+    return gauge, part, sy
+
+
+def _align(X, Y, tols):
+    """``simultaneous_gauge`` without raising: (gauge, part, sy, residual,
+    tol, message), the residual the largest of the off-block energy, a
+    block's asymmetry and any rise or negative value of sy, and message
+    the first of these tests above tol = GAUGE_TOL ||Y|| (None if none)."""
     X = require_tall(as_matrix(X, "X"))
     Y = as_matrix(Y, "Y")
     if X.shape != Y.shape:
         raise ShapeError(f"X {X.shape} and Y {Y.shape} differ")
     svd = svd_ordered(X)
-    return _align(svd, partition_of(svd, tols), Y)
-
-
-def _align(svd, part, Y):
-    """``simultaneous_gauge`` for an ordered SVD of X and its partition."""
+    part = partition_of(svd, tols)
     m, n = svd.shape
     U, V = svd.U.copy(), svd.V.copy()
     M = U.T @ Y @ V
@@ -100,17 +105,12 @@ def _align(svd, part, Y):
     owner = np.cumsum(part.l == 1) - 1
     rows = np.concatenate([owner, np.full(m - n, part.t)])
     off = np.linalg.norm(M[rows[:, None] != owner])
-    if off > tol:
-        raise NoSimultaneousGauge(
-            f"off-block energy {off:.3e} exceeds {tol:.3e}")
 
     sy = np.zeros(n)
+    asym = 0.0
     for idx in size_classes(part.alpha_blocks):
         Mb = _blocks_of(M, idx)
-        if np.linalg.norm(Mb - Mb.mT, axis=(1, 2)).max() > tol:
-            raise NoSimultaneousGauge(
-                "compressed block not symmetric; one-sided rotation cannot "
-                "diagonalize it")
+        asym = max(asym, np.linalg.norm(Mb - Mb.mT, axis=(1, 2)).max())
         eig = sym_eig_ordered(Mb)
         sy[idx] = eig.lam
         if idx.shape[1] > 1:               # a singleton's eigenvector is 1
@@ -122,10 +122,28 @@ def _align(svd, part, Y):
         U[:, bh] = U[:, bh] @ rs.U
         V[:, part.beta] = V[:, part.beta] @ rs.V
         sy[part.beta] = rs.sigma
-    if np.any(np.diff(sy) > tol) or np.any(sy < -tol):
-        raise NoSimultaneousGauge(
-            "aligned values of Y not nonincreasing and nonnegative")
-    return SvdDecomposition(U=U, sigma=svd.sigma.copy(), V=V), part, sy
+    order = max(np.max(np.diff(sy), initial=0.0), np.max(-sy, initial=0.0))
+    checks = ((off, f"off-block energy {off:.3e} exceeds {tol:.3e}"),
+              (asym, "compressed block not symmetric; one-sided rotation "
+                     "cannot diagonalize it"),
+              (order, "aligned values of Y not nonincreasing and nonnegative"))
+    message = next((text for value, text in checks if value > tol), None)
+    return (SvdDecomposition(U=U, sigma=svd.sigma.copy(), V=V), part, sy,
+            max(off, asym, order), tol, message)
+
+
+def _subgradient(f: SpectralFunctionSpec, X, Y, tols):
+    """``_align`` plus f's violation of sy at sigma(X) (read once Y aligns,
+    as sy is sigma(Y) only then; without the hook, ``subdiff_contains`` at
+    tol as 0 or inf): (gauge, part, sy, residual, member, message), Y in
+    dF(X) iff the residual is within tol = GAUGE_TOL ||Y||."""
+    gauge, part, sy, residual, tol, message = _align(X, Y, tols)
+    if message is None:
+        if f.subdiff_violation is not None:
+            residual = max(residual, f.subdiff_violation(gauge.sigma, sy))
+        elif not f.subdiff_contains(gauge.sigma, sy, tol):
+            residual = INF
+    return gauge, part, sy, residual, bool(residual <= tol), message
 
 
 # -- composite calculus --------------------------------------------------------
@@ -148,40 +166,18 @@ def F_subderivative(f: SpectralFunctionSpec, X, H,
     return f.subderivative(svd.sigma, sigma_dir1_stack(Hhat[None], part)[0])
 
 
-def _subdiff_residual(level, X, Y, sx=None):
-    """The caller's f-level membership test or violation ``level(sigma(X),
-    sigma(Y))`` and the trace-alignment gap |<X, Y> - sigma(X).sigma(Y)|;
-    Y is in dF(X) when both pass.  ``sx`` may supply sigma(X)."""
-    if sx is None:
-        sx = np.linalg.svd(X, compute_uv=False)
-    sy = np.linalg.svd(Y, compute_uv=False)
-    return level(sx, sy), abs(float(np.sum(X * Y)) - float(sx @ sy))
-
-
-def _subdiff_pair(f: SpectralFunctionSpec, X, Y):
-    """X and Y checked for a subdifferential test of F = f o sigma."""
+def _convex_lsc(f: SpectralFunctionSpec):
     if not (f.convex and f.lsc):
         raise AssumptionViolated(f"{f.name}: subdifferential test needs a "
                                  "convex lsc function")
-    X = require_tall(as_matrix(X, "X"))
-    Y = as_matrix(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeError("X and Y must have equal shape")
-    return X, Y
-
-
-def _in_subdiff(f, X, Y, sx=None):
-    """``F_subdiff_contains`` for checked X and Y."""
-    member, align_gap = _subdiff_residual(f.subdiff_contains, X, Y, sx)
-    return member and align_gap <= SUBDIFF_ALIGN_TOL * (
-        1.0 + np.linalg.norm(X) * np.linalg.norm(Y))
 
 
 def F_subdiff_contains(f: SpectralFunctionSpec, X, Y) -> bool:
-    """Y in dF(X): sigma(Y) in df(sigma(X)) plus trace alignment within
-    SUBDIFF_ALIGN_TOL (1 + ||X|| ||Y||)."""
-    X, Y = _subdiff_pair(f, X, Y)
-    return _in_subdiff(f, X, Y)
+    """Y in dF(X): one ordered SVD diagonalizes X and Y and sigma(Y) is in
+    df(sigma(X)), both within GAUGE_TOL ||Y|| (the test ``SpectralPoint``
+    applies, so (c f, c Y) is decided alike)."""
+    _convex_lsc(f)
+    return _subgradient(f, X, Y, TOLERANCES)[4]
 
 
 def F_subdiff_element(f: SpectralFunctionSpec, X):
@@ -203,19 +199,17 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
     the reduced direction blocks (zero gaps characterize simultaneous
     ordered decompositions).
     """
-    X, Y = _subdiff_pair(f, X, Y)
-    svd = svd_ordered(X)
-    if not _in_subdiff(f, X, Y, sx=svd.sigma):
+    _convex_lsc(f)
+    svd, part, sy, _, member, _ = _subgradient(f, X, Y, tols)
+    if not member:
         raise NotASubgradient("Y is not a subgradient of F at X")
-    H = _like(H, X, "H")
-    part = partition_of(svd, tols)
-    if diagnostics:
-        svd, part, sy = _align(svd, part, Y)
+    Y = np.asarray(Y, dtype=float)
+    H = _like(H, Y, "H")
     Hhat = svd.U.T @ H @ svd.V
     d1 = sigma_dir1_stack(Hhat[None], part)[0]
     gap = f.subderivative(svd.sigma, d1) - float(np.sum(Y * H))
     tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
-    member = abs(gap) <= tol
+    member = bool(abs(gap) <= tol)
     if not diagnostics:
         return member
     # Fan / von Neumann gap of a block: sy . (sigma' - diag Hhat) on it
@@ -249,10 +243,11 @@ class SpectralPoint:
     """F = f o sigma prepared at (X, Y) for d2F(X|Y)(H) along many H.
 
     Construction checks the flags and hooks of f, builds the aligned
-    gauge and the partition of sigma(X) (``simultaneous_gauge``: one
-    stacked eigh per block size, singletons read diag(U^T Y V)), checks
-    sigma(Y) in df(sigma(X)) at the gauge's scale GAUGE_TOL ||Y|| (so
-    (c f, c Y) is decided alike) and that f is finite at sigma(X), and
+    gauge and the partition of sigma(X) and tests Y in dF(X) at the one
+    scale GAUGE_TOL ||Y|| (``_subgradient``: one stacked eigh per block
+    size, singletons read diag(U^T Y V); (c f, c Y) is decided alike),
+    raising ``NoSimultaneousGauge`` and then ``NotASubgradient``, checks
+    that f is finite at sigma(X), and
     keeps ||Y||, the ``DividedDifferences`` of sigma(X) and the beta weights.
     The formula depends on H only through Hhat = U^T H V, so a stack of
     directions costs one batched product and the ``sv_calculus`` kernel:
@@ -270,15 +265,17 @@ class SpectralPoint:
         self.f = f
         self.X = as_matrix(X, "X")
         self.Y = as_matrix(Y, "Y")
-        self.gauge, self.part, self.sy = simultaneous_gauge(
-            self.X, self.Y, tols)
-        s, sy, part = self.gauge.sigma, self.sy, self.part
-        self.y_norm = float(np.linalg.norm(self.Y))
-        if not f.subdiff_contains(s, sy, GAUGE_TOL * self.y_norm):
+        self.gauge, self.part, self.sy, _, member, message = _subgradient(
+            f, self.X, self.Y, tols)
+        if message is not None:
+            raise NoSimultaneousGauge(message)
+        if not member:
             raise NotASubgradient(
                 "sigma(Y) is not in the subdifferential of f at sigma(X)")
+        s, sy, part = self.gauge.sigma, self.sy, self.part
         if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
+        self.y_norm = float(np.linalg.norm(self.Y))
         self._tables = divided_differences(s, part)
         self._report_warns = tuple(
             f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "

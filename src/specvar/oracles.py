@@ -16,7 +16,7 @@ infimum, so callers treat the result as an upper bound with slack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,14 +112,11 @@ def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):
 
     Minimizes the second-order quotient over directions w' = w + tau * u
     with ||u|| <= radius_c, plus any supplied guided offsets, at the
-    smallest tau of the grid.  Deterministic for a fixed config.
+    smallest tau of the grid: ``liminf_table``'s last row.  Deterministic
+    for a fixed config.
     """
-    x = _arr(x, "x")
-    v, w = _like(v, x, "v"), _like(w, x, "w")
-    g0 = _base_value(g, x)
-    rng = np.random.default_rng(cfg.seed)
-    return _liminf_at_tau(g, x, g0, v, w, min(cfg.tau_grid), cfg,
-                          guided_directions, rng)
+    last = replace(cfg, tau_grid=cfg.tau_grid[-1:])
+    return liminf_table(g, x, v, w, last, guided_directions)[0][1]
 
 
 def liminf_table(g, x, v, w, cfg: OracleConfig, guided_directions=()):
@@ -176,11 +173,16 @@ class GradientCheckReport:
         return self.gradient_ok and self.hessian_ok
 
 
-def fd_gradient_check(psi, X, tau=1e-5, n_directions=5,
-                      seed=0) -> GradientCheckReport:
+# fd_gradient_check's central-difference step, and the count and seed of
+# the unit directions of its Hessian check
+_FD_STEP, _FD_DIRECTIONS, _FD_SEED = 1e-5, 5, 0
+
+
+def fd_gradient_check(psi, X) -> GradientCheckReport:
     """Check ``psi.gradient`` and ``psi.hessian_apply`` at X by central
     differences, to FD_TOL.  Report-only: callers decide what to do.
     """
+    tau = _FD_STEP
     X = _arr(X, "X")
     G = _arr(psi.gradient(X), "gradient")
     G_fd = np.zeros_like(X)
@@ -193,9 +195,9 @@ def fd_gradient_check(psi, X, tau=1e-5, n_directions=5,
             / (2 * tau)
     g_err = np.linalg.norm(G_fd - G) / max(1.0, np.linalg.norm(G))
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_FD_SEED)
     h_err = 0.0
-    for _ in range(n_directions):
+    for _ in range(_FD_DIRECTIONS):
         D = _unit(rng, X.shape)
         HD = _arr(psi.hessian_apply(X, D), "hessian_apply")
         HD_fd = (_arr(psi.gradient(X + tau * D), "gradient")

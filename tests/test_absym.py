@@ -286,9 +286,30 @@ class TestScaledConeThreshold:
         assert f.critical_cone_contains(x, v, W, tols).tolist() \
             == [False, True]
         assert f.second_subderivative(x, v, W, tols).tolist() == [INF, 0.0]
-        # tol=None stays the base spec's default
+        # tol=None is the default threshold of c f
         assert f.critical_cone_contains(x, v, [1.0, -1.0, 0.0])
         assert not f.critical_cone_contains(x, v, w)
+
+    @pytest.mark.parametrize("c", [1e-3, 1e3, 1e6])
+    def test_default_tol_reads_the_scaled_data(self, c):
+        # with tol=None the threshold is F_CONE_TOL (1 + ||v|| ||w||) of the
+        # v and w c f receives, the base spec's default at its own data
+        from specvar.matrix_core import F_CONE_TOL
+        f = scale_spec(l1_spec(), c)
+        x, v = [2.0, 1.0, 0.0], c * np.array([1.0, 1.0, 0.5])
+
+        def w_at(ratio):   # scaled gap c g / 2 = ratio F_CONE_TOL (1 + 1.5 c g)
+            g = ratio * F_CONE_TOL / (c * (0.5 - 1.5 * ratio * F_CONE_TOL))
+            return np.array([0.0, 0.0, g])
+
+        for ratio, member in ((0.5, True), (50.0, False)):
+            assert f.critical_cone_contains(x, v, w_at(ratio)) is member
+            assert f.second_subderivative(x, v, w_at(ratio)) == (
+                0.0 if member else INF)
+        W = np.stack([w_at(0.5), w_at(50.0), [1.0, -1.0, 0.0]])
+        assert f.critical_cone_contains(x, v, W).tolist() == [
+            True, False, True]
+        assert f.second_subderivative(x, v, W).tolist() == [0.0, INF, 0.0]
 
 
 class TestStackedHooks:

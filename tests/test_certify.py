@@ -176,6 +176,18 @@ class TestCertify:
         assert cert.is_stationary
         assert cert.verdict == "sufficient-evidence"
 
+    @pytest.mark.parametrize("eps", [1e-8, 3e-8])
+    def test_past_the_gauge_scale_is_not_stationary(self, eps):
+        # the aligned values of -grad psi rise by eps > GAUGE_TOL ||grad psi||:
+        # stationarity_check rejects the point by the test SpectralPoint
+        # would apply next, so certify reports it instead of raising
+        p, X0 = soft_threshold_fixture()
+        X = X0.copy()
+        X[0, 0] += eps
+        cert = certify(p, X, SamplingConfig(n_samples=20, min_samples=10))
+        assert not cert.is_stationary
+        assert cert.verdict == "not-stationary"
+
     def test_sampling_exhausted(self):
         p, X0 = soft_threshold_fixture()
         with pytest.raises(SamplingExhausted):

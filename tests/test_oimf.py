@@ -684,9 +684,9 @@ class TestOmegaToleranceBoundary:
 
 
 class TestMembershipScale:
-    """``SpectralPoint`` decides Y for c f at c Y as it does for f at Y:
-    a deviation of Y on the diagonal is measured against GAUGE_TOL ||Y||,
-    not against an absolute threshold."""
+    """``SpectralPoint`` and ``F_subdiff_contains`` decide Y for c f at c Y
+    as for f at Y: a deviation of Y on the diagonal is measured against
+    GAUGE_TOL ||Y||, not against an absolute threshold."""
 
     @pytest.mark.parametrize("dev, member", [
         (1e-11, True), (1e-9, True), (1e-7, False)])
@@ -701,6 +701,14 @@ class TestMembershipScale:
             except NotASubgradient:
                 decided.append(False)
         assert decided == [member] * 4
+
+    @pytest.mark.parametrize("dev, member", [
+        (1e-11, True), (1e-9, True), (1e-7, False)])
+    def test_subdiff_contains_decides_alike(self, dev, member):
+        X = np.diag([2.0, 1.0, 0.0])
+        Y = np.diag([1.0 + dev, 1.0, 0.3])
+        assert [F_subdiff_contains(scale_spec(l1_spec(), c), X, c * Y)
+                for c in (1e-6, 1e-3, 1.0, 1e3)] == [member] * 4
 
 
 class TestNuclearSplit:
@@ -1203,3 +1211,111 @@ class TestBatchedDirections:
             _assert_stacked_matches(point, Hs)
 
         prop()
+
+
+class _LinearPsi:
+    """psi(X) = -<Y, X>: -grad psi is Y itself, bit for bit."""
+
+    def __init__(self, Y):
+        self.Y = Y
+
+    def value(self, X):
+        return -float(np.sum(self.Y * X))
+
+    def gradient(self, X):
+        return -self.Y
+
+    def hessian_apply(self, X, H):
+        return np.zeros_like(H)
+
+
+class TestOneSubgradientDecision:
+    """Every entry point decides Y in dF(X) by one test: the aligned
+    residual of Y and the f-level violation of its aligned values, both
+    within GAUGE_TOL ||Y||.  F_subdiff_contains, SpectralPoint,
+    stationarity_check and F_critical_cone_contains agree on every Y."""
+
+    SPECS = {"l1": l1_spec(), "linf": linf_spec(), "kyfan:2": kyfan_spec(2),
+             "0.5*l1": scale_spec(l1_spec(), 0.5),
+             "1e3*l1": scale_spec(l1_spec(), 1e3)}
+    SHAPES = [(4, 3), (5, 5), (6, 4), (3, 1), (8, 6)]
+    MAGS = [1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6]
+
+    @staticmethod
+    def _decisions(f, X, Y, H):
+        from specvar.certify import ProblemSpec, stationarity_check
+        member = F_subdiff_contains(f, X, Y)
+        try:
+            SpectralPoint(f, X, Y)
+            point = True
+        except (NotASubgradient, NoSimultaneousGauge):
+            point = False
+        _, stationary = stationarity_check(
+            ProblemSpec(psi=_LinearPsi(Y), f=f), X)
+        try:
+            F_critical_cone_contains(f, X, Y, H)
+            cone = True
+        except NotASubgradient:
+            cone = False
+        return member, point, stationary, cone
+
+    @pytest.mark.parametrize("fname", list(SPECS))
+    def test_agreement_sweep(self, fname):
+        # exact subgradients U diag(v) V^T, v sampled from df(sigma(X)),
+        # moved by 1e-12 .. 1e-6 relative along the gauge's diagonal and
+        # along a Gaussian direction, on distinct, clustered and
+        # rank-deficient spectra
+        f = self.SPECS[fname]
+        seen = set()
+        for m, n in self.SHAPES:
+            if fname == "kyfan:2" and n < 2:
+                continue
+            for kind in range(3):
+                rng = np.random.default_rng([m, n, kind])
+                s = np.sort(rng.uniform(0.5, 3.0, n))[::-1]
+                if kind == 1:
+                    s = np.repeat(s[::2], 2)[:n]
+                elif kind == 2:
+                    s[n - max(1, n // 2):] = 0.0
+                U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+                V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+                X = U[:, :n] @ (s[:, None] * V.T)
+                Y0 = U[:, :n] @ (f.subdiff_sample(s, rng)[:, None] * V.T)
+                H = rng.standard_normal((m, n))
+                for D in (U[:, :n] @ (rng.standard_normal(n)[:, None] * V.T),
+                          rng.standard_normal((m, n))):
+                    D *= np.linalg.norm(Y0) / np.linalg.norm(D)
+                    for mag in self.MAGS:
+                        got = set(self._decisions(f, X, Y0 + mag * D, H))
+                        assert len(got) == 1, (m, n, kind, mag)
+                        seen |= got
+        assert seen == {True, False}   # members and non-members both met
+
+    def test_cone_agrees_with_second_subderivative(self):
+        # a top value of Y off by 5e-10 is a subgradient at GAUGE_TOL ||Y||,
+        # and the swap in the top block is critical for both entry points
+        X = np.zeros((4, 3))
+        X[:3] = np.diag([2.0, 1.0, 0.0])
+        Y = np.zeros((4, 3))
+        Y[:3] = np.diag([1.0 + 5e-10, 1.0, 0.5])
+        H = np.zeros((4, 3))
+        H[:2, :2] = SWAP
+        rep = F_second_subderivative(l1_spec(), X, Y, H)
+        assert rep.critical
+        assert F_critical_cone_contains(l1_spec(), X, Y, H) is True
+        assert F_subdiff_contains(l1_spec(), X, Y) is True
+
+    def test_predicates_return_python_bool(self):
+        from specvar.certify import soft_threshold_fixture, stationarity_check
+        from specvar.cli import dumps_17g
+        import json
+        X, Y, H = np.diag([1.0, 0.0]), np.diag([1.0, 0.5]), SWAP
+        member, info = F_critical_cone_contains(l1_spec(), X, Y, H,
+                                                diagnostics=True)
+        _, ok = stationarity_check(*soft_threshold_fixture())
+        values = {"subdiff": F_subdiff_contains(l1_spec(), X, Y),
+                  "cone": F_critical_cone_contains(l1_spec(), X, Y, H),
+                  "cone_diagnostics": member, "info_member": info["member"],
+                  "stationary": ok}
+        assert all(type(v) is bool for v in values.values())
+        assert json.loads(dumps_17g(values)) == values
