@@ -301,13 +301,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             f"only {len(samples)} cone members in {tried} candidates "
             f"(need {cfg.min_samples})")
 
-    if not samples:
-        return OptimalityCertificate(
-            stationarity_residual=residual, is_stationary=True,
-            samples=[], min_curvature=math.nan,
-            growth_constant_observed=growth, verdict="inconclusive")
-
-    min_curv = min(q for _, q in samples)
+    min_curv = min((q for _, q in samples), default=math.nan)
     if counterexample is not None:
         verdict = "necessary-violated"
     elif min_curv > CURVATURE_TOL:
@@ -323,33 +317,32 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
 
 def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     """min over sampled X in ball(X0, eps) of the growth quotient
-    [obj(X) - obj(X0)] / ||X - X0||^2; deterministic for a fixed seed.
-
-    Sample i draws D = standard_normal(X0.shape), then u = uniform(0, 1),
-    and is X0 + r D / ||D|| with r = eps max(u, 1e-12)^(1 / X0.size).
-    Each chunk of samples takes one stacked SVD and one ``psi.value``
-    call; one ``f.eval`` call scores all n_samples x min(m, n) singular
-    values.  The quotients are bitwise those of one ``objective`` call
-    per sample for any chunk size.  n_samples <= 0 calls no hook: +inf."""
+    [obj(X) - obj(X0)] / ||X - X0||^2: an observed constant, deterministic
+    for a fixed seed.  Of the two children of ``SeedSequence(seed)``, the
+    first draws all n_samples u = random() in one block, the second each
+    chunk's directions D in one standard_normal((k, m, n)) block.  Sample
+    i is X0 + r D / sqrt(sum(D * D)), r = eps max(u, 1e-12)^(1 / X0.size),
+    for every chunk size and every n_samples > i: more samples never raise
+    the probe.  Per chunk one stacked SVD and one ``psi.value`` call, and
+    one ``f.eval`` for all samples, give bitwise the quotients of one
+    ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf."""
     X0 = as_matrix(X0, "X0")
     n_samples = int(n_samples)
     if n_samples <= 0:
         return INF
     base = objective(p, X0)
-    rng = np.random.default_rng(seed)
+    radius_rng, direction_rng = map(np.random.default_rng,
+                                    np.random.SeedSequence(seed).spawn(2))
     d = X0.size
+    radii = eps * np.maximum(radius_rng.random(n_samples), 1e-12) ** (1.0 / d)
     chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
-    radii, nrm, psi = np.empty((3, n_samples))
+    psi = np.empty(n_samples)
     svals = np.empty((n_samples, min(X0.shape)))
     for lo in range(0, n_samples, chunk):
-        Xs = np.empty((min(chunk, n_samples - lo),) + X0.shape)
-        for i, D in enumerate(Xs, lo):
-            rng.standard_normal(out=D)
-            flat = D.reshape(-1)
-            nrm[i] = math.sqrt(flat @ flat)   # np.linalg.norm(D)
-            radii[i] = eps * max(rng.uniform(0.0, 1.0), 1e-12) ** (1.0 / d)
-        at = slice(lo, lo + len(Xs))
-        Xs /= nrm[at, None, None]
+        at = slice(lo, min(lo + chunk, n_samples))
+        Xs = direction_rng.standard_normal((at.stop - lo,) + X0.shape)
+        D = Xs.reshape(len(Xs), -1)
+        Xs /= np.sqrt(np.sum(D * D, axis=1))[:, None, None]
         Xs *= radii[at, None, None]
         Xs += X0
         psi[at] = _stacked(p.psi.value(Xs), len(Xs), "psi.value")

@@ -157,8 +157,6 @@ def load_problem(path):
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    if not isinstance(d, dict):
-        raise UsageError(f"{path}: problem file must hold a JSON object")
     base = path.parent
     f = spec_by_name(_required(d, "f", path))
     weight = float(d.get("weight", 1.0))
@@ -166,8 +164,23 @@ def load_problem(path):
         f = absym.scale_spec(f, weight)
     p = ProblemSpec(psi=_psi_from_dict(_required(d, "psi", path), base), f=f)
     X0 = _load_matrix(_required(d, "X0", path), base)
-    sampling = d.get("sampling", {})
-    return p, X0, sampling, d
+    return p, X0, d.get("sampling", {}), d
+
+
+def _sampling(args, sampling):
+    """n_samples, min_samples and seed: a given flag (0 included), else the
+    problem file's sampling object, else SamplingConfig's default."""
+    keys = ("n_samples", "min_samples", "seed")
+    if not isinstance(sampling, dict) or not set(sampling) <= set(keys):
+        raise UsageError(f"sampling must be an object with keys among {keys}")
+    flags = {k: getattr(args, k) for k in keys
+             if getattr(args, k, None) is not None}
+    for k, v in [*sampling.items(), *flags.items()]:
+        if type(v) is not int or (k == "seed" and v < 0):   # bool is an int
+            kind = "a non-negative integer" if k == "seed" else "an integer"
+            raise UsageError(f"{k} must be {kind}, not {v!r}")
+    return {**{k: getattr(SamplingConfig, k) for k in keys}, **sampling,
+            **flags}
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -274,7 +287,7 @@ def cmd_oracle(args, tols):
     cfg = oracles.OracleConfig(
         tau_grid=tuple(args.tau_grid), samples_per_tau=args.samples,
         radius_c=args.radius_c,
-        seed=oracles.OracleConfig.seed if args.seed is None else args.seed)
+        seed=_sampling(args, {"seed": oracles.OracleConfig.seed})["seed"])
     g = _oracle_target(args, X, tols)
     echo = {"kind": args.kind, "target": args.target, "f": args.f, "X": X,
             "H": H, "seed": cfg.seed, "tau_grid": list(cfg.tau_grid),
@@ -314,11 +327,8 @@ def cmd_oracle(args, tols):
 
 def cmd_certify(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
-    cfg = SamplingConfig(**{   # a given flag wins, 0 included
-        k: getattr(args, k) if getattr(args, k) is not None
-        else sampling.get(k, getattr(SamplingConfig, k))
-        for k in ("n_samples", "min_samples", "seed")})
-    cert = run_certify(p, X0, cfg)
+    sampling = _sampling(args, sampling)
+    cert = run_certify(p, X0, SamplingConfig(**sampling))
     out = {
         "verdict": cert.verdict,
         "stationarity_residual": cert.stationarity_residual,
@@ -328,16 +338,13 @@ def cmd_certify(args, tols):
         "growth_constant_observed": cert.growth_constant_observed,
         "counterexample": cert.counterexample,
     }
-    return out, {"problem": raw, "n_samples": cfg.n_samples,
-                 "min_samples": cfg.min_samples, "seed": cfg.seed}, []
+    return out, {"problem": raw, **sampling}, []
 
 
 def cmd_growth(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
-    seed = args.seed if args.seed is not None else sampling.get(
-        "seed", SamplingConfig.seed)
-    g = quadratic_growth_probe(p, X0, args.eps, args.n_samples,
-                                           seed)
+    seed = _sampling(args, sampling)["seed"]
+    g = quadratic_growth_probe(p, X0, args.eps, args.n_samples, seed)
     return {"growth": g}, {"problem": raw, "eps": args.eps,
                            "n_samples": args.n_samples, "seed": seed}, []
 

@@ -299,6 +299,38 @@ class TestErrorChannel:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert repr(last) in err["message"]
 
+    @pytest.mark.parametrize("command", ["certify", "growth"])
+    @pytest.mark.parametrize("sampling, field", [
+        ([1], "sampling"), ({"seed": 1.5}, "seed"), ({"seed": "x"}, "seed"),
+        ({"seed": -2}, "seed"), ({"n_samples": "abc"}, "n_samples"),
+        ({"min_samples": True}, "min_samples"),
+        ({"n_samples": 5, "seeds": 1}, "sampling"),
+    ])
+    def test_bad_sampling_exit_1(self, tmp_path, capsys, command, sampling,
+                                 field):
+        prob = make_problem(tmp_path, "soft")
+        d = json.loads(open(prob).read())
+        d["sampling"] = sampling
+        with open(prob, "w") as fh:
+            json.dump(d, fh)
+        assert main([command, "--problem", prob]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert err["message"].startswith(field)
+
+    @pytest.mark.parametrize("command", ["certify", "growth", "oracle"])
+    def test_negative_seed_exit_1(self, tmp_path, capsys, command):
+        if command == "oracle":
+            x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+            argv = ["oracle", "--kind", "fixed", "--X", x, "--Y", x,
+                    "--H", x]
+        else:
+            argv = [command, "--problem", make_problem(tmp_path, "soft")]
+        assert main(["--seed=-1", *argv]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert err["message"].startswith("seed")
+
     def test_problem_psi_not_object_exit_1(self, tmp_path, capsys):
         prob = make_problem(tmp_path, "soft")
         d = json.loads(open(prob).read())
