@@ -228,10 +228,11 @@ class SpectralFunctionSpec:
     array, entry i bitwise the call on row i, with a scalar or per-row
     tol: the growth probe and each chunk of ``certify`` call f once a hook.
 
-    ``second_subderivative`` must return the full second subderivative
-    d2f(x|v)(w) as an extended real; for polyhedral built-ins it is the
-    indicator of the critical cone.  Non-polyhedral functions must supply
-    the hook themselves.
+    ``subdiff_violation(x, v)`` is required: every subgradient test of F
+    reads v in df(x) through it alone.  ``second_subderivative`` must
+    return the full second subderivative d2f(x|v)(w) as an extended real;
+    for polyhedral built-ins it is the indicator of the critical cone.
+    Non-polyhedral functions must supply the hook themselves.
     """
 
     name: str
@@ -244,8 +245,8 @@ class SpectralFunctionSpec:
     subdiff_representative: Callable
     critical_cone_contains: Callable
     parabolic_subderivative: Callable
+    subdiff_violation: Callable
     second_subderivative: Optional[Callable] = None
-    subdiff_violation: Optional[Callable] = None
     subdiff_sample: Optional[Callable] = None
 
 
@@ -337,9 +338,8 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
             c * spec.parabolic_subderivative(x, w, z),
         second_subderivative=(None if spec.second_subderivative is None else
                               second),
-        subdiff_violation=(None if spec.subdiff_violation is None else
-                           lambda x, v: c * spec.subdiff_violation(
-                               x, np.asarray(v, float) / c)),
+        subdiff_violation=lambda x, v: c * spec.subdiff_violation(
+            x, np.asarray(v, float) / c),
         subdiff_sample=(None if spec.subdiff_sample is None else
                         lambda x, rng: c * spec.subdiff_sample(x, rng)),
     )

@@ -248,7 +248,9 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             f"psi hooks fail the finite-difference check: gradient rel err "
             f"{rep.gradient_rel_err:.2e}, hessian rel err "
             f"{rep.hessian_rel_err:.2e}")
-    residual, ok = stationarity_check(p, X0)
+    Y = -np.asarray(p.psi.gradient(X0), dtype=float)
+    aligned = _subgradient(p.f, X0, Y, TOLERANCES)   # as stationarity_check
+    residual, ok = float(aligned[3]), aligned[4]
     growth = quadratic_growth_probe(p, X0, cfg.growth_eps,
                                     cfg.growth_samples, cfg.seed)
     if not ok:
@@ -257,8 +259,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             samples=[], min_curvature=math.nan,
             growth_constant_observed=growth, verdict="not-stationary")
 
-    Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    point = SpectralPoint(p.f, X0, Y)
+    point = SpectralPoint._from_subgradient(p.f, X0, Y, aligned)
     svd = point.gauge
     rng = np.random.default_rng(cfg.seed)
 
@@ -325,7 +326,10 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     for every chunk size and every n_samples > i: more samples never raise
     the probe.  Per chunk one stacked SVD and one ``psi.value`` call, and
     one ``f.eval`` for all samples, give bitwise the quotients of one
-    ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf."""
+    ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf.
+    An eps that is not finite and > 0 raises ``ShapeError``."""
+    if not 0.0 < eps < INF:
+        raise ShapeError(f"growth eps must be finite and > 0, not {eps!r}")
     X0 = as_matrix(X0, "X0")
     n_samples = int(n_samples)
     if n_samples <= 0:

@@ -134,6 +134,16 @@ def _required(d, key, where):
     return d[key]
 
 
+def _number(d, key, positive=False):
+    """d[key] (default 1): a finite JSON number, > 0 if ``positive``."""
+    v = d.get(key, 1.0)
+    if type(v) not in (int, float) or not -math.inf < v < math.inf or (
+            positive and v <= 0):
+        raise UsageError(f"{key} must be a finite number"
+                         f"{' > 0' if positive else ''}, not {v!r}")
+    return float(v)
+
+
 def _psi_from_dict(d, base):
     kind = _required(d, "kind", "psi")
     if kind == "half-squared-distance":
@@ -147,7 +157,7 @@ def _psi_from_dict(d, base):
         return QuadraticMinusRankOne(
             _load_matrix(_required(d, "B", "psi"), base),
             _load_matrix(_required(d, "E", "psi"), base),
-            float(d.get("gamma", 1.0)))
+            _number(d, "gamma"))
     raise UsageError(f"unknown psi kind {kind!r}")
 
 
@@ -159,7 +169,7 @@ def load_problem(path):
         d = json.load(fh)
     base = path.parent
     f = spec_by_name(_required(d, "f", path))
-    weight = float(d.get("weight", 1.0))
+    weight = _number(d, "weight", positive=True)
     if weight != 1.0:
         f = absym.scale_spec(f, weight)
     p = ProblemSpec(psi=_psi_from_dict(_required(d, "psi", path), base), f=f)

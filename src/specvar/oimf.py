@@ -24,6 +24,7 @@ from .absym import (INF, ExtendedValue, SpectralFunctionSpec, _as_vector,
 from .errors import (
     AssumptionViolated,
     FullRank,
+    NonFinite,
     NoSimultaneousGauge,
     NotASubgradient,
     NotInRegularSubdiff,
@@ -49,6 +50,7 @@ from .matrix_core import (
 )
 from .sv_calculus import (
     _blocks_of,
+    _finite_rows,
     _prepared,
     alpha_terms,
     cross_term_hat,
@@ -99,7 +101,10 @@ def _align(X, Y, tols):
     m, n = svd.shape
     U, V = svd.U.copy(), svd.V.copy()
     M = U.T @ Y @ V
-    tol = GAUGE_TOL * np.linalg.norm(Y)
+    with np.errstate(over="ignore"):
+        tol = GAUGE_TOL * np.linalg.norm(Y)
+    if not tol < INF:
+        raise NonFinite("||Y||^2 overflows: Y too large to test")
 
     # block number of every column, t on the zero block and rows past n
     owner = np.cumsum(part.l == 1) - 1
@@ -133,17 +138,31 @@ def _align(X, Y, tols):
 
 
 def _subgradient(f: SpectralFunctionSpec, X, Y, tols):
-    """``_align`` plus f's violation of sy at sigma(X) (read once Y aligns,
-    as sy is sigma(Y) only then; without the hook, ``subdiff_contains`` at
-    tol as 0 or inf): (gauge, part, sy, residual, member, message), Y in
-    dF(X) iff the residual is within tol = GAUGE_TOL ||Y||."""
+    """``_align`` plus f's violation of sy at sigma(X), read once Y aligns
+    (sy is sigma(Y) only then): (gauge, part, sy, residual, member,
+    message), Y in dF(X) iff the residual is within tol = GAUGE_TOL ||Y||."""
     gauge, part, sy, residual, tol, message = _align(X, Y, tols)
     if message is None:
-        if f.subdiff_violation is not None:
-            residual = max(residual, f.subdiff_violation(gauge.sigma, sy))
-        elif not f.subdiff_contains(gauge.sigma, sy, tol):
-            residual = INF
+        residual = max(residual, f.subdiff_violation(gauge.sigma, sy))
     return gauge, part, sy, residual, bool(residual <= tol), message
+
+
+def _duality_gaps(f: SpectralFunctionSpec, gauge, part, Y, Hs):
+    """The one cone pass at (X, Y) over a (k, m, n) stack: Hhat = U^T H V
+    in the aligned gauge, sigma'(X; H), the gaps dF(X)(H) - <Y, H>, the
+    thresholds CONE_TOL (1 + ||Y|| ||H||) and the critical rows.  A row
+    whose threshold overflows or whose gap is NaN raises ``NonFinite``."""
+    k = len(Hs)
+    flat = as_matrix(Hs.reshape(k, Y.size), "H")
+    Hhat = gauge.U.T @ Hs @ gauge.V
+    d1 = sigma_dir1_stack(Hhat, part)
+    dF = _stacked(f.subderivative(gauge.sigma, d1), k, "f.subderivative")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = dF - (flat * Y.ravel()).sum(axis=1)
+        tols = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.sqrt(
+            np.vecdot(flat, flat)))   # a dot per row: np.linalg.norm, bitwise
+    _finite_rows(np.where(np.isnan(gaps), gaps, tols), "duality gap")
+    return Hhat, d1, gaps, tols, np.abs(gaps) <= tols
 
 
 # -- composite calculus --------------------------------------------------------
@@ -204,19 +223,16 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
     if not member:
         raise NotASubgradient("Y is not a subgradient of F at X")
     Y = np.asarray(Y, dtype=float)
-    H = _like(H, Y, "H")
-    Hhat = svd.U.T @ H @ svd.V
-    d1 = sigma_dir1_stack(Hhat[None], part)[0]
-    gap = f.subderivative(svd.sigma, d1) - float(np.sum(Y * H))
-    tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
-    member = bool(abs(gap) <= tol)
+    Hhat, d1, gap, tol, member = (
+        a[0] for a in _duality_gaps(f, svd, part, Y, _like(H, Y, "H")[None]))
+    member = bool(member)
     if not diagnostics:
         return member
     # Fan / von Neumann gap of a block: sy . (sigma' - diag Hhat) on it
     excess = sy * (d1 - np.diagonal(Hhat))
     return member, {
         "member": member,
-        "duality_gap": gap,
+        "duality_gap": float(gap),
         "f_level_member": f.critical_cone_contains(
             svd.sigma, np.sort(sy)[::-1], d1, tol),
         "fan_gaps": [float(np.sum(excess[b[0]:b[-1] + 1]))
@@ -247,14 +263,25 @@ class SpectralPoint:
     scale GAUGE_TOL ||Y|| (``_subgradient``: one stacked eigh per block
     size, singletons read diag(U^T Y V); (c f, c Y) is decided alike),
     raising ``NoSimultaneousGauge`` and then ``NotASubgradient``, checks
-    that f is finite at sigma(X), and
-    keeps ||Y||, the ``DividedDifferences`` of sigma(X) and the beta weights.
+    that f is finite at sigma(X), and keeps the ``DividedDifferences`` of
+    sigma(X) and the beta weights.
     The formula depends on H only through Hhat = U^T H V, so a stack of
     directions costs one batched product and the ``sv_calculus`` kernel:
     no SVD of X, no partition.
     """
 
     def __init__(self, f: SpectralFunctionSpec, X, Y, tols=TOLERANCES):
+        self._prepare(f, X, Y, lambda X, Y: _subgradient(f, X, Y, tols))
+
+    @classmethod
+    def _from_subgradient(cls, f, X, Y, subgradient):
+        """The point from the ``_subgradient`` result of (f, X, Y): one
+        alignment gives ``certify`` its stationarity test and its point."""
+        point = cls.__new__(cls)
+        point._prepare(f, X, Y, lambda X, Y: subgradient)
+        return point
+
+    def _prepare(self, f, X, Y, subgradient):
         if not (f.convex and f.lsc and f.lipschitz_on_domain):
             raise AssumptionViolated(
                 f"{f.name}: second subderivative needs convex, lsc, "
@@ -265,8 +292,8 @@ class SpectralPoint:
         self.f = f
         self.X = as_matrix(X, "X")
         self.Y = as_matrix(Y, "Y")
-        self.gauge, self.part, self.sy, _, member, message = _subgradient(
-            f, self.X, self.Y, tols)
+        self.gauge, self.part, self.sy, _, member, message = subgradient(
+            self.X, self.Y)
         if message is not None:
             raise NoSimultaneousGauge(message)
         if not member:
@@ -275,7 +302,6 @@ class SpectralPoint:
         s, sy, part = self.gauge.sigma, self.sy, self.part
         if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-        self.y_norm = float(np.linalg.norm(self.Y))
         self._tables = divided_differences(s, part)
         self._report_warns = tuple(
             f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "
@@ -285,32 +311,28 @@ class SpectralPoint:
     def second_subderivatives(self, Hs):
         """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack.
 
-        One stacked ``f.subderivative`` call gives the duality gaps
-        dF(X)(H) - <Y, H>; rows within CONE_TOL (1 + ||Y|| ||H||) are
-        critical and get the alpha and beta terms and, in one stacked
-        call, ``f.second_subderivative``.  Small-gap blocks warn once a call.
+        ``_duality_gaps`` gives the gaps dF(X)(H) - <Y, H> in one stacked
+        ``f.subderivative`` call; rows within CONE_TOL (1 + ||Y|| ||H||)
+        are critical and get the alpha and beta terms and, in one stacked
+        call, ``f.second_subderivative``.  Small-gap blocks warn once a
+        call; an alpha or beta term that overflows raises ``NonFinite``.
         """
         Hs = np.asarray(Hs, dtype=float)
         if Hs.ndim != 3 or Hs.shape[1:] != self.X.shape:
             raise ShapeError(f"X {self.X.shape} and H {Hs.shape[1:]} differ")
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
-        r, n, k = part.r, part.n, len(Hs)
-        flat = as_matrix(Hs.reshape(k, self.X.size), "H")
-        Hhat = self.gauge.U.T @ Hs @ self.gauge.V
-        d1 = sigma_dir1_stack(Hhat, part)
-        gaps = (_stacked(f.subderivative(s, d1), k, "f.subderivative")
-                - (flat * self.Y.ravel()).sum(axis=1))
-        tols = CONE_TOL * (1.0 + self.y_norm * np.sqrt(
-            np.vecdot(flat, flat)))   # a dot per row: np.linalg.norm, bitwise
-        crit = ~(np.abs(gaps) > tols)   # a NaN gap is left to the d2f hook
-        d2f = np.full(k, INF)
+        r, n = part.r, part.n
+        Hhat, d1, gaps, tols, crit = _duality_gaps(f, self.gauge, part,
+                                                   self.Y, Hs)
+        d2f = np.full(len(Hs), INF)
         if crit.any():
             d2f[crit] = _stacked(
                 f.second_subderivative(s, sy, d1[crit], tols[crit]),
                 crit.sum(), "f.second_subderivative")
         alpha = np.where(crit, alpha_terms(Hhat, self._tables, sy[:r]), 0.0)
-        beta = np.where(crit, np.einsum("kji,kij,ji->k", Hhat[:, r:n, :r],
-                                        Hhat[:, :r, r:n], self._B), 0.0)
+        beta = np.where(crit, _finite_rows(np.einsum(   # einsum never warns
+            "kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n], self._B),
+            "beta term"), 0.0)
         return [SecondSubderivativeReport(
             value=v + a + b if math.isfinite(v) else INF, d2f_term=v,
             alpha_term=a, beta_term=b, critical=c, duality_gap=gap,

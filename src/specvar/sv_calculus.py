@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     AsymmetricInput,
     ConditioningWarning,
+    NonFinite,
     NotBlockSorted,
     ShapeError,
 )
@@ -216,15 +217,26 @@ def sigma_dir1_stack(Hhat, part: SingularPartition):
     return d1
 
 
+def _finite_rows(values, term):
+    """A (k,) second-order term, finite for finite H: overflow raises."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NonFinite(f"{term} of H (row {np.argmax(bad)}) overflows")
+    return values
+
+
 def alpha_terms(Hhat, dd: DividedDifferences, w):
     """2 sum_i w_i (G_a)_ii (see ``alpha_quadratics``) for every H of a
-    (k, m, n) stack Hhat; small-gap blocks warn."""
+    (k, m, n) stack Hhat; small-gap blocks warn, overflow raises
+    ``NonFinite``."""
     dd.warn()
     n, r = dd.E.shape
     Sym, Skw = _sym_skw(Hhat[:, :n])
-    return 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, dd.D * w)
-                  + np.einsum("kji,ji->k", Skw[:, :, :r] ** 2, dd.E * w)
-                  + np.einsum("kci,i->k", Hhat[:, n:, :r] ** 2, dd.C * w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, dd.D * w)
+                       + np.einsum("kji,ji->k", Skw[:, :, :r] ** 2, dd.E * w)
+                       + np.einsum("kci,i->k", Hhat[:, n:, :r] ** 2, dd.C * w))
+    return _finite_rows(terms, "alpha term")
 
 
 _LAST_BLOCKS = _LastCall()

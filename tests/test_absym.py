@@ -521,3 +521,15 @@ class TestRowEval:
                 self._assert_rows(f, x)
 
         prop()
+
+
+def test_spec_requires_subdiff_violation():
+    # the one membership hook every subgradient test of F reads
+    from dataclasses import fields
+
+    from specvar.absym import SpectralFunctionSpec
+    hooks = {f.name: getattr(l1_spec(), f.name)
+             for f in fields(SpectralFunctionSpec)
+             if f.name != "subdiff_violation"}
+    with pytest.raises(TypeError, match="subdiff_violation"):
+        SpectralFunctionSpec(**hooks)

@@ -532,6 +532,49 @@ def _counting(f, counts, rows=None):
         "second_subderivative")})
 
 
+class TestOneAlignment:
+    """certify reads its stationarity test and its SpectralPoint from one
+    ``oimf._subgradient`` result: -grad psi(X0) is aligned with X0 once."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        import specvar.oimf as oimf
+        import specvar.sv_calculus as svc
+        calls = {"_align": 0, "partition_of": 0}
+
+        def counted(mod, name, key):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(oimf, "_align", "_align")
+        for mod in (oimf, svc):
+            counted(mod, "partition_of", "partition_of")
+        return calls
+
+    @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
+                                         saddle_fixture])
+    def test_fixtures(self, monkeypatch, fixture):
+        # one partition for the point, one per guided offset
+        p, X0 = fixture()
+        calls = self._count(monkeypatch)
+        certify(p, X0)
+        assert calls == {"_align": 1, "partition_of": 5}
+
+    def test_not_stationary(self, monkeypatch):
+        p, X0 = soft_threshold_fixture()
+        X0 = X0.copy()
+        X0[0, 0] += 3e-8
+        calls = self._count(monkeypatch)
+        cert = certify(p, X0)
+        assert calls == {"_align": 1, "partition_of": 1}
+        assert cert.verdict == "not-stationary"
+        assert cert.stationarity_residual == stationarity_check(p, X0)[0]
+
+
 class TestChunkedCandidates:
     """certify evaluates its candidate stream in chunks of directions; the
     certificate, the candidates tried and the rows handed to each hook
@@ -724,6 +767,14 @@ class TestStackedGrowthProbe:
         f = replace(p.f, eval=lambda x: float(np.sum(np.abs(x))))
         with pytest.raises(ShapeError, match="f.eval"):
             quadratic_growth_probe(ProblemSpec(p.psi, f), X0, 1e-2, 5, seed=0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_eps_finite_and_positive(self, eps):
+        p, X0 = soft_threshold_fixture()
+        with pytest.raises(ShapeError, match="eps"):
+            quadratic_growth_probe(p, X0, eps, 5, seed=0)
+        with pytest.raises(ShapeError, match="eps"):
+            certify(p, X0, SamplingConfig(growth_eps=eps))
 
 
 class TestStackedPsiValue:

@@ -331,6 +331,59 @@ class TestErrorChannel:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert err["message"].startswith("seed")
 
+    @pytest.mark.parametrize("command", ["certify", "growth"])
+    @pytest.mark.parametrize("key, value", [
+        ("weight", "abc"), ("weight", None), ("weight", math.inf),
+        ("weight", 0), ("weight", -0.5), ("weight", True),
+        ("gamma", "abc"), ("gamma", None), ("gamma", -math.inf),
+        ("gamma", math.nan),
+    ])
+    def test_bad_problem_number_exit_1(self, tmp_path, capsys, command, key,
+                                       value):
+        prob = make_problem(tmp_path, "saddle")
+        d = json.loads(open(prob).read())
+        (d["psi"] if key == "gamma" else d)[key] = value
+        with open(prob, "w") as fh:
+            json.dump(d, fh)   # Infinity and NaN, as Python's json reads
+        assert main([command, "--problem", prob]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert err["message"].startswith(key)
+
+    @pytest.mark.parametrize("eps", ["0", "nan", "inf", "-1"])
+    def test_bad_growth_eps_exit_1(self, tmp_path, capfd, eps):
+        prob = make_problem(tmp_path, "soft")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["growth", "--problem", prob, f"--eps={eps}",
+                         "--n-samples", "50"]) == 1
+        assert not caught
+        err = json.loads(capfd.readouterr().err)   # and nothing else
+        assert err["error"] == "ShapeError" and err["exit_code"] == 1
+        assert "eps" in err["message"]
+
+    @pytest.mark.parametrize("H", [
+        np.diag([1.7e308, -1.7e308]),
+        np.array([[1.7e308, 1e308], [1e308, 1.7e308]]),
+    ])
+    @pytest.mark.parametrize("command", ["second-subderiv", "nuclear-epi",
+                                         "phi2"])
+    def test_overflowing_direction_exit_1(self, tmp_path, capsys, command,
+                                          H):
+        # ||H||^2 overflows: d2F, d2||.||_* and phi'' have no value here
+        # (the true one is 0), so NonFinite, never NaN or a wrong +inf
+        x = write(tmp_path, "x.csv", np.diag([2.0, 1.0]))
+        y = write(tmp_path, "y.csv", np.eye(2))
+        h = write(tmp_path, "h.csv", H)
+        argv = {"second-subderiv": ["--f", "l1", "--Y", y],
+                "nuclear-epi": ["--Omega", y], "phi2": []}[command]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--X", x, *argv, "--H", h]) == 1
+        assert not caught
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NonFinite" and err["exit_code"] == 1
+
     def test_problem_psi_not_object_exit_1(self, tmp_path, capsys):
         prob = make_problem(tmp_path, "soft")
         d = json.loads(open(prob).read())

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -1071,7 +1072,7 @@ def _reference_report(point, H):
     blocks = direction_blocks(point.X, H, point.gauge)
     d1 = sigma_dir1_from_blocks(blocks)
     gap = f.subderivative(s, d1) - float(np.sum(point.Y * H))
-    tol = CONE_TOL * (1.0 + point.y_norm * np.linalg.norm(H))
+    tol = CONE_TOL * (1.0 + np.linalg.norm(point.Y) * np.linalg.norm(H))
     if abs(gap) > tol:
         return False, INF, 0.0, 0.0
     alpha = sum(2.0 * float(sy[ab.indices] @ np.diag(G))
@@ -1319,3 +1320,69 @@ class TestOneSubgradientDecision:
                   "stationary": ok}
         assert all(type(v) is bool for v in values.values())
         assert json.loads(dumps_17g(values)) == values
+
+
+class TestConeAgreement:
+    """``F_critical_cone_contains`` and ``SpectralPoint`` decide H in the
+    critical cone in one duality-gap pass, so they agree on every
+    direction, including those whose gap straddles the threshold; a
+    direction whose ||H||^2 overflows has no decision in either."""
+
+    SPECS = {"l1": l1_spec, "linf": linf_spec, "kyfan:2": lambda: kyfan_spec(2),
+             "0.5*l1": lambda: scale_spec(l1_spec(), 0.5),
+             "1e3*l1": lambda: scale_spec(l1_spec(), 1e3)}
+    SPECTRA = (lambda n: 3.0 - 0.37 * np.arange(n),
+               lambda n: np.repeat([3.0, 1.5, 0.8], n)[:n],
+               lambda n: np.where(np.arange(n) <= n // 2,
+                                  3.0 - 0.5 * np.arange(n), 0.0))
+
+    @pytest.mark.parametrize("fname", list(SPECS))
+    def test_decisions_agree(self, fname):
+        from specvar.errors import NonFinite
+        f = self.SPECS[fname]()
+        decided = set()
+        for (m, n), (i, spectrum) in itertools.product(
+                ((4, 3), (6, 4), (5, 5), (8, 6)), enumerate(self.SPECTRA)):
+            rng = np.random.default_rng([m, n, i])
+            U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            s = spectrum(n)
+            X = U[:, :n] @ (s[:, None] * V.T)
+            Y = U[:, :n] @ (f.subdiff_sample(s, rng)[:, None] * V.T)
+            point = SpectralPoint(f, X, Y)
+            Hs = np.array([
+                scale * (X / np.linalg.norm(X) + eps * G)
+                for G in rng.standard_normal((2, m, n))
+                for eps in (0.0, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7)
+                for scale in (1e-3, 1.0, 1e3)])
+            crit = [rep.critical for rep in point.second_subderivatives(Hs)]
+            assert [F_critical_cone_contains(f, X, Y, H) for H in Hs] == crit
+            decided.update(crit)
+            big = 1e308 * (X / np.linalg.norm(X))
+            for decide in (lambda: F_critical_cone_contains(f, X, Y, big),
+                           lambda: F_critical_cone_contains(
+                               f, X, Y, big, diagnostics=True),
+                           lambda: point.second_subderivative(big)):
+                with pytest.raises(NonFinite):
+                    decide()
+        assert decided == {False, True}
+
+    def test_overflowing_Y_raises(self):
+        # ||Y||^2 overflows: no subgradient test, no warning
+        from specvar.errors import NonFinite
+        f = scale_spec(l1_spec(), 1e200)
+        X, Y = np.diag([2.0, 1.0]), 1e200 * np.eye(2)
+        H = 1e150 * np.diag([1.0, 2.0])
+        with pytest.raises(NonFinite):
+            F_critical_cone_contains(f, X, Y, H)
+        with pytest.raises(NonFinite):
+            F_second_subderivative(f, X, Y, H)
+
+    def test_large_H_without_overflow_is_decided(self):
+        # ||Y|| ||H|| = 3.2e300 is finite: the gap and d2F are exact
+        f = scale_spec(l1_spec(), 1e150)
+        X, Y = np.diag([2.0, 1.0]), 1e150 * np.eye(2)
+        H = 1e150 * np.diag([1.0, 2.0])
+        assert F_critical_cone_contains(f, X, Y, H)
+        rep = F_second_subderivative(f, X, Y, H)
+        assert rep.critical and rep.value == 0.0
