@@ -161,7 +161,7 @@ def _duality_gaps(f: SpectralFunctionSpec, gauge, part, Y, Hs):
         gaps = dF - (flat * Y.ravel()).sum(axis=1)
         tols = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.sqrt(
             np.vecdot(flat, flat)))   # a dot per row: np.linalg.norm, bitwise
-    _finite_rows(np.where(np.isnan(gaps), gaps, tols), "duality gap")
+    _finite_rows(np.where(np.isnan(gaps), gaps, tols), "duality gap of H")
     return Hhat, d1, gaps, tols, np.abs(gaps) <= tols
 
 
@@ -332,7 +332,7 @@ class SpectralPoint:
         alpha = np.where(crit, alpha_terms(Hhat, self._tables, sy[:r]), 0.0)
         beta = np.where(crit, _finite_rows(np.einsum(   # einsum never warns
             "kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n], self._B),
-            "beta term"), 0.0)
+            "beta term of H"), 0.0)
         return [SecondSubderivativeReport(
             value=v + a + b if math.isfinite(v) else INF, d2f_term=v,
             alpha_term=a, beta_term=b, critical=c, duality_gap=gap,
@@ -408,30 +408,25 @@ def _like(A, X, name):
     return A
 
 
-def _psi_blocks(X, tols):
-    svd = svd_ordered(X)
-    part = partition_of(svd, tols)
-    if part.r >= part.n:
-        raise FullRank("rank(X) = n: the zero block is empty")
-    return svd, part
-
-
-def _psi_epi_term(Z, Hhat, sigma_a):
-    """Second epi-derivative of the zero-cluster sum for the subgradient
-    U_bh Z V_b^T, read from Hhat = U^T H V with sigma_a the r positive
-    values: -2 <Z, (U^T H V_a Sigma_a^{-1} U_a^T H V)_bb> when the
-    first-order identity psi'(X; H) = ||Hhat_bb||_* = <Z, Hhat_bb> holds,
-    +inf otherwise."""
-    r = len(sigma_a)
-    Hbb = Hhat[r:, r:]
-    dpsi = float(np.sum(np.linalg.svd(Hbb, compute_uv=False)))
-    ctol = CONE_TOL * (1.0 + np.linalg.norm(Z) * np.linalg.norm(Hhat))
-    if abs(dpsi - float(np.sum(Z * Hbb))) > ctol:
-        return INF
-    if r == 0:
-        return 0.0
-    return -2.0 * float(np.sum(Z * cross_term_hat(
-        Hhat, sigma_a, slice(r, None), slice(r, None))))
+def _nuclear_point(X, Omega, tols, psi=False):
+    """``SpectralPoint(l1_spec(), X, Omega)`` for Omega of X's shape, an
+    Omega outside the subdifferential raising ``NotASubgradient``.  With
+    ``psi`` Omega is the zero-cluster part of U_a V_a^T + Omega at X of
+    rank r < n (``FullRank`` otherwise), and ``NotInRegularSubdiff``."""
+    X = as_matrix(X, "X")
+    Omega = _like(Omega, X, "Omega")
+    error = NotASubgradient
+    if psi:
+        svd = svd_ordered(X)
+        r = partition_of(svd, tols).r
+        if r >= svd.shape[1]:
+            raise FullRank("rank(X) = n: the zero block is empty")
+        Omega = svd.U[:, :r] @ svd.V[:, :r].T + Omega
+        error = NotInRegularSubdiff
+    try:
+        return SpectralPoint(l1_spec(), X, Omega, tols)
+    except (NoSimultaneousGauge, NotASubgradient) as exc:
+        raise error(f"Omega is not a subgradient: {exc}") from exc
 
 
 def nuclear_psi_subderivative(X, H, tols=TOLERANCES):
@@ -439,7 +434,10 @@ def nuclear_psi_subderivative(X, H, tols=TOLERANCES):
     the nuclear norm of the reduced block U_bh^T H V_b."""
     X = as_matrix(X, "X")
     H = _like(H, X, "H")
-    svd, part = _psi_blocks(X, tols)
+    svd = svd_ordered(X)
+    part = partition_of(svd, tols)
+    if part.r >= part.n:
+        raise FullRank("rank(X) = n: the zero block is empty")
     R = svd.U[:, part.betahat].T @ H @ svd.V[:, part.beta]
     return float(np.sum(np.linalg.svd(R, compute_uv=False)))
 
@@ -447,28 +445,16 @@ def nuclear_psi_subderivative(X, H, tols=TOLERANCES):
 def nuclear_psi_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     """Second epi-derivative of the zero-cluster sum at X for Omega.
 
-    Omega must be U_bh Z V_b^T with ||Z||_2 <= 1.  Equals
-    -2 <Omega, H V_a Sigma_a^{-1} U_a^T H> when the first-order identity
-    psi'(X; H) = <Omega, H> holds, +inf otherwise.
+    Omega must be U_bh Z V_b^T with ||Z||_2 <= 1, which is tested as
+    Y = U_a V_a^T + Omega in the subdifferential of ||.||_* at GAUGE_TOL
+    ||Y||.  The value is the beta term of d2||.||_*(X | Y)(H), -2 <Omega,
+    H V_a Sigma_a^{-1} U_a^T H>, on Y's critical cone (tr Hhat_aa cancels
+    in the duality gap, which is then psi'(X; H) - <Omega, H>), +inf off
+    it.
     """
-    X = as_matrix(X, "X")
-    H = _like(H, X, "H")
-    Omega = _like(Omega, X, "Omega")
-    svd, part = _psi_blocks(X, tols)
-    r = part.r
-    Ub, Vb = svd.U[:, r:], svd.V[:, r:]
-    Z = Ub.T @ Omega @ Vb
-    tol = GAUGE_TOL * max(1.0, np.linalg.norm(Omega))
-    # formed in X's space: O(mn(n - r)) flops, not a full U^T Omega V
-    resid = np.linalg.norm(Omega - Ub @ Z @ Vb.T)
-    if resid > tol:
-        raise NotInRegularSubdiff(
-            f"Omega has {resid:.3e} energy outside the zero-block range")
-    svals = np.linalg.svd(Z, compute_uv=False)
-    if svals[0] > 1.0 + tol:
-        raise NotInRegularSubdiff(
-            f"largest singular value of the reduced block is {svals[0]:.6g}")
-    return _psi_epi_term(Z, svd.U.T @ H @ svd.V, svd.sigma[:r])
+    H = _like(H, as_matrix(X, "X"), "H")
+    rep = _nuclear_point(X, Omega, tols, psi=True).second_subderivative(H)
+    return rep.beta_term if rep.critical else INF
 
 
 def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
@@ -490,12 +476,7 @@ def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     zero-cluster term at Z, for Omega = U_a V_a^T + U_bh Z V_b^T.  An Omega
     outside the subdifferential raises ``NotASubgradient``, also when it
     cannot be aligned with X."""
-    Omega = _like(Omega, as_matrix(X, "X"), "Omega")
-    try:
-        point = SpectralPoint(l1_spec(), X, Omega, tols)
-    except NoSimultaneousGauge as exc:
-        raise NotASubgradient(f"Omega is not a subgradient: {exc}") from exc
-    return point.second_subderivative(H).value
+    return _nuclear_point(X, Omega, tols).second_subderivative(H).value
 
 
 # -- invariant sets ------------------------------------------------------------

@@ -218,10 +218,11 @@ def sigma_dir1_stack(Hhat, part: SingularPartition):
 
 
 def _finite_rows(values, term):
-    """A (k,) second-order term, finite for finite H: overflow raises."""
+    """A second-order term of any shape, finite for finite H: overflow
+    raises, naming the first bad row (index along the first axis)."""
     bad = ~np.isfinite(values)
     if bad.any():
-        raise NonFinite(f"{term} of H (row {np.argmax(bad)}) overflows")
+        raise NonFinite(f"{term} (row {np.nonzero(bad)[0][0]}) overflows")
     return values
 
 
@@ -236,7 +237,7 @@ def alpha_terms(Hhat, dd: DividedDifferences, w):
         terms = 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, dd.D * w)
                        + np.einsum("kji,ji->k", Skw[:, :, :r] ** 2, dd.E * w)
                        + np.einsum("kci,i->k", Hhat[:, n:, :r] ** 2, dd.C * w))
-    return _finite_rows(terms, "alpha term")
+    return _finite_rows(terms, "alpha term of H")
 
 
 _LAST_BLOCKS = _LastCall()
@@ -252,17 +253,14 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     clustering pass (a singleton's eigenpair is its entry and 1), so the
     cost grows with the number of block sizes, not of blocks.  Without
     ``gauge`` the last result is kept: bitwise-equal X, H and ``tols``
-    get the same read-only blocks back, with their gap warnings again.
+    get the same read-only blocks back.  Building never warns: a small
+    gap warns where a second-order output reads the gap tables.
     """
     X, H = _pair(X, H)
-    if gauge is None:
-        key = (X.shape, X.tobytes(), H.tobytes(), tols)
-        blocks = _LAST_BLOCKS.get(key, _direction_blocks, svd_ordered(X), H,
-                                  tols)
-    else:
-        blocks = _direction_blocks(gauge, H, tols)
-    blocks.tables.warn()
-    return blocks
+    if gauge is not None:
+        return _direction_blocks(gauge, H, tols)
+    key = (X.shape, X.tobytes(), H.tobytes(), tols)
+    return _LAST_BLOCKS.get(key, _direction_blocks, svd_ordered(X), H, tols)
 
 
 def _direction_blocks(svd, H, tols):
@@ -295,15 +293,20 @@ def _direction_blocks(svd, H, tols):
 
 
 def _class_quadratics(blocks: DirectionBlocks):
-    """The (b, k, k) stack of alpha quadratics G_a of every size class."""
+    """The (b, k, k) stack of alpha quadratics G_a of every size class:
+    the one reader of the gap tables in the block path, so small-gap
+    blocks warn here; overflow raises ``NonFinite``."""
     dd, n = blocks.tables, blocks.part.n
+    dd.warn()
     Sym, Skw = _sym_skw(blocks.Hhat[:n])
     out = []
     for idx, _ in blocks.classes:
         Sa, Ka, Ta, Da, Ea = (np.moveaxis(A[:, idx], 0, 1) for A in (
             Sym, Skw, blocks.Hhat[n:], dd.D, dd.E))
-        out.append(Sa.mT @ (Sa * Da) + Ka.mT @ (Ka * Ea)
-                   + dd.C[idx][:, None, :] * (Ta.mT @ Ta))
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = (Sa.mT @ (Sa * Da) + Ka.mT @ (Ka * Ea)
+                 + dd.C[idx][:, None, :] * (Ta.mT @ Ta))
+        out.append(_finite_rows(G, "alpha quadratic of H"))
     return out
 
 
@@ -326,9 +329,12 @@ def sigma_dir1_from_blocks(blocks: DirectionBlocks):
 def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
     """U^T (H V_a Sigma_a^{-1} U_a^T H) V on (rows, cols), read from
     Hhat = U^T H V with sigma_a the r positive singular values:
-    U^T H V_a = Hhat[:, :r] and U_a^T H V = Hhat[:r, :]."""
+    U^T H V_a = Hhat[:, :r] and U_a^T H V = Hhat[:r, :]; overflow raises
+    ``NonFinite``."""
     r = len(sigma_a)
-    return (Hhat[rows, :r] / sigma_a) @ Hhat[:r, cols]
+    with np.errstate(over="ignore", invalid="ignore"):
+        C = (Hhat[rows, :r] / sigma_a) @ Hhat[:r, cols]
+    return _finite_rows(C, "cross term of H")
 
 
 def _beta_cross_term(blocks: DirectionBlocks):
@@ -395,6 +401,7 @@ def eig_expand2(A, E, tols=TOLERANCES):
     Returns (first, second) with lambda_s(A + tau E) = lambda_s(A) +
     tau * first_s + tau^2/2 * second_s + O(tau^3).  A and E must be
     symmetric; asymmetry beyond SYMMETRY_TOL * max(1, ||.||) is rejected.
+    A second-order term that overflows raises ``NonFinite``.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E")
@@ -402,7 +409,9 @@ def eig_expand2(A, E, tols=TOLERANCES):
         raise ShapeError(f"A {A.shape} and E {E.shape} must be equal square")
     for M, name in ((A, "A"), (E, "E")):
         dev = np.linalg.norm(M - M.T)
-        if dev > SYMMETRY_TOL * max(1.0, np.linalg.norm(M)):
+        with np.errstate(over="ignore"):   # ||M||^2 may overflow to inf
+            scale = max(1.0, np.linalg.norm(M))
+        if dev > SYMMETRY_TOL * scale:
             raise AsymmetricInput(f"{name} deviates from symmetry by {dev:.3e}")
     n = A.shape[0]
     eig = sym_eig_ordered(A)
@@ -415,7 +424,9 @@ def eig_expand2(A, E, tols=TOLERANCES):
         gap = eig.lam[idx[:, :1]] - eig.lam            # (b, n)
         np.put_along_axis(gap, idx, np.inf, axis=1)
         K = np.moveaxis(Ehat[:, idx], 0, 1)
-        M2 = K.mT @ (K / gap[:, :, None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            M2 = K.mT @ (K / gap[:, :, None])
+        M2 = _finite_rows(M2, "resolvent term of E")
         Q, first[idx], ranks = _reduced_eig(_blocks_of(Ehat, idx), tols)
         second[idx] = _group_eigvals(2.0 * (Q.mT @ M2 @ Q), ranks)
     return first, second

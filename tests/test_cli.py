@@ -384,6 +384,49 @@ class TestErrorChannel:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "NonFinite" and err["exit_code"] == 1
 
+    @pytest.mark.parametrize("X", [np.diag([2.0, 1.0]), np.diag([2.0, 0.0])],
+                             ids=["rank-2", "rank-1"])
+    @pytest.mark.parametrize("command, argv, second_order", [
+        ("deriv1", [], False),
+        ("deriv2", ["--W", "i"], True),
+        ("subderiv", ["--f", "l1"], False),
+        ("second-subderiv", ["--f", "l1", "--Y", "i"], True),
+        ("nuclear-epi", ["--Omega", "i"], True),
+        ("psi", ["--Omega", "om"], True),
+        ("phi2", [], True),
+        ("tangent", ["--set", "free", "--order", "1"], False),
+        ("tangent", ["--set", "free", "--order", "2"], True),
+    ], ids=["deriv1", "deriv2", "subderiv", "second-subderiv", "nuclear-epi",
+            "psi", "phi2", "tangent-1", "tangent-2"])
+    def test_overflow_sweep(self, tmp_path, capsys, command, argv,
+                            second_order, X):
+        # every command that reads H, at H = 1e200 ones: a first-order
+        # output is finite; a second-order one squares H, so it has no
+        # value and exits 1 with NonFinite, never "inf" or "nan"
+        files = {"i": write(tmp_path, "i.csv", np.eye(2)),
+                 "om": write(tmp_path, "om.csv", np.diag([0.0, 1.0]))}
+        x = write(tmp_path, "x.csv", X)
+        h = write(tmp_path, "h.csv", np.full((2, 2), 1e200))
+        out = tmp_path / "r.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--out", str(out), command, "--X", x, "--H", h,
+                         *[files.get(a, a) for a in argv]])
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        if command == "psi" and X[1, 1]:
+            # the zero-cluster sum has no zero block at full rank, for
+            # every H: an assumption failure, not an overflow
+            assert (code, json.loads(err)["error"]) == (2, "FullRank")
+        elif second_order:
+            assert code == 1
+            assert json.loads(err)["error"] == "NonFinite"
+        else:
+            assert code == 0 and err == ""
+            text = json.dumps(json.loads(out.read_text())["outputs"])
+            assert not any(s in text for s in ('"inf"', '"-inf"', '"nan"'))
+
     def test_problem_psi_not_object_exit_1(self, tmp_path, capsys):
         prob = make_problem(tmp_path, "soft")
         d = json.loads(open(prob).read())

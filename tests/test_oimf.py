@@ -223,25 +223,27 @@ class TestOffBlockMask:
 
 class TestFirstOrderNoGapWarning:
     """First-order outputs never divide by a spectral gap, so a 1e-7 gap
-    warns in sigma_dir1 (which builds the second-order blocks) but not
-    in the subderivative or the critical-cone test."""
+    warns in sigma_dir2 but not in sigma_dir1 (which builds the
+    second-order blocks without reading their gap tables), the
+    subderivative or the critical-cone test."""
 
     X = np.diag([1.0, 1.0 - 1e-7])
 
     def test_subderivative_and_cone(self):
         import warnings
         from specvar.errors import ConditioningWarning
-        from specvar.sv_calculus import sigma_dir1
+        from specvar.sv_calculus import sigma_dir1, sigma_dir2
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             F_subderivative(l1_spec(), self.X, SWAP)
             for diagnostics in (False, True):
                 F_critical_cone_contains(l1_spec(), self.X, np.eye(2), SWAP,
                                          diagnostics=diagnostics)
+            sigma_dir1(self.X, SWAP)
         assert not [w for w in caught
                     if issubclass(w.category, ConditioningWarning)]
         with pytest.warns(ConditioningWarning):
-            sigma_dir1(self.X, SWAP)
+            sigma_dir2(self.X, SWAP, np.zeros((2, 2)))
 
 
 class TestCriticalCone:
@@ -438,6 +440,14 @@ class TestPsi:
             nuclear_psi_second_epi(X, np.diag([0.0, 1.5]), SWAP)
         with pytest.raises(NotInRegularSubdiff):
             nuclear_psi_second_epi(X, np.diag([1.0, 0.5]), SWAP)
+
+    def test_second_epi_overflowing_omega_has_no_test(self):
+        # ||Omega||^2 overflows, so no tolerance can be formed: NonFinite,
+        # not a ball test at an infinite tolerance that passes ||Z|| = 1e200
+        from specvar.errors import NonFinite
+        with pytest.raises(NonFinite):
+            nuclear_psi_second_epi(np.diag([2.0, 0.0]),
+                                   np.diag([0.0, 1e200]), SWAP)
 
     def test_second_epi_multidim_zero_block(self):
         # rank 1 in 4x3: the zero block is 3x2; check the analytic value
@@ -716,7 +726,8 @@ class TestNuclearSplit:
     """The paper's split of the nuclear norm near X, phi + psi: at
     Omega = U_a V_a^T + Omega_psi the second epi-derivative of ||.||_*
     (``SpectralPoint``'s alpha and beta contractions) is the top-r term
-    plus the zero-cluster term (``_psi_epi_term``)."""
+    plus the zero-cluster term (``nuclear_psi_second_epi``, checked on
+    its own against a reference built from ``svd_ordered``)."""
 
     @staticmethod
     def _instance(m, n, top, rng):
@@ -769,6 +780,66 @@ class TestNuclearSplit:
                 seen["finite"] += 1
         assert seen["finite"] >= 50 and seen["inf"] >= 50
 
+    def test_psi_against_independent_reference(self):
+        # psi'' from its own formula in svd_ordered's gauge: -2 <Z,
+        # (Hhat_{:,a} Sigma_a^{-1} Hhat_{a,:})_bb> when ||Hhat_bb||_* =
+        # <Z, Hhat_bb>, +inf otherwise; every gap is 0 to rounding or
+        # far from it, so the two criticality tests cannot disagree
+        rng = np.random.default_rng(2110)
+        tops = {0: [[]], 1: [[2.0], [0.7]], 2: [[2.0, 2.0], [3.0, 1.0]],
+                3: [[2.0, 2.0, 2.0], [3.0, 1.5, 1.5]],
+                4: [[2.0, 2.0, 1.0, 1.0]]}
+        seen = {"finite": 0, "inf": 0}
+        for m, n in [(6, 4), (5, 5), (8, 3), (4, 4), (3, 1)]:
+            for r in range(n):
+                for top in tops[r]:
+                    for zkind in ("zero", "unit", "random"):
+                        X, Om, Hs = self._psi_instance(m, n, top, zkind, rng)
+                        g = svd_ordered(X)
+                        Z = g.U[:, r:].T @ Om @ g.V[:, r:]
+                        for H in Hs:
+                            Hh = g.U.T @ H @ g.V
+                            Hbb = Hh[r:, r:]
+                            gap = (np.sum(np.linalg.svd(Hbb, compute_uv=False))
+                                   - np.sum(Z * Hbb))
+                            assert gap < 1e-12 or gap > 1e-6
+                            ref = INF if gap > 1e-6 else -2.0 * np.sum(
+                                Z * ((Hh[r:, :r] / g.sigma[:r]) @ Hh[:r, r:]))
+                            got = nuclear_psi_second_epi(X, Om, H)
+                            if math.isinf(ref):
+                                assert got == INF
+                                seen["inf"] += 1
+                                continue
+                            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+                            seen["finite"] += 1
+        assert seen["finite"] >= 100 and seen["inf"] >= 100
+
+    @staticmethod
+    def _psi_instance(m, n, top, zkind, rng):
+        """X of rank len(top), Omega = U_bh Z V_b^T for a zero, a unit-top
+        or a random Z with ||Z||_2 < 1, and directions: Hhat_bb on Z's
+        unit pairs, zeroed, aligned with Z, and Gaussian."""
+        r = len(top)
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        X = U[:, :n] @ np.diag(list(top) + [0.0] * (n - r)) @ V.T
+        p = n - r
+        P = np.linalg.qr(rng.standard_normal((m - r, m - r)))[0][:, :p]
+        Q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        z = {"zero": np.zeros(p), "random": rng.uniform(0.0, 0.9, p),
+             "unit": np.concatenate([[1.0], rng.uniform(0.0, 0.9, p - 1)])
+             }[zkind]
+        Z = P @ np.diag(z) @ Q.T
+        k = int(np.sum(z == 1.0))
+        blocks = [P[:, :k] @ np.diag(rng.uniform(0.5, 2.0, k)) @ Q[:, :k].T,
+                  np.zeros((m - r, p)), rng.uniform(0.5, 2.0) * Z, None]
+        Hs = []
+        for Gbb in blocks:
+            G = rng.standard_normal((m, n))
+            if Gbb is not None:
+                G[r:, r:] = Gbb
+            Hs.append(U @ G @ V.T)
+        return X, U[:, r:] @ Z @ V[:, r:].T, Hs
 
 
 class TestNuclearShapeMismatch:
@@ -1168,7 +1239,8 @@ class TestBatchedDirections:
     def test_conditioning_warning_per_call(self, svals, fires):
         import warnings
         from specvar.errors import ConditioningWarning
-        from specvar.sv_calculus import direction_blocks
+        from specvar.sv_calculus import (direction_blocks,
+                                         sigma_dir2_from_blocks)
         point, Hs = _prepared(4, 3, svals, "l1", seed=2)
 
         def fired(fn):
@@ -1178,7 +1250,9 @@ class TestBatchedDirections:
             return out, [str(w.message) for w in caught
                          if issubclass(w.category, ConditioningWarning)]
 
-        per_block = fired(lambda: direction_blocks(point.X, Hs[0]))[1]
+        blocks = direction_blocks(point.X, Hs[0])
+        per_block = fired(lambda: sigma_dir2_from_blocks(
+            blocks, np.zeros(point.X.shape)))[1]
         assert len(per_block) == 2 * fires
         assert fired(lambda: point.second_subderivative(Hs[0]))[1] \
             == per_block

@@ -602,9 +602,10 @@ class TestLiftReference:
         ]
         for X in cases:
             H = np.ones(X.shape)
+            b = direction_blocks(X, H)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                b = direction_blocks(X, H)
+                sigma_dir2_from_blocks(b, np.zeros(X.shape))
             fired = [w for w in caught
                      if issubclass(w.category, ConditioningWarning)]
             assert bool(fired) == warns
@@ -614,14 +615,14 @@ class TestLiftReference:
             assert min(gaps) == pytest.approx(g, rel=1e-6)
 
     def check_against_lift(self, X, H, W, zbar, gauge):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConditioningWarning)
-            b = direction_blocks(X, H, gauge=gauge)
+        b = direction_blocks(X, H, gauge=gauge)
         quads, _, d2, What = lift_reference(b, H, W, zbar)
-        for G, Gref in zip(alpha_quadratics(b), quads):
-            assert_rel(G, Gref)
-        assert_rel(sigma_dir2_from_blocks(b, W), d2)
-        assert_rel(min_direction_from_blocks(b, zbar), What)
+        with warnings.catch_warnings():   # the readers of the gap tables
+            warnings.simplefilter("ignore", ConditioningWarning)
+            for G, Gref in zip(alpha_quadratics(b), quads):
+                assert_rel(G, Gref)
+            assert_rel(sigma_dir2_from_blocks(b, W), d2)
+            assert_rel(min_direction_from_blocks(b, zbar), What)
         np.testing.assert_array_equal(b.ltilde, ltilde_reference(b))
         return b
 
@@ -824,3 +825,37 @@ class TestLastCallMemo:
                          for w in caught])
         assert seen[0] and seen[0] == seen[1]
         assert all(c is ConditioningWarning for _, c, _, _ in seen[0])
+
+
+class TestNonFinite:
+    """A second-order output that squares an H near float max has no
+    value: NonFinite, never an all-NaN matrix, +-inf or a RuntimeWarning.
+    The first-order outputs of the same H stay finite."""
+
+    BIG = np.full((2, 2), 1e200)
+
+    @pytest.mark.parametrize("call", [
+        lambda B: min_direction_construct(np.diag([2.0, 1.0]), B,
+                                          np.zeros(2)),
+        lambda B: oimf.guided_offsets(np.diag([2.0, 0.0]), B),
+        lambda B: eig_expand2(np.diag([2.0, 1.0]), B),
+        lambda B: expansion_residual(np.diag([2.0, 1.0]), B, np.eye(2),
+                                     1e-3),
+        lambda B: sigma_dir2(np.diag([2.0, 0.0]), B, np.eye(2)),
+        lambda B: oimf.F_parabolic_subderivative(
+            l1_spec(), np.diag([2.0, 1.0]), B, np.eye(2)),
+    ], ids=["min_direction_construct", "guided_offsets", "eig_expand2",
+            "expansion_residual", "sigma_dir2", "F_parabolic_subderivative"])
+    def test_raises(self, call):
+        from specvar.errors import NonFinite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite, match="overflows"):
+                call(self.BIG)
+        assert not caught
+
+    def test_first_order_stays_finite(self):
+        for X in (np.diag([2.0, 1.0]), np.diag([2.0, 0.0])):
+            assert np.all(np.isfinite(sigma_dir1(X, self.BIG)))
+        assert np.all(np.isfinite(
+            eig_expand2(np.diag([2.0, 1.0]), np.diag([1e200, -1e200]))[0]))
