@@ -22,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadK, ShapeError
-from .matrix_core import F_CONE_TOL, SUBDIFF_TOL, ZERO_TOL, cluster_blocks
+from .matrix_core import SUBDIFF_TOL, ZERO_TOL, cluster_blocks
 
 ExtendedValue = float
 INF = math.inf
@@ -218,21 +218,38 @@ class _TopKAbs:
 
 # -- spectral function specs ---------------------------------------------------
 
+def critical(f, x, v, w, tol):
+    """w in the critical cone K_f(x, v): |df(x)(w) - <v, w>| <= tol, read
+    from ``f.subderivative`` alone; a bool for an (n,) w, a (k,) array for
+    (k, n) rows, with a scalar or per-row tol.  A NaN gap (inf - inf) is
+    not critical."""
+    W, one = _as_rows(w)
+    v = _as_vector(v, "v")
+    with np.errstate(over="ignore", invalid="ignore"):   # inf - inf: NaN
+        gap = f.subderivative(x, W) - np.sum(v * W, axis=-1)
+    member = np.abs(gap) <= tol
+    return bool(member[0]) if one else member
+
+
 @dataclass(frozen=True)
 class SpectralFunctionSpec:
     """An absolutely symmetric function bundled with its calculus hooks.
 
-    ``eval(x)``, ``subderivative(x, w)``, ``critical_cone_contains(x, v,
-    w, tol=None)`` and ``second_subderivative(x, v, w, tol=None)`` map an
-    (n,) x or w to a float (a bool for the cone) and (k, n) rows to a (k,)
-    array, entry i bitwise the call on row i, with a scalar or per-row
-    tol: the growth probe and each chunk of ``certify`` call f once a hook.
+    Required: ``eval(x)``, ``subderivative(x, w)`` and
+    ``subdiff_violation(x, v)``; every subgradient test of F reads v in
+    df(x) through the last alone, and the critical cone is ``critical``
+    of ``subderivative``.  Optional (``None`` when absent; an entry point
+    that needs a missing hook raises ``AssumptionViolated``):
+    ``second_subderivative(x, v, w, tol)``, the full second subderivative
+    d2f(x|v)(w) as an extended real, with tol the cone threshold (for the
+    polyhedral built-ins it is the indicator of ``critical`` at tol);
+    ``parabolic_subderivative(x, w, z)``, ``subdiff_representative(x)``,
+    ``subdiff_sample(x, rng)`` and ``subdiff_contains(x, v, tol)``.
 
-    ``subdiff_violation(x, v)`` is required: every subgradient test of F
-    reads v in df(x) through it alone.  ``second_subderivative`` must
-    return the full second subderivative d2f(x|v)(w) as an extended real;
-    for polyhedral built-ins it is the indicator of the critical cone.
-    Non-polyhedral functions must supply the hook themselves.
+    ``eval``, ``subderivative`` and ``second_subderivative`` map an (n,)
+    x or w to a float and (k, n) rows to a (k,) array, entry i bitwise
+    the call on row i, with a scalar or per-row tol: the growth probe and
+    each chunk of ``certify`` call f once a hook.
     """
 
     name: str
@@ -241,35 +258,17 @@ class SpectralFunctionSpec:
     lipschitz_on_domain: bool
     eval: Callable
     subderivative: Callable
-    subdiff_contains: Callable
-    subdiff_representative: Callable
-    critical_cone_contains: Callable
-    parabolic_subderivative: Callable
     subdiff_violation: Callable
     second_subderivative: Optional[Callable] = None
     subdiff_sample: Optional[Callable] = None
-
-
-def _cone_tol(v, w):
-    """The default cone threshold F_CONE_TOL (1 + ||v|| ||w||), per row of
-    w; inf or NaN where a norm overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return F_CONE_TOL * (1.0 + np.linalg.norm(v)
-                             * np.linalg.norm(_as_rows(w)[0], axis=-1))
+    parabolic_subderivative: Optional[Callable] = None
+    subdiff_representative: Optional[Callable] = None
+    subdiff_contains: Optional[Callable] = None
 
 
 def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
-    def critical(x, v, w, tol=None):
-        W, one = _as_rows(w)
-        v = _as_vector(v, "v")
-        tol = _cone_tol(v, W) if tol is None else tol
-        with np.errstate(over="ignore", invalid="ignore"):   # inf - inf: NaN
-            gap = core.subderivative(x, W) - np.sum(v * W, axis=-1)
-        member = np.abs(gap) <= tol
-        return bool(member[0]) if one else member
-
-    def second(x, v, w, tol=None):
-        d2 = np.where(critical(x, v, w, tol), 0.0, INF)
+    def second(x, v, w, tol):
+        d2 = np.where(critical(core, x, v, w, tol), 0.0, INF)
         return float(d2) if d2.ndim == 0 else d2
 
     return SpectralFunctionSpec(
@@ -279,7 +278,6 @@ def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
         subderivative=core.subderivative,
         subdiff_contains=core.subdiff_contains,
         subdiff_representative=core.subdiff_representative,
-        critical_cone_contains=critical,
         parabolic_subderivative=core.parabolic_subderivative,
         second_subderivative=second,
         subdiff_violation=core.subdiff_violation,
@@ -311,38 +309,29 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
     if c == 1.0:
         return spec
 
-    def contains(x, v, tol=SUBDIFF_TOL):   # subdiff_violation(x, v) <= tol
-        return spec.subdiff_contains(x, np.asarray(v, float) / c, tol / c)
-
     times_c = np.errstate(over="ignore")(lambda y: c * y)   # inf, as floats
 
-    def base_tol(v, w, tol):   # |c gap| <= tol is |gap| <= tol / c, per row
-        # the default is c f's own, at the v it receives, not at v / c
-        return (_cone_tol(v, w) if tol is None else tol) / c
+    def violation(x, v):
+        return c * spec.subdiff_violation(x, np.asarray(v, float) / c)
 
-    def second(x, v, w, tol=None):
+    def second(x, v, w, tol):   # |c gap| <= tol is |gap| <= tol / c, per row
         return c * spec.second_subderivative(x, np.asarray(v, float) / c, w,
-                                             base_tol(v, w, tol))
+                                             tol / c)
 
-    return replace(
-        spec,
-        name=f"{c:g}*{spec.name}",
+    scaled = dict(
         eval=lambda x: c * spec.eval(x),
         subderivative=lambda x, w: times_c(spec.subderivative(x, w)),
-        subdiff_contains=contains,
-        subdiff_representative=lambda x: c * spec.subdiff_representative(x),
-        critical_cone_contains=lambda x, v, w, tol=None:
-            spec.critical_cone_contains(x, np.asarray(v, float) / c, w,
-                                        base_tol(v, w, tol)),
+        subdiff_violation=violation,
+        second_subderivative=second,
+        subdiff_sample=lambda x, rng: c * spec.subdiff_sample(x, rng),
         parabolic_subderivative=lambda x, w, z:
             c * spec.parabolic_subderivative(x, w, z),
-        second_subderivative=(None if spec.second_subderivative is None else
-                              second),
-        subdiff_violation=lambda x, v: c * spec.subdiff_violation(
-            x, np.asarray(v, float) / c),
-        subdiff_sample=(None if spec.subdiff_sample is None else
-                        lambda x, rng: c * spec.subdiff_sample(x, rng)),
+        subdiff_representative=lambda x: c * spec.subdiff_representative(x),
+        subdiff_contains=lambda x, v, tol=SUBDIFF_TOL: violation(x, v) <= tol,
     )
+    return replace(spec, name=f"{c:g}*{spec.name}", **{   # None stays None
+        hook: None if getattr(spec, hook) is None else g
+        for hook, g in scaled.items()})
 
 
 def spec_by_name(name: str) -> SpectralFunctionSpec:

@@ -33,7 +33,6 @@ ZERO_TOL = 1e-12          # absym zero / tie classes; 1 + ||x||_inf
 SORT_TOL = 1e-13          # sorted input of cluster_blocks; max(1, |v|)
 GAUGE_TOL = 1e-8          # the one subgradient test of Y; ||Y||
 CONE_TOL = 1e-8           # critical-cone duality gap; 1 + ||Y|| ||H||
-F_CONE_TOL = 1e-9         # f-level critical-cone gap; 1 + ||v|| ||w||
 SUBDIFF_TOL = 1e-10       # default of the subdiff_contains hook; absolute
 SET_TOL = 1e-9            # invariant-set membership; absolute
 CURVATURE_TOL = 1e-7      # sign of a sampled certify curvature; absolute

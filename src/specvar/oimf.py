@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .absym import (INF, ExtendedValue, SpectralFunctionSpec, _as_vector,
-                    _stacked, l1_spec)
+                    _stacked, critical, l1_spec)
 from .errors import (
     AssumptionViolated,
     FullRank,
@@ -201,6 +201,9 @@ def F_subdiff_contains(f: SpectralFunctionSpec, X, Y) -> bool:
 
 def F_subdiff_element(f: SpectralFunctionSpec, X):
     """A subgradient of F at X from the representative of df(sigma(X))."""
+    if f.subdiff_representative is None:
+        raise AssumptionViolated(
+            f"{f.name}: a subgradient needs a subdiff_representative hook")
     svd = svd_ordered(X)
     m, n = svd.shape
     rep = f.subdiff_representative(svd.sigma)
@@ -233,8 +236,8 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
     return member, {
         "member": member,
         "duality_gap": float(gap),
-        "f_level_member": f.critical_cone_contains(
-            svd.sigma, np.sort(sy)[::-1], d1, tol),
+        "f_level_member": critical(f, svd.sigma, np.sort(sy)[::-1], d1,
+                                   tol),
         "fan_gaps": [float(np.sum(excess[b[0]:b[-1] + 1]))
                      for b in part.alpha_blocks],
         "von_neumann_gap": float(np.sum(excess[part.r:])),

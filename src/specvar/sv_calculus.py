@@ -356,12 +356,16 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
     What = svd.U.T @ W @ svd.V
     out = np.zeros(n)
     for (idx, Q), G in zip(blocks.classes, _class_quadratics(blocks)):
-        M = _sym_skw(_blocks_of(What, idx))[0] + 2.0 * G
+        with np.errstate(over="ignore"):
+            M = _sym_skw(_blocks_of(What, idx))[0] + 2.0 * G
+        M = _finite_rows(M, "second-order block of (H, W)")
         out[idx] = _group_eigvals(Q.mT @ M @ Q, blocks.ltilde[idx])
     bb = blocks.beta
     if bb is not None:
         r = blocks.part.r
-        C = What[r:, r:] + _beta_cross_term(blocks)
+        with np.errstate(over="ignore"):
+            C = What[r:, r:] + _beta_cross_term(blocks)
+        C = _finite_rows(C, "second-order block of (H, W)")
         p = len(bb.eta) - len(bb.zero_group)   # the positive groups come first
         Qp = bb.Q[:, :p]
         D = _sym_skw(Qp.T @ C @ bb.Qhat[:, :p])[0]
@@ -408,11 +412,15 @@ def eig_expand2(A, E, tols=TOLERANCES):
     if A.shape != E.shape or A.shape[0] != A.shape[1]:
         raise ShapeError(f"A {A.shape} and E {E.shape} must be equal square")
     for M, name in ((A, "A"), (E, "E")):
-        dev = np.linalg.norm(M - M.T)
-        with np.errstate(over="ignore"):   # ||M||^2 may overflow to inf
-            scale = max(1.0, np.linalg.norm(M))
-        if dev > SYMMETRY_TOL * scale:
-            raise AsymmetricInput(f"{name} deviates from symmetry by {dev:.3e}")
+        # dev > SYMMETRY_TOL max(1, ||M||), read on M / max|M|, whose
+        # norms cannot overflow (1 / max|M| is inf for M = 0)
+        top = np.max(np.abs(M), initial=0.0)
+        unit = M / top if top > 0 else M
+        dev = np.linalg.norm(unit - unit.T)
+        with np.errstate(divide="ignore", over="ignore"):
+            if dev > SYMMETRY_TOL * max(1.0 / top, np.linalg.norm(unit)):
+                raise AsymmetricInput(
+                    f"{name} deviates from symmetry by {top * dev:.3e}")
     n = A.shape[0]
     eig = sym_eig_ordered(A)
     blocks = cluster_blocks(eig.lam, tols.cluster * max(
@@ -493,10 +501,12 @@ def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
     Wred = np.zeros((m, n))
     for (idx, Q), G in zip(blocks.classes, _class_quadratics(blocks)):
         A = Q @ (zbar[idx][:, :, None] * Q.mT)
-        Wred[idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
+        with np.errstate(over="ignore"):
+            Wred[idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
     bb = blocks.beta
     if bb is not None:
         r = blocks.part.r
         A = (bb.Q * zbar[r:]) @ bb.Qhat.T
-        Wred[r:, r:] = A - _beta_cross_term(blocks)
-    return svd.U @ Wred @ svd.V.T
+        with np.errstate(over="ignore"):
+            Wred[r:, r:] = A - _beta_cross_term(blocks)
+    return svd.U @ _finite_rows(Wred, "reduced direction of H") @ svd.V.T

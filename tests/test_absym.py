@@ -5,6 +5,7 @@ import pytest
 
 from specvar.absym import (
     INF,
+    critical,
     kyfan_spec,
     l1_spec,
     linf_spec,
@@ -16,6 +17,7 @@ from specvar.oimf import SpectralPoint
 from signed_perm import apply, random_signed_permutation, stabilizer_sample
 
 BUILTINS = [l1_spec(), linf_spec(), kyfan_spec(2)]
+TOL = 1e-9   # an explicit cone threshold: the hooks' tol has no default
 
 
 class TestEval:
@@ -129,23 +131,21 @@ class TestSubdifferential:
 class TestCriticalCone:
     def test_l1_sign_rules(self):
         f = l1_spec()
-        assert f.critical_cone_contains([1.0, 0.0], [1.0, 1.0], [-2.0, 3.0])
-        assert not f.critical_cone_contains([1.0, 0.0], [1.0, 1.0],
-                                            [0.0, -1.0])
-        assert f.critical_cone_contains([1.0, 0.0], [1.0, 0.4], [5.0, 0.0])
-        assert not f.critical_cone_contains([1.0, 0.0], [1.0, 0.4],
-                                            [5.0, 0.1])
+        assert critical(f, [1.0, 0.0], [1.0, 1.0], [-2.0, 3.0], TOL)
+        assert not critical(f, [1.0, 0.0], [1.0, 1.0], [0.0, -1.0], TOL)
+        assert critical(f, [1.0, 0.0], [1.0, 0.4], [5.0, 0.0], TOL)
+        assert not critical(f, [1.0, 0.0], [1.0, 0.4], [5.0, 0.1], TOL)
 
 
 class TestSecondSubderivative:
     def test_indicator_values(self):
         f = l1_spec()
         assert f.second_subderivative([1.0, 0.0], [1.0, 1.0],
-                                      [-2.0, 3.0]) == 0.0
+                                      [-2.0, 3.0], TOL) == 0.0
         assert f.second_subderivative([1.0, 0.0], [1.0, 1.0],
-                                      [0.0, -1.0]) == INF
+                                      [0.0, -1.0], TOL) == INF
         assert f.second_subderivative([1.0, 0.0], [1.0, 0.4],
-                                      [1.0, 0.0]) == 0.0
+                                      [1.0, 0.0], TOL) == 0.0
 
     def test_not_polyhedral_without_hook(self):
         # scaling keeps a missing hook missing, so c*f is rejected where f is
@@ -253,9 +253,9 @@ class TestScaleSpec:
     def test_second_subderivative_scales_cone(self):
         f = scale_spec(l1_spec(), 2.0)
         assert f.second_subderivative([1.0, 0.0], [2.0, 2.0],
-                                      [-1.0, 3.0]) == 0.0
+                                      [-1.0, 3.0], TOL) == 0.0
         assert f.second_subderivative([1.0, 0.0], [2.0, 2.0],
-                                      [0.0, -1.0]) == INF
+                                      [0.0, -1.0], TOL) == INF
 
     @pytest.mark.parametrize("c, v, member", [
         (0.5, [0.5, 0.5, 0.5 * (1 + 1.5e-10)], True),    # violation 7.5e-11
@@ -269,8 +269,9 @@ class TestScaleSpec:
 
 
 class TestScaledConeThreshold:
-    """scale_spec(f, c) compares the scaled gap |c df(x)(w) - v.w| with
-    tol, so the base spec gets tol / c, per row for a tol array."""
+    """The cone of scale_spec(f, c) compares the scaled gap |c df(x)(w) -
+    v.w| with tol, so its second subderivative hands the base spec
+    tol / c, per row for a tol array."""
 
     @pytest.mark.parametrize("c", [1e-3, 0.5, 1e3])
     def test_tol_reads_the_scaled_gap(self, c):
@@ -278,55 +279,32 @@ class TestScaledConeThreshold:
         x, v = [2.0, 1.0, 0.0], c * np.array([1.0, 1.0, 0.5])
         w = np.array([0.0, 0.0, 1.0])   # scaled gap c |1 - 0.5| = c / 2
         for tol, member in ((0.25 * c, False), (0.75 * c, True)):
-            assert f.critical_cone_contains(x, v, w, tol) is member
+            assert critical(f, x, v, w, tol) is member
             assert f.second_subderivative(x, v, w, tol) == (
                 0.0 if member else INF)
         tols = np.array([0.25 * c, 0.75 * c])
         W = np.stack([w, w])
-        assert f.critical_cone_contains(x, v, W, tols).tolist() \
-            == [False, True]
+        assert critical(f, x, v, W, tols).tolist() == [False, True]
         assert f.second_subderivative(x, v, W, tols).tolist() == [INF, 0.0]
-        # tol=None is the default threshold of c f
-        assert f.critical_cone_contains(x, v, [1.0, -1.0, 0.0])
-        assert not f.critical_cone_contains(x, v, w)
-
-    @pytest.mark.parametrize("c", [1e-3, 1e3, 1e6])
-    def test_default_tol_reads_the_scaled_data(self, c):
-        # with tol=None the threshold is F_CONE_TOL (1 + ||v|| ||w||) of the
-        # v and w c f receives, the base spec's default at its own data
-        from specvar.matrix_core import F_CONE_TOL
-        f = scale_spec(l1_spec(), c)
-        x, v = [2.0, 1.0, 0.0], c * np.array([1.0, 1.0, 0.5])
-
-        def w_at(ratio):   # scaled gap c g / 2 = ratio F_CONE_TOL (1 + 1.5 c g)
-            g = ratio * F_CONE_TOL / (c * (0.5 - 1.5 * ratio * F_CONE_TOL))
-            return np.array([0.0, 0.0, g])
-
-        for ratio, member in ((0.5, True), (50.0, False)):
-            assert f.critical_cone_contains(x, v, w_at(ratio)) is member
-            assert f.second_subderivative(x, v, w_at(ratio)) == (
-                0.0 if member else INF)
-        W = np.stack([w_at(0.5), w_at(50.0), [1.0, -1.0, 0.0]])
-        assert f.critical_cone_contains(x, v, W).tolist() == [
-            True, False, True]
-        assert f.second_subderivative(x, v, W).tolist() == [0.0, INF, 0.0]
+        assert critical(f, x, v, [1.0, -1.0, 0.0], TOL)
+        assert not critical(f, x, v, w, TOL)
 
 
 class TestStackedHooks:
-    """subderivative, critical_cone_contains and second_subderivative on
-    (k, n) rows, with a per-row tol: a (k,) array whose entry i is
-    bitwise the single-vector call on row i."""
+    """subderivative, critical and second_subderivative on (k, n) rows,
+    with a per-row tol: a (k,) array whose entry i is bitwise the
+    single-vector call on row i."""
 
     @staticmethod
     def _assert_rows(f, x, v, W, tols):
         calls = (
             (lambda w, t: f.subderivative(x, w), float),
-            (lambda w, t: f.critical_cone_contains(x, v, w, t), bool),
+            (lambda w, t: critical(f, x, v, w, t), bool),
             (lambda w, t: f.second_subderivative(x, v, w, t), float))
         for call, kind in calls:
-            for tol in (None, tols):
+            for tol in (TOL, tols):
                 out = call(W, tol)
-                one = [call(w, None if tol is None else tol[i])
+                one = [call(w, tol if np.ndim(tol) == 0 else tol[i])
                        for i, w in enumerate(W)]
                 assert all(type(o) is kind for o in one)
                 assert isinstance(out, np.ndarray) and out.shape == (len(W),)
@@ -379,7 +357,7 @@ class TestStackedHooks:
         W = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -3.0],
                       [1.0, 2.0, 0.0]])   # df - v.w: 0, 0.5, 4.5, 0
         assert f.subderivative(x, W).tolist() == [0.0, 1.0, 3.0, 3.0]
-        assert f.critical_cone_contains(x, v, W).tolist() \
+        assert critical(f, x, v, W, TOL).tolist() \
             == [True, False, False, True]
         assert f.second_subderivative(x, v, W, np.array(
             [1e-8, 0.6, 1.0, 1e-8])).tolist() == [0.0, 0.0, INF, 0.0]
@@ -395,8 +373,8 @@ class TestStackedHooks:
                 v = c * np.array([1.0, 1.0, -1.0, -1.0])
                 assert np.isnan(f.subderivative(x, w))
                 assert np.isnan(f.subderivative(x, np.stack([w, w]))).all()
-                assert f.critical_cone_contains(x, v, w) is False
-                assert f.critical_cone_contains(x, v, w, 1.0) is False
+                assert critical(f, x, v, w, TOL) is False
+                assert critical(f, x, v, w, 1.0) is False
                 assert f.second_subderivative(x, v, np.stack([w, w]),
                                               np.ones(2)).tolist() == [INF] * 2
 
@@ -417,8 +395,8 @@ class TestFaceReuse:
                 spec.subdiff_contains(x, w),
                 tuple(spec.subdiff_representative(x)),
                 tuple(spec.subdiff_sample(x, np.random.default_rng(seed))),
-                spec.critical_cone_contains(x, w, z),
-                spec.second_subderivative(x, w, z))
+                critical(spec, x, w, z, TOL),
+                spec.second_subderivative(x, w, z, TOL))
 
     @pytest.mark.parametrize("name", ["l1", "linf", "kyfan:2"])
     def test_alternating_points_match_fresh_specs(self, name):

@@ -389,6 +389,7 @@ class TestErrorChannel:
     @pytest.mark.parametrize("command, argv, second_order", [
         ("deriv1", [], False),
         ("deriv2", ["--W", "i"], True),
+        ("deriv2", ["--W", "i", "--H", "near-max"], True),
         ("subderiv", ["--f", "l1"], False),
         ("second-subderiv", ["--f", "l1", "--Y", "i"], True),
         ("nuclear-epi", ["--Omega", "i"], True),
@@ -396,15 +397,19 @@ class TestErrorChannel:
         ("phi2", [], True),
         ("tangent", ["--set", "free", "--order", "1"], False),
         ("tangent", ["--set", "free", "--order", "2"], True),
-    ], ids=["deriv1", "deriv2", "subderiv", "second-subderiv", "nuclear-epi",
-            "psi", "phi2", "tangent-1", "tangent-2"])
+    ], ids=["deriv1", "deriv2", "deriv2-near-max", "subderiv",
+            "second-subderiv", "nuclear-epi", "psi", "phi2", "tangent-1",
+            "tangent-2"])
     def test_overflow_sweep(self, tmp_path, capsys, command, argv,
                             second_order, X):
         # every command that reads H, at H = 1e200 ones: a first-order
         # output is finite; a second-order one squares H, so it has no
-        # value and exits 1 with NonFinite, never "inf" or "nan"
+        # value and exits 1 with NonFinite, never "inf" or "nan".  The
+        # last --H wins: near-max's squares are finite, twice them not
         files = {"i": write(tmp_path, "i.csv", np.eye(2)),
-                 "om": write(tmp_path, "om.csv", np.diag([0.0, 1.0]))}
+                 "om": write(tmp_path, "om.csv", np.diag([0.0, 1.0])),
+                 "near-max": write(tmp_path, "near.csv", np.array(
+                     [[0.0, 1.75e154], [-1.75e154, 0.0]]))}
         x = write(tmp_path, "x.csv", X)
         h = write(tmp_path, "h.csv", np.full((2, 2), 1e200))
         out = tmp_path / "r.json"

@@ -7,12 +7,14 @@ import pytest
 from specvar import matrix_core
 from specvar.absym import (
     INF,
+    SpectralFunctionSpec,
     kyfan_spec,
     l1_spec,
     linf_spec,
     scale_spec,
 )
 from specvar.errors import (
+    AssumptionViolated,
     FullRank,
     NoSimultaneousGauge,
     NotASubgradient,
@@ -1460,3 +1462,59 @@ class TestConeAgreement:
         assert F_critical_cone_contains(f, X, Y, H)
         rep = F_second_subderivative(f, X, Y, H)
         assert rep.critical and rep.value == 0.0
+
+
+def _norm2_spec():
+    """f = ||x||_2, so F = ||X||_F: C2 away from 0, with d2f(x|v)(w) the
+    Hessian form (||w||^2 - <x, w>^2 / ||x||^2) / ||x|| on a critical
+    cone that is all of R^n.  Only the three required hooks and a
+    row-wise second subderivative; no stub for any other hook."""
+    def subderivative(x, w):
+        n = np.linalg.norm(x)
+        return w @ x / n if n > 0 else np.linalg.norm(w, axis=-1)
+
+    def violation(x, v):
+        n = np.linalg.norm(x)
+        return float(np.linalg.norm(v - x / n) if n > 0
+                     else max(np.linalg.norm(v) - 1.0, 0.0))
+
+    def second(x, v, w, tol):
+        n = np.linalg.norm(x)
+        return (np.sum(w * w, axis=-1) - (w @ x / n) ** 2) / n
+
+    return SpectralFunctionSpec(
+        name="l2", convex=True, lsc=True, lipschitz_on_domain=True,
+        eval=lambda x: np.linalg.norm(x, axis=-1),
+        subderivative=subderivative, subdiff_violation=violation,
+        second_subderivative=second)
+
+
+class TestSmoothSpec:
+    """A smooth spec needs only the required hooks, and its nonzero d2f
+    slot gives the closed form of d2||.||_F through SpectralPoint."""
+
+    @pytest.mark.parametrize("m, n", [(6, 4), (5, 5), (8, 3)])
+    def test_frobenius_norm_closed_form(self, m, n):
+        f = _norm2_spec()
+        rng = np.random.default_rng(m * n)
+        for _ in range(20):
+            # full rank, relative gaps 1e-3, 1e-2 or 1e-1 of sigma_1
+            gaps = rng.choice([1e-3, 1e-2, 1e-1], n - 1)
+            s = rng.uniform(0.5, 2.0) * np.concatenate(
+                [[1.0], 1.0 - np.cumsum(gaps)])
+            U, V = (np.linalg.qr(rng.standard_normal((k, k)))[0]
+                    for k in (m, n))
+            X = U[:, :n] @ (s[:, None] * V.T)
+            Hs = rng.standard_normal((8, m, n))
+            reps = SpectralPoint(f, X, X / np.linalg.norm(X)) \
+                .second_subderivatives(Hs)
+            nx = np.linalg.norm(X)
+            for H, rep in zip(Hs, reps):
+                ref = (np.sum(H * H) - np.sum(X * H) ** 2 / nx ** 2) / nx
+                assert rep.critical and rep.d2f_term != 0.0
+                assert abs(rep.value - ref) <= 1e-12 * abs(ref)
+
+    def test_subgradient_element_needs_its_hook(self):
+        with pytest.raises(AssumptionViolated,
+                           match="subdiff_representative"):
+            F_subdiff_element(_norm2_spec(), np.diag([2.0, 1.0]))

@@ -269,6 +269,15 @@ class TestEigExpand2:
         with pytest.raises(AsymmetricInput):
             eig_expand2(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
 
+    def test_asymmetry_near_float_max_rejected(self):
+        # ||E|| and ||E - E^T|| overflow; read on E / max|E| they do not
+        E = np.array([[0.0, 1e160], [-1e160, 0.0]])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(AsymmetricInput, match="2.828e\\+160"):
+                eig_expand2(np.diag([1e200, 0.0]), E)
+        assert not caught
+
 
 class TestExpansionResidual:
     def test_zero_directions(self):
@@ -844,8 +853,15 @@ class TestNonFinite:
         lambda B: sigma_dir2(np.diag([2.0, 0.0]), B, np.eye(2)),
         lambda B: oimf.F_parabolic_subderivative(
             l1_spec(), np.diag([2.0, 1.0]), B, np.eye(2)),
+        # at 1.2e154 ones G = 1.44e308 is finite; What + 2 G and Wred - 2 G
+        # are not
+        lambda B: sigma_dir2(np.diag([2.0, 1.0]), np.full((2, 2), 1.2e154),
+                             np.eye(2)),
+        lambda B: min_direction_construct(
+            np.diag([2.0, 1.0]), np.full((2, 2), 1.2e154), np.zeros(2)),
     ], ids=["min_direction_construct", "guided_offsets", "eig_expand2",
-            "expansion_residual", "sigma_dir2", "F_parabolic_subderivative"])
+            "expansion_residual", "sigma_dir2", "F_parabolic_subderivative",
+            "sigma_dir2-twice-G", "min_direction_construct-twice-G"])
     def test_raises(self, call):
         from specvar.errors import NonFinite
         with warnings.catch_warnings(record=True) as caught:

@@ -24,9 +24,12 @@ def test_traced_hooks_are_spec_fields():
     assert set(tracing.HOOKS) <= fields
 
 
-
-def test_tracer_installs_and_uninstalls():
-    from specvar.absym import l1_spec
+@pytest.mark.parametrize("name", ["l1", "0.5*l1"])
+def test_tracer_installs_and_uninstalls(name):
+    # l1 and certify-mix's 0.5 l1 must supply every traced hook: the
+    # optional ones (subdiff_contains) too, or a counter silently reads 0
+    from specvar.absym import l1_spec, scale_spec
+    f = l1_spec() if name == "l1" else scale_spec(l1_spec(), 0.5)
     tracer = tracing.Tracer()
     patches = tracer._patches
     patched = {(ns.__name__, attr) for ns, attr, _, _ in patches}
@@ -37,8 +40,8 @@ def test_tracer_installs_and_uninstalls():
         assert all(getattr(ns, attr) is wrapped
                    and wrapped.__wrapped__ is original
                    for ns, attr, original, wrapped in patches)
-        spec = tracer.wrap_spec(l1_spec())
-        assert all(callable(getattr(spec, h).__wrapped__)
+        hooked = tracer.wrap_spec(f)
+        assert all(callable(getattr(hooked, h).__wrapped__)
                    for h in tracing.HOOKS)
     finally:
         tracer.uninstall()
