@@ -19,7 +19,8 @@ import numpy as np
 
 from .absym import INF, SpectralFunctionSpec, _stacked, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
-from .matrix_core import CURVATURE_TOL, TOLERANCES, as_matrix, svd_ordered
+from .matrix_core import (_CHUNK_ENTRIES, CURVATURE_TOL, TOLERANCES,
+                          as_matrix, svd_ordered)
 from .oimf import F_eval, SpectralPoint, _subgradient, guided_offsets
 from .oracles import fd_gradient_check
 
@@ -74,8 +75,10 @@ class LeastSquares:
         return np.tensordot(r, self.A, axes=(0, 0))
 
     def hessian_apply(self, X, H):
-        return np.tensordot(self._apply(np.asarray(H, dtype=float)), self.A,
-                            axes=(0, 0))
+        H = np.asarray(H, dtype=float)
+        if H.ndim == 3:   # per matrix, as in value
+            return np.array([self.hessian_apply(X, Hi) for Hi in H])
+        return np.tensordot(self._apply(H), self.A, axes=(0, 0))
 
 
 class QuadraticMinusRankOne:
@@ -98,7 +101,10 @@ class QuadraticMinusRankOne:
 
     def hessian_apply(self, X, H):
         H = np.asarray(H, dtype=float)
-        return H - self.gamma * float(np.sum(self.E * H)) * self.E
+        t = _entry_sums(self.E * H)
+        if H.ndim == 3:
+            t = t[:, None, None]
+        return H - self.gamma * t * self.E
 
 
 @dataclass(frozen=True)
@@ -107,8 +113,11 @@ class ProblemSpec:
     (see absym.scale_spec).
 
     ``psi.value`` maps an (m, n) matrix to a float and a (k, m, n) stack
-    to a (k,) array, entry i bitwise ``psi.value(X[i])``: the growth
-    probe scores its samples in stacks."""
+    to a (k,) array, entry i bitwise ``psi.value(X[i])``; likewise
+    ``psi.hessian_apply(X, H)`` maps a (k, m, n) stack H to a (k, m, n)
+    stack, entry i bitwise ``psi.hessian_apply(X, H[i])``.  The growth
+    probe and the gradient check score their points, and ``certify`` its
+    curvatures, in stacks."""
 
     psi: object
     f: SpectralFunctionSpec
@@ -159,22 +168,31 @@ def stationarity_check(p: ProblemSpec, X0):
     return float(residual), ok
 
 
-def _curvature_from(p: ProblemSpec, X0, H, rep):
-    """<H, hess psi(X0) H> + d2F from a second-subderivative report."""
-    if not rep.critical:
-        return INF
-    quad = float(np.sum(H * np.asarray(p.psi.hessian_apply(X0, H))))
-    return quad + rep.value
+def _curvatures(p: ProblemSpec, X0, Hs, reps):
+    """<H, hess psi(X0) H> + d2F for every H of a (k, m, n) stack from its
+    second-subderivative reports: +inf off the critical cone, and one
+    ``psi.hessian_apply`` call on the critical rows."""
+    crit = np.array([rep.critical for rep in reps], dtype=bool)
+    q = np.full(len(Hs), INF)
+    if crit.any():
+        Hc = Hs[crit]
+        HD = np.asarray(p.psi.hessian_apply(X0, Hc), dtype=float)
+        if HD.shape != Hc.shape:
+            raise ShapeError(f"psi.hessian_apply returned shape {HD.shape} "
+                             f"for a stack of shape {Hc.shape}")
+        q[crit] = _entry_sums(Hc * HD) + np.array(
+            [rep.value for rep in reps if rep.critical])
+    return q
 
 
 def curvature(p: ProblemSpec, X0, H):
     """<H, hess psi(X0) H> plus the second subderivative of the spectral
     term at X0 for -grad psi(X0); +inf outside the critical cone."""
     X0 = as_matrix(X0, "X0")
-    H = as_matrix(H, "H")
+    Hs = as_matrix(H, "H")[None]
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
     point = SpectralPoint(p.f, X0, Y)
-    return _curvature_from(p, X0, H, point.second_subderivative(H))
+    return float(_curvatures(p, X0, Hs, point.second_subderivatives(Hs))[0])
 
 
 def _structured_candidates(svd, part, rng, budget):
@@ -224,9 +242,6 @@ def _validated_counterexample(p, X0, H, q):
     return False
 
 
-_CHUNK_ENTRIES = 1 << 18   # matrix entries per direction stack or SVD stack
-
-
 def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     """Assemble an optimality certificate for the candidate point X0.
 
@@ -235,11 +250,13 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     and reports either a validated negative direction (optimality
     refuted), uniformly positive sampled curvature (evidence in favor),
     or inconclusive.  The candidates are normalised (zero ones skipped,
-    still counted as tried) and evaluated in chunks, one
-    ``SpectralPoint.second_subderivatives`` call each, then walked in
-    stream order.  A chunk holds at most the samples still needed (and
-    ``_CHUNK_ENTRIES`` entries), so every chunk size consumes the
-    candidates, hook rows and random draws of a one-by-one loop.
+    still counted as tried) and evaluated in chunks, then walked in
+    stream order: per chunk one gauge product U G V^T for its structured
+    candidates, one ``SpectralPoint.second_subderivatives`` call and one
+    ``psi.hessian_apply`` call on its critical rows.  A chunk draws at
+    most the samples still needed (and ``_CHUNK_ENTRIES`` entries), so
+    every chunk size consumes the candidates, hook rows and random draws
+    of a one-by-one loop.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -262,36 +279,36 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     point = SpectralPoint._from_subgradient(p.f, X0, Y, aligned)
     svd = point.gauge
     rng = np.random.default_rng(cfg.seed)
-
-    def candidates():
-        """Nonzero candidates, normalised; every one drawn counts as tried.
-        Guided directions come first: curvature-minimizing offsets of a
-        few random base directions often sit inside the cone."""
-        nonlocal tried
-        guided = (D for _ in range(4)
-                  for D in guided_offsets(X0, rng.standard_normal(X0.shape)))
-        structured = (svd.U @ G @ svd.V.T for G in _structured_candidates(
-            svd, point.part, rng, cfg.max_candidates))
-        for H in itertools.chain(guided, structured):
-            tried += 1
-            nrm = np.linalg.norm(H)
-            if nrm > 0:
-                yield H / nrm
+    # guided directions come first: curvature-minimizing offsets of a few
+    # random base directions often sit inside the cone
+    guided = guided_offsets(X0, rng.standard_normal((4,) + X0.shape))
+    structured = _structured_candidates(svd, point.part, rng,
+                                        cfg.max_candidates)
 
     samples = []
     counterexample = None
     tried = 0
-    stream = candidates()
     cap = max(1, _CHUNK_ENTRIES // max(X0.size, 1))
     while len(samples) < cfg.n_samples:
-        Hs = list(itertools.islice(stream,
-                                   min(cfg.n_samples - len(samples), cap)))
+        k = min(cfg.n_samples - len(samples), cap)
+        Hs = guided[:k]
+        del guided[:k]
+        Gs = list(itertools.islice(structured, k - len(Hs)))
+        if Gs:
+            Hs.extend(svd.U @ np.array(Gs) @ svd.V.T)
         if not Hs:
             break
-        for H, rep in zip(Hs, point.second_subderivatives(Hs)):
+        tried += len(Hs)   # zero candidates count as tried, then drop out
+        Hs = np.array(Hs)
+        flat = Hs.reshape(len(Hs), -1)
+        nrm = np.sqrt(np.vecdot(flat, flat))   # np.linalg.norm, bitwise
+        Hs = Hs[nrm > 0] / nrm[nrm > 0, None, None]
+        if not len(Hs):
+            continue
+        reps = point.second_subderivatives(Hs)
+        for H, rep, q in zip(Hs, reps, _curvatures(p, X0, Hs, reps).tolist()):
             if not rep.critical:
                 continue
-            q = _curvature_from(p, X0, H, rep)
             samples.append((H, q))
             if q < -CURVATURE_TOL and counterexample is None:
                 if _validated_counterexample(p, X0, H, q):

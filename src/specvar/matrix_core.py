@@ -41,6 +41,9 @@ SYMMETRY_TOL = 1e-12      # asymmetry of eig_expand2 inputs; max(1, ||A||)
 BLOCK_SORT_TOL = 1e-12    # sortedness of a sigma'' target; max(1, |zbar|)
 GAP_WARN = 1e-6           # ConditioningWarning below this gap; max(1, s_1)
 
+# matrix entries per stack of directions, samples or shifted points
+_CHUNK_ENTRIES = 1 << 18
+
 
 @dataclass(frozen=True)
 class Tolerances:

@@ -50,13 +50,13 @@ from .matrix_core import (
 )
 from .sv_calculus import (
     _blocks_of,
+    _cancelling_direction,
     _finite_rows,
     _prepared,
     alpha_terms,
     cross_term_hat,
     direction_blocks,
     divided_differences,
-    min_direction_from_blocks,
     sigma_dir1_from_blocks,
     sigma_dir1_stack,
     sigma_dir2_from_blocks,
@@ -607,14 +607,27 @@ def guided_offsets(X, H, tols=TOLERANCES):
     The first offset steers the zero block along the cross term that the
     epi-limit construction uses; the second is half the direction that
     cancels all second-order terms (the zero-target minimizing parabola).
-    Both come from one reduced-block build of (X, H).
+    H may be one (m, n) direction or a (k, m, n) stack, whose offsets come
+    per H in stack order, each bitwise those of H alone.  One SVD of X
+    and one batched pass serve the whole stack: at the zero target the
+    direction reads only the alpha quadratics and the beta cross term.
     """
-    blocks = direction_blocks(X, H, None, tols)
-    svd, r = blocks.gauge, blocks.part.r
-    out = []
-    if r > 0:
-        out.append(svd.U @ cross_term_hat(blocks.Hhat, svd.sigma[:r])
-                   @ svd.V.T)
-    out.append(0.5 * min_direction_from_blocks(blocks,
-                                               np.zeros(blocks.part.n)))
-    return out
+    X = as_matrix(X, "X")
+    Hs = np.asarray(H, dtype=float)
+    if Hs.ndim == 2:
+        Hs = Hs[None]
+    if Hs.ndim != 3 or Hs.shape[1:] != X.shape:
+        raise ShapeError(f"X {X.shape} and H {Hs.shape[-2:]} differ")
+    if not np.all(np.isfinite(Hs)):
+        raise NonFinite("H contains non-finite entries")
+    svd = svd_ordered(X)
+    part = partition_of(svd, tols)
+    sigma_a = svd.sigma[:part.r]
+    Hhat = svd.U.T @ Hs @ svd.V
+    offsets = []
+    if part.r > 0:
+        offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)
+    offsets.append(0.5 * (svd.U @ _cancelling_direction(
+        Hhat, divided_differences(svd.sigma, part),
+        size_classes(part.alpha_blocks), sigma_a) @ svd.V.T))
+    return [D for per_H in zip(*offsets) for D in per_H]

@@ -20,18 +20,22 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .absym import _stacked
 from .errors import NonFiniteBase, ShapeError
-from .matrix_core import FD_TOL
+from .matrix_core import _CHUNK_ENTRIES, FD_TOL
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Sampling plan for the difference-quotient oracles.
 
-    ``tau_grid`` must be strictly decreasing and positive; the liminf
-    estimators minimize only at the smallest tau (the coarser values are
-    convergence diagnostics).  ``radius_c`` scales the perturbation
-    radius c * tau around the nominal direction.
+    ``tau_grid`` must be strictly decreasing, finite and positive; the
+    liminf estimators minimize only at the smallest tau (the coarser
+    values are convergence diagnostics).  ``radius_c`` (finite, > 0)
+    scales the perturbation radius c * tau around the nominal direction.
+    ``samples_per_tau`` is an int >= 1 and ``seed`` an int >= 0 (bools
+    are not ints here); a field that breaks its rule raises ``ShapeError``
+    naming it.
     """
 
     tau_grid: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -41,12 +45,19 @@ class OracleConfig:
 
     def __post_init__(self):
         grid = tuple(float(t) for t in self.tau_grid)
-        if len(grid) == 0 or any(t <= 0 for t in grid):
-            raise ShapeError("tau_grid must contain positive values")
+        if len(grid) == 0 or not all(0.0 < t < math.inf for t in grid):
+            raise ShapeError(f"tau_grid {grid!r} must contain finite values "
+                             "> 0")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ShapeError("tau_grid must be strictly decreasing")
-        if self.samples_per_tau < 1:
-            raise ShapeError("samples_per_tau must be >= 1")
+        if not 0.0 < self.radius_c < math.inf:
+            raise ShapeError(f"radius_c {self.radius_c!r} must be finite and "
+                             "> 0")
+        for name, low in (("samples_per_tau", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)) or value < low:
+                raise ShapeError(f"{name} {value!r} must be an int >= {low}")
         object.__setattr__(self, "tau_grid", grid)
 
 
@@ -181,18 +192,27 @@ _FD_STEP, _FD_DIRECTIONS, _FD_SEED = 1e-5, 5, 0
 def fd_gradient_check(psi, X) -> GradientCheckReport:
     """Check ``psi.gradient`` and ``psi.hessian_apply`` at X by central
     differences, to FD_TOL.  Report-only: callers decide what to do.
+
+    The 2 mn shifted points X +- tau E_ij are scored by ``psi.value`` in
+    stacks of at most ``_CHUNK_ENTRIES`` entries, so psi must honour the
+    stack contract (entry i bitwise ``psi.value(X[i])``); a value of any
+    other shape raises ``ShapeError`` naming the hook.
     """
     tau = _FD_STEP
     X = _arr(X, "X")
     G = _arr(psi.gradient(X), "gradient")
-    G_fd = np.zeros_like(X)
-    it = np.nditer(X, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        E = np.zeros_like(X)
-        E[idx] = tau
-        G_fd[idx] = (float(psi.value(X + E)) - float(psi.value(X - E))) \
-            / (2 * tau)
+    d = X.size
+    chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
+    values = np.empty((2, d))
+    for lo in range(0, d, chunk):
+        at = slice(lo, min(lo + chunk, d))
+        shift = np.zeros((at.stop - lo, d))
+        shift[:, at] = tau * np.eye(at.stop - lo)   # row i: tau at entry i
+        shift = shift.reshape((-1,) + X.shape)
+        for side, op in enumerate((np.add, np.subtract)):
+            values[side, at] = _stacked(psi.value(op(X, shift)), len(shift),
+                                        "psi.value")
+    G_fd = ((values[0] - values[1]) / (2 * tau)).reshape(X.shape)
     g_err = np.linalg.norm(G_fd - G) / max(1.0, np.linalg.norm(G))
 
     rng = np.random.default_rng(_FD_SEED)

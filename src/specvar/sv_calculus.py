@@ -292,17 +292,18 @@ def _direction_blocks(svd, H, tols):
                            ltilde=ltilde)
 
 
-def _class_quadratics(blocks: DirectionBlocks):
-    """The (b, k, k) stack of alpha quadratics G_a of every size class:
+def _class_quadratics(Hhat, dd: DividedDifferences, idxs):
+    """The (..., b, k, k) stack of alpha quadratics G_a of every size class
+    (a (b, k) index array each) for Hhat = U^T H V with any leading axes:
     the one reader of the gap tables in the block path, so small-gap
     blocks warn here; overflow raises ``NonFinite``."""
-    dd, n = blocks.tables, blocks.part.n
+    n = dd.E.shape[0]
     dd.warn()
-    Sym, Skw = _sym_skw(blocks.Hhat[:n])
+    Sym, Skw = _sym_skw(Hhat[..., :n, :])
     out = []
-    for idx, _ in blocks.classes:
-        Sa, Ka, Ta, Da, Ea = (np.moveaxis(A[:, idx], 0, 1) for A in (
-            Sym, Skw, blocks.Hhat[n:], dd.D, dd.E))
+    for idx in idxs:
+        Sa, Ka, Ta, Da, Ea = (np.moveaxis(A[..., idx], -3, -2) for A in (
+            Sym, Skw, Hhat[..., n:, :], dd.D, dd.E))
         with np.errstate(over="ignore", invalid="ignore"):
             G = (Sa.mT @ (Sa * Da) + Ka.mT @ (Ka * Ea)
                  + dd.C[idx][:, None, :] * (Ta.mT @ Ta))
@@ -318,7 +319,8 @@ def alpha_quadratics(blocks: DirectionBlocks):
     Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu).  Each block size
     takes one stacked product.
     """
-    return _in_block_order(blocks.classes, _class_quadratics(blocks))
+    return _in_block_order(blocks.classes, _class_quadratics(
+        blocks.Hhat, blocks.tables, [idx for idx, _ in blocks.classes]))
 
 
 def sigma_dir1_from_blocks(blocks: DirectionBlocks):
@@ -328,12 +330,12 @@ def sigma_dir1_from_blocks(blocks: DirectionBlocks):
 
 def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
     """U^T (H V_a Sigma_a^{-1} U_a^T H) V on (rows, cols), read from
-    Hhat = U^T H V with sigma_a the r positive singular values:
-    U^T H V_a = Hhat[:, :r] and U_a^T H V = Hhat[:r, :]; overflow raises
-    ``NonFinite``."""
+    Hhat = U^T H V (any leading axes) with sigma_a the r positive singular
+    values: U^T H V_a = Hhat[:, :r] and U_a^T H V = Hhat[:r, :]; overflow
+    raises ``NonFinite``."""
     r = len(sigma_a)
     with np.errstate(over="ignore", invalid="ignore"):
-        C = (Hhat[rows, :r] / sigma_a) @ Hhat[:r, cols]
+        C = (Hhat[..., rows, :r] / sigma_a) @ Hhat[..., :r, cols]
     return _finite_rows(C, "cross term of H")
 
 
@@ -355,7 +357,9 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
     svd = blocks.gauge
     What = svd.U.T @ W @ svd.V
     out = np.zeros(n)
-    for (idx, Q), G in zip(blocks.classes, _class_quadratics(blocks)):
+    idxs = [idx for idx, _ in blocks.classes]
+    for (idx, Q), G in zip(blocks.classes,
+                           _class_quadratics(blocks.Hhat, blocks.tables, idxs)):
         with np.errstate(over="ignore"):
             M = _sym_skw(_blocks_of(What, idx))[0] + 2.0 * G
         M = _finite_rows(M, "second-order block of (H, W)")
@@ -494,19 +498,35 @@ def min_direction_construct(X, H, zbar, tols=TOLERANCES):
 
 def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
     """``min_direction_construct`` for reduced blocks already built."""
-    m, n = blocks.shape
     _check_block_sorted(zbar, blocks, BLOCK_SORT_TOL * max(
         1.0, np.max(np.abs(zbar), initial=0.0)))
-    svd = blocks.gauge
-    Wred = np.zeros((m, n))
-    for (idx, Q), G in zip(blocks.classes, _class_quadratics(blocks)):
-        A = Q @ (zbar[idx][:, :, None] * Q.mT)
-        with np.errstate(over="ignore"):
-            Wred[idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
-    bb = blocks.beta
-    if bb is not None:
-        r = blocks.part.r
-        A = (bb.Q * zbar[r:]) @ bb.Qhat.T
-        with np.errstate(over="ignore"):
-            Wred[r:, r:] = A - _beta_cross_term(blocks)
-    return svd.U @ _finite_rows(Wred, "reduced direction of H") @ svd.V.T
+    svd, r = blocks.gauge, blocks.part.r
+    planted = [Q @ (zbar[idx][:, :, None] * Q.mT)
+               for idx, Q in blocks.classes]
+    if blocks.beta is not None:
+        planted.append((blocks.beta.Q * zbar[r:]) @ blocks.beta.Qhat.T)
+    return svd.U @ _cancelling_direction(
+        blocks.Hhat, blocks.tables, [idx for idx, _ in blocks.classes],
+        svd.sigma[:r], planted) @ svd.V.T
+
+
+def _cancelling_direction(Hhat, dd: DividedDifferences, idxs, sigma_a,
+                          planted=None):
+    """The reduced direction U^T W V that cancels the resolvent term of
+    every alpha block (a (b, k) index array per size class) and the cross
+    term of the beta block, for Hhat = U^T H V with any leading axes, plus
+    the ``planted`` target terms: one per class, then one for the beta
+    block (all zero by default, the zero-target direction).  Overflow
+    raises ``NonFinite``."""
+    r, n = len(sigma_a), dd.E.shape[0]
+    if planted is None:
+        planted = [0.0] * (len(idxs) + 1)
+    Wred = np.zeros(Hhat.shape)
+    with np.errstate(over="ignore"):
+        for idx, A, G in zip(idxs, planted,
+                             _class_quadratics(Hhat, dd, idxs)):
+            Wred[..., idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
+        if r < n:   # cancels _beta_cross_term, which is -2 times it
+            Wred[..., r:, r:] = planted[-1] + 2.0 * cross_term_hat(
+                Hhat, sigma_a, slice(r, None), slice(r, n))
+    return _finite_rows(Wred, "reduced direction of H")

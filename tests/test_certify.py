@@ -558,11 +558,11 @@ class TestOneAlignment:
     @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
                                          saddle_fixture])
     def test_fixtures(self, monkeypatch, fixture):
-        # one partition for the point, one per guided offset
+        # one partition for the point, one for the guided pass
         p, X0 = fixture()
         calls = self._count(monkeypatch)
         certify(p, X0)
-        assert calls == {"_align": 1, "partition_of": 5}
+        assert calls == {"_align": 1, "partition_of": 2}
 
     def test_not_stationary(self, monkeypatch):
         p, X0 = soft_threshold_fixture()
@@ -801,3 +801,124 @@ class TestStackedPsiValue:
                 singles = [psi.value(X) for X in Xs]
                 assert all(type(v) is float for v in singles)
                 assert np.array_equal(values, singles)
+
+    @pytest.mark.parametrize("shape", [(50, 3, 3), (4, 1, 1), (20, 6, 1),
+                                       (10, 40, 4), (3, 18, 16)])
+    def test_hessian_stack_matches_matrices(self, shape):
+        # hessian_apply(X, H) on a (k, m, n) stack H: row i bitwise
+        # hessian_apply(X, H[i])
+        rng = np.random.default_rng(7 + sum(shape))
+        for scale in (1.0, 1e-8, 1e8):
+            X = rng.standard_normal(shape[1:])
+            Hs = scale * rng.standard_normal(shape)
+            for psi in self._psis(*shape[1:], rng):
+                rows = psi.hessian_apply(X, Hs)
+                assert rows.shape == shape
+                assert np.array_equal(
+                    rows, np.array([psi.hessian_apply(X, H) for H in Hs]))
+
+
+def _certificate_sha(cert):
+    import hashlib
+    digest = hashlib.sha256()
+    for H, q in cert.samples:
+        digest.update(H.tobytes())
+        digest.update(np.float64(q).tobytes())
+    return digest.hexdigest()
+
+
+class TestStackedCertify:
+    """certify builds, normalises and scores its candidates in stacks: the
+    certificates are bitwise those of the one-matrix-at-a-time loop, and
+    psi's stack contract is checked where a hook is called."""
+
+    # SHA-256 over (H, q) of every sample, from the per-matrix loop
+    # (numpy 2.4, OpenBLAS 0.3.31 on x86-64; another BLAS may round
+    # differently)
+    PINNED = {
+        ("soft", 0): "fe86afb09c68a5a6306bf0827b6471dc"
+                     "c0588131701589d5891beb86fd3bdd27",
+        ("soft", 1): "8657153c895318a335e2e2ccdc08d343"
+                     "41320b86faa4171d533244d5ef371d88",
+        ("soft", 2): "ce2c3b3b2f6aa083224063779bbf157a"
+                     "78a5c300aa2e1bcdbc80ece1454828a6",
+        ("soft", 3): "ff4eebcb509700f189232fa48ca0b3ed"
+                     "6a1ca3207b8d1573eab682e9abb96b13",
+        ("saddle", 0): "d8c3ad9af3d5f4a5528d9a02094622e4"
+                       "3df22c84d06081d4cebee915f4fb0e62",
+        ("saddle", 1): "f29f386d28357485400f952d5a0fcad6"
+                       "82758be912f80f3149754f40a07902a3",
+        ("saddle", 2): "b8c387c1c7b9b1e578bb7c7bd3df38ad"
+                       "cfa72d5f2aec96eb6e41b412fcb58ded",
+        ("saddle", 3): "b3b82b628fe23a539ae1958a0eb53fd1"
+                       "9d85824f93d7403b2b03ca0e16dbc920",
+    }
+
+    @pytest.mark.parametrize("name, seed", list(PINNED))
+    def test_pinned_certificate(self, name, seed):
+        fixture = {"soft": soft_threshold_fixture, "saddle": saddle_fixture}
+        p, X0 = fixture[name]()
+        cert = certify(p, X0, SamplingConfig(seed=seed))
+        assert cert.verdict == {"soft": "sufficient-evidence",
+                                "saddle": "necessary-violated"}[name]
+        assert len(cert.samples) == 200
+        assert _certificate_sha(cert) == self.PINNED[name, seed]
+
+    def test_one_hessian_call_per_chunk(self, monkeypatch):
+        cmod = importlib.import_module("specvar.certify")
+        p, X0 = _soft_instance(7, 5, seed=1)
+        calls = []
+
+        class Counting(HalfSquaredDistance):
+            def hessian_apply(self, X, H):
+                calls.append(len(H))
+                return super().hessian_apply(X, H)
+
+        psi = Counting(p.psi.B)
+        for entries, chunks in ((cmod._CHUNK_ENTRIES, 1), (20 * X0.size, 10)):
+            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+            calls.clear()
+            cert = certify(ProblemSpec(psi, p.f), X0)
+            assert len(cert.samples) == 200
+            # the gradient check's five per-matrix calls, then the chunks
+            assert calls[:5] == [X0.shape[0]] * 5
+            assert len(calls) >= 5 + chunks and sum(calls[5:]) == 200
+
+    def test_curvature_reads_the_stack_path(self):
+        p, X0 = soft_threshold_fixture()
+        H = np.zeros((3, 3))
+        H[0, 0] = 1.0
+        seen = []
+
+        class Seen(HalfSquaredDistance):
+            def hessian_apply(self, X, D):
+                seen.append(np.shape(D))
+                return super().hessian_apply(X, D)
+
+        assert curvature(ProblemSpec(Seen(p.psi.B), p.f), X0, H) == \
+            curvature(p, X0, H)
+        assert seen == [(1, 3, 3)]
+
+    def test_per_matrix_hessian_is_shape_error(self):
+        class PerMatrix(HalfSquaredDistance):
+            def hessian_apply(self, X, H):
+                # reads its argument as one matrix: a stack comes back as
+                # one (k m, n) matrix
+                return np.asarray(H).reshape(-1, np.shape(H)[-1])
+
+        p, X0 = soft_threshold_fixture()
+        with pytest.raises(ShapeError, match="psi.hessian_apply"):
+            certify(ProblemSpec(PerMatrix(p.psi.B), p.f), X0)
+        H = np.zeros((3, 3))
+        H[0, 0] = 1.0
+        with pytest.raises(ShapeError, match="psi.hessian_apply"):
+            curvature(ProblemSpec(PerMatrix(p.psi.B), p.f), X0, H)
+
+    def test_per_matrix_value_is_shape_error(self):
+        class PerMatrix(HalfSquaredDistance):
+            def value(self, X):
+                return 0.5 * float(np.sum((X - self.B) ** 2))
+
+        p, X0 = soft_threshold_fixture()
+        with pytest.raises(ShapeError, match="psi.value"):
+            certify(ProblemSpec(PerMatrix(p.psi.B), p.f), X0)

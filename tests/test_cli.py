@@ -350,6 +350,24 @@ class TestErrorChannel:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert err["message"].startswith(key)
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--radius-c", "nan"], "radius_c"),
+        (["--radius-c", "inf"], "radius_c"),
+        (["--radius-c", "-1"], "radius_c"),
+        (["--tau-grid", "0.1", "nan"], "tau_grid"),
+        (["--tau-grid", "inf", "0.1"], "tau_grid"),
+    ])
+    def test_bad_oracle_plan_exit_1(self, tmp_path, capfd, argv, field):
+        x = write(tmp_path, "x.csv", np.diag([1.0, 0.0]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["oracle", "--kind", "fixed", "--X", x, "--Y", x,
+                         "--H", x, *argv]) == 1
+        assert not caught
+        err = json.loads(capfd.readouterr().err)   # and nothing else
+        assert err["error"] == "ShapeError" and err["exit_code"] == 1
+        assert err["message"].startswith(field)
+
     @pytest.mark.parametrize("eps", ["0", "nan", "inf", "-1"])
     def test_bad_growth_eps_exit_1(self, tmp_path, capfd, eps):
         prob = make_problem(tmp_path, "soft")

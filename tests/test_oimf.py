@@ -947,6 +947,34 @@ class TestGuidedOffsets:
         X = np.zeros((3, 0))
         assert [D.shape for D in guided_offsets(X, X)] == [(3, 0)]
 
+    @pytest.mark.parametrize("m, n, svals", [
+        (4, 3, [0.0, 0.0, 0.0]),            # r = 0
+        (5, 5, [3.0, 2.0, 1.5, 1.0, 0.5]),  # r = n
+        (3, 0, []),                         # n = 0
+        (6, 4, [2.0, 2.0, 2.0, 0.0]),       # tied tops and a zero block
+        (9, 4, [3.0, 2.0, 2.0, 1.0]),       # m > n, full rank
+        (8, 5, [2.0, 1.0, 1.0, 0.0, 0.0]),
+    ])
+    def test_stack_is_the_per_H_chain(self, m, n, svals):
+        # one (k, m, n) stack: the offsets of each H in turn, bitwise
+        rng = np.random.default_rng(m * 10 + n)
+        X = random_with_spectrum(m, n, svals, rng) if n else np.zeros((m, 0))
+        Hs = rng.standard_normal((6, m, n))
+        chain = [D for H in Hs for D in guided_offsets(X, H)]
+        stacked = guided_offsets(X, Hs)
+        assert len(stacked) == len(chain) == 6 * (1 + (max(svals,
+                                                            default=0) > 0))
+        assert all(np.array_equal(a, b) for a, b in zip(stacked, chain))
+        assert guided_offsets(X, Hs[:0]) == []
+
+    def test_stack_shape_checked(self):
+        from specvar.errors import NonFinite
+        X = np.diag([1.0, 0.0])
+        with pytest.raises(ShapeError):
+            guided_offsets(X, np.zeros((3, 2, 3)))
+        with pytest.raises(NonFinite):
+            guided_offsets(X, np.stack([SWAP, np.full((2, 2), np.nan)]))
+
 
 class TestSetSymmetry:
     def test_builtin_sets_absolutely_symmetric(self):

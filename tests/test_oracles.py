@@ -33,6 +33,24 @@ class TestConfig:
         with pytest.raises(ShapeError):
             OracleConfig(tau_grid=(1e-2, 0.0))
 
+    @pytest.mark.parametrize("field, value", [
+        ("tau_grid", (0.1, float("nan"))), ("tau_grid", (float("nan"),)),
+        ("tau_grid", (float("inf"), 0.1)),
+        ("radius_c", float("nan")), ("radius_c", float("inf")),
+        ("radius_c", -1.0), ("radius_c", 0.0),
+        ("samples_per_tau", 2.5), ("samples_per_tau", 0),
+        ("samples_per_tau", True), ("seed", -1), ("seed", 1.0),
+        ("seed", False),
+    ])
+    def test_rejects_field(self, field, value):
+        with pytest.raises(ShapeError, match=field):
+            OracleConfig(**{field: value})
+
+    def test_integer_fields_accept_numpy_ints(self):
+        cfg = OracleConfig(samples_per_tau=np.int64(3), seed=np.int32(0),
+                           radius_c=1)
+        assert (cfg.samples_per_tau, cfg.seed, cfg.radius_c) == (3, 0, 1)
+
 
 class TestQuotient2Fixed:
     def test_exact_quadratic(self):
@@ -193,6 +211,8 @@ class _Quadratic:
         self.B = B
 
     def value(self, X):
+        if np.ndim(X) == 3:   # a stack: one value per matrix
+            return np.array([self.value(Xi) for Xi in X])
         return 0.5 * float(np.sum((X - self.B) ** 2))
 
     def gradient(self, X):
@@ -229,6 +249,8 @@ class TestGradientCheck:
 
         class Q:
             def value(self, X):
+                if np.ndim(X) == 3:   # a stack: one value per matrix
+                    return np.array([self.value(Xi) for Xi in X])
                 return 0.5 * float(X.ravel() @ A @ X.ravel())
 
             def gradient(self, X):
@@ -240,3 +262,66 @@ class TestGradientCheck:
         X = rng.standard_normal((3, 2))
         rep = fd_gradient_check(Q(), X)
         assert rep.hessian_rel_err <= 1e-7
+
+
+class TestStackedGradientCheck:
+    """fd_gradient_check scores its 2 mn shifted points in stacks of at
+    most _CHUNK_ENTRIES entries: the report is bitwise that of one
+    psi.value call per point."""
+
+    @staticmethod
+    def _per_entry(psi, X):
+        # the central-difference gradient one shifted point at a time
+        tau = 1e-5
+        G_fd = np.zeros_like(X)
+        for idx in np.ndindex(X.shape):
+            E = np.zeros_like(X)
+            E[idx] = tau
+            G_fd[idx] = (float(psi.value(X + E))
+                         - float(psi.value(X - E))) / (2 * tau)
+        G = psi.gradient(X)
+        return np.linalg.norm(G_fd - G) / max(1.0, np.linalg.norm(G))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2), (6, 4), (18, 16)])
+    def test_equals_per_entry_loop(self, shape, monkeypatch):
+        from specvar.certify import (HalfSquaredDistance, LeastSquares,
+                                     QuadraticMinusRankOne)
+        import specvar.oracles as omod
+        rng = np.random.default_rng(sum(shape))
+        B, E = rng.standard_normal(shape), rng.standard_normal(shape)
+        psis = [HalfSquaredDistance(B), QuadraticMinusRankOne(B, E, 0.3),
+                LeastSquares(rng.standard_normal((5,) + shape),
+                             rng.standard_normal(5)), _Quadratic(B)]
+        X = rng.standard_normal(shape)
+        X[0, 0] = -0.0
+        for psi in psis:
+            ref = self._per_entry(psi, X)
+            for entries in (1, 3 * X.size, omod._CHUNK_ENTRIES):
+                monkeypatch.setattr(omod, "_CHUNK_ENTRIES", entries)
+                assert fd_gradient_check(psi, X).gradient_rel_err == ref
+
+    def test_memory_peak(self):
+        # 64 x 48: unchunked, each side of the 2 mn points is 75 MB
+        import tracemalloc
+        from specvar.certify import HalfSquaredDistance
+        rng = np.random.default_rng(4)
+        psi = HalfSquaredDistance(rng.standard_normal((64, 48)))
+        X = rng.standard_normal((64, 48))
+        tracemalloc.start()
+        try:
+            rep = fd_gradient_check(psi, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok
+        assert peak < 10e6, f"tracemalloc peak {peak / 1e6:.1f} MB"
+
+    def test_per_matrix_value_is_shape_error(self):
+        class PerMatrix(_Quadratic):
+            def value(self, X):
+                return 0.5 * float(np.sum((X - self.B) ** 2))
+
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError, match="psi.value"):
+            fd_gradient_check(PerMatrix(rng.standard_normal((3, 2))),
+                              rng.standard_normal((3, 2)))
