@@ -44,9 +44,10 @@ def _as_rows(w):
     return np.ascontiguousarray(w[None] if w.ndim == 1 else w), w.ndim == 1
 
 
-def _stacked(values, k, hook):
-    """A hook's values for a stack of k, which must have shape (k,)."""
-    if np.shape(values) != (k,):
+def _stacked(values, k, hook, shape=()):
+    """A hook's values for a stack of k, which must have shape (k,), or
+    (k,) + ``shape`` for a hook that maps each item to a ``shape`` array."""
+    if np.shape(values) != (k, *shape):
         raise ShapeError(f"{hook} returned shape {np.shape(values)} for a "
                          f"stack of {k}")
     return values

@@ -176,10 +176,8 @@ def _curvatures(p: ProblemSpec, X0, Hs, reps):
     q = np.full(len(Hs), INF)
     if crit.any():
         Hc = Hs[crit]
-        HD = np.asarray(p.psi.hessian_apply(X0, Hc), dtype=float)
-        if HD.shape != Hc.shape:
-            raise ShapeError(f"psi.hessian_apply returned shape {HD.shape} "
-                             f"for a stack of shape {Hc.shape}")
+        HD = _stacked(np.asarray(p.psi.hessian_apply(X0, Hc), dtype=float),
+                      len(Hc), "psi.hessian_apply", X0.shape)
         q[crit] = _entry_sums(Hc * HD) + np.array(
             [rep.value for rep in reps if rep.critical])
     return q
@@ -253,10 +251,11 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     still counted as tried) and evaluated in chunks, then walked in
     stream order: per chunk one gauge product U G V^T for its structured
     candidates, one ``SpectralPoint.second_subderivatives`` call and one
-    ``psi.hessian_apply`` call on its critical rows.  A chunk draws at
-    most the samples still needed (and ``_CHUNK_ENTRIES`` entries), so
-    every chunk size consumes the candidates, hook rows and random draws
-    of a one-by-one loop.
+    ``psi.hessian_apply`` call on its critical rows.  The guided offsets
+    of four random base directions come first, from one pass before any
+    structured Gaussian is drawn (none when no samples are asked for); a
+    chunk takes at most the samples still needed (and ``_CHUNK_ENTRIES``
+    entries), so every chunk size walks the same candidates and hook rows.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -281,7 +280,8 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     rng = np.random.default_rng(cfg.seed)
     # guided directions come first: curvature-minimizing offsets of a few
     # random base directions often sit inside the cone
-    guided = guided_offsets(X0, rng.standard_normal((4,) + X0.shape))
+    guided = (guided_offsets(X0, rng.standard_normal((4,) + X0.shape))
+              if cfg.n_samples > 0 else [])
     structured = _structured_candidates(svd, point.part, rng,
                                         cfg.max_candidates)
 

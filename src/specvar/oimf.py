@@ -612,18 +612,8 @@ def guided_offsets(X, H, tols=TOLERANCES):
     and one batched pass serve the whole stack: at the zero target the
     direction reads only the alpha quadratics and the beta cross term.
     """
-    X = as_matrix(X, "X")
-    Hs = np.asarray(H, dtype=float)
-    if Hs.ndim == 2:
-        Hs = Hs[None]
-    if Hs.ndim != 3 or Hs.shape[1:] != X.shape:
-        raise ShapeError(f"X {X.shape} and H {Hs.shape[-2:]} differ")
-    if not np.all(np.isfinite(Hs)):
-        raise NonFinite("H contains non-finite entries")
-    svd = svd_ordered(X)
-    part = partition_of(svd, tols)
+    svd, part, Hhat = _prepared(X, H, tols, stack=True)
     sigma_a = svd.sigma[:part.r]
-    Hhat = svd.U.T @ Hs @ svd.V
     offsets = []
     if part.r > 0:
         offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)

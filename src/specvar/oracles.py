@@ -194,9 +194,11 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     differences, to FD_TOL.  Report-only: callers decide what to do.
 
     The 2 mn shifted points X +- tau E_ij are scored by ``psi.value`` in
-    stacks of at most ``_CHUNK_ENTRIES`` entries, so psi must honour the
-    stack contract (entry i bitwise ``psi.value(X[i])``); a value of any
-    other shape raises ``ShapeError`` naming the hook.
+    stacks of at most ``_CHUNK_ENTRIES`` entries, and the unit directions
+    of the Hessian check go to ``psi.hessian_apply`` as one stack, so psi
+    must honour the stack contract (entry i bitwise that of item i alone):
+    a result of any other shape raises ``ShapeError`` naming the hook, and
+    a hook that mixes the items fails the Hessian check.
     """
     tau = _FD_STEP
     X = _arr(X, "X")
@@ -216,10 +218,11 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     g_err = np.linalg.norm(G_fd - G) / max(1.0, np.linalg.norm(G))
 
     rng = np.random.default_rng(_FD_SEED)
+    Ds = np.array([_unit(rng, X.shape) for _ in range(_FD_DIRECTIONS)])
+    HDs = _stacked(_arr(psi.hessian_apply(X, Ds), "hessian_apply"),
+                   len(Ds), "psi.hessian_apply", X.shape)
     h_err = 0.0
-    for _ in range(_FD_DIRECTIONS):
-        D = _unit(rng, X.shape)
-        HD = _arr(psi.hessian_apply(X, D), "hessian_apply")
+    for D, HD in zip(Ds, HDs):
         HD_fd = (_arr(psi.gradient(X + tau * D), "gradient")
                  - _arr(psi.gradient(X - tau * D), "gradient")) / (2 * tau)
         h_err = max(h_err, np.linalg.norm(HD_fd - HD)

@@ -189,17 +189,24 @@ def divided_differences(s, part: SingularPartition) -> DividedDifferences:
                               (0.5 / mu)[cols], gaps)
 
 
-def _pair(X, H):
-    """X and H checked as finite matrices of one shape."""
-    X, H = as_matrix(X, "X"), as_matrix(H, "H")
-    if X.shape != H.shape:
-        raise ShapeError(f"X {X.shape} and H {H.shape} differ")
+def _pair(X, H, stack=False):
+    """X and H checked as finite matrices of one shape; with ``stack``, H
+    may be a (k, m, n) stack of them and comes back as one."""
+    X = as_matrix(X, "X")
+    H = np.asarray(H, dtype=float) if stack else as_matrix(H, "H")
+    if stack and H.ndim == 2:
+        H = H[None]
+    if H.ndim != 2 + stack or H.shape[-2:] != X.shape:
+        raise ShapeError(f"X {X.shape} and H {H.shape[-2:]} differ")
+    if stack and not np.all(np.isfinite(H)):
+        raise NonFinite("H contains non-finite entries")
     return X, H
 
 
-def _prepared(X, H, tols=TOLERANCES):
-    """(svd_ordered(X), partition, U^T H V) of checked X and H."""
-    X, H = _pair(X, H)
+def _prepared(X, H, tols=TOLERANCES, stack=False):
+    """(svd_ordered(X), partition, U^T H V) of checked X and H (a stack
+    of them with ``stack``, as in ``_pair``)."""
+    X, H = _pair(X, H, stack)
     svd = svd_ordered(X)
     return svd, partition_of(svd, tols), svd.U.T @ H @ svd.V
 

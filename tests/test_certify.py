@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,8 @@ from specvar.certify import (
 )
 from specvar.errors import AssumptionViolated, SamplingExhausted
 from specvar.errors import ShapeError
+from specvar.oimf import SpectralPoint, guided_offsets
+from specvar.oracles import fd_gradient_check
 
 
 class TestSvt:
@@ -880,9 +883,9 @@ class TestStackedCertify:
             calls.clear()
             cert = certify(ProblemSpec(psi, p.f), X0)
             assert len(cert.samples) == 200
-            # the gradient check's five per-matrix calls, then the chunks
-            assert calls[:5] == [X0.shape[0]] * 5
-            assert len(calls) >= 5 + chunks and sum(calls[5:]) == 200
+            # the gradient check's stack of five, then the chunks
+            assert calls[0] == 5
+            assert len(calls) >= 1 + chunks and sum(calls[1:]) == 200
 
     def test_curvature_reads_the_stack_path(self):
         p, X0 = soft_threshold_fixture()
@@ -922,3 +925,73 @@ class TestStackedCertify:
         p, X0 = soft_threshold_fixture()
         with pytest.raises(ShapeError, match="psi.value"):
             certify(ProblemSpec(PerMatrix(p.psi.B), p.f), X0)
+
+    def test_row_mixing_hessian_fails_the_gradient_check(self):
+        class PerMatrix(QuadraticMinusRankOne):
+            def hessian_apply(self, X, H):
+                # one rank-one coefficient summed over the whole stack:
+                # right shape, wrong rows
+                return H - self.gamma * float(np.sum(self.E * H)) * self.E
+
+        p, X0 = saddle_fixture()
+        psi = PerMatrix(p.psi.B, p.psi.E, p.psi.gamma)
+        assert fd_gradient_check(p.psi, X0).ok
+        assert not fd_gradient_check(psi, X0).hessian_ok
+        with pytest.raises(AssumptionViolated, match="hessian rel err"):
+            certify(ProblemSpec(psi, p.f), X0)
+
+    def test_no_samples_no_guided_pass(self, monkeypatch):
+        cmod = importlib.import_module("specvar.certify")
+
+        def refuse(*args):
+            raise AssertionError("guided_offsets called")
+
+        p, X0 = soft_threshold_fixture()
+        monkeypatch.setattr(cmod, "guided_offsets", refuse)
+        cert = certify(p, X0, SamplingConfig(n_samples=0, min_samples=0))
+        assert cert.samples == [] and cert.verdict == "inconclusive"
+
+    @staticmethod
+    def _per_matrix_samples(p, X0, cfg):
+        # the one-matrix-at-a-time loop: each candidate built, normalised,
+        # tested and scored alone, guided offsets one base direction at a
+        # time
+        from specvar.certify import _structured_candidates
+        point = SpectralPoint(p.f, X0, -p.psi.gradient(X0))
+        svd = point.gauge
+        rng = np.random.default_rng(cfg.seed)
+        guided = (D for _ in range(4)
+                  for D in guided_offsets(X0, rng.standard_normal(X0.shape)))
+        structured = (svd.U @ G @ svd.V.T for G in _structured_candidates(
+            svd, point.part, rng, cfg.max_candidates))
+        samples = []
+        for H in itertools.chain(guided, structured):
+            if len(samples) == cfg.n_samples:
+                break
+            nrm = np.linalg.norm(H)
+            if nrm == 0:
+                continue
+            H = H / nrm
+            rep = point.second_subderivative(H)
+            if rep.critical:
+                quad = float(np.sum(H * p.psi.hessian_apply(X0, H)))
+                samples.append((H, quad + rep.value))
+        return samples
+
+    @pytest.mark.parametrize("name", ["soft", "saddle", "soft-7x5",
+                                      "saddle-4"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_equals_per_matrix_loop(self, name, seed, monkeypatch):
+        # any BLAS: the pins above hold for one
+        cmod = importlib.import_module("specvar.certify")
+        p, X0 = {"soft": soft_threshold_fixture, "saddle": saddle_fixture,
+                 "soft-7x5": lambda: _soft_instance(7, 5, seed=2),
+                 "saddle-4": lambda: _saddle_instance(4)}[name]()
+        cfg = SamplingConfig(seed=seed, min_samples=0)
+        ref = self._per_matrix_samples(p, X0, cfg)
+        for entries in (cmod._CHUNK_ENTRIES, 7 * X0.size):
+            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+            got = certify(p, X0, cfg).samples
+            assert len(got) == len(ref)
+            for (H, q), (H_ref, q_ref) in zip(got, ref):
+                assert np.array_equal(H, H_ref) and q == q_ref

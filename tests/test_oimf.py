@@ -972,6 +972,9 @@ class TestGuidedOffsets:
         X = np.diag([1.0, 0.0])
         with pytest.raises(ShapeError):
             guided_offsets(X, np.zeros((3, 2, 3)))
+        for bad in (np.zeros(2), np.zeros((1, 3, 2, 2))):
+            with pytest.raises(ShapeError, match="differ"):
+                guided_offsets(X, bad)
         with pytest.raises(NonFinite):
             guided_offsets(X, np.stack([SWAP, np.full((2, 2), np.nan)]))
 

@@ -257,6 +257,8 @@ class TestGradientCheck:
                 return (A @ X.ravel()).reshape(X.shape)
 
             def hessian_apply(self, X, D):
+                if np.ndim(D) == 3:   # a stack: one product per matrix
+                    return np.array([self.hessian_apply(X, Di) for Di in D])
                 return (A @ D.ravel()).reshape(D.shape)
 
         X = rng.standard_normal((3, 2))
@@ -323,5 +325,16 @@ class TestStackedGradientCheck:
 
         rng = np.random.default_rng(0)
         with pytest.raises(ShapeError, match="psi.value"):
+            fd_gradient_check(PerMatrix(rng.standard_normal((3, 2))),
+                              rng.standard_normal((3, 2)))
+
+    def test_per_matrix_hessian_is_shape_error(self):
+        class PerMatrix(_Quadratic):
+            def hessian_apply(self, X, D):
+                # reads a stack as one matrix: (k m, n) comes back
+                return np.asarray(D).reshape(-1, np.shape(D)[-1])
+
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeError, match="psi.hessian_apply"):
             fd_gradient_check(PerMatrix(rng.standard_normal((3, 2))),
                               rng.standard_normal((3, 2)))
