@@ -22,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadK, ShapeError
-from .matrix_core import SUBDIFF_TOL, ZERO_TOL, cluster_blocks
+from .matrix_core import (SUBDIFF_TOL, ZERO_TOL, as_count, as_real,
+                          cluster_blocks)
 
 ExtendedValue = float
 INF = math.inf
@@ -298,15 +299,14 @@ def linf_spec() -> SpectralFunctionSpec:
 
 def kyfan_spec(k: int) -> SpectralFunctionSpec:
     """Sum of the k largest absolute values; generates the Ky Fan k-norm."""
-    if k < 1:
-        raise BadK(f"k={k} must be >= 1")
+    k = as_count(k, "k", 1, BadK)
     return _make_polyhedral_spec(f"kyfan:{k}", _TopKAbs(k))
 
 
 def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
-    """The spec of c*f for c > 0 (used to fold regularization weights)."""
-    if not (c > 0):
-        raise ShapeError("scale factor must be positive")
+    """The spec of c*f for a finite c > 0 (used to fold regularization
+    weights)."""
+    c = as_real(c, "c")
     if c == 1.0:
         return spec
 

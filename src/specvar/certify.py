@@ -20,7 +20,7 @@ import numpy as np
 from .absym import INF, SpectralFunctionSpec, _stacked, l1_spec, scale_spec
 from .errors import AssumptionViolated, SamplingExhausted, ShapeError
 from .matrix_core import (_CHUNK_ENTRIES, CURVATURE_TOL, TOLERANCES,
-                          as_matrix, svd_ordered)
+                          as_count, as_matrix, as_real, svd_ordered)
 from .oimf import F_eval, SpectralPoint, _subgradient, guided_offsets
 from .oracles import fd_gradient_check
 
@@ -125,12 +125,22 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SamplingConfig:
+    """Sampling plan of ``certify``: every count an int >= 0 and
+    ``growth_eps`` a finite real > 0, else ``ShapeError`` naming the
+    field."""
+
     n_samples: int = 200
     min_samples: int = 50
     max_candidates: int = 20_000
     seed: int = 0
     growth_eps: float = 1e-2
     growth_samples: int = 2000
+
+    def __post_init__(self):
+        for name in ("n_samples", "min_samples", "max_candidates", "seed",
+                     "growth_samples"):
+            as_count(getattr(self, name), name)
+        as_real(self.growth_eps, "growth_eps")
 
 
 @dataclass(frozen=True)
@@ -344,11 +354,12 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     the probe.  Per chunk one stacked SVD and one ``psi.value`` call, and
     one ``f.eval`` for all samples, give bitwise the quotients of one
     ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf.
-    An eps that is not finite and > 0 raises ``ShapeError``."""
-    if not 0.0 < eps < INF:
-        raise ShapeError(f"growth eps must be finite and > 0, not {eps!r}")
+    An eps that is not finite and > 0, an n_samples that is not an int or
+    a seed that is not an int >= 0 raises ``ShapeError``."""
+    eps = as_real(eps, "eps")
     X0 = as_matrix(X0, "X0")
-    n_samples = int(n_samples)
+    n_samples = as_count(n_samples, "n_samples", None)
+    seed = as_count(seed, "seed")
     if n_samples <= 0:
         return INF
     base = objective(p, X0)

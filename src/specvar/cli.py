@@ -38,6 +38,8 @@ from .matrix_core import (
     CLUSTER_TOL,
     RANK_TOL,
     Tolerances,
+    as_matrix,
+    as_real,
     partition_values,
     read_matrix_csv,
 )
@@ -134,14 +136,14 @@ def _required(d, key, where):
     return d[key]
 
 
-def _number(d, key, positive=False):
-    """d[key] (default 1): a finite JSON number, > 0 if ``positive``."""
-    v = d.get(key, 1.0)
-    if type(v) not in (int, float) or not -math.inf < v < math.inf or (
-            positive and v <= 0):
-        raise UsageError(f"{key} must be a finite number"
-                         f"{' > 0' if positive else ''}, not {v!r}")
-    return float(v)
+def _usage(rule, *args, **kwargs):
+    """rule(*args, **kwargs) of the input contract, its ``ShapeError``
+    reported as a ``UsageError``: the value came from the command line or
+    a problem file."""
+    try:
+        return rule(*args, **kwargs)
+    except ShapeError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _psi_from_dict(d, base):
@@ -157,7 +159,7 @@ def _psi_from_dict(d, base):
         return QuadraticMinusRankOne(
             _load_matrix(_required(d, "B", "psi"), base),
             _load_matrix(_required(d, "E", "psi"), base),
-            _number(d, "gamma"))
+            _usage(as_real, d.get("gamma", 1.0), "gamma", positive=False))
     raise UsageError(f"unknown psi kind {kind!r}")
 
 
@@ -169,7 +171,7 @@ def load_problem(path):
         d = json.load(fh)
     base = path.parent
     f = spec_by_name(_required(d, "f", path))
-    weight = _number(d, "weight", positive=True)
+    weight = _usage(as_real, d.get("weight", 1.0), "weight")
     if weight != 1.0:
         f = absym.scale_spec(f, weight)
     p = ProblemSpec(psi=_psi_from_dict(_required(d, "psi", path), base), f=f)
@@ -179,18 +181,16 @@ def load_problem(path):
 
 def _sampling(args, sampling):
     """n_samples, min_samples and seed: a given flag (0 included), else the
-    problem file's sampling object, else SamplingConfig's default."""
+    problem file's sampling object, else SamplingConfig's default.  The
+    file's values and the flags are each checked by SamplingConfig."""
     keys = ("n_samples", "min_samples", "seed")
     if not isinstance(sampling, dict) or not set(sampling) <= set(keys):
         raise UsageError(f"sampling must be an object with keys among {keys}")
     flags = {k: getattr(args, k) for k in keys
              if getattr(args, k, None) is not None}
-    for k, v in [*sampling.items(), *flags.items()]:
-        if type(v) is not int or (k == "seed" and v < 0):   # bool is an int
-            kind = "a non-negative integer" if k == "seed" else "an integer"
-            raise UsageError(f"{k} must be {kind}, not {v!r}")
-    return {**{k: getattr(SamplingConfig, k) for k in keys}, **sampling,
-            **flags}
+    _usage(SamplingConfig, **sampling)
+    cfg = _usage(SamplingConfig, **{**sampling, **flags})
+    return {k: getattr(cfg, k) for k in keys}
 
 
 # -- report plumbing -------------------------------------------------------------
@@ -210,10 +210,7 @@ def _matrix(args, name):
 
 def _matrix_like(args, name, X):
     """The matrix of flag --name, required to have the shape of --X."""
-    A = _matrix(args, name)
-    if A.shape != X.shape:
-        raise ShapeError(f"--{name} {A.shape} and --X {X.shape} differ")
-    return A
+    return as_matrix(_matrix(args, name), f"--{name}", X, like_name="--X")
 
 
 # -- matrix commands -------------------------------------------------------------

@@ -63,14 +63,48 @@ class Tolerances:
 TOLERANCES = Tolerances()
 
 
-def as_matrix(X, name="X"):
-    """Validate and return a finite 2-d float array."""
+# -- the input contract: one rule per kind of argument -------------------------
+
+def as_matrix(X, name="X", like=None, *, like_name="X", stack=False, ndim=2):
+    """X as a finite float array (``NonFinite`` otherwise) with ``ndim``
+    axes (None: any), or the shape of the array ``like``, or with ``stack``
+    a stack of such arrays (one of them a stack of one).  A wrong shape
+    raises ``ShapeError`` naming X and, if given, ``like_name``."""
     A = np.asarray(X, dtype=float)
-    if A.ndim != 2:
-        raise ShapeError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
+    if like is None:
+        if ndim is not None and A.ndim != ndim:
+            raise ShapeError(f"{name} must be {ndim}-dimensional, got "
+                             f"ndim={A.ndim}")
+    else:
+        if stack and A.ndim == like.ndim:
+            A = A[None]
+        if A.ndim != like.ndim + stack or A.shape[stack:] != like.shape:
+            raise ShapeError(f"{name} {np.shape(X)} and {like_name} "
+                             f"{like.shape} differ")
     if not np.all(np.isfinite(A)):
         raise NonFinite(f"{name} contains non-finite entries")
     return A
+
+
+def as_count(value, name, low=0, error=ShapeError):
+    """value as an int at or above ``low`` (None: any int).  numpy ints
+    count, bools and floats do not; anything else raises ``error``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or (low is not None and value < low):
+        floor = "" if low is None else f" >= {low}"
+        raise error(f"{name} {value!r} must be an int{floor}")
+    return int(value)
+
+
+def as_real(value, name, positive=True):
+    """value as a finite float, > 0 if ``positive``.  numpy scalars count,
+    bools and strings do not; anything else raises ``ShapeError``."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)) \
+            or not -np.inf < value < np.inf or (positive and value <= 0):
+        raise ShapeError(f"{name} {value!r} must be a finite real"
+                         f"{' > 0' if positive else ''}")
+    return float(value)
 
 
 def require_tall(X, name="X"):
@@ -221,11 +255,9 @@ def sym_eig_ordered(A) -> EigDecomposition:
     """Deterministic eigendecomposition of a (nearly) symmetric matrix, or
     of every matrix of a (..., k, k) stack in one call, eigenvalues
     nonincreasing.  The input is symmetrized internally."""
-    A = np.asarray(A, dtype=float)
+    A = as_matrix(A, "A", ndim=None)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ShapeError(f"A must be square, got {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise NonFinite("A contains non-finite entries")
     lam, Q = np.linalg.eigh(0.5 * A + 0.5 * A.mT)   # no overflow near max
     return EigDecomposition(Q=_fix_signs(Q[..., ::-1]), lam=lam[..., ::-1])
 
@@ -283,9 +315,7 @@ def partition_values(v, tols=TOLERANCES, m=None):
     beta and the rest cluster into alpha blocks with strictly decreasing
     distinct values mu.
     """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise ShapeError("partition_values expects a vector")
+    v = as_matrix(v, "v", ndim=1)
     n = len(v)
     scale = max(1.0, v[0]) if n else 1.0
     if np.any(v < -tols.rank * scale):
@@ -334,7 +364,7 @@ def gauge_randomize(svd: SvdDecomposition, part: SingularPartition,
         if np.max(vals) - np.min(vals) > 2 * part.tols.cluster * max(
                 1.0, svd.sigma[0]):
             raise InconsistentPartition("partition does not match sigma")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed"))
     U = svd.U.copy()
     V = svd.V.copy()
     for blk in part.alpha_blocks:

@@ -40,6 +40,7 @@ from .matrix_core import (
     TOLERANCES,
     SvdDecomposition,
     _svd,
+    as_count,
     as_matrix,
     cluster_blocks,
     partition_of,
@@ -93,9 +94,7 @@ def _align(X, Y, tols):
     block's asymmetry and any rise or negative value of sy, and message
     the first of these tests above tol = GAUGE_TOL ||Y|| (None if none)."""
     X = require_tall(as_matrix(X, "X"))
-    Y = as_matrix(Y, "Y")
-    if X.shape != Y.shape:
-        raise ShapeError(f"X {X.shape} and Y {Y.shape} differ")
+    Y = as_matrix(Y, "Y", X)
     svd = svd_ordered(X)
     part = partition_of(svd, tols)
     m, n = svd.shape
@@ -150,10 +149,11 @@ def _subgradient(f: SpectralFunctionSpec, X, Y, tols):
 def _duality_gaps(f: SpectralFunctionSpec, gauge, part, Y, Hs):
     """The one cone pass at (X, Y) over a (k, m, n) stack: Hhat = U^T H V
     in the aligned gauge, sigma'(X; H), the gaps dF(X)(H) - <Y, H>, the
-    thresholds CONE_TOL (1 + ||Y|| ||H||) and the critical rows.  A row
-    whose threshold overflows or whose gap is NaN raises ``NonFinite``."""
+    thresholds CONE_TOL (1 + ||Y|| ||H||) and the critical rows, for a
+    checked stack.  A row whose threshold overflows or whose gap is NaN
+    raises ``NonFinite``."""
     k = len(Hs)
-    flat = as_matrix(Hs.reshape(k, Y.size), "H")
+    flat = Hs.reshape(k, Y.size)
     Hhat = gauge.U.T @ Hs @ gauge.V
     d1 = sigma_dir1_stack(Hhat, part)
     dF = _stacked(f.subderivative(gauge.sigma, d1), k, "f.subderivative")
@@ -226,8 +226,9 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
     if not member:
         raise NotASubgradient("Y is not a subgradient of F at X")
     Y = np.asarray(Y, dtype=float)
+    H = as_matrix(H, "H", Y)
     Hhat, d1, gap, tol, member = (
-        a[0] for a in _duality_gaps(f, svd, part, Y, _like(H, Y, "H")[None]))
+        a[0] for a in _duality_gaps(f, svd, part, Y, H[None]))
     member = bool(member)
     if not diagnostics:
         return member
@@ -312,7 +313,8 @@ class SpectralPoint:
         self._B = -2.0 * sy[part.r:, None] / s[:part.r]   # beta weights
 
     def second_subderivatives(self, Hs):
-        """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack.
+        """d2F(X|Y)(H) with its breakdown for each H of a (k, m, n) stack
+        (one (m, n) H is a stack of one).
 
         ``_duality_gaps`` gives the gaps dF(X)(H) - <Y, H> in one stacked
         ``f.subderivative`` call; rows within CONE_TOL (1 + ||Y|| ||H||)
@@ -320,9 +322,7 @@ class SpectralPoint:
         call, ``f.second_subderivative``.  Small-gap blocks warn once a
         call; an alpha or beta term that overflows raises ``NonFinite``.
         """
-        Hs = np.asarray(Hs, dtype=float)
-        if Hs.ndim != 3 or Hs.shape[1:] != self.X.shape:
-            raise ShapeError(f"X {self.X.shape} and H {Hs.shape[1:]} differ")
+        Hs = as_matrix(Hs, "H", self.X, stack=True)
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
         r, n = part.r, part.n
         Hhat, d1, gaps, tols, crit = _duality_gaps(f, self.gauge, part,
@@ -346,7 +346,7 @@ class SpectralPoint:
 
     def second_subderivative(self, H) -> SecondSubderivativeReport:
         """``second_subderivatives`` of the one direction H."""
-        return self.second_subderivatives(as_matrix(H, "H")[None])[0]
+        return self.second_subderivatives(as_matrix(H, "H", self.X))[0]
 
 
 def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,
@@ -395,20 +395,13 @@ def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
     X = require_tall(as_matrix(X, "X"))
     s = np.linalg.svd(X, compute_uv=False)
     if base_rank is not None:
-        if not 0 <= base_rank <= len(s):
+        base_rank = as_count(base_rank, "base_rank")
+        if base_rank > len(s):
             raise ShapeError(f"base_rank {base_rank} outside 0..{len(s)}")
         return float(np.sum(s[base_rank:]))
     scale = max(1.0, s[0]) if len(s) else 1.0
     bottom = cluster_blocks(s, tols.cluster * scale)[-1]
     return float(np.sum(s[bottom[0]:]))
-
-
-def _like(A, X, name):
-    """A as a finite matrix of X's shape."""
-    A = as_matrix(A, name)
-    if A.shape != X.shape:
-        raise ShapeError(f"{name} {A.shape} and X {X.shape} differ")
-    return A
 
 
 def _nuclear_point(X, Omega, tols, psi=False):
@@ -417,7 +410,7 @@ def _nuclear_point(X, Omega, tols, psi=False):
     ``psi`` Omega is the zero-cluster part of U_a V_a^T + Omega at X of
     rank r < n (``FullRank`` otherwise), and ``NotInRegularSubdiff``."""
     X = as_matrix(X, "X")
-    Omega = _like(Omega, X, "Omega")
+    Omega = as_matrix(Omega, "Omega", X)
     error = NotASubgradient
     if psi:
         svd = svd_ordered(X)
@@ -434,15 +427,12 @@ def _nuclear_point(X, Omega, tols, psi=False):
 
 def nuclear_psi_subderivative(X, H, tols=TOLERANCES):
     """Directional derivative of the zero-cluster sum at rank-deficient X:
-    the nuclear norm of the reduced block U_bh^T H V_b."""
-    X = as_matrix(X, "X")
-    H = _like(H, X, "H")
-    svd = svd_ordered(X)
-    part = partition_of(svd, tols)
+    the nuclear norm of the reduced block U_bh^T H V_b, which is the sum
+    of sigma'(X; H) over the zero block."""
+    svd, part, Hhat = _prepared(X, H, tols)
     if part.r >= part.n:
         raise FullRank("rank(X) = n: the zero block is empty")
-    R = svd.U[:, part.betahat].T @ H @ svd.V[:, part.beta]
-    return float(np.sum(np.linalg.svd(R, compute_uv=False)))
+    return float(np.sum(sigma_dir1_stack(Hhat[None], part)[0, part.r:]))
 
 
 def nuclear_psi_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
@@ -455,7 +445,7 @@ def nuclear_psi_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
     in the duality gap, which is then psi'(X; H) - <Omega, H>), +inf off
     it.
     """
-    H = _like(H, as_matrix(X, "X"), "H")
+    H = as_matrix(H, "H", as_matrix(X, "X"))
     rep = _nuclear_point(X, Omega, tols, psi=True).second_subderivative(H)
     return rep.beta_term if rep.critical else INF
 
@@ -500,6 +490,21 @@ def spectral_ball_set(radius=1.0) -> InvariantSetSpec:
     """The box {x : max |x_i| <= radius} (spectral-norm ball on sigma)."""
     if not (radius > 0):
         raise ShapeError("radius must be positive")
+    return _ball(radius, f"spectral-ball:{radius:g}")
+
+
+def zero_set() -> InvariantSetSpec:
+    """{0}: the spectral ball's closure at radius 0."""
+    return _ball(0, "zero")
+
+
+def free_set() -> InvariantSetSpec:
+    """All of R^n: the spectral ball at radius +inf."""
+    return _ball(math.inf, "free")
+
+
+def _ball(radius, name):
+    """The box {x : max |x_i| <= radius} for radius in [0, +inf]."""
 
     def contains(x):
         return bool(np.max(np.abs(_as_vector(x)), initial=0.0)
@@ -520,28 +525,9 @@ def spectral_ball_set(radius=1.0) -> InvariantSetSpec:
         return bool(np.all(u[hi] <= SET_TOL) and np.all(u[lo] >= -SET_TOL))
 
     return InvariantSetSpec(
-        name=f"spectral-ball:{radius:g}", contains=contains,
+        name=name, contains=contains,
         tangent_contains=tangent, tangent2_contains=tangent2,
         project=lambda x: np.clip(_as_vector(x), -radius, radius))
-
-
-def zero_set() -> InvariantSetSpec:
-    def near_zero(v):
-        return bool(np.max(np.abs(_as_vector(v)), initial=0.0) <= SET_TOL)
-
-    return InvariantSetSpec(
-        name="zero", contains=near_zero,
-        tangent_contains=lambda x, w: near_zero(w),
-        tangent2_contains=lambda x, w, u: near_zero(w) and near_zero(u),
-        project=lambda x: np.zeros_like(_as_vector(x)))
-
-
-def free_set() -> InvariantSetSpec:
-    return InvariantSetSpec(
-        name="free", contains=lambda x: True,
-        tangent_contains=lambda x, w: True,
-        tangent2_contains=lambda x, w, u: True,
-        project=lambda x: _as_vector(x).copy())
 
 
 def set_by_name(name: str) -> InvariantSetSpec:
@@ -564,7 +550,6 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
                                W=None, tols=TOLERANCES) -> bool:
     """Tangency through the singular value map: first order tests
     sigma'(X;H), second order tests sigma''(X;H,W)."""
-    X = as_matrix(X, "X")
     blocks = direction_blocks(X, H, None, tols)
     sx = blocks.gauge.sigma
     if not delta.contains(sx):
@@ -577,7 +562,7 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
     if not delta.tangent_contains(sx, d1):
         raise NotInSet("H is not first-order tangent; second-order set "
                        "undefined")
-    W = np.zeros_like(X) if W is None else as_matrix(W, "W")
+    W = np.zeros(blocks.shape) if W is None else W
     d2 = sigma_dir2_from_blocks(blocks, W)
     return bool(delta.tangent2_contains(sx, d1, d2))
 

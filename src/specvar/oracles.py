@@ -22,7 +22,7 @@ import numpy as np
 
 from .absym import _stacked
 from .errors import NonFiniteBase, ShapeError
-from .matrix_core import _CHUNK_ENTRIES, FD_TOL
+from .matrix_core import _CHUNK_ENTRIES, FD_TOL, as_count, as_matrix, as_real
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class OracleConfig:
     values are convergence diagnostics).  ``radius_c`` (finite, > 0)
     scales the perturbation radius c * tau around the nominal direction.
     ``samples_per_tau`` is an int >= 1 and ``seed`` an int >= 0 (bools
-    are not ints here); a field that breaks its rule raises ``ShapeError``
-    naming it.
+    are not ints here); a field that breaks its rule (``matrix_core``'s
+    ``as_real`` and ``as_count``) raises ``ShapeError`` naming it.
     """
 
     tau_grid: tuple = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -44,36 +44,15 @@ class OracleConfig:
     seed: int = 0
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.tau_grid)
-        if len(grid) == 0 or not all(0.0 < t < math.inf for t in grid):
-            raise ShapeError(f"tau_grid {grid!r} must contain finite values "
-                             "> 0")
+        grid = tuple(as_real(t, "tau_grid") for t in self.tau_grid)
+        if not grid:
+            raise ShapeError("tau_grid must not be empty")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ShapeError("tau_grid must be strictly decreasing")
-        if not 0.0 < self.radius_c < math.inf:
-            raise ShapeError(f"radius_c {self.radius_c!r} must be finite and "
-                             "> 0")
-        for name, low in (("samples_per_tau", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, (int, np.integer)) or value < low:
-                raise ShapeError(f"{name} {value!r} must be an int >= {low}")
+        as_real(self.radius_c, "radius_c")
+        as_count(self.samples_per_tau, "samples_per_tau", 1)
+        as_count(self.seed, "seed")
         object.__setattr__(self, "tau_grid", grid)
-
-
-def _arr(a, name):
-    out = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ShapeError(f"{name} has non-finite entries")
-    return out
-
-
-def _like(a, x, name):
-    """a as a finite array of x's shape: a mismatch would broadcast."""
-    out = _arr(a, name)
-    if out.shape != x.shape:
-        raise ShapeError(f"{name} {out.shape} and x {x.shape} differ")
-    return out
 
 
 def _dot(a, b):
@@ -99,8 +78,9 @@ def quotient2_fixed(g, x, v, w, cfg: OracleConfig):
     Returns [g(x + tau w) - g(x) - tau <v, w>] / (tau^2 / 2) for every
     tau in the grid, in grid order.
     """
-    x = _arr(x, "x")
-    v, w = _like(v, x, "v"), _like(w, x, "w")
+    x = as_matrix(x, "x", ndim=None)           # any shape
+    v = as_matrix(v, "v", x, like_name="x")    # x's: no broadcasting
+    w = as_matrix(w, "w", x, like_name="x")
     g0 = _base_value(g, x)
     vw = _dot(v, w)
     return [
@@ -111,7 +91,8 @@ def quotient2_fixed(g, x, v, w, cfg: OracleConfig):
 
 def _liminf_at_tau(g, x, g0, v, w, tau, cfg, guided_directions, rng):
     """Minimum second-order quotient over perturbed directions at one tau."""
-    guided = [w + tau * _like(D, x, "guide") for D in guided_directions]
+    guided = [w + tau * as_matrix(D, "guide", x, like_name="x")
+              for D in guided_directions]
     sampled = [w + tau * cfg.radius_c * _unit(rng, w.shape)
                for _ in range(cfg.samples_per_tau)]
     return min((float(g(x + tau * wp)) - g0 - tau * _dot(v, wp))
@@ -133,8 +114,9 @@ def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):
 def liminf_table(g, x, v, w, cfg: OracleConfig, guided_directions=()):
     """(tau, min quotient) rows over the whole grid, for convergence
     plots; the last row is the ``quotient2_liminf`` estimate."""
-    x = _arr(x, "x")
-    v, w = _like(v, x, "v"), _like(w, x, "w")
+    x = as_matrix(x, "x", ndim=None)           # any shape
+    v = as_matrix(v, "v", x, like_name="x")    # x's: no broadcasting
+    w = as_matrix(w, "w", x, like_name="x")
     g0 = _base_value(g, x)
     rows = []
     for tau in cfg.tau_grid:
@@ -152,8 +134,9 @@ def parabolic_quotient(g, x, w, dgxw, z, cfg: OracleConfig):
     """
     if not math.isfinite(float(dgxw)):
         raise NonFiniteBase("dg(x)(w) must be finite")
-    x = _arr(x, "x")
-    w, z = _like(w, x, "w"), _like(z, x, "z")
+    x = as_matrix(x, "x", ndim=None)           # any shape
+    w = as_matrix(w, "w", x, like_name="x")    # x's: no broadcasting
+    z = as_matrix(z, "z", x, like_name="x")
     g0 = _base_value(g, x)
     return [
         (float(g(x + t * w + 0.5 * t * t * z)) - g0 - t * float(dgxw))
@@ -201,8 +184,8 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     a hook that mixes the items fails the Hessian check.
     """
     tau = _FD_STEP
-    X = _arr(X, "X")
-    G = _arr(psi.gradient(X), "gradient")
+    X = as_matrix(X, "X")
+    G = as_matrix(psi.gradient(X), "psi.gradient", X)
     d = X.size
     chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
     values = np.empty((2, d))
@@ -219,12 +202,14 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
 
     rng = np.random.default_rng(_FD_SEED)
     Ds = np.array([_unit(rng, X.shape) for _ in range(_FD_DIRECTIONS)])
-    HDs = _stacked(_arr(psi.hessian_apply(X, Ds), "hessian_apply"),
-                   len(Ds), "psi.hessian_apply", X.shape)
+    HDs = as_matrix(_stacked(psi.hessian_apply(X, Ds), len(Ds),
+                             "psi.hessian_apply", X.shape),
+                    "psi.hessian_apply", ndim=None)
     h_err = 0.0
     for D, HD in zip(Ds, HDs):
-        HD_fd = (_arr(psi.gradient(X + tau * D), "gradient")
-                 - _arr(psi.gradient(X - tau * D), "gradient")) / (2 * tau)
+        HD_fd = (as_matrix(psi.gradient(X + tau * D), "psi.gradient", X)
+                 - as_matrix(psi.gradient(X - tau * D), "psi.gradient", X)
+                 ) / (2 * tau)
         h_err = max(h_err, np.linalg.norm(HD_fd - HD)
                     / max(1.0, np.linalg.norm(HD)))
     return GradientCheckReport(gradient_rel_err=float(g_err),

@@ -36,6 +36,7 @@ from .matrix_core import (
     _LastCall,
     _read_only,
     as_matrix,
+    as_real,
     cluster_blocks,
     cluster_ranks,
     partition_of,
@@ -189,24 +190,12 @@ def divided_differences(s, part: SingularPartition) -> DividedDifferences:
                               (0.5 / mu)[cols], gaps)
 
 
-def _pair(X, H, stack=False):
-    """X and H checked as finite matrices of one shape; with ``stack``, H
-    may be a (k, m, n) stack of them and comes back as one."""
-    X = as_matrix(X, "X")
-    H = np.asarray(H, dtype=float) if stack else as_matrix(H, "H")
-    if stack and H.ndim == 2:
-        H = H[None]
-    if H.ndim != 2 + stack or H.shape[-2:] != X.shape:
-        raise ShapeError(f"X {X.shape} and H {H.shape[-2:]} differ")
-    if stack and not np.all(np.isfinite(H)):
-        raise NonFinite("H contains non-finite entries")
-    return X, H
-
-
 def _prepared(X, H, tols=TOLERANCES, stack=False):
-    """(svd_ordered(X), partition, U^T H V) of checked X and H (a stack
-    of them with ``stack``, as in ``_pair``)."""
-    X, H = _pair(X, H, stack)
+    """(svd_ordered(X), partition, U^T H V) of a matrix X and a direction H
+    of its shape, or with ``stack`` a (k, m, n) stack of them (one H
+    becoming a stack of one)."""
+    X = as_matrix(X)
+    H = as_matrix(H, "H", X, stack=stack)
     svd = svd_ordered(X)
     return svd, partition_of(svd, tols), svd.U.T @ H @ svd.V
 
@@ -260,14 +249,17 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     clustering pass (a singleton's eigenpair is its entry and 1), so the
     cost grows with the number of block sizes, not of blocks.  Without
     ``gauge`` the last result is kept: bitwise-equal X, H and ``tols``
-    get the same read-only blocks back.  Building never warns: a small
-    gap warns where a second-order output reads the gap tables.
+    get the same read-only blocks back, and a hit decomposes nothing.
+    Building never warns: a small gap warns where a second-order output
+    reads the gap tables.
     """
-    X, H = _pair(X, H)
+    X = as_matrix(X)
+    H = as_matrix(H, "H", X)
     if gauge is not None:
         return _direction_blocks(gauge, H, tols)
     key = (X.shape, X.tobytes(), H.tobytes(), tols)
-    return _LAST_BLOCKS.get(key, _direction_blocks, svd_ordered(X), H, tols)
+    return _LAST_BLOCKS.get(   # lazy: a hit reads no SVD
+        key, lambda: _direction_blocks(svd_ordered(X), H, tols))
 
 
 def _direction_blocks(svd, H, tols):
@@ -357,13 +349,10 @@ def _beta_cross_term(blocks: DirectionBlocks):
 def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
     """Second directional derivative of every singular value along (H, W),
     H being the direction ``blocks`` was built from (through Hhat)."""
-    m, n = blocks.shape
-    W = as_matrix(W, "W")
-    if W.shape != (m, n):
-        raise ShapeError(f"W {W.shape} does not match X {(m, n)}")
+    W = as_matrix(W, "W", blocks.Hhat)
     svd = blocks.gauge
     What = svd.U.T @ W @ svd.V
-    out = np.zeros(n)
+    out = np.zeros(blocks.part.n)
     idxs = [idx for idx, _ in blocks.classes]
     for (idx, Q), G in zip(blocks.classes,
                            _class_quadratics(blocks.Hhat, blocks.tables, idxs)):
@@ -419,9 +408,9 @@ def eig_expand2(A, E, tols=TOLERANCES):
     A second-order term that overflows raises ``NonFinite``.
     """
     A = as_matrix(A, "A")
-    E = as_matrix(E, "E")
-    if A.shape != E.shape or A.shape[0] != A.shape[1]:
-        raise ShapeError(f"A {A.shape} and E {E.shape} must be equal square")
+    E = as_matrix(E, "E", A, like_name="A")
+    if A.shape[0] != A.shape[1]:
+        raise ShapeError(f"A {A.shape} must be square")
     for M, name in ((A, "A"), (E, "E")):
         # dev > SYMMETRY_TOL max(1, ||M||), read on M / max|M|, whose
         # norms cannot overflow (1 / max|M| is inf for M = 0)
@@ -457,8 +446,7 @@ def expansion_residual(X, H, W, t, tols=TOLERANCES):
     The prediction is sigma(X) + t sigma'(X;H) + t^2/2 sigma''(X;H,W);
     the residual is o(t^2) (O(t^3) in exact arithmetic).
     """
-    if not (t > 0):
-        raise ShapeError("t must be positive")
+    t = as_real(t, "t")
     X = as_matrix(X, "X")
     blocks = direction_blocks(X, H, None, tols)
     d1 = sigma_dir1_from_blocks(blocks)
@@ -493,18 +481,12 @@ def min_direction_construct(X, H, zbar, tols=TOLERANCES):
     the cross term of the beta block, then plants the target values via
     the second-level eigenvector/singular-vector bases.
     """
-    X = as_matrix(X, "X")
-    H = as_matrix(H, "H")
-    zbar = np.asarray(zbar, dtype=float)
-    m, n = X.shape
-    if zbar.shape != (n,):
-        raise ShapeError(f"zbar must have length {n}")
-    return min_direction_from_blocks(
-        direction_blocks(X, H, None, tols), zbar)
+    return min_direction_from_blocks(direction_blocks(X, H, None, tols), zbar)
 
 
 def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
     """``min_direction_construct`` for reduced blocks already built."""
+    zbar = as_matrix(zbar, "zbar", blocks.eta, like_name="sigma(X)")
     _check_block_sorted(zbar, blocks, BLOCK_SORT_TOL * max(
         1.0, np.max(np.abs(zbar), initial=0.0)))
     svd, r = blocks.gauge, blocks.part.r

@@ -1,0 +1,124 @@
+"""The input contract: every argument is checked by one of the three rules
+in ``matrix_core`` (a finite array of a required shape, a count, a finite
+real > 0), so a hostile value ends in a typed ``InputError`` before any
+arithmetic runs: no untyped numpy error, no silent truncation, no NaN
+result and no ``RuntimeWarning``.  On the command line it exits 1."""
+
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from specvar import (
+    SamplingConfig,
+    expansion_residual,
+    gauge_randomize,
+    kyfan_spec,
+    l1_spec,
+    min_direction_construct,
+    nuclear_psi_eval,
+    partition_of,
+    partition_values,
+    quadratic_growth_probe,
+    scale_spec,
+    soft_threshold_fixture,
+    svd_ordered,
+)
+from specvar.cli import main
+from specvar.errors import BadK, InputError, NonFinite, ShapeError
+from specvar.matrix_core import write_matrix_csv
+
+X3 = np.diag([2.0, 1.0, 0.0])
+SWAP3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _growth(n_samples, seed):
+    p, X0 = soft_threshold_fixture()
+    return quadratic_growth_probe(p, X0, 1e-2, n_samples, seed)
+
+
+def _randomize(seed):
+    svd = svd_ordered(X3)
+    return gauge_randomize(svd, partition_of(svd), seed)
+
+
+# (call, error type, start of the message): one row per argument that
+# escaped the contract before it had one home
+CASES = {
+    "sampling-n_samples-float": (
+        lambda: SamplingConfig(n_samples=2.5), ShapeError, "n_samples"),
+    "sampling-seed-negative": (
+        lambda: SamplingConfig(seed=-1), ShapeError, "seed"),
+    "sampling-growth_samples-negative": (
+        lambda: SamplingConfig(growth_samples=-3), ShapeError,
+        "growth_samples"),
+    "sampling-min_samples-bool": (
+        lambda: SamplingConfig(min_samples=True), ShapeError, "min_samples"),
+    "sampling-max_candidates-negative": (
+        lambda: SamplingConfig(max_candidates=-1), ShapeError,
+        "max_candidates"),
+    "sampling-growth_eps-inf": (
+        lambda: SamplingConfig(growth_eps=math.inf), ShapeError,
+        "growth_eps"),
+    "growth-n_samples-float": (
+        lambda: _growth(2.5, 0), ShapeError, "n_samples"),
+    "growth-seed-negative": (
+        lambda: _growth(5, -1), ShapeError, "seed"),
+    "psi-eval-base_rank-float": (
+        lambda: nuclear_psi_eval(X3, base_rank=1.5), ShapeError, "base_rank"),
+    "psi-eval-base_rank-bool": (
+        lambda: nuclear_psi_eval(X3, base_rank=True), ShapeError,
+        "base_rank"),
+    "kyfan-k-float": (lambda: kyfan_spec(2.5), BadK, "k"),
+    "expansion-t-inf": (
+        lambda: expansion_residual(X3, SWAP3, np.eye(3), math.inf),
+        ShapeError, "t"),
+    "partition-nan": (
+        lambda: partition_values([1.0, math.nan]), NonFinite, "v"),
+    "scale-c-inf": (
+        lambda: scale_spec(l1_spec(), math.inf), ShapeError, "c"),
+    "gauge-seed-negative": (lambda: _randomize(-1), ShapeError, "seed"),
+    "construct-zbar-nan": (
+        lambda: min_direction_construct(X3, SWAP3, [math.nan, 0.0, 0.0]),
+        NonFinite, "zbar"),
+}
+
+
+@pytest.mark.parametrize("call, error, name", CASES.values(), ids=CASES)
+def test_hostile_argument_is_a_typed_input_error(call, error, name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error) as info:
+            call()
+    assert issubclass(error, InputError)
+    assert str(info.value).startswith(name)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def _problem(tmp_path, sampling=None):
+    write_matrix_csv(tmp_path / "b.csv", np.diag([3.0, 1.0, 0.2]))
+    write_matrix_csv(tmp_path / "x0.csv", np.diag([2.5, 0.5, 0.0]))
+    problem = {"f": "l1", "weight": 0.5, "X0": "x0.csv",
+               "psi": {"kind": "half-squared-distance", "B": "b.csv"}}
+    if sampling is not None:
+        problem["sampling"] = sampling
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+@pytest.mark.parametrize("flags, sampling", [
+    (["--n-samples", "-5"], None),
+    ([], {"n_samples": -2}),
+], ids=["flag", "problem-file"])
+def test_negative_sample_count_exits_1(tmp_path, capfd, flags, sampling):
+    # both used to exit 0 with verdict "inconclusive" and no sample
+    assert main(["certify", "--problem", _problem(tmp_path, sampling),
+                 *flags]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)   # and nothing else
+    assert err["error"] == "UsageError" and err["exit_code"] == 1
+    assert err["message"].startswith("n_samples")

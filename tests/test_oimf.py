@@ -423,6 +423,23 @@ class TestPsi:
         assert nuclear_psi_subderivative(np.zeros((3, 3)), H) \
             == pytest.approx(np.sum(np.linalg.svd(H, compute_uv=False)))
 
+    @pytest.mark.parametrize("m, svals", [
+        (6, [3.0, 2.0, 0.0, 0.0]), (5, [2.0, 2.0, 1.0, 1.0, 0.0]),
+        (8, [1.5, 0.0, 0.0]), (4, [2.0, 1.0, 0.5, 0.0]), (3, [0.0]),
+    ])
+    def test_subderivative_is_the_zero_block_sum_of_sigma_dir1(self, m,
+                                                               svals):
+        # psi'(X; H) is bitwise the zero-block sum of the sigma' rows that
+        # the cone pass of psi'' reads for a stack of directions
+        from specvar.sv_calculus import _prepared, sigma_dir1_stack
+        rng = np.random.default_rng(len(svals) * 10 + m)
+        X = random_with_spectrum(m, len(svals), svals, rng)
+        Hs = rng.standard_normal((40, m, len(svals)))
+        svd, part, Hhat = _prepared(X, Hs, stack=True)
+        beta_sums = [float(np.sum(d1[part.r:]))
+                     for d1 in sigma_dir1_stack(Hhat, part)]
+        assert [nuclear_psi_subderivative(X, H) for H in Hs] == beta_sums
+
     def test_full_rank_rejected(self):
         with pytest.raises(FullRank):
             nuclear_psi_subderivative(np.diag([2.0, 1.0]), SWAP)

@@ -789,6 +789,15 @@ class TestLastCallMemo:
         self.clear()
         assert np.array_equal(fresh.Hhat, direction_blocks(X, H).Hhat)
 
+    def test_blocks_hit_decomposes_nothing(self, monkeypatch):
+        X, H = self.instance()[:2]
+        blocks = direction_blocks(X, H)
+
+        def refused(X):
+            raise AssertionError("a blocks memo hit read svd_ordered")
+        monkeypatch.setattr(sv_calculus, "svd_ordered", refused)
+        assert direction_blocks(X, H) is blocks
+
     def test_negative_zero_is_a_miss(self):
         X = np.diag([2.0, 1.0, 0.0])
         svd = svd_ordered(X)
