@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .absym import INF, SpectralFunctionSpec, _stacked, l1_spec, scale_spec
-from .errors import AssumptionViolated, SamplingExhausted, ShapeError
+from .errors import (AssumptionViolated, NonFinite, SamplingExhausted,
+                     ShapeError)
 from .matrix_core import (_CHUNK_ENTRIES, CURVATURE_TOL, TOLERANCES,
                           as_count, as_matrix, as_real, svd_ordered)
 from .oimf import F_eval, SpectralPoint, _subgradient, guided_offsets
@@ -56,9 +57,9 @@ class LeastSquares:
     A(X)_i = <A_i, X>."""
 
     def __init__(self, A, b):
-        self.A = np.asarray(A, dtype=float)
-        self.b = np.asarray(b, dtype=float)
-        if self.A.ndim != 3 or self.A.shape[0] != len(self.b):
+        self.A = as_matrix(A, "A", ndim=3)
+        self.b = as_matrix(b, "b", ndim=1)
+        if self.A.shape[0] != len(self.b):
             raise ShapeError("A must be (p, m, n) with b of length p")
 
     def _apply(self, X):
@@ -89,7 +90,7 @@ class QuadraticMinusRankOne:
     def __init__(self, B, E, gamma):
         self.B = as_matrix(B, "B")
         self.E = as_matrix(E, "E")
-        self.gamma = float(gamma)
+        self.gamma = as_real(gamma, "gamma", positive=False)
 
     def value(self, X):
         t = _entry_sums(self.E * X)
@@ -355,7 +356,8 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     one ``f.eval`` for all samples, give bitwise the quotients of one
     ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf.
     An eps that is not finite and > 0, an n_samples that is not an int or
-    a seed that is not an int >= 0 raises ``ShapeError``."""
+    a seed that is not an int >= 0 raises ``ShapeError``, and a NaN
+    quotient ``NonFinite``."""
     eps = as_real(eps, "eps")
     X0 = as_matrix(X0, "X0")
     n_samples = as_count(n_samples, "n_samples", None)
@@ -381,7 +383,10 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
         svals[at] = np.linalg.svd(Xs, compute_uv=False)
     q = (psi + _stacked(p.f.eval(svals), n_samples, "f.eval") - base) \
         / (radii * radii)
-    return float(np.fmin.reduce(q, initial=INF))
+    if np.isnan(q).any():
+        raise NonFinite(f"growth quotient of sample "
+                        f"{np.flatnonzero(np.isnan(q))[0]} is NaN")
+    return float(q.min(initial=INF))
 
 
 # -- shipped fixtures ------------------------------------------------------------

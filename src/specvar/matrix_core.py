@@ -108,8 +108,9 @@ def as_real(value, name, positive=True):
 
 
 def require_tall(X, name="X"):
-    """Reject n > m instead of transposing silently; callers transpose."""
-    m, n = X.shape
+    """Reject n > m (in X or each matrix of a stack X) instead of
+    transposing silently; callers transpose."""
+    m, n = X.shape[-2:]
     if n > m:
         raise ShapeError(f"{name} must satisfy n <= m, got {m}x{n}")
     return X

@@ -167,10 +167,20 @@ def _duality_gaps(f: SpectralFunctionSpec, gauge, part, Y, Hs):
 
 # -- composite calculus --------------------------------------------------------
 
+def _singular_values(X):
+    """sigma of one tall (m, n) X, or (k, n) rows for a (k, m, n) stack
+    of them, row i bitwise sigma(X[i]): one stacked SVD."""
+    X = as_matrix(X, "X", ndim=None)
+    if X.ndim not in (2, 3):
+        raise ShapeError(f"X must be (m, n) or a (k, m, n) stack, got "
+                         f"ndim={X.ndim}")
+    return np.linalg.svd(require_tall(X), compute_uv=False)
+
+
 def F_eval(f: SpectralFunctionSpec, X) -> ExtendedValue:
-    """F(X) = f(sigma(X))."""
-    X = require_tall(as_matrix(X, "X"))
-    return f.eval(np.linalg.svd(X, compute_uv=False))
+    """F(X) = f(sigma(X)); a (k, m, n) stack gives a (k,) array, entry i
+    bitwise F(X[i]), from one SVD and one ``f.eval`` call."""
+    return f.eval(_singular_values(X))
 
 
 def F_subderivative(f: SpectralFunctionSpec, X, H,
@@ -390,18 +400,26 @@ def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
     neighborhood of that base point.  With ``base_rank=None`` the group
     is the last equal-value block of X itself (``cluster_blocks`` at
     ``tols.cluster * max(1, sigma_1)``, the rule of every partition),
-    which coincides with the frozen form at the base point.
+    which coincides with the frozen form at the base point.  A (k, m, n)
+    stack gives a (k,) array, entry i bitwise the value at X[i].
     """
-    X = require_tall(as_matrix(X, "X"))
-    s = np.linalg.svd(X, compute_uv=False)
+    s = _singular_values(X)
     if base_rank is not None:
         base_rank = as_count(base_rank, "base_rank")
-        if base_rank > len(s):
-            raise ShapeError(f"base_rank {base_rank} outside 0..{len(s)}")
-        return float(np.sum(s[base_rank:]))
-    scale = max(1.0, s[0]) if len(s) else 1.0
-    bottom = cluster_blocks(s, tols.cluster * scale)[-1]
-    return float(np.sum(s[bottom[0]:]))
+        if base_rank > s.shape[-1]:
+            raise ShapeError(f"base_rank {base_rank} outside "
+                             f"0..{s.shape[-1]}")
+        total = np.sum(s[..., base_rank:], axis=-1)
+        return float(total) if s.ndim == 1 else total
+
+    def bottom_sum(s):
+        scale = max(1.0, s[0]) if len(s) else 1.0
+        bottom = cluster_blocks(s, tols.cluster * scale)[-1]
+        return float(np.sum(s[bottom[0]:]))
+
+    if s.ndim == 2:
+        return np.array([bottom_sum(row) for row in s])
+    return bottom_sum(s)
 
 
 def _nuclear_point(X, Omega, tols, psi=False):

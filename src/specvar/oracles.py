@@ -11,6 +11,12 @@ radius proportional to tau, which discretizes the coupled limit (tau
 down to 0, direction converging) in the second-subderivative definition.
 They estimate the liminf from above: a finite sample can miss the
 infimum, so callers treat the result as an upper bound with slack.
+
+The target g maps the base point x to a float and a (k, *x.shape) stack
+of probe points to a (k,) array, entry i g of item i: each oracle scores
+its probe points in stacks of at most ``_CHUNK_ENTRIES`` entries.  A
+result of another shape raises ``ShapeError`` and a NaN value
+``NonFinite``, both naming g.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .absym import _stacked
-from .errors import NonFiniteBase, ShapeError
+from .errors import NonFinite, NonFiniteBase, ShapeError
 from .matrix_core import _CHUNK_ENTRIES, FD_TOL, as_count, as_matrix, as_real
 
 
@@ -55,10 +61,6 @@ class OracleConfig:
         object.__setattr__(self, "tau_grid", grid)
 
 
-def _dot(a, b):
-    return float(np.sum(a * b))
-
-
 def _base_value(g, x):
     g0 = float(g(x))
     if not math.isfinite(g0):
@@ -66,10 +68,44 @@ def _base_value(g, x):
     return g0
 
 
-def _unit(rng, shape):
-    d = rng.standard_normal(shape)
-    nrm = np.linalg.norm(d)
-    return d / nrm if nrm > 0 else d
+def _chunks(x, k):
+    """Slices of range(k) of at most max(1, _CHUNK_ENTRIES // x.size)
+    probe points each: one g call per slice."""
+    step = max(1, _CHUNK_ENTRIES // max(x.size, 1))
+    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
+
+
+def _g_stack(g, P):
+    """g at a (k, *x.shape) stack P of probe points: (k,) floats, entry i
+    g(P[i]).  Another shape raises ``ShapeError`` and a NaN ``NonFinite``,
+    both naming g."""
+    values = np.asarray(_stacked(g(P), len(P), "g"), dtype=float)
+    if np.isnan(values).any():
+        raise NonFinite(f"g returned NaN at probe point "
+                        f"{np.flatnonzero(np.isnan(values))[0]} of a stack")
+    return values
+
+
+def _units(rng, k, like):
+    """k unit directions of ``like``'s shape from one standard_normal
+    block: row i is bitwise the i-th of k draws d / np.linalg.norm(d), a
+    zero draw staying zero."""
+    D = rng.standard_normal((k, *like.shape))
+    flat = D.reshape(k, like.size)
+    nrm = np.sqrt(np.vecdot(flat, flat))[:, None]   # np.linalg.norm, bitwise
+    np.divide(flat, nrm, out=flat, where=nrm > 0)
+    return D
+
+
+def _on_grid(g, x, cfg, path):
+    """(taus, g at path(T) for every tau of the grid), T the taus as a
+    (k, 1, ...) column that broadcasts against x."""
+    taus = np.array(cfg.tau_grid)
+    values = np.empty(len(taus))
+    for at in _chunks(x, len(taus)):
+        T = taus[at].reshape((-1,) + (1,) * x.ndim)
+        values[at] = _g_stack(g, path(T))
+    return taus, values
 
 
 def quotient2_fixed(g, x, v, w, cfg: OracleConfig):
@@ -82,21 +118,9 @@ def quotient2_fixed(g, x, v, w, cfg: OracleConfig):
     v = as_matrix(v, "v", x, like_name="x")    # x's: no broadcasting
     w = as_matrix(w, "w", x, like_name="x")
     g0 = _base_value(g, x)
-    vw = _dot(v, w)
-    return [
-        (float(g(x + t * w)) - g0 - t * vw) / (0.5 * t * t)
-        for t in cfg.tau_grid
-    ]
-
-
-def _liminf_at_tau(g, x, g0, v, w, tau, cfg, guided_directions, rng):
-    """Minimum second-order quotient over perturbed directions at one tau."""
-    guided = [w + tau * as_matrix(D, "guide", x, like_name="x")
-              for D in guided_directions]
-    sampled = [w + tau * cfg.radius_c * _unit(rng, w.shape)
-               for _ in range(cfg.samples_per_tau)]
-    return min((float(g(x + tau * wp)) - g0 - tau * _dot(v, wp))
-               / (0.5 * tau * tau) for wp in [w] + guided + sampled)
+    vw = float(np.sum(v * w))
+    t, gt = _on_grid(g, x, cfg, lambda T: x + T * w)
+    return ((gt - g0 - t * vw) / (0.5 * t * t)).tolist()
 
 
 def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):
@@ -113,17 +137,43 @@ def quotient2_liminf(g, x, v, w, cfg: OracleConfig, guided_directions=()):
 
 def liminf_table(g, x, v, w, cfg: OracleConfig, guided_directions=()):
     """(tau, min quotient) rows over the whole grid, for convergence
-    plots; the last row is the ``quotient2_liminf`` estimate."""
+    plots; the last row is the ``quotient2_liminf`` estimate.
+
+    Each row minimizes over w' = w, then w + tau D per guide D, then
+    w + tau radius_c u for ``samples_per_tau`` unit directions u drawn
+    from ``default_rng(seed)``: one set of directions serves every row.
+    """
     x = as_matrix(x, "x", ndim=None)           # any shape
     v = as_matrix(v, "v", x, like_name="x")    # x's: no broadcasting
     w = as_matrix(w, "w", x, like_name="x")
+    guides = [as_matrix(D, "guide", x, like_name="x")
+              for D in guided_directions]
     g0 = _base_value(g, x)
-    rows = []
-    for tau in cfg.tau_grid:
-        rng = np.random.default_rng(cfg.seed)
-        rows.append((tau, _liminf_at_tau(g, x, g0, v, w, tau, cfg,
-                                         guided_directions, rng)))
-    return rows
+    lead = 1 + len(guides)   # w' = w and the guided w', then the samples
+    chunks = _chunks(x, lead + cfg.samples_per_tau)
+    rng = np.random.default_rng(cfg.seed)
+    best = [math.inf] * len(cfg.tau_grid)
+    points = np.empty((chunks[0].stop, *x.shape))   # w', then x + tau w'
+    for at in chunks:
+        first = min(max(at.start, lead), at.stop)   # first sampled point
+        U = _units(rng, at.stop - first, x)
+        P = points[:at.stop - at.start]
+        S = P[first - at.start:]   # the sampled rows
+        for i, tau in enumerate(cfg.tau_grid):
+            for j in range(at.start, first):
+                P[j - at.start] = w + tau * guides[j - 1] if j else w
+            np.multiply(U, tau * cfg.radius_c, out=S)
+            S += w
+            # <v, w'> per row, 16 rows at a time: the products stay small
+            vw = np.concatenate([np.sum((B * v).reshape(len(B), -1), axis=1)
+                                 for B in np.split(P, range(16, len(P), 16))])
+            P *= tau
+            P += x
+            q = (_g_stack(g, P) - g0 - tau * vw) / (0.5 * tau * tau)
+            low = q[np.argmin(q)]   # the first minimum, as Python's min
+            if low < best[i]:
+                best[i] = float(low)
+    return list(zip(cfg.tau_grid, best))
 
 
 def parabolic_quotient(g, x, w, dgxw, z, cfg: OracleConfig):
@@ -138,11 +188,8 @@ def parabolic_quotient(g, x, w, dgxw, z, cfg: OracleConfig):
     w = as_matrix(w, "w", x, like_name="x")    # x's: no broadcasting
     z = as_matrix(z, "z", x, like_name="x")
     g0 = _base_value(g, x)
-    return [
-        (float(g(x + t * w + 0.5 * t * t * z)) - g0 - t * float(dgxw))
-        / (0.5 * t * t)
-        for t in cfg.tau_grid
-    ]
+    t, gt = _on_grid(g, x, cfg, lambda T: x + T * w + 0.5 * T * T * z)
+    return ((gt - g0 - t * float(dgxw)) / (0.5 * t * t)).tolist()
 
 
 @dataclass(frozen=True)
@@ -187,12 +234,10 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     X = as_matrix(X, "X")
     G = as_matrix(psi.gradient(X), "psi.gradient", X)
     d = X.size
-    chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
     values = np.empty((2, d))
-    for lo in range(0, d, chunk):
-        at = slice(lo, min(lo + chunk, d))
-        shift = np.zeros((at.stop - lo, d))
-        shift[:, at] = tau * np.eye(at.stop - lo)   # row i: tau at entry i
+    for at in _chunks(X, d):
+        shift = np.zeros((at.stop - at.start, d))
+        shift[:, at] = tau * np.eye(at.stop - at.start)   # row i: tau at i
         shift = shift.reshape((-1,) + X.shape)
         for side, op in enumerate((np.add, np.subtract)):
             values[side, at] = _stacked(psi.value(op(X, shift)), len(shift),
@@ -200,8 +245,7 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     G_fd = ((values[0] - values[1]) / (2 * tau)).reshape(X.shape)
     g_err = np.linalg.norm(G_fd - G) / max(1.0, np.linalg.norm(G))
 
-    rng = np.random.default_rng(_FD_SEED)
-    Ds = np.array([_unit(rng, X.shape) for _ in range(_FD_DIRECTIONS)])
+    Ds = _units(np.random.default_rng(_FD_SEED), _FD_DIRECTIONS, X)
     HDs = as_matrix(_stacked(psi.hessian_apply(X, Ds), len(Ds),
                              "psi.hessian_apply", X.shape),
                     "psi.hessian_apply", ndim=None)

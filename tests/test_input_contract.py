@@ -12,6 +12,10 @@ import numpy as np
 import pytest
 
 from specvar import (
+    F_eval,
+    LeastSquares,
+    ProblemSpec,
+    QuadraticMinusRankOne,
     SamplingConfig,
     expansion_residual,
     gauge_randomize,
@@ -37,6 +41,33 @@ SWAP3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 def _growth(n_samples, seed):
     p, X0 = soft_threshold_fixture()
     return quadratic_growth_probe(p, X0, 1e-2, n_samples, seed)
+
+
+class _NanAtProbe:
+    """psi = ||X||^2 / 2, but NaN at the second point of each stack."""
+
+    def value(self, X):
+        values = 0.5 * np.sum(np.square(X), axis=(-2, -1))
+        if np.ndim(X) == 3 and len(X) > 1:
+            values[1] = math.nan
+        return values
+
+    def gradient(self, X):
+        return X
+
+    def hessian_apply(self, X, H):
+        return H
+
+
+def _nan_growth():
+    return quadratic_growth_probe(ProblemSpec(_NanAtProbe(), l1_spec()), X3,
+                                  1e-2, 5, 0)
+
+
+def _nan_table(entry, shape=(3, 3)):
+    A = np.zeros((2,) + shape)
+    A.flat[entry] = math.nan
+    return A
 
 
 def _randomize(seed):
@@ -83,6 +114,22 @@ CASES = {
     "construct-zbar-nan": (
         lambda: min_direction_construct(X3, SWAP3, [math.nan, 0.0, 0.0]),
         NonFinite, "zbar"),
+    "F_eval-4d": (
+        lambda: F_eval(l1_spec(), np.zeros((2, 2, 3, 3))), ShapeError, "X"),
+    "F_eval-wide-stack": (
+        lambda: F_eval(l1_spec(), np.zeros((2, 2, 3))), ShapeError, "X"),
+    "F_eval-nan-item": (
+        lambda: F_eval(l1_spec(), np.stack([X3, np.full((3, 3), math.nan)])),
+        NonFinite, "X"),
+    "growth-nan-quotient": (_nan_growth, NonFinite, "growth"),
+    "rank-one-gamma-nan": (
+        lambda: QuadraticMinusRankOne(X3, SWAP3, math.nan), ShapeError,
+        "gamma"),
+    "least-squares-A-nan": (
+        lambda: LeastSquares(_nan_table(4), [1.0, 2.0]), NonFinite, "A"),
+    "least-squares-b-nan": (
+        lambda: LeastSquares(np.ones((2, 3, 3)), [1.0, math.nan]),
+        NonFinite, "b"),
 }
 
 

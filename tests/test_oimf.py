@@ -77,6 +77,42 @@ class TestEval:
         assert F_eval(kyfan_spec(2), X) == pytest.approx(9.0)
 
 
+class TestEvalStack:
+    """F_eval and nuclear_psi_eval map a (k, m, n) stack to (k,) values,
+    entry i bitwise the call on X[i], which returns a float."""
+
+    @staticmethod
+    def _stack(m, n, seed):
+        rng = np.random.default_rng(seed)
+        spectra = ([3.0] + [1.0] * (n - 1), [2.0] * n,
+                   [2.0] + [0.0] * (n - 1),
+                   [1.0, 1.0 - 1e-9] + [0.5] * (n - 2))   # ties, zeros
+        Xs = [random_with_spectrum(m, n, s, rng) for s in spectra]
+        Xs += list(rng.standard_normal((4, m, n)))
+        Xs.append(np.zeros((m, n)))
+        return np.array(Xs)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (4, 3), (9, 8), (12, 12)])
+    def test_entry_i_is_the_single_call(self, m, n):
+        Xs = self._stack(m, n, m + n)
+        evals = [lambda X, f=f: F_eval(f, X) for f in BUILTINS] + [
+            nuclear_psi_eval,
+            lambda X: nuclear_psi_eval(X, base_rank=1),
+            lambda X: nuclear_psi_eval(X, base_rank=n),
+            lambda X: nuclear_psi_eval(X, tols=Tolerances(cluster=1e-6))]
+        for ev in evals:
+            values = ev(Xs)
+            assert values.shape == (len(Xs),)
+            singles = [ev(X) for X in Xs]
+            assert all(type(v) is float for v in singles)
+            assert values.tolist() == singles
+
+    def test_stack_of_one(self):
+        X = np.diag([2.0, 1.0])
+        assert F_eval(l1_spec(), X[None]).tolist() == [F_eval(l1_spec(), X)]
+        assert nuclear_psi_eval(X[None]).tolist() == [nuclear_psi_eval(X)]
+
+
 class TestSubderivative:
     def test_smooth_point_trace(self):
         rng = np.random.default_rng(1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from specvar.errors import NonFiniteBase, ShapeError
+from specvar.errors import NonFinite, NonFiniteBase, ShapeError
 from specvar.oimf import (
     F_eval,
     guided_offsets,
@@ -55,7 +55,7 @@ class TestConfig:
 class TestQuotient2Fixed:
     def test_exact_quadratic(self):
         cfg = OracleConfig()
-        g = lambda x: 0.5 * float(np.sum(x * x))
+        g = lambda x: 0.5 * np.sum(x * x, axis=-1)
         vals = quotient2_fixed(g, np.zeros(3), np.zeros(3),
                                np.array([1.0, 0, 0]), cfg)
         np.testing.assert_allclose(vals, 1.0, atol=1e-9)
@@ -63,7 +63,7 @@ class TestQuotient2Fixed:
     def test_linear_function_zero(self):
         cfg = OracleConfig()
         a = np.array([2.0, -1.0])
-        g = lambda x: float(a @ x)
+        g = lambda x: x @ a
         vals = quotient2_fixed(g, np.zeros(2), a, np.array([0.3, 0.7]), cfg)
         np.testing.assert_allclose(vals, 0.0, atol=1e-9)
 
@@ -84,7 +84,7 @@ class TestQuotient2Fixed:
 class TestQuotient2Liminf:
     def test_exact_quadratic_no_improvement(self):
         cfg = OracleConfig(tau_grid=(1e-2, 1e-3), samples_per_tau=16)
-        g = lambda x: 0.5 * float(np.sum(x * x))
+        g = lambda x: 0.5 * np.sum(x * x, axis=-1)
         w = np.array([1.0, 0.0])
         est = quotient2_liminf(g, np.zeros(2), np.zeros(2), w, cfg)
         fixed = quotient2_fixed(g, np.zeros(2), np.zeros(2), w, cfg)[-1]
@@ -150,7 +150,7 @@ class TestParabolicQuotient:
     def test_quadratic_w_term_only(self):
         # the w-term dominates; the z shift only contributes tau^2/4 ||z||^2
         cfg = OracleConfig()
-        g = lambda x: 0.5 * float(np.sum(x * x))
+        g = lambda x: 0.5 * np.sum(x * x, axis=-1)
         vals = parabolic_quotient(g, np.zeros(2), np.array([1.0, 0.0]), 0.0,
                                   np.array([0.0, 1.0]), cfg)
         for tau, val in zip(cfg.tau_grid, vals):
@@ -164,7 +164,7 @@ class TestParabolicQuotient:
         # combination quotient - <v, z> with v = a vanishes identically
         cfg = OracleConfig()
         a = np.array([1.0, 2.0])
-        g = lambda x: float(a @ x)
+        g = lambda x: x @ a
         z = np.array([0.5, -1.5])
         vals = parabolic_quotient(g, np.zeros(2), np.ones(2), float(a.sum()),
                                   z, cfg)
@@ -338,3 +338,161 @@ class TestStackedGradientCheck:
         with pytest.raises(ShapeError, match="psi.hessian_apply"):
             fd_gradient_check(PerMatrix(rng.standard_normal((3, 2))),
                               rng.standard_normal((3, 2)))
+
+
+def _triple(fname, seed, n=6):
+    """(X, Y, H) as in the oracle benchmark: X with a top value, a cluster
+    of three and a zero block, Y a subgradient of f o sigma there and H a
+    critical direction."""
+    rng = np.random.default_rng(seed)
+    m = n + 2
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = np.array([4.0, 3.0, 3.0, 3.0] + [0.0] * (n - 4))
+    G = rng.standard_normal((m, n))
+    v = np.zeros(n)
+    if fname == "l1":
+        v[:4], v[4:] = 1.0, np.sort(rng.uniform(0.1, 0.9, n - 4))[::-1]
+        G[4:, 4:] = 0.0
+    else:
+        c = rng.uniform(0.2, 1.0, 3)
+        v[0], v[1:4] = 1.0, np.sort(c / c.sum())[::-1]
+        A = rng.standard_normal((3, 3))
+        G[1:4, 1:4] = rng.standard_normal() * np.eye(3) + A - A.T
+    H = U @ G @ V.T
+    return (U[:, :n] * s) @ V.T, (U[:, :n] * v) @ V.T, H / np.linalg.norm(H)
+
+
+class _Counting:
+    """F_eval(spec) as an oracle target, counting its calls."""
+
+    def __init__(self, spec):
+        self.spec, self.calls = spec, 0
+
+    def __call__(self, M):
+        self.calls += 1
+        return F_eval(self.spec, M)
+
+
+class TestStackedOracles:
+    """The oracles score their probe points in stacks of at most
+    _CHUNK_ENTRIES entries: the outputs are bitwise those of one g call
+    per point, with the liminf rows reseeding their sampled directions."""
+
+    @staticmethod
+    def _unit(rng, shape):
+        d = rng.standard_normal(shape)
+        nrm = np.linalg.norm(d)
+        return d / nrm if nrm > 0 else d
+
+    @classmethod
+    def _per_point(cls, g, x, v, w, z, dgxw, cfg, guides):
+        g0 = float(g(x))
+        fixed = [(float(g(x + t * w)) - g0 - t * float(np.sum(v * w)))
+                 / (0.5 * t * t) for t in cfg.tau_grid]
+        table = []
+        for tau in cfg.tau_grid:
+            rng = np.random.default_rng(cfg.seed)
+            wps = [w] + [w + tau * D for D in guides] + [
+                w + tau * cfg.radius_c * cls._unit(rng, w.shape)
+                for _ in range(cfg.samples_per_tau)]
+            table.append((tau, min(
+                (float(g(x + tau * wp)) - g0 - tau * float(np.sum(v * wp)))
+                / (0.5 * tau * tau) for wp in wps)))
+        parab = [(float(g(x + t * w + 0.5 * t * t * z)) - g0 - t * dgxw)
+                 / (0.5 * t * t) for t in cfg.tau_grid]
+        return fixed, table, parab
+
+    @pytest.mark.parametrize("fname", ["l1", "kyfan:2"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_per_point_loop(self, fname, seed, monkeypatch):
+        import specvar.oracles as omod
+        from specvar.absym import spec_by_name
+        f = spec_by_name(fname)
+        X, Y, H = _triple(fname, seed)
+        Z = np.random.default_rng(seed + 10).standard_normal(X.shape)
+        dgxw = float(np.sum(Y * H))
+        guides = guided_offsets(X, H)
+        cfg = OracleConfig(samples_per_tau=9, seed=seed)
+        g = lambda M: F_eval(f, M)
+        ref = self._per_point(g, X, Y, H, Z, dgxw, cfg, guides)
+        for points in (1, 3, len(guides) + 2, 10_000):
+            monkeypatch.setattr(omod, "_CHUNK_ENTRIES", points * X.size)
+            assert (quotient2_fixed(g, X, Y, H, cfg),
+                    liminf_table(g, X, Y, H, cfg, guides),
+                    parabolic_quotient(g, X, H, dgxw, Z, cfg)) == ref
+
+    def test_one_g_call_per_tau_row(self):
+        X, Y, H = _triple("l1", 0)
+        cfg = OracleConfig()
+        for run, calls in [
+                (lambda g: quotient2_fixed(g, X, Y, H, cfg), 2),
+                (lambda g: liminf_table(g, X, Y, H, cfg,
+                                        guided_offsets(X, H)), 5),
+                (lambda g: quotient2_liminf(g, X, Y, H, cfg), 2),
+                (lambda g: parabolic_quotient(g, X, H, 0.0, H, cfg), 2)]:
+            g = _Counting(l1_spec())
+            run(g)
+            assert g.calls == calls   # the base point, then the stacks
+
+    @pytest.mark.parametrize("call", [
+        lambda g, x, cfg: quotient2_fixed(g, x, np.eye(2), SWAP, cfg),
+        lambda g, x, cfg: liminf_table(g, x, np.eye(2), SWAP, cfg),
+        lambda g, x, cfg: parabolic_quotient(g, x, SWAP, 0.0, SWAP, cfg),
+    ])
+    def test_per_matrix_g_is_shape_error(self, call):
+        cfg = OracleConfig(tau_grid=(1e-2, 1e-3), samples_per_tau=2)
+        g = lambda M: float(np.sum(M * M))   # reads a stack as one point
+        with pytest.raises(ShapeError, match="^g returned shape"):
+            call(g, np.diag([1.0, 0.0]), cfg)
+
+    def test_units_equal_sequential_draws(self):
+        from specvar.oracles import _units
+        for shape in [(3,), (2, 2), (8, 6), (34, 32)]:
+            x = np.zeros(shape)
+            ref_rng = np.random.default_rng(7)
+            ref = [self._unit(ref_rng, shape) for _ in range(5)]
+            assert _units(np.random.default_rng(7), 5, x).tolist() \
+                == np.array(ref).tolist()
+
+
+class _NanOnce:
+    """The nuclear norm as an oracle target, except NaN at the probe point
+    of the given position after the base point, whether g gets one point a
+    call or a stack."""
+
+    def __init__(self, position):
+        self.left, self.base_seen = position, False
+
+    def __call__(self, M):
+        values = F_eval(l1_spec(), M)
+        if not self.base_seen:
+            self.base_seen = True
+            return values
+        values = np.array(values, dtype=float, ndmin=1)
+        if 0 <= self.left < len(values):
+            values[self.left] = np.nan
+        self.left -= len(values)
+        return values if np.ndim(M) == 3 else float(values[0])
+
+
+class TestNanProbe:
+    """A NaN value of g at any probe point raises NonFinite naming g,
+    wherever it falls (a Python min over the quotients read nan or a
+    number depending on the position)."""
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 4, 9])
+    def test_liminf(self, position):
+        cfg = OracleConfig(tau_grid=(1e-1, 1e-2), samples_per_tau=4)
+        with pytest.raises(NonFinite, match="^g returned NaN"):
+            liminf_table(_NanOnce(position), np.diag([1.0, 0.0]),
+                         np.eye(2), SWAP, cfg)
+
+    @pytest.mark.parametrize("position", [0, 3])
+    def test_fixed_and_parabolic(self, position):
+        cfg = OracleConfig()
+        x = np.diag([1.0, 0.0])
+        with pytest.raises(NonFinite, match="^g returned NaN"):
+            quotient2_fixed(_NanOnce(position), x, np.eye(2), SWAP, cfg)
+        with pytest.raises(NonFinite, match="^g returned NaN"):
+            parabolic_quotient(_NanOnce(position), x, SWAP, 0.0, SWAP, cfg)
