@@ -68,14 +68,27 @@ class _Face:
     signs: np.ndarray     # sign(x_i) for all i (0 for numerically zero)
 
 
+def _tie_run(u, i, tol):
+    """order = argsort(-u) and (lo, hi), the ``cluster_blocks(u[order],
+    tol)`` run holding position i: a step above tol ends every run, so only
+    a stretch between such steps spanning more than tol is chain-walked."""
+    order = np.argsort(-u, kind="stable")
+    v = u[order]
+    starts = np.flatnonzero(np.concatenate(([True], v[:-1] - v[1:] > tol,
+                                            [True])))
+    at = np.searchsorted(starts, i, side="right")
+    lo, hi = int(starts[at - 1]), int(starts[at])
+    if not v[lo] - v[hi - 1] <= tol:
+        lo, hi = next((lo + b[0], lo + b[-1] + 1) for b in cluster_blocks(
+            v[lo:hi], tol) if i - lo <= b[-1])
+    return order, lo, hi
+
+
 def _classify(x, k):
     x = _as_vector(x)
     a = np.abs(x)
     tol = ZERO_TOL * (1.0 + np.max(a, initial=0.0))
-    order = np.argsort(-a, kind="stable")
-    # cluster the sorted magnitudes, locate the cluster holding rank k-1
-    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(a[order], tol)
-                  if k - 1 <= b[-1])
+    order, lo, hi = _tie_run(a, k - 1, tol)   # the tie run of rank k-1
     signs = np.where(a <= tol, 0, np.sign(x)).astype(int)
     return _Face(above=order[:lo], tied=order[lo:hi], below=order[hi:],
                  q=k - lo, theta_zero=bool(a[order[lo]] <= tol), signs=signs)
@@ -92,9 +105,7 @@ def _signed_top_dirderiv(u, z, q, scale):
     value of u, as ``_classify`` does for the k-th."""
     if q >= len(u):
         return float(np.sum(z))
-    order = np.argsort(-u, kind="stable")
-    lo, hi = next((b[0], b[-1] + 1) for b in cluster_blocks(
-        u[order], ZERO_TOL * (1.0 + scale)) if q - 1 <= b[-1])
+    order, lo, hi = _tie_run(u, q - 1, ZERO_TOL * (1.0 + scale))
     return (float(np.sum(z[order[:lo]]))
             + float(_sum_top(z[order[lo:hi]], q - lo)))
 

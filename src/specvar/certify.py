@@ -352,8 +352,8 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     chunk's directions D in one standard_normal((k, m, n)) block.  Sample
     i is X0 + r D / sqrt(sum(D * D)), r = eps max(u, 1e-12)^(1 / X0.size),
     for every chunk size and every n_samples > i: more samples never raise
-    the probe.  Per chunk one stacked SVD and one ``psi.value`` call, and
-    one ``f.eval`` for all samples, give bitwise the quotients of one
+    the probe.  Per chunk one ``psi.value`` call and one stacked ``F_eval``
+    (one SVD and one ``f.eval``) give bitwise the quotients of one
     ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf.
     An eps that is not finite and > 0, an n_samples that is not an int or
     a seed that is not an int >= 0 raises ``ShapeError``, and a NaN
@@ -370,8 +370,7 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     d = X0.size
     radii = eps * np.maximum(radius_rng.random(n_samples), 1e-12) ** (1.0 / d)
     chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
-    psi = np.empty(n_samples)
-    svals = np.empty((n_samples, min(X0.shape)))
+    obj = np.empty(n_samples)
     for lo in range(0, n_samples, chunk):
         at = slice(lo, min(lo + chunk, n_samples))
         Xs = direction_rng.standard_normal((at.stop - lo,) + X0.shape)
@@ -379,10 +378,9 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
         Xs /= np.sqrt(np.sum(D * D, axis=1))[:, None, None]
         Xs *= radii[at, None, None]
         Xs += X0
-        psi[at] = _stacked(p.psi.value(Xs), len(Xs), "psi.value")
-        svals[at] = np.linalg.svd(Xs, compute_uv=False)
-    q = (psi + _stacked(p.f.eval(svals), n_samples, "f.eval") - base) \
-        / (radii * radii)
+        obj[at] = _stacked(p.psi.value(Xs), len(Xs), "psi.value") \
+            + _stacked(F_eval(p.f, Xs), len(Xs), "f.eval")
+    q = (obj - base) / (radii * radii)
     if np.isnan(q).any():
         raise NonFinite(f"growth quotient of sample "
                         f"{np.flatnonzero(np.isnan(q))[0]} is NaN")

@@ -1,5 +1,6 @@
 """Dense matrix primitives: ordered SVD and symmetric eigendecomposition,
-multiplicity-aware index partitioning, and the one tolerance policy.
+multiplicity-aware index partitioning and its divided-difference tables,
+kept for the last X as one prepared point, and the one tolerance policy.
 
 All decompositions follow the tall convention n <= m, order their values
 nonincreasingly and fix signs deterministically so repeated runs agree
@@ -10,11 +11,13 @@ under the residual gauge freedom inside equal-value blocks; see
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
 from .errors import (
+    ConditioningWarning,
     InconsistentPartition,
     NonFinite,
     NotSorted,
@@ -173,6 +176,7 @@ class SingularPartition:
     as zero (rank tolerance), ``beta0`` the extra m - n lift positions.
     ``l``, ``j``, ``r_s`` are the 1-based within-block rank, the count of
     equal values strictly after, and the block multiplicity, per index.
+    The index lists refuse in-place changes (``TypeError``).
     """
 
     n: int
@@ -191,6 +195,19 @@ class SingularPartition:
     @property
     def betahat(self):
         return self.beta + self.beta0
+
+
+class _FrozenList(list):
+    """A list that refuses in-place changes (``TypeError``)."""
+
+    def _frozen(self, *args):
+        raise TypeError("list is read-only")
+
+    append = extend = insert = pop = remove = clear = sort = reverse = \
+        __setitem__ = __delitem__ = __iadd__ = __imul__ = _frozen
+
+    def __reduce__(self):   # copies and pickles rebuild, never append
+        return type(self), (list(self),)
 
 
 def _fix_signs(U, V=None):
@@ -231,6 +248,7 @@ class _LastCall:
         return entry[1]
 
 
+# the prepared point of the last X: (key, svd, tols, partition, tables)
 _LAST_SVD = _LastCall()
 
 
@@ -239,11 +257,15 @@ def svd_ordered(X) -> SvdDecomposition:
 
     Singular values come out nonincreasing; the sign convention makes the
     largest-magnitude entry of each column of U positive, with V adjusted
-    so that X = U diag(sigma) V^T is preserved.  The last result is kept:
-    a bitwise-equal X gets the same read-only decomposition back.
+    so that X = U diag(sigma) V^T is preserved.  The last X is kept: a
+    bitwise-equal X gets the same read-only decomposition back, and with
+    it the partition and divided-difference tables last built for it.
     """
     X = require_tall(as_matrix(X))
-    return _LAST_SVD.get((X.shape, X.tobytes()), _svd, X)
+    key, entry = (X.shape, X.tobytes()), _LAST_SVD.entry
+    if entry is None or entry[0] != key:
+        entry = _LAST_SVD.entry = (key, _read_only(_svd(X)), None, None, None)
+    return entry[1]
 
 
 def _svd(X):
@@ -323,9 +345,9 @@ def partition_values(v, tols=TOLERANCES, m=None):
         raise NotSorted("singular values must be nonnegative")
     m = n if m is None else m
     r = int(np.sum(v > tols.rank * scale))
-    alpha_blocks = cluster_blocks(v[:r], tols.cluster * scale)
-    beta = list(range(r, n))
-    beta0 = list(range(n, m))
+    alpha_blocks = _FrozenList(map(_FrozenList, cluster_blocks(
+        v[:r], tols.cluster * scale)))
+    beta, beta0 = _FrozenList(range(r, n)), _FrozenList(range(n, m))
     mu = np.array([v[blk[0]] for blk in alpha_blocks])
     if np.any(np.diff(mu) >= 0):
         # adjacent clusters must be separated by more than the tolerance
@@ -339,8 +361,64 @@ def partition_values(v, tols=TOLERANCES, m=None):
 
 
 def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:
-    m, n = svd.shape
-    return partition_values(svd.sigma, tols, m=m)
+    """The partition of sigma(X): ``svd_ordered``'s decomposition keeps
+    one, read-only, for the last ``tols``; any other gauge builds one."""
+    entry = _LAST_SVD.entry
+    if entry is None or entry[1] is not svd:
+        return partition_values(svd.sigma, tols, m=svd.shape[0])
+    if entry[2] != tols:
+        part = _read_only(partition_values(svd.sigma, tols, m=svd.shape[0]))
+        entry = _LAST_SVD.entry = (*entry[:2], tols, part, None)
+    return entry[3]
+
+
+@dataclass(frozen=True)
+class DividedDifferences:
+    """Point-only alpha-term tables of sigma(X), column i < r at its block
+    value mu_i, and (mu, min_gap, warning text or "") per alpha block."""
+
+    D: np.ndarray            # n x r: 1/(mu_i - sigma_j), 0 inside the block
+    E: np.ndarray            # n x r: 1/(mu_i + sigma_j), halved (no overflow)
+    C: np.ndarray            # r: 1/(2 mu_i)
+    gaps: list
+
+    def warn(self):
+        for text in filter(None, (text for _, _, text in self.gaps)):
+            warnings.warn(text, ConditioningWarning, stacklevel=3)
+
+
+def divided_differences(s, part: SingularPartition) -> DividedDifferences:
+    """The ``DividedDifferences`` of the values s under ``part``: the gap
+    from mu to the rest of the lift [[0, X], [X^T, 0]] (sigma_j off the
+    block, -sigma_j, 0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
+    n, r, t = part.n, part.r, part.t
+    owner = np.cumsum(part.l == 1) - 1   # block number, t on the zero block
+    mu, cols = part.mu, owner[:r]
+    diff = mu - s[:, None]                           # n x t
+    diff[owner[:, None] == np.arange(t)] = np.inf    # own block: D = 0
+    with np.errstate(over="ignore"):   # mu + sigma_n may overflow to inf
+        gap = np.minimum(np.abs(diff).min(axis=0, initial=np.inf), mu + s[-1:])
+    gap = np.minimum(gap, mu if part.m > n else np.inf)
+    warn = GAP_WARN * max(1.0, s[0]) if n else GAP_WARN
+    text = ("spectral gap {:.3e} at block value {:.6g} below {:.1e}; "
+            "second-order output ill-conditioned")
+    gaps = _FrozenList((m, g, "" if g >= warn else text.format(g, m, warn))
+                       for m, g in zip(mu.tolist(), gap.tolist()))
+    E = 0.5 / (0.5 * mu + 0.5 * s[:, None])          # halved: no overflow
+    return DividedDifferences((1.0 / diff)[:, cols], E[:, cols],
+                              (0.5 / mu)[cols], gaps)
+
+
+def _tables_of(s, part: SingularPartition) -> DividedDifferences:
+    """``divided_differences`` of the values s that ``part`` partitions,
+    kept, read-only, with the memo's partition."""
+    entry = _LAST_SVD.entry
+    if entry is None or entry[3] is not part:
+        return divided_differences(s, part)
+    if entry[4] is None:
+        dd = _read_only(divided_differences(s, part))
+        entry = _LAST_SVD.entry = (*entry[:4], dd)
+    return entry[4]
 
 
 def _random_orthogonal(k, rng):

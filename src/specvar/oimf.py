@@ -40,6 +40,7 @@ from .matrix_core import (
     TOLERANCES,
     SvdDecomposition,
     _svd,
+    _tables_of,
     as_count,
     as_matrix,
     cluster_blocks,
@@ -52,12 +53,12 @@ from .matrix_core import (
 from .sv_calculus import (
     _blocks_of,
     _cancelling_direction,
+    _class_quadratics,
     _finite_rows,
     _prepared,
     alpha_terms,
     cross_term_hat,
     direction_blocks,
-    divided_differences,
     sigma_dir1_from_blocks,
     sigma_dir1_stack,
     sigma_dir2_from_blocks,
@@ -277,8 +278,10 @@ class SpectralPoint:
     scale GAUGE_TOL ||Y|| (``_subgradient``: one stacked eigh per block
     size, singletons read diag(U^T Y V); (c f, c Y) is decided alike),
     raising ``NoSimultaneousGauge`` and then ``NotASubgradient``, checks
-    that f is finite at sigma(X), and keeps the ``DividedDifferences`` of
-    sigma(X) and the beta weights.
+    that f is finite at sigma(X), and keeps the beta weights and the
+    ``DividedDifferences`` of sigma(X).  The partition and the tables are
+    those kept with ``svd_ordered(X)``: after sigma' or sigma'' at X,
+    neither is built again.
     The formula depends on H only through Hhat = U^T H V, so a stack of
     directions costs one batched product and the ``sv_calculus`` kernel:
     no SVD of X, no partition.
@@ -316,7 +319,7 @@ class SpectralPoint:
         s, sy, part = self.gauge.sigma, self.sy, self.part
         if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-        self._tables = divided_differences(s, part)
+        self._tables = _tables_of(s, part)
         self._report_warns = tuple(
             f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "
             "ill-conditioned" for mu, g, w in self._tables.gaps if w)
@@ -477,7 +480,7 @@ def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     svd, part, Hhat = _prepared(X, H, tols)
     if part.r == 0:
         raise RankZero("X has rank 0")
-    tables = divided_differences(svd.sigma, part)
+    tables = _tables_of(svd.sigma, part)
     return float(alpha_terms(Hhat[None], tables, 1.0)[0])
 
 
@@ -620,7 +623,8 @@ def guided_offsets(X, H, tols=TOLERANCES):
     offsets = []
     if part.r > 0:
         offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)
+    tables, idxs = _tables_of(svd.sigma, part), size_classes(part.alpha_blocks)
+    tables.warn()
     offsets.append(0.5 * (svd.U @ _cancelling_direction(
-        Hhat, divided_differences(svd.sigma, part),
-        size_classes(part.alpha_blocks), sigma_a) @ svd.V.T))
+        Hhat, idxs, _class_quadratics(Hhat, tables, idxs), sigma_a) @ svd.V.T))
     return [D for per_H in zip(*offsets) for D in per_H]

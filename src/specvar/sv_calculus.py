@@ -12,7 +12,6 @@ reduced rectangular SVD problem instead.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,21 +19,21 @@ import numpy as np
 
 from .errors import (
     AsymmetricInput,
-    ConditioningWarning,
     NonFinite,
     NotBlockSorted,
     ShapeError,
 )
 from .matrix_core import (
     BLOCK_SORT_TOL,
-    GAP_WARN,
     SYMMETRY_TOL,
     TOLERANCES,
+    DividedDifferences,
     SingularPartition,
     SvdDecomposition,
     _fix_signs,
     _LastCall,
     _read_only,
+    _tables_of,
     as_matrix,
     as_real,
     cluster_blocks,
@@ -74,21 +73,6 @@ class BetaBlock:
 
 
 @dataclass(frozen=True)
-class DividedDifferences:
-    """Point-only alpha-term tables of sigma(X), column i < r at its block
-    value mu_i, and (mu, min_gap, warning text or "") per alpha block."""
-
-    D: np.ndarray            # n x r: 1/(mu_i - sigma_j), 0 inside the block
-    E: np.ndarray            # n x r: 1/(mu_i + sigma_j), halved (no overflow)
-    C: np.ndarray            # r: 1/(2 mu_i)
-    gaps: list
-
-    def warn(self):
-        for text in filter(None, (text for _, _, text in self.gaps)):
-            warnings.warn(text, ConditioningWarning, stacklevel=3)
-
-
-@dataclass(frozen=True)
 class DirectionBlocks:
     """All reduced blocks of a pair (X, H) in a fixed SVD gauge: alpha
     blocks stacked by size, and every second-level group a run of
@@ -121,6 +105,13 @@ class DirectionBlocks:
                 ix.tolist(), mu, min_gap, S, Q, self.eta[ix],
                 [g.tolist() for g in groups])))
         return out
+
+    @cached_property
+    def quadratics(self):
+        """The alpha quadratics of every size class, read-only: sigma'',
+        W-hat and ``alpha_quadratics`` share them and each warns."""
+        return _read_only(tuple(_class_quadratics(
+            self.Hhat, self.tables, [idx for idx, _ in self.classes])))
 
 
 def _in_block_order(classes, per_class):
@@ -166,28 +157,6 @@ def _sym_skw(A):
     same floats, but no overflow near float max."""
     At = np.swapaxes(A, -1, -2)
     return 0.5 * A + 0.5 * At, 0.5 * A - 0.5 * At
-
-
-def divided_differences(s, part: SingularPartition) -> DividedDifferences:
-    """The ``DividedDifferences`` of the values s under ``part``: the gap
-    from mu to the rest of the lift [[0, X], [X^T, 0]] (sigma_j off the
-    block, -sigma_j, 0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
-    n, r, t = part.n, part.r, part.t
-    owner = np.cumsum(part.l == 1) - 1   # block number, t on the zero block
-    mu, cols = part.mu, owner[:r]
-    diff = mu - s[:, None]                           # n x t
-    diff[owner[:, None] == np.arange(t)] = np.inf    # own block: D = 0
-    with np.errstate(over="ignore"):   # mu + sigma_n may overflow to inf
-        gap = np.minimum(np.abs(diff).min(axis=0, initial=np.inf), mu + s[-1:])
-    gap = np.minimum(gap, mu if part.m > n else np.inf)
-    warn = GAP_WARN * max(1.0, s[0]) if n else GAP_WARN
-    text = ("spectral gap {:.3e} at block value {:.6g} below {:.1e}; "
-            "second-order output ill-conditioned")
-    gaps = [(m, g, "" if g >= warn else text.format(g, m, warn))
-            for m, g in zip(mu.tolist(), gap.tolist())]
-    E = 0.5 / (0.5 * mu + 0.5 * s[:, None])          # halved: no overflow
-    return DividedDifferences((1.0 / diff)[:, cols], E[:, cols],
-                              (0.5 / mu)[cols], gaps)
 
 
 def _prepared(X, H, tols=TOLERANCES, stack=False):
@@ -248,8 +217,10 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     The alpha blocks of one size share one stacked eigh and one
     clustering pass (a singleton's eigenpair is its entry and 1), so the
     cost grows with the number of block sizes, not of blocks.  Without
-    ``gauge`` the last result is kept: bitwise-equal X, H and ``tols``
-    get the same read-only blocks back, and a hit decomposes nothing.
+    ``gauge`` the partition and divided-difference tables are those kept
+    with ``svd_ordered(X)``, shared with d2F at X, and the last result is
+    kept: bitwise-equal X, H and ``tols`` get the same read-only blocks
+    back, and a hit decomposes nothing; a ``gauge`` builds its own.
     Building never warns: a small gap warns where a second-order output
     reads the gap tables.
     """
@@ -265,7 +236,7 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
 def _direction_blocks(svd, H, tols):
     part, Hhat = partition_of(svd, tols), svd.U.T @ H @ svd.V
     n = part.n
-    dd = divided_differences(svd.sigma, part)
+    dd = _tables_of(svd.sigma, part)
     Sym = _sym_skw(Hhat[:n])[0]
 
     eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
@@ -293,11 +264,10 @@ def _direction_blocks(svd, H, tols):
 
 def _class_quadratics(Hhat, dd: DividedDifferences, idxs):
     """The (..., b, k, k) stack of alpha quadratics G_a of every size class
-    (a (b, k) index array each) for Hhat = U^T H V with any leading axes:
-    the one reader of the gap tables in the block path, so small-gap
-    blocks warn here; overflow raises ``NonFinite``."""
+    (a (b, k) index array each) for Hhat = U^T H V with any leading axes;
+    overflow raises ``NonFinite``.  It never warns: each caller warns for
+    the gap tables it reads."""
     n = dd.E.shape[0]
-    dd.warn()
     Sym, Skw = _sym_skw(Hhat[..., :n, :])
     out = []
     for idx in idxs:
@@ -316,10 +286,10 @@ def alpha_quadratics(blocks: DirectionBlocks):
     With Sym, Skw the symmetric and skew parts of Hhat[:n], T = Hhat[n:]
     and _a the block's columns (of the tables too), G_a = Sym_a^T (D_a *
     Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu).  Each block size
-    takes one stacked product.
+    takes one stacked product, once per blocks; the arrays are read-only.
     """
-    return _in_block_order(blocks.classes, _class_quadratics(
-        blocks.Hhat, blocks.tables, [idx for idx, _ in blocks.classes]))
+    blocks.tables.warn()
+    return _in_block_order(blocks.classes, blocks.quadratics)
 
 
 def sigma_dir1_from_blocks(blocks: DirectionBlocks):
@@ -353,9 +323,8 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
     svd = blocks.gauge
     What = svd.U.T @ W @ svd.V
     out = np.zeros(blocks.part.n)
-    idxs = [idx for idx, _ in blocks.classes]
-    for (idx, Q), G in zip(blocks.classes,
-                           _class_quadratics(blocks.Hhat, blocks.tables, idxs)):
+    blocks.tables.warn()
+    for (idx, Q), G in zip(blocks.classes, blocks.quadratics):
         with np.errstate(over="ignore"):
             M = _sym_skw(_blocks_of(What, idx))[0] + 2.0 * G
         M = _finite_rows(M, "second-order block of (H, W)")
@@ -494,26 +463,25 @@ def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
                for idx, Q in blocks.classes]
     if blocks.beta is not None:
         planted.append((blocks.beta.Q * zbar[r:]) @ blocks.beta.Qhat.T)
+    blocks.tables.warn()
     return svd.U @ _cancelling_direction(
-        blocks.Hhat, blocks.tables, [idx for idx, _ in blocks.classes],
+        blocks.Hhat, [idx for idx, _ in blocks.classes], blocks.quadratics,
         svd.sigma[:r], planted) @ svd.V.T
 
 
-def _cancelling_direction(Hhat, dd: DividedDifferences, idxs, sigma_a,
-                          planted=None):
+def _cancelling_direction(Hhat, idxs, quads, sigma_a, planted=None):
     """The reduced direction U^T W V that cancels the resolvent term of
-    every alpha block (a (b, k) index array per size class) and the cross
-    term of the beta block, for Hhat = U^T H V with any leading axes, plus
-    the ``planted`` target terms: one per class, then one for the beta
-    block (all zero by default, the zero-target direction).  Overflow
-    raises ``NonFinite``."""
-    r, n = len(sigma_a), dd.E.shape[0]
+    every alpha block (a (b, k) index array per size class, ``quads`` its
+    ``_class_quadratics``) and the cross term of the beta block, for
+    Hhat = U^T H V with any leading axes, plus the ``planted`` target
+    terms: one per class, then one for the beta block (all zero by
+    default, the zero-target direction).  Overflow raises ``NonFinite``."""
+    r, n = len(sigma_a), Hhat.shape[-1]
     if planted is None:
         planted = [0.0] * (len(idxs) + 1)
     Wred = np.zeros(Hhat.shape)
     with np.errstate(over="ignore"):
-        for idx, A, G in zip(idxs, planted,
-                             _class_quadratics(Hhat, dd, idxs)):
+        for idx, A, G in zip(idxs, planted, quads):
             Wred[..., idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
         if r < n:   # cancels _beta_cross_term, which is -2 times it
             Wred[..., r:, r:] = planted[-1] + 2.0 * cross_term_hat(

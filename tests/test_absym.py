@@ -511,3 +511,82 @@ def test_spec_requires_subdiff_violation():
              if f.name != "subdiff_violation"}
     with pytest.raises(TypeError, match="subdiff_violation"):
         SpectralFunctionSpec(**hooks)
+
+
+class TestTieRun:
+    """``_tie_run`` finds the ``cluster_blocks`` run of one index without
+    building the run lists; ``cluster_blocks`` stays the rule.  On chained
+    near-ties (steps of 0.4, 0.6, 1 and 1.5 times tol, runs of them that
+    span more than tol, zeros) the run, the faces of ``_classify`` and
+    ``_signed_top_dirderiv`` equal their ``cluster_blocks`` forms at
+    every k."""
+
+    STEPS = (0.4, 0.6, 1.0, 1.5)
+
+    @staticmethod
+    def run_ref(v, i, tol):
+        from specvar.matrix_core import cluster_blocks
+        return next((b[0], b[-1] + 1) for b in cluster_blocks(v, tol)
+                    if i <= b[-1])
+
+    def chains(self):
+        """Signed vectors whose sorted magnitudes chain near-ties at the
+        ZERO_TOL scale of ``_classify``, some with gaps and zeros."""
+        from specvar.matrix_core import ZERO_TOL
+        rng = np.random.default_rng(26)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            top = float(rng.choice([1.0, 3.0, 1e3]))
+            tol = ZERO_TOL * (1.0 + top)
+            steps = rng.choice(self.STEPS, n - 1) * tol
+            steps[rng.random(n - 1) < 0.2] = 0.1 * top     # a clear gap
+            a = np.maximum(top - np.concatenate([[0.0], np.cumsum(steps)]),
+                           0.0)
+            a[rng.random(n) < 0.1] = 0.0
+            yield rng.permutation(a * rng.choice([-1.0, 1.0], n))
+
+    def test_run_equals_cluster_blocks(self):
+        import specvar.absym as absym
+        from specvar.matrix_core import ZERO_TOL
+        walked = 0
+        for x in self.chains():
+            v = np.sort(np.abs(x))[::-1]
+            tol = ZERO_TOL * (1.0 + v[0])
+            for i in range(len(v)):
+                assert absym._tie_run(v, i, tol)[1:] == self.run_ref(v, i,
+                                                                     tol)
+            # stretches between steps above tol that need the chain walk
+            for part in np.split(v, np.flatnonzero(np.diff(v) < -tol) + 1):
+                walked += part[0] - part[-1] > tol
+        assert walked > 50
+
+    def test_faces_equal_cluster_blocks(self):
+        import specvar.absym as absym
+        from specvar.matrix_core import ZERO_TOL
+        for x in self.chains():
+            a = np.abs(x)
+            tol = ZERO_TOL * (1.0 + np.max(a))
+            order = np.argsort(-a, kind="stable")
+            for k in range(1, len(x) + 1):
+                lo, hi = self.run_ref(a[order], k - 1, tol)
+                face = absym._classify(x, k)
+                assert np.array_equal(face.above, order[:lo])
+                assert np.array_equal(face.tied, order[lo:hi])
+                assert np.array_equal(face.below, order[hi:])
+                assert face.q == k - lo
+                assert face.theta_zero == bool(a[order[lo]] <= tol)
+
+    def test_signed_top_dirderiv_equals_cluster_blocks(self):
+        import specvar.absym as absym
+        from specvar.matrix_core import ZERO_TOL
+        rng = np.random.default_rng(27)
+        for u in self.chains():
+            z = rng.standard_normal(len(u))
+            scale = float(np.max(np.abs(u)))
+            order = np.argsort(-u, kind="stable")
+            for q in range(1, len(u)):
+                lo, hi = self.run_ref(u[order], q - 1,
+                                      ZERO_TOL * (1.0 + scale))
+                ref = (float(np.sum(z[order[:lo]]))
+                       + float(absym._sum_top(z[order[lo:hi]], q - lo)))
+                assert absym._signed_top_dirderiv(u, z, q, scale) == ref

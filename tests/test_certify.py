@@ -701,9 +701,9 @@ class _CountingPsi:
 
 
 class TestStackedGrowthProbe:
-    """The probe evaluates its samples as stacks (one psi.value per chunk,
-    one f.eval for all samples) and equals a per-sample objective loop
-    bitwise, for every chunk size."""
+    """The probe evaluates its samples as stacks (one psi.value and one
+    stacked F_eval, so one f.eval, per chunk) and equals a per-sample
+    objective loop bitwise, for every chunk size."""
 
     INSTANCES = {
         "soft-fixture": soft_threshold_fixture,
@@ -729,9 +729,9 @@ class TestStackedGrowthProbe:
                 ProblemSpec(psi, _counting(p.f, counts)), X0, 1e-2,
                 n_samples, seed=3)
             assert g == ref
-            assert counts == {"eval": 2}   # X0, then every sample at once
-            chunk = max(1, entries // X0.size)
-            assert psi.calls == 1 + -(-n_samples // chunk)
+            chunks = -(-n_samples // max(1, entries // X0.size))
+            assert counts == {"eval": 1 + chunks}   # X0, then each chunk
+            assert psi.calls == 1 + chunks
 
     def test_more_samples_never_raise_the_probe(self):
         # sample i is the same for every n_samples > i

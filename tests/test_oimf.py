@@ -428,6 +428,57 @@ class TestParabolic:
                                       np.eye(2))
 
 
+class TestParabolicRegularity:
+    """Parabolic regularity of the nuclear norm as an identity, l1 half:
+    on a critical H, d2F(X|Y)(H) is the minimum over W of d2F(X)(H|W) -
+    <Y, W>, attained at W* = 2 (the last guided offset of H).  The left
+    side reads ``SpectralPoint``'s tables, the right sigma'' through
+    ``direction_blocks``, so this compares the two kernels with each
+    other, for l1 and c l1 with ties, zeros, m > n and r = 0."""
+
+    CASES = [(4, 4, [3, 2, 2, 1]), (6, 4, [3, 2, 0, 0]), (5, 3, [2, 2, 0]),
+             (7, 3, [0, 0, 0]), (4, 3, [1, 1, 1]), (6, 5, [3, 3, 1, 0, 0]),
+             (1, 1, [2]), (3, 1, [0]), (9, 2, [1, 0])]
+
+    @staticmethod
+    def instance(m, n, svals, c, boundary, rng):
+        """X, Y in c d||X||_* and a critical H; with ``boundary`` sigma(Y)
+        reaches c on the zero block, whose cone then holds H with a
+        nonnegative entry there."""
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        r = np.count_nonzero(svals)
+        z = np.sort(rng.uniform(0.0, 0.9, n - r))[::-1]
+        G = rng.standard_normal((m, n))
+        G[r:, r:] = 0.0
+        if boundary and r < n:
+            z[0] = 1.0
+            G[r, r] = abs(rng.standard_normal())
+        y = c * np.concatenate([np.ones(r), z])
+        return (U[:, :n] @ np.diag(svals) @ V.T,
+                U[:, :n] @ np.diag(y) @ V.T, U @ G @ V.T)
+
+    @pytest.mark.parametrize("boundary", [False, True])
+    @pytest.mark.parametrize("c", [1.0, 1e-3, 1e3])
+    def test_min_over_W_is_attained_at_guided_offset(self, c, boundary):
+        rng = np.random.default_rng(int(c * 1e3) + boundary)
+        f = scale_spec(l1_spec(), c)
+        for m, n, svals in self.CASES:
+            X, Y, H = self.instance(m, n, np.array(svals, float), c,
+                                    boundary, rng)
+            rep = F_second_subderivative(f, X, Y, H)
+            assert rep.critical
+            W = 2.0 * guided_offsets(X, H)[-1]
+            at_W = F_parabolic_subderivative(f, X, H, W) - np.sum(Y * W)
+            assert at_W == pytest.approx(rep.value, rel=1e-12, abs=0.0)
+            for _ in range(10):   # rounding: relative to both terms
+                W = W + 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(
+                    (m, n))
+                par, yw = F_parabolic_subderivative(f, X, H, W), np.sum(Y * W)
+                assert par - yw >= rep.value - 1e-12 * max(
+                    abs(rep.value), abs(par) + abs(yw))
+
+
 class TestPsi:
     def test_eval_bottom_cluster(self):
         assert nuclear_psi_eval(np.diag([2.0, 1.0, 1.0])) \
@@ -675,6 +726,44 @@ class TestOneDecomposition:
         assert calls == {"svd_X": 1, "partition_of": 1,
                          "direction_blocks": 0}
         assert sum(seen) == 1
+
+    def test_deriv_sweep_sequence_prepares_X_once(self, monkeypatch):
+        # sigma', sigma'' twice, W-hat and d2F at one X share one SVD, one
+        # partition and one set of tables of sigma(X), and one
+        # alpha-quadratic pass per (X, H)
+        import specvar.sv_calculus as svc
+        rng = np.random.default_rng(32)
+        svd = svd_ordered(random_with_spectrum(7, 5, [3, 2, 2, 1, 0], rng))
+        X, sigma = svd.reconstruct(), svd.sigma.copy()
+        Y = svd.U[:, :5] @ np.diag([1.0, 1.0, 1.0, 1.0, 0.5]) @ svd.V.T
+        H, W = rng.standard_normal((2, 7, 5))
+        G = svd.U.T @ H @ svd.V
+        G[4:, 4:] = 0.0
+        Hc = svd.U @ G @ svd.V.T
+        matrix_core._LAST_SVD.entry = None
+        svc._LAST_BLOCKS.entry = None
+        calls = dict.fromkeys(["svd", "partition", "tables", "quadratics"], 0)
+
+        def counted(mod, name, key, test=lambda *a: True):
+            fn = getattr(mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += bool(test(*args))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, wrapper)
+
+        counted(matrix_core, "_svd", "svd", lambda A: np.array_equal(A, X))
+        counted(matrix_core, "partition_values", "partition",
+                lambda v, *a: np.shape(v) == sigma.shape
+                and np.allclose(v, sigma, rtol=1e-12, atol=1e-12))
+        counted(matrix_core, "divided_differences", "tables")
+        counted(svc, "_class_quadratics", "quadratics")
+        svc.sigma_dir1(X, H)
+        sigma_dir2(X, H, W)
+        sigma_dir2(X, H, svc.min_direction_construct(X, H, np.ones(5)))
+        F_second_subderivative(l1_spec(), X, Y, Hc)
+        assert calls == {"svd": 1, "partition": 1, "tables": 1,
+                         "quadratics": 1}
 
     def test_guided_offsets_after_d2F_one_svd_of_X(self, monkeypatch):
         # aligning the zero block leaves X's memo entry in place, so the

@@ -14,6 +14,7 @@ from specvar.errors import (
     ShapeError,
 )
 from specvar.matrix_core import (
+    GAP_WARN,
     TOLERANCES,
     Tolerances,
     cluster_blocks,
@@ -23,7 +24,6 @@ from specvar.matrix_core import (
     svd_ordered,
 )
 from specvar.sv_calculus import (
-    GAP_WARN,
     alpha_quadratics,
     direction_blocks,
     eig_expand2,
@@ -816,6 +816,8 @@ class TestLastCallMemo:
         g = gauge_randomize(blocks.gauge, blocks.part, seed=3)
         given = direction_blocks(X, H, gauge=g)
         assert given is not blocks and given.gauge is g
+        assert given.part is not blocks.part
+        assert given.tables is not blocks.tables
         assert given.Hhat.flags.writeable     # not stored, not frozen
         assert direction_blocks(X, H) is blocks
 
@@ -831,6 +833,97 @@ class TestLastCallMemo:
             direction_blocks(X, H).alpha[0].S[0, 0] = 1.0
         assert np.array_equal(svd_ordered(X).U, U)
         assert np.array_equal(direction_blocks(X, H).Hhat, Hhat)
+
+    def test_point_is_shared_and_read_only(self):
+        # the blocks of sigma' and the point of d2F read one partition and
+        # one set of tables of sigma(X), none of it writable
+        X, H, W, Y, Hc, zbar = self.instance()
+        blocks = direction_blocks(X, H)
+        point = oimf.SpectralPoint(l1_spec(), X, Y)
+        assert blocks.gauge is svd_ordered(X)
+        assert blocks.part is partition_of(svd_ordered(X)) is point.part
+        assert blocks.tables is point._tables
+        part, dd = blocks.part, blocks.tables
+        for A in (dd.D, dd.E, dd.C, part.mu, part.l, part.j, part.r_s):
+            with pytest.raises(ValueError):
+                A[0] = 1.0
+
+    def test_caller_edits_leave_the_next_call_unchanged(self):
+        data = self.instance()
+        before = self.outputs(*data)
+        part = partition_of(svd_ordered(data[0]))
+        gaps = direction_blocks(*data[:2]).tables.gaps
+        edits = [lambda: part.alpha_blocks.append([9]),
+                 lambda: part.alpha_blocks[0].append(9),
+                 lambda: part.alpha_blocks[1].__setitem__(0, 9),
+                 lambda: part.alpha_blocks.pop(),
+                 lambda: part.beta.extend([9]),
+                 lambda: part.beta.clear(),
+                 lambda: part.beta0.insert(0, 9),
+                 lambda: part.beta.__iadd__([9]),
+                 lambda: part.alpha_blocks[1].sort(reverse=True),
+                 lambda: gaps.append((1.0, 0.0, "edited")),
+                 lambda: gaps.__delitem__(0)]
+        for edit in edits:
+            with pytest.raises(TypeError):
+                edit()
+        after = self.outputs(*data)
+        for a, b in zip(before[:4], after[:4]):
+            assert np.array_equal(a, b)
+        assert before[4] == after[4]
+
+    def test_read_only_lists_copy_as_lists(self):
+        import copy
+        import pickle
+        part = partition_values(np.array([2.0, 1.0, 1.0, 0.0]))
+        for clone in (copy.deepcopy(part), pickle.loads(pickle.dumps(part))):
+            assert clone.alpha_blocks == [[0], [1, 2]] == part.alpha_blocks
+            assert clone.beta == [3] and clone.beta + clone.beta0 == [3]
+            with pytest.raises(TypeError):
+                clone.beta.append(4)
+
+    def test_one_ulp_and_other_tolerances_miss_the_point(self):
+        X = self.instance()[0]
+        svd = svd_ordered(X)
+        part = partition_of(svd)
+        dd = matrix_core._tables_of(svd.sigma, part)
+        assert partition_of(svd) is part
+        assert matrix_core._tables_of(svd.sigma, part) is dd
+        other = Tolerances(cluster=1e-6)
+        wide = partition_of(svd, other)
+        assert wide is not part and wide.tols == other
+        assert partition_of(svd, other) is wide
+        assert matrix_core._tables_of(svd.sigma, wide) is not dd
+        assert partition_of(svd) is not part
+        Xu = X.copy()
+        Xu[0, 0] = np.nextafter(Xu[0, 0], np.inf)
+        svd_u = svd_ordered(Xu)
+        assert svd_u is not svd and partition_of(svd_u) is not part
+        assert partition_of(svd) is not part   # svd is not the entry's
+        assert partition_of(svd).alpha_blocks == part.alpha_blocks
+
+    def test_near_tie_warnings_match_every_call(self):
+        # relative gap 1e-7 between two singleton blocks: each public call
+        # warns on its own, with the one text twice (the gap is read from
+        # both blocks; ROADMAP item 5 lists each gap once)
+        rng = np.random.default_rng(7)
+        U = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        X = U[:, :3] @ np.diag([2.0, 1.0, 1.0 - 1e-7]) @ V.T
+        H, W = rng.standard_normal((2, 4, 3))
+        Y = U[:, :3] @ V.T
+        text = ("spectral gap 1.000e-07 at block value 1 below 2.0e-06; "
+                "second-order output ill-conditioned")
+        calls = [lambda: sigma_dir2(X, H, W), lambda: sigma_dir2(X, H, W),
+                 lambda: min_direction_construct(X, H, np.zeros(3)),
+                 lambda: expansion_residual(X, H, W, 1e-3),
+                 lambda: oimf.F_second_subderivative(l1_spec(), X, Y, H)]
+        for call in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [(w.category, str(w.message)) for w in caught] \
+                == [(ConditioningWarning, text)] * 2
 
     def test_hit_warns_again(self):
         X, W = np.diag([1.0 + 1e-7, 1.0]), np.zeros((2, 2))
