@@ -156,10 +156,10 @@ def _psi_from_dict(d, base):
         return LeastSquares(A, np.asarray(_required(d, "b", "psi"),
                                           dtype=float))
     if kind == "quadratic-minus-rank1":
-        return QuadraticMinusRankOne(
-            _load_matrix(_required(d, "B", "psi"), base),
-            _load_matrix(_required(d, "E", "psi"), base),
-            _usage(as_real, d.get("gamma", 1.0), "gamma", positive=False))
+        return _usage(QuadraticMinusRankOne,
+                      _load_matrix(_required(d, "B", "psi"), base),
+                      _load_matrix(_required(d, "E", "psi"), base),
+                      d.get("gamma", 1.0))
     raise UsageError(f"unknown psi kind {kind!r}")
 
 
@@ -418,6 +418,13 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """``build_parser()``, built on the first ``main`` call and kept: a
+    parse leaves no state in it."""
+    return build_parser()
+
+
 def _error_json(code, exc):
     return dumps_17g({"schema": SCHEMA, "error": type(exc).__name__,
                       "message": str(exc), "exit_code": code})
@@ -425,7 +432,7 @@ def _error_json(code, exc):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         tols = Tolerances(args.tol_cluster, args.tol_rank)
         outputs, inputs, warnings_list = args.fn(args, tols)
         report = {

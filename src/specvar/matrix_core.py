@@ -11,6 +11,7 @@ under the residual gauge freedom inside equal-value blocks; see
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, is_dataclass
 
@@ -171,12 +172,17 @@ class EigDecomposition:
 class SingularPartition:
     """Multiplicity structure of a nonincreasing singular value vector.
 
-    ``alpha_blocks[i]`` lists the 0-based indices carrying the i-th
-    distinct nonzero value ``mu[i]``; ``beta`` lists the indices treated
-    as zero (rank tolerance), ``beta0`` the extra m - n lift positions.
-    ``l``, ``j``, ``r_s`` are the 1-based within-block rank, the count of
-    equal values strictly after, and the block multiplicity, per index.
-    The index lists refuse in-place changes (``TypeError``).
+    The t alpha blocks are contiguous runs of equal nonzero values, block
+    i starting at index ``starts[i]`` with ``sizes[i]`` entries and value
+    ``mu[i]``; ``owner`` gives the block number of every index (t on the
+    zero block) and ``classes`` the blocks grouped by size, one (b, k)
+    index array per size k, sizes ascending, rows in block order.
+    ``beta`` lists the indices treated as zero (rank tolerance),
+    ``beta0`` the extra m - n lift positions.  ``l``, ``j``, ``r_s`` are
+    the 1-based within-block rank, the count of equal values strictly
+    after, and the block multiplicity, per index.  ``alpha_blocks`` is a
+    list view of the runs.  The index lists refuse in-place changes
+    (``TypeError``).
     """
 
     n: int
@@ -184,13 +190,22 @@ class SingularPartition:
     r: int
     t: int
     mu: np.ndarray
-    alpha_blocks: list
+    starts: np.ndarray
+    sizes: np.ndarray
+    owner: np.ndarray
+    classes: tuple
     beta: list
     beta0: list
     l: np.ndarray
     j: np.ndarray
     r_s: np.ndarray
     tols: Tolerances
+
+    @property
+    def alpha_blocks(self):
+        """``alpha_blocks[i]`` lists the 0-based indices of block i."""
+        return _FrozenList(_FrozenList(range(a, a + k)) for a, k in zip(
+            self.starts.tolist(), self.sizes.tolist()))
 
     @property
     def betahat(self):
@@ -236,7 +251,7 @@ def _read_only(obj):
 
 class _LastCall:
     """A one-entry memo keyed on the exact bits of the inputs.  A miss
-    builds, marks the value's arrays read-only and replaces the entry
+    builds (the builder marks its arrays read-only) and replaces the entry
     whole, so a race between threads can only cause a miss."""
 
     entry = None
@@ -244,7 +259,7 @@ class _LastCall:
     def get(self, key, build, *args):
         entry = self.entry
         if entry is None or entry[0] != key:
-            entry = self.entry = (key, _read_only(build(*args)))
+            entry = self.entry = (key, build(*args))
         return entry[1]
 
 
@@ -261,7 +276,11 @@ def svd_ordered(X) -> SvdDecomposition:
     bitwise-equal X gets the same read-only decomposition back, and with
     it the partition and divided-difference tables last built for it.
     """
-    X = require_tall(as_matrix(X))
+    return _svd_of(require_tall(as_matrix(X)))
+
+
+def _svd_of(X):
+    """``svd_ordered`` of an X its caller has already checked."""
     key, entry = (X.shape, X.tobytes()), _LAST_SVD.entry
     if entry is None or entry[0] != key:
         entry = _LAST_SVD.entry = (key, _read_only(_svd(X)), None, None, None)
@@ -281,7 +300,10 @@ def sym_eig_ordered(A) -> EigDecomposition:
     A = as_matrix(A, "A", ndim=None)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ShapeError(f"A must be square, got {A.shape}")
-    lam, Q = np.linalg.eigh(0.5 * A + 0.5 * A.mT)   # no overflow near max
+    S = 0.5 * A + 0.5 * A.mT                        # no overflow near max
+    if A.shape[-1] == 1:   # what eigh returns for 1 x 1: the entry and 1
+        return EigDecomposition(Q=np.ones(A.shape), lam=S[..., 0])
+    lam, Q = np.linalg.eigh(S)
     return EigDecomposition(Q=_fix_signs(Q[..., ::-1]), lam=lam[..., ::-1])
 
 
@@ -289,23 +311,27 @@ def cluster_blocks(v, tol):
     """Split a nonincreasing vector into maximal runs of tol-equal values.
 
     Consecutive entries are grouped while they stay within ``tol`` of the
-    first entry of the current run.
+    first entry of the current run (``_run_starts``, the one tie rule).
     """
     v = np.asarray(v, dtype=float)
-    rise = np.diff(v)
-    if (rise > 0).any() and (rise > SORT_TOL * max(
-            1.0, np.max(np.abs(v), initial=0.0))).any():
+    bounds = _run_starts(v, tol) + [len(v)]
+    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
+
+
+def _run_starts(v, tol):
+    """The first index of every run of tol-equal values of a nonincreasing
+    float vector, as a list: an entry further than tol from the first entry
+    of the current run starts the next run.  A rise above SORT_TOL
+    max(1, max |v|) raises ``NotSorted``."""
+    rise = (v[1:] - v[:-1]).max(initial=0.0)
+    if rise > 0 and rise > SORT_TOL * max(1.0, np.max(np.abs(v), initial=0.0)):
         raise NotSorted("input vector is not nonincreasing")
-    vals = v.tolist()
-    blocks = []
-    start = 0
-    for i in range(1, len(vals)):
-        if abs(vals[i] - vals[start]) > tol:
-            blocks.append(list(range(start, i)))
-            start = i
-    if vals:
-        blocks.append(list(range(start, len(vals))))
-    return blocks
+    starts, first = [], None
+    for i, x in enumerate(v.tolist()):
+        if first is None or abs(x - first) > tol:
+            starts.append(i)
+            first = x
+    return starts
 
 
 def cluster_ranks(V, tol):
@@ -321,13 +347,13 @@ def cluster_ranks(V, tol):
     return ranks
 
 
-def size_classes(blocks):
-    """Contiguous blocks grouped by size: a (b, k) index array per size k,
-    one row per block in block order, sizes ascending."""
-    sizes = np.array([len(b) for b in blocks], dtype=int)
-    starts = np.array([b[0] for b in blocks], dtype=int)
-    return [starts[sizes == k][:, None] + np.arange(k)
-            for k in np.unique(sizes).tolist()]
+def size_classes(starts, sizes):
+    """Contiguous blocks, given by their first indices and sizes (int
+    arrays), grouped by size: a (b, k) index array per size k, one row per
+    block in block order, sizes ascending.  ``partition_values`` builds
+    them once per partition, as ``SingularPartition.classes``."""
+    return tuple(starts[sizes == k][:, None] + np.arange(k)
+                 for k in sorted(set(sizes.tolist())))
 
 
 def partition_values(v, tols=TOLERANCES, m=None):
@@ -335,29 +361,35 @@ def partition_values(v, tols=TOLERANCES, m=None):
     blocks.
 
     Entries at or below ``tols.rank * max(1, v[0])`` form the zero block
-    beta and the rest cluster into alpha blocks with strictly decreasing
-    distinct values mu.
+    beta and the rest cluster (the ``cluster_blocks`` rule at
+    ``tols.cluster * max(1, v[0])``) into alpha blocks with strictly
+    decreasing distinct values mu.  The blocks come out as integer arrays
+    (starts, sizes, owners, size classes): the one list is of run starts.
     """
     v = as_matrix(v, "v", ndim=1)
     n = len(v)
     scale = max(1.0, v[0]) if n else 1.0
-    if np.any(v < -tols.rank * scale):
+    if (v < -tols.rank * scale).any():
         raise NotSorted("singular values must be nonnegative")
     m = n if m is None else m
-    r = int(np.sum(v > tols.rank * scale))
-    alpha_blocks = _FrozenList(map(_FrozenList, cluster_blocks(
-        v[:r], tols.cluster * scale)))
-    beta, beta0 = _FrozenList(range(r, n)), _FrozenList(range(n, m))
-    mu = np.array([v[blk[0]] for blk in alpha_blocks])
-    if np.any(np.diff(mu) >= 0):
+    r = np.count_nonzero(v > tols.rank * scale)
+    # the first index of every block, the zero block last, then n
+    bounds = np.array(_run_starts(v[:r], tols.cluster * scale)
+                      + ([r, n] if r < n else [n]))
+    t = len(bounds) - 1 - (r < n)
+    mu = v[bounds[:t]]
+    if (mu[1:] >= mu[:-1]).any():
         # adjacent clusters must be separated by more than the tolerance
         raise InconsistentPartition("cluster values not strictly decreasing")
-    sizes = np.array([len(b) for b in alpha_blocks + [beta] if b], dtype=int)
-    r_s = np.repeat(sizes, sizes)
-    l = np.arange(n) + 1 - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return SingularPartition(n=n, m=m, r=r, t=len(alpha_blocks), mu=mu,
-                             alpha_blocks=alpha_blocks, beta=beta,
-                             beta0=beta0, l=l, j=r_s - l, r_s=r_s, tols=tols)
+    every = bounds[1:] - bounds[:-1]
+    starts, sizes = bounds[:t], every[:t]
+    r_s = np.repeat(every, every)
+    l = np.arange(1, n + 1) - np.repeat(bounds[:-1], every)
+    return SingularPartition(
+        n=n, m=m, r=r, t=t, mu=mu, starts=starts, sizes=sizes,
+        owner=np.repeat(np.arange(len(every)), every),
+        classes=size_classes(starts, sizes), beta=_FrozenList(range(r, n)),
+        beta0=_FrozenList(range(n, m)), l=l, j=r_s - l, r_s=r_s, tols=tols)
 
 
 def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:
@@ -372,19 +404,38 @@ def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:
     return entry[3]
 
 
+def _outside_level():
+    """The ``stacklevel`` that makes a warning issued by the caller of this
+    function name the first frame outside this package."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_globals.get(
+            "__name__", "").startswith(_PACKAGE):
+        frame, level = frame.f_back, level + 1
+    return level
+
+
+_PACKAGE = __name__.rpartition(".")[0] + "."
+
+
 @dataclass(frozen=True)
 class DividedDifferences:
     """Point-only alpha-term tables of sigma(X), column i < r at its block
-    value mu_i, and (mu, min_gap, warning text or "") per alpha block."""
+    value mu_i, (mu, min_gap, warning text or "") per alpha block and the
+    warning texts alone, in block order."""
 
     D: np.ndarray            # n x r: 1/(mu_i - sigma_j), 0 inside the block
     E: np.ndarray            # n x r: 1/(mu_i + sigma_j), halved (no overflow)
     C: np.ndarray            # r: 1/(2 mu_i)
     gaps: list
+    texts: tuple
 
     def warn(self):
-        for text in filter(None, (text for _, _, text in self.gaps)):
-            warnings.warn(text, ConditioningWarning, stacklevel=3)
+        """One ``ConditioningWarning`` per small-gap block, at the line of
+        the caller outside this package."""
+        if self.texts:
+            level = _outside_level()
+            for text in self.texts:
+                warnings.warn(text, ConditioningWarning, stacklevel=level)
 
 
 def divided_differences(s, part: SingularPartition) -> DividedDifferences:
@@ -392,10 +443,9 @@ def divided_differences(s, part: SingularPartition) -> DividedDifferences:
     from mu to the rest of the lift [[0, X], [X^T, 0]] (sigma_j off the
     block, -sigma_j, 0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
     n, r, t = part.n, part.r, part.t
-    owner = np.cumsum(part.l == 1) - 1   # block number, t on the zero block
-    mu, cols = part.mu, owner[:r]
+    mu, cols = part.mu, part.owner[:r]
     diff = mu - s[:, None]                           # n x t
-    diff[owner[:, None] == np.arange(t)] = np.inf    # own block: D = 0
+    diff[np.arange(r), cols] = np.inf                # own block: D = 0
     with np.errstate(over="ignore"):   # mu + sigma_n may overflow to inf
         gap = np.minimum(np.abs(diff).min(axis=0, initial=np.inf), mu + s[-1:])
     gap = np.minimum(gap, mu if part.m > n else np.inf)
@@ -406,7 +456,8 @@ def divided_differences(s, part: SingularPartition) -> DividedDifferences:
                        for m, g in zip(mu.tolist(), gap.tolist()))
     E = 0.5 / (0.5 * mu + 0.5 * s[:, None])          # halved: no overflow
     return DividedDifferences((1.0 / diff)[:, cols], E[:, cols],
-                              (0.5 / mu)[cols], gaps)
+                              (0.5 / mu)[cols], gaps,
+                              tuple(filter(None, (w for _, _, w in gaps))))
 
 
 def _tables_of(s, part: SingularPartition) -> DividedDifferences:

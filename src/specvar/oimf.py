@@ -46,7 +46,6 @@ from .matrix_core import (
     cluster_blocks,
     partition_of,
     require_tall,
-    size_classes,
     svd_ordered,
     sym_eig_ordered,
 )
@@ -107,18 +106,18 @@ def _align(X, Y, tols):
         raise NonFinite("||Y||^2 overflows: Y too large to test")
 
     # block number of every column, t on the zero block and rows past n
-    owner = np.cumsum(part.l == 1) - 1
+    owner = part.owner
     rows = np.concatenate([owner, np.full(m - n, part.t)])
     off = np.linalg.norm(M[rows[:, None] != owner])
 
     sy = np.zeros(n)
     asym = 0.0
-    for idx in size_classes(part.alpha_blocks):
+    for idx in part.classes:
         Mb = _blocks_of(M, idx)
-        asym = max(asym, np.linalg.norm(Mb - Mb.mT, axis=(1, 2)).max())
-        eig = sym_eig_ordered(Mb)
+        eig = sym_eig_ordered(Mb)   # a singleton: its entry, eigenvector 1
         sy[idx] = eig.lam
-        if idx.shape[1] > 1:               # a singleton's eigenvector is 1
+        if idx.shape[1] > 1:        # a singleton is symmetric and unrotated
+            asym = max(asym, np.linalg.norm(Mb - Mb.mT, axis=(1, 2)).max())
             U[:, idx] = np.moveaxis(np.moveaxis(U[:, idx], 0, 1) @ eig.Q, 1, 0)
             V[:, idx] = np.moveaxis(np.moveaxis(V[:, idx], 0, 1) @ eig.Q, 1, 0)
     if part.r < n:
@@ -250,8 +249,8 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
         "duality_gap": float(gap),
         "f_level_member": critical(f, svd.sigma, np.sort(sy)[::-1], d1,
                                    tol),
-        "fan_gaps": [float(np.sum(excess[b[0]:b[-1] + 1]))
-                     for b in part.alpha_blocks],
+        "fan_gaps": [float(np.sum(excess[a:a + k])) for a, k in zip(
+            part.starts.tolist(), part.sizes.tolist())],
         "von_neumann_gap": float(np.sum(excess[part.r:])),
     }
 
@@ -623,7 +622,7 @@ def guided_offsets(X, H, tols=TOLERANCES):
     offsets = []
     if part.r > 0:
         offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)
-    tables, idxs = _tables_of(svd.sigma, part), size_classes(part.alpha_blocks)
+    tables, idxs = _tables_of(svd.sigma, part), part.classes
     tables.warn()
     offsets.append(0.5 * (svd.U @ _cancelling_direction(
         Hhat, idxs, _class_quadratics(Hhat, tables, idxs), sigma_a) @ svd.V.T))

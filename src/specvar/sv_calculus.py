@@ -33,13 +33,15 @@ from .matrix_core import (
     _fix_signs,
     _LastCall,
     _read_only,
+    _run_starts,
+    _svd_of,
     _tables_of,
     as_matrix,
     as_real,
-    cluster_blocks,
     cluster_ranks,
     partition_of,
     partition_values,
+    require_tall,
     size_classes,
     svd_ordered,
     sym_eig_ordered,
@@ -100,7 +102,7 @@ class DirectionBlocks:
         for (ix, Q), (mu, min_gap, _) in zip(rows, self.tables.gaps):
             groups = np.split(np.arange(len(ix)),
                               np.flatnonzero(self.ltilde[ix] == 1)[1:])
-            S = _sym_skw(self.Hhat[np.ix_(ix, ix)])[0]
+            S = _sym(self.Hhat[np.ix_(ix, ix)])
             out.append(_read_only(AlphaBlock(
                 ix.tolist(), mu, min_gap, S, Q, self.eta[ix],
                 [g.tolist() for g in groups])))
@@ -130,8 +132,9 @@ def _blocks_of(M, idx):
 
 def _reduced_eig(S, tols):
     """Ordered eigenvectors, eigenvalues and 1-based second-level ranks of
-    a (b, k, k) stack of reduced symmetric blocks: one eigh and one
-    clustering pass (each row at max(1, |eta|) scale) for the stack."""
+    a (b, k, k) stack of reduced symmetric blocks: one eigh (none for
+    k = 1) and one clustering pass (each row at max(1, |eta|) scale) for
+    the stack."""
     eig = sym_eig_ordered(S)
     scale = np.maximum(1.0, np.abs(eig.lam).max(axis=1))
     return eig.Q, eig.lam, cluster_ranks(eig.lam, tols.cluster * scale)
@@ -159,6 +162,11 @@ def _sym_skw(A):
     return 0.5 * A + 0.5 * At, 0.5 * A - 0.5 * At
 
 
+def _sym(A):
+    """The symmetric part of ``_sym_skw`` alone."""
+    return 0.5 * A + 0.5 * np.swapaxes(A, -1, -2)
+
+
 def _prepared(X, H, tols=TOLERANCES, stack=False):
     """(svd_ordered(X), partition, U^T H V) of a matrix X and a direction H
     of its shape, or with ``stack`` a (k, m, n) stack of them (one H
@@ -174,10 +182,10 @@ def sigma_dir1_stack(Hhat, part: SingularPartition):
     in ``sigma_dir1``: a singleton block reads diag(Hhat), each larger
     block size takes one stacked eigvalsh."""
     d1 = Hhat.diagonal(axis1=1, axis2=2).copy()
-    for idx in size_classes(part.alpha_blocks):
+    for idx in part.classes:
         if idx.shape[1] > 1:
             d1[:, idx] = np.linalg.eigvalsh(
-                _sym_skw(_blocks_of(Hhat, idx))[0])[..., ::-1]
+                _sym(_blocks_of(Hhat, idx)))[..., ::-1]
     d1[:, part.r:] = np.linalg.svd(Hhat[:, part.r:, part.r:], compute_uv=False)
     return d1
 
@@ -228,21 +236,35 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     H = as_matrix(H, "H", X)
     if gauge is not None:
         return _direction_blocks(gauge, H, tols)
+    return _blocks_at(X, H, tols)
+
+
+def _blocks_at(X, H, tols):
+    """``direction_blocks`` in the ``svd_ordered`` gauge for X and H its
+    caller has checked."""
     key = (X.shape, X.tobytes(), H.tobytes(), tols)
-    return _LAST_BLOCKS.get(   # lazy: a hit reads no SVD
-        key, lambda: _direction_blocks(svd_ordered(X), H, tols))
+    return _LAST_BLOCKS.get(key, _kept_blocks, X, H, tols)   # a hit: no SVD
+
+
+def _kept_blocks(X, H, tols):
+    """The blocks to keep, read-only: only the arrays built for H are
+    marked, since the point's were marked when it was kept."""
+    blocks = _direction_blocks(_svd_of(require_tall(X)), H, tols)
+    _read_only((blocks.Hhat, blocks.eta, blocks.ltilde, blocks.beta,
+                tuple(Q for _, Q in blocks.classes)))
+    return blocks
 
 
 def _direction_blocks(svd, H, tols):
     part, Hhat = partition_of(svd, tols), svd.U.T @ H @ svd.V
     n = part.n
     dd = _tables_of(svd.sigma, part)
-    Sym = _sym_skw(Hhat[:n])[0]
 
     eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
     classes = []
-    for idx in size_classes(part.alpha_blocks):
-        Q, eta[idx], ltilde[idx] = _reduced_eig(_blocks_of(Sym, idx), tols)
+    for idx in part.classes:
+        Q, eta[idx], ltilde[idx] = _reduced_eig(_sym(_blocks_of(Hhat, idx)),
+                                                tols)
         classes.append((idx, Q))
 
     beta = None
@@ -326,7 +348,7 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
     blocks.tables.warn()
     for (idx, Q), G in zip(blocks.classes, blocks.quadratics):
         with np.errstate(over="ignore"):
-            M = _sym_skw(_blocks_of(What, idx))[0] + 2.0 * G
+            M = _sym(_blocks_of(What, idx)) + 2.0 * G
         M = _finite_rows(M, "second-order block of (H, W)")
         out[idx] = _group_eigvals(Q.mT @ M @ Q, blocks.ltilde[idx])
     bb = blocks.beta
@@ -337,7 +359,7 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
         C = _finite_rows(C, "second-order block of (H, W)")
         p = len(bb.eta) - len(bb.zero_group)   # the positive groups come first
         Qp = bb.Q[:, :p]
-        D = _sym_skw(Qp.T @ C @ bb.Qhat[:, :p])[0]
+        D = _sym(Qp.T @ C @ bb.Qhat[:, :p])
         out[r:r + p] = _group_eigvals(D[None], blocks.ltilde[None, r:r + p])[0]
         if bb.zero_group:
             # C Qhat_z off the positive groups' left vectors has the
@@ -392,12 +414,12 @@ def eig_expand2(A, E, tols=TOLERANCES):
                     f"{name} deviates from symmetry by {top * dev:.3e}")
     n = A.shape[0]
     eig = sym_eig_ordered(A)
-    blocks = cluster_blocks(eig.lam, tols.cluster * max(
-        1.0, float(np.max(np.abs(eig.lam), initial=0.0))))
+    starts = np.array(_run_starts(eig.lam, tols.cluster * max(
+        1.0, float(np.max(np.abs(eig.lam), initial=0.0)))), dtype=int)
     Ehat = eig.Q.T @ E @ eig.Q
     first = np.zeros(n)
     second = np.zeros(n)
-    for idx in size_classes(blocks):
+    for idx in size_classes(starts, np.diff(starts, append=n)):
         gap = eig.lam[idx[:, :1]] - eig.lam            # (b, n)
         np.put_along_axis(gap, idx, np.inf, axis=1)
         K = np.moveaxis(Ehat[:, idx], 0, 1)
@@ -417,10 +439,11 @@ def expansion_residual(X, H, W, t, tols=TOLERANCES):
     """
     t = as_real(t, "t")
     X = as_matrix(X, "X")
-    blocks = direction_blocks(X, H, None, tols)
+    H = as_matrix(H, "H", X)
+    blocks = _blocks_at(X, H, tols)
     d1 = sigma_dir1_from_blocks(blocks)
     d2 = sigma_dir2_from_blocks(blocks, W)
-    s_t = np.linalg.svd(X + t * np.asarray(H) + 0.5 * t * t * np.asarray(W),
+    s_t = np.linalg.svd(X + t * H + 0.5 * t * t * np.asarray(W),
                         compute_uv=False)
     return s_t - (blocks.gauge.sigma + t * d1 + 0.5 * t * t * d2)
 

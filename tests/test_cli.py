@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specvar
 from specvar.cli import dumps_17g, main, parse_float_field
 from specvar.matrix_core import write_matrix_csv
 
@@ -229,6 +234,29 @@ class TestCertifyCommands:
         rep = run(tmp_path, "growth", "--problem", prob, "--eps", "1e-2",
                   "--n-samples", "2000")
         assert rep["outputs"]["growth"] >= 0.25
+
+
+class TestParserReuse:
+    def test_calls_in_a_row_match_fresh_processes(self, tmp_path, capfd):
+        # one parser serves every main call of a process: a usage error
+        # and then a good run print what two fresh processes print
+        X = write(tmp_path, "x.csv", np.diag([2.0, 1.0]))
+        H = write(tmp_path, "h.csv", SWAP)
+        calls = [["deriv1", "--X", X], ["deriv1", "--X", X, "--H", H]]
+        in_process = []
+        for argv in calls:
+            code = main(argv)
+            in_process.append((code, *capfd.readouterr()))
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(specvar.__file__).parents[1])}
+        fresh = [subprocess.run(
+            [sys.executable, "-c", "import sys; from specvar.cli import "
+             "main; sys.exit(main(sys.argv[1:]))", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+            for argv in calls]
+        assert in_process == [(p.returncode, p.stdout, p.stderr)
+                              for p in fresh]
+        assert [code for code, _, _ in in_process] == [1, 0]
 
 
 class TestErrorChannel:

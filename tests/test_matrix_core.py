@@ -194,6 +194,77 @@ class TestPartition:
             partition_values(np.array([1.0, 2.0]))
 
 
+def _reference_runs(v, tol):
+    """The tie rule walked entry by entry with one list per run, as
+    ``cluster_blocks`` did before the partition became arrays."""
+    runs, start = [], 0
+    for i in range(1, len(v)):
+        if abs(v[i] - v[start]) > tol:
+            runs.append(list(range(start, i)))
+            start = i
+    return runs + [list(range(start, len(v)))] if len(v) else runs
+
+
+class TestArrayPartition:
+    """The partition's arrays reproduce the runs of the entry-by-entry
+    rule, with mu, l, j, r_s, owners and size classes, on a seeded sweep
+    of chained near-ties (steps of 0.4, 0.6, 1 and 1.5 cluster tolerances)
+    plus gaps, zeros, n = 1 and X = 0, each at m - n in {0, 2, 40}."""
+
+    TOL = 1e-8 * 3.0      # the cluster tolerance at sigma_1 = 3
+
+    @classmethod
+    def spectra(cls):
+        rng = np.random.default_rng(12)
+        out = [[3.0, 1.0] + [1.0 - i * step * cls.TOL for i in range(1, 6)]
+               + [0.5] for step in (0.4, 0.6, 1.0, 1.5)]
+        for _ in range(20):   # random walks over the same steps and gaps
+            steps = rng.choice([0.0, 0.4, 0.6, 1.0, 1.5, 1e6], size=11)
+            out.append(list(3.0 - cls.TOL * np.cumsum(steps)))
+        return out + [[3.0, 1.0 + 5e-7, 1.0, 1.0 - 3e-7, 0.5, 0.5],
+                      [3.0, 1.0, 1.0, 1e-13, 0.0, 0.0], [1.5], [0.0] * 3]
+
+    @staticmethod
+    def expect(part, v, tols):
+        n, m = len(v), part.m
+        scale = max(1.0, v[0]) if n else 1.0
+        r = int(np.sum(v > tols.rank * scale))
+        runs = _reference_runs(v[:r].tolist(), tols.cluster * scale)
+        assert cluster_blocks(v[:r], tols.cluster * scale) == runs
+        blocks = runs + ([list(range(r, n))] if r < n else [])
+        assert part.alpha_blocks == runs and part.t == len(runs)
+        assert part.beta == list(range(r, n))
+        assert part.beta0 == list(range(n, m)) and part.r == r
+        assert part.starts.tolist() == [b[0] for b in runs]
+        assert part.sizes.tolist() == [len(b) for b in runs]
+        assert np.array_equal(part.mu, np.array([v[b[0]] for b in runs]))
+        assert part.l.tolist() == [i - b[0] + 1 for b in blocks for i in b]
+        assert part.r_s.tolist() == [len(b) for b in blocks for _ in b]
+        assert part.j.tolist() == [b[-1] - i for b in blocks for i in b]
+        assert part.owner.tolist() == [k for k, b in enumerate(blocks)
+                                       for _ in b]
+        sizes = sorted({len(b) for b in runs})
+        assert [c.tolist() for c in part.classes] == [
+            [b for b in runs if len(b) == k] for k in sizes]
+
+    @pytest.mark.parametrize("extra", [0, 2, 40])
+    def test_sweep_matches_the_entry_by_entry_rule(self, extra):
+        rng = np.random.default_rng(13 + extra)
+        for svals in self.spectra():
+            v = np.array(svals)
+            n = len(v)
+            for tols in (Tolerances(), Tolerances(cluster=2e-8)):
+                self.expect(partition_values(v, tols, m=n + extra), v, tols)
+                svd = svd_ordered(random_with_spectrum(n + extra, n, v, rng))
+                self.expect(partition_of(svd, tols), svd.sigma, tols)
+
+    def test_empty(self):
+        part = partition_values(np.zeros(0), m=3)
+        assert part.t == part.r == 0 and part.classes == ()
+        assert part.starts.size == part.owner.size == 0
+        assert part.beta0 == [0, 1, 2] and part.alpha_blocks == []
+
+
 class TestGaugeRandomize:
     def test_identity_any_seed(self):
         svd = svd_ordered(np.eye(2))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -52,7 +53,7 @@ from specvar.oimf import (
     spectral_ball_set,
     zero_set,
 )
-from specvar.sv_calculus import sigma_dir2
+from specvar.sv_calculus import min_direction_construct, sigma_dir2
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 BUILTINS = [l1_spec(), linf_spec(), kyfan_spec(2)]
@@ -477,6 +478,75 @@ class TestParabolicRegularity:
                 par, yw = F_parabolic_subderivative(f, X, H, W), np.sum(Y * W)
                 assert par - yw >= rep.value - 1e-12 * max(
                     abs(rep.value), abs(par) + abs(yw))
+
+    # (m, n, sigma(X), sigma(Y)) per spec; Y in dF(X) aligned with X, and
+    # H critical when the symmetric part of its block on the tie run of
+    # the last slot Y splits is a multiple of the identity
+    SPEC_CASES = {
+        "linf": [(5, 4, [3, 2, 1, 0.5], [1, 0, 0, 0]),
+                 (6, 4, [3, 3, 1, 0], [0.6, 0.4, 0, 0]),
+                 (4, 4, [2, 2, 2, 2], [0.4, 0.3, 0.2, 0.1]),
+                 (7, 3, [1, 0, 0], [1, 0, 0])],
+        "kyfan:2": [(5, 4, [3, 2, 1, 0.5], [1, 1, 0, 0]),
+                    (7, 5, [4, 3, 3, 3, 0], [1, 0.5, 0.3, 0.2, 0]),
+                    (6, 4, [3, 3, 1, 0], [1, 1, 0, 0]),
+                    (6, 5, [3, 2, 2, 1, 0], [1, 0.7, 0.3, 0, 0]),
+                    (4, 4, [2, 2, 2, 2], [0.8, 0.5, 0.4, 0.3])],
+        "l2": [(5, 4, [3, 2, 1, 0.5], None), (6, 4, [3, 3, 1, 0], None),
+               (7, 3, [1, 0, 0], None), (4, 4, [2, 2, 2, 2], None)],
+    }
+
+    @staticmethod
+    def spec(name):
+        if name != "l2":
+            return {"linf": linf_spec, "kyfan:2": lambda: kyfan_spec(2)}[
+                name]()
+
+        def parabolic(x, w, z):   # grad f . z plus the Hessian form
+            nx = np.linalg.norm(x)
+            return z @ x / nx + (w @ w - (w @ x / nx) ** 2) / nx
+        return dataclasses.replace(_norm2_spec(),
+                                   parabolic_subderivative=parabolic)
+
+    @staticmethod
+    def spec_instance(m, n, svals, yvals, rng):
+        U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        s = np.array(svals, float)
+        y = s / np.linalg.norm(s) if yvals is None else np.array(yvals, float)
+        G = rng.standard_normal((m, n))
+        split = (y > 0) & (y < 1)
+        if yvals is not None and split.any():
+            run = np.flatnonzero(s == s[np.flatnonzero(split)[0]])
+            A = rng.standard_normal((len(run), len(run)))
+            G[np.ix_(run, run)] = rng.standard_normal() * np.eye(len(run)) \
+                + A - A.T
+        return (U[:, :n] @ (s[:, None] * V.T), U[:, :n] @ (y[:, None] * V.T),
+                U @ G @ V.T)
+
+    @pytest.mark.parametrize("name", ["linf", "kyfan:2", "l2"])
+    def test_other_specs(self, name):
+        # d2F(X|Y)(H) <= d2F(X)(H|W) - <Y, W> for every W, with equality
+        # at the planted W* = min_direction_construct(X, H, 0): sigma'' is
+        # 0 there, the minimum of the f-level parabolic problem for a
+        # polyhedral f, and any target for a smooth one
+        f = self.spec(name)
+        rng = np.random.default_rng(len(name))
+        for m, n, svals, yvals in self.SPEC_CASES[name]:
+            for _ in range(3):
+                X, Y, H = self.spec_instance(m, n, svals, yvals, rng)
+                rep = F_second_subderivative(f, X, Y, H)
+                assert rep.critical and math.isfinite(rep.value)
+                W = min_direction_construct(X, H, np.zeros(n))
+                par, yw = F_parabolic_subderivative(f, X, H, W), np.sum(Y * W)
+                assert abs(par - yw - rep.value) <= 1e-12 * max(
+                    abs(rep.value), abs(par) + abs(yw))
+                for _ in range(10):
+                    W = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 1)
+                    par = F_parabolic_subderivative(f, X, H, W)
+                    yw = np.sum(Y * W)
+                    assert par - yw >= rep.value - 1e-12 * max(
+                        abs(rep.value), abs(par) + abs(yw))
 
 
 class TestPsi:

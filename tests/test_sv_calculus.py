@@ -719,8 +719,41 @@ class TestSizeClassCost:
             oimf.SpectralPoint(l1_spec(), X, g.U[:, :n] @ g.V.T)
             counts[n] = (blocks, dict(calls))
         assert counts[32] == counts[128]
-        # two block sizes (1 and 4): one stacked call each
-        assert counts[32] == ({"eigh": 2, "sym_eig_ordered": 2},) * 2
+        # two block sizes (1 and 4): one stacked call each, and eigh only
+        # for size 4 (a 1 x 1 block is its own eigenvalue, eigenvector 1)
+        assert counts[32] == ({"eigh": 1, "sym_eig_ordered": 2},) * 2
+
+    def test_one_point_builds_its_size_classes_once(self, monkeypatch):
+        # sigma', sigma'' twice, W-hat and d2F at one X: the size classes
+        # are built with the partition, once, and no eigensolver sees a
+        # size-1 class (block sizes 1, 2, 1, 3, 1)
+        rng = np.random.default_rng(46)
+        s = np.array([3.0, 2.0, 2.0, 1.5, 1.0, 1.0, 1.0, 0.5])
+        U = np.linalg.qr(rng.standard_normal((10, 10)))[0]
+        V = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+        X = U[:, :8] @ np.diag(s) @ V.T
+        Y = U[:, :8] @ V.T
+        H, W = rng.standard_normal((2, 10, 8))
+        matrix_core._LAST_SVD.entry = None
+        sv_calculus._LAST_BLOCKS.entry = None
+        built, solved = [], []
+
+        def counted(name, fn, log):
+            def wrapper(*args, **kwargs):
+                log.append(np.shape(args[0]))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(*name, wrapper)
+
+        counted((matrix_core, "size_classes"), matrix_core.size_classes,
+                built)
+        for name in ("eigh", "eigvalsh"):
+            counted((np.linalg, name), getattr(np.linalg, name), solved)
+        sigma_dir1(X, H)
+        sigma_dir2(X, H, W)
+        sigma_dir2(X, H, min_direction_construct(X, H, np.ones(8)))
+        oimf.F_second_subderivative(l1_spec(), X, Y, H)
+        assert built == [(5,)]
+        assert solved and all(shape[-1] > 1 for shape in solved)
 
 
 class TestLastCallMemo:
@@ -936,6 +969,37 @@ class TestLastCallMemo:
                          for w in caught])
         assert seen[0] and seen[0] == seen[1]
         assert all(c is ConditioningWarning for _, c, _, _ in seen[0])
+
+    def test_warnings_name_the_callers_line(self):
+        # relative gap 1e-7: every public second-order call warns at the
+        # line that called it, so filters on the caller's module apply
+        rng = np.random.default_rng(8)
+        U = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        V = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        X = U[:, :3] @ np.diag([2.0, 1.0, 1.0 - 1e-7]) @ V.T
+        H, W = rng.standard_normal((2, 5, 3))
+        Y = U[:, :3] @ V.T
+        point = oimf.SpectralPoint(l1_spec(), X, Y)
+        calls = {
+            "sigma_dir2": lambda: sigma_dir2(X, H, W),
+            "min_direction_construct":
+                lambda: min_direction_construct(X, H, np.zeros(3)),
+            "expansion_residual": lambda: expansion_residual(X, H, W, 1e-3),
+            "alpha_quadratics":
+                lambda: alpha_quadratics(direction_blocks(X, H)),
+            "F_second_subderivative":
+                lambda: oimf.F_second_subderivative(l1_spec(), X, Y, H),
+            "second_subderivatives":
+                lambda: point.second_subderivatives(np.stack([H, W])),
+            "guided_offsets": lambda: oimf.guided_offsets(X, H),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert len(caught) == 2, name
+            assert {(w.filename, w.lineno) for w in caught} == {
+                (__file__, call.__code__.co_firstlineno)}, name
 
 
 class TestNonFinite:
