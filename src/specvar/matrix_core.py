@@ -276,11 +276,7 @@ def svd_ordered(X) -> SvdDecomposition:
     bitwise-equal X gets the same read-only decomposition back, and with
     it the partition and divided-difference tables last built for it.
     """
-    return _svd_of(require_tall(as_matrix(X)))
-
-
-def _svd_of(X):
-    """``svd_ordered`` of an X its caller has already checked."""
+    X = require_tall(as_matrix(X))
     key, entry = (X.shape, X.tobytes()), _LAST_SVD.entry
     if entry is None or entry[0] != key:
         entry = _LAST_SVD.entry = (key, _read_only(_svd(X)), None, None, None)
@@ -404,6 +400,9 @@ def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:
     return entry[3]
 
 
+_PACKAGE = __name__.rpartition(".")[0] + "."
+
+
 def _outside_level():
     """The ``stacklevel`` that makes a warning issued by the caller of this
     function name the first frame outside this package."""
@@ -412,9 +411,6 @@ def _outside_level():
             "__name__", "").startswith(_PACKAGE):
         frame, level = frame.f_back, level + 1
     return level
-
-
-_PACKAGE = __name__.rpartition(".")[0] + "."
 
 
 @dataclass(frozen=True)

@@ -106,9 +106,8 @@ def _align(X, Y, tols):
         raise NonFinite("||Y||^2 overflows: Y too large to test")
 
     # block number of every column, t on the zero block and rows past n
-    owner = part.owner
-    rows = np.concatenate([owner, np.full(m - n, part.t)])
-    off = np.linalg.norm(M[rows[:, None] != owner])
+    rows = np.concatenate([part.owner, np.full(m - n, part.t)])
+    off = np.linalg.norm(M[rows[:, None] != part.owner])
 
     sy = np.zeros(n)
     asym = 0.0
@@ -334,7 +333,10 @@ class SpectralPoint:
         call, ``f.second_subderivative``.  Small-gap blocks warn once a
         call; an alpha or beta term that overflows raises ``NonFinite``.
         """
-        Hs = as_matrix(Hs, "H", self.X, stack=True)
+        return self._reports(as_matrix(Hs, "H", self.X, stack=True))
+
+    def _reports(self, Hs):
+        """``second_subderivatives`` of a checked (k, m, n) stack."""
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
         r, n = part.r, part.n
         Hhat, d1, gaps, tols, crit = _duality_gaps(f, self.gauge, part,
@@ -358,7 +360,7 @@ class SpectralPoint:
 
     def second_subderivative(self, H) -> SecondSubderivativeReport:
         """``second_subderivatives`` of the one direction H."""
-        return self.second_subderivatives(as_matrix(H, "H", self.X))[0]
+        return self._reports(as_matrix(H, "H", self.X)[None])[0]
 
 
 def F_second_subderivative(f: SpectralFunctionSpec, X, Y, H,

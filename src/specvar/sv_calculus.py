@@ -34,14 +34,12 @@ from .matrix_core import (
     _LastCall,
     _read_only,
     _run_starts,
-    _svd_of,
     _tables_of,
     as_matrix,
     as_real,
     cluster_ranks,
     partition_of,
     partition_values,
-    require_tall,
     size_classes,
     svd_ordered,
     sym_eig_ordered,
@@ -186,7 +184,9 @@ def sigma_dir1_stack(Hhat, part: SingularPartition):
         if idx.shape[1] > 1:
             d1[:, idx] = np.linalg.eigvalsh(
                 _sym(_blocks_of(Hhat, idx)))[..., ::-1]
-    d1[:, part.r:] = np.linalg.svd(Hhat[:, part.r:, part.r:], compute_uv=False)
+    if part.r < part.n:
+        d1[:, part.r:] = np.linalg.svd(Hhat[:, part.r:, part.r:],
+                                       compute_uv=False)
     return d1
 
 
@@ -249,7 +249,7 @@ def _blocks_at(X, H, tols):
 def _kept_blocks(X, H, tols):
     """The blocks to keep, read-only: only the arrays built for H are
     marked, since the point's were marked when it was kept."""
-    blocks = _direction_blocks(_svd_of(require_tall(X)), H, tols)
+    blocks = _direction_blocks(svd_ordered(X), H, tols)
     _read_only((blocks.Hhat, blocks.eta, blocks.ltilde, blocks.beta,
                 tuple(Q for _, Q in blocks.classes)))
     return blocks
