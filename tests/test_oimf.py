@@ -13,6 +13,7 @@ from specvar.absym import (
     l1_spec,
     linf_spec,
     scale_spec,
+    spec_by_name,
 )
 from specvar.errors import (
     AssumptionViolated,
@@ -479,9 +480,9 @@ class TestParabolicRegularity:
                 assert par - yw >= rep.value - 1e-12 * max(
                     abs(rep.value), abs(par) + abs(yw))
 
-    # (m, n, sigma(X), sigma(Y)) per spec; Y in dF(X) aligned with X, and
-    # H critical when the symmetric part of its block on the tie run of
-    # the last slot Y splits is a multiple of the identity
+    # (m, n, sigma(X), sigma(Y)) per spec, Y in dF(X) aligned with X; H
+    # is critical when the symmetric part of its block on the tie run
+    # where Y's weights lie strictly between 0 and 1 is a multiple of I
     SPEC_CASES = {
         "linf": [(5, 4, [3, 2, 1, 0.5], [1, 0, 0, 0]),
                  (6, 4, [3, 3, 1, 0], [0.6, 0.4, 0, 0]),
@@ -499,8 +500,7 @@ class TestParabolicRegularity:
     @staticmethod
     def spec(name):
         if name != "l2":
-            return {"linf": linf_spec, "kyfan:2": lambda: kyfan_spec(2)}[
-                name]()
+            return spec_by_name(name)
 
         def parabolic(x, w, z):   # grad f . z plus the Hessian form
             nx = np.linalg.norm(x)
@@ -542,7 +542,8 @@ class TestParabolicRegularity:
                 assert abs(par - yw - rep.value) <= 1e-12 * max(
                     abs(rep.value), abs(par) + abs(yw))
                 for _ in range(10):
-                    W = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-3, 1)
+                    W = 10.0 ** rng.uniform(-3, 1) * rng.standard_normal(
+                        (m, n))
                     par = F_parabolic_subderivative(f, X, H, W)
                     yw = np.sum(Y * W)
                     assert par - yw >= rep.value - 1e-12 * max(
