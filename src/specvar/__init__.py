@@ -84,8 +84,6 @@ from .oracles import (
     quotient2_liminf,
 )
 from .sv_calculus import (
-    DirectionBlocks,
-    direction_blocks,
     eig_expand2,
     expansion_residual,
     min_direction_construct,

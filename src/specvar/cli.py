@@ -147,20 +147,23 @@ def _usage(rule, *args, **kwargs):
 
 
 def _psi_from_dict(d, base):
+    """psi of a problem file: its kind's constructor checks the data, and
+    a ShapeError of any kind is reported as the file's UsageError."""
     kind = _required(d, "kind", "psi")
+
+    def matrix(key):
+        return _load_matrix(_required(d, key, "psi"), base)
     if kind == "half-squared-distance":
-        return HalfSquaredDistance(_load_matrix(_required(d, "B", "psi"),
-                                                base))
-    if kind == "least-squares":
+        rule, args = HalfSquaredDistance, (matrix("B"),)
+    elif kind == "least-squares":
         A = np.stack([_load_matrix(a, base) for a in _required(d, "A", "psi")])
-        return LeastSquares(A, np.asarray(_required(d, "b", "psi"),
-                                          dtype=float))
-    if kind == "quadratic-minus-rank1":
-        return _usage(QuadraticMinusRankOne,
-                      _load_matrix(_required(d, "B", "psi"), base),
-                      _load_matrix(_required(d, "E", "psi"), base),
-                      d.get("gamma", 1.0))
-    raise UsageError(f"unknown psi kind {kind!r}")
+        rule, args = LeastSquares, (A, _required(d, "b", "psi"))
+    elif kind == "quadratic-minus-rank1":
+        rule = QuadraticMinusRankOne
+        args = (matrix("B"), matrix("E"), d.get("gamma", 1.0))
+    else:
+        raise UsageError(f"unknown psi kind {kind!r}")
+    return _usage(rule, *args)
 
 
 def load_problem(path):

@@ -572,6 +572,8 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
                                W=None, tols=TOLERANCES) -> bool:
     """Tangency through the singular value map: first order tests
     sigma'(X;H), second order tests sigma''(X;H,W)."""
+    if as_count(order, "order", low=None) not in (1, 2):
+        raise ShapeError(f"order {order!r} must be 1 or 2")
     blocks = direction_blocks(X, H, None, tols)
     sx = blocks.gauge.sigma
     if not delta.contains(sx):
@@ -579,8 +581,6 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
     d1 = sigma_dir1_from_blocks(blocks)
     if order == 1:
         return bool(delta.tangent_contains(sx, d1))
-    if order != 2:
-        raise ShapeError("order must be 1 or 2")
     if not delta.tangent_contains(sx, d1):
         raise NotInSet("H is not first-order tangent; second-order set "
                        "undefined")

@@ -7,7 +7,9 @@ for the reduced symmetric block, and across blocks the second-order
 behaviour picks up a resolvent correction: a masked divided-difference
 (Loewner) form in Hhat = U^T H V whose point-only tables are the one
 ``DividedDifferences`` of X.  Zero singular values behave like a
-reduced rectangular SVD problem instead.
+reduced rectangular SVD problem instead.  ``DirectionBlocks`` is the one
+record of that structure per (X, H), and the sigma', sigma'' and W-hat
+kernels read its arrays; it is internal, not a ``specvar`` name.
 """
 
 from __future__ import annotations
@@ -47,36 +49,23 @@ from .matrix_core import (
 
 
 @dataclass(frozen=True)
-class AlphaBlock:
-    """Reduced data of one equal-positive-singular-value block."""
-
-    indices: list            # global 0-based indices into sigma, contiguous
-    mu: float                # block value sigma[indices[0]]
-    min_gap: float           # distance from mu to the rest of the spectrum
-    S: np.ndarray            # symmetrized reduced direction block
-    Q: np.ndarray            # ordered eigenvectors of S
-    eta: np.ndarray          # ordered eigenvalues of S
-    groups: list             # second-level index groups, local to block
-
-
-@dataclass(frozen=True)
 class BetaBlock:
-    """Reduced data of the zero-singular-value block."""
+    """The thin SVD R = Q diag(sigma(R)) Qhat^T of the zero block R =
+    Hhat[r:, r:] (sigma(R) is ``eta[r:]``), with its ``zeros`` values
+    sigma(R) ~ 0 last."""
 
-    indices: list            # global indices r..n-1
-    R: np.ndarray            # U_betahat^T H V_beta
     Q: np.ndarray            # thin left singular vectors of R, (m-r) x (n-r)
-    eta: np.ndarray          # singular values of R, length n-r
     Qhat: np.ndarray         # right orthogonal factor, (n-r) x (n-r)
-    groups: list             # groups of equal positive values, local
-    zero_group: list         # local indices with sigma(R) ~ 0
+    zeros: int               # count of sigma(R) ~ 0, the zero-value group
 
 
 @dataclass(frozen=True)
 class DirectionBlocks:
-    """All reduced blocks of a pair (X, H) in a fixed SVD gauge: alpha
-    blocks stacked by size, and every second-level group a run of
-    ``ltilde`` that starts at 1."""
+    """The reduced structure of a pair (X, H) in a fixed SVD gauge, the
+    one record the sigma', sigma'' and W-hat kernels read: each size
+    class of alpha blocks stacks its reduced eigenvectors, ``eta`` holds
+    sigma'(X; H) (the reduced eigenvalues, then sigma(R)), and every
+    second-level group is a run of ``ltilde`` that starts at 1."""
 
     gauge: SvdDecomposition
     part: SingularPartition
@@ -92,34 +81,14 @@ class DirectionBlocks:
         return self.gauge.shape
 
     @cached_property
-    def alpha(self):
-        """Every alpha block as a read-only ``AlphaBlock``, in block order:
-        a view of the stacks for callers (the kernel reads the stacks)."""
-        out = []
-        rows = _in_block_order(self.classes, [zip(*c) for c in self.classes])
-        for (ix, Q), (mu, min_gap, _) in zip(rows, self.tables.gaps):
-            groups = np.split(np.arange(len(ix)),
-                              np.flatnonzero(self.ltilde[ix] == 1)[1:])
-            S = _sym(self.Hhat[np.ix_(ix, ix)])
-            out.append(_read_only(AlphaBlock(
-                ix.tolist(), mu, min_gap, S, Q, self.eta[ix],
-                [g.tolist() for g in groups])))
-        return out
-
-    @cached_property
     def quadratics(self):
-        """The alpha quadratics of every size class, read-only: sigma'',
-        W-hat and ``alpha_quadratics`` share them and each warns."""
+        """The (b, k, k) alpha quadratics G_a of every size class,
+        read-only, built once for sigma'' and W-hat: with Sym, Skw the
+        symmetric and skew parts of Hhat[:n], T = Hhat[n:] and _a the
+        block's columns (of the tables too), G_a = Sym_a^T (D_a * Sym_a)
+        + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu)."""
         return _read_only(tuple(_class_quadratics(
             self.Hhat, self.tables, [idx for idx, _ in self.classes])))
-
-
-def _in_block_order(classes, per_class):
-    """The per-row items of every class (rows in class order) reordered
-    into alpha block order."""
-    items = [x for rows in per_class for x in rows]
-    starts = np.concatenate([idx[:, 0] for idx, _ in classes] + [[]])
-    return [items[i] for i in np.argsort(starts)]
 
 
 def _blocks_of(M, idx):
@@ -200,9 +169,9 @@ def _finite_rows(values, term):
 
 
 def alpha_terms(Hhat, dd: DividedDifferences, w):
-    """2 sum_i w_i (G_a)_ii (see ``alpha_quadratics``) for every H of a
-    (k, m, n) stack Hhat; small-gap blocks warn, overflow raises
-    ``NonFinite``."""
+    """2 sum_i w_i (G_a)_ii, G_a as in ``DirectionBlocks.quadratics``, for
+    every H of a (k, m, n) stack Hhat; small-gap blocks warn, overflow
+    raises ``NonFinite``."""
     dd.warn()
     n, r = dd.E.shape
     Sym, Skw = _sym_skw(Hhat[:, :n])
@@ -275,9 +244,7 @@ def _direction_blocks(svd, H, tols):
         Q, Qhat = _fix_signs(Q, Qhat_t.T)
         rpart = partition_values(eta[part.r:], tols)
         ltilde[part.r:] = rpart.l
-        beta = BetaBlock(indices=list(part.beta), R=R, Q=Q,
-                         eta=eta[part.r:].copy(), Qhat=Qhat,
-                         groups=rpart.alpha_blocks, zero_group=rpart.beta)
+        beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=rpart.n - rpart.r)
 
     return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, tables=dd,
                            classes=tuple(classes), eta=eta, beta=beta,
@@ -302,18 +269,6 @@ def _class_quadratics(Hhat, dd: DividedDifferences, idxs):
     return out
 
 
-def alpha_quadratics(blocks: DirectionBlocks):
-    """Resolvent quadratic G_a of every alpha block, in block order.
-
-    With Sym, Skw the symmetric and skew parts of Hhat[:n], T = Hhat[n:]
-    and _a the block's columns (of the tables too), G_a = Sym_a^T (D_a *
-    Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu).  Each block size
-    takes one stacked product, once per blocks; the arrays are read-only.
-    """
-    blocks.tables.warn()
-    return _in_block_order(blocks.classes, blocks.quadratics)
-
-
 def sigma_dir1_from_blocks(blocks: DirectionBlocks):
     """First directional derivative of every singular value."""
     return blocks.eta.copy()
@@ -328,14 +283,6 @@ def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
     with np.errstate(over="ignore", invalid="ignore"):
         C = (Hhat[..., rows, :r] / sigma_a) @ Hhat[..., :r, cols]
     return _finite_rows(C, "cross term of H")
-
-
-def _beta_cross_term(blocks: DirectionBlocks):
-    """-2 U_bh^T H V_alpha Sigma_alpha^{-1} U_alpha^T H V_beta (the part
-    of the reduced second-order direction that H induces on its own)."""
-    r, n = blocks.part.r, blocks.part.n
-    return -2.0 * cross_term_hat(blocks.Hhat, blocks.gauge.sigma[:r],
-                                 slice(r, None), slice(r, n))
 
 
 def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
@@ -353,15 +300,18 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
         out[idx] = _group_eigvals(Q.mT @ M @ Q, blocks.ltilde[idx])
     bb = blocks.beta
     if bb is not None:
-        r = blocks.part.r
+        r, n = blocks.part.r, blocks.part.n
+        # the part of the reduced direction that H induces on its own:
+        # -2 U_bh^T H V_a Sigma_a^{-1} U_a^T H V_b
         with np.errstate(over="ignore"):
-            C = What[r:, r:] + _beta_cross_term(blocks)
+            C = What[r:, r:] - 2.0 * cross_term_hat(
+                blocks.Hhat, svd.sigma[:r], slice(r, None), slice(r, n))
         C = _finite_rows(C, "second-order block of (H, W)")
-        p = len(bb.eta) - len(bb.zero_group)   # the positive groups come first
+        p = n - r - bb.zeros   # the positive groups come first
         Qp = bb.Q[:, :p]
         D = _sym(Qp.T @ C @ bb.Qhat[:, :p])
         out[r:r + p] = _group_eigvals(D[None], blocks.ltilde[None, r:r + p])[0]
-        if bb.zero_group:
+        if bb.zeros:
             # C Qhat_z off the positive groups' left vectors has the
             # singular values of its compression to their complement
             Dz = C @ bb.Qhat[:, p:]
@@ -452,7 +402,7 @@ def _check_block_sorted(zbar, blocks: DirectionBlocks, tol):
     r, n, bb = blocks.part.r, blocks.part.n, blocks.beta
     # a rise into an index that continues its second-level group
     rise = np.flatnonzero((np.diff(zbar) > tol) & (blocks.ltilde[1:] > 1))
-    zero = n - (len(bb.zero_group) if bb is not None else 0)
+    zero = n - (bb.zeros if bb is not None else 0)
     if len(rise):
         level = ("an alpha-level" if rise[0] < r else
                  "a beta-level" if rise[0] < zero else "the zero-value")
@@ -473,11 +423,7 @@ def min_direction_construct(X, H, zbar, tols=TOLERANCES):
     the cross term of the beta block, then plants the target values via
     the second-level eigenvector/singular-vector bases.
     """
-    return min_direction_from_blocks(direction_blocks(X, H, None, tols), zbar)
-
-
-def min_direction_from_blocks(blocks: DirectionBlocks, zbar):
-    """``min_direction_construct`` for reduced blocks already built."""
+    blocks = direction_blocks(X, H, None, tols)
     zbar = as_matrix(zbar, "zbar", blocks.eta, like_name="sigma(X)")
     _check_block_sorted(zbar, blocks, BLOCK_SORT_TOL * max(
         1.0, np.max(np.abs(zbar), initial=0.0)))
@@ -506,7 +452,7 @@ def _cancelling_direction(Hhat, idxs, quads, sigma_a, planted=None):
     with np.errstate(over="ignore"):
         for idx, A, G in zip(idxs, planted, quads):
             Wred[..., idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
-        if r < n:   # cancels _beta_cross_term, which is -2 times it
+        if r < n:   # cancels sigma'''s beta cross term, -2 times this
             Wred[..., r:, r:] = planted[-1] + 2.0 * cross_term_hat(
                 Hhat, sigma_a, slice(r, None), slice(r, n))
     return _finite_rows(Wred, "reduced direction of H")

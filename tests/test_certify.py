@@ -373,8 +373,6 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
         simultaneous_gauge,
     )
     from specvar.sv_calculus import (
-        _beta_cross_term,
-        alpha_quadratics,
         direction_blocks,
         min_direction_construct,
         sigma_dir1_from_blocks,
@@ -427,9 +425,12 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
         if abs(gap) > tol:
             return INF
         d2f = p.f.second_subderivative(svd.sigma, sy, d1, tol)
-        alpha = sum(2.0 * float(sy[ab.indices] @ np.diag(G))
-                    for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)))
-        beta = float(sy[part.beta] @ np.diag(_beta_cross_term(blocks)))
+        alpha = sum(2.0 * float(sy[ix] @ np.diag(G))
+                    for (idx, _), Gs in zip(blocks.classes, blocks.quadratics)
+                    for ix, G in zip(idx, Gs))
+        r, Hhat = part.r, blocks.Hhat
+        cross = -2.0 * (Hhat[r:, :r] / svd.sigma[:r]) @ Hhat[:r, r:part.n]
+        beta = float(sy[part.beta] @ np.diag(cross))
         quad = float(np.sum(H * p.psi.hessian_apply(X0, H)))
         return quad + d2f + alpha + beta
 

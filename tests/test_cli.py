@@ -327,6 +327,30 @@ class TestErrorChannel:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert repr(last) in err["message"]
 
+    @pytest.mark.parametrize("psi, message", [
+        ({"kind": "half-squared-distance", "B": [1.0, 2.0]},
+         "B must be 2-dimensional, got ndim=1"),
+        ({"kind": "quadratic-minus-rank1", "B": [1.0, 2.0], "E": "e.csv"},
+         "B must be 2-dimensional, got ndim=1"),
+        ({"kind": "least-squares", "A": [[1.0, 2.0]], "b": [1.0]},
+         "A must be 3-dimensional, got ndim=2"),
+        ({"kind": "least-squares", "A": [np.eye(2).tolist()], "b": [[1.0]]},
+         "b must be 1-dimensional, got ndim=2"),
+    ], ids=["half-squared-distance", "quadratic-minus-rank1",
+            "least-squares-A", "least-squares-b"])
+    def test_malformed_psi_is_a_usage_error(self, tmp_path, capsys, psi,
+                                            message):
+        # every psi kind reports its constructor's shape check one way
+        prob = make_problem(tmp_path, "saddle")
+        d = json.loads(open(prob).read())
+        d["psi"] = psi
+        with open(prob, "w") as fh:
+            json.dump(d, fh)
+        assert main(["certify", "--problem", prob]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert err["message"] == message
+
     @pytest.mark.parametrize("command", ["certify", "growth"])
     @pytest.mark.parametrize("sampling, field", [
         ([1], "sampling"), ({"seed": 1.5}, "seed"), ({"seed": "x"}, "seed"),

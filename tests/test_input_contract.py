@@ -18,7 +18,9 @@ from specvar import (
     QuadraticMinusRankOne,
     SamplingConfig,
     expansion_residual,
+    free_set,
     gauge_randomize,
+    invariant_tangent_contains,
     kyfan_spec,
     l1_spec,
     min_direction_construct,
@@ -29,6 +31,7 @@ from specvar import (
     scale_spec,
     soft_threshold_fixture,
     svd_ordered,
+    zero_set,
 )
 from specvar.cli import main
 from specvar.errors import BadK, InputError, NonFinite, ShapeError
@@ -127,6 +130,15 @@ CASES = {
         "gamma"),
     "least-squares-A-nan": (
         lambda: LeastSquares(_nan_table(4), [1.0, 2.0]), NonFinite, "A"),
+    "tangent-order-bool": (
+        lambda: invariant_tangent_contains(free_set(), X3, SWAP3, order=True),
+        ShapeError, "order"),
+    "tangent-order-float": (
+        lambda: invariant_tangent_contains(free_set(), X3, SWAP3, order=2.0),
+        ShapeError, "order"),
+    "tangent-order-three": (   # before sigma(X) is found outside {0}
+        lambda: invariant_tangent_contains(zero_set(), X3, SWAP3, order=3),
+        ShapeError, "order"),
     "least-squares-b-nan": (
         lambda: LeastSquares(np.ones((2, 3, 3)), [1.0, math.nan]),
         NonFinite, "b"),

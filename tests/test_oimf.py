@@ -1379,12 +1379,7 @@ def _reference_report(point, H):
     time: sigma' from the blocks, the alpha term from the per-block
     resolvent quadratics and the beta term from the cross term."""
     from specvar.matrix_core import CONE_TOL
-    from specvar.sv_calculus import (
-        _beta_cross_term,
-        alpha_quadratics,
-        direction_blocks,
-        sigma_dir1_from_blocks,
-    )
+    from specvar.sv_calculus import direction_blocks, sigma_dir1_from_blocks
     f, s, sy, part = point.f, point.gauge.sigma, point.sy, point.part
     blocks = direction_blocks(point.X, H, point.gauge)
     d1 = sigma_dir1_from_blocks(blocks)
@@ -1392,9 +1387,12 @@ def _reference_report(point, H):
     tol = CONE_TOL * (1.0 + np.linalg.norm(point.Y) * np.linalg.norm(H))
     if abs(gap) > tol:
         return False, INF, 0.0, 0.0
-    alpha = sum(2.0 * float(sy[ab.indices] @ np.diag(G))
-                for ab, G in zip(blocks.alpha, alpha_quadratics(blocks)))
-    beta = float(sy[part.beta] @ np.diag(_beta_cross_term(blocks)))
+    alpha = sum(2.0 * float(sy[ix] @ np.diag(G))
+                for (idx, _), Gs in zip(blocks.classes, blocks.quadratics)
+                for ix, G in zip(idx, Gs))
+    r, Hhat = part.r, blocks.Hhat
+    cross = -2.0 * (Hhat[r:, :r] / s[:r]) @ Hhat[:r, r:part.n]
+    beta = float(sy[part.beta] @ np.diag(cross))
     d2f = f.second_subderivative(s, sy, d1, tol)
     return True, d2f + alpha + beta, alpha, beta
 

@@ -14,9 +14,8 @@ PUBLIC = {
     "Tolerances", "gauge_randomize", "partition_of", "partition_values",
     "read_matrix_csv", "svd_ordered", "sym_eig_ordered", "write_matrix_csv",
     # sigma' and sigma'' (sv_calculus)
-    "DirectionBlocks", "direction_blocks", "eig_expand2",
-    "expansion_residual", "min_direction_construct", "sigma_dir1",
-    "sigma_dir2",
+    "eig_expand2", "expansion_residual", "min_direction_construct",
+    "sigma_dir1", "sigma_dir2",
     # F = f o sigma, nuclear epi-derivatives, invariant sets (oimf)
     "F_critical_cone_contains", "F_eval", "F_parabolic_subderivative",
     "F_second_subderivative", "F_subderivative", "F_subdiff_contains",

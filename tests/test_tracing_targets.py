@@ -6,6 +6,7 @@ import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -47,3 +48,23 @@ def test_tracer_installs_and_uninstalls(name):
         tracer.uninstall()
     assert all(getattr(ns, attr) is original
                for ns, attr, original, _ in patches)
+
+
+@pytest.mark.parametrize("name", [
+    "sigma_dir1", "sigma_dir2", "min_direction_construct"])
+def test_public_call_reaches_traced_direction_blocks(monkeypatch, name):
+    # the tracer counts direction_blocks through the module attribute:
+    # each public call must look it up there once, or deriv-sweep's
+    # traced counters read 0
+    from specvar import sv_calculus
+    original, calls = sv_calculus.direction_blocks, []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sv_calculus, "direction_blocks", counted)
+    X, H = np.diag([2.0, 1.0, 1.0, 0.0]), np.ones((4, 4))
+    args = {"sigma_dir1": (X, H), "sigma_dir2": (X, H, np.eye(4)),
+            "min_direction_construct": (X, H, np.zeros(4))}[name]
+    getattr(sv_calculus, name)(*args)
+    assert calls == [name]
