@@ -16,14 +16,15 @@ through intermediate arithmetic; they return it explicitly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BadK, ShapeError
-from .matrix_core import (SUBDIFF_TOL, ZERO_TOL, as_count, as_real,
-                          cluster_blocks)
+from .matrix_core import (SUBDIFF_TOL, ZERO_TOL, _run_starts, as_count,
+                          as_real)
 
 ExtendedValue = float
 INF = math.inf
@@ -69,19 +70,12 @@ class _Face:
 
 
 def _tie_run(u, i, tol):
-    """order = argsort(-u) and (lo, hi), the ``cluster_blocks(u[order],
-    tol)`` run holding position i: a step above tol ends every run, so only
-    a stretch between such steps spanning more than tol is chain-walked."""
+    """order = argsort(-u) and (lo, hi), the run of tol-equal values of
+    u[order] (``_run_starts``) holding position i."""
     order = np.argsort(-u, kind="stable")
-    v = u[order]
-    starts = np.flatnonzero(np.concatenate(([True], v[:-1] - v[1:] > tol,
-                                            [True])))
-    at = np.searchsorted(starts, i, side="right")
-    lo, hi = int(starts[at - 1]), int(starts[at])
-    if not v[lo] - v[hi - 1] <= tol:
-        lo, hi = next((lo + b[0], lo + b[-1] + 1) for b in cluster_blocks(
-            v[lo:hi], tol) if i - lo <= b[-1])
-    return order, lo, hi
+    bounds = _run_starts(u[order], tol) + [len(u)]
+    at = bisect_right(bounds, i)
+    return order, bounds[at - 1], bounds[at]
 
 
 def _classify(x, k):
@@ -101,8 +95,8 @@ def _sum_top(u, q):
 
 def _signed_top_dirderiv(u, z, q, scale):
     """Directional derivative of v -> sum of q largest entries, at u
-    along z: resolve the ``cluster_blocks`` run holding the q-th largest
-    value of u, as ``_classify`` does for the k-th."""
+    along z: resolve the ``_tie_run`` holding the q-th largest value of
+    u, as ``_classify`` does for the k-th."""
     if q >= len(u):
         return float(np.sum(z))
     order, lo, hi = _tie_run(u, q - 1, ZERO_TOL * (1.0 + scale))

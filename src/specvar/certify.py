@@ -20,7 +20,7 @@ import numpy as np
 from .absym import INF, SpectralFunctionSpec, _stacked, l1_spec, scale_spec
 from .errors import (AssumptionViolated, NonFinite, SamplingExhausted,
                      ShapeError)
-from .matrix_core import (_CHUNK_ENTRIES, CURVATURE_TOL, TOLERANCES,
+from .matrix_core import (CURVATURE_TOL, TOLERANCES, _chunk_size, _chunks,
                           as_count, as_matrix, as_real, svd_ordered)
 from .oimf import F_eval, SpectralPoint, _subgradient, guided_offsets
 from .oracles import fd_gradient_check
@@ -299,7 +299,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     samples = []
     counterexample = None
     tried = 0
-    cap = max(1, _CHUNK_ENTRIES // max(X0.size, 1))
+    cap = _chunk_size(X0)
     while len(samples) < cfg.n_samples:
         k = min(cfg.n_samples - len(samples), cap)
         Hs = guided[:k]
@@ -369,11 +369,9 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
                                     np.random.SeedSequence(seed).spawn(2))
     d = X0.size
     radii = eps * np.maximum(radius_rng.random(n_samples), 1e-12) ** (1.0 / d)
-    chunk = max(1, _CHUNK_ENTRIES // max(d, 1))
     obj = np.empty(n_samples)
-    for lo in range(0, n_samples, chunk):
-        at = slice(lo, min(lo + chunk, n_samples))
-        Xs = direction_rng.standard_normal((at.stop - lo,) + X0.shape)
+    for at in _chunks(X0, n_samples):
+        Xs = direction_rng.standard_normal((at.stop - at.start,) + X0.shape)
         D = Xs.reshape(len(Xs), -1)
         Xs /= np.sqrt(np.sum(D * D, axis=1))[:, None, None]
         Xs *= radii[at, None, None]

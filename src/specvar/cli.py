@@ -117,10 +117,11 @@ def parse_float_field(v):
 
 # -- input loading ---------------------------------------------------------------
 
-def _load_matrix(ref, base=None, header=False):
-    """A matrix argument is a CSV path or an inline list of rows."""
+def _load_matrix(ref, base=None, header=False, name="X"):
+    """A matrix argument is a CSV path or an inline list of rows, read as
+    a finite array (``as_matrix``) whose shape its user checks."""
     if isinstance(ref, (list, tuple)):
-        return np.asarray(ref, dtype=float)
+        return as_matrix(ref, name, ndim=None)
     path = Path(ref)
     if base is not None and not path.is_absolute():
         path = Path(base) / path
@@ -151,12 +152,14 @@ def _psi_from_dict(d, base):
     a ShapeError of any kind is reported as the file's UsageError."""
     kind = _required(d, "kind", "psi")
 
-    def matrix(key):
-        return _load_matrix(_required(d, key, "psi"), base)
+    def matrix(key, ref=None):
+        ref = _required(d, key, "psi") if ref is None else ref
+        return _usage(_load_matrix, ref, base, name=key)
     if kind == "half-squared-distance":
         rule, args = HalfSquaredDistance, (matrix("B"),)
-    elif kind == "least-squares":
-        A = np.stack([_load_matrix(a, base) for a in _required(d, "A", "psi")])
+    elif kind == "least-squares":   # LeastSquares checks the list A as a stack
+        A = _required(d, "A", "psi")
+        A = [matrix("A", a) for a in A] if isinstance(A, list) else A
         rule, args = LeastSquares, (A, _required(d, "b", "psi"))
     elif kind == "quadratic-minus-rank1":
         rule = QuadraticMinusRankOne
@@ -178,7 +181,7 @@ def load_problem(path):
     if weight != 1.0:
         f = absym.scale_spec(f, weight)
     p = ProblemSpec(psi=_psi_from_dict(_required(d, "psi", path), base), f=f)
-    X0 = _load_matrix(_required(d, "X0", path), base)
+    X0 = _load_matrix(_required(d, "X0", path), base, name="X0")
     return p, X0, d.get("sampling", {}), d
 
 

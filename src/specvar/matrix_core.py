@@ -34,7 +34,7 @@ RANK_TOL = 1e-12
 
 # Fixed thresholds for every module, each with the scale it multiplies.
 ZERO_TOL = 1e-12          # absym zero / tie classes; 1 + ||x||_inf
-SORT_TOL = 1e-13          # sorted input of cluster_blocks; max(1, |v|)
+SORT_TOL = 1e-13          # sorted input of _run_starts; max(1, |v|)
 GAUGE_TOL = 1e-8          # the one subgradient test of Y; ||Y||
 CONE_TOL = 1e-8           # critical-cone duality gap; 1 + ||Y|| ||H||
 SUBDIFF_TOL = 1e-10       # default of the subdiff_contains hook; absolute
@@ -47,6 +47,17 @@ GAP_WARN = 1e-6           # ConditioningWarning below this gap; max(1, s_1)
 
 # matrix entries per stack of directions, samples or shifted points
 _CHUNK_ENTRIES = 1 << 18
+
+
+def _chunk_size(x):
+    """Items of x's size per stack: max(1, _CHUNK_ENTRIES // x.size)."""
+    return max(1, _CHUNK_ENTRIES // max(x.size, 1))
+
+
+def _chunks(x, k):
+    """Slices of range(k), ``_chunk_size(x)`` items each (the last fewer)."""
+    step = _chunk_size(x)
+    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
 @dataclass(frozen=True)
@@ -72,9 +83,13 @@ TOLERANCES = Tolerances()
 def as_matrix(X, name="X", like=None, *, like_name="X", stack=False, ndim=2):
     """X as a finite float array (``NonFinite`` otherwise) with ``ndim``
     axes (None: any), or the shape of the array ``like``, or with ``stack``
-    a stack of such arrays (one of them a stack of one).  A wrong shape
-    raises ``ShapeError`` naming X and, if given, ``like_name``."""
-    A = np.asarray(X, dtype=float)
+    a stack of such arrays (one of them a stack of one).  A ragged or
+    non-numeric X or a wrong shape raises ``ShapeError`` naming X and, if
+    given, ``like_name``."""
+    try:
+        A = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:   # ragged or not numbers
+        raise ShapeError(f"{name} is not an array of reals: {exc}") from None
     if like is None:
         if ndim is not None and A.ndim != ndim:
             raise ShapeError(f"{name} must be {ndim}-dimensional, got "
@@ -303,22 +318,11 @@ def sym_eig_ordered(A) -> EigDecomposition:
     return EigDecomposition(Q=_fix_signs(Q[..., ::-1]), lam=lam[..., ::-1])
 
 
-def cluster_blocks(v, tol):
-    """Split a nonincreasing vector into maximal runs of tol-equal values.
-
-    Consecutive entries are grouped while they stay within ``tol`` of the
-    first entry of the current run (``_run_starts``, the one tie rule).
-    """
-    v = np.asarray(v, dtype=float)
-    bounds = _run_starts(v, tol) + [len(v)]
-    return [list(range(a, b)) for a, b in zip(bounds, bounds[1:])]
-
-
 def _run_starts(v, tol):
     """The first index of every run of tol-equal values of a nonincreasing
     float vector, as a list: an entry further than tol from the first entry
-    of the current run starts the next run.  A rise above SORT_TOL
-    max(1, max |v|) raises ``NotSorted``."""
+    of the current run starts the next run (the one tie rule).  A rise above
+    SORT_TOL max(1, max |v|) raises ``NotSorted``."""
     rise = (v[1:] - v[:-1]).max(initial=0.0)
     if rise > 0 and rise > SORT_TOL * max(1.0, np.max(np.abs(v), initial=0.0)):
         raise NotSorted("input vector is not nonincreasing")
@@ -331,9 +335,9 @@ def _run_starts(v, tol):
 
 
 def cluster_ranks(V, tol):
-    """``cluster_blocks`` on every row of a nonincreasing (b, k) stack at
-    once, with one tolerance per row: the 1-based rank of each entry
-    within its run (1 starts a run)."""
+    """The ``_run_starts`` rule on every row of a nonincreasing (b, k)
+    stack at once, with one tolerance per row: the 1-based rank of each
+    entry within its run (1 starts a run)."""
     ranks = np.ones(V.shape, dtype=int)
     start = V[:, 0]
     for j in range(1, V.shape[1]):
@@ -352,26 +356,37 @@ def size_classes(starts, sizes):
                  for k in sorted(set(sizes.tolist())))
 
 
+def _value_blocks(v, tols):
+    """The partition rule of nonincreasing singular values v: (r, bounds,
+    l), r the count above tols.rank max(1, v[0]), bounds the start of each
+    block (the ``_run_starts`` runs of those r at tols.cluster max(1,
+    v[0]), then the zero block), then n, l each 1-based rank in its block.
+    A value below -tols.rank max(1, v[0]) raises ``NotSorted``."""
+    n = len(v)
+    scale = max(1.0, v[0]) if n else 1.0
+    if (v < -tols.rank * scale).any():
+        raise NotSorted("singular values must be nonnegative")
+    r = np.count_nonzero(v > tols.rank * scale)
+    bounds = np.array(_run_starts(v[:r], tols.cluster * scale)
+                      + ([r, n] if r < n else [n]))
+    return r, bounds, np.arange(1, n + 1) - np.repeat(bounds[:-1],
+                                                      np.diff(bounds))
+
+
 def partition_values(v, tols=TOLERANCES, m=None):
     """Partition a nonincreasing singular value vector into equal-value
     blocks.
 
     Entries at or below ``tols.rank * max(1, v[0])`` form the zero block
-    beta and the rest cluster (the ``cluster_blocks`` rule at
-    ``tols.cluster * max(1, v[0])``) into alpha blocks with strictly
-    decreasing distinct values mu.  The blocks come out as integer arrays
-    (starts, sizes, owners, size classes): the one list is of run starts.
+    beta and the rest cluster (the ``_run_starts`` rule at
+    ``tols.cluster * max(1, v[0])``, see ``_value_blocks``) into alpha
+    blocks with strictly decreasing distinct values mu.  The blocks come
+    out as integer arrays (starts, sizes, owners, size classes).
     """
     v = as_matrix(v, "v", ndim=1)
     n = len(v)
-    scale = max(1.0, v[0]) if n else 1.0
-    if (v < -tols.rank * scale).any():
-        raise NotSorted("singular values must be nonnegative")
     m = n if m is None else m
-    r = np.count_nonzero(v > tols.rank * scale)
-    # the first index of every block, the zero block last, then n
-    bounds = np.array(_run_starts(v[:r], tols.cluster * scale)
-                      + ([r, n] if r < n else [n]))
+    r, bounds, l = _value_blocks(v, tols)
     t = len(bounds) - 1 - (r < n)
     mu = v[bounds[:t]]
     if (mu[1:] >= mu[:-1]).any():
@@ -380,7 +395,6 @@ def partition_values(v, tols=TOLERANCES, m=None):
     every = bounds[1:] - bounds[:-1]
     starts, sizes = bounds[:t], every[:t]
     r_s = np.repeat(every, every)
-    l = np.arange(1, n + 1) - np.repeat(bounds[:-1], every)
     return SingularPartition(
         n=n, m=m, r=r, t=t, mu=mu, starts=starts, sizes=sizes,
         owner=np.repeat(np.arange(len(every)), every),
@@ -525,10 +539,7 @@ def read_matrix_csv(path, header=False):
                 raise ShapeError(f"{path}:{lineno + 1}: {exc}") from exc
     if not rows:
         raise ShapeError(f"{path}: empty matrix file")
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ShapeError(f"{path}: ragged rows")
-    return as_matrix(np.array(rows), name=str(path))
+    return as_matrix(rows, str(path))   # ragged rows raise ShapeError
 
 
 def write_matrix_csv(path, X):

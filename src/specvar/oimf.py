@@ -39,11 +39,11 @@ from .matrix_core import (
     SET_TOL,
     TOLERANCES,
     SvdDecomposition,
+    _run_starts,
     _svd,
     _tables_of,
     as_count,
     as_matrix,
-    cluster_blocks,
     partition_of,
     require_tall,
     svd_ordered,
@@ -402,8 +402,8 @@ def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
     the zero-block sum frozen at a base point of rank r; this is the
     right callable to feed difference-quotient oracles that probe a
     neighborhood of that base point.  With ``base_rank=None`` the group
-    is the last equal-value block of X itself (``cluster_blocks`` at
-    ``tols.cluster * max(1, sigma_1)``, the rule of every partition),
+    is the last equal-value block of X itself (the last ``_run_starts``
+    run at ``tols.cluster * max(1, sigma_1)``, the rule of every partition),
     which coincides with the frozen form at the base point.  A (k, m, n)
     stack gives a (k,) array, entry i bitwise the value at X[i].
     """
@@ -418,8 +418,7 @@ def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
 
     def bottom_sum(s):
         scale = max(1.0, s[0]) if len(s) else 1.0
-        bottom = cluster_blocks(s, tols.cluster * scale)[-1]
-        return float(np.sum(s[bottom[0]:]))
+        return float(np.sum(s[_run_starts(s, tols.cluster * scale)[-1]:]))
 
     if s.ndim == 2:
         return np.array([bottom_sum(row) for row in s])

@@ -28,7 +28,7 @@ import numpy as np
 
 from .absym import _stacked
 from .errors import NonFinite, NonFiniteBase, ShapeError
-from .matrix_core import _CHUNK_ENTRIES, FD_TOL, as_count, as_matrix, as_real
+from .matrix_core import FD_TOL, _chunks, as_count, as_matrix, as_real
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,6 @@ def _base_value(g, x):
     if not math.isfinite(g0):
         raise NonFiniteBase("g(x) is not finite")
     return g0
-
-
-def _chunks(x, k):
-    """Slices of range(k) of at most max(1, _CHUNK_ENTRIES // x.size)
-    probe points each: one g call per slice."""
-    step = max(1, _CHUNK_ENTRIES // max(x.size, 1))
-    return [slice(lo, min(lo + step, k)) for lo in range(0, k, step)]
 
 
 def _g_stack(g, P):

@@ -37,11 +37,11 @@ from .matrix_core import (
     _read_only,
     _run_starts,
     _tables_of,
+    _value_blocks,
     as_matrix,
     as_real,
     cluster_ranks,
     partition_of,
-    partition_values,
     size_classes,
     svd_ordered,
     sym_eig_ordered,
@@ -242,9 +242,9 @@ def _direction_blocks(svd, H, tols):
         # thin: no formula reads the complement of R's left factor
         Q, eta[part.r:], Qhat_t = np.linalg.svd(R, full_matrices=False)
         Q, Qhat = _fix_signs(Q, Qhat_t.T)
-        rpart = partition_values(eta[part.r:], tols)
-        ltilde[part.r:] = rpart.l
-        beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=rpart.n - rpart.r)
+        _finite_rows(eta[part.r:], "singular value of the zero block of H")
+        rank, _, ltilde[part.r:] = _value_blocks(eta[part.r:], tols)
+        beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
 
     return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, tables=dd,
                            classes=tuple(classes), eta=eta, beta=beta,

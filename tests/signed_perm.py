@@ -2,7 +2,8 @@
 signs * x[perm]; no specvar path uses them, only the symmetry tests."""
 import numpy as np
 
-from specvar.matrix_core import ZERO_TOL, cluster_blocks
+from specvar.matrix_core import ZERO_TOL
+from tie_runs import reference_runs
 
 
 def apply(Q, x):
@@ -18,7 +19,7 @@ def stabilizer_sample(x, rng):
     tol = ZERO_TOL * (1.0 + np.max(np.abs(x), initial=0.0))
     perm, signs = np.arange(len(x)), np.ones(len(x), dtype=int)
     order = np.argsort(-x, kind="stable")
-    for grp in (order[blk] for blk in cluster_blocks(x[order], tol)):
+    for grp in (order[blk] for blk in reference_runs(x[order], tol)):
         perm[grp] = rng.permutation(grp)
         if abs(x[grp[0]]) <= tol:
             signs[grp] = [rng.choice([-1, 1]) for _ in grp]

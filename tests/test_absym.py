@@ -15,6 +15,7 @@ from specvar.absym import (
 from specvar.errors import AssumptionViolated, BadK
 from specvar.oimf import SpectralPoint
 from signed_perm import apply, random_signed_permutation, stabilizer_sample
+from tie_runs import reference_runs
 
 BUILTINS = [l1_spec(), linf_spec(), kyfan_spec(2)]
 TOL = 1e-9   # an explicit cone threshold: the hooks' tol has no default
@@ -192,12 +193,12 @@ class TestParabolic:
     def test_chained_near_tie_follows_cluster_blocks(self):
         # the tie window at x = (1, 1, 1) is ZERO_TOL (1 + max|w|) = 2e-12;
         # w chains: w_2 is within it of w_1 and w_3 of w_2, not of w_1.
-        # cluster_blocks cuts the run at w_3, so the top-2 face along z
+        # The tie rule cuts the run at w_3, so the top-2 face along z
         # is z_1 + z_2 (a window about w_2 would also tie w_3 and pick z_3)
-        from specvar.matrix_core import ZERO_TOL, cluster_blocks
+        from specvar.matrix_core import ZERO_TOL
         tol = ZERO_TOL * 2.0
         w = np.array([1.0, 1.0 - 0.6 * tol, 1.0 - 1.2 * tol])
-        assert cluster_blocks(w, tol) == [[0, 1], [2]]
+        assert reference_runs(w, tol) == [[0, 1], [2]]
         f = kyfan_spec(2)
         assert f.parabolic_subderivative([1.0, 1.0, 1.0], w,
                                         [0.0, 0.0, 1.0]) == 0.0
@@ -514,19 +515,19 @@ def test_spec_requires_subdiff_violation():
 
 
 class TestTieRun:
-    """``_tie_run`` finds the ``cluster_blocks`` run of one index without
-    building the run lists; ``cluster_blocks`` stays the rule.  On chained
-    near-ties (steps of 0.4, 0.6, 1 and 1.5 times tol, runs of them that
-    span more than tol, zeros) the run, the faces of ``_classify`` and
-    ``_signed_top_dirderiv`` equal their ``cluster_blocks`` forms at
-    every k."""
+    """``_tie_run`` finds the run of one index under the tie rule.  On
+    chained near-ties (steps of 0.4, 0.6, 1 and 1.5 times tol, runs of
+    them that span more than tol, zeros) the run, the faces of
+    ``_classify`` and ``_signed_top_dirderiv`` equal their forms under the
+    entry-by-entry reference walk (``tie_runs.reference_runs``) at every
+    k.  The test names keep ``cluster_blocks``, the former name of the
+    rule's list form, which the reference walk reproduces."""
 
     STEPS = (0.4, 0.6, 1.0, 1.5)
 
     @staticmethod
     def run_ref(v, i, tol):
-        from specvar.matrix_core import cluster_blocks
-        return next((b[0], b[-1] + 1) for b in cluster_blocks(v, tol)
+        return next((b[0], b[-1] + 1) for b in reference_runs(v, tol)
                     if i <= b[-1])
 
     def chains(self):

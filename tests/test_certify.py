@@ -588,7 +588,7 @@ class TestChunkedCandidates:
     @pytest.mark.parametrize("name", ["soft-fixture", "saddle-fixture",
                                       "soft-9x8", "soft-7x5-gauge"])
     def test_chunk_size_independent(self, name, monkeypatch):
-        cmod = importlib.import_module("specvar.certify")
+        matrix_core = importlib.import_module("specvar.matrix_core")
         omod = importlib.import_module("specvar.oimf")
         stacks = omod.SpectralPoint.second_subderivatives
         chunks = []
@@ -597,8 +597,8 @@ class TestChunkedCandidates:
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
         cfg = SamplingConfig(n_samples=60, min_samples=10, growth_samples=50)
         runs = []
-        for entries in (1, X0.size, cmod._CHUNK_ENTRIES):
-            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+        for entries in (1, X0.size, matrix_core._CHUNK_ENTRIES):
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
             counts, rows = {}, {}
             chunks.clear()
             cert = certify(ProblemSpec(p.psi, _counting(p.f, counts, rows)),
@@ -720,11 +720,11 @@ class TestStackedGrowthProbe:
     @pytest.mark.parametrize("n_samples", [1, 2, 2001])
     @pytest.mark.parametrize("name", list(INSTANCES))
     def test_equals_per_sample_loop(self, name, n_samples, monkeypatch):
-        cmod = importlib.import_module("specvar.certify")
+        matrix_core = importlib.import_module("specvar.matrix_core")
         p, X0 = self.INSTANCES[name]()
         ref = _growth_reference(p, X0, 1e-2, n_samples, seed=3)
-        for entries in (1, 64 * X0.size, X0.size, cmod._CHUNK_ENTRIES):
-            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+        for entries in (1, 64 * X0.size, X0.size, matrix_core._CHUNK_ENTRIES):
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
             counts, psi = {}, _CountingPsi(p.psi)
             g = quadratic_growth_probe(
                 ProblemSpec(psi, _counting(p.f, counts)), X0, 1e-2,
@@ -869,7 +869,7 @@ class TestStackedCertify:
         assert _certificate_sha(cert) == self.PINNED[name, seed]
 
     def test_one_hessian_call_per_chunk(self, monkeypatch):
-        cmod = importlib.import_module("specvar.certify")
+        matrix_core = importlib.import_module("specvar.matrix_core")
         p, X0 = _soft_instance(7, 5, seed=1)
         calls = []
 
@@ -879,8 +879,9 @@ class TestStackedCertify:
                 return super().hessian_apply(X, H)
 
         psi = Counting(p.psi.B)
-        for entries, chunks in ((cmod._CHUNK_ENTRIES, 1), (20 * X0.size, 10)):
-            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+        for entries, chunks in ((matrix_core._CHUNK_ENTRIES, 1),
+                                (20 * X0.size, 10)):
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
             calls.clear()
             cert = certify(ProblemSpec(psi, p.f), X0)
             assert len(cert.samples) == 200
@@ -984,14 +985,14 @@ class TestStackedCertify:
     @pytest.mark.parametrize("seed", [0, 3])
     def test_equals_per_matrix_loop(self, name, seed, monkeypatch):
         # any BLAS: the pins above hold for one
-        cmod = importlib.import_module("specvar.certify")
+        matrix_core = importlib.import_module("specvar.matrix_core")
         p, X0 = {"soft": soft_threshold_fixture, "saddle": saddle_fixture,
                  "soft-7x5": lambda: _soft_instance(7, 5, seed=2),
                  "saddle-4": lambda: _saddle_instance(4)}[name]()
         cfg = SamplingConfig(seed=seed, min_samples=0)
         ref = self._per_matrix_samples(p, X0, cfg)
-        for entries in (cmod._CHUNK_ENTRIES, 7 * X0.size):
-            monkeypatch.setattr(cmod, "_CHUNK_ENTRIES", entries)
+        for entries in (matrix_core._CHUNK_ENTRIES, 7 * X0.size):
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
             got = certify(p, X0, cfg).samples
             assert len(got) == len(ref)
             for (H, q), (H_ref, q_ref) in zip(got, ref):

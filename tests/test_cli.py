@@ -351,6 +351,36 @@ class TestErrorChannel:
         assert err["error"] == "UsageError" and err["exit_code"] == 1
         assert err["message"] == message
 
+    @pytest.mark.parametrize("key, value, error, message", [
+        ("psi.B", [[1.0, 2.0], [3.0]], "UsageError", "B is not an array"),
+        ("psi.B", [["a", "b"]], "UsageError", "B is not an array"),
+        ("X0", [[2.0, 0.0], [1.0]], "ShapeError", "X0 is not an array"),
+        ("psi", {"kind": "least-squares", "A": [], "b": []}, "UsageError",
+         "A must be 3-dimensional, got ndim=1"),
+        ("psi", {"kind": "least-squares", "A": [np.eye(2).tolist(),
+                                                np.eye(3).tolist()],
+                 "b": [1.0, 2.0]}, "UsageError", "A is not an array"),
+        ("psi", {"kind": "least-squares", "A": [[[1.0], [2.0, 3.0]]],
+                 "b": [1.0]}, "UsageError", "A is not an array"),
+    ], ids=["ragged-B", "text-B", "ragged-X0", "empty-A", "mixed-A",
+            "ragged-A-entry"])
+    def test_malformed_inline_matrix_exit_1(self, tmp_path, capfd, key,
+                                            value, error, message):
+        # numpy's conversion errors end as the JSON error, not a traceback
+        prob = make_problem(tmp_path, "saddle")
+        d = json.loads(open(prob).read())
+        *parents, last = key.split(".")
+        target = d
+        for k in parents:
+            target = target[k]
+        target[last] = value
+        with open(prob, "w") as fh:
+            json.dump(d, fh)
+        assert main(["certify", "--problem", prob]) == 1
+        err = json.loads(capfd.readouterr().err)   # and nothing else
+        assert err["error"] == error and err["exit_code"] == 1
+        assert err["message"].startswith(message)
+
     @pytest.mark.parametrize("command", ["certify", "growth"])
     @pytest.mark.parametrize("sampling, field", [
         ([1], "sampling"), ({"seed": 1.5}, "seed"), ({"seed": "x"}, "seed"),

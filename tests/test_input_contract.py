@@ -142,6 +142,14 @@ CASES = {
     "least-squares-b-nan": (
         lambda: LeastSquares(np.ones((2, 3, 3)), [1.0, math.nan]),
         NonFinite, "b"),
+    "F_eval-ragged": (
+        lambda: F_eval(l1_spec(), [[1, 2], [3]]), ShapeError, "X"),
+    "F_eval-strings": (
+        lambda: F_eval(l1_spec(), [["a", "b"]]), ShapeError, "X"),
+    "svd-dict": (lambda: svd_ordered({"X": 1.0}), ShapeError, "X"),
+    "least-squares-A-mixed-shapes": (
+        lambda: LeastSquares([np.eye(2), np.eye(3)], [1.0, 2.0]),
+        ShapeError, "A"),
 }
 
 

@@ -9,7 +9,7 @@ from specvar.errors import (
 )
 from specvar.matrix_core import (
     Tolerances,
-    cluster_blocks,
+    _run_starts,
     cluster_ranks,
     gauge_randomize,
     partition_of,
@@ -20,6 +20,7 @@ from specvar.matrix_core import (
     write_matrix_csv,
 )
 from symmetric_lift import lift, lift_eigenbasis
+from tie_runs import reference_runs
 
 
 def random_with_spectrum(m, n, svals, rng):
@@ -120,7 +121,8 @@ class TestSymEig:
 class TestClusterRanks:
     def test_matches_cluster_blocks_per_row(self):
         # chains of steps below tol split where the drift from the run's
-        # first entry exceeds it, exactly as in cluster_blocks
+        # first entry exceeds it, exactly as in the one-vector rule (the
+        # test keeps the name of its former list form, cluster_blocks)
         rng = np.random.default_rng(9)
         V = -np.cumsum(rng.choice([0.0, 0.4e-8, 0.7e-8, 0.3],
                                   size=(200, 7)), axis=1)
@@ -128,7 +130,7 @@ class TestClusterRanks:
         ranks = cluster_ranks(V, tol)
         for v, t, rk in zip(V, tol, ranks):
             expect = np.zeros(len(v), dtype=int)
-            for blk in cluster_blocks(v, t):
+            for blk in reference_runs(v, t):
                 expect[blk] = np.arange(1, len(blk) + 1)
             assert rk.tolist() == expect.tolist()
 
@@ -194,17 +196,6 @@ class TestPartition:
             partition_values(np.array([1.0, 2.0]))
 
 
-def _reference_runs(v, tol):
-    """The tie rule walked entry by entry with one list per run, as
-    ``cluster_blocks`` did before the partition became arrays."""
-    runs, start = [], 0
-    for i in range(1, len(v)):
-        if abs(v[i] - v[start]) > tol:
-            runs.append(list(range(start, i)))
-            start = i
-    return runs + [list(range(start, len(v)))] if len(v) else runs
-
-
 class TestArrayPartition:
     """The partition's arrays reproduce the runs of the entry-by-entry
     rule, with mu, l, j, r_s, owners and size classes, on a seeded sweep
@@ -229,8 +220,8 @@ class TestArrayPartition:
         n, m = len(v), part.m
         scale = max(1.0, v[0]) if n else 1.0
         r = int(np.sum(v > tols.rank * scale))
-        runs = _reference_runs(v[:r].tolist(), tols.cluster * scale)
-        assert cluster_blocks(v[:r], tols.cluster * scale) == runs
+        runs = reference_runs(v[:r].tolist(), tols.cluster * scale)
+        assert _run_starts(v[:r], tols.cluster * scale) == [b[0] for b in runs]
         blocks = runs + ([list(range(r, n))] if r < n else [])
         assert part.alpha_blocks == runs and part.t == len(runs)
         assert part.beta == list(range(r, n))

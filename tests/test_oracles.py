@@ -288,7 +288,7 @@ class TestStackedGradientCheck:
     def test_equals_per_entry_loop(self, shape, monkeypatch):
         from specvar.certify import (HalfSquaredDistance, LeastSquares,
                                      QuadraticMinusRankOne)
-        import specvar.oracles as omod
+        import specvar.matrix_core as matrix_core
         rng = np.random.default_rng(sum(shape))
         B, E = rng.standard_normal(shape), rng.standard_normal(shape)
         psis = [HalfSquaredDistance(B), QuadraticMinusRankOne(B, E, 0.3),
@@ -298,8 +298,8 @@ class TestStackedGradientCheck:
         X[0, 0] = -0.0
         for psi in psis:
             ref = self._per_entry(psi, X)
-            for entries in (1, 3 * X.size, omod._CHUNK_ENTRIES):
-                monkeypatch.setattr(omod, "_CHUNK_ENTRIES", entries)
+            for entries in (1, 3 * X.size, matrix_core._CHUNK_ENTRIES):
+                monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
                 assert fd_gradient_check(psi, X).gradient_rel_err == ref
 
     def test_memory_peak(self):
@@ -406,7 +406,7 @@ class TestStackedOracles:
     @pytest.mark.parametrize("fname", ["l1", "kyfan:2"])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_equals_per_point_loop(self, fname, seed, monkeypatch):
-        import specvar.oracles as omod
+        import specvar.matrix_core as matrix_core
         from specvar.absym import spec_by_name
         f = spec_by_name(fname)
         X, Y, H = _triple(fname, seed)
@@ -417,7 +417,7 @@ class TestStackedOracles:
         g = lambda M: F_eval(f, M)
         ref = self._per_point(g, X, Y, H, Z, dgxw, cfg, guides)
         for points in (1, 3, len(guides) + 2, 10_000):
-            monkeypatch.setattr(omod, "_CHUNK_ENTRIES", points * X.size)
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", points * X.size)
             assert (quotient2_fixed(g, X, Y, H, cfg),
                     liminf_table(g, X, Y, H, cfg, guides),
                     parabolic_quotient(g, X, H, dgxw, Z, cfg)) == ref

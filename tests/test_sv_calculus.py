@@ -16,8 +16,8 @@ from specvar.errors import (
 from specvar.matrix_core import (
     GAP_WARN,
     TOLERANCES,
+    SvdDecomposition,
     Tolerances,
-    cluster_blocks,
     gauge_randomize,
     partition_of,
     partition_values,
@@ -34,6 +34,7 @@ from specvar.sv_calculus import (
     sigma_dir2_from_blocks,
 )
 from symmetric_lift import lift, lift_eigenbasis
+from tie_runs import reference_runs
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -589,7 +590,7 @@ def ltilde_reference(blocks):
     for blk in part.alpha_blocks:
         lam = np.linalg.eigvalsh(Sym[np.ix_(blk, blk)])[::-1]
         tol = TOLERANCES.cluster * max(1.0, np.max(np.abs(lam), initial=0.0))
-        for grp in cluster_blocks(lam, tol):
+        for grp in reference_runs(lam, tol):
             lt[np.array(blk)[grp]] = np.arange(1, len(grp) + 1)
     if r < n:
         lt[r:] = partition_values(
@@ -1096,8 +1097,87 @@ class TestNonFinite:
                 call(self.BIG)
         assert not caught
 
+    def test_zero_block_overflow_raises(self):
+        # sigma(R) of a zero block of 1.7e308 entries is inf: sigma' has
+        # no value there
+        from specvar.errors import NonFinite
+        with pytest.raises(NonFinite, match="zero block of H .* overflows"):
+            sigma_dir1(np.diag([2.0, 0.0, 0.0]), np.full((3, 3), 1.7e308))
+
     def test_first_order_stays_finite(self):
         for X in (np.diag([2.0, 1.0]), np.diag([2.0, 0.0])):
             assert np.all(np.isfinite(sigma_dir1(X, self.BIG)))
         assert np.all(np.isfinite(
             eig_expand2(np.diag([2.0, 1.0]), np.diag([1e200, -1e200]))[0]))
+
+
+class TestZeroBlockRanks:
+    """The zero block's second-level ranks and zero count follow the
+    partition rule of sigma(R): on chained near-ties inside R (steps of
+    0.4, 0.6 and 1.5 cluster tolerances) and on values either side of
+    ``tols.rank * max(1, sigma_1(R))``, ``ltilde[r:]`` and ``beta.zeros``
+    equal ``partition_values(sigma(R))``'s ``l`` and zero count."""
+
+    @staticmethod
+    def sigma_R(tols, rng):
+        top = float(rng.choice([0.5, 1.0, 3.0]))
+        scale = max(1.0, top)
+        steps = rng.choice([0.0, 0.4, 0.6, 1.5, 1e5], size=4)
+        chain = top - tols.cluster * scale * np.cumsum(np.r_[0.0, steps])
+        zeros = tols.rank * scale * rng.choice([0.0, 0.5, 2.0], size=2)
+        return np.r_[chain, zeros]
+
+    def test_ranks_and_zeros_are_the_partition_of_sigma_R(self):
+        rng = np.random.default_rng(29)
+        seen = Counter()
+        for tols in (TOLERANCES, Tolerances(cluster=2e-8, rank=1e-10)):
+            for _ in range(40):
+                s_R = self.sigma_R(tols, rng)
+                k, r = len(s_R), 2
+                m, n = r + k + 2, r + k
+                sigma = np.r_[3.0, 2.0, np.zeros(k)]
+                X = np.eye(m, n) * sigma
+                gauge = SvdDecomposition(U=np.eye(m), sigma=sigma,
+                                         V=np.eye(n))
+                H = rng.standard_normal((m, n))
+                Qa = np.linalg.qr(rng.standard_normal((m - r, m - r)))[0]
+                Qb = np.linalg.qr(rng.standard_normal((k, k)))[0]
+                H[r:, r:] = Qa[:, :k] @ np.diag(s_R) @ Qb.T
+                b = direction_blocks(X, H, gauge, tols)
+                ref = partition_values(b.eta[r:], tols)
+                assert b.ltilde[r:].tolist() == ref.l.tolist()
+                assert b.beta.zeros == ref.n - ref.r
+                seen["zero group"] += b.beta.zeros > 0
+                seen["kept above rank tol"] += ref.r > np.count_nonzero(
+                    s_R > 1e-6)
+                seen["near-ties merged"] += ref.t < len(set(s_R[s_R > 1e-6]))
+                seen["chained group"] += ref.l[:ref.r].max() > 2
+                # a run cut between two values closer than the tolerance
+                step = -np.diff(b.eta[r:r + ref.r])
+                seen["chain cut"] += np.any((ref.l[1:ref.r] == 1) & (
+                    step < tols.cluster * max(1.0, b.eta[r])))
+        assert min(seen.values()) > 5 and len(seen) == 5
+
+
+class TestOnePartitionPerPoint:
+    """sigma', sigma'' and W-hat along two directions at a rank-deficient
+    X partition sigma(X) once in total: the zero block's sigma(R) is read
+    by the partition rule alone, not by ``partition_values``."""
+
+    def test_two_directions_call_partition_values_once(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        X = random_with_spectrum(7, 5, [3.0, 2.0, 2.0, 0.0, 0.0], rng)
+        calls = []
+        real = matrix_core.partition_values
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        for module in (matrix_core, sv_calculus, oimf):   # any binding
+            monkeypatch.setattr(module, "partition_values", counted,
+                                raising=False)
+        for H in rng.standard_normal((2, 7, 5)):
+            sigma_dir1(X, H)
+            sigma_dir2(X, H, np.eye(7, 5))
+            sigma_dir2(X, H, min_direction_construct(X, H, np.zeros(5)))
+        assert len(calls) == 1

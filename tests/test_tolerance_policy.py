@@ -1,7 +1,7 @@
 """One tolerance policy: the two thresholds that draw the multiplicity
 partition travel as one validated ``Tolerances`` pair, every other
 threshold is named once in ``matrix_core``, and every entry point sees
-the partition that ``cluster_blocks`` draws."""
+the partition that ``partition_values`` draws."""
 
 import ast
 import dataclasses
