@@ -1,6 +1,8 @@
 """Dense matrix primitives: ordered SVD and symmetric eigendecomposition,
-multiplicity-aware index partitioning and its divided-difference tables,
-kept for the last X as one prepared point, and the one tolerance policy.
+multiplicity-aware partitions of singular values, which carry the values
+and build their divided-difference tables once, kept for the last X as
+one prepared point (decomposition and partition), and the one tolerance
+policy.
 
 All decompositions follow the tall convention n <= m, order their values
 nonincreasingly and fix signs deterministically so repeated runs agree
@@ -14,6 +16,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, is_dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,7 +188,8 @@ class EigDecomposition:
 
 @dataclass(frozen=True)
 class SingularPartition:
-    """Multiplicity structure of a nonincreasing singular value vector.
+    """Multiplicity structure of a nonincreasing singular value vector
+    ``values`` (a read-only copy of the partitioned vector).
 
     The t alpha blocks are contiguous runs of equal nonzero values, block
     i starting at index ``starts[i]`` with ``sizes[i]`` entries and value
@@ -197,9 +201,11 @@ class SingularPartition:
     the 1-based within-block rank, the count of equal values strictly
     after, and the block multiplicity, per index.  ``alpha_blocks`` is a
     list view of the runs.  The index lists refuse in-place changes
-    (``TypeError``).
+    (``TypeError``).  ``tables`` are the divided differences of the
+    values over these blocks, built on first use only.
     """
 
+    values: np.ndarray
     n: int
     m: int
     r: int
@@ -225,6 +231,11 @@ class SingularPartition:
     @property
     def betahat(self):
         return self.beta + self.beta0
+
+    @cached_property
+    def tables(self):
+        """The read-only ``divided_differences(self)``, built once."""
+        return _read_only(divided_differences(self))
 
 
 class _FrozenList(list):
@@ -278,7 +289,7 @@ class _LastCall:
         return entry[1]
 
 
-# the prepared point of the last X: (key, svd, tols, partition, tables)
+# the prepared point of the last X: (key, svd, partition)
 _LAST_SVD = _LastCall()
 
 
@@ -289,12 +300,12 @@ def svd_ordered(X) -> SvdDecomposition:
     largest-magnitude entry of each column of U positive, with V adjusted
     so that X = U diag(sigma) V^T is preserved.  The last X is kept: a
     bitwise-equal X gets the same read-only decomposition back, and with
-    it the partition and divided-difference tables last built for it.
+    it the partition (and its tables) last built for it.
     """
     X = require_tall(as_matrix(X))
     key, entry = (X.shape, X.tobytes()), _LAST_SVD.entry
     if entry is None or entry[0] != key:
-        entry = _LAST_SVD.entry = (key, _read_only(_svd(X)), None, None, None)
+        entry = _LAST_SVD.entry = (key, _read_only(_svd(X)), None)
     return entry[1]
 
 
@@ -396,7 +407,7 @@ def partition_values(v, tols=TOLERANCES, m=None):
     starts, sizes = bounds[:t], every[:t]
     r_s = np.repeat(every, every)
     return SingularPartition(
-        n=n, m=m, r=r, t=t, mu=mu, starts=starts, sizes=sizes,
+        values=_read_only(v.copy()), n=n, m=m, r=r, t=t, mu=mu, starts=starts, sizes=sizes,
         owner=np.repeat(np.arange(len(every)), every),
         classes=size_classes(starts, sizes), beta=_FrozenList(range(r, n)),
         beta0=_FrozenList(range(n, m)), l=l, j=r_s - l, r_s=r_s, tols=tols)
@@ -408,10 +419,10 @@ def partition_of(svd: SvdDecomposition, tols=TOLERANCES) -> SingularPartition:
     entry = _LAST_SVD.entry
     if entry is None or entry[1] is not svd:
         return partition_values(svd.sigma, tols, m=svd.shape[0])
-    if entry[2] != tols:
+    if entry[2] is None or entry[2].tols != tols:
         part = _read_only(partition_values(svd.sigma, tols, m=svd.shape[0]))
-        entry = _LAST_SVD.entry = (*entry[:2], tols, part, None)
-    return entry[3]
+        entry = _LAST_SVD.entry = (*entry[:2], part)
+    return entry[2]
 
 
 _PACKAGE = __name__.rpartition(".")[0] + "."
@@ -448,11 +459,12 @@ class DividedDifferences:
                 warnings.warn(text, ConditioningWarning, stacklevel=level)
 
 
-def divided_differences(s, part: SingularPartition) -> DividedDifferences:
-    """The ``DividedDifferences`` of the values s under ``part``: the gap
-    from mu to the rest of the lift [[0, X], [X^T, 0]] (sigma_j off the
-    block, -sigma_j, 0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
-    n, r, t = part.n, part.r, part.t
+def divided_differences(part: SingularPartition) -> DividedDifferences:
+    """The ``DividedDifferences`` of the values s = ``part.values`` over
+    ``part``'s blocks, which ``part.tables`` keeps: the gap from mu to the
+    rest of the lift [[0, X], [X^T, 0]] (sigma_j off the block, -sigma_j,
+    0 if m > n) warns below GAP_WARN max(1, sigma_1)."""
+    s, n, r = part.values, part.n, part.r
     mu, cols = part.mu, part.owner[:r]
     diff = mu - s[:, None]                           # n x t
     diff[np.arange(r), cols] = np.inf                # own block: D = 0
@@ -468,18 +480,6 @@ def divided_differences(s, part: SingularPartition) -> DividedDifferences:
     return DividedDifferences((1.0 / diff)[:, cols], E[:, cols],
                               (0.5 / mu)[cols], gaps,
                               tuple(filter(None, (w for _, _, w in gaps))))
-
-
-def _tables_of(s, part: SingularPartition) -> DividedDifferences:
-    """``divided_differences`` of the values s that ``part`` partitions,
-    kept, read-only, with the memo's partition."""
-    entry = _LAST_SVD.entry
-    if entry is None or entry[3] is not part:
-        return divided_differences(s, part)
-    if entry[4] is None:
-        dd = _read_only(divided_differences(s, part))
-        entry = _LAST_SVD.entry = (*entry[:4], dd)
-    return entry[4]
 
 
 def _random_orthogonal(k, rng):

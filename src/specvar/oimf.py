@@ -41,7 +41,6 @@ from .matrix_core import (
     SvdDecomposition,
     _run_starts,
     _svd,
-    _tables_of,
     as_count,
     as_matrix,
     partition_of,
@@ -276,10 +275,10 @@ class SpectralPoint:
     scale GAUGE_TOL ||Y|| (``_subgradient``: one stacked eigh per block
     size, singletons read diag(U^T Y V); (c f, c Y) is decided alike),
     raising ``NoSimultaneousGauge`` and then ``NotASubgradient``, checks
-    that f is finite at sigma(X), and keeps the beta weights and the
-    ``DividedDifferences`` of sigma(X).  The partition and the tables are
-    those kept with ``svd_ordered(X)``: after sigma' or sigma'' at X,
-    neither is built again.
+    that f is finite at sigma(X), and keeps the beta weights.  The
+    partition is the one kept with ``svd_ordered(X)``, and its ``tables``
+    are the ``DividedDifferences`` of sigma(X): after sigma' or sigma'' at
+    X, neither is built again.
     The formula depends on H only through Hhat = U^T H V, so a stack of
     directions costs one batched product and the ``sv_calculus`` kernel:
     no SVD of X, no partition.
@@ -317,10 +316,9 @@ class SpectralPoint:
         s, sy, part = self.gauge.sigma, self.sy, self.part
         if not math.isfinite(f.eval(s)):
             raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-        self._tables = _tables_of(s, part)
         self._report_warns = tuple(
             f"spectral gap {g:.3e} at block value {mu:.6g}: alpha term "
-            "ill-conditioned" for mu, g, w in self._tables.gaps if w)
+            "ill-conditioned" for mu, g, w in part.tables.gaps if w)
         self._B = -2.0 * sy[part.r:, None] / s[:part.r]   # beta weights
 
     def second_subderivatives(self, Hs):
@@ -346,7 +344,7 @@ class SpectralPoint:
             d2f[crit] = _stacked(
                 f.second_subderivative(s, sy, d1[crit], tols[crit]),
                 crit.sum(), "f.second_subderivative")
-        alpha = np.where(crit, alpha_terms(Hhat, self._tables, sy[:r]), 0.0)
+        alpha = np.where(crit, alpha_terms(Hhat, part, sy[:r]), 0.0)
         beta = np.where(crit, _finite_rows(np.einsum(   # einsum never warns
             "kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n], self._B),
             "beta term of H"), 0.0)
@@ -480,8 +478,7 @@ def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     svd, part, Hhat = _prepared(X, H, tols)
     if part.r == 0:
         raise RankZero("X has rank 0")
-    tables = _tables_of(svd.sigma, part)
-    return float(alpha_terms(Hhat[None], tables, 1.0)[0])
+    return float(alpha_terms(Hhat[None], part, 1.0)[0])
 
 
 def nuclear_second_epi(X, Omega, H, tols=TOLERANCES) -> ExtendedValue:
@@ -623,8 +620,7 @@ def guided_offsets(X, H, tols=TOLERANCES):
     offsets = []
     if part.r > 0:
         offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)
-    tables, idxs = _tables_of(svd.sigma, part), part.classes
-    tables.warn()
+    part.tables.warn()
     offsets.append(0.5 * (svd.U @ _cancelling_direction(
-        Hhat, idxs, _class_quadratics(Hhat, tables, idxs), sigma_a) @ svd.V.T))
+        Hhat, part, _class_quadratics(Hhat, part)) @ svd.V.T))
     return [D for per_H in zip(*offsets) for D in per_H]

@@ -6,7 +6,7 @@ equal singular values the first-order behaviour is an eigenvalue problem
 for the reduced symmetric block, and across blocks the second-order
 behaviour picks up a resolvent correction: a masked divided-difference
 (Loewner) form in Hhat = U^T H V whose point-only tables are the one
-``DividedDifferences`` of X.  Zero singular values behave like a
+``DividedDifferences`` of X, the ``tables`` of its partition.  Zero singular values behave like a
 reduced rectangular SVD problem instead.  ``DirectionBlocks`` is the one
 record of that structure per (X, H), and the sigma', sigma'' and W-hat
 kernels read its arrays; it is internal, not a ``specvar`` name.
@@ -29,14 +29,12 @@ from .matrix_core import (
     BLOCK_SORT_TOL,
     SYMMETRY_TOL,
     TOLERANCES,
-    DividedDifferences,
     SingularPartition,
     SvdDecomposition,
     _fix_signs,
     _LastCall,
     _read_only,
     _run_starts,
-    _tables_of,
     _value_blocks,
     as_matrix,
     as_real,
@@ -65,12 +63,12 @@ class DirectionBlocks:
     one record the sigma', sigma'' and W-hat kernels read: each size
     class of alpha blocks stacks its reduced eigenvectors, ``eta`` holds
     sigma'(X; H) (the reduced eigenvalues, then sigma(R)), and every
-    second-level group is a run of ``ltilde`` that starts at 1."""
+    second-level group is a run of ``ltilde`` that starts at 1.  The
+    point's divided differences are ``part.tables``."""
 
     gauge: SvdDecomposition
     part: SingularPartition
     Hhat: np.ndarray         # U^T H V in the gauge, m x n
-    tables: DividedDifferences
     classes: tuple           # per size k: (b, k) indices, (b, k, k) Q
     eta: np.ndarray          # reduced eigenvalues, then sigma(R): sigma'
     beta: BetaBlock | None
@@ -85,10 +83,9 @@ class DirectionBlocks:
         """The (b, k, k) alpha quadratics G_a of every size class,
         read-only, built once for sigma'' and W-hat: with Sym, Skw the
         symmetric and skew parts of Hhat[:n], T = Hhat[n:] and _a the
-        block's columns (of the tables too), G_a = Sym_a^T (D_a * Sym_a)
-        + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu)."""
-        return _read_only(tuple(_class_quadratics(
-            self.Hhat, self.tables, [idx for idx, _ in self.classes])))
+        block's columns (of ``part.tables`` too), G_a = Sym_a^T (D_a *
+        Sym_a) + Skw_a^T (E_a * Skw_a) + T_a^T T_a / (2 mu)."""
+        return _read_only(tuple(_class_quadratics(self.Hhat, self.part)))
 
 
 def _blocks_of(M, idx):
@@ -168,12 +165,12 @@ def _finite_rows(values, term):
     return values
 
 
-def alpha_terms(Hhat, dd: DividedDifferences, w):
+def alpha_terms(Hhat, part: SingularPartition, w):
     """2 sum_i w_i (G_a)_ii, G_a as in ``DirectionBlocks.quadratics``, for
     every H of a (k, m, n) stack Hhat; small-gap blocks warn, overflow
     raises ``NonFinite``."""
+    dd, n, r = part.tables, part.n, part.r
     dd.warn()
-    n, r = dd.E.shape
     Sym, Skw = _sym_skw(Hhat[:, :n])
     with np.errstate(over="ignore", invalid="ignore"):
         terms = 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, dd.D * w)
@@ -194,8 +191,8 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     The alpha blocks of one size share one stacked eigh and one
     clustering pass (a singleton's eigenpair is its entry and 1), so the
     cost grows with the number of block sizes, not of blocks.  Without
-    ``gauge`` the partition and divided-difference tables are those kept
-    with ``svd_ordered(X)``, shared with d2F at X, and the last result is
+    ``gauge`` the partition (with its tables) is the one kept with
+    ``svd_ordered(X)``, shared with d2F at X, and the last result is
     kept: bitwise-equal X, H and ``tols`` get the same read-only blocks
     back, and a hit decomposes nothing; a ``gauge`` builds its own.
     Building never warns: a small gap warns where a second-order output
@@ -227,7 +224,6 @@ def _kept_blocks(X, H, tols):
 def _direction_blocks(svd, H, tols):
     part, Hhat = partition_of(svd, tols), svd.U.T @ H @ svd.V
     n = part.n
-    dd = _tables_of(svd.sigma, part)
 
     eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
     classes = []
@@ -246,20 +242,19 @@ def _direction_blocks(svd, H, tols):
         rank, _, ltilde[part.r:] = _value_blocks(eta[part.r:], tols)
         beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
 
-    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, tables=dd,
-                           classes=tuple(classes), eta=eta, beta=beta,
+    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, classes=tuple(classes), eta=eta, beta=beta,
                            ltilde=ltilde)
 
 
-def _class_quadratics(Hhat, dd: DividedDifferences, idxs):
+def _class_quadratics(Hhat, part: SingularPartition):
     """The (..., b, k, k) stack of alpha quadratics G_a of every size class
-    (a (b, k) index array each) for Hhat = U^T H V with any leading axes;
-    overflow raises ``NonFinite``.  It never warns: each caller warns for
-    the gap tables it reads."""
-    n = dd.E.shape[0]
+    of ``part`` for Hhat = U^T H V with any leading axes; overflow raises
+    ``NonFinite``.  It never warns: each caller warns for the gap tables
+    it reads."""
+    dd, n = part.tables, part.n
     Sym, Skw = _sym_skw(Hhat[..., :n, :])
     out = []
-    for idx in idxs:
+    for idx in part.classes:
         Sa, Ka, Ta, Da, Ea = (np.moveaxis(A[..., idx], -3, -2) for A in (
             Sym, Skw, Hhat[..., n:, :], dd.D, dd.E))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -292,7 +287,7 @@ def sigma_dir2_from_blocks(blocks: DirectionBlocks, W):
     svd = blocks.gauge
     What = svd.U.T @ W @ svd.V
     out = np.zeros(blocks.part.n)
-    blocks.tables.warn()
+    blocks.part.tables.warn()
     for (idx, Q), G in zip(blocks.classes, blocks.quadratics):
         with np.errstate(over="ignore"):
             M = _sym(_blocks_of(What, idx)) + 2.0 * G
@@ -427,32 +422,32 @@ def min_direction_construct(X, H, zbar, tols=TOLERANCES):
     zbar = as_matrix(zbar, "zbar", blocks.eta, like_name="sigma(X)")
     _check_block_sorted(zbar, blocks, BLOCK_SORT_TOL * max(
         1.0, np.max(np.abs(zbar), initial=0.0)))
-    svd, r = blocks.gauge, blocks.part.r
+    svd, part = blocks.gauge, blocks.part
     planted = [Q @ (zbar[idx][:, :, None] * Q.mT)
                for idx, Q in blocks.classes]
     if blocks.beta is not None:
-        planted.append((blocks.beta.Q * zbar[r:]) @ blocks.beta.Qhat.T)
-    blocks.tables.warn()
+        planted.append((blocks.beta.Q * zbar[part.r:]) @ blocks.beta.Qhat.T)
+    part.tables.warn()
     return svd.U @ _cancelling_direction(
-        blocks.Hhat, [idx for idx, _ in blocks.classes], blocks.quadratics,
-        svd.sigma[:r], planted) @ svd.V.T
+        blocks.Hhat, part, blocks.quadratics, planted) @ svd.V.T
 
 
-def _cancelling_direction(Hhat, idxs, quads, sigma_a, planted=None):
+def _cancelling_direction(Hhat, part: SingularPartition, quads,
+                          planted=None):
     """The reduced direction U^T W V that cancels the resolvent term of
-    every alpha block (a (b, k) index array per size class, ``quads`` its
-    ``_class_quadratics``) and the cross term of the beta block, for
-    Hhat = U^T H V with any leading axes, plus the ``planted`` target
-    terms: one per class, then one for the beta block (all zero by
-    default, the zero-target direction).  Overflow raises ``NonFinite``."""
-    r, n = len(sigma_a), Hhat.shape[-1]
+    every alpha block (``quads`` the ``_class_quadratics`` of ``part``'s
+    size classes) and the cross term of the beta block, for Hhat = U^T H V
+    with any leading axes, plus the ``planted`` target terms: one per
+    class, then one for the beta block (all zero by default, the
+    zero-target direction).  Overflow raises ``NonFinite``."""
+    r, n = part.r, part.n
     if planted is None:
-        planted = [0.0] * (len(idxs) + 1)
+        planted = [0.0] * (len(part.classes) + 1)
     Wred = np.zeros(Hhat.shape)
     with np.errstate(over="ignore"):
-        for idx, A, G in zip(idxs, planted, quads):
+        for idx, A, G in zip(part.classes, planted, quads):
             Wred[..., idx[:, :, None], idx[:, None, :]] = A - 2.0 * G
         if r < n:   # cancels sigma'''s beta cross term, -2 times this
             Wred[..., r:, r:] = planted[-1] + 2.0 * cross_term_hat(
-                Hhat, sigma_a, slice(r, None), slice(r, n))
+                Hhat, part.values[:r], slice(r, None), slice(r, n))
     return _finite_rows(Wred, "reduced direction of H")

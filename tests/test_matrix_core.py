@@ -195,6 +195,19 @@ class TestPartition:
         with pytest.raises(NotSorted):
             partition_values(np.array([1.0, 2.0]))
 
+    def test_values_are_a_read_only_copy(self):
+        # the tables are built from the values on first use, so a later
+        # edit of the caller's vector reaches neither, built or not
+        v = np.array([3.0, 3.0, 1.0, 0.0])
+        lazy, built = partition_values(v), partition_values(v)
+        D = built.tables.D.copy()
+        v[:] = [5.0, 4.0, 2.0, 1.0]
+        for part in (lazy, built):
+            assert part.values.tolist() == [3.0, 3.0, 1.0, 0.0]
+            assert np.array_equal(part.tables.D, D)
+            with pytest.raises(ValueError):
+                part.values[0] = 1.0
+
 
 class TestArrayPartition:
     """The partition's arrays reproduce the runs of the entry-by-entry
@@ -226,6 +239,7 @@ class TestArrayPartition:
         assert part.alpha_blocks == runs and part.t == len(runs)
         assert part.beta == list(range(r, n))
         assert part.beta0 == list(range(n, m)) and part.r == r
+        assert np.array_equal(part.values, v)
         assert part.starts.tolist() == [b[0] for b in runs]
         assert part.sizes.tolist() == [len(b) for b in runs]
         assert np.array_equal(part.mu, np.array([v[b[0]] for b in runs]))

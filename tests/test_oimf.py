@@ -799,9 +799,10 @@ class TestOneDecomposition:
         assert sum(seen) == 1
 
     def test_deriv_sweep_sequence_prepares_X_once(self, monkeypatch):
-        # sigma', sigma'' twice, W-hat and d2F at one X share one SVD, one
-        # partition and one set of tables of sigma(X), and one
-        # alpha-quadratic pass per (X, H)
+        # sigma', sigma'' twice, W-hat, d2F, the guided offsets and phi''
+        # at one X share one SVD, one partition and one set of tables of
+        # sigma(X), and one alpha-quadratic pass per (X, H) of the
+        # direction blocks
         import specvar.sv_calculus as svc
         rng = np.random.default_rng(32)
         svd = svd_ordered(random_with_spectrum(7, 5, [3, 2, 2, 1, 0], rng))
@@ -833,6 +834,8 @@ class TestOneDecomposition:
         sigma_dir2(X, H, W)
         sigma_dir2(X, H, svc.min_direction_construct(X, H, np.ones(5)))
         F_second_subderivative(l1_spec(), X, Y, Hc)
+        guided_offsets(X, H)
+        nuclear_phi_second_diff(X, H)
         assert calls == {"svd": 1, "partition": 1, "tables": 1,
                          "quadratics": 1}
 

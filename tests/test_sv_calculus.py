@@ -630,7 +630,7 @@ class TestLiftReference:
             quads, gaps, d2, _ = lift_reference(b, H, W, zbar)
             for G, Gref in zip(in_block_order(b, b.quadratics), quads):
                 assert_rel(G, Gref)
-            assert [gap for _, gap, _ in b.tables.gaps] == gaps
+            assert [gap for _, gap, _ in b.part.tables.gaps] == gaps
             assert_rel(sigma_dir2_from_blocks(b, W), d2)
         What = lift_reference(direction_blocks(X, H), H, W, zbar)[3]
         assert_rel(min_direction_construct(X, H, zbar), What)
@@ -676,7 +676,7 @@ class TestLiftReference:
             assert bool(fired) == warns
             _, gaps, _, _ = lift_reference(b, H, np.zeros(X.shape),
                                            np.zeros(2))
-            assert [gap for _, gap, _ in b.tables.gaps] == gaps
+            assert [gap for _, gap, _ in b.part.tables.gaps] == gaps
             assert min(gaps) == pytest.approx(g, rel=1e-6)
 
     def check_against_lift(self, X, H, W, zbar, gauge):
@@ -911,7 +911,7 @@ class TestLastCallMemo:
         given = direction_blocks(X, H, gauge=g)
         assert given is not blocks and given.gauge is g
         assert given.part is not blocks.part
-        assert given.tables is not blocks.tables
+        assert given.part.tables is not blocks.part.tables
         assert given.Hhat.flags.writeable     # not stored, not frozen
         assert direction_blocks(X, H) is blocks
 
@@ -938,17 +938,44 @@ class TestLastCallMemo:
         point = oimf.SpectralPoint(l1_spec(), X, Y)
         assert blocks.gauge is svd_ordered(X)
         assert blocks.part is partition_of(svd_ordered(X)) is point.part
-        assert blocks.tables is point._tables
-        part, dd = blocks.part, blocks.tables
+        part, dd = blocks.part, blocks.part.tables
         for A in (dd.D, dd.E, dd.C, part.mu, part.l, part.j, part.r_s):
             with pytest.raises(ValueError):
                 A[0] = 1.0
+
+    def test_tables_are_built_on_first_use_only(self, monkeypatch):
+        # sigma', dF and the cone test read no gap table, so the point's
+        # partition builds none; the first second-order output builds
+        # them, once and read-only, and so does a partition of its own
+        X, H, W, Y, Hc, _ = self.instance()
+        built, build = [], matrix_core.divided_differences
+
+        def counted(part):
+            built.append(part)
+            return build(part)
+        monkeypatch.setattr(matrix_core, "divided_differences", counted)
+        sigma_dir1(X, H)
+        oimf.F_subderivative(l1_spec(), X, H)
+        oimf.F_critical_cone_contains(l1_spec(), X, Y, Hc)
+        part = partition_of(svd_ordered(X))
+        assert built == [] and "tables" not in vars(part)
+        sigma_dir2(X, H, W)
+        oimf.F_second_subderivative(l1_spec(), X, Y, Hc)
+        assert len(built) == 1 and built[0] is part
+        own = partition_values(np.array([2.0, 1.0, 0.0]))
+        assert own.tables is own.tables and len(built) == 2
+        for dd in (part.tables, own.tables):
+            for A in (dd.D, dd.E, dd.C):
+                with pytest.raises(ValueError):
+                    A[0] = 1.0
+            with pytest.raises(TypeError):
+                dd.gaps.append((1.0, 0.0, ""))
 
     def test_caller_edits_leave_the_next_call_unchanged(self):
         data = self.instance()
         before = self.outputs(*data)
         part = partition_of(svd_ordered(data[0]))
-        gaps = direction_blocks(*data[:2]).tables.gaps
+        gaps = direction_blocks(*data[:2]).part.tables.gaps
         edits = [lambda: part.alpha_blocks.append([9]),
                  lambda: part.alpha_blocks[0].append(9),
                  lambda: part.alpha_blocks[1].__setitem__(0, 9),
@@ -982,14 +1009,14 @@ class TestLastCallMemo:
         X = self.instance()[0]
         svd = svd_ordered(X)
         part = partition_of(svd)
-        dd = matrix_core._tables_of(svd.sigma, part)
+        dd = part.tables
         assert partition_of(svd) is part
-        assert matrix_core._tables_of(svd.sigma, part) is dd
+        assert partition_of(svd).tables is dd
         other = Tolerances(cluster=1e-6)
         wide = partition_of(svd, other)
         assert wide is not part and wide.tols == other
         assert partition_of(svd, other) is wide
-        assert matrix_core._tables_of(svd.sigma, wide) is not dd
+        assert wide.tables is not dd
         assert partition_of(svd) is not part
         Xu = X.copy()
         Xu[0, 0] = np.nextafter(Xu[0, 0], np.inf)
