@@ -89,7 +89,7 @@ class QuadraticMinusRankOne:
 
     def __init__(self, B, E, gamma):
         self.B = as_matrix(B, "B")
-        self.E = as_matrix(E, "E")
+        self.E = as_matrix(E, "E", self.B, like_name="B")
         self.gamma = as_real(gamma, "gamma", positive=False)
 
     def value(self, X):

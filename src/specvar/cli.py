@@ -171,7 +171,8 @@ def _psi_from_dict(d, base):
 
 def load_problem(path):
     """Problem file: JSON with matrix CSV references, f name, weight and
-    psi kind; relative paths resolve against the file's directory."""
+    psi kind; relative paths resolve against the file's directory.  X0
+    must have the shape of psi's matrix (B, or each matrix of A)."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         d = json.load(fh)
@@ -180,9 +181,12 @@ def load_problem(path):
     weight = _usage(as_real, d.get("weight", 1.0), "weight")
     if weight != 1.0:
         f = absym.scale_spec(f, weight)
-    p = ProblemSpec(psi=_psi_from_dict(_required(d, "psi", path), base), f=f)
-    X0 = _load_matrix(_required(d, "X0", path), base, name="X0")
-    return p, X0, d.get("sampling", {}), d
+    psi = _psi_from_dict(_required(d, "psi", path), base)
+    like, like_name = ((psi.A[0], "A[0]") if isinstance(psi, LeastSquares)
+                       else (psi.B, "B"))
+    X0 = _usage(_load_matrix, _required(d, "X0", path), base, name="X0")
+    X0 = _usage(as_matrix, X0, "X0", like, like_name=like_name)
+    return ProblemSpec(psi=psi, f=f), X0, d.get("sampling", {}), d
 
 
 def _sampling(args, sampling):

@@ -1,8 +1,6 @@
 """Dense matrix primitives: ordered SVD and symmetric eigendecomposition,
-multiplicity-aware partitions of singular values, which carry the values
-and build their divided-difference tables once, kept for the last X as
-one prepared point (decomposition and partition), and the one tolerance
-policy.
+partitions of singular values, which build their divided-difference tables
+once, kept for the last X as one prepared point, and the tolerance policy.
 
 All decompositions follow the tall convention n <= m, order their values
 nonincreasingly and fix signs deterministically so repeated runs agree
@@ -188,8 +186,7 @@ class EigDecomposition:
 
 @dataclass(frozen=True)
 class SingularPartition:
-    """Multiplicity structure of a nonincreasing singular value vector
-    ``values`` (a read-only copy of the partitioned vector).
+    """Multiplicity structure of a nonincreasing singular value vector.
 
     The t alpha blocks are contiguous runs of equal nonzero values, block
     i starting at index ``starts[i]`` with ``sizes[i]`` entries and value
@@ -201,8 +198,8 @@ class SingularPartition:
     the 1-based within-block rank, the count of equal values strictly
     after, and the block multiplicity, per index.  ``alpha_blocks`` is a
     list view of the runs.  The index lists refuse in-place changes
-    (``TypeError``).  ``tables`` are the divided differences of the
-    values over these blocks, built on first use only.
+    (``TypeError``).  ``values`` is a read-only copy of the vector, and
+    ``tables`` its divided differences, built on first use only.
     """
 
     values: np.ndarray
@@ -407,7 +404,8 @@ def partition_values(v, tols=TOLERANCES, m=None):
     starts, sizes = bounds[:t], every[:t]
     r_s = np.repeat(every, every)
     return SingularPartition(
-        values=_read_only(v.copy()), n=n, m=m, r=r, t=t, mu=mu, starts=starts, sizes=sizes,
+        values=_read_only(v.copy()), n=n, m=m, r=r, t=t, mu=mu,
+        starts=starts, sizes=sizes,
         owner=np.repeat(np.arange(len(every)), every),
         classes=size_classes(starts, sizes), beta=_FrozenList(range(r, n)),
         beta0=_FrozenList(range(n, m)), l=l, j=r_s - l, r_s=r_s, tols=tols)

@@ -475,7 +475,7 @@ def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     The alpha contraction at unit weights, 2 sum_a tr G_a; smooth in a
     neighborhood of X because the r-th and (r+1)-th values stay apart.
     """
-    svd, part, Hhat = _prepared(X, H, tols)
+    _, part, Hhat = _prepared(X, H, tols)
     if part.r == 0:
         raise RankZero("X has rank 0")
     return float(alpha_terms(Hhat[None], part, 1.0)[0])

@@ -6,10 +6,11 @@ equal singular values the first-order behaviour is an eigenvalue problem
 for the reduced symmetric block, and across blocks the second-order
 behaviour picks up a resolvent correction: a masked divided-difference
 (Loewner) form in Hhat = U^T H V whose point-only tables are the one
-``DividedDifferences`` of X, the ``tables`` of its partition.  Zero singular values behave like a
-reduced rectangular SVD problem instead.  ``DirectionBlocks`` is the one
-record of that structure per (X, H), and the sigma', sigma'' and W-hat
-kernels read its arrays; it is internal, not a ``specvar`` name.
+``DividedDifferences`` of X, the ``tables`` of its partition.  Zero
+singular values behave like a reduced rectangular SVD problem instead.
+``DirectionBlocks`` is the one record of that structure per (X, H), and
+the sigma', sigma'' and W-hat kernels read its arrays; it is internal,
+not a ``specvar`` name.
 """
 
 from __future__ import annotations
@@ -143,8 +144,8 @@ def _prepared(X, H, tols=TOLERANCES, stack=False):
 
 def sigma_dir1_stack(Hhat, part: SingularPartition):
     """sigma'(X; H) for every H of a (k, m, n) stack Hhat = U^T H V, as
-    in ``sigma_dir1``: a singleton block reads diag(Hhat), each larger
-    block size takes one stacked eigvalsh."""
+    in ``sigma_dir1`` (overflow raises ``NonFinite``): a singleton block
+    reads diag(Hhat), each larger block size takes one stacked eigvalsh."""
     d1 = Hhat.diagonal(axis1=1, axis2=2).copy()
     for idx in part.classes:
         if idx.shape[1] > 1:
@@ -153,7 +154,7 @@ def sigma_dir1_stack(Hhat, part: SingularPartition):
     if part.r < part.n:
         d1[:, part.r:] = np.linalg.svd(Hhat[:, part.r:, part.r:],
                                        compute_uv=False)
-    return d1
+    return _finite_rows(d1, "sigma' of H")
 
 
 def _finite_rows(values, term):
@@ -231,6 +232,7 @@ def _direction_blocks(svd, H, tols):
         Q, eta[idx], ltilde[idx] = _reduced_eig(_sym(_blocks_of(Hhat, idx)),
                                                 tols)
         classes.append((idx, Q))
+    _finite_rows(eta[:part.r], "reduced eigenvalue of H")
 
     beta = None
     if part.r < n:
@@ -242,7 +244,8 @@ def _direction_blocks(svd, H, tols):
         rank, _, ltilde[part.r:] = _value_blocks(eta[part.r:], tols)
         beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
 
-    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat, classes=tuple(classes), eta=eta, beta=beta,
+    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat,
+                           classes=tuple(classes), eta=eta, beta=beta,
                            ltilde=ltilde)
 
 
@@ -341,7 +344,7 @@ def eig_expand2(A, E, tols=TOLERANCES):
     Returns (first, second) with lambda_s(A + tau E) = lambda_s(A) +
     tau * first_s + tau^2/2 * second_s + O(tau^3).  A and E must be
     symmetric; asymmetry beyond SYMMETRY_TOL * max(1, ||.||) is rejected.
-    A second-order term that overflows raises ``NonFinite``.
+    A first- or second-order term that overflows raises ``NonFinite``.
     """
     A = as_matrix(A, "A")
     E = as_matrix(E, "E", A, like_name="A")
@@ -372,6 +375,7 @@ def eig_expand2(A, E, tols=TOLERANCES):
             M2 = K.mT @ (K / gap[:, :, None])
         M2 = _finite_rows(M2, "resolvent term of E")
         Q, first[idx], ranks = _reduced_eig(_blocks_of(Ehat, idx), tols)
+        _finite_rows(first[idx], "first-order term of E")
         second[idx] = _group_eigvals(2.0 * (Q.mT @ M2 @ Q), ranks)
     return first, second
 

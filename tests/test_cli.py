@@ -336,8 +336,10 @@ class TestErrorChannel:
          "A must be 3-dimensional, got ndim=2"),
         ({"kind": "least-squares", "A": [np.eye(2).tolist()], "b": [[1.0]]},
          "b must be 1-dimensional, got ndim=2"),
+        ({"kind": "quadratic-minus-rank1", "B": "b.csv",
+          "E": np.eye(3).tolist()}, "E (3, 3) and B (2, 2) differ"),
     ], ids=["half-squared-distance", "quadratic-minus-rank1",
-            "least-squares-A", "least-squares-b"])
+            "least-squares-A", "least-squares-b", "quadratic-minus-rank1-E"])
     def test_malformed_psi_is_a_usage_error(self, tmp_path, capsys, psi,
                                             message):
         # every psi kind reports its constructor's shape check one way
@@ -354,7 +356,7 @@ class TestErrorChannel:
     @pytest.mark.parametrize("key, value, error, message", [
         ("psi.B", [[1.0, 2.0], [3.0]], "UsageError", "B is not an array"),
         ("psi.B", [["a", "b"]], "UsageError", "B is not an array"),
-        ("X0", [[2.0, 0.0], [1.0]], "ShapeError", "X0 is not an array"),
+        ("X0", [[2.0, 0.0], [1.0]], "UsageError", "X0 is not an array"),
         ("psi", {"kind": "least-squares", "A": [], "b": []}, "UsageError",
          "A must be 3-dimensional, got ndim=1"),
         ("psi", {"kind": "least-squares", "A": [np.eye(2).tolist(),
@@ -380,6 +382,28 @@ class TestErrorChannel:
         err = json.loads(capfd.readouterr().err)   # and nothing else
         assert err["error"] == error and err["exit_code"] == 1
         assert err["message"].startswith(message)
+
+    @pytest.mark.parametrize("command", ["certify", "growth"])
+    @pytest.mark.parametrize("psi, X0, message", [
+        (None, np.ones((2, 3)), "X0 (2, 3) and B (2, 2) differ"),
+        (None, "x0-3x3.csv", "X0 (3, 3) and B (2, 2) differ"),
+        ({"kind": "least-squares", "A": [np.eye(2).tolist()], "b": [1.0]},
+         np.eye(3), "X0 (3, 3) and A[0] (2, 2) differ"),
+    ], ids=["inline-B", "csv-B", "least-squares-A"])
+    def test_X0_shape_differs_from_psi_exit_1(self, tmp_path, capfd,
+                                              command, psi, X0, message):
+        # psi's data fixes the shape of X0, checked before any psi call
+        prob = make_problem(tmp_path, "saddle")
+        write(tmp_path, "x0-3x3.csv", np.eye(3))
+        d = json.loads(open(prob).read())
+        d["psi"] = d["psi"] if psi is None else psi
+        d["X0"] = X0 if isinstance(X0, str) else X0.tolist()
+        with open(prob, "w") as fh:
+            json.dump(d, fh)
+        assert main([command, "--problem", prob]) == 1
+        err = json.loads(capfd.readouterr().err)   # and nothing else
+        assert err["error"] == "UsageError" and err["exit_code"] == 1
+        assert err["message"] == message
 
     @pytest.mark.parametrize("command", ["certify", "growth"])
     @pytest.mark.parametrize("sampling, field", [

@@ -125,6 +125,8 @@ CASES = {
         lambda: F_eval(l1_spec(), np.stack([X3, np.full((3, 3), math.nan)])),
         NonFinite, "X"),
     "growth-nan-quotient": (_nan_growth, NonFinite, "growth"),
+    "rank-one-E-shape": (
+        lambda: QuadraticMinusRankOne(X3, np.eye(2), 1.0), ShapeError, "E"),
     "rank-one-gamma-nan": (
         lambda: QuadraticMinusRankOne(X3, SWAP3, math.nan), ShapeError,
         "gamma"),

@@ -1131,6 +1131,35 @@ class TestNonFinite:
         with pytest.raises(NonFinite, match="zero block of H .* overflows"):
             sigma_dir1(np.diag([2.0, 0.0, 0.0]), np.full((3, 3), 1.7e308))
 
+    TIED = np.diag([2.0, 2.0, 1.0])            # Hhat = H: a tied top pair
+    ZERO = np.diag([1.0, 0.0, 0.0])            # and a 2 x 2 zero block
+    NEAR_MAX = np.full((3, 3), 1.7e308)
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda H: sigma_dir1(TestNonFinite.TIED, H), "reduced eigenvalue"),
+        (lambda H: sigma_dir2(TestNonFinite.TIED, H, np.zeros((3, 3))),
+         "reduced eigenvalue"),
+        (lambda H: oimf.F_subderivative(l1_spec(), TestNonFinite.TIED, H),
+         "sigma' of H"),
+        (lambda H: oimf.F_critical_cone_contains(
+            l1_spec(), TestNonFinite.TIED, np.eye(3), H), "sigma' of H"),
+        (lambda H: oimf.nuclear_psi_subderivative(
+            TestNonFinite.ZERO, np.where(TestNonFinite.ZERO, 0.0, H)),
+         "sigma' of H"),
+        (lambda H: eig_expand2(np.eye(2), H[:2, :2]),
+         "first-order term of E"),
+    ], ids=["sigma_dir1", "sigma_dir2", "F_subderivative", "cone",
+            "nuclear_psi_subderivative", "eig_expand2"])
+    def test_first_order_overflow_raises(self, call, text):
+        # a finite block whose eigenvalue or singular value overflows:
+        # sigma' has no value there, as on the zero block above
+        from specvar.errors import NonFinite
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFinite, match=f"{text}.* overflows"):
+                call(self.NEAR_MAX)
+        assert not caught
+
     def test_first_order_stays_finite(self):
         for X in (np.diag([2.0, 1.0]), np.diag([2.0, 0.0])):
             assert np.all(np.isfinite(sigma_dir1(X, self.BIG)))
