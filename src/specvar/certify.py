@@ -3,10 +3,13 @@
 The pipeline is: check first-order stationarity of a candidate point
 (-grad psi must be a subgradient of the spectral term), then evaluate
 the curvature ``<H, hess H> + d2F`` over sampled critical-cone
-directions, and probe quadratic growth directly.  Sampled certificates
-are labeled evidence, not proof: the sufficient condition quantifies
-over all cone directions and sampling cannot exhaust them, while a
-single validated negative direction does refute optimality.
+directions, and score the objective's growth on each sample's parabolic
+arc, the curve along which the second subderivative is reached (the
+black-box ball probe ``quadratic_growth_probe`` runs only when asked
+for).  Sampled certificates are labeled evidence, not proof: the
+sufficient condition quantifies over all cone directions and sampling
+cannot exhaust them, while a single validated negative direction does
+refute optimality.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ class ProblemSpec:
     to a (k,) array, entry i bitwise ``psi.value(X[i])``; likewise
     ``psi.hessian_apply(X, H)`` maps a (k, m, n) stack H to a (k, m, n)
     stack, entry i bitwise ``psi.hessian_apply(X, H[i])``.  The growth
-    probe and the gradient check score their points, and ``certify`` its
-    curvatures, in stacks."""
+    probe, the arc scores and the gradient check score their points, and
+    ``certify`` its curvatures, in stacks."""
 
     psi: object
     f: SpectralFunctionSpec
@@ -128,14 +131,16 @@ class ProblemSpec:
 class SamplingConfig:
     """Sampling plan of ``certify``: every count an int >= 0 and
     ``growth_eps`` a finite real > 0, else ``ShapeError`` naming the
-    field."""
+    field.  ``growth_eps`` is the longer step of the arc scores (the
+    other is growth_eps / 10) and the radius of the ball probe, which
+    runs ``growth_samples`` points: none by default."""
 
     n_samples: int = 200
     min_samples: int = 50
     max_candidates: int = 20_000
     seed: int = 0
     growth_eps: float = 1e-2
-    growth_samples: int = 2000
+    growth_samples: int = 0
 
     def __post_init__(self):
         for name in ("n_samples", "min_samples", "max_candidates", "seed",
@@ -146,6 +151,15 @@ class SamplingConfig:
 
 @dataclass(frozen=True)
 class OptimalityCertificate:
+    """What ``certify`` found at X0.  ``samples`` holds (H, q) per
+    accepted critical direction, ``min_curvature`` the least q (NaN with
+    no samples).  ``min_arc_quotient`` is the least
+    [obj(X0 + t H + t^2 D_H) - obj(X0)] / t^2 over the samples' arcs at
+    t in {growth_eps, growth_eps / 10} (see ``_arc_quotients``), +inf
+    with no samples; it tends to min q / 2 and no verdict reads it.
+    ``growth_constant_observed`` is the ball probe's value, +inf unless
+    ``SamplingConfig.growth_samples`` is set."""
+
     stationarity_residual: float
     is_stationary: bool
     samples: list
@@ -153,6 +167,7 @@ class OptimalityCertificate:
     growth_constant_observed: float
     verdict: str
     counterexample: object = None
+    min_arc_quotient: float = INF
 
 
 def svt_solve(B, weight):
@@ -251,6 +266,37 @@ def _validated_counterexample(p, X0, H, q):
     return False
 
 
+def _arc_quotients(p: ProblemSpec, X0, Hs, eps):
+    """[obj(X0 + t H + t^2 D_H) - obj(X0)] / t^2 for every H of a (k, m, n)
+    stack and t = eps (row 0) and eps / 10 (row 1): a (2, k) array.
+
+    D_H is the last offset ``guided_offsets`` gives for H, half the
+    zero-target cancelling direction, so the arc is the parabola
+    X0 + t H + t^2 W / 2 with W = 2 D_H, on which the second
+    subderivative is reached: at a stationary X0 and a critical H the
+    quotient tends to half the curvature q of H.  Per chunk of H one
+    ``guided_offsets`` call and, per t, one ``psi.value`` and one stacked
+    ``F_eval`` call; each row bitwise that of H alone.  A NaN quotient
+    raises ``NonFinite``."""
+    base = objective(p, X0)
+    ts = (eps, eps / 10)
+    q = np.empty((len(ts), len(Hs)))
+    for at in _chunks(X0, len(Hs)):
+        offsets = guided_offsets(X0, Hs[at])
+        per = len(offsets) // (at.stop - at.start)
+        D = np.array(offsets[per - 1::per])
+        for row, t in enumerate(ts):
+            Xs = X0 + t * Hs[at] + (t * t) * D
+            q[row, at] = (_stacked(p.psi.value(Xs), len(Xs), "psi.value")
+                          + _stacked(F_eval(p.f, Xs), len(Xs), "f.eval")
+                          - base) / (t * t)
+    if np.isnan(q).any():
+        bad = np.argwhere(np.isnan(q))[0]
+        raise NonFinite(f"arc quotient of sample {bad[1]} at t = "
+                        f"{ts[bad[0]]:g} is NaN")
+    return q
+
+
 def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     """Assemble an optimality certificate for the candidate point X0.
 
@@ -267,6 +313,11 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     structured Gaussian is drawn (none when no samples are asked for); a
     chunk takes at most the samples still needed (and ``_CHUNK_ENTRIES``
     entries), so every chunk size walks the same candidates and hook rows.
+    Last, every accepted sample's parabolic arc is scored
+    (``_arc_quotients``, one stacked guided pass): ``min_arc_quotient``.
+    The ball probe (``quadratic_growth_probe``) runs only when
+    ``cfg.growth_samples`` > 0; it can report positive growth at a
+    stationary saddle, where the arcs descend.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -278,8 +329,9 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
     aligned = _subgradient(p.f, X0, Y, TOLERANCES)   # as stationarity_check
     residual, ok = float(aligned[3]), aligned[4]
-    growth = quadratic_growth_probe(p, X0, cfg.growth_eps,
-                                    cfg.growth_samples, cfg.seed)
+    growth = (quadratic_growth_probe(p, X0, cfg.growth_eps,
+                                     cfg.growth_samples, cfg.seed)
+              if cfg.growth_samples else INF)
     if not ok:
         return OptimalityCertificate(
             stationarity_residual=residual, is_stationary=False,
@@ -331,6 +383,8 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
             f"(need {cfg.min_samples})")
 
     min_curv = min((q for _, q in samples), default=math.nan)
+    min_arc = float(_arc_quotients(p, X0, np.array([H for H, _ in samples]),
+                                   cfg.growth_eps).min()) if samples else INF
     if counterexample is not None:
         verdict = "necessary-violated"
     elif min_curv > CURVATURE_TOL:
@@ -341,15 +395,19 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         stationarity_residual=residual, is_stationary=True,
         samples=samples, min_curvature=float(min_curv),
         growth_constant_observed=growth, verdict=verdict,
-        counterexample=counterexample)
+        counterexample=counterexample, min_arc_quotient=min_arc)
 
 
 def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     """min over sampled X in ball(X0, eps) of the growth quotient
     [obj(X) - obj(X0)] / ||X - X0||^2: an observed constant, deterministic
-    for a fixed seed.  Of the two children of ``SeedSequence(seed)``, the
-    first draws all n_samples u = random() in one block, the second each
-    chunk's directions D in one standard_normal((k, m, n)) block.  Sample
+    for a fixed seed.  A black-box check (``specvar growth``): uniform
+    points rarely fall near a descending arc, so it can report positive
+    growth at a stationary saddle; ``certify`` runs it only when
+    ``SamplingConfig.growth_samples`` > 0.  Of the two children of
+    ``SeedSequence(seed)``, the first draws all n_samples u = random() in
+    one block, the second each chunk's directions D in one
+    standard_normal((k, m, n)) block.  Sample
     i is X0 + r D / sqrt(sum(D * D)), r = eps max(u, 1e-12)^(1 / X0.size),
     for every chunk size and every n_samples > i: more samples never raise
     the probe.  Per chunk one ``psi.value`` call and one stacked ``F_eval``

@@ -352,6 +352,7 @@ def cmd_certify(args, tols):
         "is_stationary": cert.is_stationary,
         "n_samples": len(cert.samples),
         "min_curvature": cert.min_curvature,
+        "min_arc_quotient": cert.min_arc_quotient,
         "growth_constant_observed": cert.growth_constant_observed,
         "counterexample": cert.counterexample,
     }

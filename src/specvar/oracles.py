@@ -207,14 +207,18 @@ class GradientCheckReport:
         return self.gradient_ok and self.hessian_ok
 
 
-# fd_gradient_check's central-difference step, and the count and seed of
-# the unit directions of its Hessian check
+# fd_gradient_check's central-difference step relative to max(1, max|X|),
+# and the count and seed of the unit directions of its Hessian check
 _FD_STEP, _FD_DIRECTIONS, _FD_SEED = 1e-5, 5, 0
 
 
 def fd_gradient_check(psi, X) -> GradientCheckReport:
     """Check ``psi.gradient`` and ``psi.hessian_apply`` at X by central
     differences, to FD_TOL.  Report-only: callers decide what to do.
+
+    The step tau = 1e-5 max(1, max|X|) (the report's ``tau``) grows with
+    the entries, so a shift stays far above their rounding: an absolute
+    step fails an exact quadratic whose entries are 1e6 or more.
 
     The 2 mn shifted points X +- tau E_ij are scored by ``psi.value`` in
     stacks of at most ``_CHUNK_ENTRIES`` entries, and the unit directions
@@ -223,8 +227,8 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     a result of any other shape raises ``ShapeError`` naming the hook, and
     a hook that mixes the items fails the Hessian check.
     """
-    tau = _FD_STEP
     X = as_matrix(X, "X")
+    tau = _FD_STEP * float(np.max(np.abs(X), initial=1.0))
     G = as_matrix(psi.gradient(X), "psi.gradient", X)
     d = X.size
     values = np.empty((2, d))

@@ -1,6 +1,8 @@
 import importlib
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +23,13 @@ from specvar.certify import (
     stationarity_check,
     svt_solve,
 )
-from specvar.errors import AssumptionViolated, SamplingExhausted
+from specvar.errors import AssumptionViolated, NonFinite, SamplingExhausted
 from specvar.errors import ShapeError
 from specvar.oimf import SpectralPoint, guided_offsets
 from specvar.oracles import fd_gradient_check
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench import workloads  # noqa: E402
 
 
 class TestSvt:
@@ -114,13 +119,15 @@ class TestCurvature:
 class TestCertify:
     def test_soft_threshold_sufficient_evidence(self):
         p, X0 = soft_threshold_fixture()
-        cfg = SamplingConfig(n_samples=120, min_samples=100, seed=0)
+        cfg = SamplingConfig(n_samples=120, min_samples=100, seed=0,
+                             growth_samples=2000)
         cert = certify(p, X0, cfg)
         assert cert.verdict == "sufficient-evidence"
         assert cert.is_stationary and cert.stationarity_residual <= 1e-9
         assert len(cert.samples) >= 100
         assert cert.min_curvature >= 0.9
         assert cert.growth_constant_observed >= 0.25
+        assert cert.min_arc_quotient >= 0.25
 
     def test_saddle_necessary_violated(self):
         p, X0 = saddle_fixture()
@@ -196,6 +203,16 @@ class TestCertify:
         with pytest.raises(SamplingExhausted):
             certify(p, X0, SamplingConfig(n_samples=500, min_samples=400,
                                           max_candidates=60))
+
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e8])
+    def test_badly_scaled_quadratic_certifies(self, s):
+        # an exact quadratic at entries of size s: the gradient check's
+        # step grows with them, so psi is not refused
+        B = np.diag([3.0 * s, s])
+        p = ProblemSpec(HalfSquaredDistance(B), scale_spec(l1_spec(), 0.5))
+        X0 = np.diag([3.0 * s - 0.5, s - 0.5])
+        cert = certify(p, X0, SamplingConfig(n_samples=40, min_samples=10))
+        assert cert.verdict == "sufficient-evidence"
 
 
 class TestGrowthProbe:
@@ -496,8 +513,9 @@ class TestPreparedPointEquivalence:
     @pytest.mark.parametrize("name", list(INSTANCES))
     def test_same_certificate(self, name):
         p, X0 = self.INSTANCES[name]()
-        cert = certify(p, X0)
-        verdict, samples, ce, g = _reference_certify(p, X0)
+        cfg = SamplingConfig(growth_samples=2000)   # the probe runs
+        cert = certify(p, X0, cfg)
+        verdict, samples, ce, g = _reference_certify(p, X0, cfg)
         assert cert.verdict == verdict
         assert len(cert.samples) == len(samples) == 200
         for (H1, q1), (H2, q2) in zip(cert.samples, samples):
@@ -562,11 +580,12 @@ class TestOneAlignment:
     @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
                                          saddle_fixture])
     def test_fixtures(self, monkeypatch, fixture):
-        # one partition for the point, one for the guided pass
+        # one partition for the point, then the memo's for the guided pass
+        # and for the arc pass
         p, X0 = fixture()
         calls = self._count(monkeypatch)
         certify(p, X0)
-        assert calls == {"_align": 1, "partition_of": 2}
+        assert calls == {"_align": 1, "partition_of": 3}
 
     def test_not_stationary(self, monkeypatch):
         p, X0 = soft_threshold_fixture()
@@ -753,7 +772,7 @@ class TestStackedGrowthProbe:
     @pytest.mark.parametrize("seed", [0, 10])
     def test_certificate_growth_constant(self, seed):
         p, X0 = _soft_instance(9, 8, seed=2)
-        cfg = SamplingConfig(seed=seed)
+        cfg = SamplingConfig(seed=seed, growth_samples=2000)
         assert certify(p, X0, cfg).growth_constant_observed == \
             _growth_reference(p, X0, cfg.growth_eps, cfg.growth_samples, seed)
 
@@ -997,3 +1016,150 @@ class TestStackedCertify:
             assert len(got) == len(ref)
             for (H, q), (H_ref, q_ref) in zip(got, ref):
                 assert np.array_equal(H, H_ref) and q == q_ref
+
+
+def _deflated_soft_instance(seed, m, n):
+    """certify-mix's soft instance of size (m, n) for a workload seed,
+    with psi deflated to QuadraticMinusRankOne(B, E, 1.5): E = U G V^T
+    normalised in the aligned gauge, G = default_rng(seed)'s Gaussian with
+    its diagonal and zero block zeroed.  <E, X0> = 0 keeps X0 stationary;
+    the curvature turns negative on S = {H : Hhat[r:, r:] = 0}."""
+    rng = workloads._rng(seed, 0)
+    for size in workloads.SOFT_SIZES:   # drawn in order, as the workload
+        d = workloads._soft_instance(rng, *size)
+        if size == (m, n):
+            break
+    f = scale_spec(l1_spec(), 0.5)
+    point = SpectralPoint(f, d["X0"], d["B"] - d["X0"])
+    r = point.part.r
+    G = np.random.default_rng(seed).standard_normal((m, n))
+    G[r:, r:] = 0.0
+    G[np.arange(n), np.arange(n)] = 0.0
+    E = point.gauge.U @ G @ point.gauge.V.T
+    psi = QuadraticMinusRankOne(d["B"], E / np.linalg.norm(E), 1.5)
+    return ProblemSpec(psi, f), d["X0"]
+
+
+def _curvature_form(p, X0):
+    """(basis, A): an orthonormal basis of S = {H : Hhat[r:, r:] = 0} as a
+    (d, m, n) stack, and the matrix of the curvature on S, polarised from
+    ``_curvatures`` at the basis vectors and their pairwise sums."""
+    from specvar.certify import _curvatures
+    point = SpectralPoint(p.f, X0, -p.psi.gradient(X0))
+    m, n = X0.shape
+    r = point.part.r
+    free = [(i, j) for i in range(m) for j in range(n) if i < r or j < r]
+    basis = np.zeros((len(free), m, n))
+    basis[(np.arange(len(free)), *np.array(free).T)] = 1.0
+    basis = point.gauge.U @ basis @ point.gauge.V.T
+
+    def q(Hs):
+        return np.concatenate([
+            _curvatures(p, X0, Hs[at], point.second_subderivatives(Hs[at]))
+            for at in np.array_split(np.arange(len(Hs)),
+                                     -(-len(Hs) // 2000))])
+
+    diag = q(basis)
+    iu, ju = np.triu_indices(len(basis), 1)
+    A = np.diag(diag)
+    A[iu, ju] = A[ju, iu] = 0.5 * (q(basis[iu] + basis[ju])
+                                   - diag[iu] - diag[ju])
+    return basis, A
+
+
+class _NanFar(HalfSquaredDistance):
+    """psi NaN farther than 1e-4 from X0 in any entry: the gradient
+    check's shifts pass, the arc points do not."""
+
+    def __init__(self, B, X0):
+        super().__init__(B)
+        self.X0 = X0
+
+    def value(self, X):
+        v = np.asarray(super().value(X), dtype=float)
+        far = np.abs(np.asarray(X) - self.X0).max(axis=(-2, -1)) > 1e-4
+        return np.where(far, math.nan, v) if v.ndim else (
+            math.nan if far else float(v))
+
+
+class TestArcQuotients:
+    """certify scores every accepted sample on the arc
+    X0 + t H + t^2 D_H, D_H half the zero-target cancelling direction of
+    guided_offsets, at t in {growth_eps, growth_eps / 10}: the quotient
+    tends to half the curvature, and min_arc_quotient is their least."""
+
+    @pytest.mark.parametrize("size", workloads.SOFT_SIZES)
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_exact_minimum_on_deflated_instances(self, seed, size):
+        from specvar.certify import _arc_quotients
+        p, X0 = _deflated_soft_instance(seed, *size)
+        basis, A = _curvature_form(p, X0)
+        lam, vec = np.linalg.eigh(A)
+        assert lam[0] < -0.2
+        H = np.tensordot(vec[:, 0], basis, axes=1)
+        arcs = _arc_quotients(p, X0, H[None], 1e-2)
+        assert abs(arcs[0, 0] - 0.5 * lam[0]) <= 1e-3
+
+    @pytest.mark.parametrize("name", list(
+        TestPreparedPointEquivalence.INSTANCES))
+    def test_arcs_follow_half_the_curvature(self, name):
+        from specvar.certify import _arc_quotients
+        p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
+        cert = certify(p, X0)
+        Hs = np.array([H for H, _ in cert.samples])
+        q = np.array([q for _, q in cert.samples])
+        arcs = _arc_quotients(p, X0, Hs, SamplingConfig.growth_eps)
+        assert np.max(np.abs(arcs[1] - 0.5 * q)) <= 2e-3
+        assert cert.min_arc_quotient == arcs.min()
+        if cert.verdict == "necessary-violated":
+            assert cert.min_arc_quotient < 0
+        else:
+            assert cert.min_arc_quotient >= 0.25
+
+    @pytest.mark.parametrize("name", ["soft-fixture", "saddle-6"])
+    def test_rows_and_chunks_are_bitwise_alone(self, name, monkeypatch):
+        from specvar.certify import _arc_quotients
+        matrix_core = importlib.import_module("specvar.matrix_core")
+        p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
+        Hs = np.array([H for H, _ in certify(
+            p, X0, SamplingConfig(n_samples=30, min_samples=1)).samples])
+        ref = _arc_quotients(p, X0, Hs, 1e-2)
+        assert np.array_equal(ref, np.column_stack(
+            [_arc_quotients(p, X0, H[None], 1e-2) for H in Hs]))
+        monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", 7 * X0.size)
+        assert np.array_equal(_arc_quotients(p, X0, Hs, 1e-2), ref)
+
+    @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
+                                         saddle_fixture])
+    def test_default_hands_f_eval_few_rows(self, fixture, monkeypatch):
+        # the ball probe's 2,000 points left the default: the arcs take
+        # 2 n_samples rows
+        cmod = importlib.import_module("specvar.certify")
+        guided = []
+        monkeypatch.setattr(cmod, "guided_offsets", lambda X, H: (
+            guided.append(len(H)) or guided_offsets(X, H)))
+        monkeypatch.setattr(cmod, "quadratic_growth_probe", None)
+        p, X0 = fixture()
+        counts, rows = {}, {}
+        cert = certify(ProblemSpec(p.psi, _counting(p.f, counts, rows)), X0)
+        n = SamplingConfig.n_samples
+        assert len(cert.samples) == n
+        assert rows["eval"] <= 2 * n + 8
+        assert guided == [4, n]   # the guided candidates, then the arcs
+        assert cert.growth_constant_observed == INF
+
+    def test_no_samples_is_inf(self):
+        p, X0 = soft_threshold_fixture()
+        cert = certify(p, X0, SamplingConfig(n_samples=0, min_samples=0))
+        assert cert.min_arc_quotient == INF
+        cert = certify(p, p.psi.B, SamplingConfig(n_samples=10,
+                                                  min_samples=1))
+        assert cert.verdict == "not-stationary"
+        assert cert.min_arc_quotient == INF
+
+    def test_nan_is_nonfinite(self):
+        p, X0 = soft_threshold_fixture()
+        bad = ProblemSpec(_NanFar(p.psi.B, X0), p.f)
+        assert fd_gradient_check(bad.psi, X0).ok
+        with pytest.raises(NonFinite, match="arc quotient of sample 0"):
+            certify(bad, X0, SamplingConfig(n_samples=10, min_samples=1))

@@ -235,6 +235,33 @@ class TestCertifyCommands:
                   "--n-samples", "2000")
         assert rep["outputs"]["growth"] >= 0.25
 
+    @pytest.mark.parametrize("kind", ["soft", "saddle"])
+    def test_certify_reports_arc_quotient(self, tmp_path, kind):
+        # the arcs descend at the saddle and grow by about q / 2 = 0.5 at
+        # the soft threshold; the ball probe does not run by default
+        prob = make_problem(tmp_path, kind)
+        rep = run(tmp_path, "certify", "--problem", prob)
+        out = rep["outputs"]
+        if kind == "soft":
+            assert abs(out["min_arc_quotient"] - 0.5) <= 1e-3
+        else:
+            assert out["min_arc_quotient"] < 0
+        assert out["growth_constant_observed"] == "inf"
+        assert sorted(rep["inputs"]) == ["min_samples", "n_samples",
+                                         "problem", "seed"]
+
+    # outputs of the growth command at --seed 3, --n-samples 2000 (numpy
+    # 2.4, OpenBLAS 0.3.31 on x86-64; another LAPACK may round the SVDs
+    # differently)
+    @pytest.mark.parametrize("kind, growth", [
+        ("soft", 0.702098869511256), ("saddle", -0.32640769157650124)])
+    def test_growth_pinned(self, tmp_path, kind, growth):
+        prob = make_problem(tmp_path, kind)
+        rep = run(tmp_path, "--seed", "3", "growth", "--problem", prob,
+                  "--n-samples", "2000")
+        assert rep["outputs"] == {"growth": growth}
+        assert rep["inputs"]["eps"] == 1e-2
+
 
 class TestParserReuse:
     def test_calls_in_a_row_match_fresh_processes(self, tmp_path, capfd):

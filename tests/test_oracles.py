@@ -273,8 +273,9 @@ class TestStackedGradientCheck:
 
     @staticmethod
     def _per_entry(psi, X):
-        # the central-difference gradient one shifted point at a time
-        tau = 1e-5
+        # the central-difference gradient one shifted point at a time, at
+        # fd_gradient_check's step 1e-5 max(1, max|X|)
+        tau = 1e-5 * max(1.0, float(np.max(np.abs(X))))
         G_fd = np.zeros_like(X)
         for idx in np.ndindex(X.shape):
             E = np.zeros_like(X)
@@ -301,6 +302,17 @@ class TestStackedGradientCheck:
             for entries in (1, 3 * X.size, matrix_core._CHUNK_ENTRIES):
                 monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
                 assert fd_gradient_check(psi, X).gradient_rel_err == ref
+
+    @pytest.mark.parametrize("s", [1.0, 1e6, 1e8])
+    def test_step_scales_with_the_entries(self, s):
+        # an exact quadratic at entries of size s: a step of 1e-5 alone
+        # fails it at s = 1e6 (hessian) and at s = 1e8 (both)
+        from specvar.certify import HalfSquaredDistance
+        X = np.diag([3.0 * s - 0.5, s - 0.5])
+        rep = fd_gradient_check(HalfSquaredDistance(np.diag([3.0 * s, s])),
+                                X)
+        assert rep.tau == 1e-5 * max(1.0, 3.0 * s - 0.5)
+        assert rep.ok, rep
 
     def test_memory_peak(self):
         # 64 x 48: unchunked, each side of the 2 mn points is 75 MB
