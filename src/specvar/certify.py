@@ -25,8 +25,10 @@ from .errors import (AssumptionViolated, NonFinite, SamplingExhausted,
                      ShapeError)
 from .matrix_core import (CURVATURE_TOL, TOLERANCES, _chunk_size, _chunks,
                           as_count, as_matrix, as_real, svd_ordered)
-from .oimf import F_eval, SpectralPoint, _subgradient, guided_offsets
+from .oimf import (F_eval, SpectralPoint, _subgradient,
+                   _zero_target_offsets, guided_offsets)
 from .oracles import fd_gradient_check
+from .sv_calculus import _prepared
 
 
 # -- objective smooth parts ------------------------------------------------------
@@ -194,19 +196,23 @@ def stationarity_check(p: ProblemSpec, X0):
     return float(residual), ok
 
 
-def _curvatures(p: ProblemSpec, X0, Hs, reps):
-    """<H, hess psi(X0) H> + d2F for every H of a (k, m, n) stack from its
-    second-subderivative reports: +inf off the critical cone, and one
-    ``psi.hessian_apply`` call on the critical rows."""
-    crit = np.array([rep.critical for rep in reps], dtype=bool)
+def _curvatures(p: ProblemSpec, X0, point, Hs):
+    """(critical, q) for a checked (k, m, n) stack at the ``SpectralPoint``
+    of X0: the critical rows and q = <H, hess psi(X0) H> + d2F per H,
+    +inf off the critical cone.  One ``point._terms`` call and one
+    ``psi.hessian_apply`` call on the critical rows; d2F is each report's
+    value, bitwise, built from the kernel's arrays."""
+    _, crit, d2f, alpha, beta = point._terms(Hs)
     q = np.full(len(Hs), INF)
     if crit.any():
-        Hc = Hs[crit]
+        Hc, d2f = Hs[crit], d2f[crit]
         HD = _stacked(np.asarray(p.psi.hessian_apply(X0, Hc), dtype=float),
                       len(Hc), "psi.hessian_apply", X0.shape)
-        q[crit] = _entry_sums(Hc * HD) + np.array(
-            [rep.value for rep in reps if rep.critical])
-    return q
+        with np.errstate(over="ignore", invalid="ignore"):   # as floats add
+            d2F = np.where(np.isfinite(d2f), d2f + alpha[crit] + beta[crit],
+                           INF)
+        q[crit] = _entry_sums(Hc * HD) + d2F
+    return crit, q
 
 
 def curvature(p: ProblemSpec, X0, H):
@@ -215,8 +221,7 @@ def curvature(p: ProblemSpec, X0, H):
     X0 = as_matrix(X0, "X0")
     Hs = as_matrix(H, "H")[None]
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    point = SpectralPoint(p.f, X0, Y)
-    return float(_curvatures(p, X0, Hs, point.second_subderivatives(Hs))[0])
+    return float(_curvatures(p, X0, SpectralPoint(p.f, X0, Y), Hs)[1][0])
 
 
 def _structured_candidates(svd, part, rng, budget):
@@ -270,23 +275,24 @@ def _arc_quotients(p: ProblemSpec, X0, Hs, eps):
     """[obj(X0 + t H + t^2 D_H) - obj(X0)] / t^2 for every H of a (k, m, n)
     stack and t = eps (row 0) and eps / 10 (row 1): a (2, k) array.
 
-    D_H is the last offset ``guided_offsets`` gives for H, half the
-    zero-target cancelling direction, so the arc is the parabola
-    X0 + t H + t^2 W / 2 with W = 2 D_H, on which the second
+    D_H is half the zero-target cancelling direction of H
+    (``oimf._zero_target_offsets``, the last offset ``guided_offsets``
+    gives for H; the other offset is not built), so the arc is the
+    parabola X0 + t H + t^2 W / 2 with W = 2 D_H, on which the second
     subderivative is reached: at a stationary X0 and a critical H the
-    quotient tends to half the curvature q of H.  Per chunk of H one
-    ``guided_offsets`` call and, per t, one ``psi.value`` and one stacked
-    ``F_eval`` call; each row bitwise that of H alone.  A NaN quotient
-    raises ``NonFinite``."""
+    quotient tends to half the curvature q of H.  Per chunk of the stack
+    one zero-target pass and, per t, one ``psi.value`` and one stacked
+    ``F_eval`` call; each row bitwise that of H alone.  The step t is
+    absolute, so on a badly scaled psi the quotients can stray far from
+    q / 2.  A NaN quotient raises ``NonFinite``."""
     base = objective(p, X0)
     ts = (eps, eps / 10)
     q = np.empty((len(ts), len(Hs)))
     for at in _chunks(X0, len(Hs)):
-        offsets = guided_offsets(X0, Hs[at])
-        per = len(offsets) // (at.stop - at.start)
-        D = np.array(offsets[per - 1::per])
+        H = Hs[at]
+        D = _zero_target_offsets(*_prepared(X0, H, TOLERANCES, stack=True))
         for row, t in enumerate(ts):
-            Xs = X0 + t * Hs[at] + (t * t) * D
+            Xs = X0 + t * H + (t * t) * D
             q[row, at] = (_stacked(p.psi.value(Xs), len(Xs), "psi.value")
                           + _stacked(F_eval(p.f, Xs), len(Xs), "f.eval")
                           - base) / (t * t)
@@ -305,19 +311,22 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     and reports either a validated negative direction (optimality
     refuted), uniformly positive sampled curvature (evidence in favor),
     or inconclusive.  The candidates are normalised (zero ones skipped,
-    still counted as tried) and evaluated in chunks, then walked in
-    stream order: per chunk one gauge product U G V^T for its structured
-    candidates, one ``SpectralPoint.second_subderivatives`` call and one
-    ``psi.hessian_apply`` call on its critical rows.  The guided offsets
-    of four random base directions come first, from one pass before any
-    structured Gaussian is drawn (none when no samples are asked for); a
-    chunk takes at most the samples still needed (and ``_CHUNK_ENTRIES``
-    entries), so every chunk size walks the same candidates and hook rows.
-    Last, every accepted sample's parabolic arc is scored
-    (``_arc_quotients``, one stacked guided pass): ``min_arc_quotient``.
-    The ball probe (``quadratic_growth_probe``) runs only when
-    ``cfg.growth_samples`` > 0; it can report positive growth at a
-    stationary saddle, where the arcs descend.
+    still counted as tried) and evaluated in passes, each one stack: per
+    pass one gauge product U G V^T for its structured candidates, one
+    ``SpectralPoint._terms`` call (no report objects) and one
+    ``psi.hessian_apply`` call on its critical rows.  A pass keeps its
+    critical rows and their curvatures as arrays, and validates only
+    those with q < -CURVATURE_TOL, in stream order, until one descends.
+    The guided offsets of four random base directions come first, from
+    one pass before any structured Gaussian is drawn (none when no
+    samples are asked for); a pass takes at most the samples still
+    needed (and ``_CHUNK_ENTRIES`` entries), so every chunk size walks
+    the same candidates and hook rows.  Last, the accepted stack's
+    parabolic arcs are scored (``_arc_quotients``, zero-target offsets
+    only): ``min_arc_quotient``.  The ball probe
+    (``quadratic_growth_probe``) runs only when ``cfg.growth_samples`` >
+    0; it can report positive growth at a stationary saddle, where the
+    arcs descend.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -343,48 +352,52 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     rng = np.random.default_rng(cfg.seed)
     # guided directions come first: curvature-minimizing offsets of a few
     # random base directions often sit inside the cone
-    guided = (guided_offsets(X0, rng.standard_normal((4,) + X0.shape))
-              if cfg.n_samples > 0 else [])
+    guided = np.array(guided_offsets(X0, rng.standard_normal(
+        (4,) + X0.shape)) if cfg.n_samples > 0 else [])
     structured = _structured_candidates(svd, point.part, rng,
                                         cfg.max_candidates)
 
-    samples = []
+    Hs_kept, q_kept = [], []
+    kept = tried = 0
     counterexample = None
-    tried = 0
     cap = _chunk_size(X0)
-    while len(samples) < cfg.n_samples:
-        k = min(cfg.n_samples - len(samples), cap)
-        Hs = guided[:k]
-        del guided[:k]
+    while kept < cfg.n_samples:
+        k = min(cfg.n_samples - kept, cap)
+        Hs, guided = guided[:k], guided[k:]
         Gs = list(itertools.islice(structured, k - len(Hs)))
         if Gs:
-            Hs.extend(svd.U @ np.array(Gs) @ svd.V.T)
-        if not Hs:
+            Gs = svd.U @ np.array(Gs) @ svd.V.T
+            Hs = np.concatenate([Hs, Gs]) if len(Hs) else Gs
+        if not len(Hs):
             break
         tried += len(Hs)   # zero candidates count as tried, then drop out
-        Hs = np.array(Hs)
         flat = Hs.reshape(len(Hs), -1)
         nrm = np.sqrt(np.vecdot(flat, flat))   # np.linalg.norm, bitwise
         Hs = Hs[nrm > 0] / nrm[nrm > 0, None, None]
         if not len(Hs):
             continue
-        reps = point.second_subderivatives(Hs)
-        for H, rep, q in zip(Hs, reps, _curvatures(p, X0, Hs, reps).tolist()):
-            if not rep.critical:
-                continue
-            samples.append((H, q))
-            if q < -CURVATURE_TOL and counterexample is None:
-                if _validated_counterexample(p, X0, H, q):
-                    counterexample = H
+        crit, q = _curvatures(p, X0, point, Hs)
+        Hs, q = Hs[crit], q[crit]
+        Hs_kept.append(Hs)
+        q_kept.append(q)
+        kept += len(q)
+        if counterexample is None:
+            for i in np.flatnonzero(q < -CURVATURE_TOL).tolist():
+                if _validated_counterexample(p, X0, Hs[i], float(q[i])):
+                    counterexample = Hs[i]
+                    break
 
-    if cfg.n_samples > 0 and len(samples) < cfg.min_samples:
+    if cfg.n_samples > 0 and kept < cfg.min_samples:
         raise SamplingExhausted(
-            f"only {len(samples)} cone members in {tried} candidates "
+            f"only {kept} cone members in {tried} candidates "
             f"(need {cfg.min_samples})")
 
-    min_curv = min((q for _, q in samples), default=math.nan)
-    min_arc = float(_arc_quotients(p, X0, np.array([H for H, _ in samples]),
-                                   cfg.growth_eps).min()) if samples else INF
+    samples, min_curv, min_arc = [], math.nan, INF
+    if kept:
+        Hs = np.concatenate(Hs_kept)
+        q = np.concatenate(q_kept).tolist()
+        samples, min_curv = list(zip(Hs, q)), min(q)
+        min_arc = float(_arc_quotients(p, X0, Hs, cfg.growth_eps).min())
     if counterexample is not None:
         verdict = "necessary-violated"
     elif min_curv > CURVATURE_TOL:

@@ -330,11 +330,17 @@ class SpectralPoint:
         are critical and get the alpha and beta terms and, in one stacked
         call, ``f.second_subderivative``.  Small-gap blocks warn once a
         call; an alpha or beta term that overflows raises ``NonFinite``.
+        The reports are read off the arrays of one ``_terms`` call, the
+        kernel that ``certify`` reads directly, building no reports.
         """
         return self._reports(as_matrix(Hs, "H", self.X, stack=True))
 
-    def _reports(self, Hs):
-        """``second_subderivatives`` of a checked (k, m, n) stack."""
+    def _terms(self, Hs):
+        """``second_subderivatives`` of a checked (k, m, n) stack as five
+        arrays (gaps, critical, d2f, alpha, beta), entry i bitwise that
+        field of row i's report (off the cone d2f = +inf and alpha = beta
+        = 0); the report's value is d2f + alpha + beta where d2f is
+        finite, +inf elsewhere."""
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
         r, n = part.r, part.n
         Hhat, d1, gaps, tols, crit = _duality_gaps(f, self.gauge, part,
@@ -348,13 +354,16 @@ class SpectralPoint:
         beta = np.where(crit, _finite_rows(np.einsum(   # einsum never warns
             "kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n], self._B),
             "beta term of H"), 0.0)
+        return gaps, crit, d2f, alpha, beta
+
+    def _reports(self, Hs):
+        """``second_subderivatives`` of a checked (k, m, n) stack."""
         return [SecondSubderivativeReport(
             value=v + a + b if math.isfinite(v) else INF, d2f_term=v,
             alpha_term=a, beta_term=b, critical=c, duality_gap=gap,
             warnings=self._report_warns if c else ())
-            for gap, c, v, a, b in zip(gaps.tolist(), crit.tolist(),
-                                       d2f.tolist(), alpha.tolist(),
-                                       beta.tolist())]
+            for gap, c, v, a, b in zip(
+                *(term.tolist() for term in self._terms(Hs)))]
 
     def second_subderivative(self, H) -> SecondSubderivativeReport:
         """``second_subderivatives`` of the one direction H."""
@@ -609,18 +618,26 @@ def guided_offsets(X, H, tols=TOLERANCES):
 
     The first offset steers the zero block along the cross term that the
     epi-limit construction uses; the second is half the direction that
-    cancels all second-order terms (the zero-target minimizing parabola).
-    H may be one (m, n) direction or a (k, m, n) stack, whose offsets come
-    per H in stack order, each bitwise those of H alone.  One SVD of X
-    and one batched pass serve the whole stack: at the zero target the
-    direction reads only the alpha quadratics and the beta cross term.
+    cancels all second-order terms (the zero-target minimizing parabola,
+    ``_zero_target_offsets``).  H may be one (m, n) direction or a
+    (k, m, n) stack, whose offsets come per H in stack order, each bitwise
+    those of H alone.  One SVD of X and one batched pass serve the whole
+    stack: at the zero target the direction reads only the alpha
+    quadratics and the beta cross term.
     """
     svd, part, Hhat = _prepared(X, H, tols, stack=True)
     sigma_a = svd.sigma[:part.r]
     offsets = []
     if part.r > 0:
         offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)
-    part.tables.warn()
-    offsets.append(0.5 * (svd.U @ _cancelling_direction(
-        Hhat, part, _class_quadratics(Hhat, part)) @ svd.V.T))
+    offsets.append(_zero_target_offsets(svd, part, Hhat))
     return [D for per_H in zip(*offsets) for D in per_H]
+
+
+def _zero_target_offsets(svd, part, Hhat):
+    """Half the zero-target cancelling direction of every H of a stack,
+    from ``_prepared(X, H, tols, stack=True)``: a (k, m, n) stack, row i
+    bitwise the last offset ``guided_offsets`` gives for H[i]."""
+    part.tables.warn()
+    return 0.5 * (svd.U @ _cancelling_direction(
+        Hhat, part, _class_quadratics(Hhat, part)) @ svd.V.T)

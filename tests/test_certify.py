@@ -609,10 +609,10 @@ class TestChunkedCandidates:
     def test_chunk_size_independent(self, name, monkeypatch):
         matrix_core = importlib.import_module("specvar.matrix_core")
         omod = importlib.import_module("specvar.oimf")
-        stacks = omod.SpectralPoint.second_subderivatives
+        terms = omod.SpectralPoint._terms
         chunks = []
-        monkeypatch.setattr(omod.SpectralPoint, "second_subderivatives",
-                            lambda pt, Hs: chunks.append(1) or stacks(pt, Hs))
+        monkeypatch.setattr(omod.SpectralPoint, "_terms",
+                            lambda pt, Hs: chunks.append(1) or terms(pt, Hs))
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
         cfg = SamplingConfig(n_samples=60, min_samples=10, growth_samples=50)
         runs = []
@@ -877,6 +877,16 @@ class TestStackedCertify:
                        "9d85824f93d7403b2b03ca0e16dbc920",
     }
 
+    # SHA-256 over verdict, min_curvature, min_arc_quotient,
+    # stationarity_residual and the counterexample's bytes of seeds 0-19,
+    # recorded before certify's passes ran on arrays (same platform)
+    WHOLE_PINNED = {
+        "soft": "a0dcafea8841ebb172b0d54364f3a192"
+                "74e6c3a1708e68e68258d2b23909ba06",
+        "saddle": "4bd7115a83e3d84ec3296091d6eedab6"
+                  "cfaa3537342a1edd2559ad863b2e70ba",
+    }
+
     @pytest.mark.parametrize("name, seed", list(PINNED))
     def test_pinned_certificate(self, name, seed):
         fixture = {"soft": soft_threshold_fixture, "saddle": saddle_fixture}
@@ -886,6 +896,37 @@ class TestStackedCertify:
                                 "saddle": "necessary-violated"}[name]
         assert len(cert.samples) == 200
         assert _certificate_sha(cert) == self.PINNED[name, seed]
+
+    @pytest.mark.parametrize("name", list(WHOLE_PINNED))
+    def test_pinned_certificate_fields(self, name):
+        import hashlib
+        fixture = {"soft": soft_threshold_fixture, "saddle": saddle_fixture}
+        digest = hashlib.sha256()
+        for seed in range(20):
+            p, X0 = fixture[name]()
+            cert = certify(p, X0, SamplingConfig(seed=seed))
+            digest.update(cert.verdict.encode())
+            digest.update(np.array([cert.min_curvature, cert.min_arc_quotient,
+                                    cert.stationarity_residual]).tobytes())
+            ce = cert.counterexample
+            digest.update(b"none" if ce is None else ce.tobytes())
+        assert digest.hexdigest() == self.WHOLE_PINNED[name]
+
+    def test_default_builds_no_reports(self, monkeypatch):
+        # the passes read the kernel's arrays: no per-row report objects
+        omod = importlib.import_module("specvar.oimf")
+        built = []
+        report = omod.SecondSubderivativeReport
+        monkeypatch.setattr(omod, "SecondSubderivativeReport",
+                            lambda **kw: built.append(1) or report(**kw))
+        for fixture in (soft_threshold_fixture, saddle_fixture):
+            p, X0 = fixture()
+            assert len(certify(p, X0).samples) == 200
+        assert built == []
+        p, X0 = soft_threshold_fixture()   # the counter sees the reports
+        SpectralPoint(p.f, X0, -p.psi.gradient(X0)).second_subderivatives(
+            np.stack([X0, -X0]))
+        assert built == [1, 1]
 
     def test_one_hessian_call_per_chunk(self, monkeypatch):
         matrix_core = importlib.import_module("specvar.matrix_core")
@@ -1055,7 +1096,7 @@ def _curvature_form(p, X0):
 
     def q(Hs):
         return np.concatenate([
-            _curvatures(p, X0, Hs[at], point.second_subderivatives(Hs[at]))
+            _curvatures(p, X0, point, Hs[at])[1]
             for at in np.array_split(np.arange(len(Hs)),
                                      -(-len(Hs) // 2000))])
 
@@ -1133,11 +1174,14 @@ class TestArcQuotients:
                                          saddle_fixture])
     def test_default_hands_f_eval_few_rows(self, fixture, monkeypatch):
         # the ball probe's 2,000 points left the default: the arcs take
-        # 2 n_samples rows
+        # 2 n_samples rows, and build only their zero-target offsets
         cmod = importlib.import_module("specvar.certify")
-        guided = []
+        guided, arcs = [], []
         monkeypatch.setattr(cmod, "guided_offsets", lambda X, H: (
             guided.append(len(H)) or guided_offsets(X, H)))
+        zero_target = cmod._zero_target_offsets
+        monkeypatch.setattr(cmod, "_zero_target_offsets", lambda *a: (
+            arcs.append(len(a[2])) or zero_target(*a)))
         monkeypatch.setattr(cmod, "quadratic_growth_probe", None)
         p, X0 = fixture()
         counts, rows = {}, {}
@@ -1145,7 +1189,8 @@ class TestArcQuotients:
         n = SamplingConfig.n_samples
         assert len(cert.samples) == n
         assert rows["eval"] <= 2 * n + 8
-        assert guided == [4, n]   # the guided candidates, then the arcs
+        assert guided == [4]   # the guided candidates
+        assert sum(arcs) == n   # the arcs, one zero-target pass a chunk
         assert cert.growth_constant_observed == INF
 
     def test_no_samples_is_inf(self):

@@ -1535,6 +1535,42 @@ class TestBatchedDirections:
         prop()
 
 
+class TestTwoViewsOfD2F:
+    """``second_subderivatives`` reads its reports off the arrays of the
+    kernel ``SpectralPoint._terms``: every field of every row bitwise,
+    the warning texts on the critical rows only."""
+
+    @pytest.mark.parametrize("svals, warns", [
+        ([3.0, 2.0, 2.0, 0.0, 0.0], False),
+        ([1.0 + 5e-7, 1.0, 0.5, 0.0, 0.0], True),
+    ], ids=["gapped", "near-tie"])
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_reports_equal_the_kernel_arrays(self, svals, warns, k):
+        import warnings
+        from specvar.errors import ConditioningWarning
+        point, Hs = _prepared(6, 5, svals, "l1", seed=4)
+        Hs = np.concatenate([Hs, 2.0 * Hs[1:2]])[:k]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            reports = point.second_subderivatives(Hs)
+            gaps, crit, d2f, alpha, beta = point._terms(Hs)
+        with np.errstate(over="ignore", invalid="ignore"):   # as certify
+            value = np.where(np.isfinite(d2f), d2f + alpha + beta, INF)
+        assert len(reports) == k
+        if k == 7:
+            assert 0 < crit.sum() < k
+        assert [rep.critical for rep in reports] == crit.tolist()
+        for field, arr in (("duality_gap", gaps), ("value", value),
+                           ("d2f_term", d2f), ("alpha_term", alpha),
+                           ("beta_term", beta)):
+            got = np.array([getattr(rep, field) for rep in reports], float)
+            assert got.tobytes() == arr.tobytes(), field
+        texts = point._report_warns
+        assert bool(texts) == warns
+        assert [rep.warnings for rep in reports] == [
+            texts if c else () for c in crit.tolist()]
+
+
 class _LinearPsi:
     """psi(X) = -<Y, X>: -grad psi is Y itself, bit for bit."""
 
