@@ -14,7 +14,6 @@ refute optimality.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +24,7 @@ from .errors import (AssumptionViolated, NonFinite, SamplingExhausted,
                      ShapeError)
 from .matrix_core import (CURVATURE_TOL, TOLERANCES, _chunk_size, _chunks,
                           as_count, as_matrix, as_real, svd_ordered)
-from .oimf import (F_eval, SpectralPoint, _subgradient,
+from .oimf import (F_eval, SpectralPoint, _duality_gaps, _subgradient,
                    _zero_target_offsets, guided_offsets)
 from .oracles import fd_gradient_check
 from .sv_calculus import _prepared
@@ -41,6 +40,16 @@ def _entry_sums(A):
     return float(np.sum(A))
 
 
+def _matching(X, like, like_name="B", name="X"):
+    """X as a float array: one matrix or a (k, m, n) stack of them, (m, n)
+    the shape ``like`` of psi's data; ``ShapeError`` otherwise, before
+    any arithmetic could broadcast it."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim not in (2, 3) or X.shape[-2:] != like:
+        raise ShapeError(f"{name} {X.shape} and {like_name} {like} differ")
+    return X
+
+
 class HalfSquaredDistance:
     """psi(X) = ||X - B||^2 / 2."""
 
@@ -48,13 +57,14 @@ class HalfSquaredDistance:
         self.B = as_matrix(B, "B")
 
     def value(self, X):
-        return 0.5 * _entry_sums((X - self.B) ** 2)
+        return 0.5 * _entry_sums((_matching(X, self.B.shape) - self.B) ** 2)
 
     def gradient(self, X):
-        return X - self.B
+        return _matching(X, self.B.shape) - self.B
 
     def hessian_apply(self, X, H):
-        return np.asarray(H, dtype=float)
+        _matching(X, self.B.shape)
+        return _matching(H, self.B.shape, name="H")
 
 
 class LeastSquares:
@@ -71,17 +81,19 @@ class LeastSquares:
         return np.tensordot(self.A, X, axes=([1, 2], [0, 1]))
 
     def value(self, X):
-        if np.ndim(X) == 3:   # per matrix: a stacked gemm rounds differently
+        X = _matching(X, self.A.shape[1:], "A[0]")
+        if X.ndim == 3:   # per matrix: a stacked gemm rounds differently
             return np.array([self.value(Xi) for Xi in X])
         r = self._apply(X) - self.b
         return 0.5 * float(r @ r)
 
     def gradient(self, X):
-        r = self._apply(X) - self.b
+        r = self._apply(_matching(X, self.A.shape[1:], "A[0]")) - self.b
         return np.tensordot(r, self.A, axes=(0, 0))
 
     def hessian_apply(self, X, H):
-        H = np.asarray(H, dtype=float)
+        _matching(X, self.A.shape[1:], "A[0]")
+        H = _matching(H, self.A.shape[1:], "A[0]", "H")
         if H.ndim == 3:   # per matrix, as in value
             return np.array([self.hessian_apply(X, Hi) for Hi in H])
         return np.tensordot(self._apply(H), self.A, axes=(0, 0))
@@ -98,15 +110,18 @@ class QuadraticMinusRankOne:
         self.gamma = as_real(gamma, "gamma", positive=False)
 
     def value(self, X):
+        X = _matching(X, self.B.shape)
         t = _entry_sums(self.E * X)
         return 0.5 * _entry_sums((X - self.B) ** 2) \
             - 0.5 * self.gamma * t * t
 
     def gradient(self, X):
+        X = _matching(X, self.B.shape)
         return X - self.B - self.gamma * float(np.sum(self.E * X)) * self.E
 
     def hessian_apply(self, X, H):
-        H = np.asarray(H, dtype=float)
+        _matching(X, self.B.shape)
+        H = _matching(H, self.B.shape, name="H")
         t = _entry_sums(self.E * H)
         if H.ndim == 3:
             t = t[:, None, None]
@@ -196,13 +211,21 @@ def stationarity_check(p: ProblemSpec, X0):
     return float(residual), ok
 
 
-def _curvatures(p: ProblemSpec, X0, point, Hs):
+def _curvatures(p: ProblemSpec, X0, point, Hs, cone=None):
     """(critical, q) for a checked (k, m, n) stack at the ``SpectralPoint``
     of X0: the critical rows and q = <H, hess psi(X0) H> + d2F per H,
-    +inf off the critical cone.  One ``point._terms`` call and one
-    ``psi.hessian_apply`` call on the critical rows; d2F is each report's
-    value, bitwise, built from the kernel's arrays."""
-    _, crit, d2f, alpha, beta = point._terms(Hs)
+    +inf off the critical cone; d2F is each report's value, bitwise.
+    Without ``cone`` the rows go through ``point._terms``, the cone test
+    and then the value half; with ``cone`` = (d1, tols), the sigma' rows
+    and thresholds ``_duality_gaps`` gave rows it found critical, only the
+    value half ``point._values`` runs, on Hhat = U^T H V built again.
+    One ``psi.hessian_apply`` call on the critical rows."""
+    if cone is None:
+        _, crit, d2f, alpha, beta = point._terms(Hs)
+    else:
+        crit = np.ones(len(Hs), dtype=bool)
+        d2f, alpha, beta = point._values(
+            point.gauge.U.T @ Hs @ point.gauge.V, *cone, crit)
     q = np.full(len(Hs), INF)
     if crit.any():
         Hc, d2f = Hs[crit], d2f[crit]
@@ -219,46 +242,64 @@ def curvature(p: ProblemSpec, X0, H):
     """<H, hess psi(X0) H> plus the second subderivative of the spectral
     term at X0 for -grad psi(X0); +inf outside the critical cone."""
     X0 = as_matrix(X0, "X0")
-    Hs = as_matrix(H, "H")[None]
+    Hs = as_matrix(H, "H", X0, like_name="X0")[None]
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
     return float(_curvatures(p, X0, SpectralPoint(p.f, X0, Y), Hs)[1][0])
 
 
-def _structured_candidates(svd, part, rng, budget):
-    """Directions expressed in the aligned gauge, densest first: diagonal
-    patterns, single entries, two-index symmetric/antisymmetric pairs,
-    then raw and beta-zeroed Gaussians.  Lazy: at most max(budget, 1)
-    matrices, each built (and each Gaussian drawn) only when consumed."""
-    m, n = part.m, part.n
-    r = part.r
+class _CandidateStream:
+    """Directions expressed in the aligned gauge, densest first: +-E_ii,
+    then S_ij and A_ij for i < j, then E_ij for the rows past n, then per
+    Gaussian draw the raw matrix and its beta-zeroed copy.  At most
+    max(budget, 1) in all; ``take(k)`` gives the next ones, up to k, as
+    one (k, m, n) stack.  The structured ones are written by index into
+    zeros (-E_ii is E_ii negated, -0.0 entries and all), and the draws a
+    stack needs come from one ``standard_normal`` block: the rng is
+    untouched until the first Gaussian, no draw is made before it is
+    needed, and the copy of a draw that ends a stack opens the next."""
 
-    def stream():
-        for i in range(n):
-            G = np.zeros((m, n))
-            G[i, i] = 1.0
-            yield G
-            yield -G
-        for i in range(n):
-            for j in range(i + 1, n):
-                S = np.zeros((m, n))
-                S[i, j] = S[j, i] = 1.0
-                yield S
-                A = np.zeros((m, n))
-                A[i, j], A[j, i] = 1.0, -1.0
-                yield A
-        for i in range(n, m):
-            for j in range(n):
-                G = np.zeros((m, n))
-                G[i, j] = 1.0
-                yield G
-        while True:
-            G = rng.standard_normal((m, n))
-            yield G.copy()
-            if r < n:
-                G[r:, r:] = 0.0  # keep the zero block quiet: often critical
-            yield G
+    def __init__(self, part, rng, budget):
+        m, n = part.m, part.n
+        self.shape, self.r, self.rng = (m, n), part.r, rng
+        self.left, self.taken, self.copy = max(budget, 1), 0, None
+        # two (row, column, value) entries per structured candidate, a
+        # one-entry pattern's twice; -E_ii is +E_ii times its sign
+        d = np.repeat(np.arange(n), 2)
+        iu, ju = (np.repeat(i, 2) for i in np.triu_indices(n, 1))
+        ie, je = np.repeat(np.arange(n, m), n), np.tile(np.arange(n), m - n)
+        self.rows = np.stack([np.concatenate([d, iu, ie]),
+                              np.concatenate([d, ju, ie])], axis=1)
+        self.cols = np.stack([np.concatenate([d, ju, je]),
+                              np.concatenate([d, iu, je])], axis=1)
+        self.values = np.ones(self.rows.shape)
+        self.values[2 * n + 1:2 * n + len(iu):2, 1] = -1.0   # A_ji
+        self.sign = np.ones(len(self.rows))
+        self.sign[1:2 * n:2] = -1.0
 
-    return itertools.islice(stream(), max(budget, 1))
+    def take(self, k):
+        k = min(k, self.left)
+        a = self.taken
+        b = min(a + k, len(self.rows))
+        self.left -= k
+        self.taken += k
+        G = np.zeros((k,) + self.shape)
+        if a < b:
+            G[np.arange(b - a)[:, None], self.rows[a:b], self.cols[a:b]] = \
+                self.values[a:b]
+            G[:b - a] *= self.sign[a:b, None, None]
+        out = G[max(b - a, 0):]
+        if len(out) and self.copy is not None:
+            out[0] = self.copy
+            out, self.copy = out[1:], None
+        if len(out):
+            draws = self.rng.standard_normal(((len(out) + 1) // 2,)
+                                             + self.shape)
+            out[0::2] = draws
+            draws[:, self.r:, self.r:] = 0.0   # the copy: a quiet zero block
+            out[1::2] = draws[:len(out) // 2]
+            if len(out) % 2:
+                self.copy = draws[-1].copy()
+        return G
 
 
 def _validated_counterexample(p, X0, H, q):
@@ -311,12 +352,16 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     and reports either a validated negative direction (optimality
     refuted), uniformly positive sampled curvature (evidence in favor),
     or inconclusive.  The candidates are normalised (zero ones skipped,
-    still counted as tried) and evaluated in passes, each one stack: per
-    pass one gauge product U G V^T for its structured candidates, one
-    ``SpectralPoint._terms`` call (no report objects) and one
-    ``psi.hessian_apply`` call on its critical rows.  A pass keeps its
-    critical rows and their curvatures as arrays, and validates only
-    those with q < -CURVATURE_TOL, in stream order, until one descends.
+    still counted as tried) and tested in passes, each one stack drawn
+    from ``_CandidateStream``: per pass one gauge product U G V^T for its
+    structured candidates and the cone test alone (``_duality_gaps``, one
+    ``f.subderivative`` call); a pass keeps its critical rows.  After the
+    last pass the value half runs once per ``_chunks`` chunk of the
+    accepted stack (``_curvatures``: one ``f.second_subderivative``
+    call, the alpha and beta terms, one ``psi.hessian_apply`` call, no
+    report objects), and the rows with q < -CURVATURE_TOL are validated
+    in stream order until one descends, before the sample count is
+    checked.
     The guided offsets of four random base directions come first, from
     one pass before any structured Gaussian is drawn (none when no
     samples are asked for); a pass takes at most the samples still
@@ -354,19 +399,17 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     # random base directions often sit inside the cone
     guided = np.array(guided_offsets(X0, rng.standard_normal(
         (4,) + X0.shape)) if cfg.n_samples > 0 else [])
-    structured = _structured_candidates(svd, point.part, rng,
-                                        cfg.max_candidates)
+    stream = _CandidateStream(point.part, rng, cfg.max_candidates)
 
-    Hs_kept, q_kept = [], []
+    passes = []   # per cone pass: its critical rows, their sigma' and tols
     kept = tried = 0
-    counterexample = None
     cap = _chunk_size(X0)
     while kept < cfg.n_samples:
         k = min(cfg.n_samples - kept, cap)
         Hs, guided = guided[:k], guided[k:]
-        Gs = list(itertools.islice(structured, k - len(Hs)))
-        if Gs:
-            Gs = svd.U @ np.array(Gs) @ svd.V.T
+        Gs = stream.take(k - len(Hs))
+        if len(Gs):
+            Gs = svd.U @ Gs @ svd.V.T
             Hs = np.concatenate([Hs, Gs]) if len(Hs) else Gs
         if not len(Hs):
             break
@@ -376,16 +419,22 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         Hs = Hs[nrm > 0] / nrm[nrm > 0, None, None]
         if not len(Hs):
             continue
-        crit, q = _curvatures(p, X0, point, Hs)
-        Hs, q = Hs[crit], q[crit]
-        Hs_kept.append(Hs)
-        q_kept.append(q)
-        kept += len(q)
-        if counterexample is None:
-            for i in np.flatnonzero(q < -CURVATURE_TOL).tolist():
-                if _validated_counterexample(p, X0, Hs[i], float(q[i])):
-                    counterexample = Hs[i]
-                    break
+        _, d1, _, tols, crit = _duality_gaps(p.f, svd, point.part, point.Y,
+                                             Hs)
+        passes.append((Hs[crit], d1[crit], tols[crit]))
+        kept += int(crit.sum())
+
+    q = np.empty(0)
+    if passes:   # the value half runs, and warns, even with no row kept
+        Hs, d1, tols = (np.concatenate(a) for a in zip(*passes))
+        q = np.concatenate([
+            _curvatures(p, X0, point, Hs[at], (d1[at], tols[at]))[1]
+            for at in _chunks(X0, kept) or [slice(0, 0)]])
+    counterexample = None
+    for i in np.flatnonzero(q < -CURVATURE_TOL).tolist():
+        if _validated_counterexample(p, X0, Hs[i], float(q[i])):
+            counterexample = Hs[i]
+            break
 
     if cfg.n_samples > 0 and kept < cfg.min_samples:
         raise SamplingExhausted(
@@ -394,8 +443,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
 
     samples, min_curv, min_arc = [], math.nan, INF
     if kept:
-        Hs = np.concatenate(Hs_kept)
-        q = np.concatenate(q_kept).tolist()
+        q = q.tolist()
         samples, min_curv = list(zip(Hs, q)), min(q)
         min_arc = float(_arc_quotients(p, X0, Hs, cfg.growth_eps).min())
     if counterexample is not None:

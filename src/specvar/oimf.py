@@ -330,8 +330,9 @@ class SpectralPoint:
         are critical and get the alpha and beta terms and, in one stacked
         call, ``f.second_subderivative``.  Small-gap blocks warn once a
         call; an alpha or beta term that overflows raises ``NonFinite``.
-        The reports are read off the arrays of one ``_terms`` call, the
-        kernel that ``certify`` reads directly, building no reports.
+        The reports are read off the arrays of one ``_terms`` call; its
+        value half ``_values`` is the one ``curvature`` and ``certify``
+        read, building no reports.
         """
         return self._reports(as_matrix(Hs, "H", self.X, stack=True))
 
@@ -340,12 +341,22 @@ class SpectralPoint:
         arrays (gaps, critical, d2f, alpha, beta), entry i bitwise that
         field of row i's report (off the cone d2f = +inf and alpha = beta
         = 0); the report's value is d2f + alpha + beta where d2f is
-        finite, +inf elsewhere."""
+        finite, +inf elsewhere.  The cone test ``_duality_gaps``, then
+        the value half ``_values``."""
+        Hhat, d1, gaps, tols, crit = _duality_gaps(self.f, self.gauge,
+                                                   self.part, self.Y, Hs)
+        return (gaps, crit) + self._values(Hhat, d1, tols, crit)
+
+    def _values(self, Hhat, d1, tols, crit):
+        """(d2f, alpha, beta) of the rows of Hhat = U^T H V with the
+        sigma'(X; H) rows d1, cone thresholds tols and critical flags crit
+        of ``_duality_gaps``: one ``f.second_subderivative`` call on the
+        critical rows, the alpha and beta terms of every row (small-gap
+        blocks warn even with no row; overflow raises ``NonFinite``),
+        zeroed off the cone."""
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
         r, n = part.r, part.n
-        Hhat, d1, gaps, tols, crit = _duality_gaps(f, self.gauge, part,
-                                                   self.Y, Hs)
-        d2f = np.full(len(Hs), INF)
+        d2f = np.full(len(Hhat), INF)
         if crit.any():
             d2f[crit] = _stacked(
                 f.second_subderivative(s, sy, d1[crit], tols[crit]),
@@ -354,7 +365,7 @@ class SpectralPoint:
         beta = np.where(crit, _finite_rows(np.einsum(   # einsum never warns
             "kji,kij,ji->k", Hhat[:, r:n, :r], Hhat[:, :r, r:n], self._B),
             "beta term of H"), 0.0)
-        return gaps, crit, d2f, alpha, beta
+        return d2f, alpha, beta
 
     def _reports(self, Hs):
         """``second_subderivatives`` of a checked (k, m, n) stack."""

@@ -221,7 +221,9 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     step fails an exact quadratic whose entries are 1e6 or more.
 
     The 2 mn shifted points X +- tau E_ij are scored by ``psi.value`` in
-    stacks of at most ``_CHUNK_ENTRIES`` entries, and the unit directions
+    stacks of at most ``_CHUNK_ENTRIES`` entries, each stack rows of X
+    with X_i +- tau written at entry i of row i (bitwise X +- tau E_i,
+    with no dense shift matrix), and the unit directions
     of the Hessian check go to ``psi.hessian_apply`` as one stack, so psi
     must honour the stack contract (entry i bitwise that of item i alone):
     a result of any other shape raises ``ShapeError`` naming the hook, and
@@ -232,13 +234,15 @@ def fd_gradient_check(psi, X) -> GradientCheckReport:
     G = as_matrix(psi.gradient(X), "psi.gradient", X)
     d = X.size
     values = np.empty((2, d))
+    # X + 0.0 reads -0.0 as +0.0, as X plus a zero shift does
+    sides = ((X + 0.0).ravel(), tau), (X.ravel(), -tau)
     for at in _chunks(X, d):
-        shift = np.zeros((at.stop - at.start, d))
-        shift[:, at] = tau * np.eye(at.stop - at.start)   # row i: tau at i
-        shift = shift.reshape((-1,) + X.shape)
-        for side, op in enumerate((np.add, np.subtract)):
-            values[side, at] = _stacked(psi.value(op(X, shift)), len(shift),
-                                        "psi.value")
+        rows = np.arange(at.stop - at.start)
+        for side, (base, step) in enumerate(sides):
+            Xs = np.tile(base, (len(rows), 1))
+            Xs[rows, rows + at.start] += step   # row i: X_i +- tau at i
+            values[side, at] = _stacked(psi.value(Xs.reshape(
+                (-1,) + X.shape)), len(rows), "psi.value")
     G_fd = ((values[0] - values[1]) / (2 * tau)).reshape(X.shape)
     g_err = np.linalg.norm(G_fd - G) / max(1.0, np.linalg.norm(G))
 

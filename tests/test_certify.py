@@ -347,20 +347,75 @@ def _saddle_instance(n):
     return p, X0
 
 
+def _candidates_one_at_a_time(part, rng):
+    """The documented candidate order, one matrix built per candidate:
+    +-E_ii, S_ij then A_ij for i < j, E_ij for the rows past n, then per
+    Gaussian draw the raw matrix and its copy with the zero block zeroed."""
+    m, n, r = part.m, part.n, part.r
+    for i in range(n):
+        E = np.zeros((m, n))
+        E[i, i] = 1.0
+        yield E
+        yield -E
+    for i in range(n):
+        for j in range(i + 1, n):
+            S = np.zeros((m, n))
+            S[i, j] = S[j, i] = 1.0
+            yield S
+            A = np.zeros((m, n))
+            A[i, j], A[j, i] = 1.0, -1.0
+            yield A
+    for i in range(n, m):
+        for j in range(n):
+            E = np.zeros((m, n))
+            E[i, j] = 1.0
+            yield E
+    while True:
+        G = rng.standard_normal((m, n))
+        yield G.copy()
+        G[r:, r:] = 0.0
+        yield G
+
+
 class TestCandidateStream:
     def test_lazy_and_rng_untouched_until_gaussians(self):
-        from specvar.certify import _structured_candidates
+        from specvar.certify import _CandidateStream
         from specvar.matrix_core import partition_of, svd_ordered
         X = np.diag([2.0, 1.0, 0.0])
         svd = svd_ordered(X)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        it = _structured_candidates(svd, partition_of(svd), rng, 10**9)
-        first = [next(it) for _ in range(12)]   # 6 diagonal, 6 pairs
-        assert rng.bit_generator.state == state
+        first = _CandidateStream(partition_of(svd), rng, 10**9).take(12)
+        assert rng.bit_generator.state == state   # 6 diagonal, 6 pairs
         assert first[0][0, 0] == 1.0 and first[1][0, 0] == -1.0
-        assert len(list(_structured_candidates(svd, partition_of(svd), rng,
-                                               5))) == 5
+        assert len(_CandidateStream(partition_of(svd), rng, 5).take(
+            100)) == 5
+
+    @pytest.mark.parametrize("shape, rank", [((3, 3), 2), ((5, 3), 2),
+                                             ((4, 4), 4), ((1, 1), 0)])
+    def test_stacks_equal_one_at_a_time(self, shape, rank):
+        # any split into stacks: the matrices bitwise (-0.0 entries too),
+        # and the rng where one draw at a time leaves it
+        from specvar.certify import _CandidateStream
+        from specvar.matrix_core import partition_of, svd_ordered
+        m, n = shape
+        X = np.zeros(shape)
+        X[np.arange(rank), np.arange(rank)] = np.arange(rank, 0, -1)
+        part = partition_of(svd_ordered(X))
+        for sizes in ([1] * 40, [3, 5, 0, 7, 2, 9, 1, 13], [n * (m + 1) + 3]):
+            ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
+            ref = _candidates_one_at_a_time(part, ref_rng)
+            stream = _CandidateStream(part, rng, sum(sizes) - 1)
+            taken = 0
+            for k in sizes:
+                got = stream.take(k)
+                k = min(k, sum(sizes) - 1 - taken)
+                taken += k
+                assert got.shape == (k, m, n)
+                for G in got:
+                    assert next(ref).tobytes() == G.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert len(stream.take(5)) == 0
 
     def test_certify_memory_peak(self):
         import tracemalloc
@@ -406,33 +461,6 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
         out.append(0.5 * min_direction_construct(X, H, np.zeros(part.n)))
         return out
 
-    def structured(part, rng, budget):
-        m, n, r = part.m, part.n, part.r
-        out = []
-        for i in range(n):
-            G = np.zeros((m, n))
-            G[i, i] = 1.0
-            out += [G, -G]
-        for i in range(n):
-            for j in range(i + 1, n):
-                S = np.zeros((m, n))
-                S[i, j] = S[j, i] = 1.0
-                A = np.zeros((m, n))
-                A[i, j], A[j, i] = 1.0, -1.0
-                out += [S, A]
-        for i in range(n, m):
-            for j in range(n):
-                G = np.zeros((m, n))
-                G[i, j] = 1.0
-                out.append(G)
-        while len(out) < budget:
-            G = rng.standard_normal((m, n))
-            out.append(G.copy())
-            if r < n:
-                G[r:, r:] = 0.0
-            out.append(G)
-        return out[:max(budget, 1)]
-
     def curvature_fresh(H, Y):
         svd, part, sy = simultaneous_gauge(X0, Y)
         blocks = direction_blocks(X0, H, gauge=svd)
@@ -459,8 +487,8 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
     cands = []
     for _ in range(4):
         cands += offsets(X0, rng.standard_normal(X0.shape))
-    cands += [svd.U @ G @ svd.V.T
-              for G in structured(part, rng, cfg.max_candidates)]
+    cands += [svd.U @ G @ svd.V.T for G in itertools.islice(
+        _candidates_one_at_a_time(part, rng), max(cfg.max_candidates, 1))]
     samples, counterexample = [], None
     for H in cands:
         if len(samples) >= cfg.n_samples:
@@ -608,11 +636,11 @@ class TestChunkedCandidates:
                                       "soft-9x8", "soft-7x5-gauge"])
     def test_chunk_size_independent(self, name, monkeypatch):
         matrix_core = importlib.import_module("specvar.matrix_core")
-        omod = importlib.import_module("specvar.oimf")
-        terms = omod.SpectralPoint._terms
+        cmod = importlib.import_module("specvar.certify")
+        cone = cmod._duality_gaps
         chunks = []
-        monkeypatch.setattr(omod.SpectralPoint, "_terms",
-                            lambda pt, Hs: chunks.append(1) or terms(pt, Hs))
+        monkeypatch.setattr(cmod, "_duality_gaps",
+                            lambda *args: chunks.append(1) or cone(*args))
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
         cfg = SamplingConfig(n_samples=60, min_samples=10, growth_samples=50)
         runs = []
@@ -949,6 +977,58 @@ class TestStackedCertify:
             assert calls[0] == 5
             assert len(calls) >= 1 + chunks and sum(calls[1:]) == 200
 
+    def test_one_value_pass(self, monkeypatch):
+        # the passes run only the cone test; the value half runs once on
+        # the accepted stack
+        from dataclasses import replace
+        cmod = importlib.import_module("specvar.certify")
+        omod = importlib.import_module("specvar.oimf")
+        calls = []
+
+        def logged(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(cmod, "_duality_gaps",
+                            logged("cone", omod._duality_gaps), raising=False)
+        monkeypatch.setattr(omod, "alpha_terms",
+                            logged("alpha", omod.alpha_terms))
+
+        class Logged(HalfSquaredDistance):
+            def hessian_apply(self, X, H):
+                calls.append("hessian")
+                return super().hessian_apply(X, H)
+
+        p, X0 = soft_threshold_fixture()
+        f = replace(p.f, subderivative=logged("d1", p.f.subderivative),
+                    second_subderivative=logged(
+                        "d2", p.f.second_subderivative))
+        cert = certify(ProblemSpec(Logged(p.psi.B), f), X0)
+        assert len(cert.samples) == 200
+        assert calls == ["hessian"] + ["cone", "d1"] * 9 + [
+            "d2", "alpha", "hessian"]
+
+    def test_warns_once_per_value_chunk(self, monkeypatch):
+        # a 5e-7 gap between the top two values warns at each read of the
+        # tables: the guided pass once, then per chunk of the accepted
+        # stack the value half and the arc pass (the cone passes never)
+        import warnings
+        from specvar.errors import ConditioningWarning
+        matrix_core = importlib.import_module("specvar.matrix_core")
+        B = np.diag([3.0 + 5e-7, 3.0, 0.2])
+        p = ProblemSpec(HalfSquaredDistance(B), scale_spec(l1_spec(), 0.5))
+        X0 = svt_solve(B, 0.5)
+        texts = SpectralPoint(p.f, X0, -p.psi.gradient(X0)).part.tables.texts
+        for entries, chunks in ((matrix_core._CHUNK_ENTRIES, 1),
+                                (20 * X0.size, 10)):
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cert = certify(p, X0)
+            assert len(cert.samples) == 200
+            assert texts and [str(w.message) for w in caught if issubclass(
+                w.category, ConditioningWarning)] == list(texts) * (
+                    1 + 2 * chunks)
+
     def test_curvature_reads_the_stack_path(self):
         p, X0 = soft_threshold_fixture()
         H = np.zeros((3, 3))
@@ -1018,14 +1098,14 @@ class TestStackedCertify:
         # the one-matrix-at-a-time loop: each candidate built, normalised,
         # tested and scored alone, guided offsets one base direction at a
         # time
-        from specvar.certify import _structured_candidates
         point = SpectralPoint(p.f, X0, -p.psi.gradient(X0))
         svd = point.gauge
         rng = np.random.default_rng(cfg.seed)
         guided = (D for _ in range(4)
                   for D in guided_offsets(X0, rng.standard_normal(X0.shape)))
-        structured = (svd.U @ G @ svd.V.T for G in _structured_candidates(
-            svd, point.part, rng, cfg.max_candidates))
+        structured = (svd.U @ G @ svd.V.T for G in itertools.islice(
+            _candidates_one_at_a_time(point.part, rng),
+            max(cfg.max_candidates, 1)))
         samples = []
         for H in itertools.chain(guided, structured):
             if len(samples) == cfg.n_samples:
@@ -1041,14 +1121,15 @@ class TestStackedCertify:
         return samples
 
     @pytest.mark.parametrize("name", ["soft", "saddle", "soft-7x5",
-                                      "saddle-4"])
+                                      "saddle-4", "soft-10x8"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_equals_per_matrix_loop(self, name, seed, monkeypatch):
         # any BLAS: the pins above hold for one
         matrix_core = importlib.import_module("specvar.matrix_core")
         p, X0 = {"soft": soft_threshold_fixture, "saddle": saddle_fixture,
                  "soft-7x5": lambda: _soft_instance(7, 5, seed=2),
-                 "saddle-4": lambda: _saddle_instance(4)}[name]()
+                 "saddle-4": lambda: _saddle_instance(4),
+                 "soft-10x8": lambda: _mix_soft_instance(1, 10, 8)}[name]()
         cfg = SamplingConfig(seed=seed, min_samples=0)
         ref = self._per_matrix_samples(p, X0, cfg)
         for entries in (matrix_core._CHUNK_ENTRIES, 7 * X0.size):
@@ -1059,26 +1140,34 @@ class TestStackedCertify:
                 assert np.array_equal(H, H_ref) and q == q_ref
 
 
+def _mix_soft_instance(seed, m, n):
+    """certify-mix's soft instance of size (m, n) for a workload seed:
+    (ProblemSpec, X0), psi = HalfSquaredDistance(B), f = 0.5 l1."""
+    rng = workloads._rng(seed, 0)
+    for size in workloads.SOFT_SIZES:   # drawn in order, as the workload
+        d = workloads._soft_instance(rng, *size)
+        if size == (m, n):
+            break
+    p = ProblemSpec(HalfSquaredDistance(d["B"]), scale_spec(l1_spec(), 0.5))
+    return p, d["X0"]
+
+
 def _deflated_soft_instance(seed, m, n):
     """certify-mix's soft instance of size (m, n) for a workload seed,
     with psi deflated to QuadraticMinusRankOne(B, E, 1.5): E = U G V^T
     normalised in the aligned gauge, G = default_rng(seed)'s Gaussian with
     its diagonal and zero block zeroed.  <E, X0> = 0 keeps X0 stationary;
     the curvature turns negative on S = {H : Hhat[r:, r:] = 0}."""
-    rng = workloads._rng(seed, 0)
-    for size in workloads.SOFT_SIZES:   # drawn in order, as the workload
-        d = workloads._soft_instance(rng, *size)
-        if size == (m, n):
-            break
-    f = scale_spec(l1_spec(), 0.5)
-    point = SpectralPoint(f, d["X0"], d["B"] - d["X0"])
+    soft, X0 = _mix_soft_instance(seed, m, n)
+    B, f = soft.psi.B, soft.f
+    point = SpectralPoint(f, X0, B - X0)
     r = point.part.r
     G = np.random.default_rng(seed).standard_normal((m, n))
     G[r:, r:] = 0.0
     G[np.arange(n), np.arange(n)] = 0.0
     E = point.gauge.U @ G @ point.gauge.V.T
-    psi = QuadraticMinusRankOne(d["B"], E / np.linalg.norm(E), 1.5)
-    return ProblemSpec(psi, f), d["X0"]
+    psi = QuadraticMinusRankOne(B, E / np.linalg.norm(E), 1.5)
+    return ProblemSpec(psi, f), X0
 
 
 def _curvature_form(p, X0):

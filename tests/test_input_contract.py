@@ -17,6 +17,7 @@ from specvar import (
     ProblemSpec,
     QuadraticMinusRankOne,
     SamplingConfig,
+    curvature,
     expansion_residual,
     free_set,
     gauge_randomize,
@@ -25,6 +26,7 @@ from specvar import (
     l1_spec,
     min_direction_construct,
     nuclear_psi_eval,
+    objective,
     partition_of,
     partition_values,
     quadratic_growth_probe,
@@ -44,6 +46,14 @@ SWAP3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 def _growth(n_samples, seed):
     p, X0 = soft_threshold_fixture()
     return quadratic_growth_probe(p, X0, 1e-2, n_samples, seed)
+
+
+def _soft(call, X):
+    """call(p, X) on the soft fixture, whose B and X0 are 3 x 3."""
+    return call(soft_threshold_fixture()[0], X)
+
+
+E1 = np.array([[2.5], [0.0], [0.0]])   # 3 x 1: broadcasts against B
 
 
 class _NanAtProbe:
@@ -149,6 +159,25 @@ CASES = {
     "F_eval-strings": (
         lambda: F_eval(l1_spec(), [["a", "b"]]), ShapeError, "X"),
     "svd-dict": (lambda: svd_ordered({"X": 1.0}), ShapeError, "X"),
+    "curvature-H-square": (
+        lambda: curvature(*soft_threshold_fixture(), np.zeros((2, 2))),
+        ShapeError, "H"),
+    "curvature-H-wide": (
+        lambda: curvature(*soft_threshold_fixture(), np.zeros((3, 2))),
+        ShapeError, "H"),
+    "objective-X-column": (
+        lambda: _soft(objective, E1), ShapeError, "X"),
+    "objective-X-square": (
+        lambda: _soft(objective, np.eye(2)), ShapeError, "X"),
+    "growth-X0-column": (
+        lambda: _soft(lambda p, X: quadratic_growth_probe(p, X, 1e-2, 50, 0),
+                      E1), ShapeError, "X"),
+    "least-squares-X-shape": (
+        lambda: LeastSquares(np.ones((2, 3, 3)), [1.0, 2.0]).value(
+            np.ones((3, 2))), ShapeError, "X"),
+    "rank-one-H-stack-shape": (
+        lambda: QuadraticMinusRankOne(X3, SWAP3, 1.0).hessian_apply(
+            X3, np.zeros((2, 3, 2))), ShapeError, "H"),
     "least-squares-A-mixed-shapes": (
         lambda: LeastSquares([np.eye(2), np.eye(3)], [1.0, 2.0]),
         ShapeError, "A"),

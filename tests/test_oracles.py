@@ -303,6 +303,33 @@ class TestStackedGradientCheck:
                 monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
                 assert fd_gradient_check(psi, X).gradient_rel_err == ref
 
+    def test_shifted_points_equal_dense_shifts(self, monkeypatch):
+        # the points psi.value sees are bitwise X +- a dense shift matrix
+        # tau E_i, -0.0 entries read as X + 0 and X - 0 read them
+        import specvar.matrix_core as matrix_core
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((4, 3))
+        X[0, 0] = X[2, 1] = -0.0
+        X[1, 2] = 0.0
+        seen = []
+
+        class Seen(_Quadratic):
+            def value(self, Xs):
+                if np.ndim(Xs) == 3:   # not the rows it recurses into
+                    seen.append(np.array(Xs))
+                return super().value(Xs)
+
+        tau = 1e-5 * max(1.0, float(np.max(np.abs(X))))
+        shift = (tau * np.eye(X.size)).reshape((-1,) + X.shape)
+        ref = [(X + shift).tobytes(), (X - shift).tobytes()]
+        for entries in (1, X.size, matrix_core._CHUNK_ENTRIES):
+            monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
+            seen.clear()
+            fd_gradient_check(Seen(rng.standard_normal(X.shape)), X)
+            sides = [np.concatenate(seen[side::2]).tobytes()
+                     for side in (0, 1)]
+            assert sides == ref
+
     @pytest.mark.parametrize("s", [1.0, 1e6, 1e8])
     def test_step_scales_with_the_entries(self, s):
         # an exact quadratic at entries of size s: a step of 1e-5 alone
