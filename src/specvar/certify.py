@@ -27,7 +27,6 @@ from .matrix_core import (CURVATURE_TOL, TOLERANCES, _chunk_size, _chunks,
 from .oimf import (F_eval, SpectralPoint, _duality_gaps, _subgradient,
                    _zero_target_offsets, guided_offsets)
 from .oracles import fd_gradient_check
-from .sv_calculus import _prepared
 
 
 # -- objective smooth parts ------------------------------------------------------
@@ -211,21 +210,14 @@ def stationarity_check(p: ProblemSpec, X0):
     return float(residual), ok
 
 
-def _curvatures(p: ProblemSpec, X0, point, Hs, cone=None):
-    """(critical, q) for a checked (k, m, n) stack at the ``SpectralPoint``
-    of X0: the critical rows and q = <H, hess psi(X0) H> + d2F per H,
-    +inf off the critical cone; d2F is each report's value, bitwise.
-    Without ``cone`` the rows go through ``point._terms``, the cone test
-    and then the value half; with ``cone`` = (d1, tols), the sigma' rows
-    and thresholds ``_duality_gaps`` gave rows it found critical, only the
-    value half ``point._values`` runs, on Hhat = U^T H V built again.
-    One ``psi.hessian_apply`` call on the critical rows."""
-    if cone is None:
-        _, crit, d2f, alpha, beta = point._terms(Hs)
-    else:
-        crit = np.ones(len(Hs), dtype=bool)
-        d2f, alpha, beta = point._values(
-            point.gauge.U.T @ Hs @ point.gauge.V, *cone, crit)
+def _curvatures(p: ProblemSpec, X0, point, Hs, cone):
+    """q = <H, hess psi(X0) H> + d2F for a checked (k, m, n) stack at the
+    ``SpectralPoint`` of X0, +inf off the critical cone: the value half
+    ``point._values`` on the stack's ``_duality_gaps`` arrays ``cone`` (d2F
+    is each report's value, bitwise), then one ``psi.hessian_apply`` call
+    on the critical rows.  It never warns; its callers do, once."""
+    Hhat, d1, _, tols, crit = cone
+    d2f, alpha, beta = point._values(Hhat, d1, tols, crit)
     q = np.full(len(Hs), INF)
     if crit.any():
         Hc, d2f = Hs[crit], d2f[crit]
@@ -235,7 +227,7 @@ def _curvatures(p: ProblemSpec, X0, point, Hs, cone=None):
             d2F = np.where(np.isfinite(d2f), d2f + alpha[crit] + beta[crit],
                            INF)
         q[crit] = _entry_sums(Hc * HD) + d2F
-    return crit, q
+    return q
 
 
 def curvature(p: ProblemSpec, X0, H):
@@ -244,7 +236,10 @@ def curvature(p: ProblemSpec, X0, H):
     X0 = as_matrix(X0, "X0")
     Hs = as_matrix(H, "H", X0, like_name="X0")[None]
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
-    return float(_curvatures(p, X0, SpectralPoint(p.f, X0, Y), Hs)[1][0])
+    point = SpectralPoint(p.f, X0, Y)
+    cone = _duality_gaps(p.f, point.gauge, point.part, point.Y, Hs)
+    point.part.tables.warn()
+    return float(_curvatures(p, X0, point, Hs, cone)[0])
 
 
 class _CandidateStream:
@@ -312,13 +307,14 @@ def _validated_counterexample(p, X0, H, q):
     return False
 
 
-def _arc_quotients(p: ProblemSpec, X0, Hs, eps):
+def _arc_quotients(p: ProblemSpec, X0, point, Hs, Hhat, eps):
     """[obj(X0 + t H + t^2 D_H) - obj(X0)] / t^2 for every H of a (k, m, n)
     stack and t = eps (row 0) and eps / 10 (row 1): a (2, k) array.
 
     D_H is half the zero-target cancelling direction of H
-    (``oimf._zero_target_offsets``, the last offset ``guided_offsets``
-    gives for H; the other offset is not built), so the arc is the
+    (``oimf._zero_target_offsets``, as the last offset ``guided_offsets``
+    gives for H; the other offset is not built), read in the aligned gauge
+    of ``point`` from Hhat = U^T H V of its cone pass, so the arc is the
     parabola X0 + t H + t^2 W / 2 with W = 2 D_H, on which the second
     subderivative is reached: at a stationary X0 and a critical H the
     quotient tends to half the curvature q of H.  Per chunk of the stack
@@ -331,7 +327,7 @@ def _arc_quotients(p: ProblemSpec, X0, Hs, eps):
     q = np.empty((len(ts), len(Hs)))
     for at in _chunks(X0, len(Hs)):
         H = Hs[at]
-        D = _zero_target_offsets(*_prepared(X0, H, TOLERANCES, stack=True))
+        D = _zero_target_offsets(point.gauge, point.part, Hhat[at])
         for row, t in enumerate(ts):
             Xs = X0 + t * H + (t * t) * D
             q[row, at] = (_stacked(p.psi.value(Xs), len(Xs), "psi.value")
@@ -355,20 +351,21 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     still counted as tried) and tested in passes, each one stack drawn
     from ``_CandidateStream``: per pass one gauge product U G V^T for its
     structured candidates and the cone test alone (``_duality_gaps``, one
-    ``f.subderivative`` call); a pass keeps its critical rows.  After the
-    last pass the value half runs once per ``_chunks`` chunk of the
-    accepted stack (``_curvatures``: one ``f.second_subderivative``
-    call, the alpha and beta terms, one ``psi.hessian_apply`` call, no
-    report objects), and the rows with q < -CURVATURE_TOL are validated
-    in stream order until one descends, before the sample count is
-    checked.
+    ``f.subderivative`` call); a pass keeps its critical rows with their
+    Hhat = U^T H V, formed once per candidate.  After the last pass the
+    value half runs once per ``_chunks`` chunk of the accepted stack
+    (``_curvatures``: one ``f.second_subderivative`` call, the alpha and
+    beta terms, one ``psi.hessian_apply`` call, no report objects), and
+    the rows with q < -CURVATURE_TOL are validated in stream order until
+    one descends, before the sample count is checked.
     The guided offsets of four random base directions come first, from
     one pass before any structured Gaussian is drawn (none when no
     samples are asked for); a pass takes at most the samples still
     needed (and ``_CHUNK_ENTRIES`` entries), so every chunk size walks
     the same candidates and hook rows.  Last, the accepted stack's
-    parabolic arcs are scored (``_arc_quotients``, zero-target offsets
-    only): ``min_arc_quotient``.  The ball probe
+    parabolic arcs are scored from the kept Hhat (``_arc_quotients``):
+    ``min_arc_quotient``.  Small gaps warn once, from the guided offsets.
+    The ball probe
     (``quadratic_growth_probe``) runs only when ``cfg.growth_samples`` >
     0; it can report positive growth at a stationary saddle, where the
     arcs descend.
@@ -401,7 +398,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         (4,) + X0.shape)) if cfg.n_samples > 0 else [])
     stream = _CandidateStream(point.part, rng, cfg.max_candidates)
 
-    passes = []   # per cone pass: its critical rows, their sigma' and tols
+    passes = []   # per cone pass: its critical H and _duality_gaps rows
     kept = tried = 0
     cap = _chunk_size(X0)
     while kept < cfg.n_samples:
@@ -419,16 +416,16 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         Hs = Hs[nrm > 0] / nrm[nrm > 0, None, None]
         if not len(Hs):
             continue
-        _, d1, _, tols, crit = _duality_gaps(p.f, svd, point.part, point.Y,
-                                             Hs)
-        passes.append((Hs[crit], d1[crit], tols[crit]))
+        cone = _duality_gaps(p.f, svd, point.part, point.Y, Hs)
+        crit = cone[-1]
+        passes.append([Hs[crit]] + [a[crit] for a in cone])
         kept += int(crit.sum())
 
     q = np.empty(0)
-    if passes:   # the value half runs, and warns, even with no row kept
-        Hs, d1, tols = (np.concatenate(a) for a in zip(*passes))
+    if passes:   # the value half runs even with no row kept
+        Hs, *cone = (np.concatenate(a) for a in zip(*passes))
         q = np.concatenate([
-            _curvatures(p, X0, point, Hs[at], (d1[at], tols[at]))[1]
+            _curvatures(p, X0, point, Hs[at], [a[at] for a in cone])
             for at in _chunks(X0, kept) or [slice(0, 0)]])
     counterexample = None
     for i in np.flatnonzero(q < -CURVATURE_TOL).tolist():
@@ -445,7 +442,8 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     if kept:
         q = q.tolist()
         samples, min_curv = list(zip(Hs, q)), min(q)
-        min_arc = float(_arc_quotients(p, X0, Hs, cfg.growth_eps).min())
+        min_arc = float(_arc_quotients(p, X0, point, Hs, cone[0],
+                                       cfg.growth_eps).min())
     if counterexample is not None:
         verdict = "necessary-violated"
     elif min_curv > CURVATURE_TOL:

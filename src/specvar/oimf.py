@@ -57,7 +57,6 @@ from .sv_calculus import (
     alpha_terms,
     cross_term_hat,
     direction_blocks,
-    sigma_dir1_from_blocks,
     sigma_dir1_stack,
     sigma_dir2_from_blocks,
 )
@@ -345,15 +344,16 @@ class SpectralPoint:
         the value half ``_values``."""
         Hhat, d1, gaps, tols, crit = _duality_gaps(self.f, self.gauge,
                                                    self.part, self.Y, Hs)
+        self.part.tables.warn()
         return (gaps, crit) + self._values(Hhat, d1, tols, crit)
 
     def _values(self, Hhat, d1, tols, crit):
         """(d2f, alpha, beta) of the rows of Hhat = U^T H V with the
         sigma'(X; H) rows d1, cone thresholds tols and critical flags crit
         of ``_duality_gaps``: one ``f.second_subderivative`` call on the
-        critical rows, the alpha and beta terms of every row (small-gap
-        blocks warn even with no row; overflow raises ``NonFinite``),
-        zeroed off the cone."""
+        critical rows, the alpha and beta terms of every row (overflow
+        raises ``NonFinite``), zeroed off the cone.  It never warns; its
+        callers do, once."""
         f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
         r, n = part.r, part.n
         d2f = np.full(len(Hhat), INF)
@@ -404,7 +404,7 @@ def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
     sx = blocks.gauge.sigma
     if not math.isfinite(f.eval(sx)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-    d1 = sigma_dir1_from_blocks(blocks)
+    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
     if not math.isfinite(f.subderivative(sx, d1)):
         raise AssumptionViolated("dF(X)(H) must be finite")
     d2 = sigma_dir2_from_blocks(blocks, W)
@@ -498,6 +498,7 @@ def nuclear_phi_second_diff(X, H, tols=TOLERANCES):
     _, part, Hhat = _prepared(X, H, tols)
     if part.r == 0:
         raise RankZero("X has rank 0")
+    part.tables.warn()
     return float(alpha_terms(Hhat[None], part, 1.0)[0])
 
 
@@ -594,7 +595,7 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
     sx = blocks.gauge.sigma
     if not delta.contains(sx):
         raise NotInSet(f"sigma(X) is not in {delta.name}")
-    d1 = sigma_dir1_from_blocks(blocks)
+    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
     if order == 1:
         return bool(delta.tangent_contains(sx, d1))
     if not delta.tangent_contains(sx, d1):
@@ -641,14 +642,15 @@ def guided_offsets(X, H, tols=TOLERANCES):
     offsets = []
     if part.r > 0:
         offsets.append(svd.U @ cross_term_hat(Hhat, sigma_a) @ svd.V.T)
+    part.tables.warn()
     offsets.append(_zero_target_offsets(svd, part, Hhat))
     return [D for per_H in zip(*offsets) for D in per_H]
 
 
 def _zero_target_offsets(svd, part, Hhat):
-    """Half the zero-target cancelling direction of every H of a stack,
-    from ``_prepared(X, H, tols, stack=True)``: a (k, m, n) stack, row i
-    bitwise the last offset ``guided_offsets`` gives for H[i]."""
-    part.tables.warn()
+    """Half the zero-target cancelling direction of every H of a stack
+    Hhat = U^T H V in a gauge ``svd`` of X: a (k, m, n) stack, row i in
+    the ``_prepared`` gauge bitwise the last offset ``guided_offsets``
+    gives for H[i].  It never warns; its callers do, once."""
     return 0.5 * (svd.U @ _cancelling_direction(
         Hhat, part, _class_quadratics(Hhat, part)) @ svd.V.T)

@@ -8,9 +8,9 @@ behaviour picks up a resolvent correction: a masked divided-difference
 (Loewner) form in Hhat = U^T H V whose point-only tables are the one
 ``DividedDifferences`` of X, the ``tables`` of its partition.  Zero
 singular values behave like a reduced rectangular SVD problem instead.
-``DirectionBlocks`` is the one record of that structure per (X, H), and
-the sigma', sigma'' and W-hat kernels read its arrays; it is internal,
-not a ``specvar`` name.
+sigma' has one code, ``sigma_dir1_stack``.  ``DirectionBlocks`` is the
+one record of that structure per (X, H) that the sigma'' and W-hat
+kernels read; it is internal, not a ``specvar`` name.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .matrix_core import (
 @dataclass(frozen=True)
 class BetaBlock:
     """The thin SVD R = Q diag(sigma(R)) Qhat^T of the zero block R =
-    Hhat[r:, r:] (sigma(R) is ``eta[r:]``), with its ``zeros`` values
-    sigma(R) ~ 0 last."""
+    Hhat[r:, r:] (sigma(R) is sigma'(X; H)[r:] to rounding), with its
+    ``zeros`` values sigma(R) ~ 0 last."""
 
     Q: np.ndarray            # thin left singular vectors of R, (m-r) x (n-r)
     Qhat: np.ndarray         # right orthogonal factor, (n-r) x (n-r)
@@ -61,23 +61,51 @@ class BetaBlock:
 @dataclass(frozen=True)
 class DirectionBlocks:
     """The reduced structure of a pair (X, H) in a fixed SVD gauge, the
-    one record the sigma', sigma'' and W-hat kernels read: each size
-    class of alpha blocks stacks its reduced eigenvectors, ``eta`` holds
-    sigma'(X; H) (the reduced eigenvalues, then sigma(R)), and every
-    second-level group is a run of ``ltilde`` that starts at 1.  The
-    point's divided differences are ``part.tables``."""
+    one record the sigma'' and W-hat kernels read: Hhat, and built on
+    their first use the levels, in which each size class of alpha blocks
+    stacks its reduced eigenvectors and every second-level group is a
+    run of ``ltilde`` that starts at 1.  The point's divided differences
+    are ``part.tables``."""
 
     gauge: SvdDecomposition
     part: SingularPartition
     Hhat: np.ndarray         # U^T H V in the gauge, m x n
-    classes: tuple           # per size k: (b, k) indices, (b, k, k) Q
-    eta: np.ndarray          # reduced eigenvalues, then sigma(R): sigma'
-    beta: BetaBlock | None
-    ltilde: np.ndarray       # 1-based second-level rank per index
 
     @property
     def shape(self):
         return self.gauge.shape
+
+    # the levels: per size k the (b, k) indices and (b, k, k) Q, the zero
+    # block's BetaBlock (None at full rank), the 1-based ranks
+    classes = property(lambda self: self._levels[0])
+    beta = property(lambda self: self._levels[1])
+    ltilde = property(lambda self: self._levels[2])
+
+    @cached_property
+    def _levels(self):
+        """(classes, beta, ltilde), read-only, built once: the reduced eigh
+        of each size class and the thin SVD of R = Hhat[r:, r:]."""
+        part, Hhat, tols = self.part, self.Hhat, self.part.tols
+        n = part.n
+        eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
+        classes = []
+        for idx in part.classes:
+            Q, eta[idx], ltilde[idx] = _reduced_eig(
+                _sym(_blocks_of(Hhat, idx)), tols)
+            classes.append((idx, Q))
+        _finite_rows(eta[:part.r], "reduced eigenvalue of H")
+
+        beta = None
+        if part.r < n:
+            # thin: no formula reads the complement of R's left factor
+            Q, eta[part.r:], Qhat_t = np.linalg.svd(Hhat[part.r:, part.r:],
+                                                    full_matrices=False)
+            Q, Qhat = _fix_signs(Q, Qhat_t.T)
+            _finite_rows(eta[part.r:],
+                         "singular value of the zero block of H")
+            rank, _, ltilde[part.r:] = _value_blocks(eta[part.r:], tols)
+            beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
+        return _read_only((tuple(classes), beta, ltilde))
 
     @cached_property
     def quadratics(self):
@@ -168,10 +196,9 @@ def _finite_rows(values, term):
 
 def alpha_terms(Hhat, part: SingularPartition, w):
     """2 sum_i w_i (G_a)_ii, G_a as in ``DirectionBlocks.quadratics``, for
-    every H of a (k, m, n) stack Hhat; small-gap blocks warn, overflow
-    raises ``NonFinite``."""
+    every H of a (k, m, n) stack Hhat; overflow raises ``NonFinite``.  It
+    never warns: each public caller warns once for the gap tables."""
     dd, n, r = part.tables, part.n, part.r
-    dd.warn()
     Sym, Skw = _sym_skw(Hhat[:, :n])
     with np.errstate(over="ignore", invalid="ignore"):
         terms = 2.0 * (np.einsum("kji,ji->k", Sym[:, :, :r] ** 2, dd.D * w)
@@ -189,13 +216,14 @@ def direction_blocks(X, H, gauge=None, tols=TOLERANCES) -> DirectionBlocks:
     ``gauge`` may supply a specific ordered SVD of X (any valid one); by
     default the deterministic ``svd_ordered`` gauge is used.  All outputs
     of ``sigma_dir1``/``sigma_dir2`` are invariant under this choice.
-    The alpha blocks of one size share one stacked eigh and one
-    clustering pass (a singleton's eigenpair is its entry and 1), so the
-    cost grows with the number of block sizes, not of blocks.  Without
-    ``gauge`` the partition (with its tables) is the one kept with
-    ``svd_ordered(X)``, shared with d2F at X, and the last result is
-    kept: bitwise-equal X, H and ``tols`` get the same read-only blocks
-    back, and a hit decomposes nothing; a ``gauge`` builds its own.
+    Building forms Hhat only; on first sigma'' or W-hat use the alpha
+    blocks of one size share one stacked eigh and one clustering pass (a
+    singleton's eigenpair is its entry and 1), so the cost grows with the
+    number of block sizes, not of blocks.  Without ``gauge`` the
+    partition (with its tables) is the one kept with ``svd_ordered(X)``,
+    shared with d2F at X, and the last result is kept: bitwise-equal X,
+    H and ``tols`` get the same read-only blocks back, and a hit
+    decomposes nothing; a ``gauge`` builds its own.
     Building never warns: a small gap warns where a second-order output
     reads the gap tables.
     """
@@ -210,43 +238,13 @@ def _blocks_at(X, H, tols):
     """``direction_blocks`` in the ``svd_ordered`` gauge for X and H its
     caller has checked."""
     key = (X.shape, X.tobytes(), H.tobytes(), tols)
-    return _LAST_BLOCKS.get(key, _kept_blocks, X, H, tols)   # a hit: no SVD
-
-
-def _kept_blocks(X, H, tols):
-    """The blocks to keep, read-only: only the arrays built for H are
-    marked, since the point's were marked when it was kept."""
-    blocks = _direction_blocks(svd_ordered(X), H, tols)
-    _read_only((blocks.Hhat, blocks.eta, blocks.ltilde, blocks.beta,
-                tuple(Q for _, Q in blocks.classes)))
-    return blocks
+    return _LAST_BLOCKS.get(key, lambda: _read_only(   # a hit: no SVD
+        _direction_blocks(svd_ordered(X), H, tols)))
 
 
 def _direction_blocks(svd, H, tols):
-    part, Hhat = partition_of(svd, tols), svd.U.T @ H @ svd.V
-    n = part.n
-
-    eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
-    classes = []
-    for idx in part.classes:
-        Q, eta[idx], ltilde[idx] = _reduced_eig(_sym(_blocks_of(Hhat, idx)),
-                                                tols)
-        classes.append((idx, Q))
-    _finite_rows(eta[:part.r], "reduced eigenvalue of H")
-
-    beta = None
-    if part.r < n:
-        R = Hhat[part.r:, part.r:]
-        # thin: no formula reads the complement of R's left factor
-        Q, eta[part.r:], Qhat_t = np.linalg.svd(R, full_matrices=False)
-        Q, Qhat = _fix_signs(Q, Qhat_t.T)
-        _finite_rows(eta[part.r:], "singular value of the zero block of H")
-        rank, _, ltilde[part.r:] = _value_blocks(eta[part.r:], tols)
-        beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
-
-    return DirectionBlocks(gauge=svd, part=part, Hhat=Hhat,
-                           classes=tuple(classes), eta=eta, beta=beta,
-                           ltilde=ltilde)
+    return DirectionBlocks(gauge=svd, part=partition_of(svd, tols),
+                           Hhat=svd.U.T @ H @ svd.V)
 
 
 def _class_quadratics(Hhat, part: SingularPartition):
@@ -265,11 +263,6 @@ def _class_quadratics(Hhat, part: SingularPartition):
                  + dd.C[idx][:, None, :] * (Ta.mT @ Ta))
         out.append(_finite_rows(G, "alpha quadratic of H"))
     return out
-
-
-def sigma_dir1_from_blocks(blocks: DirectionBlocks):
-    """First directional derivative of every singular value."""
-    return blocks.eta.copy()
 
 
 def cross_term_hat(Hhat, sigma_a, rows=slice(None), cols=slice(None)):
@@ -326,7 +319,8 @@ def sigma_dir1(X, H, tols=TOLERANCES):
     values it equals the matching singular value of the reduced
     rectangular block.  Gauge-invariant and positively homogeneous in H.
     """
-    return sigma_dir1_from_blocks(direction_blocks(X, H, None, tols))
+    blocks = direction_blocks(X, H, None, tols)
+    return sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
 
 
 def sigma_dir2(X, H, W, tols=TOLERANCES):
@@ -390,7 +384,7 @@ def expansion_residual(X, H, W, t, tols=TOLERANCES):
     X = as_matrix(X, "X")
     H = as_matrix(H, "H", X)
     blocks = _blocks_at(X, H, tols)
-    d1 = sigma_dir1_from_blocks(blocks)
+    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
     d2 = sigma_dir2_from_blocks(blocks, W)
     s_t = np.linalg.svd(X + t * H + 0.5 * t * t * np.asarray(W),
                         compute_uv=False)
@@ -423,7 +417,7 @@ def min_direction_construct(X, H, zbar, tols=TOLERANCES):
     the second-level eigenvector/singular-vector bases.
     """
     blocks = direction_blocks(X, H, None, tols)
-    zbar = as_matrix(zbar, "zbar", blocks.eta, like_name="sigma(X)")
+    zbar = as_matrix(zbar, "zbar", blocks.gauge.sigma, like_name="sigma(X)")
     _check_block_sorted(zbar, blocks, BLOCK_SORT_TOL * max(
         1.0, np.max(np.abs(zbar), initial=0.0)))
     svd, part = blocks.gauge, blocks.part

@@ -25,7 +25,7 @@ from specvar.certify import (
 )
 from specvar.errors import AssumptionViolated, NonFinite, SamplingExhausted
 from specvar.errors import ShapeError
-from specvar.oimf import SpectralPoint, guided_offsets
+from specvar.oimf import SpectralPoint, _duality_gaps, guided_offsets
 from specvar.oracles import fd_gradient_check
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -447,7 +447,7 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
     from specvar.sv_calculus import (
         direction_blocks,
         min_direction_construct,
-        sigma_dir1_from_blocks,
+        sigma_dir1_stack,
     )
 
     def offsets(X, H):
@@ -464,7 +464,7 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
     def curvature_fresh(H, Y):
         svd, part, sy = simultaneous_gauge(X0, Y)
         blocks = direction_blocks(X0, H, gauge=svd)
-        d1 = sigma_dir1_from_blocks(blocks)
+        d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
         gap = p.f.subderivative(svd.sigma, d1) - float(np.sum(Y * H))
         tol = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.linalg.norm(H))
         if abs(gap) > tol:
@@ -608,12 +608,12 @@ class TestOneAlignment:
     @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
                                          saddle_fixture])
     def test_fixtures(self, monkeypatch, fixture):
-        # one partition for the point, then the memo's for the guided pass
-        # and for the arc pass
+        # one partition for the point, then the memo's for the guided
+        # pass; the arc pass reads the point's
         p, X0 = fixture()
         calls = self._count(monkeypatch)
         certify(p, X0)
-        assert calls == {"_align": 1, "partition_of": 3}
+        assert calls == {"_align": 1, "partition_of": 2}
 
     def test_not_stationary(self, monkeypatch):
         p, X0 = soft_threshold_fixture()
@@ -1008,9 +1008,9 @@ class TestStackedCertify:
             "d2", "alpha", "hessian"]
 
     def test_warns_once_per_value_chunk(self, monkeypatch):
-        # a 5e-7 gap between the top two values warns at each read of the
-        # tables: the guided pass once, then per chunk of the accepted
-        # stack the value half and the arc pass (the cone passes never)
+        # a 5e-7 gap between the top two values warns once a call, from
+        # the guided pass: the cone passes, the value half and the arc
+        # pass never warn, however many chunks they run
         import warnings
         from specvar.errors import ConditioningWarning
         matrix_core = importlib.import_module("specvar.matrix_core")
@@ -1026,8 +1026,38 @@ class TestStackedCertify:
                 cert = certify(p, X0)
             assert len(cert.samples) == 200
             assert texts and [str(w.message) for w in caught if issubclass(
-                w.category, ConditioningWarning)] == list(texts) * (
-                    1 + 2 * chunks)
+                w.category, ConditioningWarning)] == list(texts)
+
+    def test_forms_hhat_once_per_candidate(self, monkeypatch):
+        # the cone passes form Hhat = U^T H V in the aligned gauge; the
+        # value half and the arcs read their critical rows, bitwise, and
+        # _prepared runs for the guided pass's base directions only
+        cmod, omod, svc = (importlib.import_module(f"specvar.{name}") for
+                           name in ("certify", "oimf", "sv_calculus"))
+        prepared, cone, values, arcs = [], [], [], []
+
+        def logged(owner, name, log, pick):
+            fn = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                log.append(pick(args, out))
+                return out
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for module in (svc, omod):
+            logged(module, "_prepared", prepared, lambda a, _: np.shape(a[1]))
+        logged(cmod, "_duality_gaps", cone, lambda _, out: out[0][out[-1]])
+        logged(omod.SpectralPoint, "_values", values, lambda a, _: a[1])
+        logged(cmod, "_zero_target_offsets", arcs, lambda a, _: a[2])
+        p, X0 = soft_threshold_fixture()
+        assert len(certify(p, X0).samples) == 200
+        assert not hasattr(cmod, "_prepared")
+        assert prepared == [(4, 3, 3)]
+        kept = np.concatenate(cone)
+        assert len(kept) == 200
+        assert np.array_equal(np.concatenate(values), kept)
+        assert np.array_equal(np.concatenate(arcs), kept)
 
     def test_curvature_reads_the_stack_path(self):
         p, X0 = soft_threshold_fixture()
@@ -1173,7 +1203,8 @@ def _deflated_soft_instance(seed, m, n):
 def _curvature_form(p, X0):
     """(basis, A): an orthonormal basis of S = {H : Hhat[r:, r:] = 0} as a
     (d, m, n) stack, and the matrix of the curvature on S, polarised from
-    ``_curvatures`` at the basis vectors and their pairwise sums."""
+    ``_curvatures`` at the basis vectors and their pairwise sums (each
+    stack's cone pass first)."""
     from specvar.certify import _curvatures
     point = SpectralPoint(p.f, X0, -p.psi.gradient(X0))
     m, n = X0.shape
@@ -1185,7 +1216,8 @@ def _curvature_form(p, X0):
 
     def q(Hs):
         return np.concatenate([
-            _curvatures(p, X0, point, Hs[at])[1]
+            _curvatures(p, X0, point, Hs[at], _duality_gaps(
+                p.f, point.gauge, point.part, point.Y, Hs[at]))
             for at in np.array_split(np.arange(len(Hs)),
                                      -(-len(Hs) // 2000))])
 
@@ -1195,6 +1227,15 @@ def _curvature_form(p, X0):
     A[iu, ju] = A[ju, iu] = 0.5 * (q(basis[iu] + basis[ju])
                                    - diag[iu] - diag[ju])
     return basis, A
+
+
+def _arcs(p, X0, Hs, eps):
+    """``_arc_quotients`` of a (k, m, n) stack at the ``SpectralPoint`` of
+    X0, on the Hhat its cone pass forms, as in ``certify``."""
+    from specvar.certify import _arc_quotients
+    point = SpectralPoint(p.f, X0, -p.psi.gradient(X0))
+    Hhat = _duality_gaps(p.f, point.gauge, point.part, point.Y, Hs)[0]
+    return _arc_quotients(p, X0, point, Hs, Hhat, eps)
 
 
 class _NanFar(HalfSquaredDistance):
@@ -1221,24 +1262,22 @@ class TestArcQuotients:
     @pytest.mark.parametrize("size", workloads.SOFT_SIZES)
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_exact_minimum_on_deflated_instances(self, seed, size):
-        from specvar.certify import _arc_quotients
         p, X0 = _deflated_soft_instance(seed, *size)
         basis, A = _curvature_form(p, X0)
         lam, vec = np.linalg.eigh(A)
         assert lam[0] < -0.2
         H = np.tensordot(vec[:, 0], basis, axes=1)
-        arcs = _arc_quotients(p, X0, H[None], 1e-2)
+        arcs = _arcs(p, X0, H[None], 1e-2)
         assert abs(arcs[0, 0] - 0.5 * lam[0]) <= 1e-3
 
     @pytest.mark.parametrize("name", list(
         TestPreparedPointEquivalence.INSTANCES))
     def test_arcs_follow_half_the_curvature(self, name):
-        from specvar.certify import _arc_quotients
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
         cert = certify(p, X0)
         Hs = np.array([H for H, _ in cert.samples])
         q = np.array([q for _, q in cert.samples])
-        arcs = _arc_quotients(p, X0, Hs, SamplingConfig.growth_eps)
+        arcs = _arcs(p, X0, Hs, SamplingConfig.growth_eps)
         assert np.max(np.abs(arcs[1] - 0.5 * q)) <= 2e-3
         assert cert.min_arc_quotient == arcs.min()
         if cert.verdict == "necessary-violated":
@@ -1248,16 +1287,15 @@ class TestArcQuotients:
 
     @pytest.mark.parametrize("name", ["soft-fixture", "saddle-6"])
     def test_rows_and_chunks_are_bitwise_alone(self, name, monkeypatch):
-        from specvar.certify import _arc_quotients
         matrix_core = importlib.import_module("specvar.matrix_core")
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
         Hs = np.array([H for H, _ in certify(
             p, X0, SamplingConfig(n_samples=30, min_samples=1)).samples])
-        ref = _arc_quotients(p, X0, Hs, 1e-2)
+        ref = _arcs(p, X0, Hs, 1e-2)
         assert np.array_equal(ref, np.column_stack(
-            [_arc_quotients(p, X0, H[None], 1e-2) for H in Hs]))
+            [_arcs(p, X0, H[None], 1e-2) for H in Hs]))
         monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", 7 * X0.size)
-        assert np.array_equal(_arc_quotients(p, X0, Hs, 1e-2), ref)
+        assert np.array_equal(_arcs(p, X0, Hs, 1e-2), ref)
 
     @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
                                          saddle_fixture])

@@ -195,41 +195,41 @@ PINNED = {
         '13f7b288e1202a083706de8ec4f90c77'
         '1030a0f1e0e6dbba33c3a0e2a32b4906',
     ('deriv', 'clustered', 8, 1):
-        '9ac26edc6c4c6b6eee218baf3eb61eb3'
-        '900d82ce9f2de8a744e18c1d1745f967',
+        'e39fbf3836ef60228f0000de73c8bf18'
+        '5d08eafd3be9c9ebf07fb04d1ed40be8',
     ('deriv', 'rankdef', 8, 1):
-        'c946fac82581800eaccea15b79c56454'
-        'ffc9ea033dfb3c5d0bc2ab6fe87c675e',
+        'cd08cec951a9d990af7cc0eef968b26d'
+        'f8eb10b62e39b4d186e183ac6236630f',
     ('deriv', 'distinct', 16, 1):
         '3155904479367eac08d57f682dbff708'
         'a0d4a8e2d82403f8072279f6050fc354',
     ('deriv', 'clustered', 16, 1):
-        '995cacb8ccf17a8b93ba5a49d3ec5575'
-        '77922edd68d06b94e9887fefbd2ea770',
+        '80b36d20bb592f145d37a944ca765089'
+        '8c4fb7cdb64969610710476656239712',
     ('deriv', 'rankdef', 16, 1):
-        'e55c89ab753b69b153a224805bae215d'
-        '0f6d5807230b4e731a8f605dd2998487',
+        'cbbd0461e13a357066cecd1c49c1bf70'
+        'a957f809803332beb9c5471d810cc871',
     ('oracle', 'l1', 8, 2):
-        'bd8f9d71bc69f69d48038b53c8f41ac9'
-        'ecbd2a9411309a121cb4c1495dd9ef06',
+        'c69a90ed08dbd37824fe4783fed2b14b'
+        '8fdf5eed7eb658d41032a50a07e4266b',
     ('oracle', 'l1', 12, 2):
-        '5452979759d9473a540e10cd1cd1c54f'
-        'bce0574637b4a42a0c708df027502235',
+        '2391b5a4ade44cce5d71d2c09b915457'
+        'a620cce25f5128bec841be817c1462c1',
     ('oracle', 'kyfan:2', 8, 2):
-        'e98ab5a4acec3e56d9a088aa75a9410a'
-        'b074dcb89009187e9c4fde93c050f78e',
+        '785ebd003f4bc12aaffe81230375b755'
+        '31db02553ba14c089d70197ca26cb8d7',
     ('oracle', 'kyfan:2', 12, 2):
-        'a0275ab7d0616fa1373a1c54f439cebc'
-        '961597ff6b190461ee8906638ca5829f',
+        'd752e4cb7bb6c37716aa72989770d279'
+        '3bdcaec120fb63848b151a2ec5895111',
     ('hostile', 'chain-0.4', 0, 3):
-        'fab33198485d0b51f646fb198c8ef274'
-        '45a9ec0b0dea39f60609f58acab4a4a5',
+        '4edcc7fd324d623fdacd8549c242cca2'
+        '655c6e3b8c3385b168567f3e9f831533',
     ('hostile', 'chain-0.4', 2, 3):
-        'ef1217066aed134db3f1ff2b02122a91'
-        '35acd9436522ba0700f761043356082d',
+        '0b2f570ac3909fa9a3f4d73e8f6cc76f'
+        '3d0717c466de6f5371601136f1d05c25',
     ('hostile', 'chain-0.4', 40, 3):
-        '10912cbe7708ec62f3d7d441a5b7df4a'
-        '9f8cb00c58f107fe5c001fbc882379e8',
+        '607f5ada74bcdf05e31a4aa26e153e1f'
+        'c3dc4c440142b0f5fecaddb3a3525a5a',
     ('hostile', 'chain-0.6', 0, 3):
         'dca107bef32538008d442c720ae9b153'
         '8c2a0ef6350bda55afe563dfed0063df',
@@ -267,11 +267,11 @@ PINNED = {
         'e060e1a57b4dab18f2b24ec8c5ce23db'
         'a8e6e3c66df633fa8903edc01c78eac3',
     ('hostile', 'zeros', 0, 3):
-        '1478afdf5f579fde6e0222b7e150b812'
-        '4ae5289d6582f36bcd3e2a10214a1f4a',
+        '14ebd3da7cc6ebed008a2cb78f04eb98'
+        'e875c9a7b01e22519c0ca9d2aec32f56',
     ('hostile', 'zeros', 2, 3):
-        '256bf083d7b4643658874996d5f0847e'
-        '2efe1d9d45784d2ed90fc8a4a5f78a89',
+        'b1a14c535b8298ed7d5d1fe785721c92'
+        '0a47a3bf8e05388e195dd0cceac20fdc',
     ('hostile', 'zeros', 40, 3):
         'b87ee7bea919943bf147f420e22e1f82'
         'c5f0a45d5260e2c9f34188a74b179537',
@@ -285,14 +285,14 @@ PINNED = {
         'd7eab0495cd9704ce2407f9e2cdb35f9'
         'bd8426943778d609c1837b4ac340c803',
     ('hostile', 'zero-X', 0, 3):
-        '9009099be9b068f1af1f98c6a8d9ce87'
-        'f41bbb1b6c23c75b187a796feca95ed1',
+        '73b7cebc43b20b2df38836302d82c829'
+        '26431c930b32365cfb37205ebd4dbd27',
     ('hostile', 'zero-X', 2, 3):
-        '5d76f49b9a83ede22fc945cd77c5b628'
-        '2ee94d91bb14f4696e471dd5e56c49ee',
+        'ebd661500699970cd26333d57055aaa1'
+        '143270979a71dc9146f1ce899a36142f',
     ('hostile', 'zero-X', 40, 3):
-        '678693da3772aac60c4f951e53a66b7f'
-        '15ae2804bbfa94012225f01d70cfce68',
+        'a42331bceb7760f4cc442fb70550e336'
+        'e96cbc8baa9c60623ff974acae090a09',
 }
 
 

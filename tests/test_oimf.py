@@ -1382,10 +1382,10 @@ def _reference_report(point, H):
     time: sigma' from the blocks, the alpha term from the per-block
     resolvent quadratics and the beta term from the cross term."""
     from specvar.matrix_core import CONE_TOL
-    from specvar.sv_calculus import direction_blocks, sigma_dir1_from_blocks
+    from specvar.sv_calculus import direction_blocks, sigma_dir1_stack
     f, s, sy, part = point.f, point.gauge.sigma, point.sy, point.part
     blocks = direction_blocks(point.X, H, point.gauge)
-    d1 = sigma_dir1_from_blocks(blocks)
+    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
     gap = f.subderivative(s, d1) - float(np.sum(point.Y * H))
     tol = CONE_TOL * (1.0 + np.linalg.norm(point.Y) * np.linalg.norm(H))
     if abs(gap) > tol:

@@ -29,7 +29,7 @@ from specvar.sv_calculus import (
     expansion_residual,
     min_direction_construct,
     sigma_dir1,
-    sigma_dir1_from_blocks,
+    sigma_dir1_stack,
     sigma_dir2,
     sigma_dir2_from_blocks,
 )
@@ -64,6 +64,12 @@ def reduced(blocks, blk):
     """The symmetrized reduced block of Hhat on the indices blk."""
     A = blocks.Hhat[np.ix_(blk, blk)]
     return 0.5 * (A + A.T)
+
+
+def d1_of(blocks):
+    """sigma'(X; H) in the gauge of ``blocks``: the one sigma' code on its
+    Hhat."""
+    return sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
 
 
 def groups_of(ltilde):
@@ -102,7 +108,7 @@ class TestDirectionBlocks:
         b = direction_blocks(np.eye(2), np.diag([3.0, -1.0]))
         assert b.part.t == 1
         np.testing.assert_allclose(reduced(b, [0, 1]), np.diag([3.0, -1.0]))
-        np.testing.assert_allclose(b.eta, [3.0, -1.0])
+        np.testing.assert_allclose(d1_of(b), [3.0, -1.0])
         assert groups_of(b.ltilde) == [[0], [1]]
 
     def test_rank_deficient_blocks(self):
@@ -144,7 +150,7 @@ class TestSigmaDir1:
         rng = np.random.default_rng(2)
         for X, H, _ in corpus(rng, 10):
             b = direction_blocks(X, H)
-            d = sigma_dir1_from_blocks(b)
+            d = d1_of(b)
             for blk in b.part.alpha_blocks:
                 assert np.all(np.diff(d[blk]) <= 1e-12)
 
@@ -160,28 +166,32 @@ class TestSigmaDir1:
         ratio = errs[1e-3] / errs[1e-4]
         assert 5.0 <= ratio <= 20.0
 
-    def test_two_codes_drift_at_most_in_the_zero_block(self):
-        # sigma_dir1 reads the SVD of R with vectors (sigma'' needs them);
-        # d2F, psi' and F_subderivative read the values-only stacked SVD:
-        # the alpha entries are one computation, the beta entries may
-        # differ by rounding
+    def test_one_code_bitwise_the_cone_pass(self):
+        # one sigma' code: the public sigma_dir1 is bitwise the sigma' rows
+        # of d2F's cone pass (a stack of three) on alpha blocks of sizes 1
+        # to 6, zero blocks, m - n in {0, 2} and rank 0
         rng = np.random.default_rng(28)
-        for i in range(3000):
+        f, seen = l1_spec(), Counter()
+        for _ in range(400):
             n = int(rng.integers(1, 7))
-            m, rank = n + int(rng.integers(0, 3)), int(rng.integers(0, n + 1))
+            m, rank = n + int(rng.choice([0, 2])), int(rng.integers(0, n + 1))
             top = np.sort(rng.uniform(0.5, 3.0, rank))[::-1]
-            if i % 2 and rank >= 2:
-                top[1] = top[0]
+            tie = int(rng.integers(1, rank + 1)) if rank else 0
+            top[:tie] = top[:1]
             X = random_with_spectrum(m, n, np.concatenate(
                 [top, np.zeros(n - rank)]), rng)
-            H = rng.standard_normal((m, n))
-            d1 = sigma_dir1(X, H)
-            _, part, Hhat = sv_calculus._prepared(X, H, stack=True)
-            stacked = sv_calculus.sigma_dir1_stack(Hhat, part)[0]
-            r = part.r
-            assert np.array_equal(d1[:r], stacked[:r])
-            assert np.all(np.abs(d1[r:] - stacked[r:])
-                          <= 1e-14 * np.maximum(1.0, np.abs(d1[r:])))
+            Hs = rng.standard_normal((3, m, n))
+            svd = svd_ordered(X)
+            part = partition_of(svd)
+            rows = oimf._duality_gaps(f, svd, part, np.zeros((m, n)), Hs)[1]
+            for H, row in zip(Hs, rows):
+                assert np.array_equal(sigma_dir1(X, H), row)
+            seen.update(f"size {k}" for k in part.sizes.tolist())
+            seen.update({"zero block": part.r < n, "rank 0": part.r == 0,
+                         f"m - n = {m - n}": True})
+        assert all(seen[f"size {k}"] for k in range(1, 7))
+        assert min(seen[key] for key in ("zero block", "rank 0",
+                                         "m - n = 0", "m - n = 2")) > 5
 
 
 class TestToleranceValidation:
@@ -268,8 +278,7 @@ class TestGaugeInvariance:
             for seed in range(50):
                 g = gauge_randomize(svd, part, seed)
                 b = direction_blocks(X, H, gauge=g)
-                np.testing.assert_allclose(sigma_dir1_from_blocks(b), base1,
-                                           atol=1e-8)
+                np.testing.assert_allclose(d1_of(b), base1, atol=1e-8)
                 np.testing.assert_allclose(sigma_dir2_from_blocks(b, W),
                                            base2, atol=1e-8)
 
@@ -414,7 +423,7 @@ class TestBlockInvariants:
         for X, H, _ in corpus(rng, 12):
             b = direction_blocks(X, H)
             for blk in b.part.alpha_blocks:
-                groups, eta = groups_of(b.ltilde[blk]), b.eta[blk]
+                groups, eta = groups_of(b.ltilde[blk]), d1_of(b)[blk]
                 covered = sorted(loc for grp in groups for loc in grp)
                 assert covered == list(range(len(blk)))
                 for grp in groups:
@@ -434,7 +443,7 @@ class TestBlockInvariants:
         rng = np.random.default_rng(12)
         for X, H, _ in corpus(rng, 8):
             b = direction_blocks(X, H)
-            d1 = sigma_dir1_from_blocks(b)
+            d1 = d1_of(b)
             for blk in b.part.alpha_blocks:
                 for grp in groups_of(b.ltilde[blk]):
                     vals = d1[[blk[loc] for loc in grp]]
@@ -773,16 +782,19 @@ class TestSizeClassCost:
         for n in (32, 128):
             X, H = self.instance(n)
             calls.clear()
-            direction_blocks(X, H)
-            blocks = dict(calls)
+            blocks = direction_blocks(X, H)
+            built = dict(calls)
+            blocks.classes   # the levels, on first sigma'' or W-hat use
+            levels = dict(calls)
             g = svd_ordered(X)
             calls.clear()
             oimf.SpectralPoint(l1_spec(), X, g.U[:, :n] @ g.V.T)
-            counts[n] = (blocks, dict(calls))
+            counts[n] = (built, levels, dict(calls))
         assert counts[32] == counts[128]
-        # two block sizes (1 and 4): one stacked call each, and eigh only
-        # for size 4 (a 1 x 1 block is its own eigenvalue, eigenvector 1)
-        assert counts[32] == ({"eigh": 1, "sym_eig_ordered": 2},) * 2
+        # building forms Hhat only; then two block sizes (1 and 4): one
+        # stacked call each, and eigh only for size 4 (a 1 x 1 block is
+        # its own eigenvalue, eigenvector 1)
+        assert counts[32] == ({},) + ({"eigh": 1, "sym_eig_ordered": 2},) * 2
 
     def test_one_point_builds_its_size_classes_once(self, monkeypatch):
         # sigma', sigma'' twice, W-hat and d2F at one X: the size classes
@@ -815,6 +827,57 @@ class TestSizeClassCost:
         oimf.F_second_subderivative(l1_spec(), X, Y, H)
         assert built == [(5,)]
         assert solved and all(shape[-1] > 1 for shape in solved)
+
+
+class TestLazyLevels:
+    """The record builds its levels (the reduced eigenvectors, ltilde and
+    the zero block's SVD with vectors) on first sigma'' or W-hat use:
+    sigma' alone runs neither, and deriv-sweep's calls at one (X, H) run
+    them once."""
+
+    @staticmethod
+    def instance():
+        # block sizes 1, 2 and 3, a zero block of two and m - n = 2
+        rng = np.random.default_rng(49)
+        s = np.array([3.0, 2.0, 2.0, 1.5, 1.0, 1.0, 1.0, 0.0, 0.0])
+        return (random_with_spectrum(11, 9, s, rng),
+                *rng.standard_normal((2, 11, 9)))
+
+    @staticmethod
+    def count(monkeypatch, X):
+        """The shapes of every eigh call and of every SVD with vectors of
+        anything but X."""
+        eighs, svds = [], []
+        eigh, svd = np.linalg.eigh, np.linalg.svd
+
+        def counted_eigh(A, *args, **kwargs):
+            eighs.append(np.shape(A))
+            return eigh(A, *args, **kwargs)
+
+        def counted_svd(A, *args, **kwargs):
+            if kwargs.get("compute_uv", True) and not (
+                    np.shape(A) == X.shape and np.array_equal(A, X)):
+                svds.append(np.shape(A))
+            return svd(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        return eighs, svds
+
+    def test_sigma_dir1_runs_no_eigh_and_no_vectors(self, monkeypatch):
+        X, H, _ = self.instance()
+        eighs, svds = self.count(monkeypatch, X)
+        sigma_dir1(X, H)
+        assert eighs == [] and svds == []
+        assert "_levels" not in vars(direction_blocks(X, H))
+
+    def test_deriv_sweep_calls_build_the_levels_once(self, monkeypatch):
+        X, H, W = self.instance()
+        eighs, svds = self.count(monkeypatch, X)
+        sigma_dir1(X, H)
+        sigma_dir2(X, H, W)
+        sigma_dir2(X, H, min_direction_construct(X, H, np.ones(9)))
+        # one stacked eigh per block size > 1, one SVD of R with vectors
+        assert eighs == [(1, 2, 2), (1, 3, 3)] and svds == [(4, 2)]
 
 
 class TestLastCallMemo:
@@ -1126,17 +1189,20 @@ class TestNonFinite:
 
     def test_zero_block_overflow_raises(self):
         # sigma(R) of a zero block of 1.7e308 entries is inf: sigma' has
-        # no value there
+        # no value there, and sigma'' stops at the levels' SVD of R
         from specvar.errors import NonFinite
+        X, H = np.diag([2.0, 0.0, 0.0]), np.full((3, 3), 1.7e308)
+        with pytest.raises(NonFinite, match="sigma' of H .* overflows"):
+            sigma_dir1(X, H)
         with pytest.raises(NonFinite, match="zero block of H .* overflows"):
-            sigma_dir1(np.diag([2.0, 0.0, 0.0]), np.full((3, 3), 1.7e308))
+            sigma_dir2(X, H, np.zeros((3, 3)))
 
     TIED = np.diag([2.0, 2.0, 1.0])            # Hhat = H: a tied top pair
     ZERO = np.diag([1.0, 0.0, 0.0])            # and a 2 x 2 zero block
     NEAR_MAX = np.full((3, 3), 1.7e308)
 
     @pytest.mark.parametrize("call, text", [
-        (lambda H: sigma_dir1(TestNonFinite.TIED, H), "reduced eigenvalue"),
+        (lambda H: sigma_dir1(TestNonFinite.TIED, H), "sigma' of H"),
         (lambda H: sigma_dir2(TestNonFinite.TIED, H, np.zeros((3, 3))),
          "reduced eigenvalue"),
         (lambda H: oimf.F_subderivative(l1_spec(), TestNonFinite.TIED, H),
@@ -1200,7 +1266,9 @@ class TestZeroBlockRanks:
                 Qb = np.linalg.qr(rng.standard_normal((k, k)))[0]
                 H[r:, r:] = Qa[:, :k] @ np.diag(s_R) @ Qb.T
                 b = direction_blocks(X, H, gauge, tols)
-                ref = partition_values(b.eta[r:], tols)
+                # the values the levels cluster: the SVD of R with vectors
+                s_R = np.linalg.svd(b.Hhat[r:, r:], full_matrices=False)[1]
+                ref = partition_values(s_R, tols)
                 assert b.ltilde[r:].tolist() == ref.l.tolist()
                 assert b.beta.zeros == ref.n - ref.r
                 seen["zero group"] += b.beta.zeros > 0
@@ -1209,9 +1277,9 @@ class TestZeroBlockRanks:
                 seen["near-ties merged"] += ref.t < len(set(s_R[s_R > 1e-6]))
                 seen["chained group"] += ref.l[:ref.r].max() > 2
                 # a run cut between two values closer than the tolerance
-                step = -np.diff(b.eta[r:r + ref.r])
+                step = -np.diff(s_R[:ref.r])
                 seen["chain cut"] += np.any((ref.l[1:ref.r] == 1) & (
-                    step < tols.cluster * max(1.0, b.eta[r])))
+                    step < tols.cluster * max(1.0, s_R[0])))
         assert min(seen.values()) > 5 and len(seen) == 5
 
 

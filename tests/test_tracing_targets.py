@@ -51,20 +51,42 @@ def test_tracer_installs_and_uninstalls(name):
 
 
 @pytest.mark.parametrize("name", [
-    "sigma_dir1", "sigma_dir2", "min_direction_construct"])
+    "sigma_dir1", "sigma_dir2", "min_direction_construct",
+    "F_parabolic_subderivative", "invariant_tangent_contains"])
 def test_public_call_reaches_traced_direction_blocks(monkeypatch, name):
-    # the tracer counts direction_blocks through the module attribute:
-    # each public call must look it up there once, or deriv-sweep's
-    # traced counters read 0
-    from specvar import sv_calculus
-    original, calls = sv_calculus.direction_blocks, []
+    # the tracer counts direction_blocks through the module attribute of
+    # each caller (oimf's binding for the oimf functions): each public
+    # call must look it up there once, or deriv-sweep's traced counters
+    # read 0
+    from specvar import oimf, sv_calculus
+    from specvar.absym import l1_spec
+    X, H = np.diag([2.0, 1.0, 1.0, 0.0]), np.ones((4, 4))
+    module, args = {
+        "sigma_dir1": (sv_calculus, (X, H)),
+        "sigma_dir2": (sv_calculus, (X, H, np.eye(4))),
+        "min_direction_construct": (sv_calculus, (X, H, np.zeros(4))),
+        "F_parabolic_subderivative": (oimf, (l1_spec(), X, H, np.eye(4))),
+        "invariant_tangent_contains": (oimf, (oimf.free_set(), X, H)),
+    }[name]
+    original, calls = module.direction_blocks, []
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
-    monkeypatch.setattr(sv_calculus, "direction_blocks", counted)
-    X, H = np.diag([2.0, 1.0, 1.0, 0.0]), np.ones((4, 4))
-    args = {"sigma_dir1": (X, H), "sigma_dir2": (X, H, np.eye(4)),
-            "min_direction_construct": (X, H, np.zeros(4))}[name]
-    getattr(sv_calculus, name)(*args)
+    monkeypatch.setattr(module, "direction_blocks", counted)
+    getattr(module, name)(*args)
     assert calls == [name]
+
+
+def test_sigma_dir2_reaches_traced_sigma_dir2_from_blocks(monkeypatch):
+    # the same one lookup for the traced sigma'' kernel
+    from specvar import sv_calculus
+    original, calls = sv_calculus.sigma_dir2_from_blocks, []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sv_calculus, "sigma_dir2_from_blocks", counted)
+    sv_calculus.sigma_dir2(np.diag([2.0, 1.0, 1.0, 0.0]), np.ones((4, 4)),
+                           np.eye(4))
+    assert calls == [1]
