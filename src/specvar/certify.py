@@ -3,13 +3,13 @@
 The pipeline is: check first-order stationarity of a candidate point
 (-grad psi must be a subgradient of the spectral term), then evaluate
 the curvature ``<H, hess H> + d2F`` over sampled critical-cone
-directions, and score the objective's growth on each sample's parabolic
-arc, the curve along which the second subderivative is reached (the
-black-box ball probe ``quadratic_growth_probe`` runs only when asked
-for).  Sampled certificates are labeled evidence, not proof: the
-sufficient condition quantifies over all cone directions and sampling
-cannot exhaust them, while a single validated negative direction does
-refute optimality.
+directions, and score the objective on each sample's parabolic arc, the
+curve along which the second subderivative is reached; a negative
+direction is validated on its arc.  Sampled certificates are labeled
+evidence, not proof: the sufficient condition quantifies over all cone
+directions and sampling cannot exhaust them, while a single validated
+negative direction does refute optimality.  The black-box ball probe
+``quadratic_growth_probe`` is a separate check (``specvar growth``).
 """
 
 from __future__ import annotations
@@ -135,9 +135,9 @@ class ProblemSpec:
     ``psi.value`` maps an (m, n) matrix to a float and a (k, m, n) stack
     to a (k,) array, entry i bitwise ``psi.value(X[i])``; likewise
     ``psi.hessian_apply(X, H)`` maps a (k, m, n) stack H to a (k, m, n)
-    stack, entry i bitwise ``psi.hessian_apply(X, H[i])``.  The growth
-    probe, the arc scores and the gradient check score their points, and
-    ``certify`` its curvatures, in stacks."""
+    stack, entry i bitwise ``psi.hessian_apply(X, H[i])``.  ``objective``
+    and the gradient check score their points, and ``certify`` its
+    curvatures, in stacks."""
 
     psi: object
     f: SpectralFunctionSpec
@@ -145,24 +145,25 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SamplingConfig:
-    """Sampling plan of ``certify``: every count an int >= 0 and
-    ``growth_eps`` a finite real > 0, else ``ShapeError`` naming the
-    field.  ``growth_eps`` is the longer step of the arc scores (the
-    other is growth_eps / 10) and the radius of the ball probe, which
-    runs ``growth_samples`` points: none by default."""
+    """Sampling plan of ``certify``: every count an int >= 0, n_samples
+    0 or at least min_samples, and ``growth_eps`` a finite real > 0,
+    else ``ShapeError`` naming the field.  ``growth_eps`` is the longer
+    step of the arcs that score growth and validate a counterexample (the
+    other is growth_eps / 10)."""
 
     n_samples: int = 200
     min_samples: int = 50
     max_candidates: int = 20_000
     seed: int = 0
     growth_eps: float = 1e-2
-    growth_samples: int = 0
 
     def __post_init__(self):
-        for name in ("n_samples", "min_samples", "max_candidates", "seed",
-                     "growth_samples"):
+        for name in ("n_samples", "min_samples", "max_candidates", "seed"):
             as_count(getattr(self, name), name)
         as_real(self.growth_eps, "growth_eps")
+        if 0 < self.n_samples < self.min_samples:
+            raise ShapeError(f"n_samples {self.n_samples} must be 0 or at "
+                             f"least min_samples {self.min_samples}")
 
 
 @dataclass(frozen=True)
@@ -172,15 +173,14 @@ class OptimalityCertificate:
     no samples).  ``min_arc_quotient`` is the least
     [obj(X0 + t H + t^2 D_H) - obj(X0)] / t^2 over the samples' arcs at
     t in {growth_eps, growth_eps / 10} (see ``_arc_quotients``), +inf
-    with no samples; it tends to min q / 2 and no verdict reads it.
-    ``growth_constant_observed`` is the ball probe's value, +inf unless
-    ``SamplingConfig.growth_samples`` is set."""
+    with no samples; it tends to min q / 2.  ``counterexample`` is the
+    first sample, in stream order, with q < -CURVATURE_TOL whose arc
+    quotient at either t is below q / 4."""
 
     stationarity_residual: float
     is_stationary: bool
     samples: list
     min_curvature: float
-    growth_constant_observed: float
     verdict: str
     counterexample: object = None
     min_arc_quotient: float = INF
@@ -196,6 +196,12 @@ def svt_solve(B, weight):
 
 
 def objective(p: ProblemSpec, X):
+    """psi(X) + F(X); a (k, m, n) stack gives a (k,) array, entry i
+    bitwise ``objective(p, X[i])``, from one ``psi.value`` and one stacked
+    ``F_eval`` call."""
+    if np.ndim(X) == 3:
+        return (_stacked(p.psi.value(X), len(X), "psi.value")
+                + _stacked(F_eval(p.f, X), len(X), "f.eval"))
     return float(p.psi.value(X)) + float(F_eval(p.f, X))
 
 
@@ -297,16 +303,6 @@ class _CandidateStream:
         return G
 
 
-def _validated_counterexample(p, X0, H, q):
-    """A negative curvature direction must actually descend faster than
-    the quadratic model along some probe step."""
-    base = objective(p, X0)
-    for t in (1e-2, 1e-3):
-        if objective(p, X0 + t * H) < base + 0.25 * t * t * q:
-            return True
-    return False
-
-
 def _arc_quotients(p: ProblemSpec, X0, point, Hs, Hhat, eps):
     """[obj(X0 + t H + t^2 D_H) - obj(X0)] / t^2 for every H of a (k, m, n)
     stack and t = eps (row 0) and eps / 10 (row 1): a (2, k) array.
@@ -318,10 +314,10 @@ def _arc_quotients(p: ProblemSpec, X0, point, Hs, Hhat, eps):
     parabola X0 + t H + t^2 W / 2 with W = 2 D_H, on which the second
     subderivative is reached: at a stationary X0 and a critical H the
     quotient tends to half the curvature q of H.  Per chunk of the stack
-    one zero-target pass and, per t, one ``psi.value`` and one stacked
-    ``F_eval`` call; each row bitwise that of H alone.  The step t is
-    absolute, so on a badly scaled psi the quotients can stray far from
-    q / 2.  A NaN quotient raises ``NonFinite``."""
+    one zero-target pass and, per t, one stacked ``objective`` call; each
+    row bitwise that of H alone.  The step t is absolute, so on a badly
+    scaled psi the quotients can stray far from q / 2.  A NaN quotient
+    raises ``NonFinite``."""
     base = objective(p, X0)
     ts = (eps, eps / 10)
     q = np.empty((len(ts), len(Hs)))
@@ -329,9 +325,7 @@ def _arc_quotients(p: ProblemSpec, X0, point, Hs, Hhat, eps):
         H = Hs[at]
         D = _zero_target_offsets(point.gauge, point.part, Hhat[at])
         for row, t in enumerate(ts):
-            Xs = X0 + t * H + (t * t) * D
-            q[row, at] = (_stacked(p.psi.value(Xs), len(Xs), "psi.value")
-                          + _stacked(F_eval(p.f, Xs), len(Xs), "f.eval")
+            q[row, at] = (objective(p, X0 + t * H + (t * t) * D)
                           - base) / (t * t)
     if np.isnan(q).any():
         bad = np.argwhere(np.isnan(q))[0]
@@ -345,30 +339,29 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
 
     Samples unit-norm critical-cone directions (structured generators
     plus rejection-filtered Gaussians), evaluates the curvature of each,
-    and reports either a validated negative direction (optimality
-    refuted), uniformly positive sampled curvature (evidence in favor),
-    or inconclusive.  The candidates are normalised (zero ones skipped,
-    still counted as tried) and tested in passes, each one stack drawn
-    from ``_CandidateStream``: per pass one gauge product U G V^T for its
+    scores each one's parabolic arc, and reports either a negative
+    direction that its arc validates (optimality refuted), uniformly
+    positive sampled curvature (evidence in favor), or inconclusive.
+    The candidates are normalised (zero ones skipped, still counted as
+    tried) and tested in passes, each one stack drawn from
+    ``_CandidateStream``: per pass one gauge product U G V^T for its
     structured candidates and the cone test alone (``_duality_gaps``, one
     ``f.subderivative`` call); a pass keeps its critical rows with their
-    Hhat = U^T H V, formed once per candidate.  After the last pass the
-    value half runs once per ``_chunks`` chunk of the accepted stack
-    (``_curvatures``: one ``f.second_subderivative`` call, the alpha and
-    beta terms, one ``psi.hessian_apply`` call, no report objects), and
-    the rows with q < -CURVATURE_TOL are validated in stream order until
-    one descends, before the sample count is checked.
-    The guided offsets of four random base directions come first, from
-    one pass before any structured Gaussian is drawn (none when no
-    samples are asked for); a pass takes at most the samples still
-    needed (and ``_CHUNK_ENTRIES`` entries), so every chunk size walks
-    the same candidates and hook rows.  Last, the accepted stack's
-    parabolic arcs are scored from the kept Hhat (``_arc_quotients``):
-    ``min_arc_quotient``.  Small gaps warn once, from the guided offsets.
-    The ball probe
-    (``quadratic_growth_probe``) runs only when ``cfg.growth_samples`` >
-    0; it can report positive growth at a stationary saddle, where the
-    arcs descend.
+    Hhat = U^T H V, formed once per candidate.  The guided offsets of
+    four random base directions come first, from one pass before any
+    structured Gaussian is drawn (none when no samples are asked for); a
+    pass takes at most the samples still needed (and ``_CHUNK_ENTRIES``
+    entries), so every chunk size walks the same candidates and hook
+    rows.  After the last pass the value half runs once per ``_chunks``
+    chunk of the accepted stack (``_curvatures``: one
+    ``f.second_subderivative`` call, the alpha and beta terms, one
+    ``psi.hessian_apply`` call, no report objects), then the sample count
+    is checked.  Last, the accepted stack's parabolic arcs are scored from
+    the kept Hhat (``_arc_quotients``): their least quotient is
+    ``min_arc_quotient``, and the counterexample is the first row with
+    q < -CURVATURE_TOL and an arc quotient below q / 4, the test
+    obj < obj(X0) + t^2 q / 4.  The objective is evaluated at X0 and on
+    the arcs only.  Small gaps warn once, from the guided offsets.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -380,14 +373,10 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     Y = -np.asarray(p.psi.gradient(X0), dtype=float)
     aligned = _subgradient(p.f, X0, Y, TOLERANCES)   # as stationarity_check
     residual, ok = float(aligned[3]), aligned[4]
-    growth = (quadratic_growth_probe(p, X0, cfg.growth_eps,
-                                     cfg.growth_samples, cfg.seed)
-              if cfg.growth_samples else INF)
     if not ok:
         return OptimalityCertificate(
             stationarity_residual=residual, is_stationary=False,
-            samples=[], min_curvature=math.nan,
-            growth_constant_observed=growth, verdict="not-stationary")
+            samples=[], min_curvature=math.nan, verdict="not-stationary")
 
     point = SpectralPoint._from_subgradient(p.f, X0, Y, aligned)
     svd = point.gauge
@@ -427,23 +416,21 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         q = np.concatenate([
             _curvatures(p, X0, point, Hs[at], [a[at] for a in cone])
             for at in _chunks(X0, kept) or [slice(0, 0)]])
-    counterexample = None
-    for i in np.flatnonzero(q < -CURVATURE_TOL).tolist():
-        if _validated_counterexample(p, X0, Hs[i], float(q[i])):
-            counterexample = Hs[i]
-            break
 
     if cfg.n_samples > 0 and kept < cfg.min_samples:
         raise SamplingExhausted(
             f"only {kept} cone members in {tried} candidates "
             f"(need {cfg.min_samples})")
 
-    samples, min_curv, min_arc = [], math.nan, INF
+    samples, min_curv, min_arc, counterexample = [], math.nan, INF, None
     if kept:
+        arcs = _arc_quotients(p, X0, point, Hs, cone[0], cfg.growth_eps)
+        descends = (q < -CURVATURE_TOL) & (arcs < 0.25 * q).any(axis=0)
+        if descends.any():
+            counterexample = Hs[np.argmax(descends)]
         q = q.tolist()
         samples, min_curv = list(zip(Hs, q)), min(q)
-        min_arc = float(_arc_quotients(p, X0, point, Hs, cone[0],
-                                       cfg.growth_eps).min())
+        min_arc = float(arcs.min())
     if counterexample is not None:
         verdict = "necessary-violated"
     elif min_curv > CURVATURE_TOL:
@@ -452,8 +439,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         verdict = "inconclusive"
     return OptimalityCertificate(
         stationarity_residual=residual, is_stationary=True,
-        samples=samples, min_curvature=float(min_curv),
-        growth_constant_observed=growth, verdict=verdict,
+        samples=samples, min_curvature=float(min_curv), verdict=verdict,
         counterexample=counterexample, min_arc_quotient=min_arc)
 
 
@@ -462,16 +448,15 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
     [obj(X) - obj(X0)] / ||X - X0||^2: an observed constant, deterministic
     for a fixed seed.  A black-box check (``specvar growth``): uniform
     points rarely fall near a descending arc, so it can report positive
-    growth at a stationary saddle; ``certify`` runs it only when
-    ``SamplingConfig.growth_samples`` > 0.  Of the two children of
-    ``SeedSequence(seed)``, the first draws all n_samples u = random() in
-    one block, the second each chunk's directions D in one
-    standard_normal((k, m, n)) block.  Sample
-    i is X0 + r D / sqrt(sum(D * D)), r = eps max(u, 1e-12)^(1 / X0.size),
-    for every chunk size and every n_samples > i: more samples never raise
-    the probe.  Per chunk one ``psi.value`` call and one stacked ``F_eval``
-    (one SVD and one ``f.eval``) give bitwise the quotients of one
-    ``objective`` call per sample.  n_samples <= 0 calls no hook: +inf.
+    growth at a stationary saddle, and ``certify`` does not run it.  Of
+    the two children of ``SeedSequence(seed)``, the first draws all
+    n_samples u = random() in one block, the second each chunk's
+    directions D in one standard_normal((k, m, n)) block.  Sample i is
+    X0 + r D / sqrt(sum(D * D)), r = eps max(u, 1e-12)^(1 / X0.size), for
+    every chunk size and every n_samples > i: more samples never raise
+    the probe.  Per chunk one stacked ``objective`` call gives bitwise
+    the quotients of one call per sample.  n_samples <= 0 calls no hook:
+    +inf.
     An eps that is not finite and > 0, an n_samples that is not an int or
     a seed that is not an int >= 0 raises ``ShapeError``, and a NaN
     quotient ``NonFinite``."""
@@ -493,8 +478,7 @@ def quadratic_growth_probe(p: ProblemSpec, X0, eps, n_samples, seed):
         Xs /= np.sqrt(np.sum(D * D, axis=1))[:, None, None]
         Xs *= radii[at, None, None]
         Xs += X0
-        obj[at] = _stacked(p.psi.value(Xs), len(Xs), "psi.value") \
-            + _stacked(F_eval(p.f, Xs), len(Xs), "f.eval")
+        obj[at] = objective(p, Xs)
     q = (obj - base) / (radii * radii)
     if np.isnan(q).any():
         raise NonFinite(f"growth quotient of sample "

@@ -38,6 +38,7 @@ from .matrix_core import (
     CLUSTER_TOL,
     RANK_TOL,
     Tolerances,
+    as_count,
     as_matrix,
     as_real,
     partition_values,
@@ -353,7 +354,6 @@ def cmd_certify(args, tols):
         "n_samples": len(cert.samples),
         "min_curvature": cert.min_curvature,
         "min_arc_quotient": cert.min_arc_quotient,
-        "growth_constant_observed": cert.growth_constant_observed,
         "counterexample": cert.counterexample,
     }
     return out, {"problem": raw, **sampling}, []
@@ -361,10 +361,11 @@ def cmd_certify(args, tols):
 
 def cmd_growth(args, tols):
     p, X0, sampling, raw = load_problem(args.problem)
-    seed = _sampling(args, sampling)["seed"]
-    g = quadratic_growth_probe(p, X0, args.eps, args.n_samples, seed)
+    seed = _sampling(args, sampling)["seed"]   # --n-samples sizes the probe
+    n = _usage(as_count, args.probe_samples, "n_samples")
+    g = quadratic_growth_probe(p, X0, args.eps, n, seed)
     return {"growth": g}, {"problem": raw, "eps": args.eps,
-                           "n_samples": args.n_samples, "seed": seed}, []
+                           "n_samples": n, "seed": seed}, []
 
 
 # -- parser ----------------------------------------------------------------------
@@ -423,7 +424,8 @@ def build_parser():
     sp = sub.add_parser("growth")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--eps", type=float, default=SamplingConfig.growth_eps)
-    sp.add_argument("--n-samples", type=int, default=10_000)
+    sp.add_argument("--n-samples", dest="probe_samples", type=int,
+                    default=10_000)
     sp.set_defaults(fn=cmd_growth)
 
     return ap

@@ -404,7 +404,7 @@ def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
     sx = blocks.gauge.sigma
     if not math.isfinite(f.eval(sx)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
+    d1 = blocks.d1
     if not math.isfinite(f.subderivative(sx, d1)):
         raise AssumptionViolated("dF(X)(H) must be finite")
     d2 = sigma_dir2_from_blocks(blocks, W)
@@ -595,7 +595,7 @@ def invariant_tangent_contains(delta: InvariantSetSpec, X, H, order=1,
     sx = blocks.gauge.sigma
     if not delta.contains(sx):
         raise NotInSet(f"sigma(X) is not in {delta.name}")
-    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
+    d1 = blocks.d1
     if order == 1:
         return bool(delta.tangent_contains(sx, d1))
     if not delta.tangent_contains(sx, d1):

@@ -61,11 +61,12 @@ class BetaBlock:
 @dataclass(frozen=True)
 class DirectionBlocks:
     """The reduced structure of a pair (X, H) in a fixed SVD gauge, the
-    one record the sigma'' and W-hat kernels read: Hhat, and built on
-    their first use the levels, in which each size class of alpha blocks
-    stacks its reduced eigenvectors and every second-level group is a
-    run of ``ltilde`` that starts at 1.  The point's divided differences
-    are ``part.tables``."""
+    one record the sigma'' and W-hat kernels read: Hhat, its sigma' row
+    ``d1``, and built on their first use the levels, in which each size
+    class of alpha blocks stacks its reduced eigenvectors and every
+    second-level group is a run of ``ltilde`` that starts at 1 (the zero
+    block's groups are cut on ``d1``'s own values).  The point's divided
+    differences are ``part.tables``."""
 
     gauge: SvdDecomposition
     part: SingularPartition
@@ -82,9 +83,16 @@ class DirectionBlocks:
     ltilde = property(lambda self: self._levels[2])
 
     @cached_property
+    def d1(self):
+        """sigma'(X; H), the ``sigma_dir1_stack`` row of Hhat, read-only,
+        built once."""
+        return _read_only(sigma_dir1_stack(self.Hhat[None], self.part)[0])
+
+    @cached_property
     def _levels(self):
         """(classes, beta, ltilde), read-only, built once: the reduced eigh
-        of each size class and the thin SVD of R = Hhat[r:, r:]."""
+        of each size class and the thin SVD of R = Hhat[r:, r:], whose
+        groups and zero count are the partition rule of ``d1[r:]``."""
         part, Hhat, tols = self.part, self.Hhat, self.part.tols
         n = part.n
         eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
@@ -98,12 +106,11 @@ class DirectionBlocks:
         beta = None
         if part.r < n:
             # thin: no formula reads the complement of R's left factor
-            Q, eta[part.r:], Qhat_t = np.linalg.svd(Hhat[part.r:, part.r:],
-                                                    full_matrices=False)
+            Q, s, Qhat_t = np.linalg.svd(Hhat[part.r:, part.r:],
+                                         full_matrices=False)
             Q, Qhat = _fix_signs(Q, Qhat_t.T)
-            _finite_rows(eta[part.r:],
-                         "singular value of the zero block of H")
-            rank, _, ltilde[part.r:] = _value_blocks(eta[part.r:], tols)
+            _finite_rows(s, "singular value of the zero block of H")
+            rank, _, ltilde[part.r:] = _value_blocks(self.d1[part.r:], tols)
             beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
         return _read_only((tuple(classes), beta, ltilde))
 
@@ -319,8 +326,7 @@ def sigma_dir1(X, H, tols=TOLERANCES):
     values it equals the matching singular value of the reduced
     rectangular block.  Gauge-invariant and positively homogeneous in H.
     """
-    blocks = direction_blocks(X, H, None, tols)
-    return sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
+    return direction_blocks(X, H, None, tols).d1.copy()
 
 
 def sigma_dir2(X, H, W, tols=TOLERANCES):
@@ -384,8 +390,7 @@ def expansion_residual(X, H, W, t, tols=TOLERANCES):
     X = as_matrix(X, "X")
     H = as_matrix(H, "H", X)
     blocks = _blocks_at(X, H, tols)
-    d1 = sigma_dir1_stack(blocks.Hhat[None], blocks.part)[0]
-    d2 = sigma_dir2_from_blocks(blocks, W)
+    d1, d2 = blocks.d1, sigma_dir2_from_blocks(blocks, W)
     s_t = np.linalg.svd(X + t * H + 0.5 * t * t * np.asarray(W),
                         compute_uv=False)
     return s_t - (blocks.gauge.sigma + t * d1 + 0.5 * t * t * d2)

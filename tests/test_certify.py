@@ -119,14 +119,14 @@ class TestCurvature:
 class TestCertify:
     def test_soft_threshold_sufficient_evidence(self):
         p, X0 = soft_threshold_fixture()
-        cfg = SamplingConfig(n_samples=120, min_samples=100, seed=0,
-                             growth_samples=2000)
+        cfg = SamplingConfig(n_samples=120, min_samples=100, seed=0)
         cert = certify(p, X0, cfg)
         assert cert.verdict == "sufficient-evidence"
         assert cert.is_stationary and cert.stationarity_residual <= 1e-9
         assert len(cert.samples) >= 100
         assert cert.min_curvature >= 0.9
-        assert cert.growth_constant_observed >= 0.25
+        assert quadratic_growth_probe(p, X0, cfg.growth_eps, 2000,
+                                      cfg.seed) >= 0.25
         assert cert.min_arc_quotient >= 0.25
 
     def test_saddle_necessary_violated(self):
@@ -435,9 +435,9 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
     """certify with every direction evaluated from scratch: the cone test
     through F_subderivative in the svd_ordered gauge, then a fresh
     simultaneous gauge and reduced blocks for d2F; guided offsets in
-    original space, candidates built eagerly, growth probed one objective
-    call per sample."""
-    from specvar.certify import _validated_counterexample
+    original space, candidates built eagerly, a negative direction
+    validated on its own arc X0 + t H + t^2 D, D the last offset, one
+    objective call per point."""
     from specvar.matrix_core import CURVATURE_TOL, partition_of, svd_ordered
     from specvar.oimf import (
         CONE_TOL,
@@ -479,8 +479,12 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
         quad = float(np.sum(H * p.psi.hessian_apply(X0, H)))
         return quad + d2f + alpha + beta
 
-    g = _growth_reference(p, X0, cfg.growth_eps, cfg.growth_samples,
-                          cfg.seed)
+    def descends(H, q):
+        D = offsets(X0, H)[-1]
+        return any((objective(p, X0 + t * H + t * t * D) - base) / (t * t)
+                   < 0.25 * q for t in (cfg.growth_eps, cfg.growth_eps / 10))
+
+    base = objective(p, X0)
     Y = -p.psi.gradient(X0)
     svd, part, _ = simultaneous_gauge(X0, Y)
     rng = np.random.default_rng(cfg.seed)
@@ -503,7 +507,7 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
         q = curvature_fresh(H, Y)
         samples.append((H, q))
         if (q < -CURVATURE_TOL and counterexample is None
-                and _validated_counterexample(p, X0, H, q)):
+                and descends(H, q)):
             counterexample = H
     min_curv = min(q for _, q in samples)
     if counterexample is not None:
@@ -512,7 +516,7 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
         verdict = "sufficient-evidence"
     else:
         verdict = "inconclusive"
-    return verdict, samples, counterexample, g
+    return verdict, samples, counterexample
 
 
 def _gauge_randomized(p, X0):
@@ -525,8 +529,8 @@ def _gauge_randomized(p, X0):
 
 class TestPreparedPointEquivalence:
     """certify on one prepared point reproduces the per-direction loop:
-    same verdict and count, H and counterexample to 1e-12, curvatures
-    and the growth constant to 1e-12 relative."""
+    same verdict and count, H and counterexample to 1e-12, curvatures to
+    1e-12 relative."""
 
     INSTANCES = {
         "soft-fixture": soft_threshold_fixture,
@@ -541,9 +545,8 @@ class TestPreparedPointEquivalence:
     @pytest.mark.parametrize("name", list(INSTANCES))
     def test_same_certificate(self, name):
         p, X0 = self.INSTANCES[name]()
-        cfg = SamplingConfig(growth_samples=2000)   # the probe runs
-        cert = certify(p, X0, cfg)
-        verdict, samples, ce, g = _reference_certify(p, X0, cfg)
+        cert = certify(p, X0)
+        verdict, samples, ce = _reference_certify(p, X0)
         assert cert.verdict == verdict
         assert len(cert.samples) == len(samples) == 200
         for (H1, q1), (H2, q2) in zip(cert.samples, samples):
@@ -552,8 +555,6 @@ class TestPreparedPointEquivalence:
         assert (cert.counterexample is None) == (ce is None)
         if ce is not None:
             assert np.max(np.abs(cert.counterexample - ce)) <= 1e-12
-        assert abs(cert.growth_constant_observed - g) <= 1e-12 * max(
-            1.0, abs(g))
 
 
 # position of the argument a hook takes as (k, n) rows
@@ -642,7 +643,7 @@ class TestChunkedCandidates:
         monkeypatch.setattr(cmod, "_duality_gaps",
                             lambda *args: chunks.append(1) or cone(*args))
         p, X0 = TestPreparedPointEquivalence.INSTANCES[name]()
-        cfg = SamplingConfig(n_samples=60, min_samples=10, growth_samples=50)
+        cfg = SamplingConfig(n_samples=60, min_samples=10)
         runs = []
         for entries in (1, X0.size, matrix_core._CHUNK_ENTRIES):
             monkeypatch.setattr(matrix_core, "_CHUNK_ENTRIES", entries)
@@ -799,10 +800,11 @@ class TestStackedGrowthProbe:
 
     @pytest.mark.parametrize("seed", [0, 10])
     def test_certificate_growth_constant(self, seed):
+        # the probe at certify's default growth_eps and a certify seed
         p, X0 = _soft_instance(9, 8, seed=2)
-        cfg = SamplingConfig(seed=seed, growth_samples=2000)
-        assert certify(p, X0, cfg).growth_constant_observed == \
-            _growth_reference(p, X0, cfg.growth_eps, cfg.growth_samples, seed)
+        cfg = SamplingConfig(seed=seed)
+        assert quadratic_growth_probe(p, X0, cfg.growth_eps, 2000, seed) == \
+            _growth_reference(p, X0, cfg.growth_eps, 2000, seed)
 
     def test_scalar_for_stack_is_shape_error(self):
         from dataclasses import replace
@@ -1300,8 +1302,8 @@ class TestArcQuotients:
     @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
                                          saddle_fixture])
     def test_default_hands_f_eval_few_rows(self, fixture, monkeypatch):
-        # the ball probe's 2,000 points left the default: the arcs take
-        # 2 n_samples rows, and build only their zero-target offsets
+        # certify runs no ball probe: the arcs take 2 n_samples rows, and
+        # build only their zero-target offsets
         cmod = importlib.import_module("specvar.certify")
         guided, arcs = [], []
         monkeypatch.setattr(cmod, "guided_offsets", lambda X, H: (
@@ -1318,7 +1320,7 @@ class TestArcQuotients:
         assert rows["eval"] <= 2 * n + 8
         assert guided == [4]   # the guided candidates
         assert sum(arcs) == n   # the arcs, one zero-target pass a chunk
-        assert cert.growth_constant_observed == INF
+        assert not hasattr(cert, "growth_constant_observed")
 
     def test_no_samples_is_inf(self):
         p, X0 = soft_threshold_fixture()
@@ -1335,3 +1337,67 @@ class TestArcQuotients:
         assert fd_gradient_check(bad.psi, X0).ok
         with pytest.raises(NonFinite, match="arc quotient of sample 0"):
             certify(bad, X0, SamplingConfig(n_samples=10, min_samples=1))
+
+
+class TestArcValidation:
+    """certify validates a negative direction on the parabolic arc it
+    scores, not on a straight line: the objective is evaluated at X0 and
+    on the arc stacks only, and the counterexample is the first row, in
+    stream order, with q < -CURVATURE_TOL and an arc quotient below q / 4
+    at either step."""
+
+    @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
+                                         saddle_fixture])
+    def test_f_eval_sees_x0_and_the_arcs(self, fixture, monkeypatch):
+        cmod = importlib.import_module("specvar.certify")
+        shapes, arc_calls = [], []
+        real_f_eval, real_arcs = cmod.F_eval, cmod._arc_quotients
+        monkeypatch.setattr(cmod, "F_eval", lambda f, X: (
+            shapes.append(np.shape(X)) or real_f_eval(f, X)))
+        monkeypatch.setattr(cmod, "_arc_quotients", lambda *a: (
+            arc_calls.append(len(a[3])) or real_arcs(*a)))
+        p, X0 = fixture()
+        cert = certify(p, X0)
+        n = SamplingConfig.n_samples
+        assert arc_calls == [n]
+        # X0 once, then one stack per step t of the one arc chunk
+        assert shapes == [X0.shape, (n,) + X0.shape, (n,) + X0.shape]
+        assert (cert.counterexample is not None) == (fixture is saddle_fixture)
+
+    def test_counterexample_is_first_descending_arc(self, monkeypatch):
+        from specvar.matrix_core import CURVATURE_TOL
+        cmod = importlib.import_module("specvar.certify")
+        p, X0 = saddle_fixture()
+        cert = certify(p, X0)
+        q = np.array([q for _, q in cert.samples])
+        neg = np.flatnonzero(q < -CURVATURE_TOL)
+        assert len(neg) >= 3
+        real_arcs = cmod._arc_quotients
+
+        def arcs_with(descending):
+            # every arc rises except, per index, the step given
+            def arcs(*args):
+                out = np.abs(real_arcs(*args))
+                for i, step in descending.items():
+                    out[step, i] = 0.25 * q[i] * 1.001
+                return out
+            return arcs
+
+        for descending, expect in (
+                ({}, None),
+                ({neg[2]: 1}, neg[2]),   # the shorter step alone
+                ({neg[1]: 0, neg[2]: 1}, neg[1]),
+                ({neg[0]: 0, neg[1]: 1}, neg[0])):
+            monkeypatch.setattr(cmod, "_arc_quotients", arcs_with(descending))
+            got = certify(p, X0)
+            if expect is None:
+                assert got.counterexample is None
+                assert got.verdict == "inconclusive"
+            else:
+                assert np.array_equal(got.counterexample,
+                                      cert.samples[expect][0])
+                assert got.verdict == "necessary-violated"
+        # an arc exactly at q / 4 does not descend
+        monkeypatch.setattr(cmod, "_arc_quotients",
+                            lambda *a: np.tile(0.25 * q, (2, 1)))
+        assert certify(p, X0).counterexample is None

@@ -246,9 +246,32 @@ class TestCertifyCommands:
             assert abs(out["min_arc_quotient"] - 0.5) <= 1e-3
         else:
             assert out["min_arc_quotient"] < 0
-        assert out["growth_constant_observed"] == "inf"
+        assert "growth_constant_observed" not in out
         assert sorted(rep["inputs"]) == ["min_samples", "n_samples",
                                          "problem", "seed"]
+
+    @pytest.mark.parametrize("command, flags, code", [
+        # below the default min_samples of 50: refused before sampling
+        ("certify", ["--n-samples", "10"], 1),
+        ("certify", ["--n-samples", "10", "--min-samples", "10"], 0),
+        # growth's --n-samples sizes the probe, not the sampling plan
+        ("growth", ["--n-samples", "20"], 0),
+        ("growth", ["--n-samples", "-5"], 1),
+    ])
+    def test_sample_count_exit_codes(self, tmp_path, capfd, command, flags,
+                                     code):
+        prob = make_problem(tmp_path, "soft")
+        assert main([command, "--problem", prob, *flags]) == code
+        captured = capfd.readouterr()
+        if code:
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["error"] == "UsageError" and err["exit_code"] == 1
+            assert err["message"].startswith("n_samples")
+            assert command == "growth" or "min_samples 50" in err["message"]
+        else:
+            assert json.loads(captured.out)["inputs"]["n_samples"] == int(
+                flags[1])
 
     # outputs of the growth command at --seed 3, --n-samples 2000 (numpy
     # 2.4, OpenBLAS 0.3.31 on x86-64; another LAPACK may round the SVDs

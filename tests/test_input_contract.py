@@ -95,9 +95,9 @@ CASES = {
         lambda: SamplingConfig(n_samples=2.5), ShapeError, "n_samples"),
     "sampling-seed-negative": (
         lambda: SamplingConfig(seed=-1), ShapeError, "seed"),
-    "sampling-growth_samples-negative": (
-        lambda: SamplingConfig(growth_samples=-3), ShapeError,
-        "growth_samples"),
+    "sampling-n_samples-below-min_samples": (
+        lambda: SamplingConfig(n_samples=10), ShapeError,
+        "n_samples 10 must be 0 or at least min_samples 50"),
     "sampling-min_samples-bool": (
         lambda: SamplingConfig(min_samples=True), ShapeError, "min_samples"),
     "sampling-max_candidates-negative": (

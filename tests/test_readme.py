@@ -4,12 +4,14 @@ comment that names a warning or an exception must see exactly that."""
 
 import ast
 import io
+import json
 import re
 import tokenize
 import warnings
 from pathlib import Path
 
 import specvar
+from specvar.cli import main
 from specvar.errors import ConditioningWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -69,3 +71,22 @@ def test_quick_tour_results():
     # [0, 0], [2, 2], the d2F breakdown, the stacked values, the two
     # Tolerances lines and the ShapeError
     assert len(checked) == 7, checked
+
+
+def test_certificate_fields_are_the_cli_report(tmp_path):
+    # the backticked names of "The certificate"'s first paragraph are the
+    # keys of a certify report's outputs
+    section = README.read_text(encoding="utf-8").split(
+        "### The certificate", 1)[1]
+    first = section.strip().split("\n\n", 1)[0]
+    problem = {"f": "l1", "weight": 0.5,
+               "X0": [[2.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.0]],
+               "psi": {"kind": "half-squared-distance",
+                       "B": [[3.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [0.0, 0.0, 0.2]]}}
+    path, out = tmp_path / "problem.json", tmp_path / "report.json"
+    path.write_text(json.dumps(problem))
+    assert main(["--out", str(out), "certify", "--problem", str(path),
+                 "--n-samples", "10", "--min-samples", "10"]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert set(re.findall(r"`([^`]+)`", first)) == set(outputs)

@@ -879,6 +879,30 @@ class TestLazyLevels:
         # one stacked eigh per block size > 1, one SVD of R with vectors
         assert eighs == [(1, 2, 2), (1, 3, 3)] and svds == [(4, 2)]
 
+    def test_one_sigma_dir1_row_per_record(self, monkeypatch):
+        # sigma', the levels' zero-block groups and the expansion residual
+        # read the record's one sigma' row: one values-only SVD of R; the
+        # public sigma' is a fresh writable copy of it
+        X, H, W = self.instance()
+        stacks = []
+        svd = np.linalg.svd
+
+        def counted_svd(A, *args, **kwargs):
+            if np.ndim(A) == 3:
+                stacks.append(np.shape(A))
+            return svd(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        d1 = sigma_dir1(X, H)
+        sigma_dir2(X, H, W)
+        expansion_residual(X, H, W, 1e-3)
+        assert stacks == [(1, 4, 2)]
+        kept = direction_blocks(X, H).d1
+        assert np.array_equal(d1, kept) and not kept.flags.writeable
+        assert d1.flags.writeable
+        d1[:] = np.nan
+        assert np.array_equal(sigma_dir1(X, H), kept)
+        assert np.isfinite(kept).all()
+
 
 class TestLastCallMemo:
     """svd_ordered and direction_blocks keep their last result, keyed on
@@ -1235,10 +1259,11 @@ class TestNonFinite:
 
 class TestZeroBlockRanks:
     """The zero block's second-level ranks and zero count follow the
-    partition rule of sigma(R): on chained near-ties inside R (steps of
-    0.4, 0.6 and 1.5 cluster tolerances) and on values either side of
-    ``tols.rank * max(1, sigma_1(R))``, ``ltilde[r:]`` and ``beta.zeros``
-    equal ``partition_values(sigma(R))``'s ``l`` and zero count."""
+    partition rule of sigma(R), read as sigma'(X; H)[r:]: on chained
+    near-ties inside R (steps of 0.4, 0.6 and 1.5 cluster tolerances) and
+    on values either side of ``tols.rank * max(1, sigma_1(R))``,
+    ``ltilde[r:]`` and ``beta.zeros`` equal
+    ``partition_values(sigma(R))``'s ``l`` and zero count."""
 
     @staticmethod
     def sigma_R(tols, rng):
@@ -1266,8 +1291,8 @@ class TestZeroBlockRanks:
                 Qb = np.linalg.qr(rng.standard_normal((k, k)))[0]
                 H[r:, r:] = Qa[:, :k] @ np.diag(s_R) @ Qb.T
                 b = direction_blocks(X, H, gauge, tols)
-                # the values the levels cluster: the SVD of R with vectors
-                s_R = np.linalg.svd(b.Hhat[r:, r:], full_matrices=False)[1]
+                # the values the levels cluster: sigma'(X; H)[r:]
+                s_R = d1_of(b)[r:]
                 ref = partition_values(s_R, tols)
                 assert b.ltilde[r:].tolist() == ref.l.tolist()
                 assert b.beta.zeros == ref.n - ref.r
