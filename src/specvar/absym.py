@@ -5,7 +5,8 @@ the l1 norm (generating the nuclear norm through the singular value map),
 k = 1 the sup norm (generating the spectral norm), general k the Ky Fan
 k-norm generator.  All are polyhedral, so their subderivative, critical
 cone, second subderivative and parabolic subderivative have closed forms
-built on one tie-aware "top-k face" classification.
+built on one tie-aware "top-k face" classification, drawn with the
+partition rule of ``matrix_core`` at the default ``Tolerances``.
 
 Extended-real values are plain floats with math.inf: IEEE arithmetic is
 absorbing for +inf and comparisons are total, which is exactly the
@@ -23,8 +24,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BadK, ShapeError
-from .matrix_core import (SUBDIFF_TOL, ZERO_TOL, _run_starts, as_count,
-                          as_real)
+from .matrix_core import (SUBDIFF_TOL, _block_bounds, _level_starts,
+                          as_count, as_real)
 
 ExtendedValue = float
 INF = math.inf
@@ -69,23 +70,19 @@ class _Face:
     signs: np.ndarray     # sign(x_i) for all i (0 for numerically zero)
 
 
-def _tie_run(u, i, tol):
-    """order = argsort(-u) and (lo, hi), the run of tol-equal values of
-    u[order] (``_run_starts``) holding position i."""
-    order = np.argsort(-u, kind="stable")
-    bounds = _run_starts(u[order], tol) + [len(u)]
-    at = bisect_right(bounds, i)
-    return order, bounds[at - 1], bounds[at]
-
-
 def _classify(x, k):
+    """The face of |x| at its k-th largest value: the tie cluster is the
+    ``_block_bounds`` block of sorted |x| that holds rank k-1."""
     x = _as_vector(x)
     a = np.abs(x)
-    tol = ZERO_TOL * (1.0 + np.max(a, initial=0.0))
-    order, lo, hi = _tie_run(a, k - 1, tol)   # the tie run of rank k-1
-    signs = np.where(a <= tol, 0, np.sign(x)).astype(int)
+    order = np.argsort(-a, kind="stable")
+    r, bounds = _block_bounds(a[order])
+    at = bisect_right(bounds, k - 1)
+    lo, hi = bounds[at - 1], bounds[at]
+    signs = np.sign(x).astype(int)
+    signs[order[r:]] = 0
     return _Face(above=order[:lo], tied=order[lo:hi], below=order[hi:],
-                 q=k - lo, theta_zero=bool(a[order[lo]] <= tol), signs=signs)
+                 q=k - lo, theta_zero=lo >= r, signs=signs)
 
 
 def _sum_top(u, q):
@@ -93,13 +90,16 @@ def _sum_top(u, q):
     return np.ascontiguousarray(np.sort(u)[..., ::-1][..., :q]).sum(axis=-1)
 
 
-def _signed_top_dirderiv(u, z, q, scale):
+def _signed_top_dirderiv(u, z, q):
     """Directional derivative of v -> sum of q largest entries, at u
-    along z: resolve the ``_tie_run`` holding the q-th largest value of
-    u, as ``_classify`` does for the k-th."""
+    along z: resolve the run holding its q-th largest value
+    (``_level_starts``, the scale of sigma'' second-level groups)."""
     if q >= len(u):
         return float(np.sum(z))
-    order, lo, hi = _tie_run(u, q - 1, ZERO_TOL * (1.0 + scale))
+    order = np.argsort(-u, kind="stable")
+    bounds = _level_starts(u[order]) + [len(u)]
+    at = bisect_right(bounds, q - 1)
+    lo, hi = bounds[at - 1], bounds[at]
     return (float(np.sum(z[order[:lo]]))
             + float(_sum_top(z[order[lo:hi]], q - lo)))
 
@@ -164,8 +164,7 @@ class _TopKAbs:
             return val + _TopKAbs(f.q).subderivative(w[f.tied], z[f.tied])
         u = f.signs[f.tied] * w[f.tied]
         uz = f.signs[f.tied] * z[f.tied]
-        scale = float(np.max(np.abs(u), initial=0.0))
-        return val + _signed_top_dirderiv(u, uz, f.q, scale)
+        return val + _signed_top_dirderiv(u, uz, f.q)
 
     def subdiff_violation(self, x, v):
         """Max constraint violation of v against the subdifferential."""
@@ -200,28 +199,6 @@ class _TopKAbs:
             v[f.tied] = f.signs[f.tied] * (f.q / len(f.tied))
         return v
 
-    def subdiff_sample(self, x, rng):
-        x, k = self._check(x)
-        f = _classify(x, k)
-        v = np.zeros(len(x))
-        v[f.above] = f.signs[f.above]
-        T = len(f.tied)
-        if T and not f.theta_zero:
-            for _ in range(50):
-                t = rng.dirichlet(np.ones(T)) * f.q
-                if np.all(t <= 1.0):
-                    break
-            else:
-                t = np.full(T, f.q / T)
-            v[f.tied] = f.signs[f.tied] * t
-        elif T:
-            raw = rng.uniform(-1.0, 1.0, T)
-            budget = float(np.sum(np.abs(raw)))
-            if budget > f.q:
-                raw *= (f.q / budget) * rng.uniform(0.2, 1.0)
-            v[f.tied] = raw
-        return v
-
 
 # -- spectral function specs ---------------------------------------------------
 
@@ -250,8 +227,10 @@ class SpectralFunctionSpec:
     ``second_subderivative(x, v, w, tol)``, the full second subderivative
     d2f(x|v)(w) as an extended real, with tol the cone threshold (for the
     polyhedral built-ins it is the indicator of ``critical`` at tol);
-    ``parabolic_subderivative(x, w, z)``, ``subdiff_representative(x)``,
-    ``subdiff_sample(x, rng)`` and ``subdiff_contains(x, v, tol)``.
+    ``parabolic_subderivative(x, w, z)``, ``subdiff_representative(x)``
+    and ``subdiff_contains(x, v, tol)``.  The entry points call all but
+    ``eval`` at ``SingularPartition.snapped``, sigma(X) snapped to their
+    partition, so a hook's faces are that partition's blocks.
 
     ``eval``, ``subderivative`` and ``second_subderivative`` map an (n,)
     x or w to a float and (k, n) rows to a (k,) array, entry i bitwise
@@ -267,7 +246,6 @@ class SpectralFunctionSpec:
     subderivative: Callable
     subdiff_violation: Callable
     second_subderivative: Optional[Callable] = None
-    subdiff_sample: Optional[Callable] = None
     parabolic_subderivative: Optional[Callable] = None
     subdiff_representative: Optional[Callable] = None
     subdiff_contains: Optional[Callable] = None
@@ -288,7 +266,6 @@ def _make_polyhedral_spec(name, core: _TopKAbs) -> SpectralFunctionSpec:
         parabolic_subderivative=core.parabolic_subderivative,
         second_subderivative=second,
         subdiff_violation=core.subdiff_violation,
-        subdiff_sample=core.subdiff_sample,
     )
 
 
@@ -329,7 +306,6 @@ def scale_spec(spec: SpectralFunctionSpec, c: float) -> SpectralFunctionSpec:
         subderivative=lambda x, w: times_c(spec.subderivative(x, w)),
         subdiff_violation=violation,
         second_subderivative=second,
-        subdiff_sample=lambda x, rng: c * spec.subdiff_sample(x, rng),
         parabolic_subderivative=lambda x, w, z:
             c * spec.parabolic_subderivative(x, w, z),
         subdiff_representative=lambda x: c * spec.subdiff_representative(x),

@@ -34,7 +34,6 @@ CLUSTER_TOL = 1e-8
 RANK_TOL = 1e-12
 
 # Fixed thresholds for every module, each with the scale it multiplies.
-ZERO_TOL = 1e-12          # absym zero / tie classes; 1 + ||x||_inf
 SORT_TOL = 1e-13          # sorted input of _run_starts; max(1, |v|)
 GAUGE_TOL = 1e-8          # the one subgradient test of Y; ||Y||
 CONE_TOL = 1e-8           # critical-cone duality gap; 1 + ||Y|| ||H||
@@ -230,6 +229,11 @@ class SingularPartition:
         return self.beta + self.beta0
 
     @cached_property
+    def snapped(self):
+        """sigma(X) as f's hooks see it: each block at its mu, zeros at 0."""
+        return _read_only(np.append(self.mu, 0.0)[self.owner])
+
+    @cached_property
     def tables(self):
         """The read-only ``divided_differences(self)``, built once."""
         return _read_only(divided_differences(self))
@@ -364,21 +368,34 @@ def size_classes(starts, sizes):
                  for k in sorted(set(sizes.tolist())))
 
 
-def _value_blocks(v, tols):
-    """The partition rule of nonincreasing singular values v: (r, bounds,
-    l), r the count above tols.rank max(1, v[0]), bounds the start of each
+def _block_bounds(v, tols=TOLERANCES):
+    """The partition rule of nonincreasing v >= 0: (r, bounds), r the
+    count above tols.rank max(1, v[0]) and bounds the first index of each
     block (the ``_run_starts`` runs of those r at tols.cluster max(1,
-    v[0]), then the zero block), then n, l each 1-based rank in its block.
-    A value below -tols.rank max(1, v[0]) raises ``NotSorted``."""
+    v[0]), then the zero block if r < n), then n.  A value below
+    -tols.rank max(1, v[0]) raises ``NotSorted``."""
     n = len(v)
     scale = max(1.0, v[0]) if n else 1.0
     if (v < -tols.rank * scale).any():
         raise NotSorted("singular values must be nonnegative")
     r = np.count_nonzero(v > tols.rank * scale)
-    bounds = np.array(_run_starts(v[:r], tols.cluster * scale)
-                      + ([r, n] if r < n else [n]))
-    return r, bounds, np.arange(1, n + 1) - np.repeat(bounds[:-1],
-                                                      np.diff(bounds))
+    return r, (_run_starts(v[:r], tols.cluster * scale)
+               + ([r, n] if r < n else [n]))
+
+
+def _value_blocks(v, tols):
+    """``_block_bounds`` and l, each value's 1-based rank in its block."""
+    r, bounds = _block_bounds(v, tols)
+    bounds = np.array(bounds)
+    return r, bounds, np.arange(1, len(v) + 1) - np.repeat(bounds[:-1],
+                                                           np.diff(bounds))
+
+
+def _level_starts(v, tols=TOLERANCES):
+    """``_run_starts`` of nonincreasing v at tols.cluster max(1, max|v|):
+    the cluster rule with no zero block (eigenvalues, signed values)."""
+    return _run_starts(v, tols.cluster * max(
+        1.0, float(np.max(np.abs(v), initial=0.0))))
 
 
 def partition_values(v, tols=TOLERANCES, m=None):
@@ -387,7 +404,7 @@ def partition_values(v, tols=TOLERANCES, m=None):
 
     Entries at or below ``tols.rank * max(1, v[0])`` form the zero block
     beta and the rest cluster (the ``_run_starts`` rule at
-    ``tols.cluster * max(1, v[0])``, see ``_value_blocks``) into alpha
+    ``tols.cluster * max(1, v[0])``, see ``_block_bounds``) into alpha
     blocks with strictly decreasing distinct values mu.  The blocks come
     out as integer arrays (starts, sizes, owners, size classes).
     """

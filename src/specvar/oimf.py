@@ -39,7 +39,7 @@ from .matrix_core import (
     SET_TOL,
     TOLERANCES,
     SvdDecomposition,
-    _run_starts,
+    _block_bounds,
     _svd,
     as_count,
     as_matrix,
@@ -139,7 +139,7 @@ def _subgradient(f: SpectralFunctionSpec, X, Y, tols):
     message), Y in dF(X) iff the residual is within tol = GAUGE_TOL ||Y||."""
     gauge, part, sy, residual, tol, message = _align(X, Y, tols)
     if message is None:
-        residual = max(residual, f.subdiff_violation(gauge.sigma, sy))
+        residual = max(residual, f.subdiff_violation(part.snapped, sy))
     return gauge, part, sy, residual, bool(residual <= tol), message
 
 
@@ -153,7 +153,7 @@ def _duality_gaps(f: SpectralFunctionSpec, gauge, part, Y, Hs):
     flat = Hs.reshape(k, Y.size)
     Hhat = gauge.U.T @ Hs @ gauge.V
     d1 = sigma_dir1_stack(Hhat, part)
-    dF = _stacked(f.subderivative(gauge.sigma, d1), k, "f.subderivative")
+    dF = _stacked(f.subderivative(part.snapped, d1), k, "f.subderivative")
     with np.errstate(over="ignore", invalid="ignore"):
         gaps = dF - (flat * Y.ravel()).sum(axis=1)
         tols = CONE_TOL * (1.0 + np.linalg.norm(Y) * np.sqrt(
@@ -189,7 +189,8 @@ def F_subderivative(f: SpectralFunctionSpec, X, H,
     svd, part, Hhat = _prepared(X, H, tols)
     if not math.isfinite(f.eval(svd.sigma)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-    return f.subderivative(svd.sigma, sigma_dir1_stack(Hhat[None], part)[0])
+    return f.subderivative(part.snapped,
+                           sigma_dir1_stack(Hhat[None], part)[0])
 
 
 def _convex_lsc(f: SpectralFunctionSpec):
@@ -213,7 +214,7 @@ def F_subdiff_element(f: SpectralFunctionSpec, X):
             f"{f.name}: a subgradient needs a subdiff_representative hook")
     svd = svd_ordered(X)
     m, n = svd.shape
-    rep = f.subdiff_representative(svd.sigma)
+    rep = f.subdiff_representative(partition_of(svd).snapped)
     return svd.U[:, :n] @ (rep[:, None] * svd.V.T)
 
 
@@ -244,8 +245,8 @@ def F_critical_cone_contains(f: SpectralFunctionSpec, X, Y, H, *,
     return member, {
         "member": member,
         "duality_gap": float(gap),
-        "f_level_member": critical(f, svd.sigma, np.sort(sy)[::-1], d1,
-                                   tol),
+        "f_level_member": critical(f, part.snapped, np.sort(sy)[::-1],
+                                   d1, tol),
         "fan_gaps": [float(np.sum(excess[a:a + k])) for a, k in zip(
             part.starts.tolist(), part.sizes.tolist())],
         "von_neumann_gap": float(np.sum(excess[part.r:])),
@@ -354,7 +355,7 @@ class SpectralPoint:
         critical rows, the alpha and beta terms of every row (overflow
         raises ``NonFinite``), zeroed off the cone.  It never warns; its
         callers do, once."""
-        f, s, sy, part = self.f, self.gauge.sigma, self.sy, self.part
+        f, s, sy, part = self.f, self.part.snapped, self.sy, self.part
         r, n = part.r, part.n
         d2f = np.full(len(Hhat), INF)
         if crit.any():
@@ -401,10 +402,9 @@ def F_parabolic_subderivative(f: SpectralFunctionSpec, X, H, W,
             f"{f.name}: parabolic subderivative needs Lipschitz-on-domain "
             "and a parabolic hook")
     blocks = direction_blocks(X, H, None, tols)
-    sx = blocks.gauge.sigma
-    if not math.isfinite(f.eval(sx)):
+    if not math.isfinite(f.eval(blocks.gauge.sigma)):
         raise AssumptionViolated(f"{f.name} not finite at sigma(X)")
-    d1 = blocks.d1
+    sx, d1 = blocks.part.snapped, blocks.d1
     if not math.isfinite(f.subderivative(sx, d1)):
         raise AssumptionViolated("dF(X)(H) must be finite")
     d2 = sigma_dir2_from_blocks(blocks, W)
@@ -420,10 +420,10 @@ def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
     the zero-block sum frozen at a base point of rank r; this is the
     right callable to feed difference-quotient oracles that probe a
     neighborhood of that base point.  With ``base_rank=None`` the group
-    is the last equal-value block of X itself (the last ``_run_starts``
-    run at ``tols.cluster * max(1, sigma_1)``, the rule of every partition),
-    which coincides with the frozen form at the base point.  A (k, m, n)
-    stack gives a (k,) array, entry i bitwise the value at X[i].
+    is the last block of X's partition at ``tols`` (``_block_bounds``),
+    which coincides with the frozen form at the base point; n = 0 gives
+    0.0.  A (k, m, n) stack gives a (k,) array, entry i bitwise the value
+    at X[i].
     """
     s = _singular_values(X)
     if base_rank is not None:
@@ -435,8 +435,8 @@ def nuclear_psi_eval(X, base_rank=None, tols=TOLERANCES):
         return float(total) if s.ndim == 1 else total
 
     def bottom_sum(s):
-        scale = max(1.0, s[0]) if len(s) else 1.0
-        return float(np.sum(s[_run_starts(s, tols.cluster * scale)[-1]:]))
+        bounds = _block_bounds(s, tols)[1]
+        return float(np.sum(s[bounds[-2]:])) if len(s) else 0.0
 
     if s.ndim == 2:
         return np.array([bottom_sum(row) for row in s])

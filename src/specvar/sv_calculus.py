@@ -34,8 +34,8 @@ from .matrix_core import (
     SvdDecomposition,
     _fix_signs,
     _LastCall,
+    _level_starts,
     _read_only,
-    _run_starts,
     _value_blocks,
     as_matrix,
     as_real,
@@ -362,8 +362,7 @@ def eig_expand2(A, E, tols=TOLERANCES):
                     f"{name} deviates from symmetry by {top * dev:.3e}")
     n = A.shape[0]
     eig = sym_eig_ordered(A)
-    starts = np.array(_run_starts(eig.lam, tols.cluster * max(
-        1.0, float(np.max(np.abs(eig.lam), initial=0.0)))), dtype=int)
+    starts = np.array(_level_starts(eig.lam, tols), dtype=int)
     Ehat = eig.Q.T @ E @ eig.Q
     first = np.zeros(n)
     second = np.zeros(n)

@@ -14,6 +14,7 @@ from specvar.absym import (
 )
 from specvar.errors import AssumptionViolated, BadK
 from specvar.oimf import SpectralPoint
+from face_sample import subdiff_sample
 from signed_perm import apply, random_signed_permutation, stabilizer_sample
 from tie_runs import reference_runs
 
@@ -115,7 +116,7 @@ class TestSubdifferential:
         for spec in BUILTINS:
             for _ in range(30):
                 x = rng.choice([0.0, 0.0, 1.0, 3.0], size=5)
-                v = spec.subdiff_sample(x, rng)
+                v = subdiff_sample(spec, x, rng)
                 assert spec.subdiff_contains(x, v)
 
     def test_sample_supports_mean_inequality(self):
@@ -125,7 +126,7 @@ class TestSubdifferential:
             for _ in range(50):
                 x = rng.standard_normal(4)
                 y = rng.standard_normal(4)
-                v = spec.subdiff_sample(x, rng)
+                v = subdiff_sample(spec, x, rng)
                 assert spec.eval(y) >= spec.eval(x) + v @ (y - x) - 1e-10
 
 
@@ -191,12 +192,12 @@ class TestParabolic:
                                         [1.0, -3.0]) == pytest.approx(4.0)
 
     def test_chained_near_tie_follows_cluster_blocks(self):
-        # the tie window at x = (1, 1, 1) is ZERO_TOL (1 + max|w|) = 2e-12;
-        # w chains: w_2 is within it of w_1 and w_3 of w_2, not of w_1.
-        # The tie rule cuts the run at w_3, so the top-2 face along z
+        # the tie window at x = (1, 1, 1) is CLUSTER_TOL max(1, max|w|) =
+        # 1e-8; w chains: w_2 is within it of w_1 and w_3 of w_2, not of
+        # w_1.  The tie rule cuts the run at w_3, so the top-2 face along z
         # is z_1 + z_2 (a window about w_2 would also tie w_3 and pick z_3)
-        from specvar.matrix_core import ZERO_TOL
-        tol = ZERO_TOL * 2.0
+        from specvar.matrix_core import CLUSTER_TOL
+        tol = CLUSTER_TOL
         w = np.array([1.0, 1.0 - 0.6 * tol, 1.0 - 1.2 * tol])
         assert reference_runs(w, tol) == [[0, 1], [2]]
         f = kyfan_spec(2)
@@ -313,9 +314,9 @@ class TestStackedHooks:
 
     def test_rows_property(self):
         hypothesis = pytest.importorskip("hypothesis")
-        from specvar.matrix_core import ZERO_TOL
+        from specvar.matrix_core import CLUSTER_TOL
         st = hypothesis.strategies
-        near = ZERO_TOL * 3.5           # ZERO_TOL (1 + max|x|), max|x| 2.5
+        near = CLUSTER_TOL * 2.5        # CLUSTER_TOL max(1, max|x|), 2.5
         big = np.finfo(float).max
 
         @hypothesis.settings(derandomize=True, database=None, deadline=None,
@@ -395,7 +396,8 @@ class TestFaceReuse:
                 spec.subdiff_violation(x, w),
                 spec.subdiff_contains(x, w),
                 tuple(spec.subdiff_representative(x)),
-                tuple(spec.subdiff_sample(x, np.random.default_rng(seed))),
+                tuple(subdiff_sample(spec, x,
+                                     np.random.default_rng(seed))),
                 critical(spec, x, w, z, TOL),
                 spec.second_subderivative(x, w, z, TOL))
 
@@ -515,79 +517,98 @@ def test_spec_requires_subdiff_violation():
 
 
 class TestTieRun:
-    """``_tie_run`` finds the run of one index under the tie rule.  On
-    chained near-ties (steps of 0.4, 0.6, 1 and 1.5 times tol, runs of
-    them that span more than tol, zeros) the run, the faces of
-    ``_classify`` and ``_signed_top_dirderiv`` equal their forms under the
-    entry-by-entry reference walk (``tie_runs.reference_runs``) at every
-    k.  The test names keep ``cluster_blocks``, the former name of the
-    rule's list form, which the reference walk reproduces."""
+    """The hooks' faces follow the partition rule.  On chained near-ties
+    (steps of 0.4, 0.6, 1 and 1.5 times the cluster window, runs of them
+    that span more than it, values at 0.1 and 10 times the rank floor,
+    zeros) the blocks of ``_block_bounds``, the faces of ``_classify`` and
+    ``_signed_top_dirderiv`` equal their forms under the entry-by-entry
+    reference walk (``tie_runs.reference_runs``) at every k.  The test
+    names keep ``cluster_blocks``, the former name of the rule's list
+    form, which the reference walk reproduces."""
 
     STEPS = (0.4, 0.6, 1.0, 1.5)
 
     @staticmethod
-    def run_ref(v, i, tol):
-        return next((b[0], b[-1] + 1) for b in reference_runs(v, tol)
-                    if i <= b[-1])
+    def scale(v):
+        return max(1.0, float(np.max(np.abs(v), initial=0.0)))
+
+    def blocks_ref(self, v):
+        """(r, blocks) of a nonincreasing v >= 0: the zero block at or
+        below RANK_TOL max(1, v[0]), the reference runs of the rest at
+        CLUSTER_TOL max(1, v[0])."""
+        from specvar.matrix_core import CLUSTER_TOL, RANK_TOL
+        r = int(np.sum(v > RANK_TOL * self.scale(v)))
+        blocks = reference_runs(v[:r], CLUSTER_TOL * self.scale(v))
+        return r, blocks + [list(range(r, len(v)))] * (r < len(v))
+
+    @staticmethod
+    def run_ref(blocks, i):
+        return next((b[0], b[-1] + 1) for b in blocks if i <= b[-1])
 
     def chains(self):
         """Signed vectors whose sorted magnitudes chain near-ties at the
-        ZERO_TOL scale of ``_classify``, some with gaps and zeros."""
-        from specvar.matrix_core import ZERO_TOL
+        cluster window of ``_classify``, some with gaps, values near the
+        rank floor and zeros."""
+        from specvar.matrix_core import CLUSTER_TOL, RANK_TOL
         rng = np.random.default_rng(26)
         for _ in range(150):
             n = int(rng.integers(1, 13))
             top = float(rng.choice([1.0, 3.0, 1e3]))
-            tol = ZERO_TOL * (1.0 + top)
+            tol = CLUSTER_TOL * max(1.0, top)
             steps = rng.choice(self.STEPS, n - 1) * tol
             steps[rng.random(n - 1) < 0.2] = 0.1 * top     # a clear gap
             a = np.maximum(top - np.concatenate([[0.0], np.cumsum(steps)]),
                            0.0)
-            a[rng.random(n) < 0.1] = 0.0
+            small = rng.random(n) < 0.1
+            a[small] = rng.choice([0.0, 0.1, 10.0], small.sum()) * (
+                RANK_TOL * max(1.0, top))
+            a[0] = top
             yield rng.permutation(a * rng.choice([-1.0, 1.0], n))
 
     def test_run_equals_cluster_blocks(self):
-        import specvar.absym as absym
-        from specvar.matrix_core import ZERO_TOL
+        from specvar.matrix_core import CLUSTER_TOL, _block_bounds
         walked = 0
         for x in self.chains():
             v = np.sort(np.abs(x))[::-1]
-            tol = ZERO_TOL * (1.0 + v[0])
-            for i in range(len(v)):
-                assert absym._tie_run(v, i, tol)[1:] == self.run_ref(v, i,
-                                                                     tol)
+            bounds = _block_bounds(v)[1]
+            assert [list(range(lo, hi)) for lo, hi in zip(
+                bounds, bounds[1:])] == self.blocks_ref(v)[1]
             # stretches between steps above tol that need the chain walk
+            tol = CLUSTER_TOL * self.scale(v)
             for part in np.split(v, np.flatnonzero(np.diff(v) < -tol) + 1):
                 walked += part[0] - part[-1] > tol
         assert walked > 50
 
     def test_faces_equal_cluster_blocks(self):
         import specvar.absym as absym
-        from specvar.matrix_core import ZERO_TOL
+        zeros = 0
         for x in self.chains():
             a = np.abs(x)
-            tol = ZERO_TOL * (1.0 + np.max(a))
             order = np.argsort(-a, kind="stable")
+            r, blocks = self.blocks_ref(a[order])
+            zeros += r < len(x)
             for k in range(1, len(x) + 1):
-                lo, hi = self.run_ref(a[order], k - 1, tol)
+                lo, hi = self.run_ref(blocks, k - 1)
                 face = absym._classify(x, k)
                 assert np.array_equal(face.above, order[:lo])
                 assert np.array_equal(face.tied, order[lo:hi])
                 assert np.array_equal(face.below, order[hi:])
                 assert face.q == k - lo
-                assert face.theta_zero == bool(a[order[lo]] <= tol)
+                assert face.theta_zero == (lo >= r)
+                assert np.array_equal(np.flatnonzero(face.signs == 0),
+                                      np.sort(order[r:]))
+        assert zeros > 20
 
     def test_signed_top_dirderiv_equals_cluster_blocks(self):
         import specvar.absym as absym
-        from specvar.matrix_core import ZERO_TOL
+        from specvar.matrix_core import CLUSTER_TOL
         rng = np.random.default_rng(27)
         for u in self.chains():
             z = rng.standard_normal(len(u))
-            scale = float(np.max(np.abs(u)))
             order = np.argsort(-u, kind="stable")
+            blocks = reference_runs(u[order], CLUSTER_TOL * self.scale(u))
             for q in range(1, len(u)):
-                lo, hi = self.run_ref(u[order], q - 1,
-                                      ZERO_TOL * (1.0 + scale))
+                lo, hi = self.run_ref(blocks, q - 1)
                 ref = (float(np.sum(z[order[:lo]]))
                        + float(absym._sum_top(z[order[lo:hi]], q - lo)))
-                assert absym._signed_top_dirderiv(u, z, q, scale) == ref
+                assert absym._signed_top_dirderiv(u, z, q) == ref

@@ -49,6 +49,7 @@ from specvar.sv_calculus import (
     sigma_dir2,
     sigma_dir2_from_blocks,
 )
+from face_sample import subdiff_sample
 from signed_perm import apply, stabilizer_sample
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -184,7 +185,7 @@ def _critical_triples(rng, count):
         f = BUILTINS[attempts % 3]
         X = random_with_spectrum(4, 3, patterns[attempts % 4], rng)
         svd = svd_ordered(X)
-        v = f.subdiff_sample(svd.sigma, rng)
+        v = subdiff_sample(f, svd.sigma, rng)
         Y = svd.U[:, :3] @ (v[:, None] * svd.V.T)
         H = None
         for trial in range(30):

@@ -55,6 +55,7 @@ from specvar.oimf import (
     zero_set,
 )
 from specvar.sv_calculus import min_direction_construct, sigma_dir2
+from face_sample import subdiff_sample
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 BUILTINS = [l1_spec(), linf_spec(), kyfan_spec(2)]
@@ -1638,7 +1639,8 @@ class TestOneSubgradientDecision:
                 U = np.linalg.qr(rng.standard_normal((m, m)))[0]
                 V = np.linalg.qr(rng.standard_normal((n, n)))[0]
                 X = U[:, :n] @ (s[:, None] * V.T)
-                Y0 = U[:, :n] @ (f.subdiff_sample(s, rng)[:, None] * V.T)
+                Y0 = U[:, :n] @ (subdiff_sample(f, s, rng)[:, None]
+                                 * V.T)
                 H = rng.standard_normal((m, n))
                 for D in (U[:, :n] @ (rng.standard_normal(n)[:, None] * V.T),
                           rng.standard_normal((m, n))):
@@ -1705,7 +1707,7 @@ class TestConeAgreement:
             V = np.linalg.qr(rng.standard_normal((n, n)))[0]
             s = spectrum(n)
             X = U[:, :n] @ (s[:, None] * V.T)
-            Y = U[:, :n] @ (f.subdiff_sample(s, rng)[:, None] * V.T)
+            Y = U[:, :n] @ (subdiff_sample(f, s, rng)[:, None] * V.T)
             point = SpectralPoint(f, X, Y)
             Hs = np.array([
                 scale * (X / np.linalg.norm(X) + eps * G)

@@ -90,3 +90,28 @@ def test_certificate_fields_are_the_cli_report(tmp_path):
                  "--n-samples", "10", "--min-samples", "10"]) == 0
     outputs = json.loads(out.read_text())["outputs"]
     assert set(re.findall(r"`([^`]+)`", first)) == set(outputs)
+
+
+def test_tie_rule_bullet_names_every_tie_drawer():
+    # the backticked function names of the "Blocks and ties are drawn by
+    # one rule" bullet are the rule's forms and every src function that
+    # calls one of them, so a new place that draws ties is documented
+    rule = {"_run_starts", "_block_bounds", "_value_blocks", "_level_starts",
+            "cluster_ranks"}
+    defined, drawers = set(), set()
+    for path in Path(specvar.__file__).parent.glob("*.py"):
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        for node in body + [n for c in body if isinstance(c, ast.ClassDef)
+                            for n in c.body]:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            defined.add(node.name)
+            if rule & {getattr(call.func, "id", getattr(call.func, "attr",
+                                                        None))
+                       for call in ast.walk(node)
+                       if isinstance(call, ast.Call)}:
+                drawers.add(node.name)
+    bullet = README.read_text(encoding="utf-8").split(
+        "- Blocks and ties are drawn by one rule", 1)[1].split("\n- ", 1)[0]
+    assert rule <= defined
+    assert set(re.findall(r"`(\w+)`", bullet)) & defined == rule | drawers
