@@ -24,8 +24,8 @@ from .errors import (AssumptionViolated, NonFinite, SamplingExhausted,
                      ShapeError)
 from .matrix_core import (CURVATURE_TOL, TOLERANCES, _chunk_size, _chunks,
                           as_count, as_matrix, as_real, svd_ordered)
-from .oimf import (F_eval, SpectralPoint, _duality_gaps, _subgradient,
-                   _zero_target_offsets, guided_offsets)
+from .oimf import (F_eval, SpectralPoint, _critical_subspaces, _duality_gaps,
+                   _subgradient, _zero_target_offsets)
 from .oracles import fd_gradient_check
 
 
@@ -250,19 +250,20 @@ def curvature(p: ProblemSpec, X0, H):
 
 class _CandidateStream:
     """Directions expressed in the aligned gauge, densest first: +-E_ii,
-    then S_ij and A_ij for i < j, then E_ij for the rows past n, then per
-    Gaussian draw the raw matrix and its beta-zeroed copy.  At most
-    max(budget, 1) in all; ``take(k)`` gives the next ones, up to k, as
-    one (k, m, n) stack.  The structured ones are written by index into
-    zeros (-E_ii is E_ii negated, -0.0 entries and all), and the draws a
-    stack needs come from one ``standard_normal`` block: the rng is
-    untouched until the first Gaussian, no draw is made before it is
-    needed, and the copy of a draw that ends a stack opens the next."""
+    then S_ij and A_ij for i < j, then E_ij for the rows past n, then one
+    Gaussian draw each, projected by ``project`` (``_critical_subspaces``'
+    T).  At most max(budget, 1) in all; ``take(k)`` gives the next ones,
+    up to k, as one (k, m, n) stack.  The structured ones are written by
+    index into zeros (-E_ii is E_ii negated, -0.0 entries and all) and
+    left for the cone test; the draws a stack needs come from one
+    ``standard_normal`` block, projected row by row: the rng is untouched
+    until the first Gaussian, and any split into stacks gives bitwise the
+    same candidates."""
 
-    def __init__(self, part, rng, budget):
+    def __init__(self, part, rng, budget, project):
         m, n = part.m, part.n
-        self.shape, self.r, self.rng = (m, n), part.r, rng
-        self.left, self.taken, self.copy = max(budget, 1), 0, None
+        self.shape, self.rng, self.project = (m, n), rng, project
+        self.left, self.taken = max(budget, 1), 0
         # two (row, column, value) entries per structured candidate, a
         # one-entry pattern's twice; -E_ii is +E_ii times its sign
         d = np.repeat(np.arange(n), 2)
@@ -288,18 +289,10 @@ class _CandidateStream:
             G[np.arange(b - a)[:, None], self.rows[a:b], self.cols[a:b]] = \
                 self.values[a:b]
             G[:b - a] *= self.sign[a:b, None, None]
-        out = G[max(b - a, 0):]
-        if len(out) and self.copy is not None:
-            out[0] = self.copy
-            out, self.copy = out[1:], None
-        if len(out):
-            draws = self.rng.standard_normal(((len(out) + 1) // 2,)
-                                             + self.shape)
-            out[0::2] = draws
-            draws[:, self.r:, self.r:] = 0.0   # the copy: a quiet zero block
-            out[1::2] = draws[:len(out) // 2]
-            if len(out) % 2:
-                self.copy = draws[-1].copy()
+        drawn = k - max(b - a, 0)
+        if drawn:
+            G[k - drawn:] = self.project(
+                self.rng.standard_normal((drawn,) + self.shape))
         return G
 
 
@@ -337,23 +330,23 @@ def _arc_quotients(p: ProblemSpec, X0, point, Hs, Hhat, eps):
 def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     """Assemble an optimality certificate for the candidate point X0.
 
-    Samples unit-norm critical-cone directions (structured generators
-    plus rejection-filtered Gaussians), evaluates the curvature of each,
-    scores each one's parabolic arc, and reports either a negative
-    direction that its arc validates (optimality refuted), uniformly
-    positive sampled curvature (evidence in favor), or inconclusive.
-    The candidates are normalised (zero ones skipped, still counted as
-    tried) and tested in passes, each one stack drawn from
-    ``_CandidateStream``: per pass one gauge product U G V^T for its
-    structured candidates and the cone test alone (``_duality_gaps``, one
-    ``f.subderivative`` call); a pass keeps its critical rows with their
-    Hhat = U^T H V, formed once per candidate.  The guided offsets of
-    four random base directions come first, from one pass before any
-    structured Gaussian is drawn (none when no samples are asked for); a
-    pass takes at most the samples still needed (and ``_CHUNK_ENTRIES``
-    entries), so every chunk size walks the same candidates and hook
-    rows.  After the last pass the value half runs once per ``_chunks``
-    chunk of the accepted stack (``_curvatures``: one
+    Samples unit-norm critical-cone directions, evaluates the curvature
+    of each, scores each one's parabolic arc, and reports either a
+    negative direction that its arc validates (optimality refuted),
+    uniformly positive sampled curvature (evidence in favor), or
+    inconclusive.  The candidates come from ``_CandidateStream``: the
+    structured patterns raw, then Gaussians projected onto the span T of
+    the critical cone (``oimf._critical_subspaces``, built once a call;
+    T is the cone's lineality space S, and every projected Gaussian a
+    member, at a Y in the relative interior of f's face).  They are
+    normalised (zero ones skipped, still counted as tried) and tested in
+    passes, each one stack: per pass one gauge product U G V^T and the
+    cone test alone (``_duality_gaps``, one ``f.subderivative`` call); a
+    pass keeps its critical rows with their Hhat = U^T H V, formed once
+    per candidate, and takes at most the samples still needed (and
+    ``_CHUNK_ENTRIES`` entries), so every chunk size walks the same
+    candidates and hook rows.  After the last pass the value half runs
+    once per ``_chunks`` chunk of the accepted stack (``_curvatures``: one
     ``f.second_subderivative`` call, the alpha and beta terms, one
     ``psi.hessian_apply`` call, no report objects), then the sample count
     is checked.  Last, the accepted stack's parabolic arcs are scored from
@@ -361,7 +354,7 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     ``min_arc_quotient``, and the counterexample is the first row with
     q < -CURVATURE_TOL and an arc quotient below q / 4, the test
     obj < obj(X0) + t^2 q / 4.  The objective is evaluated at X0 and on
-    the arcs only.  Small gaps warn once, from the guided offsets.
+    the arcs only.  Small gaps warn once a call, from the point's tables.
     """
     X0 = as_matrix(X0, "X0")
     rep = fd_gradient_check(p.psi, X0)
@@ -380,26 +373,20 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
 
     point = SpectralPoint._from_subgradient(p.f, X0, Y, aligned)
     svd = point.gauge
-    rng = np.random.default_rng(cfg.seed)
-    # guided directions come first: curvature-minimizing offsets of a few
-    # random base directions often sit inside the cone
-    guided = np.array(guided_offsets(X0, rng.standard_normal(
-        (4,) + X0.shape)) if cfg.n_samples > 0 else [])
-    stream = _CandidateStream(point.part, rng, cfg.max_candidates)
+    point.part.tables.warn()
+    stream = _CandidateStream(point.part, np.random.default_rng(cfg.seed),
+                              cfg.max_candidates, _critical_subspaces(
+                                  p.f, point.part, point.sy)[1])
 
     passes = []   # per cone pass: its critical H and _duality_gaps rows
     kept = tried = 0
     cap = _chunk_size(X0)
     while kept < cfg.n_samples:
-        k = min(cfg.n_samples - kept, cap)
-        Hs, guided = guided[:k], guided[k:]
-        Gs = stream.take(k - len(Hs))
-        if len(Gs):
-            Gs = svd.U @ Gs @ svd.V.T
-            Hs = np.concatenate([Hs, Gs]) if len(Hs) else Gs
+        Hs = stream.take(min(cfg.n_samples - kept, cap))
         if not len(Hs):
             break
         tried += len(Hs)   # zero candidates count as tried, then drop out
+        Hs = svd.U @ Hs @ svd.V.T
         flat = Hs.reshape(len(Hs), -1)
         nrm = np.sqrt(np.vecdot(flat, flat))   # np.linalg.norm, bitwise
         Hs = Hs[nrm > 0] / nrm[nrm > 0, None, None]

@@ -40,6 +40,7 @@ from .matrix_core import (
     TOLERANCES,
     SvdDecomposition,
     _block_bounds,
+    _run_starts,
     _svd,
     as_count,
     as_matrix,
@@ -160,6 +161,132 @@ def _duality_gaps(f: SpectralFunctionSpec, gauge, part, Y, Hs):
             np.vecdot(flat, flat)))   # a dot per row: np.linalg.norm, bitwise
     _finite_rows(np.where(np.isnan(gaps), gaps, tols), "duality gap of H")
     return Hhat, d1, gaps, tols, np.abs(gaps) <= tols
+
+
+@dataclass(frozen=True)
+class _Subspace:
+    """A subspace of directions H read through Hhat = U^T H V in an
+    aligned gauge; called on a (k, m, n) stack of Hhat it returns their
+    orthogonal projections, each row bitwise that of the row alone.
+
+    Entries outside the listed diagonal blocks stay.  A block (lo, hi,
+    skew, traceless, levels, null) on indices lo:hi keeps the skew part
+    of Hhat's square block if ``skew``, the traceless symmetric part of
+    each ``traceless`` range and, on the diagonal, the mean of each
+    ``levels`` range (ranges relative to lo); the rest of the block is
+    zero.  ``null`` is None on an alpha block.  On the zero block it
+    starts the columns kept whole with their rows lo:m, and the rows past
+    n vanish on the columns before it."""
+
+    n: int
+    blocks: tuple
+
+    def __call__(self, Hhat):
+        out = Hhat.copy()
+        for lo, hi, skew, traceless, levels, null in self.blocks:
+            B = Hhat[:, lo:hi, lo:hi]
+            sym = 0.5 * (B + B.mT)
+            new = B - sym if skew else np.zeros_like(B)
+            diag = np.diagonal(sym, axis1=1, axis2=2)
+            shift = np.zeros_like(diag)
+
+            def mean(a, b):   # contiguous rows: each row sums alone
+                return np.ascontiguousarray(diag[:, a:b]).sum(
+                    axis=1, keepdims=True) / (b - a)
+
+            for a, b in traceless:
+                new[:, a:b, a:b] += sym[:, a:b, a:b]
+                shift[:, a:b] -= mean(a, b)
+            for a, b in levels:
+                shift[:, a:b] += mean(a, b)
+            at = np.arange(hi - lo)
+            new[:, at, at] += shift
+            if null is not None:
+                new[:, null:, null:] = B[:, null:, null:]
+                out[:, self.n:, lo:lo + null] = 0.0
+            out[:, lo:hi, lo:hi] = new
+        return out
+
+
+def _critical_subspaces(f: SpectralFunctionSpec, part, sy):
+    """The lineality space S and the span T of the critical cone K_F(X, Y),
+    S <= K_F <= T, as ``_Subspace`` projections in the gauge aligning X
+    and Y = U diag(sy) V^T, built per block of sigma(X)'s partition.
+
+    On K_F, sigma'(X; H) meets the Fan (on the zero block von Neumann)
+    equality against sy block by block, so inside a block the symmetric
+    entries of Hhat between different weights vanish, while an alpha
+    block's skew part and every entry outside the diagonal blocks are
+    free.  A block's weight groups g_1 .. g_p are the runs of sy at
+    GAUGE_TOL ||sy||, the ``_subgradient`` scale; on the zero block the
+    weights at or below it form the last, null group, whose rows run on
+    past n, and the other groups are symmetric.  The f-level cone
+    K_f(sigma, sy) decides the rest, read by one stacked ``critical`` call
+    at ``part.snapped`` on the prefixes s_j = 1 on g_1 .. g_j, on -s_p,
+    and on s_j + z / 2 and s_{j-1} + z / 2 (s_0 = 0) for z = e_a - e_b on
+    the first two indices of a group g_j of two or more.
+    In T the groups between two critical prefixes share one level (the
+    whole block's: s_p or -s_p), those after the last are zero, the null
+    group is free where the last prefix is critical, and a group keeps its
+    traceless part where one of its z probes is.  S is T on a block of
+    one group (not a positive zero-block one) whose +-s_p are critical;
+    with +-s_p critical it is one multiple of I on an alpha block of
+    several groups (the Fan equality for H and -H), and else zero but for
+    the alpha skew parts.  Exact where K_f's span and lineality are built
+    from these probes, as for the sum of the k largest |x_i|, scaled; S = T
+    at a Y in the relative interior of the face, {Hhat[r:, r:] = 0} for
+    l1."""
+    n, r = part.n, part.r
+    tol = GAUGE_TOL * np.linalg.norm(sy)
+    blocks, probes = [], {}
+    for lo, hi in zip(np.append(part.starts, r).tolist(),
+                      np.append(part.starts + part.sizes, n).tolist()):
+        if lo == hi:   # no zero block
+            continue
+        null = lo + int(np.count_nonzero(sy[lo:hi] > tol)) if lo == r else hi
+        bounds = sorted({lo + s for s in _run_starts(sy[lo:null], tol)}
+                        | {null, hi})
+        blocks.append((lo, hi, null, bounds))
+        prefix = [np.zeros(n)]
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
+            prefix.append(prefix[-1].copy())
+            prefix[j][a:b] = 1.0
+            probes[lo, "s", j] = prefix[j]
+            if b - a > 1 and a != null:
+                z = np.zeros(n)
+                z[a], z[a + 1] = 0.5, -0.5
+                probes[lo, "z", j] = prefix[j] + z
+                probes[lo, "z0", j] = prefix[j - 1] + z
+        probes[lo, "-s", len(bounds) - 1] = -prefix[-1]
+    W = np.array(list(probes.values())).reshape(len(probes), n)
+    ok = dict(zip(probes, critical(f, part.snapped, sy, W, CONE_TOL * (
+        1.0 + np.linalg.norm(sy) * np.linalg.norm(W, axis=1))).tolist()))
+
+    S, T = [], []
+    for lo, hi, null, bounds in blocks:
+        p, zero, rel = len(bounds) - 1, lo == r, [b - lo for b in bounds]
+        cuts = [j for j in range(1, p) if ok[lo, "s", j]] + (
+            [p] if ok[lo, "s", p] or ok[lo, "-s", p] else [])
+        keep = null if zero and p in cuts else hi
+        traceless = tuple((rel[j - 1], rel[j]) for j in range(1, p + 1)
+                          if ok.get((lo, "z", j)) or ok.get((lo, "z0", j)))
+        levels = tuple((rel[a], min(rel[b], keep - lo))
+                       for a, b in zip([0] + cuts, cuts) if bounds[a] < keep)
+        T.append((lo, hi, not zero, traceless, levels,
+                  keep - lo if zero else None))
+        lin = ok[lo, "s", p] and ok[lo, "-s", p]
+        S.append(T[-1] if lin and p == 1 and (not zero or null == lo) else (
+            lo, hi, not zero, (), ((0, hi - lo),) if lin and not zero else (),
+            hi - lo if zero else None))
+
+    def identity(block):
+        lo, hi, skew, traceless, levels, null = block
+        whole = ((0, hi - lo),)
+        return null == 0 or (skew and levels == whole and (
+            hi - lo == 1 or traceless == whole))
+
+    return tuple(_Subspace(n, tuple(b for b in blocks if not identity(b)))
+                 for blocks in (S, T))
 
 
 # -- composite calculus --------------------------------------------------------

@@ -25,7 +25,7 @@ from specvar.certify import (
 )
 from specvar.errors import AssumptionViolated, NonFinite, SamplingExhausted
 from specvar.errors import ShapeError
-from specvar.oimf import SpectralPoint, _duality_gaps, guided_offsets
+from specvar.oimf import SpectralPoint, _critical_subspaces, _duality_gaps
 from specvar.oracles import fd_gradient_check
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -347,11 +347,11 @@ def _saddle_instance(n):
     return p, X0
 
 
-def _candidates_one_at_a_time(part, rng):
+def _candidates_one_at_a_time(part, rng, project):
     """The documented candidate order, one matrix built per candidate:
-    +-E_ii, S_ij then A_ij for i < j, E_ij for the rows past n, then per
-    Gaussian draw the raw matrix and its copy with the zero block zeroed."""
-    m, n, r = part.m, part.n, part.r
+    +-E_ii, S_ij then A_ij for i < j, E_ij for the rows past n, then each
+    Gaussian draw projected alone."""
+    m, n = part.m, part.n
     for i in range(n):
         E = np.zeros((m, n))
         E[i, i] = 1.0
@@ -371,10 +371,14 @@ def _candidates_one_at_a_time(part, rng):
             E[i, j] = 1.0
             yield E
     while True:
-        G = rng.standard_normal((m, n))
-        yield G.copy()
-        G[r:, r:] = 0.0
-        yield G
+        yield project(rng.standard_normal((1, m, n)))[0]
+
+
+def _l1_span(part):
+    """T of l1 at a Y with weight 1 on the alpha blocks and 1/2 on the
+    zero block: {Hhat[r:, r:] = 0}."""
+    sy = np.where(np.arange(part.n) < part.r, 1.0, 0.5)
+    return _critical_subspaces(l1_spec(), part, sy)[1]
 
 
 class TestCandidateStream:
@@ -382,14 +386,18 @@ class TestCandidateStream:
         from specvar.certify import _CandidateStream
         from specvar.matrix_core import partition_of, svd_ordered
         X = np.diag([2.0, 1.0, 0.0])
-        svd = svd_ordered(X)
+        part = partition_of(svd_ordered(X))
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        first = _CandidateStream(partition_of(svd), rng, 10**9).take(12)
+        first = _CandidateStream(part, rng, 10**9, _l1_span(part)).take(12)
         assert rng.bit_generator.state == state   # 6 diagonal, 6 pairs
         assert first[0][0, 0] == 1.0 and first[1][0, 0] == -1.0
-        assert len(_CandidateStream(partition_of(svd), rng, 5).take(
+        assert len(_CandidateStream(part, rng, 5, _l1_span(part)).take(
             100)) == 5
+        gauss = _CandidateStream(part, rng, 10**9, _l1_span(part)).take(
+            40)[12:]   # each draw once, projected: the zero block is zero
+        assert not gauss[:, 2:, 2:].any() and gauss[:, :2].all()
+        assert len({G.tobytes() for G in gauss}) == 28
 
     @pytest.mark.parametrize("shape, rank", [((3, 3), 2), ((5, 3), 2),
                                              ((4, 4), 4), ((1, 1), 0)])
@@ -404,8 +412,9 @@ class TestCandidateStream:
         part = partition_of(svd_ordered(X))
         for sizes in ([1] * 40, [3, 5, 0, 7, 2, 9, 1, 13], [n * (m + 1) + 3]):
             ref_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-            ref = _candidates_one_at_a_time(part, ref_rng)
-            stream = _CandidateStream(part, rng, sum(sizes) - 1)
+            ref = _candidates_one_at_a_time(part, ref_rng, _l1_span(part))
+            stream = _CandidateStream(part, rng, sum(sizes) - 1,
+                                      _l1_span(part))
             taken = 0
             for k in sizes:
                 got = stream.take(k)
@@ -434,10 +443,10 @@ class TestCandidateStream:
 def _reference_certify(p, X0, cfg=SamplingConfig()):
     """certify with every direction evaluated from scratch: the cone test
     through F_subderivative in the svd_ordered gauge, then a fresh
-    simultaneous gauge and reduced blocks for d2F; guided offsets in
-    original space, candidates built eagerly, a negative direction
-    validated on its own arc X0 + t H + t^2 D, D the last offset, one
-    objective call per point."""
+    simultaneous gauge and reduced blocks for d2F; candidates built
+    eagerly, a negative direction validated on its own arc
+    X0 + t H + t^2 D, D the zero-target offset, one objective call per
+    point."""
     from specvar.matrix_core import CURVATURE_TOL, partition_of, svd_ordered
     from specvar.oimf import (
         CONE_TOL,
@@ -486,13 +495,12 @@ def _reference_certify(p, X0, cfg=SamplingConfig()):
 
     base = objective(p, X0)
     Y = -p.psi.gradient(X0)
-    svd, part, _ = simultaneous_gauge(X0, Y)
+    svd, part, sy = simultaneous_gauge(X0, Y)
     rng = np.random.default_rng(cfg.seed)
-    cands = []
-    for _ in range(4):
-        cands += offsets(X0, rng.standard_normal(X0.shape))
-    cands += [svd.U @ G @ svd.V.T for G in itertools.islice(
-        _candidates_one_at_a_time(part, rng), max(cfg.max_candidates, 1))]
+    span = _critical_subspaces(p.f, part, sy)[1]
+    cands = [svd.U @ G @ svd.V.T for G in itertools.islice(
+        _candidates_one_at_a_time(part, rng, span),
+        max(cfg.max_candidates, 1))]
     samples, counterexample = [], None
     for H in cands:
         if len(samples) >= cfg.n_samples:
@@ -609,12 +617,12 @@ class TestOneAlignment:
     @pytest.mark.parametrize("fixture", [soft_threshold_fixture,
                                          saddle_fixture])
     def test_fixtures(self, monkeypatch, fixture):
-        # one partition for the point, then the memo's for the guided
-        # pass; the arc pass reads the point's
+        # one partition for the point; the cone passes and the arc pass
+        # read it
         p, X0 = fixture()
         calls = self._count(monkeypatch)
         certify(p, X0)
-        assert calls == {"_align": 1, "partition_of": 2}
+        assert calls == {"_align": 1, "partition_of": 1}
 
     def test_not_stationary(self, monkeypatch):
         p, X0 = soft_threshold_fixture()
@@ -675,17 +683,19 @@ class TestChunkedCandidates:
 
     def test_exhausted_reports_candidates_tried(self):
         p, X0 = soft_threshold_fixture()
-        # 8 guided offsets and 60 structured candidates
+        # 12 structured candidates, 10 in the cone, then 48 projected
+        # Gaussians, all in it
         with pytest.raises(SamplingExhausted,
-                           match=r"^only 34 cone members in 68 candidates "
+                           match=r"^only 58 cone members in 60 candidates "
                                  r"\(need 400\)$"):
             certify(p, X0, SamplingConfig(n_samples=500, min_samples=400,
                                           max_candidates=60))
-        # at X0 = 0 the 4 guided offsets are zero: skipped, still tried
+        # at X0 = 0 inside the ball the cone is {0}: the projected
+        # Gaussians are zero, skipped, still tried
         B = np.array([[0.3, 0.1], [0.0, -0.2], [0.1, 0.0]])
         p0 = ProblemSpec(HalfSquaredDistance(B), scale_spec(l1_spec(), 0.5))
         with pytest.raises(SamplingExhausted,
-                           match=r"^only 0 cone members in 34 candidates "
+                           match=r"^only 0 cone members in 30 candidates "
                                  r"\(need 40\)$"):
             certify(p0, np.zeros((3, 2)), SamplingConfig(
                 n_samples=50, min_samples=40, max_candidates=30, seed=3))
@@ -889,32 +899,34 @@ class TestStackedCertify:
     # (numpy 2.4, OpenBLAS 0.3.31 on x86-64; another BLAS may round
     # differently)
     PINNED = {
-        ("soft", 0): "fe86afb09c68a5a6306bf0827b6471dc"
-                     "c0588131701589d5891beb86fd3bdd27",
-        ("soft", 1): "8657153c895318a335e2e2ccdc08d343"
-                     "41320b86faa4171d533244d5ef371d88",
-        ("soft", 2): "ce2c3b3b2f6aa083224063779bbf157a"
-                     "78a5c300aa2e1bcdbc80ece1454828a6",
-        ("soft", 3): "ff4eebcb509700f189232fa48ca0b3ed"
-                     "6a1ca3207b8d1573eab682e9abb96b13",
-        ("saddle", 0): "d8c3ad9af3d5f4a5528d9a02094622e4"
-                       "3df22c84d06081d4cebee915f4fb0e62",
-        ("saddle", 1): "f29f386d28357485400f952d5a0fcad6"
-                       "82758be912f80f3149754f40a07902a3",
-        ("saddle", 2): "b8c387c1c7b9b1e578bb7c7bd3df38ad"
-                       "cfa72d5f2aec96eb6e41b412fcb58ded",
-        ("saddle", 3): "b3b82b628fe23a539ae1958a0eb53fd1"
-                       "9d85824f93d7403b2b03ca0e16dbc920",
+        ("soft", 0): "d146b32e18c0a6e3897afde45b4af936"
+                     "2315cb60e85784e17ab046ac30925e59",
+        ("soft", 1): "9b95355d93996ae345fee14ed10ea30f"
+                     "e25bdbb316e183c31921baa944a55fbd",
+        ("soft", 2): "f4b6c8dd255a0f4512a9ebc0c85dc3eb"
+                     "25c08a68a1acbffefa8854ce00123222",
+        ("soft", 3): "36ae60a6d566ffaa77608dae70686e7b"
+                     "f4480ea5ca2e76b501fdadba1e2ce560",
+        ("saddle", 0): "dd885caa4d31e727684eba57dd4fe5fd"
+                       "781d67fd597d596ea524af8655250432",
+        ("saddle", 1): "7080e4f335be44ec64791d35e0ef44e5"
+                       "7c5e5bfdc53a51a2981ee7941c5740ca",
+        ("saddle", 2): "4be8f5318b5c8c1a45ef07ba248c3a43"
+                       "6a3eb4c015dd00426f768e190784965c",
+        ("saddle", 3): "cd03e86dcd1e89df1b3557cdbe43c7a5"
+                       "1a6bcf194817c3eb5c40219dd7650a1c",
     }
 
     # SHA-256 over verdict, min_curvature, min_arc_quotient,
     # stationarity_residual and the counterexample's bytes of seeds 0-19,
-    # recorded before certify's passes ran on arrays (same platform)
+    # recorded before certify's passes ran on arrays (same platform); the
+    # saddle's re-recorded when the guided candidates left the stream
+    # (five counterexamples became A_01 / sqrt 2)
     WHOLE_PINNED = {
         "soft": "a0dcafea8841ebb172b0d54364f3a192"
                 "74e6c3a1708e68e68258d2b23909ba06",
-        "saddle": "4bd7115a83e3d84ec3296091d6eedab6"
-                  "cfaa3537342a1edd2559ad863b2e70ba",
+        "saddle": "af2dd3d6bb30c3fa49d61bde2b26e703"
+                  "71357f35ca5644cda46eb2cfb2c8395a",
     }
 
     @pytest.mark.parametrize("name, seed", list(PINNED))
@@ -1006,12 +1018,15 @@ class TestStackedCertify:
                         "d2", p.f.second_subderivative))
         cert = certify(ProblemSpec(Logged(p.psi.B), f), X0)
         assert len(cert.samples) == 200
-        assert calls == ["hessian"] + ["cone", "d1"] * 9 + [
+        # the gradient check, the cone's probes, then two passes: 12
+        # structured candidates (10 critical) and 188 projected Gaussians,
+        # then 2 more
+        assert calls == ["hessian", "d1"] + ["cone", "d1"] * 2 + [
             "d2", "alpha", "hessian"]
 
     def test_warns_once_per_value_chunk(self, monkeypatch):
         # a 5e-7 gap between the top two values warns once a call, from
-        # the guided pass: the cone passes, the value half and the arc
+        # the point's tables: the cone passes, the value half and the arc
         # pass never warn, however many chunks they run
         import warnings
         from specvar.errors import ConditioningWarning
@@ -1033,7 +1048,7 @@ class TestStackedCertify:
     def test_forms_hhat_once_per_candidate(self, monkeypatch):
         # the cone passes form Hhat = U^T H V in the aligned gauge; the
         # value half and the arcs read their critical rows, bitwise, and
-        # _prepared runs for the guided pass's base directions only
+        # _prepared never runs
         cmod, omod, svc = (importlib.import_module(f"specvar.{name}") for
                            name in ("certify", "oimf", "sv_calculus"))
         prepared, cone, values, arcs = [], [], [], []
@@ -1055,7 +1070,7 @@ class TestStackedCertify:
         p, X0 = soft_threshold_fixture()
         assert len(certify(p, X0).samples) == 200
         assert not hasattr(cmod, "_prepared")
-        assert prepared == [(4, 3, 3)]
+        assert prepared == []
         kept = np.concatenate(cone)
         assert len(kept) == 200
         assert np.array_equal(np.concatenate(values), kept)
@@ -1114,32 +1129,29 @@ class TestStackedCertify:
         with pytest.raises(AssumptionViolated, match="hessian rel err"):
             certify(ProblemSpec(psi, p.f), X0)
 
-    def test_no_samples_no_guided_pass(self, monkeypatch):
+    def test_no_samples_draws_no_candidate(self, monkeypatch):
         cmod = importlib.import_module("specvar.certify")
 
         def refuse(*args):
-            raise AssertionError("guided_offsets called")
+            raise AssertionError("a candidate drawn")
 
         p, X0 = soft_threshold_fixture()
-        monkeypatch.setattr(cmod, "guided_offsets", refuse)
+        monkeypatch.setattr(cmod._CandidateStream, "take", refuse)
         cert = certify(p, X0, SamplingConfig(n_samples=0, min_samples=0))
         assert cert.samples == [] and cert.verdict == "inconclusive"
 
     @staticmethod
     def _per_matrix_samples(p, X0, cfg):
         # the one-matrix-at-a-time loop: each candidate built, normalised,
-        # tested and scored alone, guided offsets one base direction at a
-        # time
+        # tested and scored alone
         point = SpectralPoint(p.f, X0, -p.psi.gradient(X0))
         svd = point.gauge
         rng = np.random.default_rng(cfg.seed)
-        guided = (D for _ in range(4)
-                  for D in guided_offsets(X0, rng.standard_normal(X0.shape)))
-        structured = (svd.U @ G @ svd.V.T for G in itertools.islice(
-            _candidates_one_at_a_time(point.part, rng),
-            max(cfg.max_candidates, 1)))
+        span = _critical_subspaces(p.f, point.part, point.sy)[1]
         samples = []
-        for H in itertools.chain(guided, structured):
+        for H in (svd.U @ G @ svd.V.T for G in itertools.islice(
+                _candidates_one_at_a_time(point.part, rng, span),
+                max(cfg.max_candidates, 1))):
             if len(samples) == cfg.n_samples:
                 break
             nrm = np.linalg.norm(H)
@@ -1305,9 +1317,7 @@ class TestArcQuotients:
         # certify runs no ball probe: the arcs take 2 n_samples rows, and
         # build only their zero-target offsets
         cmod = importlib.import_module("specvar.certify")
-        guided, arcs = [], []
-        monkeypatch.setattr(cmod, "guided_offsets", lambda X, H: (
-            guided.append(len(H)) or guided_offsets(X, H)))
+        arcs = []
         zero_target = cmod._zero_target_offsets
         monkeypatch.setattr(cmod, "_zero_target_offsets", lambda *a: (
             arcs.append(len(a[2])) or zero_target(*a)))
@@ -1318,7 +1328,6 @@ class TestArcQuotients:
         n = SamplingConfig.n_samples
         assert len(cert.samples) == n
         assert rows["eval"] <= 2 * n + 8
-        assert guided == [4]   # the guided candidates
         assert sum(arcs) == n   # the arcs, one zero-target pass a chunk
         assert not hasattr(cert, "growth_constant_observed")
 
@@ -1401,3 +1410,42 @@ class TestArcValidation:
         monkeypatch.setattr(cmod, "_arc_quotients",
                             lambda *a: np.tile(0.25 * q, (2, 1)))
         assert certify(p, X0).counterexample is None
+
+
+def _mix_saddles(seeds):
+    """certify-mix's saddle instances of the given workload seeds, as
+    (ProblemSpec, X0)."""
+    for seed in seeds:
+        rng = workloads._rng(seed, 0)
+        for m, n in workloads.SOFT_SIZES:   # drawn first, as the workload
+            workloads._soft_instance(rng, m, n)
+        for n in workloads.SADDLE_SIZES:
+            d = workloads._saddle_instance(rng, n)
+            yield ProblemSpec(QuadraticMinusRankOne(d["B"], d["E"], 1.0),
+                              scale_spec(l1_spec(), 0.5)), d["X0"]
+
+
+class TestDistinctSamples:
+    def test_no_sample_repeats(self):
+        # each Gaussian is drawn once: at full rank a zero-block-zeroed
+        # copy equalled its draw (107 distinct of 200 at the saddle, seed 0)
+        runs = [(fixture(), seed) for fixture in (soft_threshold_fixture,
+                                                   saddle_fixture)
+                for seed in range(20)]
+        runs += [(point, 0) for point in _mix_saddles(range(1, 21))]
+        for (p, X0), seed in runs:
+            cert = certify(p, X0, SamplingConfig(seed=seed))
+            assert len({H.tobytes() for H, _ in cert.samples}) == 200
+
+
+class TestBenchmarkCheck:
+    def test_certify_mix_jobs_pass_their_check(self, tmp_path):
+        # perfbench's own check, unedited: verdict, 200 samples and the
+        # saddle counterexample's descent, on the five instances of
+        # workload seeds 1-5 and the two CLI fixtures
+        mix = workloads.CertifyMix(tmp_path)
+        for seed in range(1, 6):
+            mix.prepare(seed)
+            for job in mix.jobs(seed, 0):
+                if job.data["kind"] != "cli" or seed == 1:
+                    assert mix.check(job, mix.run(job, lambda f: f)) is None

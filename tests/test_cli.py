@@ -250,6 +250,25 @@ class TestCertifyCommands:
         assert sorted(rep["inputs"]) == ["min_samples", "n_samples",
                                          "problem", "seed"]
 
+    def test_certify_linf_tie(self, tmp_path):
+        # sigma(X0) = (3, 3, 2, 1, 1/2, 0) and sigma(Y) = (0.6, 0.4, 0, ...)
+        # in a random 8 x 6 gauge: the tied top pair's cone is one multiple
+        # of I, which sampling by rejection never met (exit 2)
+        rng = np.random.default_rng(1)
+        U = np.linalg.qr(rng.standard_normal((8, 8)))[0][:, :6]
+        V = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        X0 = U @ np.diag([3.0, 3.0, 2.0, 1.0, 0.5, 0.0]) @ V.T
+        Y = U @ np.diag([0.6, 0.4, 0.0, 0.0, 0.0, 0.0]) @ V.T
+        write(tmp_path, "x0.csv", X0)
+        write(tmp_path, "b.csv", X0 + Y)
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "f": "linf", "X0": "x0.csv",
+            "psi": {"kind": "half-squared-distance", "B": "b.csv"}}))
+        out = run(tmp_path, "certify", "--problem", str(path))["outputs"]
+        assert out["verdict"] == "sufficient-evidence"
+        assert out["n_samples"] == 200
+
     @pytest.mark.parametrize("command, flags, code", [
         # below the default min_samples of 50: refused before sampling
         ("certify", ["--n-samples", "10"], 1),
