@@ -338,15 +338,16 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     structured patterns raw, then Gaussians projected onto the span T of
     the critical cone (``oimf._critical_subspaces``, built once a call;
     T is the cone's lineality space S, and every projected Gaussian a
-    member, at a Y in the relative interior of f's face).  They are
-    normalised (zero ones skipped, still counted as tried) and tested in
-    passes, each one stack: per pass one gauge product U G V^T and the
-    cone test alone (``_duality_gaps``, one ``f.subderivative`` call); a
-    pass keeps its critical rows with their Hhat = U^T H V, formed once
-    per candidate, and takes at most the samples still needed (and
-    ``_CHUNK_ENTRIES`` entries), so every chunk size walks the same
-    candidates and hook rows.  After the last pass the value half runs
-    once per ``_chunks`` chunk of the accepted stack (``_curvatures``: one
+    member, at a Y in the relative interior of f's face; at T = {0} none
+    is drawn).  They are normalised (zero ones skipped, still counted as
+    tried) and tested in passes, each one stack: per pass one gauge
+    product U G V^T and the cone test alone (``_duality_gaps``, one
+    ``f.subderivative`` call); a pass keeps its critical rows with their
+    Hhat = U^T H V, formed once per candidate, and takes at most the
+    samples still needed (and ``_CHUNK_ENTRIES`` entries), so every chunk
+    size walks the same candidates and hook rows.  After the last pass,
+    if it kept any row, the value half runs once per ``_chunks`` chunk of
+    the accepted stack (``_curvatures``: one
     ``f.second_subderivative`` call, the alpha and beta terms, one
     ``psi.hessian_apply`` call, no report objects), then the sample count
     is checked.  Last, the accepted stack's parabolic arcs are scored from
@@ -374,14 +375,14 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
     point = SpectralPoint._from_subgradient(p.f, X0, Y, aligned)
     svd = point.gauge
     point.part.tables.warn()
+    T = _critical_subspaces(p.f, point.part, point.sy)[1]
     stream = _CandidateStream(point.part, np.random.default_rng(cfg.seed),
-                              cfg.max_candidates, _critical_subspaces(
-                                  p.f, point.part, point.sy)[1])
+                              cfg.max_candidates, T)
 
     passes = []   # per cone pass: its critical H and _duality_gaps rows
     kept = tried = 0
     cap = _chunk_size(X0)
-    while kept < cfg.n_samples:
+    while kept < cfg.n_samples and not T.zero:   # T = {0}: none critical
         Hs = stream.take(min(cfg.n_samples - kept, cap))
         if not len(Hs):
             break
@@ -397,12 +398,11 @@ def certify(p: ProblemSpec, X0, cfg: SamplingConfig = SamplingConfig()):
         passes.append([Hs[crit]] + [a[crit] for a in cone])
         kept += int(crit.sum())
 
-    q = np.empty(0)
-    if passes:   # the value half runs even with no row kept
+    if kept:
         Hs, *cone = (np.concatenate(a) for a in zip(*passes))
         q = np.concatenate([
             _curvatures(p, X0, point, Hs[at], [a[at] for a in cone])
-            for at in _chunks(X0, kept) or [slice(0, 0)]])
+            for at in _chunks(X0, kept)])
 
     if cfg.n_samples > 0 and kept < cfg.min_samples:
         raise SamplingExhausted(

@@ -41,8 +41,9 @@ from .matrix_core import (
     as_count,
     as_matrix,
     as_real,
-    partition_values,
+    partition_of,
     read_matrix_csv,
+    svd_ordered,
 )
 from .sv_calculus import sigma_dir1, sigma_dir2
 
@@ -293,9 +294,9 @@ def _oracle_target(args, X, tols):
     if args.target == "composite":
         f = spec_by_name(args.f)
         return lambda M: oimf.F_eval(f, M)
-    # psi: freeze the zero-block split at the base point's rank
-    s = np.linalg.svd(X, compute_uv=False)
-    r0 = partition_values(s, tols).r
+    # psi: freeze the zero-block split at the base point's rank, read
+    # from the partition nuclear_psi_subderivative reads
+    r0 = partition_of(svd_ordered(X), tols).r
     return lambda M: oimf.nuclear_psi_eval(M, base_rank=r0)
 
 

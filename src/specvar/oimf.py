@@ -181,6 +181,11 @@ class _Subspace:
     n: int
     blocks: tuple
 
+    @property
+    def zero(self):
+        """Whether this is {0}, a zero block over all n that keeps nothing."""
+        return self.blocks == ((0, self.n, False, (), (), self.n),)
+
     def __call__(self, Hhat):
         out = Hhat.copy()
         for lo, hi, skew, traceless, levels, null in self.blocks:

@@ -64,9 +64,9 @@ class DirectionBlocks:
     one record the sigma'' and W-hat kernels read: Hhat, its sigma' row
     ``d1``, and built on their first use the levels, in which each size
     class of alpha blocks stacks its reduced eigenvectors and every
-    second-level group is a run of ``ltilde`` that starts at 1 (the zero
-    block's groups are cut on ``d1``'s own values).  The point's divided
-    differences are ``part.tables``."""
+    second-level group is a run of ``ltilde`` that starts at 1, cut on
+    ``d1``'s own values.  The point's divided differences are
+    ``part.tables``."""
 
     gauge: SvdDecomposition
     part: SingularPartition
@@ -90,28 +90,28 @@ class DirectionBlocks:
 
     @cached_property
     def _levels(self):
-        """(classes, beta, ltilde), read-only, built once: the reduced eigh
-        of each size class and the thin SVD of R = Hhat[r:, r:], whose
-        groups and zero count are the partition rule of ``d1[r:]``."""
-        part, Hhat, tols = self.part, self.Hhat, self.part.tols
+        """(classes, beta, ltilde), read-only, built once: every
+        second-level group is a run of ``d1`` (an alpha block's at
+        cluster max(1, max|d1|) over the block, the zero block's by the
+        partition rule), and the eigh of each size class and the thin SVD
+        of R = Hhat[r:, r:] give only vectors; overflow stops at ``d1``."""
+        part, Hhat, tols, d1 = self.part, self.Hhat, self.part.tols, self.d1
         n = part.n
-        eta, ltilde = np.zeros(n), np.zeros(n, dtype=int)
+        ltilde = np.zeros(n, dtype=int)
         classes = []
         for idx in part.classes:
-            Q, eta[idx], ltilde[idx] = _reduced_eig(
-                _sym(_blocks_of(Hhat, idx)), tols)
-            classes.append((idx, Q))
-        _finite_rows(eta[:part.r], "reduced eigenvalue of H")
+            tol = tols.cluster * np.maximum(1.0, np.abs(d1[idx]).max(axis=1))
+            ltilde[idx] = cluster_ranks(d1[idx], tol)
+            classes.append((idx, sym_eig_ordered(_blocks_of(Hhat, idx)).Q))
 
         beta = None
         if part.r < n:
             # thin: no formula reads the complement of R's left factor
-            Q, s, Qhat_t = np.linalg.svd(Hhat[part.r:, part.r:],
+            Q, _, Qhat_t = np.linalg.svd(Hhat[part.r:, part.r:],
                                          full_matrices=False)
-            Q, Qhat = _fix_signs(Q, Qhat_t.T)
-            _finite_rows(s, "singular value of the zero block of H")
-            rank, _, ltilde[part.r:] = _value_blocks(self.d1[part.r:], tols)
-            beta = BetaBlock(Q=Q, Qhat=Qhat, zeros=n - part.r - rank)
+            rank, _, ltilde[part.r:] = _value_blocks(d1[part.r:], tols)
+            beta = BetaBlock(*_fix_signs(Q, Qhat_t.T),
+                             zeros=n - part.r - rank)
         return _read_only((tuple(classes), beta, ltilde))
 
     @cached_property
@@ -128,16 +128,6 @@ def _blocks_of(M, idx):
     """The (b, k, k) diagonal blocks of M on the rows of a (b, k) index
     array (over M's last two axes)."""
     return M[..., idx[:, :, None], idx[:, None, :]]
-
-
-def _reduced_eig(S, tols):
-    """Ordered eigenvectors, eigenvalues and 1-based second-level ranks of
-    a (b, k, k) stack of reduced symmetric blocks: one eigh (none for
-    k = 1) and one clustering pass (each row at max(1, |eta|) scale) for
-    the stack."""
-    eig = sym_eig_ordered(S)
-    scale = np.maximum(1.0, np.abs(eig.lam).max(axis=1))
-    return eig.Q, eig.lam, cluster_ranks(eig.lam, tols.cluster * scale)
 
 
 def _group_eigvals(B, ranks):
@@ -373,9 +363,11 @@ def eig_expand2(A, E, tols=TOLERANCES):
         with np.errstate(over="ignore", invalid="ignore"):
             M2 = K.mT @ (K / gap[:, :, None])
         M2 = _finite_rows(M2, "resolvent term of E")
-        Q, first[idx], ranks = _reduced_eig(_blocks_of(Ehat, idx), tols)
-        _finite_rows(first[idx], "first-order term of E")
-        second[idx] = _group_eigvals(2.0 * (Q.mT @ M2 @ Q), ranks)
+        red = sym_eig_ordered(_blocks_of(Ehat, idx))
+        first[idx] = _finite_rows(red.lam, "first-order term of E")
+        tol = tols.cluster * np.maximum(1.0, np.abs(red.lam).max(axis=1))
+        second[idx] = _group_eigvals(2.0 * (red.Q.mT @ M2 @ red.Q),
+                                     cluster_ranks(red.lam, tol))
     return first, second
 
 

@@ -690,15 +690,17 @@ class TestChunkedCandidates:
                                  r"\(need 400\)$"):
             certify(p, X0, SamplingConfig(n_samples=500, min_samples=400,
                                           max_candidates=60))
-        # at X0 = 0 inside the ball the cone is {0}: the projected
-        # Gaussians are zero, skipped, still tried
+        # at X0 = 0 inside the ball the cone is {0}: T = {0}, so no
+        # candidate is drawn
         B = np.array([[0.3, 0.1], [0.0, -0.2], [0.1, 0.0]])
         p0 = ProblemSpec(HalfSquaredDistance(B), scale_spec(l1_spec(), 0.5))
         with pytest.raises(SamplingExhausted,
-                           match=r"^only 0 cone members in 30 candidates "
+                           match=r"^only 0 cone members in 0 candidates "
                                  r"\(need 40\)$"):
             certify(p0, np.zeros((3, 2)), SamplingConfig(
                 n_samples=50, min_samples=40, max_candidates=30, seed=3))
+        cert = certify(p0, np.zeros((3, 2)), SamplingConfig(min_samples=0))
+        assert cert.verdict == "inconclusive" and cert.samples == []
 
     def test_face_classified_once_per_hook_call(self, monkeypatch):
         # one top-k face per hook call, shared by every row of its stack

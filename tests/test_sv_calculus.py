@@ -18,6 +18,7 @@ from specvar.matrix_core import (
     TOLERANCES,
     SvdDecomposition,
     Tolerances,
+    _level_starts,
     gauge_randomize,
     partition_of,
     partition_values,
@@ -387,7 +388,7 @@ class TestMinDirectionConstruct:
                                        atol=1e-8)
 
     def test_unsorted_target_rejected(self):
-        X = np.eye(2)  # one block, one eta group of size 2
+        X = np.eye(2)  # one block, one second-level group of size 2
         with pytest.raises(NotBlockSorted):
             min_direction_construct(X, np.zeros((2, 2)),
                                     np.array([1.0, 2.0]))
@@ -1213,13 +1214,13 @@ class TestNonFinite:
 
     def test_zero_block_overflow_raises(self):
         # sigma(R) of a zero block of 1.7e308 entries is inf: sigma' has
-        # no value there, and sigma'' stops at the levels' SVD of R
+        # no value there, and sigma'' stops at that same sigma'
         from specvar.errors import NonFinite
         X, H = np.diag([2.0, 0.0, 0.0]), np.full((3, 3), 1.7e308)
-        with pytest.raises(NonFinite, match="sigma' of H .* overflows"):
-            sigma_dir1(X, H)
-        with pytest.raises(NonFinite, match="zero block of H .* overflows"):
-            sigma_dir2(X, H, np.zeros((3, 3)))
+        for call in (lambda: sigma_dir1(X, H),
+                     lambda: sigma_dir2(X, H, np.zeros((3, 3)))):
+            with pytest.raises(NonFinite, match="sigma' of H .* overflows"):
+                call()
 
     TIED = np.diag([2.0, 2.0, 1.0])            # Hhat = H: a tied top pair
     ZERO = np.diag([1.0, 0.0, 0.0])            # and a 2 x 2 zero block
@@ -1228,7 +1229,7 @@ class TestNonFinite:
     @pytest.mark.parametrize("call, text", [
         (lambda H: sigma_dir1(TestNonFinite.TIED, H), "sigma' of H"),
         (lambda H: sigma_dir2(TestNonFinite.TIED, H, np.zeros((3, 3))),
-         "reduced eigenvalue"),
+         "sigma' of H"),
         (lambda H: oimf.F_subderivative(l1_spec(), TestNonFinite.TIED, H),
          "sigma' of H"),
         (lambda H: oimf.F_critical_cone_contains(
@@ -1306,6 +1307,82 @@ class TestZeroBlockRanks:
                 seen["chain cut"] += np.any((ref.l[1:ref.r] == 1) & (
                     step < tols.cluster * max(1.0, s_R[0])))
         assert min(seen.values()) > 5 and len(seen) == 5
+
+
+class TestAlphaBlockRanks:
+    """Every second-level group of an alpha block is a run of its sigma'
+    values at the block's level scale (the ``_level_starts`` rule the
+    parabolic hooks apply to the same sigma'): on chained near-ties
+    (steps of 0.4, 0.6, 1.5 and 1e5 cluster tolerances) in a randomly
+    rotated tied block of X = diag(2, 2, 2, 2, 2, 1), ``ltilde`` over the
+    block equals the runs of ``d1`` there, a target sorted inside those
+    runs is reached, and sigma'' is nonincreasing inside them."""
+
+    SIGMA = np.array([2.0, 2.0, 2.0, 2.0, 2.0, 1.0])
+    K = 5
+
+    @classmethod
+    def directions(cls, rng, count):
+        """(tols, X, H) with sigma' chained on the tied block."""
+        m, n, k = 8, len(cls.SIGMA), cls.K
+        X = np.eye(m, n) * cls.SIGMA
+        for tols in (TOLERANCES, Tolerances(cluster=2e-8, rank=1e-10)):
+            for _ in range(count):
+                top = float(rng.choice([-3.0, 0.5, 1.0, 3.0]))
+                steps = rng.choice([0.0, 0.4, 0.6, 1.5, 1e5], size=k - 1)
+                eta = top - tols.cluster * max(1.0, abs(top)) * np.cumsum(
+                    np.r_[0.0, steps])
+                Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+                H = rng.standard_normal((m, n))
+                H[:k, :k] = Q @ np.diag(eta) @ Q.T
+                yield tols, X, H
+
+    @staticmethod
+    def runs(b, k):
+        d1 = b.d1[:k]
+        return reference_runs(d1, b.part.tols.cluster * max(
+            1.0, np.max(np.abs(d1))))
+
+    def test_ranks_are_the_level_runs_of_sigma_prime(self):
+        rng = np.random.default_rng(40)
+        seen = Counter()
+        for tols, X, H in self.directions(rng, 200):
+            b = direction_blocks(X, H, None, tols)
+            runs = self.runs(b, self.K)
+            ranks = [i - run[0] + 1 for run in runs for i in run]
+            assert b.ltilde[:self.K].tolist() == ranks
+            seen["chained group"] += max(map(len, runs)) > 2
+            d1 = b.d1[:self.K]
+            seen["chain cut"] += np.any((np.array(ranks[1:]) == 1) & (
+                -np.diff(d1) < tols.cluster * max(1.0, np.max(np.abs(d1)))))
+        assert min(seen.values()) > 5 and len(seen) == 2
+
+    def test_target_sorted_inside_the_runs_round_trips(self):
+        # flat inside each run, rising across runs: only a group cut on
+        # sigma' accepts it
+        rng = np.random.default_rng(41)
+        for tols, X, H in self.directions(rng, 100):
+            b = direction_blocks(X, H, None, tols)
+            zbar = np.r_[np.concatenate([np.full(len(run), float(j))
+                                         for j, run in enumerate(
+                                             self.runs(b, self.K))]), -1.0]
+            What = min_direction_construct(X, H, zbar, tols)
+            np.testing.assert_allclose(sigma_dir2(X, H, What, tols), zbar,
+                                       atol=1e-8)
+
+    def test_sigma2_nonincreasing_inside_level_runs(self):
+        # what F_parabolic_subderivative hands the hook: sigma'' sorted
+        # inside every _level_starts run of sigma' in each block
+        rng = np.random.default_rng(42)
+        for tols, X, H in self.directions(rng, 100):
+            W = rng.standard_normal(X.shape)
+            b = direction_blocks(X, H, None, tols)
+            d2 = sigma_dir2(X, H, W, tols)
+            for blk in b.part.alpha_blocks:
+                v = b.d1[blk]
+                bounds = _level_starts(v, tols) + [len(v)]
+                for lo, hi in zip(bounds, bounds[1:]):
+                    assert np.all(np.diff(d2[blk][lo:hi]) <= 0.0)
 
 
 class TestOnePartitionPerPoint:
